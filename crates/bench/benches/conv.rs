@@ -1,25 +1,23 @@
-//! Benchmarks of the im2col convolution engine against the direct loop-nest
-//! reference — the paper's Table 1 workloads are CNNs, so these pairs track
-//! the dominant FLOPs of the benchmark models.
+//! Benchmarks of the im2col convolution engine — the paper's Table 1
+//! workloads are CNNs, so these rows track the dominant FLOPs of the
+//! benchmark models.
 //!
 //! Run via `scripts/ci.sh` (or set `FLEET_BENCH_JSON=BENCH_conv.json`) for a
-//! machine-readable record. The key pairs:
+//! machine-readable record. The key rows:
 //!
-//! * `table1_mnist_step_im2col` vs `table1_mnist_step_direct` — one full
-//!   forward+backward training step of the paper's MNIST CNN on both conv
-//!   paths (the PR-4 acceptance pair: im2col must be ≥3x on one core).
-//! * `conv2_mnist_{forward,backward}_*` — the second MNIST convolution in
-//!   isolation (8→48 channels, 5x5 on 8x8), where the direct nest's short
-//!   4-wide output rows vectorise worst and the GEMM lowering wins most.
+//! * `table1_mnist_step_im2col` / `table1_mnist_forward_im2col` — one full
+//!   forward+backward training step, and the forward pass alone, of the
+//!   paper's MNIST CNN.
+//! * `conv2_mnist_{forward,backward}_im2col` — the second MNIST convolution
+//!   in isolation (8→48 channels, 5x5 on 8x8).
 //! * `table1_emnist_step_im2col` / `table1_cifar100_step_im2col` — the other
-//!   two Table 1 topologies on the default path, for the perf trajectory.
+//!   two Table 1 topologies, for the perf trajectory.
 //! * `maxpool2d_forward_24x24` — the row-vectorised pooling sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fleet_ml::init::Initializer;
 use fleet_ml::layer::Layer;
-use fleet_ml::layers::{Conv2d, ConvPath, Dense, Flatten, MaxPool2d, Relu};
-use fleet_ml::model::Sequential;
+use fleet_ml::layers::{Conv2d, MaxPool2d};
 use fleet_ml::models::{table1_cifar100_cnn, table1_emnist_cnn, table1_mnist_cnn};
 use fleet_ml::tensor::Tensor;
 
@@ -38,73 +36,35 @@ fn pattern(len: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
-/// The paper's Table 1 MNIST topology with both convolutions pinned to
-/// `path` — the direct-path twin of `models::table1_mnist_cnn`.
-fn mnist_cnn_with_path(path: ConvPath, seed: u64) -> Sequential {
-    let mut conv1 = Conv2d::new(1, 8, 5, 1, Initializer::He, seed);
-    conv1.set_path(path);
-    let mut conv2 = Conv2d::new(8, 48, 5, 1, Initializer::He, seed + 1);
-    conv2.set_path(path);
-    Sequential::new()
-        .with_layer(Box::new(conv1))
-        .with_layer(Box::new(Relu::new()))
-        .with_layer(Box::new(MaxPool2d::new(3, 3)))
-        .with_layer(Box::new(conv2))
-        .with_layer(Box::new(Relu::new()))
-        .with_layer(Box::new(MaxPool2d::new(2, 2)))
-        .with_layer(Box::new(Flatten::new()))
-        .with_layer(Box::new(Dense::new(192, 10, Initializer::Xavier, seed + 2)))
-}
-
 fn conv_layer_benches(c: &mut Criterion) {
     // MNIST conv2 shapes: [16, 8, 8, 8] -> [16, 48, 4, 4].
     let input = Tensor::from_vec(pattern(16 * 8 * 8 * 8, 1.0), &[16, 8, 8, 8]);
-    for (name, path) in [
-        ("conv2_mnist_forward_im2col", ConvPath::Im2col),
-        ("conv2_mnist_forward_direct", ConvPath::Direct),
-    ] {
-        c.bench_function(name, |b| {
-            let mut conv = Conv2d::new(8, 48, 5, 1, Initializer::He, 0);
-            conv.set_path(path);
-            b.iter(|| black_box(conv.forward(&input).unwrap()));
+    c.bench_function("conv2_mnist_forward_im2col", |b| {
+        let mut conv = Conv2d::new(8, 48, 5, 1, Initializer::He, 0);
+        b.iter(|| black_box(conv.forward(&input).unwrap()));
+    });
+    c.bench_function("conv2_mnist_backward_im2col", |b| {
+        let mut conv = Conv2d::new(8, 48, 5, 1, Initializer::He, 0);
+        let out = conv.forward(&input).unwrap();
+        let grad = Tensor::from_vec(pattern(out.len(), 1.0), out.shape());
+        b.iter(|| {
+            conv.zero_gradients();
+            black_box(conv.backward(&grad).unwrap())
         });
-    }
-    for (name, path) in [
-        ("conv2_mnist_backward_im2col", ConvPath::Im2col),
-        ("conv2_mnist_backward_direct", ConvPath::Direct),
-    ] {
-        c.bench_function(name, |b| {
-            let mut conv = Conv2d::new(8, 48, 5, 1, Initializer::He, 0);
-            conv.set_path(path);
-            let out = conv.forward(&input).unwrap();
-            let grad = Tensor::from_vec(pattern(out.len(), 1.0), out.shape());
-            b.iter(|| {
-                conv.zero_gradients();
-                black_box(conv.backward(&grad).unwrap())
-            });
-        });
-    }
+    });
 }
 
 fn table1_step_benches(c: &mut Criterion) {
-    // The acceptance pair: one full training step (forward + backward +
-    // gradient flattening) of the Table 1 MNIST CNN on both conv paths.
+    // One full training step (forward + backward + gradient flattening) of
+    // the Table 1 MNIST CNN, and its forward pass alone.
     let x_mnist = Tensor::from_vec(pattern(16 * 28 * 28, 1.0), &[16, 1, 28, 28]);
     let y16: Vec<usize> = (0..16).map(|i| i % 10).collect();
     c.bench_function("table1_mnist_step_im2col", |b| {
         let mut model = table1_mnist_cnn(0);
         b.iter(|| black_box(model.compute_gradient(&x_mnist, &y16).unwrap()));
     });
-    c.bench_function("table1_mnist_step_direct", |b| {
-        let mut model = mnist_cnn_with_path(ConvPath::Direct, 0);
-        b.iter(|| black_box(model.compute_gradient(&x_mnist, &y16).unwrap()));
-    });
     c.bench_function("table1_mnist_forward_im2col", |b| {
         let mut model = table1_mnist_cnn(0);
-        b.iter(|| black_box(model.forward(&x_mnist).unwrap()));
-    });
-    c.bench_function("table1_mnist_forward_direct", |b| {
-        let mut model = mnist_cnn_with_path(ConvPath::Direct, 0);
         b.iter(|| black_box(model.forward(&x_mnist).unwrap()));
     });
 

@@ -2,21 +2,17 @@
 //! forward/backward, gradient arithmetic) that dominate worker-side cost.
 //!
 //! Run via `scripts/ci.sh` (or set `FLEET_BENCH_JSON=BENCH_kernels.json`) to
-//! get a machine-readable record of the perf trajectory. The key pairs:
+//! get a machine-readable record of the perf trajectory. The key rows:
 //!
-//! * `matmul_256_blocked` vs `matmul_256_naive` — the blocked/parallel kernel
-//!   (runtime-dispatched to the best ISA) against the seed kernel on the
-//!   acceptance-size 256x256x256 product.
-//! * `matmul_256_simd` vs `matmul_256_scalar_fallback` — the same tiled
-//!   kernel pinned to the AVX2+FMA intrinsics and the `mul_add` fallback;
-//!   the two produce bit-identical outputs, so the gap is pure dispatch win.
-//! * `matmul_64_dense_*` and `matmul_64_onehot_*` — the sparsity-branch
-//!   question: the seed kernel's `a == 0.0` skip only wins on one-hot rows,
-//!   which is why the dense path dropped it.
+//! * `matmul_256_blocked`, `matmul_tn_256`, `matmul_nt_256` — the three
+//!   layouts of the blocked/parallel kernel on the acceptance-size
+//!   256x256x256 product.
+//! * `matmul_64_dense_blocked` vs `matmul_64_onehot_blocked` — the kernel has
+//!   no `a == 0.0` sparsity skip, so one-hot rows must cost what dense rows
+//!   cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fleet_ml::kernels;
-use fleet_ml::kernels::Isa;
 use fleet_ml::models::{small_cnn, table1_mnist_cnn};
 use fleet_ml::tensor::Tensor;
 use fleet_ml::Gradient;
@@ -36,7 +32,7 @@ fn pattern(len: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
-/// One-hot rows: the best case for the seed kernel's sparsity skip.
+/// One-hot rows, as the recommender's bag-of-words inputs have.
 fn one_hot(rows: usize, cols: usize) -> Vec<f32> {
     let mut data = vec![0.0; rows * cols];
     for r in 0..rows {
@@ -56,28 +52,6 @@ fn matmul_benches(c: &mut Criterion) {
             black_box(out256[0])
         });
     });
-    // The dispatch pair: the same tiled kernel pinned to each Isa. On an
-    // AVX2+FMA host "blocked" above equals the simd row; the scalar row is
-    // what `FLEET_SIMD=off` (or a non-x86 host) would get.
-    c.bench_function("matmul_256_simd", |b| {
-        let isa = Isa::detect();
-        b.iter(|| {
-            kernels::matmul_with(isa, &a256, &b256, &mut out256, 256, 256, 256);
-            black_box(out256[0])
-        });
-    });
-    c.bench_function("matmul_256_scalar_fallback", |b| {
-        b.iter(|| {
-            kernels::matmul_with(Isa::Scalar, &a256, &b256, &mut out256, 256, 256, 256);
-            black_box(out256[0])
-        });
-    });
-    c.bench_function("matmul_256_naive", |b| {
-        b.iter(|| {
-            kernels::matmul_naive(&a256, &b256, &mut out256, 256, 256, 256);
-            black_box(out256[0])
-        });
-    });
     c.bench_function("matmul_tn_256", |b| {
         b.iter(|| {
             out256.fill(0.0);
@@ -91,21 +65,8 @@ fn matmul_benches(c: &mut Criterion) {
             black_box(out256[0])
         });
     });
-    c.bench_function("matmul_tn_256_scalar_fallback", |b| {
-        b.iter(|| {
-            out256.fill(0.0);
-            kernels::matmul_tn_acc_with(Isa::Scalar, &a256, &b256, &mut out256, 256, 256, 256);
-            black_box(out256[0])
-        });
-    });
-    c.bench_function("matmul_nt_256_scalar_fallback", |b| {
-        b.iter(|| {
-            kernels::matmul_nt_with(Isa::Scalar, &a256, &b256, &mut out256, 256, 256, 256);
-            black_box(out256[0])
-        });
-    });
 
-    // Sparsity-branch justification: dense vs one-hot inputs on both kernels.
+    // Dense vs one-hot inputs through the same kernel.
     let dense64 = pattern(64 * 64, 1.0);
     let onehot64 = one_hot(64, 64);
     let w64 = pattern(64 * 64, 1.0);
@@ -116,21 +77,9 @@ fn matmul_benches(c: &mut Criterion) {
             black_box(out64[0])
         });
     });
-    c.bench_function("matmul_64_dense_naive_with_skip", |b| {
-        b.iter(|| {
-            kernels::matmul_naive(&dense64, &w64, &mut out64, 64, 64, 64);
-            black_box(out64[0])
-        });
-    });
     c.bench_function("matmul_64_onehot_blocked", |b| {
         b.iter(|| {
             kernels::matmul(&onehot64, &w64, &mut out64, 64, 64, 64);
-            black_box(out64[0])
-        });
-    });
-    c.bench_function("matmul_64_onehot_naive_with_skip", |b| {
-        b.iter(|| {
-            kernels::matmul_naive(&onehot64, &w64, &mut out64, 64, 64, 64);
             black_box(out64[0])
         });
     });

@@ -148,29 +148,19 @@ impl Criterion {
 /// rides along in every JSON artifact.
 fn detected_isa_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
-    {
-        let mut features = Vec::new();
-        if std::arch::is_x86_feature_detected!("sse2") {
-            features.push("sse2");
-        }
-        if std::arch::is_x86_feature_detected!("avx") {
-            features.push("avx");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            features.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("fma") {
-            features.push("fma");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            features.push("avx512f");
-        }
-        features
-    }
+    let features = [
+        ("sse2", is_x86_feature_detected!("sse2")),
+        ("avx", is_x86_feature_detected!("avx")),
+        ("avx2", is_x86_feature_detected!("avx2")),
+        ("fma", is_x86_feature_detected!("fma")),
+        ("avx512f", is_x86_feature_detected!("avx512f")),
+    ];
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        Vec::new()
-    }
+    let features: [(&str, bool); 0] = [];
+    features
+        .into_iter()
+        .filter_map(|(name, detected)| detected.then_some(name))
+        .collect()
 }
 
 /// Escapes a string for embedding in a JSON document: backslash, quote, and
@@ -203,9 +193,9 @@ fn json_env(name: &str) -> String {
 }
 
 fn render_json(results: &[BenchResult]) -> String {
-    // Self-describing metadata: a bench artifact from a single-core host or
-    // a SIMD-disabled sweep must say so, or its numbers will be compared
-    // against runs from a different configuration.
+    // Self-describing metadata: a bench artifact from a single-core host
+    // must say so, or its numbers will be compared against runs from a
+    // different configuration.
     let features = detected_isa_features()
         .iter()
         .map(|f| format!("\"{f}\""))
@@ -230,9 +220,8 @@ fn render_json(results: &[BenchResult]) -> String {
     let mut out = String::from("{\n  \"schema\": \"fleet-bench-v2\",\n  \"meta\": {\n");
     let _ = writeln!(
         out,
-        "    \"fleet_num_threads\": {},\n    \"fleet_simd\": {},\n    \"available_parallelism\": {parallelism},\n    \"fan_out_inline\": {fan_out_inline},\n    \"isa_features\": [{features}]\n  }},",
+        "    \"fleet_num_threads\": {},\n    \"available_parallelism\": {parallelism},\n    \"fan_out_inline\": {fan_out_inline},\n    \"isa_features\": [{features}]\n  }},",
         json_env("FLEET_NUM_THREADS"),
-        json_env("FLEET_SIMD"),
     );
     out.push_str("  \"benchmarks\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -1,10 +1,10 @@
-//! 2-D convolution layer, lowered to the SIMD micro-kernel engine.
+//! 2-D convolution layer, lowered to the GEMM micro-kernel engine.
 //!
 //! # The im2col engine
 //!
 //! The paper's Table 1 workloads are CNNs, so `Conv2d` is where the dominant
-//! FLOPs of the benchmark models live. The default [`ConvPath::Im2col`] path
-//! routes them through [`crate::kernels`]:
+//! FLOPs of the benchmark models live. The layer routes them through
+//! [`crate::kernels`]:
 //!
 //! * **Forward** lowers each batch image into a persistent, layer-owned
 //!   im2col workspace — one `[K × N]` column matrix per image, where
@@ -29,19 +29,21 @@
 //!
 //! # Determinism
 //!
-//! The im2col path inherits the kernel engine's bit-for-bit determinism
-//! contract. The `(ic, ky, kx)`-ascending patch-row order makes the GEMM's
-//! ascending-`k` accumulation visit the very same `(input, weight)` products
-//! in the very same order as the direct loop nest, so each output element is
-//! one fixed fused-multiply-add chain — identical across thread counts and
-//! both [`crate::kernels::Isa`] dispatch paths. Batch parallelism (gated on a
-//! work threshold, like the kernels' own fan-out) splits *whole images*
-//! across the persistent pool; per-image work is independent, so the
-//! partition cannot reassociate anything. The direct path rounds each
-//! product and add separately (no FMA) and seeds rows with the bias instead
-//! of adding it last, so direct and im2col agree to tolerance, not bits —
-//! the property tests at the bottom of this file pin that parity across
-//! strides, remainder shapes, one-hot and NaN/Inf inputs.
+//! The layer inherits the kernel engine's bit-for-bit determinism contract.
+//! The `(ic, ky, kx)`-ascending patch-row order makes the GEMM's
+//! ascending-`k` accumulation visit the `(input, weight)` products of an
+//! output element in the order a direct loop nest would, so each output
+//! element is one fixed fused-multiply-add chain — identical across thread
+//! counts. Batch parallelism (gated on a work threshold, like the kernels'
+//! own fan-out) splits *whole images* across the persistent pool; per-image
+//! work is independent, so the partition cannot reassociate anything.
+//!
+//! The seed repository's direct loop nest survives as a test-only oracle
+//! (`forward_direct` / `backward_direct`). It rounds each product and add
+//! separately (no FMA) and seeds rows with the bias instead of adding it
+//! last, so it agrees with the layer to tolerance, not bits — the property
+//! tests at the bottom of this file pin that parity across strides,
+//! remainder shapes, one-hot and NaN/Inf inputs.
 
 use std::cell::RefCell;
 
@@ -73,18 +75,6 @@ const _: () = assert!(
     GW_TRANSPOSE_MAX_OC <= kernels::NT_PACK_MIN_ROWS && GW_TRANSPOSE_MAX_OC <= kernels::NR,
     "transposed weight-gradient orientation would leave the blocked-dot path"
 );
-
-/// Which convolution algorithm a [`Conv2d`] layer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvPath {
-    /// Lower to column matrices and run the blocked GEMM kernels (default).
-    #[default]
-    Im2col,
-    /// The seed repository's direct loop nest, kept as the reference/baseline
-    /// implementation (like `kernels::matmul_naive`) for parity tests and
-    /// benchmarks.
-    Direct,
-}
 
 thread_local! {
     /// Per-thread `d(cols)` scratch for the backward pass. Pool workers are
@@ -119,14 +109,10 @@ pub struct Conv2d {
     grad_weights: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
-    path: ConvPath,
-    /// Whole-batch im2col workspace: `batch` consecutive `[K × N]` column
-    /// matrices, lowered by the latest im2col forward and reused by the
+    /// Whole-batch im2col workspace: one `[K × N]` column matrix per image of
+    /// `cached_input`, lowered by the latest forward and reused by the
     /// backward weight-gradient GEMM.
     cols: Vec<f32>,
-    /// Batch size the workspace currently holds, or `usize::MAX` when it is
-    /// stale (no im2col forward yet, or a direct forward ran since).
-    cols_batch: usize,
     /// Scratch for the transposed weight-gradient product (small-`oc`
     /// layers; see [`GW_TRANSPOSE_MAX_OC`]).
     gwt_scratch: Vec<f32>,
@@ -170,25 +156,11 @@ impl Conv2d {
             grad_weights: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
-            path: ConvPath::default(),
             cols: Vec::new(),
-            cols_batch: usize::MAX,
             gwt_scratch: Vec::new(),
             out_spare: Vec::new(),
             grad_spare: Vec::new(),
         }
-    }
-
-    /// Selects the convolution algorithm. Set it before `forward`: `backward`
-    /// dispatches on the same flag and the im2col backward consumes the
-    /// workspace the matching forward lowered.
-    pub fn set_path(&mut self, path: ConvPath) {
-        self.path = path;
-    }
-
-    /// The currently selected convolution algorithm.
-    pub fn path(&self) -> ConvPath {
-        self.path
     }
 
     /// Output spatial size for an input spatial size, or `None` if the input
@@ -251,6 +223,14 @@ impl Conv2d {
         out
     }
 
+    /// Remembers `input` for the backward pass, reusing the cache's buffer.
+    fn cache_input(&mut self, input: &Tensor) {
+        match &mut self.cached_input {
+            Some(cache) => cache.copy_from(input),
+            cache => *cache = Some(input.clone()),
+        }
+    }
+
     /// im2col forward: lower every image, then one GEMM + bias broadcast per
     /// image, both phases batch-parallel above the work threshold.
     fn forward_im2col(&mut self, input: &Tensor, batch: usize, oh: usize, ow: usize) -> Tensor {
@@ -267,7 +247,6 @@ impl Conv2d {
         if self.cols.len() != cols_len {
             self.cols.resize(cols_len, 0.0);
         }
-        self.cols_batch = batch;
         let parallel = batch * out_c * kk * n >= kernels::PAR_FLOP_THRESHOLD;
 
         // Phase 1: lower images into the workspace (disjoint per image).
@@ -310,9 +289,11 @@ impl Conv2d {
         Tensor::from_vec(out, &[batch, out_c, oh, ow])
     }
 
-    /// The seed repository's direct loop nest, kept verbatim as the
-    /// reference/baseline path (bias hoisted out of the channel loop).
-    fn forward_direct(&mut self, input: &Tensor, batch: usize, oh: usize, ow: usize) -> Tensor {
+    /// The seed repository's direct loop nest, kept verbatim as the parity
+    /// tests' oracle (bias hoisted out of the channel loop).
+    #[cfg(test)]
+    fn forward_direct(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (batch, oh, ow) = self.check_input(input)?;
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let (in_c, out_c, kernel, stride) = (
             self.in_channels,
@@ -320,8 +301,6 @@ impl Conv2d {
             self.kernel,
             self.stride,
         );
-        // A direct forward invalidates the im2col workspace for backward.
-        self.cols_batch = usize::MAX;
         let mut out = self.take_out_buf(batch * out_c * oh * ow);
         let in_data = input.data();
         let w_data = self.weights.data();
@@ -360,7 +339,8 @@ impl Conv2d {
                 }
             }
         }
-        Tensor::from_vec(out, &[batch, out_c, oh, ow])
+        self.cache_input(input);
+        Ok(Tensor::from_vec(out, &[batch, out_c, oh, ow]))
     }
 
     /// im2col backward: `d(cols) = Wᵀ·dY` + col2im scatter per image
@@ -375,7 +355,7 @@ impl Conv2d {
         oh: usize,
         ow: usize,
         need_input_grad: bool,
-    ) -> Result<Option<Tensor>> {
+    ) -> Option<Tensor> {
         let input = self.cached_input.as_ref().expect("checked by backward");
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let (in_c, out_c, kernel, stride) = (
@@ -386,13 +366,6 @@ impl Conv2d {
         );
         let kk = in_c * kernel * kernel;
         let n = oh * ow;
-        if self.cols_batch != batch {
-            return Err(MlError::InvalidArgument(
-                "Conv2d::backward: im2col workspace is stale (the preceding forward \
-                 did not run the im2col path on this batch)"
-                    .to_string(),
-            ));
-        }
         let go = grad_output.data();
         let w_data = self.weights.data();
         let img_len = in_c * h * w;
@@ -462,19 +435,15 @@ impl Conv2d {
                 *g = sum;
             }
         }
-        Ok(grad_input)
+        grad_input
     }
 
-    /// The seed repository's direct backward loop nest, kept as the
-    /// reference path (note its `g == 0.0` skip, which the GEMM path does
-    /// not have — see the module docs).
-    fn backward_direct(
-        &mut self,
-        grad_output: &Tensor,
-        batch: usize,
-        oh: usize,
-        ow: usize,
-    ) -> Result<Tensor> {
+    /// The seed repository's direct backward loop nest, kept as the parity
+    /// tests' oracle (note its `g == 0.0` skip, which the GEMM path does not
+    /// have).
+    #[cfg(test)]
+    fn backward_direct(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let (batch, oh, ow) = self.check_backward(grad_output)?;
         let (in_c, out_c, kernel, stride) = (
             self.in_channels,
             self.out_channels,
@@ -624,36 +593,21 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let (batch, oh, ow) = self.check_input(input)?;
-        let out = match self.path {
-            ConvPath::Im2col => self.forward_im2col(input, batch, oh, ow),
-            ConvPath::Direct => self.forward_direct(input, batch, oh, ow),
-        };
-        match &mut self.cached_input {
-            Some(cache) => cache.copy_from(input),
-            cache => *cache = Some(input.clone()),
-        }
+        let out = self.forward_im2col(input, batch, oh, ow);
+        self.cache_input(input);
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let (batch, oh, ow) = self.check_backward(grad_output)?;
-        match self.path {
-            ConvPath::Im2col => self
-                .backward_im2col(grad_output, batch, oh, ow, true)
-                .map(|gi| gi.expect("requested input gradient")),
-            ConvPath::Direct => self.backward_direct(grad_output, batch, oh, ow),
-        }
+        let grad_input = self.backward_im2col(grad_output, batch, oh, ow, true);
+        Ok(grad_input.expect("requested input gradient"))
     }
 
     fn backward_input_unneeded(&mut self, grad_output: &Tensor) -> Result<()> {
         let (batch, oh, ow) = self.check_backward(grad_output)?;
-        match self.path {
-            ConvPath::Im2col => self
-                .backward_im2col(grad_output, batch, oh, ow, false)
-                .map(|_| ()),
-            // The direct reference path stays the seed loop nest verbatim.
-            ConvPath::Direct => self.backward_direct(grad_output, batch, oh, ow).map(|_| ()),
-        }
+        self.backward_im2col(grad_output, batch, oh, ow, false);
+        Ok(())
     }
 
     fn parameters(&self) -> Vec<&Tensor> {
@@ -738,29 +692,34 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
-        for path in [ConvPath::Im2col, ConvPath::Direct] {
+        // The layer and its test oracle, as (name, forward, backward) pairs.
+        type Forward = fn(&mut Conv2d, &Tensor) -> Result<Tensor>;
+        let paths: [(&str, Forward, Forward); 2] = [
+            ("im2col", Conv2d::forward, Conv2d::backward),
+            ("direct", Conv2d::forward_direct, Conv2d::backward_direct),
+        ];
+        for (path, forward, backward) in paths {
             let mut conv = Conv2d::new(1, 1, 2, 1, Initializer::Xavier, 5);
-            conv.set_path(path);
             let input = Tensor::from_vec(
                 vec![0.2, -0.5, 0.1, 0.7, 0.3, -0.2, 0.9, 0.4, -0.6],
                 &[1, 1, 3, 3],
             );
             let eps = 1e-2f32;
             conv.zero_gradients();
-            let out = conv.forward(&input).unwrap();
-            conv.backward(&Tensor::ones(out.shape())).unwrap();
+            let out = forward(&mut conv, &input).unwrap();
+            backward(&mut conv, &Tensor::ones(out.shape())).unwrap();
             let analytic = conv.gradients()[0].data()[0];
 
             let original = conv.weights.data()[0];
             conv.weights.data_mut()[0] = original + eps;
-            let plus = conv.forward(&input).unwrap().sum();
+            let plus = forward(&mut conv, &input).unwrap().sum();
             conv.weights.data_mut()[0] = original - eps;
-            let minus = conv.forward(&input).unwrap().sum();
+            let minus = forward(&mut conv, &input).unwrap().sum();
             conv.weights.data_mut()[0] = original;
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 1e-2,
-                "{path:?}: analytic {analytic} vs numeric {numeric}"
+                "{path}: analytic {analytic} vs numeric {numeric}"
             );
         }
     }
@@ -812,13 +771,12 @@ mod tests {
     }
 
     #[test]
-    fn backward_after_path_flip_errors_instead_of_using_stale_workspace() {
+    fn backward_before_forward_errors_instead_of_using_an_empty_workspace() {
         let mut conv = Conv2d::new(1, 1, 2, 1, Initializer::Xavier, 0);
-        conv.set_path(ConvPath::Direct);
-        let input = Tensor::ones(&[1, 1, 3, 3]);
-        let out = conv.forward(&input).unwrap();
-        conv.set_path(ConvPath::Im2col);
-        assert!(conv.backward(&Tensor::ones(out.shape())).is_err());
+        assert!(conv.backward(&Tensor::ones(&[1, 1, 2, 2])).is_err());
+        assert!(conv
+            .backward_input_unneeded(&Tensor::ones(&[1, 1, 2, 2]))
+            .is_err());
     }
 
     #[test]
@@ -843,11 +801,10 @@ mod tests {
     }
 }
 
-/// Direct-vs-im2col parity: the GEMM path must reproduce the reference loop
-/// nest across strides, remainder-hostile shapes, one-hot and NaN/Inf inputs
-/// — to tolerance, since the direct nest rounds multiply and add separately
-/// while the kernels fuse them (same summation order, see the module docs).
-/// `scripts/ci.sh` runs this suite under both `FLEET_SIMD` modes.
+/// Direct-vs-im2col parity: the layer must reproduce the reference loop nest
+/// across strides, remainder-hostile shapes, one-hot and NaN/Inf inputs — to
+/// tolerance, since the direct nest rounds multiply and add separately while
+/// the kernels fuse them (same summation order, see the module docs).
 #[cfg(test)]
 mod im2col_parity {
     use super::*;
@@ -902,7 +859,8 @@ mod im2col_parity {
     }
 
     /// Builds a pair of identically-initialised layers, runs forward and
-    /// backward on both paths and asserts output/gradient parity.
+    /// backward through the layer on one and through the direct oracle on the
+    /// other, and asserts output/gradient parity.
     fn assert_parity(
         (in_c, out_c, kernel, stride): (usize, usize, usize, usize),
         (batch, h, w): (usize, usize, usize),
@@ -911,11 +869,10 @@ mod im2col_parity {
     ) {
         let mut gemm = Conv2d::new(in_c, out_c, kernel, stride, Initializer::He, 33);
         let mut direct = Conv2d::new(in_c, out_c, kernel, stride, Initializer::He, 33);
-        direct.set_path(ConvPath::Direct);
         let input = Tensor::from_vec(input_data, &[batch, in_c, h, w]);
 
         let out_g = gemm.forward(&input).unwrap();
-        let out_d = direct.forward(&input).unwrap();
+        let out_d = direct.forward_direct(&input).unwrap();
         assert_eq!(out_g.shape(), out_d.shape());
         assert_close(out_g.data(), out_d.data(), "forward");
 
@@ -926,7 +883,7 @@ mod im2col_parity {
         gemm.zero_gradients();
         direct.zero_gradients();
         let gi_g = gemm.backward(&grad).unwrap();
-        let gi_d = direct.backward(&grad).unwrap();
+        let gi_d = direct.backward_direct(&grad).unwrap();
         assert_close(gi_g.data(), gi_d.data(), "grad_input");
         assert_close(
             gemm.gradients()[0].data(),

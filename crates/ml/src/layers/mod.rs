@@ -11,7 +11,7 @@ mod flatten;
 mod pool;
 
 pub use activation::Relu;
-pub use conv::{Conv2d, ConvPath};
+pub use conv::Conv2d;
 pub use dense::Dense;
 pub use flatten::Flatten;
 pub use pool::MaxPool2d;

@@ -10,9 +10,9 @@
 //! * [`tensor::Tensor`] — a dense row-major `f32` tensor with the handful of
 //!   operations required by forward/backward passes,
 //! * [`kernels`] — the blocked, thread-parallel matrix kernels behind
-//!   [`tensor::Tensor::matmul`] and its fused variants, runtime-dispatched
-//!   between AVX2+FMA intrinsics and a bit-identical `mul_add` fallback
-//!   (see [`kernels::Isa`]),
+//!   [`tensor::Tensor::matmul`] and its fused variants: one lane-explicit
+//!   `mul_add` path that native (FMA-capable) builds, the supported
+//!   configuration, compile to fused vector instructions,
 //! * [`layer::Layer`] implementations (dense, conv2d, max-pool, ReLU, flatten),
 //! * [`loss`] — softmax cross-entropy,
 //! * [`model::Sequential`] — a feed-forward model container exposing its
@@ -34,12 +34,11 @@
 //!    `Aᵀ·B` (accumulating) and `A·Bᵀ` directly on row-major slices, so the
 //!    backward pass never materialises a transpose and weight gradients
 //!    accumulate straight into the layer's gradient buffer.
-//! 2. **Deterministic parallelism and dispatch.** Large kernels split their
-//!    *output rows* across threads (`fleet_parallel`); every output element
-//!    is produced by a fixed-order loop whose per-element operations are
-//!    fused multiply-adds in both [`kernels::Isa`] variants, so results are
-//!    bit-for-bit identical for any thread count *and* either dispatch path.
-//!    The async-simulation reproducibility guarantee rests on this.
+//! 2. **Deterministic parallelism.** Large kernels split their *output
+//!    rows* across threads (`fleet_parallel`); every output element is
+//!    produced by a fixed-order loop whose per-element operations are fused
+//!    multiply-adds, so results are bit-for-bit identical for any thread
+//!    count. The async-simulation reproducibility guarantee rests on this.
 //! 3. **Caller-owned scratch.** Layers reuse per-layer workspaces instead of
 //!    allocating per call: `forward` caches its input via
 //!    [`tensor::Tensor::copy_from`] (reusing the buffer), `zero_gradients`
@@ -58,13 +57,12 @@
 //!
 //!    `Conv2d` is the showcase: it lowers batches into a persistent im2col
 //!    workspace and runs forward and backward entirely on the fused GEMM
-//!    kernels (see `layers::conv`), with the seed loop nest preserved
-//!    behind [`layers::ConvPath::Direct`] as the reference/baseline.
+//!    kernels (see `layers::conv`).
 //!
-//! The seed repository's single-threaded kernel (including its `a == 0.0`
-//! sparsity skip, which only pays off for one-hot inputs) survives as
-//! [`kernels::matmul_naive`]: the reference for property tests and the
-//! baseline for the `ml_kernels` criterion bench.
+//! The seed repository's single-threaded matmul (including its `a == 0.0`
+//! sparsity skip, which only pays off for one-hot inputs) and its direct
+//! convolution loop nest survive as `#[cfg(test)]` oracles only: the
+//! references the kernel and im2col parity tests compare against.
 //!
 //! # Example
 //!
@@ -81,7 +79,7 @@
 //! # }
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod gradient;
 pub mod init;

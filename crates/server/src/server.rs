@@ -419,9 +419,17 @@ impl FleetServer {
     /// # Errors
     ///
     /// Returns the [`WireError`] when the buffer is truncated, has an unknown
-    /// version, or contains malformed fields.
+    /// version, or contains malformed fields — including a gradient whose
+    /// length is not the model's parameter count
+    /// ([`WireError::LengthOutOfBounds`]). The check runs before any state is
+    /// touched: the lease stays outstanding, so the worker's corrected retry
+    /// still applies.
     pub fn handle_result_wire(&mut self, raw: Bytes) -> Result<ResultAck, WireError> {
-        Ok(self.handle_result(wire::decode_result(raw)?))
+        let result = wire::decode_result(raw)?;
+        if result.gradient.len() != self.parameter_server.parameters().len() {
+            return Err(WireError::LengthOutOfBounds(result.gradient.len()));
+        }
+        Ok(self.handle_result(result))
     }
 
     /// Handles a worker result (step 5): classifies it against the lease
@@ -946,6 +954,38 @@ mod tests {
         assert_eq!(server.clock(), clock_after_first);
         assert_eq!(server.parameters(), after_first.as_slice());
         assert_eq!(server.tasks().completed_len(), 1);
+    }
+
+    #[test]
+    fn wire_result_with_wrong_gradient_length_is_refused_before_the_lease_completes() {
+        let (mut server, mut workers, _) = build_world(2);
+        let response = server
+            .handle_request_wire(workers[0].request_wire())
+            .expect("self-encoded request");
+        let assignment = match response {
+            TaskResponse::Assignment(a) => a,
+            TaskResponse::Rejected(r) => panic!("rejected: {r:?}"),
+        };
+        let honest = workers[0].execute(&assignment).unwrap();
+        let mut short = honest.clone();
+        short.gradient = fleet_ml::Gradient::zeros(honest.gradient.len() - 1);
+        let before = server.parameters().to_vec();
+
+        assert_eq!(
+            server.handle_result_wire(wire::encode_result(&short)),
+            Err(WireError::LengthOutOfBounds(honest.gradient.len() - 1))
+        );
+        assert_eq!(server.tasks().outstanding_len(), 1);
+        assert_eq!(server.tasks().completed_len(), 0);
+        assert_eq!(server.clock(), 0);
+        assert_eq!(server.parameters(), before.as_slice());
+
+        // The honest retry of the same lease is not a duplicate.
+        let ack = server
+            .handle_result_wire(wire::encode_result(&honest))
+            .unwrap();
+        assert_eq!(ack.disposition, ResultDisposition::Applied);
+        assert_eq!(server.tasks().outstanding_len(), 0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// An empty report carrying the standard recording-configuration meta
-    /// block the criterion shim writes (`fleet_num_threads`, `fleet_simd`,
+    /// block the criterion shim writes (`fleet_num_threads`,
     /// `available_parallelism`, `fan_out_inline`), so artifacts from
     /// different hosts/configurations identify themselves.
     pub fn with_standard_meta() -> Self {
@@ -129,7 +129,6 @@ impl BenchReport {
             .filter(|&n| n > 0)
             .unwrap_or(parallelism);
         report.meta_raw("fleet_num_threads", json_env("FLEET_NUM_THREADS"));
-        report.meta_raw("fleet_simd", json_env("FLEET_SIMD"));
         report.meta_raw("available_parallelism", parallelism.to_string());
         report.meta_raw("fan_out_inline", (effective_threads <= 1).to_string());
         report

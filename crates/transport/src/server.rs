@@ -36,6 +36,7 @@ use crate::frame::{
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, EventKind, FsyncPolicy};
 use fleet_server::protocol::{RejectionReason, TaskResponse};
+use fleet_server::wire::{encode_ack, encode_response, WireError};
 use fleet_server::{encode_checkpoint, FleetServer, FleetServerState, ResultDisposition};
 use fleet_telemetry::{Counter, Latency, TelemetryHandle};
 use std::collections::BTreeSet;
@@ -618,114 +619,35 @@ fn handle_frame(
     issued: &mut BTreeSet<u64>,
 ) -> ConnOutcome {
     match kind {
-        FrameKind::Request => {
-            let raw = Bytes::from(payload);
-            let mut core = shared.core.lock().expect("core mutex");
-            let Core {
-                server,
-                steps,
-                durable,
-            } = &mut *core;
-            // `catch_unwind` *inside* the guard: a panic in the core (a bug,
-            // or input the decode layer failed to reject) stops at this
-            // boundary instead of unwinding through the guard and poisoning
-            // the mutex for every other connection. The offending peer is
-            // cut off; the server lives.
-            let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                server.handle_request_wire(raw.clone())
-            }));
-            let handled = match handled {
-                Ok(result) => result,
-                Err(_) => return ConnOutcome::Fatal("internal error handling request".into()),
-            };
-            match handled {
-                Ok(response) => {
-                    match &response {
-                        TaskResponse::Assignment(assignment) => {
-                            issued.insert(assignment.task_id);
-                        }
-                        // An overload rejection is backpressure, not an
-                        // answer: the worker still owes this exchange, so
-                        // the step counter must not move.
-                        TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => {}
-                        // Terminal rejections consume the worker's turn.
-                        TaskResponse::Rejected(_) => *steps += 1,
-                    }
-                    // Journal before replying: even a rejected request
-                    // mutates controller/profiler state, so replay needs it.
-                    if let Some(durable) = durable {
-                        if let Err(err) = durable.append(EventKind::Request, raw) {
-                            return ConnOutcome::Fatal(format!("journal append failed: {err}"));
-                        }
-                        let checkpointed = match durable.maybe_checkpoint(server, *steps) {
-                            Ok(wrote) => wrote,
-                            Err(err) => {
-                                return ConnOutcome::Fatal(format!("checkpoint failed: {err}"))
-                            }
-                        };
-                        if let Some(sink) = shared.config.telemetry.get() {
-                            sink.add(Counter::JournalAppends, 1);
-                            if checkpointed {
-                                sink.add(Counter::Checkpoints, 1);
-                            }
-                        }
-                    }
-                    ConnOutcome::Reply(
-                        FrameKind::Response,
-                        fleet_server::wire::encode_response(&response).to_vec(),
-                    )
+        FrameKind::Request => exchange(
+            shared,
+            payload,
+            EventKind::Request,
+            "request",
+            |server, raw| server.handle_request_wire(raw),
+            |response| match response {
+                TaskResponse::Assignment(assignment) => {
+                    issued.insert(assignment.task_id);
+                    false
                 }
-                Err(err) => ConnOutcome::Fatal(format!("bad request payload: {err}")),
-            }
-        }
-        FrameKind::Result => {
-            let raw = Bytes::from(payload);
-            let mut core = shared.core.lock().expect("core mutex");
-            let Core {
-                server,
-                steps,
-                durable,
-            } = &mut *core;
-            let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                server.handle_result_wire(raw.clone())
-            }));
-            let handled = match handled {
-                Ok(result) => result,
-                Err(_) => return ConnOutcome::Fatal("internal error handling result".into()),
-            };
-            match handled {
-                Ok(ack) => {
-                    if ack.disposition == ResultDisposition::Applied {
-                        *steps += 1;
-                    }
-                    // Journal whatever the disposition — even a Duplicate
-                    // exchange advances the logical clock's expiry sweep, so
-                    // replay must see it to reconverge bit-for-bit.
-                    if let Some(durable) = durable {
-                        if let Err(err) = durable.append(EventKind::Result, raw) {
-                            return ConnOutcome::Fatal(format!("journal append failed: {err}"));
-                        }
-                        let checkpointed = match durable.maybe_checkpoint(server, *steps) {
-                            Ok(wrote) => wrote,
-                            Err(err) => {
-                                return ConnOutcome::Fatal(format!("checkpoint failed: {err}"))
-                            }
-                        };
-                        if let Some(sink) = shared.config.telemetry.get() {
-                            sink.add(Counter::JournalAppends, 1);
-                            if checkpointed {
-                                sink.add(Counter::Checkpoints, 1);
-                            }
-                        }
-                    }
-                    ConnOutcome::Reply(
-                        FrameKind::Ack,
-                        fleet_server::wire::encode_ack(&ack).to_vec(),
-                    )
-                }
-                Err(err) => ConnOutcome::Fatal(format!("bad result payload: {err}")),
-            }
-        }
+                // An overload rejection is backpressure, not an answer: the
+                // worker still owes this exchange, so the step counter must
+                // not move.
+                TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => false,
+                // Terminal rejections consume the worker's turn.
+                TaskResponse::Rejected(_) => true,
+            },
+            |response| (FrameKind::Response, encode_response(response)),
+        ),
+        FrameKind::Result => exchange(
+            shared,
+            payload,
+            EventKind::Result,
+            "result",
+            |server, raw| server.handle_result_wire(raw),
+            |ack| ack.disposition == ResultDisposition::Applied,
+            |ack| (FrameKind::Ack, encode_ack(ack)),
+        ),
         FrameKind::Status => {
             let status = snapshot_status(shared);
             ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status))
@@ -744,6 +666,63 @@ fn handle_frame(
             ))
         }
     }
+}
+
+/// One request→response or result→ack exchange; both message kinds run the
+/// same pipeline under one hold of the core mutex: handle → step count →
+/// journal append → cadence checkpoint → counters → encode. `takes_step`
+/// says whether the reply moves the cross-process step counter.
+fn exchange<T>(
+    shared: &Shared,
+    payload: Vec<u8>,
+    event: EventKind,
+    what: &str,
+    handle: impl FnOnce(&mut FleetServer, Bytes) -> Result<T, WireError>,
+    takes_step: impl FnOnce(&T) -> bool,
+    encode: impl FnOnce(&T) -> (FrameKind, Bytes),
+) -> ConnOutcome {
+    let raw = Bytes::from(payload);
+    let mut core = shared.core.lock().expect("core mutex");
+    let Core {
+        server,
+        steps,
+        durable,
+    } = &mut *core;
+    // `catch_unwind` *inside* the guard: a panic in the core (a bug, or input
+    // the decode layer failed to reject) stops at this boundary instead of
+    // unwinding through the guard and poisoning the mutex for every other
+    // connection. The offending peer is cut off; the server lives.
+    let handled =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(server, raw.clone())));
+    let reply = match handled {
+        Ok(Ok(reply)) => reply,
+        Ok(Err(err)) => return ConnOutcome::Fatal(format!("bad {what} payload: {err}")),
+        Err(_) => return ConnOutcome::Fatal(format!("internal error handling {what}")),
+    };
+    if takes_step(&reply) {
+        *steps += 1;
+    }
+    // Journal before replying, whatever the reply: even a rejected request
+    // mutates controller/profiler state and even a Duplicate result advances
+    // the logical clock's expiry sweep, so replay must see every exchange to
+    // reconverge bit-for-bit.
+    if let Some(durable) = durable {
+        if let Err(err) = durable.append(event, raw) {
+            return ConnOutcome::Fatal(format!("journal append failed: {err}"));
+        }
+        let checkpointed = match durable.maybe_checkpoint(server, *steps) {
+            Ok(wrote) => wrote,
+            Err(err) => return ConnOutcome::Fatal(format!("checkpoint failed: {err}")),
+        };
+        if let Some(sink) = shared.config.telemetry.get() {
+            sink.add(Counter::JournalAppends, 1);
+            if checkpointed {
+                sink.add(Counter::Checkpoints, 1);
+            }
+        }
+    }
+    let (kind, body) = encode(&reply);
+    ConnOutcome::Reply(kind, body.to_vec())
 }
 
 fn snapshot_status(shared: &Shared) -> ServerStatus {

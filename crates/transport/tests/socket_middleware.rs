@@ -262,6 +262,46 @@ fn resend_after_reconnect_is_deduplicated() {
 }
 
 #[test]
+fn wrong_length_gradient_gets_an_error_frame_and_leaves_the_lease_alone() {
+    let server = TransportServer::bind(
+        &uds_endpoint("shortgrad"),
+        fresh_server(base_config()),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    let endpoint = server.endpoint().clone();
+    let mut fleet = build_workers(1);
+    let mut honest = WorkerClient::new(endpoint.clone());
+    let assignment = match honest.request(&fleet[0].request()).expect("request") {
+        TaskResponse::Assignment(a) => a,
+        TaskResponse::Rejected(r) => panic!("rejected: {r:?}"),
+    };
+    let result = fleet[0].execute(&assignment).expect("execute");
+
+    // Another connection uploads the same lease with one gradient element
+    // missing: it is told why and cut off, before any state is touched.
+    let mut short = result.clone();
+    short.gradient = fleet_ml::Gradient::zeros(result.gradient.len() - 1);
+    let mut broken = WorkerClient::new(endpoint.clone());
+    match broken.submit(&short) {
+        Err(ClientError::Server(message)) => {
+            assert!(message.starts_with("bad result payload"), "{message}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+
+    // The server keeps serving other connections, the lease is still
+    // outstanding, and its holder's upload applies.
+    let mut monitor = WorkerClient::new(endpoint);
+    let status = monitor.status().expect("status");
+    assert_eq!((status.outstanding, status.steps, status.clock), (1, 0, 0));
+    let ack = honest.submit(&result).expect("submit");
+    assert_eq!(ack.disposition, ResultDisposition::Applied);
+    assert_eq!(monitor.status().expect("status").outstanding, 0);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn retries_exhaust_with_bounded_backoff_against_a_dead_endpoint() {
     let endpoint = uds_endpoint("nobody-home");
     let mut client = WorkerClient::with_config(

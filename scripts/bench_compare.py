@@ -157,7 +157,7 @@ def main():
             "ROADMAP.md)."
         )
     base_meta = base_doc.get("meta", {})
-    for key in ("available_parallelism", "fleet_num_threads", "fleet_simd"):
+    for key in ("available_parallelism", "fleet_num_threads"):
         if base_meta.get(key) != meta.get(key):
             print(
                 f"bench_compare: NOTE: meta '{key}' differs "

@@ -3,11 +3,12 @@
 #
 #   scripts/ci.sh           full gate: fmt, clippy, build, fleet-lint
 #                           (workspace invariant rules, also emitting
-#                           fleet_lint_findings.json), tier-1 tests,
-#                           scalar-forced parity suites, determinism digest
-#                           sweep (threads x SIMD; shard + CNN-training +
-#                           per-shard digests, checked against the pinned
-#                           values in scripts/expected_digests.txt), the
+#                           fleet_lint_findings.json), tier-1 tests, the
+#                           frozen benchmark's build (and its --check smoke),
+#                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
+#                           shard + CNN-training + per-shard digests, checked
+#                           against the pinned values in
+#                           scripts/expected_digests.txt), the
 #                           multi-process socket smoke (a TransportServer +
 #                           3 worker processes over UDS must reproduce the
 #                           pinned in-process digest bit-for-bit) and the
@@ -27,10 +28,9 @@
 #                           BENCH_kernels.json, BENCH_shards.json,
 #                           BENCH_conv.json, BENCH_transport.json and
 #                           BENCH_durability.json
-#   scripts/ci.sh --quick   skip the digest sweep and the bench smoke (the
-#                           scalar-forced parity suites and fleet-lint still
-#                           run: on hosts whose dispatcher auto-selects AVX2,
-#                           tier-1 alone never exercises the fallback path)
+#   scripts/ci.sh --quick   skip the digest sweep, the benchmark --check and
+#                           the bench smoke (fleet-lint and the benchmark
+#                           build still run)
 #
 # Env knobs:
 #   FLEET_BENCH_COMPARE=1       diff each fresh BENCH_*.json against the
@@ -82,14 +82,12 @@ fi
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
-# Kernel correctness + SIMD/scalar parity property tests, and the
-# direct-vs-im2col convolution parity suite, forced onto the scalar fallback.
-# This runs in quick mode too: on hosts where dispatch auto-selects AVX2 the
-# tier-1 suite never touches the scalar path, so skipping this here would
-# leave that path entirely uncovered on PR builds.
-echo "==> kernel + conv parity tests with SIMD dispatch forced off"
-FLEET_SIMD=off cargo test --release -q -p fleet-ml kernels
-FLEET_SIMD=off cargo test --release -q -p fleet-ml conv
+# benchmark/ is a package of its own, outside the workspace, and frozen
+# between benchmark PRs: it must keep compiling against the crates' public
+# API as is. Build it here — in quick mode too — so a crate-API change that
+# breaks it fails CI instead of failing the benchmark run.
+echo "==> frozen benchmark builds against the current crate APIs"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Reads one pinned digest (by name) from scripts/expected_digests.txt.
 expected_digest() {
@@ -118,17 +116,21 @@ run_bench() {
 }
 
 if [[ "${1:-}" != "--quick" ]]; then
-    # The kernels promise bit-for-bit identical results on any thread count
-    # with SIMD dispatch on or off. Sweep all six combinations and require
-    # one digest per contract — the lockstep sharded-simulation digest, the
-    # CNN training digest (which drives the im2col convolution engine,
-    # pooling and the batch fan-out) and the per-shard asynchronous-apply
-    # digest (vector-clock staleness over the scripted flush schedule). Each
-    # must also match the value pinned in scripts/expected_digests.txt: a
-    # cross-combination mismatch means an ISA path or a fan-out partition
-    # reassociated a reduction; a drift from the pinned value means the
-    # numeric trajectory changed silently.
-    echo "==> determinism digest sweep (FLEET_NUM_THREADS x FLEET_SIMD)"
+    # The frozen benchmark's own smoke: reduced-count runs of every workload,
+    # traced and untraced, with its output checks and metric names.
+    echo "==> benchmark/run.sh --check"
+    bash benchmark/run.sh --check
+
+    # The kernels promise bit-for-bit identical results on any thread count.
+    # Sweep three and require one digest per contract — the lockstep
+    # sharded-simulation digest, the CNN training digest (which drives the
+    # im2col convolution engine, pooling and the batch fan-out) and the
+    # per-shard asynchronous-apply digest (vector-clock staleness over the
+    # scripted flush schedule). Each must also match the value pinned in
+    # scripts/expected_digests.txt: a cross-combination mismatch means a
+    # fan-out partition reassociated a reduction; a drift from the pinned
+    # value means the numeric trajectory changed silently.
+    echo "==> determinism digest sweep (FLEET_NUM_THREADS=1/4/7)"
     if [[ "${FLEET_PIN_DIGESTS:-0}" == "1" ]]; then
         # Re-pin mode: the first combination becomes the reference (the
         # cross-combination identity check below still applies) and the file
@@ -163,59 +165,55 @@ if [[ "${1:-}" != "--quick" ]]; then
         fi
     fi
     for threads in 1 4 7; do
-        for simd in auto off; do
-            simd_env=""
-            [[ "$simd" == "off" ]] && simd_env="off"
-            out=$(FLEET_NUM_THREADS=$threads FLEET_SIMD=$simd_env \
-                cargo test --release -q -p fleet-tests --test parallel_determinism \
-                -- --nocapture 2>&1) || {
-                echo "FAIL: determinism tests at threads=$threads simd=$simd"
-                exit 1
-            }
-            shard=$(grep -o 'shard-sweep digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            cnn=$(grep -o 'cnn-train digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            pershard=$(grep -o 'pershard digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            chaos_l1=$(grep -o 'chaos-l1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            chaos_p1=$(grep -o 'chaos-p1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            chaos_l2=$(grep -o 'chaos-l2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            chaos_p2=$(grep -o 'chaos-p2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-            if [[ -z "$shard" || -z "$cnn" || -z "$pershard" ||
-                  -z "$chaos_l1" || -z "$chaos_p1" ||
-                  -z "$chaos_l2" || -z "$chaos_p2" ]]; then
-                echo "FAIL: missing digest line at threads=$threads simd=$simd"
+        out=$(FLEET_NUM_THREADS=$threads \
+            cargo test --release -q -p fleet-tests --test parallel_determinism \
+            -- --nocapture 2>&1) || {
+            echo "FAIL: determinism tests at threads=$threads"
+            exit 1
+        }
+        shard=$(grep -o 'shard-sweep digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        cnn=$(grep -o 'cnn-train digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        pershard=$(grep -o 'pershard digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        chaos_l1=$(grep -o 'chaos-l1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        chaos_p1=$(grep -o 'chaos-p1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        chaos_l2=$(grep -o 'chaos-l2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        chaos_p2=$(grep -o 'chaos-p2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
+        if [[ -z "$shard" || -z "$cnn" || -z "$pershard" ||
+              -z "$chaos_l1" || -z "$chaos_p1" ||
+              -z "$chaos_l2" || -z "$chaos_p2" ]]; then
+            echo "FAIL: missing digest line at threads=$threads"
+            exit 1
+        fi
+        shard=${shard##* }
+        cnn=${cnn##* }
+        pershard=${pershard##* }
+        chaos_l1=${chaos_l1##* }
+        chaos_p1=${chaos_p1##* }
+        chaos_l2=${chaos_l2##* }
+        chaos_p2=${chaos_p2##* }
+        echo "    threads=$threads -> shard $shard cnn $cnn pershard $pershard"
+        echo "        chaos l1 $chaos_l1 p1 $chaos_p1 l2 $chaos_l2 p2 $chaos_p2"
+        if [[ -z "$shard_ref" ]]; then
+            shard_ref="$shard"
+            cnn_ref="$cnn"
+            pershard_ref="$pershard"
+            chaos_l1_ref="$chaos_l1"
+            chaos_p1_ref="$chaos_p1"
+            chaos_l2_ref="$chaos_l2"
+            chaos_p2_ref="$chaos_p2"
+            continue
+        fi
+        for pair in "shard:$shard:$shard_ref" "cnn:$cnn:$cnn_ref" \
+                    "pershard:$pershard:$pershard_ref" \
+                    "chaos_l1:$chaos_l1:$chaos_l1_ref" \
+                    "chaos_p1:$chaos_p1:$chaos_p1_ref" \
+                    "chaos_l2:$chaos_l2:$chaos_l2_ref" \
+                    "chaos_p2:$chaos_p2:$chaos_p2_ref"; do
+            IFS=: read -r name got want <<<"$pair"
+            if [[ "$got" != "$want" ]]; then
+                echo "FAIL: $name digest drifted from $want at threads=$threads"
                 exit 1
             fi
-            shard=${shard##* }
-            cnn=${cnn##* }
-            pershard=${pershard##* }
-            chaos_l1=${chaos_l1##* }
-            chaos_p1=${chaos_p1##* }
-            chaos_l2=${chaos_l2##* }
-            chaos_p2=${chaos_p2##* }
-            echo "    threads=$threads simd=$simd -> shard $shard cnn $cnn pershard $pershard"
-            echo "        chaos l1 $chaos_l1 p1 $chaos_p1 l2 $chaos_l2 p2 $chaos_p2"
-            if [[ -z "$shard_ref" ]]; then
-                shard_ref="$shard"
-                cnn_ref="$cnn"
-                pershard_ref="$pershard"
-                chaos_l1_ref="$chaos_l1"
-                chaos_p1_ref="$chaos_p1"
-                chaos_l2_ref="$chaos_l2"
-                chaos_p2_ref="$chaos_p2"
-                continue
-            fi
-            for pair in "shard:$shard:$shard_ref" "cnn:$cnn:$cnn_ref" \
-                        "pershard:$pershard:$pershard_ref" \
-                        "chaos_l1:$chaos_l1:$chaos_l1_ref" \
-                        "chaos_p1:$chaos_p1:$chaos_p1_ref" \
-                        "chaos_l2:$chaos_l2:$chaos_l2_ref" \
-                        "chaos_p2:$chaos_p2:$chaos_p2_ref"; do
-                IFS=: read -r name got want <<<"$pair"
-                if [[ "$got" != "$want" ]]; then
-                    echo "FAIL: $name digest drifted from $want at threads=$threads simd=$simd"
-                    exit 1
-                fi
-            done
         done
     done
     # Cross-process determinism: a real TransportServer plus three worker
@@ -367,9 +365,10 @@ if [[ "${1:-}" != "--quick" ]]; then
         echo "==> re-pinned scripts/expected_digests.txt (commit it deliberately)"
     fi
 
-    # The parity suites again, this time with the dispatcher auto-detecting
-    # (the scalar-forced run already happened above, in both modes).
-    echo "==> kernel + conv parity tests with SIMD dispatch auto"
+    # The kernel reference suites and the direct-vs-im2col parity suite again
+    # under the optimiser: tier-1 above ran them in a debug build, and the
+    # vectorised release lowering is what ships.
+    echo "==> kernel + conv parity tests (release build)"
     cargo test --release -q -p fleet-ml kernels
     cargo test --release -q -p fleet-ml conv
 

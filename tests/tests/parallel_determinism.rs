@@ -9,12 +9,13 @@
 //! digest is independent of the shard count ({1, 2, 8} swept in-process).
 //! Cross-thread-count equality holds by construction (contiguous-range
 //! splitting with fixed-order accumulation; see the `fleet_parallel` module
-//! docs), and cross-ISA equality holds because both kernel dispatch paths
-//! fuse each multiply-add identically (see `fleet_ml::kernels`). To sweep
-//! both explicitly, run this binary under `FLEET_NUM_THREADS=1/4/7` ×
-//! `FLEET_SIMD=auto/off` — the env vars then win over the default pin — and
-//! compare the digest that `shard_sweep_digests_are_identical` prints;
-//! `scripts/ci.sh` automates the six-way sweep and fails on any divergence.
+//! docs); the kernels themselves have a single code path of fused
+//! multiply-adds (see `fleet_ml::kernels` — native, FMA-capable builds are
+//! the supported configuration). To sweep thread counts explicitly, run this
+//! binary under `FLEET_NUM_THREADS=1/4/7` — the env var then wins over the
+//! default pin — and compare the digest that
+//! `shard_sweep_digests_are_identical` prints; `scripts/ci.sh` automates the
+//! sweep and fails on any divergence.
 
 use fleet_core::{AdaSgd, FedAvg};
 use fleet_server::{
@@ -129,8 +130,8 @@ fn per_shard_digest_is_stable() {
     // clock every other round), with per-shard staleness attribution flowing
     // through the v2 wire codec. Unlike lockstep, the shard count is part of
     // the semantics here, so the digest is pinned for this *fixed* config
-    // and must be identical across threads and SIMD paths only —
-    // `scripts/ci.sh` sweeps FLEET_NUM_THREADS=1/4/7 x FLEET_SIMD=auto/off
+    // and must be identical across thread counts only —
+    // `scripts/ci.sh` sweeps FLEET_NUM_THREADS=1/4/7
     // and compares the digest this test prints against the pinned value in
     // scripts/expected_digests.txt.
     let (train, test, users) = small_world(800, 12, 5);
@@ -168,7 +169,7 @@ fn chaos_digests_are_stable() {
     // chaos plan (10% dropped requests, 10% dropped results, 5% duplicates,
     // 5% three-round stragglers, one crash-restart) must be bit-stable for a
     // fixed seed — across repeated runs in-process here, and across
-    // FLEET_NUM_THREADS=1/4/7 x FLEET_SIMD=auto/off via the digest lines
+    // FLEET_NUM_THREADS=1/4/7 via the digest lines
     // `scripts/ci.sh` compares against scripts/expected_digests.txt. Fault
     // decisions are stateless hashes of (seed, round, worker), so the chaos
     // trajectory is a pure function of the config.
@@ -255,9 +256,9 @@ fn checkpoint_restart_reproduces_the_digest() {
 fn cnn_training_digest_is_stable() {
     pin_threads();
     // A small CNN training loop (conv + pool + dense, forward and backward)
-    // so the im2col convolution path joins the cross-thread/SIMD
+    // so the im2col convolution path joins the cross-thread
     // bit-stability contract: `scripts/ci.sh` reruns this binary under
-    // FLEET_NUM_THREADS=1/4/7 x FLEET_SIMD=auto/off and compares the digest
+    // FLEET_NUM_THREADS=1/4/7 and compares the digest
     // this test prints. The batch is sized so the conv layer's per-image
     // fan-out crosses its work threshold (64 images x 8 filters x 9 weights
     // x 196 positions ≈ 0.9M fused multiply-adds per forward), exercising
