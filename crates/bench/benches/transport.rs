@@ -107,10 +107,10 @@ fn transport_benches(c: &mut Criterion) {
                     let (go_tx, go_rx) = mpsc::channel();
                     let endpoint = server.endpoint().clone();
                     let done = done_tx.clone();
-                    // lint:allow(thread-hygiene): persistent bench clients —
-                    // each thread owns one live socket connection, is gated
-                    // per-iteration by its `go` channel and is joined before
-                    // the bench returns.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "persistent bench clients: each thread owns one live socket connection, is gated per iteration by its `go` channel and is joined before the bench returns"
+                    )]
                     threads.push(std::thread::spawn(move || {
                         worker_loop(endpoint, worker, go_rx, done)
                     }));

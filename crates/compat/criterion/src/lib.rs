@@ -58,6 +58,10 @@ pub struct Bencher {
 
 impl Bencher {
     /// Runs `f` repeatedly and records its mean cost.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a benchmark harness measures wall time; nothing it reads feeds a simulation"
+    )]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // Warm-up: let allocators/caches settle and estimate per-iter cost.
         let warmup_start = Instant::now();

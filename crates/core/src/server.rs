@@ -574,9 +574,70 @@ impl<A: Aggregator> ParameterServer<A> {
         // after the cast so extreme staleness keeps a nonzero weight.
         let weight = (scaling as f32).max(f32::MIN_POSITIVE);
 
-        match shard_weights {
-            None => self.submit_lockstep(&update, scaling, weight),
-            Some((taus, weights)) => self.submit_per_shard(&update, scaling, weight, taus, weights),
+        self.pending_count += 1;
+        // The global clock is a deterministic round counter: it advances on
+        // every K-th submission. In lockstep that is also every shard's
+        // apply trigger — `flush_shard` is forbidden there, so each shard's
+        // pending run is exactly as long as the global count — and the shard
+        // clocks advance with it.
+        let round_complete = self.pending_count >= self.aggregation_k;
+        let aggregation_k = self.aggregation_k;
+        let applied = self
+            .shards
+            .iter()
+            .any(|s| s.pending.len() + 1 >= aggregation_k);
+        let learning_rate = self.learning_rate;
+        let gradient = update.gradient.as_slice();
+        let weights = shard_weights
+            .as_ref()
+            .map(|(_, weights)| weights.as_slice());
+        // One shard's share of the submission. Applies are ordered on
+        // (shard, submission index) — a shard's pending segments drain in
+        // the order they were submitted, and each shard belongs to exactly
+        // one fan-out thread — so the result is bit-for-bit reproducible at
+        // any thread count (the `shard`, `pershard` and `chaos_*` digests in
+        // the ci.sh sweep pin it).
+        let body = |i: usize, shard: &mut Shard, segment: &mut [f32]| {
+            let incoming = &gradient[shard.start..shard.start + shard.len];
+            let weight = weights.map_or(weight, |w| w[i]);
+            if shard.pending.len() + 1 >= aggregation_k {
+                // Drain the shard's pending run in submission order, then
+                // fold the incoming gradient in directly: per element the op
+                // sequence (scale, then scaled-subtract) is identical to
+                // buffering it first, without allocating a segment that would
+                // be freed immediately (on the default K = 1 hot path nothing
+                // is ever buffered).
+                for scaled in &shard.pending {
+                    for (p, g) in segment.iter_mut().zip(scaled) {
+                        *p -= learning_rate * g;
+                    }
+                }
+                shard.applied += shard.pending.len() as u64 + 1;
+                shard.pending.clear();
+                for (p, g) in segment.iter_mut().zip(incoming) {
+                    *p -= learning_rate * (g * weight);
+                }
+                shard.clock += 1;
+            } else {
+                shard
+                    .pending
+                    .push(incoming.iter().map(|g| g * weight).collect());
+            }
+        };
+        self.fan_out_shards(body);
+        if round_complete {
+            self.pending_count = 0;
+            self.clock += 1;
+        }
+        if let Some((taus, weights)) = shard_weights {
+            self.last_shard_staleness = taus;
+            self.last_shard_weights = weights;
+        }
+        SubmitOutcome {
+            scaling_factor: scaling,
+            applied_weight: weight,
+            applied,
+            clock: self.clock,
         }
     }
 
@@ -629,122 +690,6 @@ impl<A: Aggregator> ParameterServer<A> {
             weights.push(shard_weight);
         }
         (taus, weights)
-    }
-
-    /// The lockstep apply path: every shard applies on the same K-th
-    /// submission. This is the pre-`ApplyMode` hot path, float-op for
-    /// float-op — the digest contract (`0xcca852d1696df74f` in the ci.sh
-    /// sweep) pins it.
-    fn submit_lockstep(
-        &mut self,
-        update: &WorkerUpdate,
-        scaling: f64,
-        weight: f32,
-    ) -> SubmitOutcome {
-        self.pending_count += 1;
-        let apply_now = self.pending_count >= self.aggregation_k;
-        let learning_rate = self.learning_rate;
-        let gradient = update.gradient.as_slice();
-        let body = |_: usize, shard: &mut Shard, segment: &mut [f32]| {
-            let incoming = &gradient[shard.start..shard.start + shard.len];
-            if apply_now {
-                // Drain the shard's pending run in submission order, then
-                // fold the incoming gradient in directly: per element the op
-                // sequence (scale, then scaled-subtract) is identical to
-                // buffering it first, without allocating a segment that would
-                // be freed immediately (on the default K = 1 hot path nothing
-                // is ever buffered).
-                for scaled in &shard.pending {
-                    for (p, g) in segment.iter_mut().zip(scaled) {
-                        *p -= learning_rate * g;
-                    }
-                }
-                shard.applied += shard.pending.len() as u64 + 1;
-                shard.pending.clear();
-                for (p, g) in segment.iter_mut().zip(incoming) {
-                    *p -= learning_rate * (g * weight);
-                }
-                shard.clock += 1;
-            } else {
-                shard
-                    .pending
-                    .push(incoming.iter().map(|g| g * weight).collect());
-            }
-        };
-        self.fan_out_shards(body);
-        if apply_now {
-            self.pending_count = 0;
-            self.clock += 1;
-        }
-        SubmitOutcome {
-            scaling_factor: scaling,
-            applied_weight: weight,
-            applied: apply_now,
-            clock: self.clock,
-        }
-    }
-
-    /// The per-shard apply path: staleness (and therefore the Eq. 3 weight)
-    /// is evaluated per shard slice against the vector clock, and each shard
-    /// applies when *its own* pending run reaches K. Applies are ordered on
-    /// (shard, submission index) — a shard's pending segments drain in the
-    /// order they were submitted, and each shard belongs to exactly one
-    /// fan-out thread — so the result is bit-for-bit reproducible at any
-    /// thread count for a fixed schedule.
-    fn submit_per_shard(
-        &mut self,
-        update: &WorkerUpdate,
-        scaling: f64,
-        weight: f32,
-        taus: Vec<u64>,
-        weights: Vec<f32>,
-    ) -> SubmitOutcome {
-        self.pending_count += 1;
-        // The global clock stays a deterministic round counter: it advances
-        // on every K-th submission no matter which shards applied.
-        let round_complete = self.pending_count >= self.aggregation_k;
-        let applied_any = self
-            .shards
-            .iter()
-            .any(|s| s.pending.len() + 1 >= self.aggregation_k);
-        let aggregation_k = self.aggregation_k;
-        let learning_rate = self.learning_rate;
-        let gradient = update.gradient.as_slice();
-        let shard_weights = &weights;
-        let body = |i: usize, shard: &mut Shard, segment: &mut [f32]| {
-            let incoming = &gradient[shard.start..shard.start + shard.len];
-            let weight = shard_weights[i];
-            if shard.pending.len() + 1 >= aggregation_k {
-                for scaled in &shard.pending {
-                    for (p, g) in segment.iter_mut().zip(scaled) {
-                        *p -= learning_rate * g;
-                    }
-                }
-                shard.applied += shard.pending.len() as u64 + 1;
-                shard.pending.clear();
-                for (p, g) in segment.iter_mut().zip(incoming) {
-                    *p -= learning_rate * (g * weight);
-                }
-                shard.clock += 1;
-            } else {
-                shard
-                    .pending
-                    .push(incoming.iter().map(|g| g * weight).collect());
-            }
-        };
-        self.fan_out_shards(body);
-        if round_complete {
-            self.pending_count = 0;
-            self.clock += 1;
-        }
-        self.last_shard_staleness = taus;
-        self.last_shard_weights = weights;
-        SubmitOutcome {
-            scaling_factor: scaling,
-            applied_weight: weight,
-            applied: applied_any,
-            clock: self.clock,
-        }
     }
 
     /// Runs `body` once per (shard, parameter segment) pair — across threads

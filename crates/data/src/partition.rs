@@ -92,7 +92,7 @@ mod tests {
     use super::*;
     use crate::synthetic::{generate, SyntheticSpec};
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn dataset() -> Dataset {
         generate(&SyntheticSpec::vector(10, 4, 200), 5)
@@ -104,7 +104,7 @@ mod tests {
         let users = iid_partition(&d, 7, 1);
         let all: Vec<usize> = users.iter().flatten().cloned().collect();
         assert_eq!(all.len(), d.len());
-        let unique: HashSet<usize> = all.into_iter().collect();
+        let unique: BTreeSet<usize> = all.into_iter().collect();
         assert_eq!(unique.len(), d.len());
     }
 
@@ -123,7 +123,7 @@ mod tests {
         let d = dataset();
         let users = non_iid_shards(&d, 10, 2, 3);
         let all: Vec<usize> = users.iter().flatten().cloned().collect();
-        let unique: HashSet<usize> = all.iter().cloned().collect();
+        let unique: BTreeSet<usize> = all.iter().cloned().collect();
         assert_eq!(all.len(), d.len());
         assert_eq!(unique.len(), d.len());
     }

@@ -62,7 +62,7 @@ impl MiniBatchSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_inputs_give_empty_batch() {
@@ -77,7 +77,7 @@ mod tests {
         let pool: Vec<usize> = (0..100).collect();
         let batch = s.sample(&pool, 50);
         assert_eq!(batch.len(), 50);
-        let unique: HashSet<usize> = batch.iter().cloned().collect();
+        let unique: BTreeSet<usize> = batch.iter().cloned().collect();
         assert_eq!(unique.len(), 50);
         assert!(batch.iter().all(|i| pool.contains(i)));
     }

@@ -63,7 +63,6 @@ impl DeviceProfile {
     }
 
     /// Convenience constructor for tests and custom scenarios.
-    #[allow(clippy::too_many_arguments)]
     pub fn custom(
         name: &str,
         base_secs_per_sample: f32,
@@ -89,7 +88,10 @@ impl DeviceProfile {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one row of the device table below: a flat positional call keeps the table readable"
+)]
 fn profile(
     name: &str,
     secs_per_sample: f32,

@@ -14,9 +14,12 @@
 //!   covered sequence number, the transport step counter and the opaque
 //!   state payload, CRC-sealed as one self-contained blob.
 //!
-//! This file is under `fleet-lint`'s wire-exhaustive rule (listed in the
-//! default policy's `codec_files`): every field of both structs must appear
-//! on the encode *and* decode path, so field drift is machine-caught.
+//! Both encoders bind their document with an exhaustive struct pattern (no
+//! `..`) and both decoders end in a struct literal, so a field added to
+//! either struct and forgotten on the encode *or* decode path is a compile
+//! error (a field bound but never written trips `unused_variables` below).
+
+#![deny(unused_variables)]
 
 use crate::crc::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -162,12 +165,13 @@ fn take_payload(buf: &mut Bytes) -> Result<Bytes, CodecError> {
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`]; such a record could
 /// never be read back.
 pub fn encode_record(record: &JournalRecord) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + 8 + 1 + 4 + record.payload.len());
+    let JournalRecord { seq, kind, payload } = record;
+    let mut buf = BytesMut::with_capacity(1 + 8 + 1 + 4 + payload.len());
     buf.put_u8(RECORD_VERSION);
-    buf.put_u64_le(record.seq);
-    buf.put_u8(record.kind.as_byte());
-    buf.put_u32_le(checked_len(record.payload.len()));
-    buf.put_slice(&record.payload.to_vec());
+    buf.put_u64_le(*seq);
+    buf.put_u8(kind.as_byte());
+    buf.put_u32_le(checked_len(payload.len()));
+    buf.put_slice(&payload.to_vec());
     buf.freeze()
 }
 
@@ -203,14 +207,20 @@ pub fn decode_record(mut buf: Bytes) -> Result<JournalRecord, CodecError> {
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`].
 pub fn encode_doc(doc: &CheckpointDoc) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + 1 + 3 * 8 + 4 + doc.payload.len() + 4);
+    let CheckpointDoc {
+        generation,
+        seq,
+        steps,
+        payload,
+    } = doc;
+    let mut buf = BytesMut::with_capacity(8 + 1 + 3 * 8 + 4 + payload.len() + 4);
     buf.put_slice(&DOC_MAGIC);
     buf.put_u8(DOC_VERSION);
-    buf.put_u64_le(doc.generation);
-    buf.put_u64_le(doc.seq);
-    buf.put_u64_le(doc.steps);
-    buf.put_u32_le(checked_len(doc.payload.len()));
-    buf.put_slice(&doc.payload.to_vec());
+    buf.put_u64_le(*generation);
+    buf.put_u64_le(*seq);
+    buf.put_u64_le(*steps);
+    buf.put_u32_le(checked_len(payload.len()));
+    buf.put_slice(&payload.to_vec());
     let sealed = buf.freeze().to_vec();
     let mut out = BytesMut::with_capacity(sealed.len() + 4);
     out.put_slice(&sealed);

@@ -7,8 +7,9 @@
 //! capacity; with `time_scale = 1` the virtual timeline is replayed in
 //! real time. Pacing reads time exclusively through the telemetry sink
 //! ([`TelemetrySink::now_ns`]) — the driver itself never touches the wall
-//! clock, keeping `crates/loadgen` outside the fleet-lint wall-clock
-//! waiver.
+//! clock, so `crates/loadgen` needs no waiver of the workspace's
+//! `Instant::now` ban (`clippy.toml`). Its one waiver is for the scoped
+//! connection threads below: they are client I/O, not compute fan-out.
 //!
 //! Workers are partitioned over connections by `worker % connections`;
 //! each connection thread replays its own workers' events in schedule
@@ -144,6 +145,10 @@ pub fn drive(
     let started = sink.now_ns();
     let time_scale = options.time_scale;
     let batch_cap = schedule.spec().batch_size;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one blocking-I/O thread per client connection, like a fleet of worker processes; the schedule they replay was generated deterministically beforehand"
+    )]
     let stats: Vec<DriveStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = lanes
             .into_iter()

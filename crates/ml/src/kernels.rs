@@ -360,7 +360,10 @@ fn matmul_rows(a: &[f32], b: &[f32], chunk: &mut [f32], first_row: usize, k: usi
 /// identical either way. With `acc` set, the accumulators are *seeded from
 /// the existing output* (one fused chain per element, exactly like the
 /// remainder axpy path), which is what the accumulating NT entry point needs.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
 fn tile_nn(
     a: &[f32],
     b: &[f32],
@@ -466,7 +469,10 @@ fn matmul_tn_rows(
 /// remainder axpy path produces. Seeding (rather than adding a zero-based
 /// accumulator at the end) is what keeps rows bit-identical no matter whether
 /// the thread partition routes them through the tile or the remainder path.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
 fn tile_tn(
     a: &[f32],
     b: &[f32],
@@ -551,7 +557,10 @@ fn matmul_nt_fan_out(
 /// `m < NT_PACK_MIN_ROWS` case keep the blocked-dot formulation — both
 /// branches key only on the full shape, never the chunk partition, so
 /// results are bit-identical across thread counts.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
 fn matmul_nt_rows(
     a: &[f32],
     b: &[f32],

@@ -501,7 +501,10 @@ impl Conv2d {
 /// rows in `(ic, ky, kx)`-ascending order: `cols[p][oy*ow + ox] =
 /// img[ic][oy*stride + ky][ox*stride + kx]`. Stride-1 rows are straight
 /// `memcpy`s of input-row windows.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
 fn im2col_image(
     img: &[f32],
     cols: &mut [f32],
@@ -548,7 +551,10 @@ fn im2col_image(
 /// image geometry — the adjoint of [`im2col_image`]. Rows are visited in the
 /// same `(ic, ky, kx)`-ascending order and positions in ascending `(oy, ox)`,
 /// so overlapping patches accumulate in one fixed order.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
 fn col2im_add(
     dcols: &[f32],
     gi: &mut [f32],

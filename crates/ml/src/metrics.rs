@@ -5,7 +5,7 @@
 //!   how many of the top-5 recommended hashtags were actually used and how
 //!   many of the used hashtags were recommended).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Fraction of predictions equal to the label. Returns 0.0 for empty input.
 ///
@@ -51,7 +51,7 @@ pub fn precision_recall_f1(recommended: &[usize], actual: &[usize]) -> (f32, f32
     if recommended.is_empty() || actual.is_empty() {
         return (0.0, 0.0, 0.0);
     }
-    let actual_set: HashSet<usize> = actual.iter().cloned().collect();
+    let actual_set: BTreeSet<usize> = actual.iter().cloned().collect();
     let hits = recommended
         .iter()
         .filter(|r| actual_set.contains(r))

@@ -202,6 +202,10 @@ impl Pool {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the deterministic pool the ban points everyone else to; its workers are the workspace's only compute threads"
+)]
 fn spawn_worker(index: usize, queue: &'static WorkerQueue) {
     std::thread::Builder::new()
         .name(format!("fleet-parallel-{index}"))

@@ -5,7 +5,7 @@ use crate::passive_aggressive::PassiveAggressiveRegressor;
 use crate::slo::Slo;
 use crate::WorkloadProfiler;
 use fleet_device::DeviceFeatures;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Floor for a predicted per-sample slope, preventing division blow-ups when a
 /// (cold) model predicts a non-positive slope.
@@ -37,8 +37,8 @@ pub struct SlopePredictorState {
     /// Coefficients of the cold-start global model.
     pub global: Vec<f32>,
     /// Personalised models as `(device_model, coefficients, update_count)`,
-    /// sorted by device model name so the export is deterministic regardless
-    /// of `HashMap` iteration order.
+    /// sorted by device model name (the predictor keeps them in a `BTreeMap`,
+    /// so registration order never reaches the export).
     pub personal: Vec<(String, Vec<f32>, u64)>,
     /// Accumulated calibration observations (feature vector, slope).
     pub calibration: Vec<(Vec<f32>, f32)>,
@@ -63,7 +63,7 @@ pub struct IProfState {
 #[derive(Debug, Clone)]
 struct SlopePredictor {
     global: LinearRegression,
-    personal: HashMap<String, PassiveAggressiveRegressor>,
+    personal: BTreeMap<String, PassiveAggressiveRegressor>,
     calibration: Vec<(Vec<f32>, f32)>,
     pa_epsilon: f32,
     min_slope: f32,
@@ -79,7 +79,7 @@ impl SlopePredictor {
     fn new(dim: usize, pa_epsilon: f32, min_slope: f32) -> Self {
         Self {
             global: LinearRegression::zeros(dim),
-            personal: HashMap::new(),
+            personal: BTreeMap::new(),
             calibration: Vec::new(),
             pa_epsilon,
             min_slope,
@@ -153,18 +153,13 @@ impl SlopePredictor {
     }
 
     fn export_state(&self) -> SlopePredictorState {
-        let mut personal: Vec<(String, Vec<f32>, u64)> = self
-            // lint:allow(det-collections): order-insensitive — the export is
-            // sorted by model name below before anything observes it
-            // (regression: tests/determinism.rs iprof_personal_models_*).
-            .personal
-            .iter()
-            .map(|(name, pa)| (name.clone(), pa.coefficients().to_vec(), pa.updates()))
-            .collect();
-        personal.sort_by(|a, b| a.0.cmp(&b.0));
         SlopePredictorState {
             global: self.global.coefficients().to_vec(),
-            personal,
+            personal: self
+                .personal
+                .iter()
+                .map(|(name, pa)| (name.clone(), pa.coefficients().to_vec(), pa.updates()))
+                .collect(),
             calibration: self.calibration.clone(),
             seen_range: self.seen_range,
             since_retrain: self.since_retrain as u64,

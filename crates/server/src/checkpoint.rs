@@ -8,7 +8,15 @@
 //! A checkpoint taken mid-run and restored into a freshly constructed server
 //! resumes bit-identically (see the crash-restart test in
 //! `tests/parallel_determinism.rs`).
+//!
+//! As in [`crate::wire`], every `put_*`/`encode_*` binds its state with an
+//! exhaustive struct pattern and every `get_*`/`decode_*` ends in a struct
+//! literal: a state field added and forgotten on either side is a compile
+//! error, not a checkpoint that silently drops it.
 
+#![deny(unused_variables)]
+
+use crate::controller::ControllerCounters;
 use crate::server::FleetServerState;
 use crate::tasks::TaskTableState;
 use crate::wire::{
@@ -23,23 +31,39 @@ use fleet_profiler::{IProfState, SlopePredictorState};
 const CHECKPOINT_VERSION: u8 = 1;
 
 fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
-    put_f32_slice(buf, &state.parameters);
-    buf.put_u32_le(checked_field_len(state.shard_pending.len()));
-    for pending in &state.shard_pending {
+    let ParameterServerState {
+        parameters,
+        shard_pending,
+        shard_clocks,
+        shard_applied,
+        pending_count,
+        clock,
+        updates_received,
+        last_shard_staleness,
+        last_shard_weights,
+        aggregator:
+            AggregatorState {
+                staleness_values,
+                label_counts,
+            },
+    } = state;
+    put_f32_slice(buf, parameters);
+    buf.put_u32_le(checked_field_len(shard_pending.len()));
+    for pending in shard_pending {
         buf.put_u32_le(checked_field_len(pending.len()));
         for segment in pending {
             put_f32_slice(buf, segment);
         }
     }
-    put_u64_slice(buf, &state.shard_clocks);
-    put_u64_slice(buf, &state.shard_applied);
-    buf.put_u64_le(state.pending_count as u64);
-    buf.put_u64_le(state.clock);
-    buf.put_u64_le(state.updates_received);
-    put_u64_slice(buf, &state.last_shard_staleness);
-    put_f32_slice(buf, &state.last_shard_weights);
-    put_u64_slice(buf, &state.aggregator.staleness_values);
-    put_u64_slice(buf, &state.aggregator.label_counts);
+    put_u64_slice(buf, shard_clocks);
+    put_u64_slice(buf, shard_applied);
+    buf.put_u64_le(*pending_count as u64);
+    buf.put_u64_le(*clock);
+    buf.put_u64_le(*updates_received);
+    put_u64_slice(buf, last_shard_staleness);
+    put_f32_slice(buf, last_shard_weights);
+    put_u64_slice(buf, staleness_values);
+    put_u64_slice(buf, label_counts);
 }
 
 fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> {
@@ -82,19 +106,26 @@ fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> 
 }
 
 fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
-    put_f32_slice(buf, &state.global);
-    buf.put_u32_le(checked_field_len(state.personal.len()));
-    for (model, theta, updates) in &state.personal {
+    let SlopePredictorState {
+        global,
+        personal,
+        calibration,
+        seen_range,
+        since_retrain,
+    } = state;
+    put_f32_slice(buf, global);
+    buf.put_u32_le(checked_field_len(personal.len()));
+    for (model, theta, updates) in personal {
         put_str(buf, model);
         put_f32_slice(buf, theta);
         buf.put_u64_le(*updates);
     }
-    buf.put_u32_le(checked_field_len(state.calibration.len()));
-    for (features, slope) in &state.calibration {
+    buf.put_u32_le(checked_field_len(calibration.len()));
+    for (features, slope) in calibration {
         put_f32_slice(buf, features);
         buf.put_f32_le(*slope);
     }
-    match state.seen_range {
+    match *seen_range {
         Some((lo, hi)) => {
             buf.put_u8(1);
             buf.put_f32_le(lo);
@@ -102,7 +133,7 @@ fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
         }
         None => buf.put_u8(0),
     }
-    buf.put_u64_le(state.since_retrain);
+    buf.put_u64_le(*since_retrain);
 }
 
 fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError> {
@@ -143,16 +174,22 @@ fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError
 }
 
 fn put_task_table_state(buf: &mut BytesMut, state: &TaskTableState) {
-    buf.put_u64_le(state.next_id);
-    buf.put_u32_le(checked_field_len(state.outstanding.len()));
-    for &(id, worker, issued, deadline) in &state.outstanding {
+    let TaskTableState {
+        next_id,
+        outstanding,
+        completed,
+        expired,
+    } = state;
+    buf.put_u64_le(*next_id);
+    buf.put_u32_le(checked_field_len(outstanding.len()));
+    for &(id, worker, issued, deadline) in outstanding {
         buf.put_u64_le(id);
         buf.put_u64_le(worker);
         buf.put_u64_le(issued);
         buf.put_u64_le(deadline);
     }
-    put_u64_slice(buf, &state.completed);
-    put_u64_slice(buf, &state.expired);
+    put_u64_slice(buf, completed);
+    put_u64_slice(buf, expired);
 }
 
 fn get_task_table_state(buf: &mut Bytes) -> Result<TaskTableState, WireError> {
@@ -188,22 +225,35 @@ fn get_task_table_state(buf: &mut Bytes) -> Result<TaskTableState, WireError> {
 /// [`MAX_FIELD_LEN`](crate::wire::MAX_FIELD_LEN); such a checkpoint could
 /// never be decoded.
 pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
+    let FleetServerState {
+        parameter_server,
+        iprof: IProfState { latency, energy },
+        controller:
+            ControllerCounters {
+                accepted,
+                rejected_size,
+                rejected_similarity,
+                rejected_overload,
+            },
+        tasks,
+        device_models,
+    } = state;
     let mut buf = BytesMut::new();
     buf.put_u8(CHECKPOINT_VERSION);
-    put_server_state(&mut buf, &state.parameter_server);
-    put_predictor_state(&mut buf, &state.iprof.latency);
-    put_predictor_state(&mut buf, &state.iprof.energy);
+    put_server_state(&mut buf, parameter_server);
+    put_predictor_state(&mut buf, latency);
+    put_predictor_state(&mut buf, energy);
     for counter in [
-        state.controller.accepted,
-        state.controller.rejected_size,
-        state.controller.rejected_similarity,
-        state.controller.rejected_overload,
+        accepted,
+        rejected_size,
+        rejected_similarity,
+        rejected_overload,
     ] {
-        buf.put_u64_le(counter);
+        buf.put_u64_le(*counter);
     }
-    put_task_table_state(&mut buf, &state.tasks);
-    buf.put_u32_le(checked_field_len(state.device_models.len()));
-    for (worker, model) in &state.device_models {
+    put_task_table_state(&mut buf, tasks);
+    buf.put_u32_le(checked_field_len(device_models.len()));
+    for (worker, model) in device_models {
         buf.put_u64_le(*worker);
         put_str(&mut buf, model);
     }
@@ -226,7 +276,7 @@ pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> 
     let latency = get_predictor_state(&mut buf)?;
     let energy = get_predictor_state(&mut buf)?;
     need(&buf, 4 * 8)?;
-    let controller = crate::controller::ControllerCounters {
+    let controller = ControllerCounters {
         accepted: buf.get_u64_le(),
         rejected_size: buf.get_u64_le(),
         rejected_similarity: buf.get_u64_le(),
@@ -252,7 +302,6 @@ pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerCounters;
 
     fn sample_state() -> FleetServerState {
         FleetServerState {

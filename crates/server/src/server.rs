@@ -15,7 +15,7 @@ use fleet_core::{
 use fleet_device::NetworkKind;
 use fleet_profiler::{IProf, IProfState, Slo, WorkloadProfiler};
 use fleet_telemetry::{Counter, TelemetryHandle};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration of a [`FleetServer`].
 ///
@@ -210,8 +210,8 @@ pub struct FleetServerState {
     pub controller: ControllerCounters,
     /// The lease table.
     pub tasks: TaskTableState,
-    /// Worker → device-model routing, sorted by worker id so the export is
-    /// deterministic regardless of `HashMap` iteration order.
+    /// Worker → device-model routing, sorted by worker id (the server keeps
+    /// it in a `BTreeMap`, so registration order never reaches the export).
     pub device_models: Vec<(u64, String)>,
 }
 
@@ -225,7 +225,7 @@ pub struct FleetServer {
     tasks: TaskTable,
     /// Device model of each worker, remembered from its last request so that
     /// result feedback can be routed to the right personalised I-Prof model.
-    device_models: HashMap<u64, String>,
+    device_models: BTreeMap<u64, String>,
     config: FleetServerConfig,
     /// Where protocol events are reported; disabled (one branch per event
     /// site, no clock reads) unless a sink is installed via
@@ -246,7 +246,7 @@ impl FleetServer {
             iprof: IProf::new(config.slo),
             controller: Controller::new(config.thresholds),
             tasks: TaskTable::new(),
-            device_models: HashMap::new(),
+            device_models: BTreeMap::new(),
             config,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -599,21 +599,16 @@ impl FleetServer {
     /// — parameters, pending gradients, vector clocks, lease table, I-Prof
     /// models and controller counters all continue where they left off.
     pub fn checkpoint(&self) -> FleetServerState {
-        let mut device_models: Vec<(u64, String)> = self
-            // lint:allow(det-collections): order-insensitive — the export is
-            // sorted by worker id two lines down before anything observes it
-            // (regression: tests/determinism.rs checkpoint_device_models_*).
-            .device_models
-            .iter()
-            .map(|(&id, model)| (id, model.clone()))
-            .collect();
-        device_models.sort_by_key(|(id, _)| *id);
         FleetServerState {
             parameter_server: self.parameter_server.export_state(),
             iprof: self.iprof.export_state(),
             controller: self.controller.counters(),
             tasks: self.tasks.export_state(),
-            device_models,
+            device_models: self
+                .device_models
+                .iter()
+                .map(|(&id, model)| (id, model.clone()))
+                .collect(),
         }
     }
 

@@ -5,6 +5,14 @@
 //! dependency-free binary codec built on [`bytes`]: length-prefixed fields,
 //! little-endian scalars, f32 slices packed raw. The format is versioned with
 //! a one-byte tag so it can evolve.
+//!
+//! Every encoder binds its message with an exhaustive struct pattern (no
+//! `..`) and every decoder ends in a struct literal, so a field added to a
+//! protocol type and forgotten on either side fails `cargo build` here:
+//! unmentioned in the pattern or literal is an error by itself, bound but
+//! never written is the `unused_variables` error below.
+
+#![deny(unused_variables)]
 
 use crate::protocol::{
     RejectionReason, ResultAck, ResultDisposition, TaskAssignment, TaskRequest, TaskResponse,
@@ -200,22 +208,35 @@ pub(crate) fn need(buf: &Bytes, bytes: usize) -> Result<(), WireError> {
 /// Panics if a variable-length field (device model, label distribution)
 /// exceeds [`MAX_FIELD_LEN`] — such a message could never decode.
 pub fn encode_request(request: &TaskRequest) -> Bytes {
+    let TaskRequest {
+        worker_id,
+        device_model,
+        device_features:
+            DeviceFeatures {
+                available_memory_mb,
+                total_memory_mb,
+                temperature_celsius,
+                sum_max_freq_ghz,
+                energy_per_cpu_second,
+            },
+        label_distribution,
+        available_samples,
+    } = request;
     let mut buf = BytesMut::new();
     buf.put_u8(WIRE_VERSION);
-    buf.put_u64_le(request.worker_id);
-    put_str(&mut buf, &request.device_model);
-    let f = &request.device_features;
+    buf.put_u64_le(*worker_id);
+    put_str(&mut buf, device_model);
     for v in [
-        f.available_memory_mb,
-        f.total_memory_mb,
-        f.temperature_celsius,
-        f.sum_max_freq_ghz,
-        f.energy_per_cpu_second,
+        available_memory_mb,
+        total_memory_mb,
+        temperature_celsius,
+        sum_max_freq_ghz,
+        energy_per_cpu_second,
     ] {
-        buf.put_f32_le(v);
+        buf.put_f32_le(*v);
     }
-    put_f32_slice(&mut buf, request.label_distribution.as_slice());
-    buf.put_u64_le(request.available_samples as u64);
+    put_f32_slice(&mut buf, label_distribution.as_slice());
+    buf.put_u64_le(*available_samples as u64);
     buf.freeze()
 }
 
@@ -261,51 +282,47 @@ pub fn decode_request(mut buf: Bytes) -> Result<TaskRequest, WireError> {
 /// Panics if a variable-length field (gradient, label distribution) exceeds
 /// [`MAX_FIELD_LEN`] — such a message could never decode.
 pub fn encode_result(result: &TaskResult) -> Bytes {
+    let TaskResult {
+        worker_id,
+        model_version,
+        gradient,
+        label_distribution,
+        num_samples,
+        computation_seconds,
+        energy_pct,
+        read_clock,
+        task_id,
+    } = result;
     let mut buf = BytesMut::new();
     // Emit the oldest version able to carry the message: a result without a
     // read clock or task id is byte-identical to the v1 encoding, so v1
     // peers keep decoding everything a lockstep deployment produces.
-    let version = if result.task_id.is_some() {
-        WIRE_VERSION_TASK_ID
-    } else if result.read_clock.is_some() {
-        WIRE_VERSION_READ_CLOCK
-    } else {
-        WIRE_VERSION
-    };
-    buf.put_u8(version);
-    buf.put_u64_le(result.worker_id);
-    buf.put_u64_le(result.model_version);
-    put_f32_slice(&mut buf, result.gradient.as_slice());
-    put_f32_slice(&mut buf, result.label_distribution.as_slice());
-    buf.put_u64_le(result.num_samples as u64);
-    buf.put_f32_le(result.computation_seconds);
-    buf.put_f32_le(result.energy_pct);
-    match version {
-        WIRE_VERSION_TASK_ID => {
-            // v3: explicit clock-presence flag, then the id.
-            match &result.read_clock {
+    buf.put_u8(match (task_id, read_clock) {
+        (Some(_), _) => WIRE_VERSION_TASK_ID,
+        (None, Some(_)) => WIRE_VERSION_READ_CLOCK,
+        (None, None) => WIRE_VERSION,
+    });
+    buf.put_u64_le(*worker_id);
+    buf.put_u64_le(*model_version);
+    put_f32_slice(&mut buf, gradient.as_slice());
+    put_f32_slice(&mut buf, label_distribution.as_slice());
+    buf.put_u64_le(*num_samples as u64);
+    buf.put_f32_le(*computation_seconds);
+    buf.put_f32_le(*energy_pct);
+    match (task_id, read_clock) {
+        // v3: explicit clock-presence flag, then the id.
+        (Some(task_id), read_clock) => {
+            match read_clock {
                 Some(read_clock) => {
                     buf.put_u8(1);
                     put_u64_slice(&mut buf, read_clock);
                 }
                 None => buf.put_u8(0),
             }
-            buf.put_u64_le(
-                result
-                    .task_id
-                    .expect("v3 is only chosen when task_id is set"),
-            );
+            buf.put_u64_le(*task_id);
         }
-        WIRE_VERSION_READ_CLOCK => {
-            put_u64_slice(
-                &mut buf,
-                result
-                    .read_clock
-                    .as_ref()
-                    .expect("v2 is only chosen when read_clock is set"),
-            );
-        }
-        _ => {}
+        (None, Some(read_clock)) => put_u64_slice(&mut buf, read_clock),
+        (None, None) => {}
     }
     buf.freeze()
 }
@@ -364,11 +381,18 @@ pub fn decode_result(mut buf: Bytes) -> Result<TaskResult, WireError> {
 /// Encodes a [`TaskAssignment`] into `buf` (the payload of a
 /// [`TaskResponse::Assignment`]).
 pub(crate) fn put_assignment(buf: &mut BytesMut, assignment: &TaskAssignment) {
-    buf.put_u64_le(assignment.task_id);
-    buf.put_u64_le(assignment.model_version);
-    buf.put_u64_le(assignment.mini_batch_size as u64);
-    put_f32_slice(buf, &assignment.model_parameters);
-    put_u64_slice(buf, &assignment.shard_clocks);
+    let TaskAssignment {
+        task_id,
+        model_parameters,
+        model_version,
+        shard_clocks,
+        mini_batch_size,
+    } = assignment;
+    buf.put_u64_le(*task_id);
+    buf.put_u64_le(*model_version);
+    buf.put_u64_le(*mini_batch_size as u64);
+    put_f32_slice(buf, model_parameters);
+    put_u64_slice(buf, shard_clocks);
 }
 
 /// Decodes a [`TaskAssignment`] written by [`put_assignment`].
@@ -465,14 +489,21 @@ pub fn decode_response(mut buf: Bytes) -> Result<TaskResponse, WireError> {
 
 /// Encodes a [`ResultAck`] (the server's step-5 acknowledgement).
 pub fn encode_ack(ack: &ResultAck) -> Bytes {
+    let ResultAck {
+        staleness,
+        scaling_factor,
+        model_updated,
+        clock,
+        disposition,
+    } = *ack;
     let mut buf = BytesMut::new();
     buf.put_u8(RESPONSE_WIRE_VERSION);
-    buf.put_u64_le(ack.staleness);
+    buf.put_u64_le(staleness);
     // The bytes shim carries no f64 accessors; ship the raw IEEE bits.
-    buf.put_u64_le(ack.scaling_factor.to_bits());
-    buf.put_u8(ack.model_updated as u8);
-    buf.put_u64_le(ack.clock);
-    buf.put_u8(match ack.disposition {
+    buf.put_u64_le(scaling_factor.to_bits());
+    buf.put_u8(model_updated as u8);
+    buf.put_u64_le(clock);
+    buf.put_u8(match disposition {
         ResultDisposition::Applied => 0,
         ResultDisposition::Duplicate => 1,
         ResultDisposition::Expired => 2,

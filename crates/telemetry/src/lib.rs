@@ -9,8 +9,9 @@
 //!
 //! This crate is the **only** place in the workspace (outside the bench
 //! harnesses and the transport's socket-deadline module) allowed to read
-//! wall clocks — `scripts/ci.sh`'s fleet-lint gate enforces exactly that
-//! scope. Instrumented code never touches `Instant`: it asks its sink for
+//! wall clocks — clippy's `disallowed_methods` bans `Instant::now` and
+//! `SystemTime::now` workspace-wide (see `clippy.toml`), and the recorder's
+//! epoch is one of the few waived sites. Instrumented code never touches `Instant`: it asks its sink for
 //! timestamps via [`TelemetrySink::now_ns`] and reports durations as
 //! differences. The no-op sink answers `0`, so a disabled handle costs one
 //! branch and no syscalls on the hot path, and workload *generation* (the

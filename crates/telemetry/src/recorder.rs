@@ -1,11 +1,12 @@
 //! The concrete [`TelemetrySink`]: atomic counters, per-metric histograms,
 //! per-shard apply/queue tracking, and the workspace's one monotonic clock.
 //!
-//! This module is why `crates/telemetry` carries the fleet-lint wall-clock
-//! waiver: [`Recorder::now_ns`] reads `Instant`. Everything else in the
-//! workspace that wants a timestamp must go through a sink handle, which
-//! keeps measured wall-clock strictly separated from deterministic workload
-//! generation.
+//! This module holds the workspace's one clock waiver for measurement:
+//! [`Recorder::new`] takes the `Instant` epoch that [`Recorder::now_ns`] reads
+//! against, under an `#[expect(clippy::disallowed_methods)]`. Everything else
+//! in the workspace that wants a timestamp must go through a sink handle,
+//! which keeps measured wall-clock strictly separated from deterministic
+//! workload generation.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::sink::{Counter, Latency, TelemetrySink};
@@ -41,6 +42,10 @@ impl Default for Recorder {
 
 impl Recorder {
     /// A fresh recorder; its clock epoch is the construction instant.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one monotonic clock: every measured timestamp is a now_ns() offset from this epoch"
+    )]
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),

@@ -1,8 +1,9 @@
 //! Socket deadlines: the per-frame read budget.
 //!
-//! This is the one module in the crate (and, outside the bench harnesses,
-//! the workspace) allowed to read a wall clock — the fleet-lint `wall-clock`
-//! policy names it explicitly. Socket deadlines are exactly the place where
+//! This is the one module in the crate (and, outside the bench harnesses
+//! and the telemetry recorder, the workspace) that reads a wall clock — its
+//! two `Instant::now` calls carry the only `#[expect(clippy::disallowed_methods)]`
+//! clock waivers in serving code. Socket deadlines are exactly the place where
 //! real time is the *point*: a peer that stops sending mid-frame must not
 //! pin a server thread, and no logical clock can observe that.
 //!
@@ -27,6 +28,10 @@ pub struct DeadlineReader<'a> {
 
 impl<'a> DeadlineReader<'a> {
     /// Starts a frame read with `budget` of total wall time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
+    )]
     pub fn new(stream: &'a mut Stream, budget: Duration) -> Self {
         DeadlineReader {
             deadline: Instant::now() + budget,
@@ -36,6 +41,10 @@ impl<'a> DeadlineReader<'a> {
 }
 
 impl Read for DeadlineReader<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
+    )]
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let now = Instant::now();
         // The kernel rejects a zero timeout (it means "block forever"), so

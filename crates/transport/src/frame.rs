@@ -211,12 +211,23 @@ pub struct ServerStatus {
 }
 
 /// Encodes a [`ServerStatus`] into a `StatusReply` payload.
+///
+/// The exhaustive pattern (no `..`) makes a field added to [`ServerStatus`]
+/// and not encoded here a compile error; [`decode_status`]'s struct literal
+/// does the same on its side.
+#[deny(unused_variables)]
 pub fn encode_status(status: &ServerStatus) -> Vec<u8> {
+    let ServerStatus {
+        steps,
+        clock,
+        outstanding,
+        draining,
+    } = *status;
     let mut buf = Vec::with_capacity(25);
-    buf.extend_from_slice(&status.steps.to_le_bytes());
-    buf.extend_from_slice(&status.clock.to_le_bytes());
-    buf.extend_from_slice(&status.outstanding.to_le_bytes());
-    buf.push(status.draining as u8);
+    buf.extend_from_slice(&steps.to_le_bytes());
+    buf.extend_from_slice(&clock.to_le_bytes());
+    buf.extend_from_slice(&outstanding.to_le_bytes());
+    buf.push(draining as u8);
     buf
 }
 

@@ -37,9 +37,9 @@ use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, EventKind, FsyncPolicy};
 use fleet_server::protocol::{RejectionReason, TaskResponse};
 use fleet_server::wire::{encode_ack, encode_response, WireError};
-use fleet_server::{encode_checkpoint, FleetServer, FleetServerState, ResultDisposition};
+use fleet_server::{FleetServer, FleetServerState, ResultDisposition};
 use fleet_telemetry::{Counter, Latency, TelemetryHandle};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::io::Read as _;
 use std::path::PathBuf;
@@ -62,9 +62,6 @@ pub struct TransportConfig {
     /// Kernel timeout on any single write; a peer that stops draining its
     /// receive buffer fails the write and loses the connection.
     pub write_timeout: Duration,
-    /// When set, [`TransportServer::shutdown`] also persists the final
-    /// checkpoint (the binary `fleet_server::checkpoint` encoding) here.
-    pub checkpoint_path: Option<PathBuf>,
     /// When set, the server is durable: [`TransportServer::bind`] recovers
     /// checkpoint + write-ahead journal from this directory before
     /// accepting, every applied exchange is journaled before its reply, and
@@ -84,7 +81,6 @@ impl Default for TransportConfig {
             max_frame_len: frame::MAX_FRAME_LEN,
             read_budget: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            checkpoint_path: None,
             durability: None,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -150,7 +146,6 @@ pub struct TransportConfigBuilder {
     max_frame_len: Option<usize>,
     read_budget: Option<Duration>,
     write_timeout: Option<Duration>,
-    checkpoint_path: Option<PathBuf>,
     telemetry: Option<TelemetryHandle>,
     durable_dir: Option<PathBuf>,
     checkpoint_every: Option<u64>,
@@ -174,12 +169,6 @@ impl TransportConfigBuilder {
     /// Sets the kernel timeout on any single write.
     pub fn write_timeout(mut self, value: Duration) -> Self {
         self.write_timeout = Some(value);
-        self
-    }
-
-    /// Also persists the final shutdown checkpoint to this path.
-    pub fn checkpoint_path(mut self, value: PathBuf) -> Self {
-        self.checkpoint_path = Some(value);
         self
     }
 
@@ -265,7 +254,6 @@ impl TransportConfigBuilder {
             max_frame_len,
             read_budget,
             write_timeout,
-            checkpoint_path: self.checkpoint_path,
             durability,
             telemetry: self.telemetry.unwrap_or_default(),
         })
@@ -286,12 +274,11 @@ struct Core {
 struct Shared {
     core: Mutex<Core>,
     draining: AtomicBool,
-    /// `try_clone`d handles of every accepted connection, so shutdown can
-    /// force-close sockets that threads are blocked on. Dead entries are
-    /// harmless — `shutdown_both` on a closed socket is a no-op.
-    conns: Mutex<Vec<Stream>>,
-    /// Join handles of the connection threads.
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// A `try_clone`d handle of every *live* connection, keyed by accept
+    /// order, so shutdown can force-close sockets that threads are blocked
+    /// on. A connection thread removes its own entry on the way out — a
+    /// closed connection holds no descriptor here.
+    conns: Mutex<BTreeMap<u64, Stream>>,
     config: TransportConfig,
 }
 
@@ -301,7 +288,9 @@ struct Shared {
 pub struct TransportServer {
     shared: Arc<Shared>,
     endpoint: Endpoint,
-    accept: Option<JoinHandle<()>>,
+    /// The accept loop; it returns the join handles of the connection
+    /// threads still running when it stopped.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl TransportServer {
@@ -339,11 +328,14 @@ impl TransportServer {
                 durable,
             }),
             draining: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            handles: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
             config,
         });
         let accept_shared = Arc::clone(&shared);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the accept loop blocks on the listening socket for the server's lifetime: an I/O thread, not compute fan-out"
+        )]
         let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(TransportServer {
             shared,
@@ -371,36 +363,16 @@ impl TransportServer {
 
     /// Stops accepting, force-closes every connection, joins every thread,
     /// drains the core (per-shard pending gradients are flushed into the
-    /// model) and returns its checkpoint — also persisted to
-    /// [`TransportConfig::checkpoint_path`] when configured. For a UDS
-    /// endpoint the socket file is removed.
+    /// model) and returns its checkpoint. For a UDS endpoint the socket file
+    /// is removed.
     ///
     /// # Errors
     ///
-    /// Only checkpoint persistence can fail; the teardown itself is
-    /// best-effort and infallible.
+    /// Only sealing the durable store's final checkpoint can fail; the
+    /// teardown itself is best-effort and infallible.
     pub fn shutdown(mut self) -> io::Result<FleetServerState> {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Wake the accept loop: it only observes the flag between accepts.
-        let _ = Stream::connect(&self.endpoint);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        // Force-close every connection; blocked handler threads wake with
-        // EOF/error, reclaim their leases and exit.
-        for conn in self.shared.conns.lock().expect("conns mutex").drain(..) {
-            conn.shutdown_both();
-        }
-        let handles: Vec<JoinHandle<()>> = self
-            .shared
-            .handles
-            .lock()
-            .expect("handles mutex")
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
+        let handles = self.stop_accepting();
+        self.close_connections(handles);
         let state = {
             let mut core = self.shared.core.lock().expect("core mutex");
             core.server.drain();
@@ -417,9 +389,6 @@ impl TransportServer {
             }
             state
         };
-        if let Some(path) = &self.shared.config.checkpoint_path {
-            std::fs::write(path, encode_checkpoint(&state).to_vec())?;
-        }
         if let Endpoint::Uds(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -433,33 +402,46 @@ impl TransportServer {
     /// restart tests recover from. Threads are still joined so the process
     /// can continue.
     pub fn abort(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let _ = Stream::connect(&self.endpoint);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        let handles = self.stop_accepting();
         // Freeze the journal before connections close: the disconnect
         // reclaims that follow must not be journaled, exactly as a real kill
         // would never get to journal them.
         self.shared.core.lock().expect("core mutex").durable = None;
-        for conn in self.shared.conns.lock().expect("conns mutex").drain(..) {
+        self.close_connections(handles);
+    }
+
+    /// Raises the drain flag and joins the accept loop, returning the
+    /// connection threads it had not yet reaped.
+    fn stop_accepting(&mut self) -> Vec<JoinHandle<()>> {
+        self.shared.draining.store(true, Ordering::SeqCst);
+        // Wake the accept loop: it only observes the flag between accepts.
+        let _ = Stream::connect(&self.endpoint);
+        self.accept
+            .take()
+            .and_then(|accept| accept.join().ok())
+            .unwrap_or_default()
+    }
+
+    /// Force-closes every live connection — blocked handler threads wake with
+    /// EOF/error, reclaim their leases and exit — and joins their threads.
+    fn close_connections(&self, handles: Vec<JoinHandle<()>>) {
+        // The guard is released before the joins: an exiting connection
+        // thread takes the same lock to drop its entry.
+        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns mutex"));
+        for conn in conns.values() {
             conn.shutdown_both();
         }
-        let handles: Vec<JoinHandle<()>> = self
-            .shared
-            .handles
-            .lock()
-            .expect("handles mutex")
-            .drain(..)
-            .collect();
         for handle in handles {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(listener: Listener, shared: Arc<Shared>) {
-    loop {
+/// Accepts until a drain is requested; returns the join handles of the
+/// connection threads that were still running at that point.
+fn accept_loop(listener: Listener, shared: Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    for conn_id in 0u64.. {
         match listener.accept() {
             Ok(stream) => {
                 if shared.draining.load(Ordering::SeqCst) {
@@ -467,12 +449,33 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
                     // immediate close, and the shutdown poke lands here.
                     break;
                 }
+                // Reap the threads of connections that have closed since the
+                // last accept, so a reconnect-on-demand fleet does not grow
+                // this list without bound.
+                for done in handles.extract_if(.., |handle| handle.is_finished()) {
+                    let _ = done.join();
+                }
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().expect("conns mutex").push(clone);
+                    shared
+                        .conns
+                        .lock()
+                        .expect("conns mutex")
+                        .insert(conn_id, clone);
                 }
                 let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || serve_conn(&conn_shared, stream));
-                shared.handles.lock().expect("handles mutex").push(handle);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one thread per connection, blocked on its socket: I/O multiplexing, not compute fan-out (exchanges serialise on the core mutex)"
+                )]
+                let handle = std::thread::spawn(move || {
+                    serve_conn(&conn_shared, stream);
+                    conn_shared
+                        .conns
+                        .lock()
+                        .expect("conns mutex")
+                        .remove(&conn_id);
+                });
+                handles.push(handle);
             }
             Err(_) => {
                 if shared.draining.load(Ordering::SeqCst) {
@@ -484,6 +487,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
             }
         }
     }
+    handles
 }
 
 /// One connection's lifetime. Every fault path funnels to the same exit:
@@ -582,6 +586,18 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
         }
     }
     stream.shutdown_both();
+    // Closing a socket with unread input resets the connection instead of
+    // ending it, and a reset can overtake the `Error` frame just written.
+    // Discard what the peer had already queued (an oversized frame's body, a
+    // pipelined request) so the peer reads the diagnostic and then a clean
+    // EOF. After the shutdown a read never blocks; the cap keeps a peer that
+    // is still sending from holding the thread.
+    let mut discard = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// Replays the frame's first byte (read without a deadline while the

@@ -7,7 +7,9 @@ mod common;
 use common::{base_config, build_workers, digest, fresh_server, model_parameters, uds_endpoint};
 use fleet_core::ApplyMode;
 use fleet_server::protocol::{RejectionReason, TaskResponse};
-use fleet_server::{decode_checkpoint, FleetServerConfig, ResultDisposition, RetryPolicy};
+use fleet_server::{
+    decode_checkpoint, encode_checkpoint, FleetServerConfig, ResultDisposition, RetryPolicy,
+};
 use fleet_transport::{
     ClientConfig, ClientError, Endpoint, Stream, TransportConfig, TransportServer, WorkerClient,
 };
@@ -323,9 +325,6 @@ fn retries_exhaust_with_bounded_backoff_against_a_dead_endpoint() {
 
 #[test]
 fn shutdown_drains_shards_and_persists_the_checkpoint() {
-    let checkpoint_path =
-        std::env::temp_dir().join(format!("fleet-transport-{}-drain.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&checkpoint_path);
     let config = base_config()
         .to_builder()
         .aggregation_k(2)
@@ -336,10 +335,7 @@ fn shutdown_drains_shards_and_persists_the_checkpoint() {
     let server = TransportServer::bind(
         &uds_endpoint("drain"),
         fresh_server(config),
-        TransportConfig::builder()
-            .checkpoint_path(checkpoint_path.clone())
-            .build()
-            .expect("checkpoint config is valid"),
+        TransportConfig::default(),
     )
     .expect("bind");
     let endpoint = server.endpoint().clone();
@@ -370,10 +366,9 @@ fn shutdown_drains_shards_and_persists_the_checkpoint() {
             .all(Vec::is_empty),
         "no gradient may be stranded in a pending buffer"
     );
-    let raw = std::fs::read(&checkpoint_path).expect("checkpoint file");
-    let decoded = decode_checkpoint(bytes::Bytes::from(raw)).expect("decodable checkpoint");
+    // What an embedder persists: the returned state survives the codec.
+    let decoded = decode_checkpoint(encode_checkpoint(&state)).expect("decodable checkpoint");
     assert_eq!(decoded, state);
-    let _ = std::fs::remove_file(&checkpoint_path);
 }
 
 #[test]
@@ -415,6 +410,10 @@ fn concurrent_clients_multiplex_onto_one_core() {
     const WORKERS: usize = 4;
     const ROUNDS: usize = 3;
     let mut fleet = build_workers(WORKERS);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent socket clients are the subject of this test; each thread is one blocking-I/O worker, joined below"
+    )]
     let handles: Vec<std::thread::JoinHandle<()>> = fleet
         .drain(..)
         .map(|mut worker| {

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the FLeet reproduction workspace.
 #
-#   scripts/ci.sh           full gate: fmt, clippy, build, fleet-lint
-#                           (workspace invariant rules, also emitting
-#                           fleet_lint_findings.json), tier-1 tests, the
+#   scripts/ci.sh           full gate: fmt, clippy (which carries the
+#                           invariant gates below), build, tier-1 tests, the
 #                           frozen benchmark's build (and its --check smoke),
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
 #                           shard + CNN-training + per-shard digests, checked
@@ -29,8 +28,30 @@
 #                           BENCH_conv.json, BENCH_transport.json and
 #                           BENCH_durability.json
 #   scripts/ci.sh --quick   skip the digest sweep, the benchmark --check and
-#                           the bench smoke (fleet-lint and the benchmark
-#                           build still run)
+#                           the bench smoke (clippy and the benchmark build
+#                           still run)
+#
+# Invariant gates. The pinned digests hold bit-for-bit only while a handful
+# of conventions do; each is a stock lint or a compile error, so the clippy
+# and build steps below *are* the gate (levels: `[workspace.lints.clippy]` in
+# Cargo.toml; banned paths and the reason for each: clippy.toml):
+#   unsafe        `#![forbid(unsafe_code)]` everywhere but fleet-parallel,
+#                 where clippy::undocumented_unsafe_blocks + missing_safety_doc
+#                 demand a `// SAFETY:` / `# Safety` at every site
+#   collections   clippy::disallowed_types bans std HashMap/HashSet: no
+#                 hash-seed-dependent order can reach exported state
+#   clocks        clippy::disallowed_methods bans Instant::now/SystemTime::now
+#                 outside the waived measurement and socket-deadline sites
+#   threads       clippy::disallowed_methods bans thread::spawn/scope/Builder
+#                 outside fleet-parallel's pool and the waived I/O threads
+#   waivers       per-item `#[expect(clippy::…, reason = "…")]` only:
+#                 clippy::allow_attributes_without_reason rejects a bare one,
+#                 and a stale one (or a deleted clippy.toml) is an unfulfilled
+#                 expectation, which `-D warnings` makes an error
+#   codecs        every encoder binds its message with an exhaustive struct
+#                 pattern under `deny(unused_variables)` and every decoder
+#                 builds a struct literal, so a field missed on either side
+#                 fails `cargo build`
 #
 # Env knobs:
 #   FLEET_BENCH_COMPARE=1       diff each fresh BENCH_*.json against the
@@ -61,23 +82,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (workspace, all targets, deny warnings)"
+echo "==> cargo clippy (workspace, all targets, deny warnings; the invariant gates)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
-
-# The workspace invariant gate: unsafe-audit, hash-iteration, wall-clock,
-# thread-hygiene and wire-symmetry rules (see crates/lint/README.md). Runs in
-# quick mode too — it is fast and these are exactly the invariants the digest
-# sweep below depends on. The full gate additionally emits the machine-
-# readable findings/audit record next to the bench JSON.
-echo "==> fleet-lint (workspace invariant gate)"
-cargo run --release -q -p fleet-lint
-if [[ "${1:-}" != "--quick" ]]; then
-    cargo run --release -q -p fleet-lint -- --json > fleet_lint_findings.json
-    echo "==> wrote fleet_lint_findings.json"
-fi
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
@@ -85,9 +94,11 @@ cargo test -q
 # benchmark/ is a package of its own, outside the workspace, and frozen
 # between benchmark PRs: it must keep compiling against the crates' public
 # API as is. Build it here — in quick mode too — so a crate-API change that
-# breaks it fails CI instead of failing the benchmark run.
+# breaks it fails CI instead of failing the benchmark run. `--locked`: a
+# change to the crates' dependency graph that would make the benchmark run
+# rewrite benchmark/Cargo.lock fails here instead.
 echo "==> frozen benchmark builds against the current crate APIs"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Reads one pinned digest (by name) from scripts/expected_digests.txt.
 expected_digest() {

@@ -1,12 +1,16 @@
-//! Regression tests backing the two `lint:allow(det-collections)` waivers.
+//! Behavioural guard for the two keyed containers whose contents reach a
+//! checkpoint: `FleetServer::device_models` and I-Prof's per-device-model
+//! `personal` map.
 //!
-//! Both waived sites iterate a `std::collections::HashMap` — whose order is
-//! randomized per process — and claim their exports are deterministic anyway
-//! because they sort before anything observes the order. These tests permute
-//! the *insertion* order (ascending, descending, interleaved) and assert the
-//! exported state is bit-identical, which is exactly the property the pinned
-//! digests need. If either site ever drops its sort, these fail immediately
-//! rather than flaking on some future host's hash seed.
+//! Both are `BTreeMap`s (clippy's `disallowed_types` bans
+//! `std::collections::HashMap`/`HashSet` workspace-wide — see clippy.toml), so
+//! their exports are ordered by key, never by insertion history or a
+//! per-process hash seed. These tests hold that property from the outside:
+//! they permute the *insertion* order (ascending, descending, interleaved) and
+//! assert the exported state is bit-identical, which is exactly what the
+//! pinned digests need. A future container swap that reintroduces an
+//! order-dependent export fails here immediately rather than flaking on some
+//! host's hash seed.
 
 use fleet_data::LabelDistribution;
 use fleet_device::DeviceFeatures;
@@ -35,7 +39,7 @@ fn server() -> FleetServer {
 }
 
 /// `FleetServer::checkpoint` exports the `device_models` map sorted by
-/// worker id (the waiver in `crates/server/src/server.rs`).
+/// worker id, whatever order the workers registered in.
 #[test]
 fn checkpoint_device_models_ignore_registration_order() {
     let models = ["Pixel-3", "Galaxy-S7", "Honor-10", "Xperia-E3", "Pixel-3"];
@@ -65,11 +69,11 @@ fn checkpoint_device_models_ignore_registration_order() {
 }
 
 /// `SlopePredictor::export_state` exports the `personal` per-device-model
-/// map sorted by model name (the waiver in `crates/profiler/src/iprof.rs`).
+/// map sorted by model name, whatever order the models were first observed in.
 ///
 /// The per-model observation *subsequences* are kept identical across
 /// permutations — only the interleaving between models changes, which is the
-/// part a `HashMap` could leak. The total observation count stays below the
+/// part an insertion-ordered or hashed container could leak. The total observation count stays below the
 /// predictor's retrain threshold so the shared global model (and with it the
 /// personal-model bootstrap) is identical in every run.
 #[test]
@@ -112,7 +116,7 @@ fn iprof_personal_models_ignore_observation_interleaving() {
 
     // The `calibration` replay buffer is a Vec in arrival order — legitimately
     // interleaving-dependent (and deterministic given the request sequence).
-    // The HashMap-backed component under audit is `personal`; `global` and
+    // The keyed component under audit is `personal`; `global` and
     // `seen_range` must also be order-insensitive (no retrain below the
     // threshold; min/max over the same multiset).
     for (other, how) in [(&blocked, "blocked"), (&reversed, "reversed")] {
