@@ -1,17 +1,41 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! Implements the subset `fleet_server::wire` uses: `BytesMut` as a growable
-//! write buffer ([`BufMut`]), frozen into an immutable [`Bytes`] cursor that
-//! is consumed via [`Buf`] getters. Little-endian accessors only, matching the
-//! wire format. No shared-arc zero-copy machinery — the simulation exchanges
-//! messages in-process, so a plain `Vec<u8>` backing is plenty.
+//! The rule: a **strict API subset of upstream `bytes`, with the same
+//! complexity contracts**. Every item here exists upstream under the same
+//! name with the same meaning, and costs what it costs there: [`Bytes`] is a
+//! shared, ranged view of one reference-counted allocation, so `clone`,
+//! [`Bytes::slice`], [`Buf::copy_to_bytes`] and `From<Vec<u8>>` are O(1) and
+//! copy no payload; reading advances the view's start. [`BytesMut`] is a
+//! growable write buffer ([`BufMut`]) frozen into a [`Bytes`] without a
+//! copy. Little-endian accessors only, matching the wire format.
+//!
+//! Message bodies cross sockets, the journal and the core mutex as `Bytes`
+//! (`fleet-transport`, `fleet-durability`), so those contracts are what keeps
+//! a body from being copied at every hand-off. Nothing upstream lacks may be
+//! added — bulk codec helpers live with the codec in `fleet_server::wire` —
+//! so swapping the workspace's `bytes` line back to crates.io stays a
+//! one-line change.
 
 #![forbid(unsafe_code)]
+
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Read access to a byte cursor. Getters consume from the front.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
+
+    /// The unread bytes as one contiguous slice (for [`Bytes`], all of
+    /// them).
+    fn chunk(&self) -> &[u8];
+
+    /// Consumes `cnt` bytes without looking at them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `cnt` bytes remain.
+    fn advance(&mut self, cnt: usize);
 
     /// Reads one byte.
     ///
@@ -29,7 +53,8 @@ pub trait Buf {
     /// Reads a little-endian `f32`.
     fn get_f32_le(&mut self) -> f32;
 
-    /// Consumes `len` bytes, returning them as an owned [`Bytes`].
+    /// Consumes `len` bytes, returning them as a [`Bytes`] sharing this
+    /// buffer's allocation.
     ///
     /// # Panics
     ///
@@ -55,85 +80,122 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 }
 
-/// An immutable byte buffer with a read cursor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// An immutable, cheaply cloneable view of a shared byte buffer. Reading
+/// through [`Buf`] narrows the view from the front.
+#[derive(Clone, Default)]
 pub struct Bytes {
-    data: Vec<u8>,
-    pos: usize,
+    data: Arc<Vec<u8>>,
+    range: Range<usize>,
 }
 
 impl Bytes {
-    /// Returns a copy of the sub-range `range` of the *unread* portion.
+    /// Returns the sub-range `range` of the *unread* portion, sharing the
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: core::ops::Range<usize>) -> Bytes {
+    pub fn slice(&self, range: Range<usize>) -> Bytes {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "range {range:?} out of bounds of {} bytes",
+            self.len()
+        );
         Bytes {
-            data: self.data[self.pos + range.start..self.pos + range.end].to_vec(),
-            pos: 0,
+            data: Arc::clone(&self.data),
+            range: self.range.start + range.start..self.range.start + range.end,
         }
     }
 
     /// Total length of the unread portion (alias of [`Buf::remaining`]).
     pub fn len(&self) -> usize {
-        self.remaining()
+        self.range.len()
     }
 
     /// Whether no unread bytes remain.
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.range.is_empty()
     }
 
-    /// Copies the unread portion into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data[self.pos..].to_vec()
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let head = self
+            .first_chunk::<N>()
+            .copied()
+            .unwrap_or_else(|| panic!("buffer underflow: {} < {N}", self.len()));
+        self.range.start += N;
+        head
     }
+}
 
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(
-            self.remaining() >= n,
-            "buffer underflow: {} < {n}",
-            self.remaining()
-        );
-        let start = self.pos;
-        self.pos += n;
-        &self.data[start..start + n]
+impl Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data[self.range.clone()]
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Bytes {}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data, pos: 0 }
+        Bytes {
+            range: 0..data.len(),
+            data: Arc::new(data),
+        }
     }
 }
 
 impl Buf for Bytes {
     fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(
+            cnt <= self.len(),
+            "buffer underflow: {} < {cnt}",
+            self.len()
+        );
+        self.range.start += cnt;
     }
 
     fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
+        self.take::<1>()[0]
     }
 
     fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+        u32::from_le_bytes(self.take())
     }
 
     fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+        u64::from_le_bytes(self.take())
     }
 
     fn get_f32_le(&mut self) -> f32 {
-        f32::from_le_bytes(self.take(4).try_into().unwrap())
+        f32::from_le_bytes(self.take())
     }
 
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        Bytes {
-            data: self.take(len).to_vec(),
-            pos: 0,
-        }
+        let head = self.slice(0..len);
+        self.range.start += len;
+        head
     }
 }
 
@@ -156,22 +218,17 @@ impl BytesMut {
         }
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts the buffer into an immutable [`Bytes`].
+    /// Converts the buffer into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
-        }
+        Bytes::from(self.data)
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data
     }
 }
 
@@ -225,7 +282,7 @@ mod tests {
         let mut b = Bytes::from(vec![0, 1, 2, 3, 4]);
         assert_eq!(b.get_u8(), 0);
         let s = b.slice(1..3);
-        assert_eq!(s.data, vec![2, 3]);
+        assert_eq!(s.to_vec(), vec![2, 3]);
     }
 
     #[test]
@@ -233,5 +290,38 @@ mod tests {
     fn underflow_panics() {
         let mut b = Bytes::from(vec![1]);
         let _ = b.get_u32_le();
+    }
+
+    #[test]
+    fn views_share_one_allocation_and_compare_by_content() {
+        let whole = Bytes::from((0u8..32).collect::<Vec<_>>());
+        let mut cursor = whole.clone();
+        let head = cursor.copy_to_bytes(8);
+        let tail = whole.slice(8..32);
+        for view in [&cursor, &head, &tail] {
+            assert!(Arc::ptr_eq(&view.data, &whole.data));
+        }
+        assert_eq!(&*head, &whole[..8]);
+        // Equality is over the visible bytes, not over how the view got there.
+        assert_eq!(cursor, tail);
+        assert_eq!(cursor.chunk(), &whole[8..]);
+        cursor.advance(20);
+        assert_eq!(cursor, Bytes::from(vec![28, 29, 30, 31]));
+        // An empty slice at the end is in bounds; one past it is not.
+        assert!(whole.slice(32..32).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_view_panics() {
+        let mut b = Bytes::from(vec![0, 1, 2, 3]);
+        b.advance(2);
+        let _ = b.slice(0..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn advance_past_the_end_panics() {
+        Bytes::from(vec![1, 2]).advance(3);
     }
 }

@@ -157,6 +157,27 @@ fn take_payload(buf: &mut Bytes) -> Result<Bytes, CodecError> {
     Ok(buf.copy_to_bytes(len))
 }
 
+/// Encoded size of a record body, as [`put_record`] writes it.
+pub(crate) fn record_len(record: &JournalRecord) -> usize {
+    1 + 8 + 1 + 4 + record.payload.len()
+}
+
+/// Appends a journal record body to `buf` — the payload's one copy on its
+/// way to disk.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`]; such a record could
+/// never be read back.
+pub(crate) fn put_record(buf: &mut BytesMut, record: &JournalRecord) {
+    let JournalRecord { seq, kind, payload } = record;
+    buf.put_u8(RECORD_VERSION);
+    buf.put_u64_le(*seq);
+    buf.put_u8(kind.as_byte());
+    buf.put_u32_le(checked_len(payload.len()));
+    buf.put_slice(payload);
+}
+
 /// Encodes a journal record body (the journal file layer adds the
 /// `[u32 len][body][u32 crc]` frame).
 ///
@@ -165,13 +186,8 @@ fn take_payload(buf: &mut Bytes) -> Result<Bytes, CodecError> {
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`]; such a record could
 /// never be read back.
 pub fn encode_record(record: &JournalRecord) -> Bytes {
-    let JournalRecord { seq, kind, payload } = record;
-    let mut buf = BytesMut::with_capacity(1 + 8 + 1 + 4 + payload.len());
-    buf.put_u8(RECORD_VERSION);
-    buf.put_u64_le(*seq);
-    buf.put_u8(kind.as_byte());
-    buf.put_u32_le(checked_len(payload.len()));
-    buf.put_slice(&payload.to_vec());
+    let mut buf = BytesMut::with_capacity(record_len(record));
+    put_record(&mut buf, record);
     buf.freeze()
 }
 
@@ -220,12 +236,10 @@ pub fn encode_doc(doc: &CheckpointDoc) -> Bytes {
     buf.put_u64_le(*seq);
     buf.put_u64_le(*steps);
     buf.put_u32_le(checked_len(payload.len()));
-    buf.put_slice(&payload.to_vec());
-    let sealed = buf.freeze().to_vec();
-    let mut out = BytesMut::with_capacity(sealed.len() + 4);
-    out.put_slice(&sealed);
-    out.put_u32_le(crc32(&sealed));
-    out.freeze()
+    buf.put_slice(payload);
+    let seal = crc32(&buf);
+    buf.put_u32_le(seal);
+    buf.freeze()
 }
 
 /// Decodes a checkpoint container produced by [`encode_doc`], validating the
@@ -236,19 +250,19 @@ pub fn encode_doc(doc: &CheckpointDoc) -> Bytes {
 ///
 /// [`CodecError`] on any structural or integrity failure.
 pub fn decode_doc(buf: Bytes) -> Result<CheckpointDoc, CodecError> {
-    let raw = buf.to_vec();
-    if raw.len() < 8 + 1 + 3 * 8 + 4 + 4 {
+    if buf.len() < 8 + 1 + 3 * 8 + 4 + 4 {
         return Err(CodecError::Truncated);
     }
-    let (sealed, seal) = raw.split_at(raw.len() - 4);
+    let (sealed, seal) = buf.split_at(buf.len() - 4);
     let expected = u32::from_le_bytes(seal.try_into().expect("4-byte seal"));
     if crc32(sealed) != expected {
         return Err(CodecError::CrcMismatch);
     }
-    let mut buf = Bytes::from(sealed.to_vec());
-    if buf.copy_to_bytes(8).to_vec() != DOC_MAGIC {
+    let mut buf = buf.slice(0..sealed.len());
+    if buf[..8] != DOC_MAGIC {
         return Err(CodecError::BadMagic);
     }
+    buf.advance(8);
     let version = buf.get_u8();
     if version != DOC_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
@@ -266,6 +280,13 @@ pub fn decode_doc(buf: Bytes) -> Result<CheckpointDoc, CodecError> {
         steps,
         payload,
     })
+}
+
+/// Lower-case hex of `bytes`, for the golden-vector tests here and in
+/// [`crate::journal`].
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
@@ -305,6 +326,17 @@ mod tests {
     fn doc_roundtrips() {
         let doc = sample_doc();
         assert_eq!(decode_doc(encode_doc(&doc)).unwrap(), doc);
+    }
+
+    /// Golden vectors captured before the single-buffer encoders: journals
+    /// and checkpoint containers already on disk must stay readable.
+    #[test]
+    fn golden_bytes_of_record_and_doc() {
+        assert_eq!(
+            hex(&encode_record(&sample_record())),
+            "012a000000000000000205000000010203fa00"
+        );
+        assert_eq!(hex(&encode_doc(&sample_doc())), "464c54434b5054000107000000000000000c0000000000000009000000000000000c0000006f70617175652073746174650a131368");
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! writer can reopen the file truncated to that offset and keep appending —
 //! a torn tail costs the unacknowledged suffix, never the whole file.
 
-use crate::codec::{decode_record, encode_record, JournalRecord, MAX_PAYLOAD_LEN};
+use crate::codec::{decode_record, put_record, record_len, JournalRecord, MAX_PAYLOAD_LEN};
 use crate::crc::crc32;
 use crate::FsyncPolicy;
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -83,12 +83,13 @@ impl JournalWriter {
     /// is on stable storage when this returns; otherwise the kernel owns it
     /// (still crash-proof against process death).
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let body = encode_record(record);
-        let body = body.to_vec();
-        let mut frame = Vec::with_capacity(4 + body.len() + 4);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        // `[len][body][crc]` built in one buffer, the CRC taken in place.
+        let body_len = record_len(record);
+        let mut frame = BytesMut::with_capacity(4 + body_len + 4);
+        frame.put_u32_le(body_len as u32);
+        put_record(&mut frame, record);
+        let crc = crc32(&frame[4..]);
+        frame.put_u32_le(crc);
         self.file.write_all(&frame)?;
         if matches!(self.fsync, FsyncPolicy::EveryRecord) {
             self.file.sync_data()?;
@@ -127,6 +128,8 @@ pub struct ReadJournal {
 pub fn read_journal(path: &Path) -> Option<ReadJournal> {
     let mut raw = Vec::new();
     File::open(path).ok()?.read_to_end(&mut raw).ok()?;
+    // Shared from here on: every record's payload is a view of this buffer.
+    let raw = Bytes::from(raw);
     if raw.len() < HEADER_LEN || raw[..8] != JOURNAL_MAGIC || raw[8] != JOURNAL_VERSION {
         return None;
     }
@@ -147,13 +150,13 @@ pub fn read_journal(path: &Path) -> Option<ReadJournal> {
         if body_len > MAX_FRAME_BODY || raw.len() - offset - 4 < body_len + 4 {
             break;
         }
-        let body = &raw[offset + 4..offset + 4 + body_len];
+        let body = raw.slice(offset + 4..offset + 4 + body_len);
         let crc_at = offset + 4 + body_len;
         let frame_crc = u32::from_le_bytes(raw[crc_at..crc_at + 4].try_into().expect("4-byte crc"));
-        if crc32(body) != frame_crc {
+        if crc32(&body) != frame_crc {
             break;
         }
-        match decode_record(Bytes::from(body.to_vec())) {
+        match decode_record(body) {
             Ok(record) => records.push(record),
             Err(_) => break,
         }
@@ -203,6 +206,18 @@ mod tests {
         drop(writer);
         let read = read_journal(&path).unwrap();
         assert_eq!(read.records.len(), 5);
+    }
+
+    /// Golden vector captured before `append` built its frame in one buffer:
+    /// header, then `[len][record][crc]`, byte for byte.
+    #[test]
+    fn golden_bytes_of_an_appended_frame() {
+        let path = scratch("golden");
+        let mut writer = JournalWriter::create(&path, 3, FsyncPolicy::Never).unwrap();
+        writer.append(&record(2)).unwrap();
+        drop(writer);
+        let hex = crate::codec::hex(&std::fs::read(&path).unwrap());
+        assert_eq!(hex, "464c5457414c0000010300000000000000804764301300000001020000000000000001050000000202020202ee401ea2");
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl DurableStore {
         let tmp_path = self.dir.join(format!("{}.tmp", ckpt_name(generation)));
         {
             let mut file = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut file, &encode_doc(&doc).to_vec())?;
+            io::Write::write_all(&mut file, &encode_doc(&doc))?;
             if !matches!(self.fsync, FsyncPolicy::Never) {
                 file.sync_all()?;
             }

@@ -20,8 +20,8 @@ use crate::controller::ControllerCounters;
 use crate::server::FleetServerState;
 use crate::tasks::TaskTableState;
 use crate::wire::{
-    checked_field_len, get_f32_vec, get_len, get_string, get_u64_vec, need, put_f32_slice, put_str,
-    put_u64_slice, WireError,
+    checked_field_len, f32s_len, get_f32_vec, get_len, get_string, get_u64_vec, need,
+    put_f32_slice, put_str, put_u64_slice, str_len, u64s_len, WireError,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fleet_core::{AggregatorState, ParameterServerState};
@@ -29,6 +29,33 @@ use fleet_profiler::{IProfState, SlopePredictorState};
 
 /// Checkpoint format version.
 const CHECKPOINT_VERSION: u8 = 1;
+
+/// Reads an element count and checks that `count` elements of at least
+/// `min_encoded` bytes each are still in the buffer. A count comes from
+/// untrusted bytes; only after this check may it size an allocation.
+fn get_count(buf: &mut Bytes, min_encoded: usize) -> Result<usize, WireError> {
+    let count = get_len(buf)?;
+    need(buf, count.saturating_mul(min_encoded))?;
+    Ok(count)
+}
+
+fn server_state_len(state: &ParameterServerState) -> usize {
+    let pending: usize = state
+        .shard_pending
+        .iter()
+        .map(|pending| 4 + pending.iter().map(|s| f32s_len(s.len())).sum::<usize>())
+        .sum();
+    f32s_len(state.parameters.len())
+        + 4
+        + pending
+        + u64s_len(state.shard_clocks.len())
+        + u64s_len(state.shard_applied.len())
+        + 3 * 8
+        + u64s_len(state.last_shard_staleness.len())
+        + f32s_len(state.last_shard_weights.len())
+        + u64s_len(state.aggregator.staleness_values.len())
+        + u64s_len(state.aggregator.label_counts.len())
+}
 
 fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
     let ParameterServerState {
@@ -68,10 +95,11 @@ fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
 
 fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> {
     let parameters = get_f32_vec(buf)?;
-    let shard_count = get_len(buf)?;
+    // Smallest shard: its segment count. Smallest segment: its length prefix.
+    let shard_count = get_count(buf, 4)?;
     let mut shard_pending = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        let segments = get_len(buf)?;
+        let segments = get_count(buf, 4)?;
         let mut pending = Vec::with_capacity(segments);
         for _ in 0..segments {
             pending.push(get_f32_vec(buf)?);
@@ -103,6 +131,27 @@ fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> 
             label_counts,
         },
     })
+}
+
+fn predictor_state_len(state: &SlopePredictorState) -> usize {
+    let personal: usize = state
+        .personal
+        .iter()
+        .map(|(model, theta, _)| str_len(model) + f32s_len(theta.len()) + 8)
+        .sum();
+    let calibration: usize = state
+        .calibration
+        .iter()
+        .map(|(features, _)| f32s_len(features.len()) + 4)
+        .sum();
+    f32s_len(state.global.len())
+        + 4
+        + personal
+        + 4
+        + calibration
+        + 1
+        + state.seen_range.map_or(0, |_| 2 * 4)
+        + 8
 }
 
 fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
@@ -138,7 +187,8 @@ fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
 
 fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError> {
     let global = get_f32_vec(buf)?;
-    let personal_count = get_len(buf)?;
+    // Smallest entry: empty model string, empty theta, the update count.
+    let personal_count = get_count(buf, 4 + 4 + 8)?;
     let mut personal = Vec::with_capacity(personal_count);
     for _ in 0..personal_count {
         let model = get_string(buf)?;
@@ -146,7 +196,8 @@ fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError
         need(buf, 8)?;
         personal.push((model, theta, buf.get_u64_le()));
     }
-    let calibration_count = get_len(buf)?;
+    // Smallest sample: empty feature vector plus the slope.
+    let calibration_count = get_count(buf, 4 + 4)?;
     let mut calibration = Vec::with_capacity(calibration_count);
     for _ in 0..calibration_count {
         let features = get_f32_vec(buf)?;
@@ -173,6 +224,13 @@ fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError
     })
 }
 
+fn task_table_state_len(state: &TaskTableState) -> usize {
+    8 + 4
+        + state.outstanding.len() * 4 * 8
+        + u64s_len(state.completed.len())
+        + u64s_len(state.expired.len())
+}
+
 fn put_task_table_state(buf: &mut BytesMut, state: &TaskTableState) {
     let TaskTableState {
         next_id,
@@ -195,8 +253,7 @@ fn put_task_table_state(buf: &mut BytesMut, state: &TaskTableState) {
 fn get_task_table_state(buf: &mut Bytes) -> Result<TaskTableState, WireError> {
     need(buf, 8)?;
     let next_id = buf.get_u64_le();
-    let outstanding_count = get_len(buf)?;
-    need(buf, outstanding_count.saturating_mul(4 * 8))?;
+    let outstanding_count = get_count(buf, 4 * 8)?;
     let outstanding = (0..outstanding_count)
         .map(|_| {
             (
@@ -238,7 +295,18 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
         tasks,
         device_models,
     } = state;
-    let mut buf = BytesMut::new();
+    let len = 1
+        + server_state_len(parameter_server)
+        + predictor_state_len(latency)
+        + predictor_state_len(energy)
+        + 4 * 8
+        + task_table_state_len(tasks)
+        + 4
+        + device_models
+            .iter()
+            .map(|(_, model)| 8 + str_len(model))
+            .sum::<usize>();
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u8(CHECKPOINT_VERSION);
     put_server_state(&mut buf, parameter_server);
     put_predictor_state(&mut buf, latency);
@@ -257,6 +325,7 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
         buf.put_u64_le(*worker);
         put_str(&mut buf, model);
     }
+    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
     buf.freeze()
 }
 
@@ -283,7 +352,8 @@ pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> 
         rejected_overload: buf.get_u64_le(),
     };
     let tasks = get_task_table_state(&mut buf)?;
-    let device_count = get_len(&mut buf)?;
+    // Smallest route: the worker id and an empty model string.
+    let device_count = get_count(&mut buf, 8 + 4)?;
     let mut device_models = Vec::with_capacity(device_count);
     for _ in 0..device_count {
         need(&buf, 8)?;
@@ -360,6 +430,16 @@ mod tests {
         let state = sample_state();
         let decoded = decode_checkpoint(encode_checkpoint(&state)).expect("roundtrip");
         assert_eq!(decoded, state);
+    }
+
+    /// Golden vector captured on the element-wise codec: checkpoints on disk
+    /// must stay readable across the bulk-path rewrite.
+    #[test]
+    fn golden_bytes_of_the_sample_checkpoint() {
+        assert_eq!(
+            crate::wire::hex(&encode_checkpoint(&sample_state())),
+            "01030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e04000000000000000000000001000000000000000100000000000000020000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130"
+        );
     }
 
     #[test]

@@ -111,34 +111,70 @@ pub(crate) fn checked_field_len(len: usize) -> u32 {
     len as u32
 }
 
+/// Elements converted per pass of the bulk slice codec. The conversion
+/// buffer lives on the stack (1 KiB of `f32`, 2 KiB of `u64`), small enough
+/// to stay in L1 while a megabyte body streams through it.
+const BLOCK: usize = 256;
+
+/// Encoded size of a length-prefixed `f32` vector of `len` elements.
+pub(crate) fn f32s_len(len: usize) -> usize {
+    4 + 4 * len
+}
+
+/// Encoded size of a length-prefixed `u64` vector of `len` elements.
+pub(crate) fn u64s_len(len: usize) -> usize {
+    4 + 8 * len
+}
+
+/// Encoded size of a length-prefixed string.
+pub(crate) fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
 pub(crate) fn put_u64_slice(buf: &mut BytesMut, values: &[u64]) {
     buf.put_u32_le(checked_field_len(values.len()));
-    for &v in values {
-        buf.put_u64_le(v);
+    let mut block = [0u8; 8 * BLOCK];
+    for values in values.chunks(BLOCK) {
+        let raw = &mut block[..8 * values.len()];
+        for (dst, v) in raw.chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(raw);
     }
 }
 
 pub(crate) fn get_u64_vec(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
     let len = get_len(buf)?;
-    if buf.remaining() < len * 8 {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok((0..len).map(|_| buf.get_u64_le()).collect())
+    need(buf, len * 8)?;
+    let values = buf.chunk()[..len * 8]
+        .chunks_exact(8)
+        .map(|raw| u64::from_le_bytes(raw.try_into().expect("chunks_exact(8)")))
+        .collect();
+    buf.advance(len * 8);
+    Ok(values)
 }
 
 pub(crate) fn put_f32_slice(buf: &mut BytesMut, values: &[f32]) {
     buf.put_u32_le(checked_field_len(values.len()));
-    for &v in values {
-        buf.put_f32_le(v);
+    let mut block = [0u8; 4 * BLOCK];
+    for values in values.chunks(BLOCK) {
+        let raw = &mut block[..4 * values.len()];
+        for (dst, v) in raw.chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(raw);
     }
 }
 
 pub(crate) fn get_f32_vec(buf: &mut Bytes) -> Result<Vec<f32>, WireError> {
     let len = get_len(buf)?;
-    if buf.remaining() < len * 4 {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
+    need(buf, len * 4)?;
+    let values = buf.chunk()[..len * 4]
+        .chunks_exact(4)
+        .map(|raw| f32::from_le_bytes(raw.try_into().expect("chunks_exact(4)")))
+        .collect();
+    buf.advance(len * 4);
+    Ok(values)
 }
 
 /// Reads a probability vector and rebuilds the label distribution by scaling
@@ -222,7 +258,9 @@ pub fn encode_request(request: &TaskRequest) -> Bytes {
         label_distribution,
         available_samples,
     } = request;
-    let mut buf = BytesMut::new();
+    let len =
+        1 + 8 + str_len(device_model) + 5 * 4 + f32s_len(label_distribution.as_slice().len()) + 8;
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u8(WIRE_VERSION);
     buf.put_u64_le(*worker_id);
     put_str(&mut buf, device_model);
@@ -237,6 +275,7 @@ pub fn encode_request(request: &TaskRequest) -> Bytes {
     }
     put_f32_slice(&mut buf, label_distribution.as_slice());
     buf.put_u64_le(*available_samples as u64);
+    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
     buf.freeze()
 }
 
@@ -293,7 +332,20 @@ pub fn encode_result(result: &TaskResult) -> Bytes {
         read_clock,
         task_id,
     } = result;
-    let mut buf = BytesMut::new();
+    let len = 1
+        + 2 * 8
+        + f32s_len(gradient.as_slice().len())
+        + f32s_len(label_distribution.as_slice().len())
+        + 8
+        + 2 * 4
+        + match (task_id, read_clock) {
+            (Some(_), read_clock) => {
+                1 + read_clock.as_ref().map_or(0, |clock| u64s_len(clock.len())) + 8
+            }
+            (None, Some(read_clock)) => u64s_len(read_clock.len()),
+            (None, None) => 0,
+        };
+    let mut buf = BytesMut::with_capacity(len);
     // Emit the oldest version able to carry the message: a result without a
     // read clock or task id is byte-identical to the v1 encoding, so v1
     // peers keep decoding everything a lockstep deployment produces.
@@ -324,6 +376,7 @@ pub fn encode_result(result: &TaskResult) -> Bytes {
         (None, Some(read_clock)) => put_u64_slice(&mut buf, read_clock),
         (None, None) => {}
     }
+    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
     buf.freeze()
 }
 
@@ -395,6 +448,11 @@ pub(crate) fn put_assignment(buf: &mut BytesMut, assignment: &TaskAssignment) {
     put_u64_slice(buf, shard_clocks);
 }
 
+/// Encoded size of a [`TaskAssignment`] as [`put_assignment`] writes it.
+fn assignment_len(assignment: &TaskAssignment) -> usize {
+    3 * 8 + f32s_len(assignment.model_parameters.len()) + u64s_len(assignment.shard_clocks.len())
+}
+
 /// Decodes a [`TaskAssignment`] written by [`put_assignment`].
 pub(crate) fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireError> {
     need(buf, 3 * 8)?;
@@ -420,7 +478,13 @@ pub(crate) fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireErro
 /// Panics if the assignment's parameter vector exceeds [`MAX_FIELD_LEN`] —
 /// such a message could never decode.
 pub fn encode_response(response: &TaskResponse) -> Bytes {
-    let mut buf = BytesMut::new();
+    let len = 2 + match response {
+        TaskResponse::Assignment(assignment) => assignment_len(assignment),
+        TaskResponse::Rejected(RejectionReason::BatchTooSmall { .. }) => 1 + 2 * 8,
+        TaskResponse::Rejected(RejectionReason::TooSimilar) => 1,
+        TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => 1 + 8,
+    };
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u8(RESPONSE_WIRE_VERSION);
     match response {
         TaskResponse::Assignment(assignment) => {
@@ -443,6 +507,7 @@ pub fn encode_response(response: &TaskResponse) -> Bytes {
             }
         }
     }
+    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
     buf.freeze()
 }
 
@@ -496,7 +561,7 @@ pub fn encode_ack(ack: &ResultAck) -> Bytes {
         clock,
         disposition,
     } = *ack;
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(1 + 8 + 8 + 1 + 8 + 1);
     buf.put_u8(RESPONSE_WIRE_VERSION);
     buf.put_u64_le(staleness);
     // The bytes shim carries no f64 accessors; ship the raw IEEE bits.
@@ -548,6 +613,13 @@ pub fn decode_ack(mut buf: Bytes) -> Result<ResultAck, WireError> {
         clock,
         disposition,
     })
+}
+
+/// Lower-case hex of `bytes`, for the golden-vector tests here and in
+/// [`crate::checkpoint`].
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
@@ -883,6 +955,49 @@ mod tests {
         }
     }
 
+    /// Golden vectors captured on the element-wise codec (before the bulk
+    /// path replaced it): the bytes on the wire are the compatibility
+    /// contract, so every shape of every message is pinned.
+    #[test]
+    fn golden_bytes_of_every_message_shape() {
+        assert_eq!(hex(&encode_request(&sample_request())), "012a000000000000000900000047616c61787920533700000045000080450000f04100002041acc5a737050000000000803e0000003f000000000000803e00000000dc00000000000000");
+        let mut result = sample_result();
+        assert_eq!(hex(&encode_result(&result)), "012a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d");
+        result.read_clock = Some(vec![17, 15, 18]);
+        assert_eq!(hex(&encode_result(&result)), "022a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d0300000011000000000000000f000000000000001200000000000000");
+        result.task_id = Some(7_341);
+        assert_eq!(hex(&encode_result(&result)), "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d010300000011000000000000000f000000000000001200000000000000ad1c000000000000");
+        result.read_clock = None;
+        assert_eq!(hex(&encode_result(&result)), "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d00ad1c000000000000");
+        assert_eq!(
+            hex(&encode_response(&TaskResponse::Assignment(sample_assignment()))),
+            "010029230000000000000c000000000000006000000000000000040000000000003f0000a0bf0000704000000000030000000c000000000000000b000000000000000c00000000000000"
+        );
+        for (reason, golden) in [
+            (
+                RejectionReason::BatchTooSmall {
+                    proposed: 3,
+                    minimum: 16,
+                },
+                "01010003000000000000001000000000000000",
+            ),
+            (RejectionReason::TooSimilar, "010101"),
+            (
+                RejectionReason::Overloaded { shard: 5 },
+                "0101020500000000000000",
+            ),
+        ] {
+            assert_eq!(
+                hex(&encode_response(&TaskResponse::Rejected(reason))),
+                golden
+            );
+        }
+        assert_eq!(
+            hex(&encode_ack(&sample_ack())),
+            "010300000000000000000000000000e43f01290000000000000000"
+        );
+    }
+
     #[test]
     fn empty_gradient_roundtrips() {
         let mut result = sample_result();
@@ -957,7 +1072,64 @@ mod tests {
         ));
     }
 
+    /// Slice lengths that straddle the bulk codec's conversion block.
+    const STRADDLING: [usize; 6] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7];
+
+    /// NaN payloads (quiet, signalling, all-ones), -0.0, both subnormal
+    /// extremes and the infinities: patterns a value-level comparison or a
+    /// float-typed copy could disturb.
+    const AWKWARD_F32_BITS: [u32; 8] = [
+        0x7fc0_0001,
+        0x7f80_0001,
+        0xffff_ffff,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+    ];
+
     proptest! {
+        #[test]
+        fn prop_bulk_f32_slices_keep_every_bit(which in 0usize..STRADDLING.len(),
+                                               noise in proptest::collection::vec(any::<u32>(), 3 * BLOCK + 7)) {
+            let len = STRADDLING[which];
+            let bits: Vec<u32> = AWKWARD_F32_BITS.iter().chain(&noise).copied().take(len).collect();
+            let values: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
+            let mut bulk = BytesMut::new();
+            put_f32_slice(&mut bulk, &values);
+            // The element-wise encoding the bulk path replaced is the format.
+            let mut reference = BytesMut::new();
+            reference.put_u32_le(len as u32);
+            for v in &values {
+                reference.put_f32_le(*v);
+            }
+            prop_assert_eq!(bulk.len(), f32s_len(len));
+            prop_assert_eq!(&bulk, &reference);
+            let mut encoded = bulk.freeze();
+            let decoded = get_f32_vec(&mut encoded).unwrap();
+            prop_assert!(encoded.is_empty());
+            prop_assert_eq!(decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+        }
+
+        #[test]
+        fn prop_bulk_u64_slices_roundtrip(which in 0usize..STRADDLING.len(),
+                                          noise in proptest::collection::vec(any::<u64>(), 3 * BLOCK + 7)) {
+            let values = &noise[..STRADDLING[which]];
+            let mut bulk = BytesMut::new();
+            put_u64_slice(&mut bulk, values);
+            let mut reference = BytesMut::new();
+            reference.put_u32_le(values.len() as u32);
+            for v in values {
+                reference.put_u64_le(*v);
+            }
+            prop_assert_eq!(bulk.len(), u64s_len(values.len()));
+            prop_assert_eq!(&bulk, &reference);
+            let mut encoded = bulk.freeze();
+            prop_assert_eq!(get_u64_vec(&mut encoded).unwrap(), values);
+            prop_assert!(encoded.is_empty());
+        }
+
         #[test]
         fn prop_result_roundtrip(gradient in proptest::collection::vec(-10.0f32..10.0, 0..128),
                                  version in 0u64..10_000,

@@ -159,7 +159,7 @@ impl WorkerClient {
     /// across overloads stays the caller's (the worker loop's) decision,
     /// exactly as in-process.
     pub fn request(&mut self, request: &TaskRequest) -> Result<TaskResponse, ClientError> {
-        let raw = wire::encode_request(request).to_vec();
+        let raw = wire::encode_request(request);
         let reply = self.timed_exchange(
             FrameKind::Request,
             &raw,
@@ -175,8 +175,7 @@ impl WorkerClient {
     ///
     /// As [`WorkerClient::request`].
     pub fn submit(&mut self, result: &TaskResult) -> Result<ResultAck, ClientError> {
-        let raw = wire::encode_result(result).to_vec();
-        self.submit_raw(&raw)
+        self.submit_raw(&wire::encode_result(result))
     }
 
     /// Uploads pre-encoded result bytes — the resume path: a worker that

@@ -2,7 +2,7 @@
 //! over Unix-domain sockets and localhost TCP, so the framing, server and
 //! client layers are transport-agnostic.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -153,6 +153,15 @@ impl Read for Stream {
             Stream::Tcp(s) => s.read(buf),
         }
     }
+
+    // Forwarded so a frame's kind byte and payload arrive in one `readv`
+    // (the trait's default would read into the first buffer only).
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.read_vectored(bufs),
+            Stream::Tcp(s) => s.read_vectored(bufs),
+        }
+    }
 }
 
 impl Write for Stream {
@@ -160,6 +169,15 @@ impl Write for Stream {
         match self {
             Stream::Uds(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    // Forwarded so a frame's header and payload leave in one `writev` (the
+    // trait's default would send the first buffer only).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 

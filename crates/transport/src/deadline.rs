@@ -15,7 +15,7 @@
 //! the budget or the read fails with `TimedOut` and the connection dies.
 
 use crate::conn::Stream;
-use std::io::{self, Read};
+use std::io::{self, IoSliceMut, Read};
 use std::time::{Duration, Instant};
 
 /// Wraps a [`Stream`] for the duration of one frame read, enforcing a total
@@ -40,12 +40,17 @@ impl<'a> DeadlineReader<'a> {
     }
 }
 
-impl Read for DeadlineReader<'_> {
+impl DeadlineReader<'_> {
+    /// Runs one read on the stream with the kernel timeout re-armed to the
+    /// budget that is left.
     #[expect(
         clippy::disallowed_methods,
         reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
     )]
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+    fn bounded(
+        &mut self,
+        read: impl FnOnce(&mut Stream) -> io::Result<usize>,
+    ) -> io::Result<usize> {
         let now = Instant::now();
         // The kernel rejects a zero timeout (it means "block forever"), so
         // anything under a millisecond of budget is already an overrun.
@@ -57,7 +62,7 @@ impl Read for DeadlineReader<'_> {
             ));
         }
         self.stream.set_read_timeout(Some(remaining))?;
-        self.stream.read(buf).map_err(|err| {
+        read(self.stream).map_err(|err| {
             // Normalise the kernel's two spellings of "the timeout fired".
             if err.kind() == io::ErrorKind::WouldBlock {
                 io::Error::new(io::ErrorKind::TimedOut, "frame read deadline expired")
@@ -65,5 +70,15 @@ impl Read for DeadlineReader<'_> {
                 err
             }
         })
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.bounded(|stream| stream.read(buf))
+    }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        self.bounded(|stream| stream.read_vectored(bufs))
     }
 }

@@ -12,7 +12,7 @@
 //! [`TransportServer`]: crate::server::TransportServer
 
 use bytes::Bytes;
-use fleet_durability::{DurabilityOptions, DurableStore, EventKind};
+use fleet_durability::{DurabilityOptions, DurableStore, EventKind, Recovered};
 use fleet_server::protocol::{RejectionReason, TaskResponse};
 use fleet_server::{decode_checkpoint, encode_checkpoint, FleetServer};
 use std::io;
@@ -54,8 +54,8 @@ impl Durable {
 
     /// Writes a checkpoint unconditionally (shutdown path).
     pub(crate) fn force_checkpoint(&mut self, server: &FleetServer, steps: u64) -> io::Result<()> {
-        let payload = Bytes::from(encode_checkpoint(&server.checkpoint()).to_vec());
-        self.store.checkpoint(payload, steps)?;
+        self.store
+            .checkpoint(encode_checkpoint(&server.checkpoint()), steps)?;
         self.steps_at_checkpoint = steps;
         Ok(())
     }
@@ -76,22 +76,28 @@ pub(crate) fn recover(
     server: &mut FleetServer,
     options: &DurabilityOptions,
 ) -> io::Result<(Durable, u64)> {
-    let (mut store, recovered) = DurableStore::open(options)?;
+    let (
+        mut store,
+        Recovered {
+            checkpoint,
+            records,
+        },
+    ) = DurableStore::open(options)?;
 
     let mut steps = 0u64;
     let mut covered_seq = 0u64;
-    if let Some(doc) = &recovered.checkpoint {
-        let state = decode_checkpoint(doc.payload.clone())
+    if let Some(doc) = checkpoint {
+        let state = decode_checkpoint(doc.payload)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
         server.restore_checkpoint(state);
         steps = doc.steps;
         covered_seq = doc.seq;
     }
 
-    for record in &recovered.records {
+    for record in records {
         match record.kind {
             EventKind::Request => {
-                match server.handle_request_wire(record.payload.clone()) {
+                match server.handle_request_wire(record.payload) {
                     // Same accounting as the live path: terminal rejections
                     // consume the worker's turn, overload does not.
                     Ok(TaskResponse::Rejected(RejectionReason::Overloaded { .. })) => {}
@@ -100,7 +106,7 @@ pub(crate) fn recover(
                     Err(_) => break,
                 }
             }
-            EventKind::Result => match server.handle_result_wire(record.payload.clone()) {
+            EventKind::Result => match server.handle_result_wire(record.payload) {
                 Ok(ack) => {
                     if ack.disposition == fleet_server::ResultDisposition::Applied {
                         steps += 1;
@@ -109,8 +115,7 @@ pub(crate) fn recover(
                 Err(_) => break,
             },
             EventKind::Reclaim => {
-                let raw = record.payload.to_vec();
-                let Ok(raw) = <[u8; 8]>::try_from(raw.as_slice()) else {
+                let Ok(raw) = <[u8; 8]>::try_from(&*record.payload) else {
                     break;
                 };
                 server.reclaim_task(u64::from_le_bytes(raw));
@@ -119,8 +124,7 @@ pub(crate) fn recover(
         covered_seq = record.seq;
     }
 
-    let payload = Bytes::from(encode_checkpoint(&server.checkpoint()).to_vec());
-    store.begin(payload, covered_seq, steps)?;
+    store.begin(encode_checkpoint(&server.checkpoint()), covered_seq, steps)?;
     Ok((
         Durable {
             store,

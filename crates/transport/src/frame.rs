@@ -8,15 +8,16 @@
 //! length prefixes are rejected before any body byte is read — a malicious
 //! or corrupt header cannot make the server allocate unbounded memory.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 
 /// Hard bound on a frame's declared length (kind byte + payload).
 ///
 /// Sized so the largest legal wire message still fits: the codec caps any
-/// length-prefixed field at 64 Mi *elements* ([`MAX_FIELD_LEN`]
-/// (fleet_server::wire::MAX_FIELD_LEN)), and the widest element is the 4-byte
-/// `f32` of a parameter vector — 256 MiB — plus headroom for the fixed
-/// fields around it. Anything larger is a corrupt or hostile header.
+/// length-prefixed field at 64 Mi *elements*
+/// ([`MAX_FIELD_LEN`](fleet_server::wire::MAX_FIELD_LEN)), and the widest
+/// element is the 4-byte `f32` of a parameter vector — 256 MiB — plus
+/// headroom for the fixed fields around it. Anything larger is a corrupt or
+/// hostile header.
 pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024 + 4096;
 
 /// What a frame carries. Kinds 1–4 travel worker→server, 5–8 server→worker.
@@ -129,6 +130,11 @@ fn read_until_eof(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
 
 /// Reads one frame.
 ///
+/// The body lands in two places with one vectored read: the kind byte in a
+/// local, the payload directly in the buffer that is returned — nothing is
+/// copied to strip the kind off, and a reader that forwards `read_vectored`
+/// (every socket here does) pays no extra `read` call for the split.
+///
 /// # Errors
 ///
 /// [`FrameError::Closed`] on a clean EOF between frames; [`FrameError::Torn`]
@@ -158,25 +164,38 @@ pub fn read_frame(
     if len > max_len {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = vec![0u8; len];
-    let got = read_until_eof(reader, &mut body)?;
+    let mut kind = [0u8; 1];
+    let mut payload = vec![0u8; len - 1];
+    let mut got = 0;
+    while got == 0 {
+        let mut body = [IoSliceMut::new(&mut kind), IoSliceMut::new(&mut payload)];
+        match reader.read_vectored(&mut body) {
+            Ok(0) => return Err(FrameError::Torn { expected: len, got }),
+            Ok(n) => got = n,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(err.into()),
+        }
+    }
+    got += read_until_eof(reader, &mut payload[got - 1..])?;
     if got < len {
         return Err(FrameError::Torn { expected: len, got });
     }
-    let payload = body.split_off(1);
-    match FrameKind::from_byte(body[0]) {
+    match FrameKind::from_byte(kind[0]) {
         Some(kind) => Ok((kind, payload)),
-        None => Err(FrameError::UnknownKind(body[0])),
+        None => Err(FrameError::UnknownKind(kind[0])),
     }
 }
 
-/// Writes one frame (header, kind and payload in a single buffered write)
-/// and flushes.
+/// Writes one frame and flushes. The 5-byte header and the payload go out
+/// as one vectored write — one syscall on a socket that takes the whole
+/// frame, and no assembly buffer — resumed after a short write or an
+/// `Interrupted` until every byte is accepted.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when the payload would exceed [`MAX_FRAME_LEN`] — the peer
-/// could never accept it — or whatever the socket reports.
+/// could never accept it; `WriteZero` when the writer stops accepting bytes
+/// mid-frame; or whatever the socket reports.
 pub fn write_frame(writer: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() + 1;
     if len > MAX_FRAME_LEN {
@@ -185,11 +204,26 @@ pub fn write_frame(writer: &mut impl Write, kind: FrameKind, payload: &[u8]) -> 
             format!("frame length {len} exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"),
         ));
     }
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(kind.as_byte());
-    buf.extend_from_slice(payload);
-    writer.write_all(&buf)?;
+    let mut header = [0u8; 5];
+    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    header[4] = kind.as_byte();
+    // Bytes of `header ++ payload` the writer has accepted so far.
+    let mut sent = 0;
+    while sent < header.len() + payload.len() {
+        let head = &header[sent.min(header.len())..];
+        let tail = &payload[sent.saturating_sub(header.len())..];
+        match writer.write_vectored(&[IoSlice::new(head), IoSlice::new(tail)]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "writer stopped accepting bytes mid-frame",
+                ))
+            }
+            Ok(n) => sent += n,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
     writer.flush()
 }
 
@@ -282,6 +316,15 @@ mod tests {
         ));
     }
 
+    /// Golden vector captured on the assemble-then-write path: `[len][kind]
+    /// [payload]` is the framing contract.
+    #[test]
+    fn golden_bytes_of_a_written_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Result, b"fleet").unwrap();
+        assert_eq!(wire, [6, 0, 0, 0, 2, b'f', b'l', b'e', b'e', b't']);
+    }
+
     #[test]
     fn every_proper_prefix_is_torn_or_closed() {
         let mut wire = Vec::new();
@@ -347,6 +390,152 @@ mod tests {
         let err =
             write_frame(&mut NullSink, FrameKind::Result, &vec![0u8; MAX_FRAME_LEN]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A writer that takes at most `step` bytes per call and `budget` bytes
+    /// in all (then `Ok(0)`), optionally failing every other call with
+    /// `Interrupted` first. It does not override `write_vectored`, so each
+    /// call sees one buffer — the worst case for the resume loop.
+    struct Trickle {
+        step: usize,
+        budget: usize,
+        interrupt: bool,
+        calls: usize,
+        accepted: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf
+                .len()
+                .min(self.step)
+                .min(self.budget - self.accepted.len());
+            self.accepted.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn reference_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut reference = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+        reference.push(kind.as_byte());
+        reference.extend_from_slice(payload);
+        reference
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_resume_to_the_exact_frame() {
+        let payload: Vec<u8> = (0..23u8).collect();
+        for step in [1, 2, 3, 5, 4096] {
+            for interrupt in [false, true] {
+                let mut writer = Trickle {
+                    step,
+                    budget: usize::MAX,
+                    interrupt,
+                    calls: 0,
+                    accepted: Vec::new(),
+                };
+                write_frame(&mut writer, FrameKind::Response, &payload).unwrap();
+                assert_eq!(
+                    writer.accepted,
+                    reference_frame(FrameKind::Response, &payload),
+                    "step {step}, interrupt {interrupt}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_writer_that_stops_accepting_bytes_fails_with_write_zero() {
+        // Stalled from the start, inside the header, on the header/payload
+        // seam and inside the payload.
+        for budget in [0, 3, 5, 8] {
+            let mut writer = Trickle {
+                step: 2,
+                budget,
+                interrupt: false,
+                calls: 0,
+                accepted: Vec::new(),
+            };
+            let err = write_frame(&mut writer, FrameKind::Ack, b"stalled").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WriteZero, "budget {budget}");
+            assert_eq!(
+                writer.accepted,
+                reference_frame(FrameKind::Ack, b"stalled")[..budget]
+            );
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_reads_resume_to_the_exact_frame() {
+        /// Hands out `step` bytes per call through plain `read` (so the
+        /// vectored body read degrades to one buffer at a time), failing
+        /// every other call with `Interrupted` first.
+        struct Drip<'a> {
+            step: usize,
+            calls: usize,
+            rest: &'a [u8],
+        }
+        impl Read for Drip<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.calls += 1;
+                if self.calls % 2 == 1 {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(self.step).min(self.rest.len());
+                buf[..n].copy_from_slice(&self.rest[..n]);
+                self.rest = &self.rest[n..];
+                Ok(n)
+            }
+        }
+        let payload: Vec<u8> = (0..23u8).collect();
+        for payload in [&payload[..], &[]] {
+            let wire = reference_frame(FrameKind::Result, payload);
+            for step in [1, 2, 3, 5, 4096] {
+                let mut reader = Drip {
+                    step,
+                    calls: 0,
+                    rest: &wire,
+                };
+                let (kind, body) = read_frame(&mut reader, MAX_FRAME_LEN).unwrap();
+                assert_eq!((kind, &body[..]), (FrameKind::Result, payload));
+                assert!(reader.rest.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_megabyte_frame_crosses_a_real_socket_intact() {
+        use std::os::unix::net::UnixStream;
+        // Far more than a socket buffer holds, so both the vectored write
+        // and the vectored read are resumed part-way many times.
+        let payload: Vec<u8> = (0..(1usize << 20) + 13)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let (mut near, mut far) = UnixStream::pair().unwrap();
+        let sent = payload.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the frame outgrows the socket buffer, so the blocking writer needs its own I/O thread while this one reads; joined below"
+        )]
+        let writer =
+            std::thread::spawn(move || write_frame(&mut near, FrameKind::Result, &sent).unwrap());
+        let (kind, received) = read_frame(&mut far, MAX_FRAME_LEN).unwrap();
+        assert_eq!(kind, FrameKind::Result);
+        assert!(received == payload, "payload differs after the socket");
+        // The writer's end is dropped once its frame is out: a clean close
+        // on a frame boundary.
+        assert!(matches!(
+            read_frame(&mut far, MAX_FRAME_LEN),
+            Err(FrameError::Closed)
+        ));
+        writer.join().unwrap();
     }
 
     #[test]

@@ -619,11 +619,23 @@ impl io::Read for FrameInFlight<'_> {
         }
         self.rest.read(buf)
     }
+
+    fn read_vectored(&mut self, bufs: &mut [io::IoSliceMut<'_>]) -> io::Result<usize> {
+        match self.first {
+            // Still owed the replayed byte: one buffer at a time, as the
+            // trait's default does.
+            Some(_) => match bufs.iter_mut().find(|buf| !buf.is_empty()) {
+                Some(buf) => self.read(buf),
+                None => Ok(0),
+            },
+            None => self.rest.read_vectored(bufs),
+        }
+    }
 }
 
 enum ConnOutcome {
     /// Send this frame and keep serving.
-    Reply(FrameKind, Vec<u8>),
+    Reply(FrameKind, Bytes),
     /// Send an `Error` frame with this message and close the connection.
     Fatal(String),
 }
@@ -666,12 +678,12 @@ fn handle_frame(
         ),
         FrameKind::Status => {
             let status = snapshot_status(shared);
-            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status))
+            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status).into())
         }
         FrameKind::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
             let status = snapshot_status(shared);
-            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status))
+            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status).into())
         }
         // Server→worker kinds arriving at the server are a protocol
         // violation.
@@ -697,6 +709,8 @@ fn exchange<T>(
     takes_step: impl FnOnce(&T) -> bool,
     encode: impl FnOnce(&T) -> (FrameKind, Bytes),
 ) -> ConnOutcome {
+    // The frame's buffer, shared from here on: the handler and the journal
+    // each get a view of it (`clone` bumps a reference count), never a copy.
     let raw = Bytes::from(payload);
     let mut core = shared.core.lock().expect("core mutex");
     let Core {
@@ -738,7 +752,7 @@ fn exchange<T>(
         }
     }
     let (kind, body) = encode(&reply);
-    ConnOutcome::Reply(kind, body.to_vec())
+    ConnOutcome::Reply(kind, body)
 }
 
 fn snapshot_status(shared: &Shared) -> ServerStatus {

@@ -302,7 +302,7 @@ fn turn(args: &[String]) {
     frame::write_frame(
         &mut stream,
         FrameKind::Request,
-        &wire::encode_request(&worker.request()).to_vec(),
+        &wire::encode_request(&worker.request()),
     )
     .expect("send request");
     let (kind, payload) = frame::read_frame(&mut stream, MAX_FRAME_LEN).expect("response frame");
@@ -312,7 +312,7 @@ fn turn(args: &[String]) {
         TaskResponse::Rejected(reason) => panic!("turn {id} rejected: {reason:?}"),
     };
     let result = worker.execute(&assignment).expect("execute");
-    let payload = wire::encode_result(&result).to_vec();
+    let payload = wire::encode_result(&result);
     if torn {
         // Frame the result by hand and stop half way: header, kind and the
         // first half of the payload hit the wire, then the process is gone.
@@ -439,8 +439,7 @@ fn chaos() {
 
     // B uploads twice (a retry after a lost ack): one Applied, one
     // Duplicate, one gradient.
-    let b_raw =
-        wire::encode_result(&fleet[1].execute(&assignments[&1]).expect("execute B")).to_vec();
+    let b_raw = wire::encode_result(&fleet[1].execute(&assignments[&1]).expect("execute B"));
     assert_eq!(
         clients[1]
             .submit_raw(&b_raw)

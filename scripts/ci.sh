@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh           full gate: fmt, clippy (which carries the
 #                           invariant gates below), build, tier-1 tests, the
-#                           frozen benchmark's build (and its --check smoke),
+#                           frozen benchmark's build (and its --check smoke;
+#                           neither may leave a diff under benchmark/),
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
 #                           shard + CNN-training + per-shard digests, checked
 #                           against the pinned values in
@@ -100,6 +101,17 @@ cargo test -q
 echo "==> frozen benchmark builds against the current crate APIs"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+# The benchmark driver rejects a PR that changes anything under benchmark/ or
+# BENCHMARK.json; a step above that rewrote a file there (benchmark/Cargo.lock
+# is the usual victim) fails here first.
+frozen_tree_untouched() {
+    git diff --exit-code -- benchmark BENCHMARK.json || {
+        echo "FAIL: $1 modified the frozen benchmark tree"
+        exit 1
+    }
+}
+frozen_tree_untouched "the benchmark build"
+
 # Reads one pinned digest (by name) from scripts/expected_digests.txt.
 expected_digest() {
     awk -v key="$1" '$1 == key { print $2 }' scripts/expected_digests.txt
@@ -131,6 +143,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     # traced and untraced, with its output checks and metric names.
     echo "==> benchmark/run.sh --check"
     bash benchmark/run.sh --check
+    frozen_tree_untouched "benchmark/run.sh --check"
 
     # The kernels promise bit-for-bit identical results on any thread count.
     # Sweep three and require one digest per contract — the lockstep
