@@ -6,8 +6,9 @@
 //! budget (`FLEET_BENCH_TIME_MS`, default 300 ms per benchmark) is spent.
 //! Reports mean ns/iter on stdout and, when `FLEET_BENCH_JSON` names a file,
 //! writes every result of the process to it as machine-readable JSON — this is
-//! how `BENCH_kernels.json` is produced for the perf trajectory (see
-//! `scripts/ci.sh`).
+//! how `scripts/ci.sh`'s bench smoke leaves its (untracked) `BENCH_*.json`
+//! micro-records. Nothing reads them back: a number that may be cited comes
+//! from `benchmark/` (fleetbench).
 
 #![forbid(unsafe_code)]
 
@@ -212,9 +213,8 @@ fn render_json(results: &[BenchResult]) -> String {
     // simulation rounds) ran inline during this record: FLEET_NUM_THREADS
     // wins when set (mirroring fleet_parallel::max_threads), else the host's
     // parallelism decides. A single-core artifact's multi-shard/multi-thread
-    // numbers measure the serial path — flag it so downstream comparisons
-    // (scripts/bench_compare.py) can say so instead of misreading flat
-    // scaling curves.
+    // numbers measure the serial path — flag it so whoever reads the record
+    // does not misread flat scaling curves.
     let effective_threads = std::env::var("FLEET_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -1,19 +1,4 @@
-//! Synthetic-fleet construction: real [`Worker`]s over a shared synthetic
-//! dataset, deterministic from the workload seed.
-//!
-//! The fleet executes real protocol work — sampling mini-batches,
-//! computing gradients against the served model — so the server under
-//! load does exactly what it does in production, not a mock. Two calls
-//! with the same spec build byte-identical fleets.
-
-use crate::schedule::WorkloadSpec;
-use fleet_data::partition::non_iid_shards;
-use fleet_data::synthetic::{generate, SyntheticSpec};
-use fleet_device::profile::catalogue;
-use fleet_device::Device;
-use fleet_ml::models::mlp_classifier;
-use fleet_server::Worker;
-use std::sync::Arc;
+//! The shape of the synthetic task a schedule's fleet trains on.
 
 /// Shape of the model and dataset the fleet trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,39 +19,4 @@ impl Default for FleetShape {
             examples: 640,
         }
     }
-}
-
-/// The parameters the server must be seeded with so fleet gradients match
-/// its model architecture.
-pub fn model_parameters(shape: &FleetShape) -> Vec<f32> {
-    mlp_classifier(shape.feature_dim, &[8], shape.num_classes, 0).parameters()
-}
-
-/// Builds the fleet: `spec.workers` workers over a non-IID partition of
-/// one shared synthetic dataset, device profiles cycling through the
-/// paper's catalogue.
-pub fn build_fleet(spec: &WorkloadSpec, shape: &FleetShape) -> Vec<Worker> {
-    // The non-IID partition cuts the dataset into `2 * workers` shards;
-    // grow it past the configured floor so every worker holds data.
-    let examples = shape.examples.max(spec.workers * 4);
-    let dataset = Arc::new(generate(
-        &SyntheticSpec::vector(shape.num_classes, shape.feature_dim, examples),
-        spec.seed ^ 0x6f6c_6461,
-    ));
-    let users = non_iid_shards(&dataset, spec.workers, 2, spec.seed ^ 0x7368_6472);
-    let profiles = catalogue();
-    users
-        .into_iter()
-        .enumerate()
-        .map(|(i, indices)| {
-            Worker::new(
-                i as u64,
-                Device::new(profiles[i % profiles.len()].clone(), spec.seed ^ i as u64),
-                Arc::clone(&dataset),
-                indices,
-                mlp_classifier(shape.feature_dim, &[8], shape.num_classes, 0),
-                spec.seed ^ (i as u64).wrapping_add(0x1000),
-            )
-        })
-        .collect()
 }

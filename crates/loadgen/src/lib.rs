@@ -1,35 +1,22 @@
 //! # fleet-loadgen
 //!
-//! The open-loop fleet load harness: drives a real
-//! [`fleet_transport::TransportServer`] with a synthetic device fleet and
-//! reports what the middleware did under that load.
+//! A deterministic workload-schedule generator for a synthetic device
+//! fleet. It produces no measurement of its own: the end-to-end benchmark
+//! (`benchmark/`, fleetbench) replays these schedules against a real
+//! server and is the only thing in the repository that reports a number.
 //!
-//! The harness is split so determinism and measurement never mix:
-//!
-//! * [`schedule`] — **deterministic** workload generation. Arrival times
-//!   and gradient delays come from the `fleet-device` models (phone
-//!   profiles, thermal state, network transfer + RTT); the result is a
-//!   virtual-time event stream whose FNV-1a digest is bit-stable across
-//!   runs and thread counts, and pinned in CI.
-//! * [`fleet`] — real [`fleet_server::Worker`]s over a shared synthetic
-//!   dataset, byte-identical per seed.
-//! * [`driver`] — replays a schedule over real client connections. All
-//!   wall-clock access goes through the telemetry sink, never `Instant`.
-//! * [`report`] — one `fleet-bench-v2` entry per run: latency
-//!   percentiles, queue depths, per-shard apply rates, rejection/retry
-//!   counts, max RSS and CPU seconds.
-//!
-//! The `fleet_load` example binary (in `examples/`) wires the pieces into
-//! a worker-count sweep over a UDS endpoint.
+//! * [`schedule`] — arrival times and gradient delays come from the
+//!   `fleet-device` models (phone profiles, thermal state, network
+//!   transfer + RTT); the result is a virtual-time event stream whose
+//!   FNV-1a digest is bit-stable across runs and thread counts, and pinned
+//!   in CI (`loadgen` in `scripts/expected_digests.txt`).
+//! * [`fleet`] — the shape (classes, features, examples) of the synthetic
+//!   task the scheduled fleet trains on.
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
 pub mod fleet;
-pub mod report;
 pub mod schedule;
 
-pub use driver::{drive, DriveOptions, DriveStats};
-pub use fleet::{build_fleet, model_parameters, FleetShape};
-pub use report::{load_entry, load_report};
+pub use fleet::FleetShape;
 pub use schedule::{Event, EventKind, Schedule, SpecError, WorkloadSpec};

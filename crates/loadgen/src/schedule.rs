@@ -1,6 +1,6 @@
 //! Deterministic open-loop workload generation.
 //!
-//! A [`Schedule`] is the load harness's ground truth: every request and
+//! A [`Schedule`] is a replayer's ground truth: every request and
 //! every result upload of a synthetic fleet, stamped with **virtual**
 //! nanosecond timestamps derived purely from the workload seed and the
 //! device models in `fleet-device` — phone profiles set the gradient
@@ -242,11 +242,6 @@ impl Schedule {
     /// All events in virtual-time order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Virtual makespan of the workload in nanoseconds.
-    pub fn horizon_ns(&self) -> u64 {
-        self.events.last().map_or(0, |e| e.at_ns)
     }
 
     /// FNV-1a over every event's bit pattern. Equal digests mean

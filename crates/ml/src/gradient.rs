@@ -116,15 +116,6 @@ impl Gradient {
         }
     }
 
-    /// Mean of the absolute values (useful as a cheap noise diagnostic).
-    pub fn mean_abs(&self) -> f32 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().map(|v| v.abs()).sum::<f32>() / self.values.len() as f32
-        }
-    }
-
     /// Element-wise average of a non-empty set of gradients (FedAvg-style).
     ///
     /// Returns `None` when `gradients` is empty or lengths are inconsistent.

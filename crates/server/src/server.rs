@@ -306,11 +306,6 @@ impl FleetServer {
         &self.controller
     }
 
-    /// Mutable access to I-Prof (e.g. to pre-train the cold-start models).
-    pub fn iprof_mut(&mut self) -> &mut IProf {
-        &mut self.iprof
-    }
-
     /// Handles a learning-task request (steps 1–4 of Fig. 2), plus the
     /// fault-tolerance envelope: expired leases are reclaimed, overload is
     /// shed before admission, and accepted tasks get a lease whose deadline

@@ -46,7 +46,6 @@ use fleet_data::{Dataset, LabelDistribution};
 use fleet_dp::GaussianMechanism;
 use fleet_ml::metrics::{accuracy, class_accuracy};
 use fleet_ml::Sequential;
-use fleet_telemetry::{Counter, TelemetryHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -101,7 +100,7 @@ impl StalenessDistribution {
 /// Configuration of one asynchronous training run.
 ///
 /// The learning-rate / K / shards / apply-mode cluster lives in the embedded
-/// [`CoreConfig`] (shared with the FLeet server and the load harness);
+/// [`CoreConfig`] (shared with the FLeet server);
 /// [`SimulationConfig::builder`] flattens those knobs. The engine ignores
 /// `core.max_pending` — the simulation has no admission layer to shed load.
 #[derive(Debug, Clone)]
@@ -429,8 +428,6 @@ pub struct AsyncSimulation<'a> {
     test: &'a Dataset,
     users: &'a UserPartition,
     config: SimulationConfig,
-    /// Where round/delivery events are reported; disabled by default.
-    telemetry: TelemetryHandle,
 }
 
 /// The mutable state of a run in flight (see the phase comments in
@@ -610,57 +607,18 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                     decoded.worker_id,
                 );
                 update.read_clock = decoded.read_clock;
-                let applied_before = if self.sim.telemetry.is_enabled() {
-                    self.server.shard_applied_counts()
-                } else {
-                    Vec::new()
-                };
                 let outcome = self.server.submit(update);
-                if let Some(sink) = self.sim.telemetry.get() {
-                    sink.add(Counter::Results, 1);
-                    sink.add(Counter::Applied, 1);
-                    if outcome.applied {
-                        sink.add(Counter::ModelUpdates, 1);
-                    }
-                    let applied_after = self.server.shard_applied_counts();
-                    for (shard, (after, before)) in
-                        applied_after.iter().zip(applied_before.iter()).enumerate()
-                    {
-                        if after > before {
-                            sink.shard_applies(shard, after - before);
-                        }
-                    }
-                    for (shard, depth) in self.server.shard_pending_depths().iter().enumerate() {
-                        sink.queue_depth(shard, *depth as u64);
-                    }
-                }
                 self.result.scaling_factors.push(outcome.scaling_factor);
                 self.result.faults.applied += 1;
                 if was_delayed {
                     self.result.faults.delayed_delivered += 1;
                 }
             }
-            disposition => {
-                if let Some(sink) = self.sim.telemetry.get() {
-                    sink.add(Counter::Results, 1);
-                    sink.add(
-                        match disposition {
-                            ResultDisposition::Duplicate => Counter::Duplicates,
-                            ResultDisposition::Expired => Counter::Expired,
-                            _ => Counter::Unsolicited,
-                        },
-                        1,
-                    );
-                }
-                match disposition {
-                    ResultDisposition::Duplicate => self.result.faults.duplicates_rejected += 1,
-                    ResultDisposition::Expired => self.result.faults.expired_rejected += 1,
-                    // The simulation only replays results it leased itself,
-                    // so this arm is unreachable in practice; counting keeps
-                    // it honest.
-                    _ => self.result.faults.expired_rejected += 1,
-                }
-            }
+            ResultDisposition::Duplicate => self.result.faults.duplicates_rejected += 1,
+            ResultDisposition::Expired => self.result.faults.expired_rejected += 1,
+            // The simulation only replays results it leased itself, so this
+            // arm is unreachable in practice; counting keeps it honest.
+            _ => self.result.faults.expired_rejected += 1,
         }
     }
 
@@ -878,9 +836,6 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                     .and_then(|c| class_accuracy(&predictions, &self.eval_labels, c)),
             });
         }
-        if let Some(sink) = self.sim.telemetry.get() {
-            sink.add(Counter::SimRounds, 1);
-        }
     }
 
     fn finish(self, model: &mut Sequential) -> TrainingHistory {
@@ -910,15 +865,7 @@ impl<'a> AsyncSimulation<'a> {
             test,
             users,
             config,
-            telemetry: TelemetryHandle::disabled(),
         }
-    }
-
-    /// Installs a telemetry sink; round and delivery events from here on are
-    /// reported through it. Telemetry never influences the trajectory — a
-    /// run with a sink installed stays bit-identical to one without.
-    pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = telemetry;
     }
 
     /// Runs the simulation with the given aggregator, starting from `model`'s

@@ -58,11 +58,6 @@ impl Worker {
         &self.device
     }
 
-    /// Mutable access to the device (e.g. to let it idle or recharge).
-    pub fn device_mut(&mut self) -> &mut Device {
-        &mut self.device
-    }
-
     /// Number of locally available samples.
     pub fn available_samples(&self) -> usize {
         self.local_indices.len()

@@ -1,7 +1,7 @@
 //! The reporting interface instrumented components emit through.
 //!
 //! The trait is deliberately tiny and every method has a no-op default, so
-//! the serving hot paths (transport server, `FleetServer`, simulation) pay
+//! the serving hot paths (transport server and client, `FleetServer`) pay
 //! one `Option` branch when telemetry is disabled — no clock reads, no
 //! atomics, no allocation. Durations are reported as differences of
 //! [`TelemetrySink::now_ns`] timestamps: the *sink* owns the clock (this
@@ -50,13 +50,11 @@ pub enum Counter {
     JournalAppends,
     /// Durable checkpoints written.
     Checkpoints,
-    /// Simulation rounds completed.
-    SimRounds,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 17] = [
         Counter::Requests,
         Counter::Assignments,
         Counter::RejectedOverloaded,
@@ -74,7 +72,6 @@ impl Counter {
         Counter::TasksReclaimed,
         Counter::JournalAppends,
         Counter::Checkpoints,
-        Counter::SimRounds,
     ];
 
     /// Stable snake_case name used in reports.
@@ -97,7 +94,6 @@ impl Counter {
             Counter::TasksReclaimed => "tasks_reclaimed",
             Counter::JournalAppends => "journal_appends",
             Counter::Checkpoints => "checkpoints",
-            Counter::SimRounds => "sim_rounds",
         }
     }
 }

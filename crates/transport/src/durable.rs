@@ -11,9 +11,9 @@
 //!
 //! [`TransportServer`]: crate::server::TransportServer
 
+use crate::server::{ack_takes_step, response_takes_step};
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, DurableStore, EventKind, Recovered};
-use fleet_server::protocol::{RejectionReason, TaskResponse};
 use fleet_server::{decode_checkpoint, encode_checkpoint, FleetServer};
 use std::io;
 
@@ -96,22 +96,12 @@ pub(crate) fn recover(
 
     for record in records {
         match record.kind {
-            EventKind::Request => {
-                match server.handle_request_wire(record.payload) {
-                    // Same accounting as the live path: terminal rejections
-                    // consume the worker's turn, overload does not.
-                    Ok(TaskResponse::Rejected(RejectionReason::Overloaded { .. })) => {}
-                    Ok(TaskResponse::Rejected(_)) => steps += 1,
-                    Ok(TaskResponse::Assignment(_)) => {}
-                    Err(_) => break,
-                }
-            }
+            EventKind::Request => match server.handle_request_wire(record.payload) {
+                Ok(response) => steps += u64::from(response_takes_step(&response)),
+                Err(_) => break,
+            },
             EventKind::Result => match server.handle_result_wire(record.payload) {
-                Ok(ack) => {
-                    if ack.disposition == fleet_server::ResultDisposition::Applied {
-                        steps += 1;
-                    }
-                }
+                Ok(ack) => steps += u64::from(ack_takes_step(&ack)),
                 Err(_) => break,
             },
             EventKind::Reclaim => {

@@ -35,7 +35,7 @@ use crate::frame::{
 };
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, EventKind, FsyncPolicy};
-use fleet_server::protocol::{RejectionReason, TaskResponse};
+use fleet_server::protocol::{RejectionReason, ResultAck, TaskResponse};
 use fleet_server::wire::{encode_ack, encode_response, WireError};
 use fleet_server::{FleetServer, FleetServerState, ResultDisposition};
 use fleet_telemetry::{Counter, Latency, TelemetryHandle};
@@ -653,17 +653,11 @@ fn handle_frame(
             EventKind::Request,
             "request",
             |server, raw| server.handle_request_wire(raw),
-            |response| match response {
-                TaskResponse::Assignment(assignment) => {
+            |response| {
+                if let TaskResponse::Assignment(assignment) = response {
                     issued.insert(assignment.task_id);
-                    false
                 }
-                // An overload rejection is backpressure, not an answer: the
-                // worker still owes this exchange, so the step counter must
-                // not move.
-                TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => false,
-                // Terminal rejections consume the worker's turn.
-                TaskResponse::Rejected(_) => true,
+                response_takes_step(response)
             },
             |response| (FrameKind::Response, encode_response(response)),
         ),
@@ -673,7 +667,7 @@ fn handle_frame(
             EventKind::Result,
             "result",
             |server, raw| server.handle_result_wire(raw),
-            |ack| ack.disposition == ResultDisposition::Applied,
+            ack_takes_step,
             |ack| (FrameKind::Ack, encode_ack(ack)),
         ),
         FrameKind::Status => {
@@ -694,6 +688,27 @@ fn handle_frame(
             ))
         }
     }
+}
+
+/// Whether the reply to a request moves the cross-process step counter
+/// ([`ServerStatus::steps`]). The live exchange and journal replay both ask
+/// here, so a recovered counter is the one the crashed process would have had.
+pub(crate) fn response_takes_step(response: &TaskResponse) -> bool {
+    match response {
+        // The step is taken when the assignment's result is applied.
+        TaskResponse::Assignment(_) => false,
+        // An overload rejection is backpressure, not an answer: the worker
+        // still owes this exchange, so the step counter must not move.
+        TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => false,
+        // Terminal rejections consume the worker's turn.
+        TaskResponse::Rejected(_) => true,
+    }
+}
+
+/// The result-side half of [`response_takes_step`]: only an applied result
+/// completes a step; a duplicate, expired or unsolicited upload does not.
+pub(crate) fn ack_takes_step(ack: &ResultAck) -> bool {
+    ack.disposition == ResultDisposition::Applied
 }
 
 /// One request→response or result→ack exchange; both message kinds run the

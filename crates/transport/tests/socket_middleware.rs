@@ -1,6 +1,7 @@
 //! End-to-end tests of the socket transport: digest parity with the
 //! in-process protocol, lease reclaim on disconnect, overload on the wire,
-//! deadlines, reconnect/resume and drain-on-shutdown.
+//! deadlines, reconnect/resume, drain-on-shutdown and one telemetry sink
+//! shared by both sides of the socket.
 
 mod common;
 
@@ -10,10 +11,12 @@ use fleet_server::protocol::{RejectionReason, TaskResponse};
 use fleet_server::{
     decode_checkpoint, encode_checkpoint, FleetServerConfig, ResultDisposition, RetryPolicy,
 };
+use fleet_telemetry::{Counter, Latency, Recorder, TelemetryHandle, TelemetrySink};
 use fleet_transport::{
     ClientConfig, ClientError, Endpoint, Stream, TransportConfig, TransportServer, WorkerClient,
 };
 use std::io::Read;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Drives `rounds` sequential turns of every worker through the in-process
@@ -42,16 +45,29 @@ fn in_process_digest(workers: usize, rounds: usize, config: FleetServerConfig) -
 /// The same schedule through a live transport server, one client per
 /// worker, returning the digest of the shutdown checkpoint.
 fn socket_digest(endpoint: &Endpoint, workers: usize, rounds: usize) -> u64 {
-    let server = TransportServer::bind(
+    socket_digest_with(
         endpoint,
-        fresh_server(base_config()),
+        workers,
+        rounds,
         TransportConfig::default(),
+        ClientConfig::default(),
     )
-    .expect("bind");
+}
+
+/// [`socket_digest`] under explicit server- and client-side configs.
+fn socket_digest_with(
+    endpoint: &Endpoint,
+    workers: usize,
+    rounds: usize,
+    transport: TransportConfig,
+    client: ClientConfig,
+) -> u64 {
+    let server =
+        TransportServer::bind(endpoint, fresh_server(base_config()), transport).expect("bind");
     let endpoint = server.endpoint().clone();
     let mut fleet = build_workers(workers);
     let mut clients: Vec<WorkerClient> = (0..workers)
-        .map(|_| WorkerClient::new(endpoint.clone()))
+        .map(|_| WorkerClient::with_config(endpoint.clone(), client.clone()))
         .collect();
     for _ in 0..rounds {
         for (worker, client) in fleet.iter_mut().zip(clients.iter_mut()) {
@@ -87,6 +103,51 @@ fn tcp_run_matches_the_in_process_digest_bit_for_bit() {
     let over_socket = socket_digest(&endpoint, 2, 2);
     let in_process = in_process_digest(2, 2, base_config());
     assert_eq!(over_socket, in_process);
+}
+
+#[test]
+fn one_recorder_sees_both_sides_of_the_socket() {
+    // The server (transport + core) and every client report into the same
+    // sink; after N request+submit exchanges the two sides' views must
+    // reconcile, and the trajectory must not have noticed.
+    const WORKERS: usize = 3;
+    const ROUNDS: usize = 2;
+    const N: u64 = (WORKERS * ROUNDS) as u64;
+    let recorder = Arc::new(Recorder::new());
+    let handle = TelemetryHandle::new(Arc::clone(&recorder) as Arc<dyn TelemetrySink>);
+    let over_socket = socket_digest_with(
+        &uds_endpoint("telemetry"),
+        WORKERS,
+        ROUNDS,
+        TransportConfig::builder()
+            .telemetry(handle.clone())
+            .build()
+            .expect("transport config is valid"),
+        ClientConfig {
+            telemetry: handle,
+            ..ClientConfig::default()
+        },
+    );
+    assert_eq!(
+        over_socket,
+        in_process_digest(WORKERS, ROUNDS, base_config()),
+        "telemetry never feeds the trajectory"
+    );
+
+    // `socket_digest_with` shut the server down, so every connection thread
+    // has been joined and its last sample recorded.
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.counter(Counter::Requests), N);
+    assert_eq!(snapshot.counter(Counter::Results), N);
+    assert!(snapshot.counter(Counter::ConnectionsOpened) >= WORKERS as u64);
+    let request = snapshot.latency(Latency::RequestExchange);
+    assert_eq!(request.count, N, "one client-side sample per request");
+    assert!(0 < request.p50 && request.p50 <= request.p99);
+    assert_eq!(
+        snapshot.latency(Latency::HandleFrame).count,
+        2 * N,
+        "the server handled one frame per request and one per submit"
+    );
 }
 
 #[test]

@@ -6,9 +6,9 @@
 #                           frozen benchmark's build (and its --check smoke;
 #                           neither may leave a diff under benchmark/),
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
-#                           shard + CNN-training + per-shard digests, checked
-#                           against the pinned values in
-#                           scripts/expected_digests.txt), the
+#                           shard + CNN-training + per-shard + fault-injected
+#                           digests, every one checked against its pinned
+#                           value in scripts/expected_digests.txt), the
 #                           multi-process socket smoke (a TransportServer +
 #                           3 worker processes over UDS must reproduce the
 #                           pinned in-process digest bit-for-bit) and the
@@ -19,15 +19,11 @@
 #                           recovers checkpoint + journal from disk; run
 #                           twice, the digest is pinned as chaos_kill and
 #                           must equal the uninterrupted trajectory), the
-#                           loadgen smoke (the open-loop workload-schedule
-#                           digest must be bit-identical at two
-#                           FLEET_NUM_THREADS settings and match the pinned
-#                           loadgen value, then a small fleet_load sweep
-#                           writes FLEET_load.json which must validate as
-#                           fleet-bench-v2), bench smoke writing
-#                           BENCH_kernels.json, BENCH_shards.json,
-#                           BENCH_conv.json, BENCH_transport.json and
-#                           BENCH_durability.json
+#                           loadgen schedule digest (bit-identical at two
+#                           FLEET_NUM_THREADS settings and equal to the
+#                           pinned loadgen value), bench smoke (every
+#                           criterion bench runs once and writes an untracked
+#                           BENCH_<name>.json; nothing reads them back)
 #   scripts/ci.sh --quick   skip the digest sweep, the benchmark --check and
 #                           the bench smoke (clippy and the benchmark build
 #                           still run)
@@ -55,11 +51,6 @@
 #                 fails `cargo build`
 #
 # Env knobs:
-#   FLEET_BENCH_COMPARE=1       diff each fresh BENCH_*.json against the
-#                               committed baseline via
-#                               scripts/bench_compare.py and fail above the
-#                               relative-slowdown threshold
-#   FLEET_BENCH_MAX_SLOWDOWN=R  threshold for the comparison (default 1.5)
 #   FLEET_BENCH_TIME_MS=N       per-benchmark measurement window
 #   FLEET_PIN_DIGESTS=1         re-pin scripts/expected_digests.txt from this
 #                               host's sweep instead of failing on drift (the
@@ -70,12 +61,11 @@
 #                               moving the reference host, and commit the
 #                               rewritten file with an explanation.
 #
-# The bench smoke keeps machine-readable perf records (BENCH_kernels.json,
-# BENCH_shards.json and BENCH_conv.json at the repo root) so successive PRs
-# can track the kernel, aggregation-throughput and convolution trajectories;
-# timings are per-machine (the JSON meta block records threads + ISA features
-# and whether the fan-out ran inline), so compare runs from the same host
-# only.
+# The bench smoke proves the criterion benches still build and run. The
+# BENCH_*.json it leaves at the repo root are gitignored micro-records for
+# whoever ran it (the meta block records threads + ISA features and whether
+# the fan-out ran inline); they are never a claim — a number that may be
+# cited comes from benchmark/ (fleetbench) and nowhere else.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -112,30 +102,63 @@ frozen_tree_untouched() {
 }
 frozen_tree_untouched "the benchmark build"
 
-# Reads one pinned digest (by name) from scripts/expected_digests.txt.
-expected_digest() {
-    awk -v key="$1" '$1 == key { print $2 }' scripts/expected_digests.txt
+# The pinned digests, name -> value in file order. In re-pin mode the values
+# start empty and the first observation of each name becomes its reference,
+# so the cross-combination identity checks below still apply.
+declare -A pinned=() checked=()
+pin_names=()
+while read -r name value; do
+    pin_names+=("$name")
+    if [[ "${FLEET_PIN_DIGESTS:-0}" == "1" ]]; then
+        value=""
+    elif [[ -z "$value" ]]; then
+        echo "FAIL: scripts/expected_digests.txt pins no value for $name"
+        exit 1
+    fi
+    pinned[$name]="$value"
+done < <(grep '^[a-z]' scripts/expected_digests.txt)
+
+# check_digests WHERE OUTPUT NAME...: each named digest must be printed in
+# OUTPUT as "<label> digest: 0x…" and equal its pin (WHERE is for messages).
+check_digests() {
+    local where="$1" out="$2" name label got
+    shift 2
+    for name in "$@"; do
+        if [[ -z "${pinned[$name]+set}" ]]; then
+            echo "FAIL: scripts/expected_digests.txt has no pin named $name"
+            exit 1
+        fi
+        case "$name" in
+            shard) label=shard-sweep ;;
+            cnn) label=cnn-train ;;
+            *) label=${name//_/-} ;;
+        esac
+        got=$(grep -o "\b$label digest: 0x[0-9a-f]*" <<<"$out" | head -1 || true)
+        got=${got##* }
+        if [[ -z "$got" ]]; then
+            echo "FAIL: no '$label digest' line from $where"
+            exit 1
+        fi
+        echo "    $where: $name $got"
+        if [[ -z "${pinned[$name]}" ]]; then
+            pinned[$name]="$got"
+        elif [[ "$got" != "${pinned[$name]}" ]]; then
+            echo "FAIL: $name digest drifted from ${pinned[$name]} ($where)"
+            exit 1
+        fi
+        checked[$name]=1
+    done
 }
 
-# Runs one benchmark and writes its JSON artifact; with FLEET_BENCH_COMPARE=1
-# the previous artifact (the committed baseline) is diffed against the fresh
-# numbers and a relative slowdown beyond the threshold fails the gate.
+# Runs one criterion bench and leaves its JSON record, untracked, beside the
+# sources.
 run_bench() {
-    local bench="$1" json="$PWD/$2" time_ms="$3" baseline=""
-    if [[ "${FLEET_BENCH_COMPARE:-0}" == "1" && -f "$json" ]]; then
-        baseline="$json.baseline"
-        cp "$json" "$baseline"
-    fi
+    local bench="$1" json="$PWD/$2" time_ms="$3"
     echo "==> bench smoke ($bench -> $2)"
     FLEET_BENCH_TIME_MS="${FLEET_BENCH_TIME_MS:-$time_ms}" \
     FLEET_BENCH_JSON="$json" \
         cargo bench --bench "$bench"
     echo "==> wrote $2"
-    if [[ -n "$baseline" ]]; then
-        echo "==> bench compare ($2 vs committed baseline)"
-        python3 scripts/bench_compare.py "$baseline" "$json"
-        rm -f "$baseline"
-    fi
 }
 
 if [[ "${1:-}" != "--quick" ]]; then
@@ -155,39 +178,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     # fan-out partition reassociated a reduction; a drift from the pinned
     # value means the numeric trajectory changed silently.
     echo "==> determinism digest sweep (FLEET_NUM_THREADS=1/4/7)"
-    if [[ "${FLEET_PIN_DIGESTS:-0}" == "1" ]]; then
-        # Re-pin mode: the first combination becomes the reference (the
-        # cross-combination identity check below still applies) and the file
-        # is rewritten at the end of the sweep.
-        shard_ref=""
-        cnn_ref=""
-        pershard_ref=""
-        chaos_l1_ref=""
-        chaos_p1_ref=""
-        chaos_l2_ref=""
-        chaos_p2_ref=""
-        socket_ref=""
-        chaos_kill_ref=""
-        loadgen_ref=""
-    else
-        shard_ref=$(expected_digest shard)
-        cnn_ref=$(expected_digest cnn)
-        pershard_ref=$(expected_digest pershard)
-        chaos_l1_ref=$(expected_digest chaos_l1)
-        chaos_p1_ref=$(expected_digest chaos_p1)
-        chaos_l2_ref=$(expected_digest chaos_l2)
-        chaos_p2_ref=$(expected_digest chaos_p2)
-        socket_ref=$(expected_digest socket)
-        chaos_kill_ref=$(expected_digest chaos_kill)
-        loadgen_ref=$(expected_digest loadgen)
-        if [[ -z "$shard_ref" || -z "$cnn_ref" || -z "$pershard_ref" ||
-              -z "$chaos_l1_ref" || -z "$chaos_p1_ref" ||
-              -z "$chaos_l2_ref" || -z "$chaos_p2_ref" || -z "$socket_ref" ||
-              -z "$chaos_kill_ref" || -z "$loadgen_ref" ]]; then
-            echo "FAIL: scripts/expected_digests.txt is missing a pinned digest"
-            exit 1
-        fi
-    fi
     for threads in 1 4 7; do
         out=$(FLEET_NUM_THREADS=$threads \
             cargo test --release -q -p fleet-tests --test parallel_determinism \
@@ -195,50 +185,8 @@ if [[ "${1:-}" != "--quick" ]]; then
             echo "FAIL: determinism tests at threads=$threads"
             exit 1
         }
-        shard=$(grep -o 'shard-sweep digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        cnn=$(grep -o 'cnn-train digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        pershard=$(grep -o 'pershard digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        chaos_l1=$(grep -o 'chaos-l1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        chaos_p1=$(grep -o 'chaos-p1 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        chaos_l2=$(grep -o 'chaos-l2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        chaos_p2=$(grep -o 'chaos-p2 digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-        if [[ -z "$shard" || -z "$cnn" || -z "$pershard" ||
-              -z "$chaos_l1" || -z "$chaos_p1" ||
-              -z "$chaos_l2" || -z "$chaos_p2" ]]; then
-            echo "FAIL: missing digest line at threads=$threads"
-            exit 1
-        fi
-        shard=${shard##* }
-        cnn=${cnn##* }
-        pershard=${pershard##* }
-        chaos_l1=${chaos_l1##* }
-        chaos_p1=${chaos_p1##* }
-        chaos_l2=${chaos_l2##* }
-        chaos_p2=${chaos_p2##* }
-        echo "    threads=$threads -> shard $shard cnn $cnn pershard $pershard"
-        echo "        chaos l1 $chaos_l1 p1 $chaos_p1 l2 $chaos_l2 p2 $chaos_p2"
-        if [[ -z "$shard_ref" ]]; then
-            shard_ref="$shard"
-            cnn_ref="$cnn"
-            pershard_ref="$pershard"
-            chaos_l1_ref="$chaos_l1"
-            chaos_p1_ref="$chaos_p1"
-            chaos_l2_ref="$chaos_l2"
-            chaos_p2_ref="$chaos_p2"
-            continue
-        fi
-        for pair in "shard:$shard:$shard_ref" "cnn:$cnn:$cnn_ref" \
-                    "pershard:$pershard:$pershard_ref" \
-                    "chaos_l1:$chaos_l1:$chaos_l1_ref" \
-                    "chaos_p1:$chaos_p1:$chaos_p1_ref" \
-                    "chaos_l2:$chaos_l2:$chaos_l2_ref" \
-                    "chaos_p2:$chaos_p2:$chaos_p2_ref"; do
-            IFS=: read -r name got want <<<"$pair"
-            if [[ "$got" != "$want" ]]; then
-                echo "FAIL: $name digest drifted from $want at threads=$threads"
-                exit 1
-            fi
-        done
+        check_digests "threads=$threads" "$out" \
+            shard cnn pershard chaos_l1 chaos_p1 chaos_l2 chaos_p2
     done
     # Cross-process determinism: a real TransportServer plus three worker
     # *processes* over a Unix socket must land on the pinned digest — the
@@ -249,19 +197,7 @@ if [[ "${1:-}" != "--quick" ]]; then
         echo "FAIL: multi-process socket demo"
         exit 1
     }
-    socket=$(grep -o 'socket digest: 0x[0-9a-f]*' <<<"$out" | head -1)
-    if [[ -z "$socket" ]]; then
-        echo "FAIL: socket demo printed no digest"
-        exit 1
-    fi
-    socket=${socket##* }
-    echo "    socket -> $socket"
-    if [[ -z "$socket_ref" ]]; then
-        socket_ref="$socket"
-    elif [[ "$socket" != "$socket_ref" ]]; then
-        echo "FAIL: socket digest drifted from $socket_ref"
-        exit 1
-    fi
+    check_digests "socket demo" "$out" socket
 
     # Fault tolerance under fire: the chaos choreography (worker killed
     # mid-upload with a torn frame, dead peer's lease reclaimed, straggler
@@ -294,97 +230,44 @@ if [[ "${1:-}" != "--quick" ]]; then
     # scenario runs twice: the kill lands at a slightly different point each
     # time, and recovery must erase the difference.
     echo "==> kill-restart chaos smoke (SIGKILL mid-run, recover from disk) x2"
-    kill_digest() {
-        local out
+    for run in 1 2; do
         out=$(cargo run --release -q -p fleet-examples --example socket_demo -- kill) || {
             echo "FAIL: kill-restart chaos run"
             exit 1
         }
-        grep -o 'chaos-kill digest: 0x[0-9a-f]*' <<<"$out" | head -1
-    }
-    kill_a=$(kill_digest)
-    kill_b=$(kill_digest)
-    if [[ -z "$kill_a" || "$kill_a" != "$kill_b" ]]; then
-        echo "FAIL: chaos-kill digest unstable across reruns ('$kill_a' vs '$kill_b')"
-        exit 1
-    fi
-    kill_a=${kill_a##* }
-    echo "    chaos_kill -> $kill_a (stable across reruns)"
-    if [[ -z "$chaos_kill_ref" ]]; then
-        chaos_kill_ref="$kill_a"
-    elif [[ "$kill_a" != "$chaos_kill_ref" ]]; then
-        echo "FAIL: chaos_kill digest drifted from $chaos_kill_ref"
-        exit 1
-    fi
+        check_digests "kill-restart run $run" "$out" chaos_kill
+    done
 
-    # Open-loop load harness: the workload schedule is a pure function of
-    # the spec — generated through the same deterministic fan-out as the
-    # kernels, so its digest must be bit-identical across thread counts and
-    # match the pinned value (workers=64 ops=2 seed=42). Then a small sweep
-    # drives a real TransportServer over UDS and the resulting
-    # FLEET_load.json must validate against the frozen fleet-bench-v2 shape
-    # (and, with FLEET_BENCH_COMPARE=1, diff cleanly against the committed
-    # artifact — latency percentiles included).
+    # The workload schedule is a pure function of its spec — generated
+    # through the same deterministic fan-out as the kernels, so its digest
+    # must be bit-identical across thread counts and match the pinned value
+    # (workers=64 ops=2 seed=42, printed by schedule_stability.rs).
     echo "==> loadgen schedule digest (FLEET_NUM_THREADS=1 vs 7)"
-    loadgen_digest() {
-        local out
-        out=$(FLEET_NUM_THREADS=$1 cargo run --release -q -p fleet-examples \
-            --example fleet_load -- --digest-only --workers 64 --ops 2) || {
-            echo "FAIL: fleet_load --digest-only at FLEET_NUM_THREADS=$1"
+    for threads in 1 7; do
+        out=$(FLEET_NUM_THREADS=$threads \
+            cargo test --release -q -p fleet-loadgen --test schedule_stability \
+            -- --nocapture 2>&1) || {
+            echo "FAIL: schedule stability tests at threads=$threads"
             exit 1
         }
-        grep -o 'digest: 0x[0-9a-f]*' <<<"$out" | head -1
-    }
-    load_a=$(loadgen_digest 1)
-    load_b=$(loadgen_digest 7)
-    if [[ -z "$load_a" || "$load_a" != "$load_b" ]]; then
-        echo "FAIL: loadgen digest differs across thread counts ('$load_a' vs '$load_b')"
-        exit 1
-    fi
-    load_a=${load_a##* }
-    echo "    loadgen -> $load_a (identical at 1 and 7 threads)"
-    if [[ -z "$loadgen_ref" ]]; then
-        loadgen_ref="$load_a"
-    elif [[ "$load_a" != "$loadgen_ref" ]]; then
-        echo "FAIL: loadgen digest drifted from $loadgen_ref"
-        exit 1
-    fi
+        check_digests "loadgen threads=$threads" "$out" loadgen
+    done
 
-    echo "==> loadgen smoke (fleet_load sweep over uds -> FLEET_load.json)"
-    load_baseline=""
-    if [[ "${FLEET_BENCH_COMPARE:-0}" == "1" && -f FLEET_load.json ]]; then
-        load_baseline="FLEET_load.json.baseline"
-        cp FLEET_load.json "$load_baseline"
-    fi
-    cargo run --release -q -p fleet-examples --example fleet_load -- \
-        --workers 64,256 --ops 2 --connections 4 --json FLEET_load.json || {
-        echo "FAIL: fleet_load sweep"
-        exit 1
-    }
-    echo "==> wrote FLEET_load.json"
-    python3 scripts/bench_compare.py --validate FLEET_load.json
-    if [[ -n "$load_baseline" ]]; then
-        echo "==> bench compare (FLEET_load.json vs committed baseline)"
-        python3 scripts/bench_compare.py "$load_baseline" FLEET_load.json
-        rm -f "$load_baseline"
-    fi
+    # A pin no stage above reproduced is a stale line, not a guarantee.
+    for name in "${pin_names[@]}"; do
+        if [[ -z "${checked[$name]:-}" ]]; then
+            echo "FAIL: no stage checks the pinned digest $name"
+            exit 1
+        fi
+    done
 
     if [[ "${FLEET_PIN_DIGESTS:-0}" == "1" ]]; then
         # Keep the header comments, replace the pinned values.
         tmp=$(mktemp)
         grep '^#' scripts/expected_digests.txt > "$tmp" || true
-        {
-            echo "shard $shard_ref"
-            echo "cnn $cnn_ref"
-            echo "pershard $pershard_ref"
-            echo "chaos_l1 $chaos_l1_ref"
-            echo "chaos_p1 $chaos_p1_ref"
-            echo "chaos_l2 $chaos_l2_ref"
-            echo "chaos_p2 $chaos_p2_ref"
-            echo "socket $socket_ref"
-            echo "chaos_kill $chaos_kill_ref"
-            echo "loadgen $loadgen_ref"
-        } >> "$tmp"
+        for name in "${pin_names[@]}"; do
+            echo "$name ${pinned[$name]}"
+        done >> "$tmp"
         mv "$tmp" scripts/expected_digests.txt
         echo "==> re-pinned scripts/expected_digests.txt (commit it deliberately)"
     fi
