@@ -15,11 +15,8 @@
 //! * `maxpool2d_forward_24x24` — the row-vectorised pooling sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fleet_ml::init::Initializer;
-use fleet_ml::layer::Layer;
-use fleet_ml::layers::{Conv2d, MaxPool2d};
 use fleet_ml::models::{table1_cifar100_cnn, table1_emnist_cnn, table1_mnist_cnn};
-use fleet_ml::tensor::Tensor;
+use fleet_ml::{Conv2d, Initializer, Layer, MaxPool2d, Tensor};
 
 fn pattern(len: usize, scale: f32) -> Vec<f32> {
     // Xorshift fill: the old `(i * 2654435761) as f32 / usize::MAX as f32`
@@ -46,7 +43,7 @@ fn conv_layer_benches(c: &mut Criterion) {
     c.bench_function("conv2_mnist_backward_im2col", |b| {
         let mut conv = Conv2d::new(8, 48, 5, 1, Initializer::He, 0);
         let out = conv.forward(&input).unwrap();
-        let grad = Tensor::from_vec(pattern(out.len(), 1.0), out.shape());
+        let grad = Tensor::from_vec(pattern(out.data().len(), 1.0), out.shape());
         b.iter(|| {
             conv.zero_gradients();
             black_box(conv.backward(&grad).unwrap())

@@ -14,8 +14,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fleet_ml::kernels;
 use fleet_ml::models::{small_cnn, table1_mnist_cnn};
-use fleet_ml::tensor::Tensor;
-use fleet_ml::Gradient;
+use fleet_ml::{Gradient, Tensor};
 
 fn pattern(len: usize, scale: f32) -> Vec<f32> {
     // Xorshift fill: the old `(i * 2654435761) as f32 / usize::MAX as f32`

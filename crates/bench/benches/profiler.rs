@@ -4,8 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fleet_device::DeviceFeatures;
-use fleet_profiler::training::{collect_calibration, pretrained_iprof, pretrained_maui};
-use fleet_profiler::{Slo, WorkloadProfiler};
+use fleet_profiler::{
+    collect_calibration, pretrained_iprof, pretrained_maui, Slo, WorkloadProfiler,
+};
 
 fn profiler_benches(c: &mut Criterion) {
     let profiles = fleet_device::profile::catalogue();

@@ -3,8 +3,8 @@
 //! chunk; the paper reports a 2.3x average boost for Online FL).
 
 use crate::{ExperimentWriter, Scale};
-use fleet_data::twitter::{HashtagStream, StreamSpec};
-use fleet_server::online::{run_online_vs_standard, OnlineFlConfig};
+use fleet_data::{HashtagStream, StreamSpec};
+use fleet_server::{run_online_vs_standard, OnlineFlConfig};
 
 /// Runs the comparison over a synthetic 13-day stream.
 pub fn run(scale: Scale) {

@@ -2,8 +2,8 @@
 //! latencies over bursty task arrivals — a Gaussian body with a long tail.
 
 use crate::{ExperimentWriter, Scale};
-use fleet_device::network::RoundTripModel;
-use fleet_server::staleness_model::{bursty_start_times, histogram, staleness_from_timestamps};
+use fleet_device::RoundTripModel;
+use fleet_server::{bursty_start_times, histogram, staleness_from_timestamps};
 
 /// Generates task arrivals, samples round-trip latencies with the paper's
 /// exponential model (min 7.1 s, mean 8.45 s) and reports the staleness

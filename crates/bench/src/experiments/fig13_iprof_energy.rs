@@ -5,9 +5,9 @@ use crate::experiments::common::profiler_training_profiles;
 use crate::{ExperimentWriter, Scale};
 use fleet_device::profile::lab_device_set;
 use fleet_device::Device;
-use fleet_profiler::eval::DeviationStats;
-use fleet_profiler::training::{collect_calibration, pretrained_iprof, pretrained_maui};
-use fleet_profiler::{Slo, WorkloadProfiler};
+use fleet_profiler::{
+    collect_calibration, pretrained_iprof, pretrained_maui, DeviationStats, Slo, WorkloadProfiler,
+};
 
 /// Runs the energy-SLO comparison.
 pub fn run(scale: Scale) {

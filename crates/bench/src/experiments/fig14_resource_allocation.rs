@@ -5,11 +5,9 @@
 
 use crate::experiments::common::profiler_training_profiles;
 use crate::{ExperimentWriter, Scale};
-use fleet_device::caloree::Caloree;
 use fleet_device::profile::lab_device_set;
-use fleet_device::Device;
-use fleet_profiler::training::{collect_calibration, pretrained_iprof};
-use fleet_profiler::{Slo, WorkloadProfiler};
+use fleet_device::{Caloree, Device};
+use fleet_profiler::{collect_calibration, pretrained_iprof, Slo, WorkloadProfiler};
 
 /// Runs the resource-allocation comparison on the 5 lab devices.
 pub fn run(scale: Scale) {

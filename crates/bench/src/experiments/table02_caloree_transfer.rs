@@ -2,9 +2,8 @@
 //! collected on a Galaxy S7 and then used on other device models.
 
 use crate::{ExperimentWriter, Scale};
-use fleet_device::caloree::train_on_profile;
 use fleet_device::profile::by_name;
-use fleet_device::Device;
+use fleet_device::{train_on_profile, Device};
 
 /// Runs the PHT-transfer experiment.
 pub fn run(scale: Scale) {

@@ -66,18 +66,20 @@ pub trait Aggregator: std::fmt::Debug + Send {
     fn record(&mut self, update: &WorkerUpdate);
 }
 
-/// AdaSGD (§2.3): exponential staleness dampening calibrated from the
-/// expected percentage of non-stragglers, plus similarity-based boosting.
 /// Lower bound on the similarity used for boosting, preventing an unbounded
 /// boost when the label overlap is exactly zero.
 const MIN_SIMILARITY: f64 = 1e-4;
 
+/// The `τ_thres` used while no staleness value has been observed yet.
+const FALLBACK_TAU_THRES: u64 = 12;
+
+/// AdaSGD (§2.3): exponential staleness dampening calibrated from the
+/// expected percentage of non-stragglers, plus similarity-based boosting.
 #[derive(Debug)]
 pub struct AdaSgd {
     staleness: StalenessTracker,
     global_labels: GlobalLabelDistribution,
     s_percentile: f64,
-    fallback_tau_thres: u64,
     fixed_tau_thres: Option<u64>,
     boost_enabled: bool,
 }
@@ -98,7 +100,6 @@ impl AdaSgd {
             staleness: StalenessTracker::new(32),
             global_labels: GlobalLabelDistribution::new(num_classes),
             s_percentile,
-            fallback_tau_thres: 12,
             fixed_tau_thres: None,
             boost_enabled: true,
         }
@@ -109,12 +110,6 @@ impl AdaSgd {
     /// a privacy concern, §5).
     pub fn without_similarity_boost(mut self) -> Self {
         self.boost_enabled = false;
-        self
-    }
-
-    /// Sets the `τ_thres` used before enough staleness values were observed.
-    pub fn with_fallback_tau_thres(mut self, tau_thres: u64) -> Self {
-        self.fallback_tau_thres = tau_thres.max(1);
         self
     }
 
@@ -129,17 +124,17 @@ impl AdaSgd {
 
     /// The current `τ_thres` estimate (s-th percentile of observed staleness,
     /// unless pinned with [`AdaSgd::with_fixed_tau_thres`]).
-    pub fn tau_thres(&self) -> u64 {
+    pub(crate) fn tau_thres(&self) -> u64 {
         self.fixed_tau_thres.unwrap_or_else(|| {
             self.staleness
-                .tau_thres(self.s_percentile, self.fallback_tau_thres)
+                .tau_thres(self.s_percentile, FALLBACK_TAU_THRES)
         })
     }
 
     /// The dampening policy currently in force: DynSGD's inverse function
     /// during the bootstrap phase (as the paper suggests), the calibrated
     /// exponential afterwards. A pinned `τ_thres` skips the bootstrap.
-    pub fn current_policy(&self) -> DampeningPolicy {
+    pub(crate) fn current_policy(&self) -> DampeningPolicy {
         if self.fixed_tau_thres.is_none() && self.staleness.is_bootstrapping() {
             DampeningPolicy::Inverse
         } else {
@@ -148,7 +143,7 @@ impl AdaSgd {
     }
 
     /// The similarity of an update's label distribution with the global one.
-    pub fn similarity(&self, update: &WorkerUpdate) -> f64 {
+    pub(crate) fn similarity(&self, update: &WorkerUpdate) -> f64 {
         self.similarity_of(&update.label_distribution)
     }
 
@@ -394,8 +389,8 @@ mod tests {
 
     #[test]
     fn fallback_tau_thres_is_used_before_observations() {
-        let ada = AdaSgd::new(10, 99.7).with_fallback_tau_thres(20);
-        assert_eq!(ada.tau_thres(), 20);
+        let ada = AdaSgd::new(10, 99.7);
+        assert_eq!(ada.tau_thres(), FALLBACK_TAU_THRES);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The shared core-knob cluster and its validating builder.
+//! The shared core-knob cluster and its validation.
 //!
 //! Before this module, the `learning_rate` / `aggregation_k` / `shards` /
 //! `apply_mode` (+ `max_pending`) cluster was duplicated across
@@ -9,11 +9,9 @@
 //! simulation configs embed it as their `core` field, flattening its knobs
 //! through their builders.
 //!
-//! Construction goes through [`CoreConfig::builder`] (or the embedding
-//! configs' builders), which returns a typed [`ConfigError`] for
-//! nonsensical combinations instead of panicking deep inside the engine.
-//! The plain struct stays constructible for the defining crates; everything
-//! outside them builds through the validated path.
+//! [`CoreConfig::validate`] (which the embedding configs' builders call)
+//! returns a typed [`ConfigError`] for nonsensical combinations instead of
+//! panicking deep inside the engine.
 
 use crate::server::ApplyMode;
 use std::error::Error;
@@ -36,7 +34,7 @@ pub struct CoreConfig {
     /// How shard applies are scheduled.
     pub apply_mode: ApplyMode,
     /// Backpressure bound on a shard's pending buffer: when any shard holds
-    /// this many unapplied gradient segments, [`crate::ParameterServer::is_saturated`]
+    /// this many unapplied gradient segments, [`crate::ParameterServer::saturated_shard`]
     /// reports overload so admission layers can shed new tasks instead of
     /// growing the buffer without bound. `0` disables the bound. Only
     /// meaningful below `aggregation_k` in lockstep mode (the buffer never
@@ -58,23 +56,9 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// A builder over the defaults.
-    pub fn builder() -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            config: CoreConfig::default(),
-        }
-    }
-
-    /// A builder seeded from this configuration.
-    pub fn to_builder(&self) -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            config: self.clone(),
-        }
-    }
-
     /// Checks the invariants the engines assert at construction time —
     /// positive finite learning rate, nonzero K and shard count — so
-    /// builder users get a typed error instead of a panic.
+    /// callers get a typed error instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
             return Err(ConfigError::LearningRateNotPositive {
@@ -88,50 +72,6 @@ impl CoreConfig {
             return Err(ConfigError::ZeroShards);
         }
         Ok(())
-    }
-}
-
-/// Builder for [`CoreConfig`]; `build` validates.
-#[derive(Debug, Clone)]
-pub struct CoreConfigBuilder {
-    config: CoreConfig,
-}
-
-impl CoreConfigBuilder {
-    /// Sets the learning rate γ.
-    pub fn learning_rate(mut self, value: f32) -> Self {
-        self.config.learning_rate = value;
-        self
-    }
-
-    /// Sets the aggregation parameter K.
-    pub fn aggregation_k(mut self, value: usize) -> Self {
-        self.config.aggregation_k = value;
-        self
-    }
-
-    /// Sets the shard count.
-    pub fn shards(mut self, value: usize) -> Self {
-        self.config.shards = value;
-        self
-    }
-
-    /// Sets the apply-scheduling mode.
-    pub fn apply_mode(mut self, value: ApplyMode) -> Self {
-        self.config.apply_mode = value;
-        self
-    }
-
-    /// Sets the per-shard pending backpressure bound (0 disables).
-    pub fn max_pending(mut self, value: usize) -> Self {
-        self.config.max_pending = value;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<CoreConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -214,58 +154,36 @@ impl Error for ConfigError {}
 mod tests {
     use super::*;
 
-    #[test]
-    fn builder_applies_defaults_and_setters() {
-        let config = CoreConfig::builder()
-            .shards(8)
-            .aggregation_k(4)
-            .apply_mode(ApplyMode::PerShard)
-            .build()
-            .expect("valid config");
-        assert_eq!(config.shards, 8);
-        assert_eq!(config.aggregation_k, 4);
-        assert_eq!(config.apply_mode, ApplyMode::PerShard);
-        assert_eq!(config.learning_rate, CoreConfig::default().learning_rate);
+    fn with(edit: impl FnOnce(&mut CoreConfig)) -> CoreConfig {
+        let mut config = CoreConfig::default();
+        edit(&mut config);
+        config
     }
 
     #[test]
-    fn builder_rejects_invalid_combinations_with_typed_errors() {
+    fn validate_rejects_invalid_combinations_with_typed_errors() {
+        assert_eq!(CoreConfig::default().validate(), Ok(()));
         assert_eq!(
-            CoreConfig::builder().shards(0).build(),
+            with(|c| c.shards = 0).validate(),
             Err(ConfigError::ZeroShards)
         );
         assert_eq!(
-            CoreConfig::builder().aggregation_k(0).build(),
+            with(|c| c.aggregation_k = 0).validate(),
             Err(ConfigError::ZeroAggregationK)
         );
         assert_eq!(
-            CoreConfig::builder().learning_rate(0.0).build(),
+            with(|c| c.learning_rate = 0.0).validate(),
             Err(ConfigError::LearningRateNotPositive { value: 0.0 })
         );
-        assert!(CoreConfig::builder()
-            .learning_rate(f32::NAN)
-            .build()
+        assert!(with(|c| c.learning_rate = f32::NAN).validate().is_err());
+        assert!(with(|c| c.learning_rate = f32::INFINITY)
+            .validate()
             .is_err());
-        assert!(CoreConfig::builder()
-            .learning_rate(f32::INFINITY)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn to_builder_round_trips() {
-        let config = CoreConfig::builder()
-            .learning_rate(0.1)
-            .shards(3)
-            .build()
-            .unwrap();
-        let again = config.to_builder().build().unwrap();
-        assert_eq!(config, again);
     }
 
     #[test]
     fn errors_display_something_actionable() {
-        let err = CoreConfig::builder().shards(0).build().unwrap_err();
+        let err = with(|c| c.shards = 0).validate().unwrap_err();
         assert!(err.to_string().contains("shard count"));
         let err = ConfigError::LockstepFlush { flush_every: 2 };
         assert!(err.to_string().contains("PerShard"));

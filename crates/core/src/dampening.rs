@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// `τ_thres` (Eq. in §2.3): `β = ln(τ_thres/2 + 1) / (τ_thres/2)`.
 ///
 /// Returns 0.0 when `tau_thres` is zero (no dampening).
-pub fn exponential_beta(tau_thres: u64) -> f64 {
+pub(crate) fn exponential_beta(tau_thres: u64) -> f64 {
     if tau_thres == 0 {
         return 0.0;
     }
@@ -22,7 +22,7 @@ pub fn exponential_beta(tau_thres: u64) -> f64 {
 
 /// A staleness-dampening policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DampeningPolicy {
+pub(crate) enum DampeningPolicy {
     /// AdaSGD's exponential dampening with rate β.
     Exponential {
         /// Decay rate β of `e^{−βτ}`.
@@ -30,13 +30,11 @@ pub enum DampeningPolicy {
     },
     /// DynSGD's inverse dampening `1/(τ+1)`.
     Inverse,
-    /// No dampening (staleness-unaware).
-    None,
 }
 
 impl DampeningPolicy {
     /// AdaSGD's policy calibrated for a `τ_thres`.
-    pub fn exponential_for(tau_thres: u64) -> Self {
+    pub(crate) fn exponential_for(tau_thres: u64) -> Self {
         DampeningPolicy::Exponential {
             beta: exponential_beta(tau_thres),
         }
@@ -45,13 +43,12 @@ impl DampeningPolicy {
     /// The dampening factor `Λ(τ)` in `(0, 1]`. The exponential factor is
     /// floored at the smallest positive `f64` so that extreme staleness never
     /// underflows to an exact zero weight.
-    pub fn factor(&self, staleness: u64) -> f64 {
+    pub(crate) fn factor(&self, staleness: u64) -> f64 {
         match *self {
             DampeningPolicy::Exponential { beta } => {
                 (-beta * staleness as f64).exp().max(f64::MIN_POSITIVE)
             }
             DampeningPolicy::Inverse => 1.0 / (staleness as f64 + 1.0),
-            DampeningPolicy::None => 1.0,
         }
     }
 }
@@ -87,7 +84,6 @@ mod tests {
         for p in [
             DampeningPolicy::exponential_for(12),
             DampeningPolicy::Inverse,
-            DampeningPolicy::None,
         ] {
             assert!((p.factor(0) - 1.0).abs() < 1e-12);
         }
@@ -111,13 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_is_constant_one() {
-        let p = DampeningPolicy::None;
-        assert_eq!(p.factor(0), 1.0);
-        assert_eq!(p.factor(1000), 1.0);
-    }
-
-    #[test]
     fn inverse_matches_formula() {
         let p = DampeningPolicy::Inverse;
         assert!((p.factor(1) - 0.5).abs() < 1e-12);
@@ -127,7 +116,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_factors_in_unit_interval(tau in 0u64..1000, tau_thres in 1u64..100) {
-            for p in [DampeningPolicy::exponential_for(tau_thres), DampeningPolicy::Inverse, DampeningPolicy::None] {
+            for p in [DampeningPolicy::exponential_for(tau_thres), DampeningPolicy::Inverse] {
                 let f = p.factor(tau);
                 prop_assert!(f > 0.0 && f <= 1.0);
             }

@@ -4,11 +4,11 @@
 //! staleness-aware stochastic-gradient-descent algorithm for Online Federated
 //! Learning (§2.3), together with the baselines it is evaluated against:
 //!
-//! * [`aggregator::DynSgd`] — staleness-aware SGD with the *inverse*
+//! * [`DynSgd`] — staleness-aware SGD with the *inverse*
 //!   dampening function `Λ(τ) = 1/(τ+1)` (Jiang et al., SIGMOD'17),
-//! * [`aggregator::FedAvg`] — staleness-*unaware* gradient averaging
+//! * [`FedAvg`] — staleness-*unaware* gradient averaging
 //!   (the Standard-FL algorithm),
-//! * [`aggregator::Ssgd`] — fully synchronous SGD, the staleness-free ideal.
+//! * [`Ssgd`] — fully synchronous SGD, the staleness-free ideal.
 //!
 //! AdaSGD weights every incoming gradient with
 //! `min(1, Λ(τ) · 1/sim(x))` (Eq. 3 of the paper) where
@@ -16,21 +16,21 @@
 //! * `Λ(τ) = e^{−βτ}` is an **exponential staleness dampening** whose rate β
 //!   is calibrated from the expected percentage of non-stragglers
 //!   (`τ_thres` = s-th percentile of past staleness values, with the inverse
-//!   and exponential curves crossing at `τ_thres/2` — see
-//!   [`dampening::exponential_beta`]),
+//!   and exponential curves crossing at `τ_thres/2`, i.e.
+//!   `β = ln(τ_thres/2 + 1) / (τ_thres/2)`),
 //! * `sim(x)` is the **similarity boost**: the Bhattacharyya coefficient
 //!   between the worker's local label distribution and the global label
 //!   distribution of all previously used samples, so that gradients carrying
 //!   novel information are not nullified even when very stale.
 //!
-//! The [`server::ParameterServer`] applies these weighted gradients to a flat
+//! The [`ParameterServer`] applies these weighted gradients to a flat
 //! parameter vector with a configurable aggregation parameter `K`
 //! (the number of gradients per model update). The vector is
-//! range-partitioned into shards (see [`server::ParameterServer::with_shards`])
+//! range-partitioned into shards (see [`ParameterServer::with_shards`])
 //! so aggregation fans out across cores. In the default
-//! [`server::ApplyMode::Lockstep`] every shard applies on the same K-th
+//! [`ApplyMode::Lockstep`] every shard applies on the same K-th
 //! submission and results are bit-for-bit identical at every shard and
-//! thread count; in [`server::ApplyMode::PerShard`] each shard applies on
+//! thread count; in [`ApplyMode::PerShard`] each shard applies on
 //! its own trigger (pending reaching K, or an explicit flush), the shard
 //! clocks form a vector clock, and staleness — hence the Λ(τ) weight — is
 //! evaluated per shard slice. The `server` module docs spell out the layout
@@ -39,8 +39,7 @@
 //! # Example
 //!
 //! ```
-//! use fleet_core::aggregator::{AdaSgd, Aggregator};
-//! use fleet_core::update::WorkerUpdate;
+//! use fleet_core::{AdaSgd, Aggregator, WorkerUpdate};
 //! use fleet_data::LabelDistribution;
 //! use fleet_ml::Gradient;
 //!
@@ -58,16 +57,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aggregator;
-pub mod config;
-pub mod dampening;
-pub mod server;
-pub mod staleness;
-pub mod update;
+mod aggregator;
+mod config;
+mod dampening;
+mod server;
+mod staleness;
+mod update;
 
 pub use aggregator::{AdaSgd, Aggregator, AggregatorState, DynSgd, FedAvg, Ssgd};
-pub use config::{ConfigError, CoreConfig, CoreConfigBuilder};
-pub use dampening::DampeningPolicy;
-pub use server::{ApplyMode, ParameterServer, ParameterServerState, SubmitOutcome};
-pub use staleness::StalenessTracker;
+pub use config::{ConfigError, CoreConfig};
+pub use server::{ApplyMode, ParameterServer, ParameterServerState};
 pub use update::WorkerUpdate;

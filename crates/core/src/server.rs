@@ -51,7 +51,6 @@
 use crate::aggregator::{Aggregator, AggregatorState};
 use crate::config::CoreConfig;
 use crate::update::WorkerUpdate;
-use std::ops::Range;
 
 /// Minimum per-shard segment length before `submit` fans out across threads:
 /// below this the scale/apply work per shard is cheaper than spawning, so the
@@ -214,10 +213,9 @@ impl<A: Aggregator> ParameterServer<A> {
         server
     }
 
-    /// Creates a server from a bundled [`CoreConfig`]. Prefer validating
-    /// first via [`CoreConfig::builder`](crate::config::CoreConfig::builder)
-    /// to get a typed [`crate::config::ConfigError`] instead of the panics
-    /// below.
+    /// Creates a server from a bundled [`CoreConfig`]. Validate it first
+    /// with [`CoreConfig::validate`] to get a typed
+    /// [`ConfigError`](crate::ConfigError) instead of the panics below.
     ///
     /// # Panics
     ///
@@ -237,7 +235,7 @@ impl<A: Aggregator> ParameterServer<A> {
 
     /// Sets the backpressure bound on per-shard pending buffers (see
     /// [`CoreConfig::max_pending`]). `0` disables the bound.
-    pub fn with_max_pending(mut self, max_pending: usize) -> Self {
+    pub(crate) fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending;
         self
     }
@@ -284,7 +282,7 @@ impl<A: Aggregator> ParameterServer<A> {
         // Adopting lockstep also requires the (undiverged) shard clocks to
         // sit *at* the global clock: in per-shard mode flushes can push
         // every shard collectively past the round counter, and lockstep
-        // guarantees shard_clock() == clock() from then on.
+        // guarantees every shard clock equals clock() from then on.
         assert!(
             mode != ApplyMode::Lockstep || self.shards.iter().all(|s| s.clock == self.clock),
             "cannot adopt lockstep with shard clocks ahead of the global clock"
@@ -360,28 +358,10 @@ impl<A: Aggregator> ParameterServer<A> {
         self.shards.len()
     }
 
-    /// The contiguous parameter range owned by each shard, in shard order.
-    pub fn shard_ranges(&self) -> Vec<Range<usize>> {
-        self.shards
-            .iter()
-            .map(|s| s.start..s.start + s.len)
-            .collect()
-    }
-
-    /// The logical clock of one shard: the number of updates that shard has
-    /// applied. In lockstep mode always equal to [`Self::clock`]; in
-    /// per-shard mode the shards advance independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_clock(&self, shard: usize) -> u64 {
-        self.shards[shard].clock
-    }
-
     /// The full vector clock, in shard order — what a worker snapshots at
     /// model-read time so a per-shard server can attribute per-shard
-    /// staleness to its gradient.
+    /// staleness to its gradient. In lockstep mode every entry equals
+    /// [`Self::clock`]; in per-shard mode the shards advance independently.
     pub fn shard_clocks(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.clock).collect()
     }
@@ -395,14 +375,9 @@ impl<A: Aggregator> ParameterServer<A> {
 
     /// The per-shard f32 weights applied to the most recent submission
     /// (empty before the first submission and in lockstep mode, where
-    /// [`SubmitOutcome::applied_weight`] applies to every shard).
+    /// `SubmitOutcome::applied_weight` applies to every shard).
     pub fn last_shard_weights(&self) -> &[f32] {
         &self.last_shard_weights
-    }
-
-    /// Number of gradients received (applied or pending).
-    pub fn updates_received(&self) -> u64 {
-        self.updates_received
     }
 
     /// Number of gradients that have been folded into the model on *every*
@@ -412,16 +387,6 @@ impl<A: Aggregator> ParameterServer<A> {
     /// others does not count yet.
     pub fn updates_applied(&self) -> u64 {
         self.shards.iter().map(|s| s.applied).min().unwrap_or(0)
-    }
-
-    /// Number of scaled gradient segments waiting in one shard's pending
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_pending_len(&self, shard: usize) -> usize {
-        self.shards[shard].pending.len()
     }
 
     /// Every shard's pending-buffer depth, in shard order — the queue-depth
@@ -436,11 +401,6 @@ impl<A: Aggregator> ParameterServer<A> {
         self.shards.iter().map(|s| s.applied).collect()
     }
 
-    /// The configured backpressure bound (`0` = unbounded).
-    pub fn max_pending(&self) -> usize {
-        self.max_pending
-    }
-
     /// The first shard whose pending buffer has reached the
     /// [`CoreConfig::max_pending`] bound, if any — the overload
     /// signal an admission layer turns into backpressure (shed the task now
@@ -453,11 +413,6 @@ impl<A: Aggregator> ParameterServer<A> {
         self.shards
             .iter()
             .position(|s| s.pending.len() >= self.max_pending)
-    }
-
-    /// Whether any shard's pending buffer has reached the backpressure bound.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated_shard().is_some()
     }
 
     /// Exports the server's full mutable state (parameters, per-shard pending
@@ -520,11 +475,6 @@ impl<A: Aggregator> ParameterServer<A> {
         self.last_shard_staleness = state.last_shard_staleness;
         self.last_shard_weights = state.last_shard_weights;
         self.aggregator.import_state(state.aggregator);
-    }
-
-    /// The configured learning rate γ.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
     }
 
     /// Access to the aggregator (e.g. to inspect `τ_thres`).
@@ -803,7 +753,7 @@ mod tests {
         assert_eq!(server.clock(), 1);
         assert_eq!(server.parameters(), &[-3.0]);
         assert_eq!(server.updates_applied(), 3);
-        assert_eq!(server.updates_received(), 3);
+        assert_eq!(server.updates_received, 3);
     }
 
     #[test]
@@ -858,7 +808,11 @@ mod tests {
             let server =
                 ParameterServer::new(vec![0.0; len], FedAvg::new(), 0.1, 1).with_shards(shards);
             assert_eq!(server.num_shards(), shards);
-            let ranges = server.shard_ranges();
+            let ranges: Vec<_> = server
+                .shards
+                .iter()
+                .map(|s| s.start..s.start + s.len)
+                .collect();
             let mut next = 0;
             for range in &ranges {
                 assert_eq!(range.start, next, "ranges must be contiguous");
@@ -880,9 +834,6 @@ mod tests {
             server.submit(update(vec![0.1; 10], i));
         }
         assert_eq!(server.clock(), 3);
-        for shard in 0..server.num_shards() {
-            assert_eq!(server.shard_clock(shard), 3);
-        }
         assert_eq!(server.shard_clocks(), vec![3; 4]);
         assert!(server.last_shard_staleness().is_empty());
         assert!(server.last_shard_weights().is_empty());
@@ -1103,19 +1054,19 @@ mod tests {
 
     #[test]
     fn from_config_wires_every_knob() {
-        let config = CoreConfig::builder()
-            .learning_rate(0.25)
-            .aggregation_k(2)
-            .shards(3)
-            .apply_mode(ApplyMode::PerShard)
-            .max_pending(5)
-            .build()
-            .expect("valid config");
+        let config = CoreConfig {
+            learning_rate: 0.25,
+            aggregation_k: 2,
+            shards: 3,
+            apply_mode: ApplyMode::PerShard,
+            max_pending: 5,
+        };
+        config.validate().expect("valid config");
         let server = ParameterServer::from_config(vec![0.0; 9], FedAvg::new(), &config);
-        assert_eq!(server.learning_rate(), 0.25);
+        assert_eq!(server.learning_rate, 0.25);
         assert_eq!(server.num_shards(), 3);
         assert_eq!(server.apply_mode(), ApplyMode::PerShard);
-        assert_eq!(server.max_pending(), 5);
+        assert_eq!(server.max_pending, 5);
         assert_eq!(CoreConfig::default().apply_mode, ApplyMode::Lockstep);
     }
 
@@ -1137,14 +1088,14 @@ mod tests {
             ParameterServer::new(vec![0.0; 4], FedAvg::new(), 1.0, 3).with_max_pending(2);
         assert_eq!(server.saturated_shard(), None);
         server.submit(update(vec![1.0; 4], 0));
-        assert!(!server.is_saturated());
+        assert_eq!(server.saturated_shard(), None);
         server.submit(update(vec![1.0; 4], 0));
         assert_eq!(server.saturated_shard(), Some(0));
-        assert_eq!(server.shard_pending_len(0), 2);
+        assert_eq!(server.shard_pending_depths(), vec![2]);
         // The third submission reaches K and drains the buffer.
         server.submit(update(vec![1.0; 4], 0));
-        assert!(!server.is_saturated());
-        assert_eq!(server.shard_pending_len(0), 0);
+        assert_eq!(server.saturated_shard(), None);
+        assert_eq!(server.shard_pending_depths(), vec![0]);
     }
 
     #[test]
@@ -1153,7 +1104,7 @@ mod tests {
         for _ in 0..50 {
             server.submit(update(vec![1.0; 2], 0));
         }
-        assert_eq!(server.max_pending(), 0);
+        assert_eq!(server.max_pending, 0);
         assert_eq!(server.saturated_shard(), None);
     }
 
@@ -1162,13 +1113,14 @@ mod tests {
     /// run bit for bit.
     #[test]
     fn state_roundtrip_resumes_bitwise() {
-        let config = CoreConfig::builder()
-            .learning_rate(0.5)
-            .aggregation_k(3)
-            .shards(3)
-            .apply_mode(ApplyMode::PerShard)
-            .build()
-            .expect("valid config");
+        let config = CoreConfig {
+            learning_rate: 0.5,
+            aggregation_k: 3,
+            shards: 3,
+            apply_mode: ApplyMode::PerShard,
+            max_pending: 0,
+        };
+        config.validate().expect("valid config");
         let build = || ParameterServer::from_config(vec![0.1; 7], AdaSgd::new(4, 99.0), &config);
         let updates: Vec<WorkerUpdate> = (0..11)
             .map(|i| update(vec![(i as f32 * 0.3).sin(); 7], i % 4))
@@ -1212,7 +1164,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         assert_eq!(reference.shard_clocks(), resumed.shard_clocks());
-        assert_eq!(reference.updates_received(), resumed.updates_received());
+        assert_eq!(reference.updates_received, resumed.updates_received);
         assert_eq!(reference.updates_applied(), resumed.updates_applied());
         assert_eq!(reference.export_state(), resumed.export_state());
     }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Records observed staleness values and answers percentile queries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StalenessTracker {
+pub(crate) struct StalenessTracker {
     values: Vec<u64>,
     bootstrap_len: usize,
 }
@@ -20,48 +20,33 @@ impl StalenessTracker {
     /// Creates an empty tracker that reports
     /// [`StalenessTracker::is_bootstrapping`] until `bootstrap_len` staleness
     /// values have been recorded.
-    pub fn new(bootstrap_len: usize) -> Self {
+    pub(crate) fn new(bootstrap_len: usize) -> Self {
         Self {
             values: Vec::new(),
             bootstrap_len,
         }
     }
 
-    /// Creates a tracker that is immediately considered calibrated.
-    pub fn without_bootstrap() -> Self {
-        Self::new(0)
-    }
-
     /// Records one observed staleness value.
-    pub fn record(&mut self, staleness: u64) {
+    pub(crate) fn record(&mut self, staleness: u64) {
         self.values.push(staleness);
     }
 
     /// The recorded staleness values, in observation order — the tracker's
     /// whole mutable state, exported for checkpointing.
-    pub fn values(&self) -> &[u64] {
+    pub(crate) fn values(&self) -> &[u64] {
         &self.values
     }
 
     /// Replaces the recorded values with a sequence captured via
-    /// [`StalenessTracker::values`]; percentiles, bootstrap status and the
-    /// mean all continue exactly as if the values had been recorded live.
-    pub fn restore_values(&mut self, values: Vec<u64>) {
+    /// [`StalenessTracker::values`]; percentiles and bootstrap status
+    /// continue exactly as if the values had been recorded live.
+    pub(crate) fn restore_values(&mut self, values: Vec<u64>) {
         self.values = values;
     }
 
-    /// Number of recorded values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no staleness has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Whether the tracker is still in the bootstrap phase.
-    pub fn is_bootstrapping(&self) -> bool {
+    pub(crate) fn is_bootstrapping(&self) -> bool {
         self.values.len() < self.bootstrap_len
     }
 
@@ -71,7 +56,7 @@ impl StalenessTracker {
     /// # Panics
     ///
     /// Panics if `percentile` is outside `[0, 100]`.
-    pub fn percentile(&self, percentile: f64) -> Option<u64> {
+    pub(crate) fn percentile(&self, percentile: f64) -> Option<u64> {
         assert!(
             (0.0..=100.0).contains(&percentile),
             "percentile must be in [0, 100]"
@@ -87,23 +72,8 @@ impl StalenessTracker {
 
     /// `τ_thres`: the s-th percentile of the recorded staleness values, with a
     /// fallback used while nothing has been recorded.
-    pub fn tau_thres(&self, s_percentile: f64, fallback: u64) -> u64 {
+    pub(crate) fn tau_thres(&self, s_percentile: f64, fallback: u64) -> u64 {
         self.percentile(s_percentile).unwrap_or(fallback).max(1)
-    }
-
-    /// Mean recorded staleness (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<u64>() as f64 / self.values.len() as f64
-        }
-    }
-}
-
-impl Default for StalenessTracker {
-    fn default() -> Self {
-        Self::new(0)
     }
 }
 
@@ -114,16 +84,14 @@ mod tests {
 
     #[test]
     fn empty_tracker_has_no_percentile() {
-        let t = StalenessTracker::without_bootstrap();
-        assert!(t.is_empty());
+        let t = StalenessTracker::new(0);
         assert_eq!(t.percentile(99.0), None);
         assert_eq!(t.tau_thres(99.0, 12), 12);
-        assert_eq!(t.mean(), 0.0);
     }
 
     #[test]
     fn percentile_of_known_values() {
-        let mut t = StalenessTracker::without_bootstrap();
+        let mut t = StalenessTracker::new(0);
         for v in 0..=100 {
             t.record(v);
         }
@@ -135,7 +103,7 @@ mod tests {
 
     #[test]
     fn tau_thres_is_at_least_one() {
-        let mut t = StalenessTracker::without_bootstrap();
+        let mut t = StalenessTracker::new(0);
         t.record(0);
         t.record(0);
         assert_eq!(t.tau_thres(99.0, 5), 1);
@@ -153,19 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_matches_hand_computation() {
-        let mut t = StalenessTracker::without_bootstrap();
-        for v in [2, 4, 6] {
-            t.record(v);
-        }
-        assert_eq!(t.mean(), 4.0);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "percentile must be in")]
     fn out_of_range_percentile_panics() {
-        let mut t = StalenessTracker::without_bootstrap();
+        let mut t = StalenessTracker::new(0);
         t.record(1);
         let _ = t.percentile(101.0);
     }
@@ -173,7 +131,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_percentile_is_monotone(values in proptest::collection::vec(0u64..100, 1..200)) {
-            let mut t = StalenessTracker::without_bootstrap();
+            let mut t = StalenessTracker::new(0);
             for v in &values {
                 t.record(*v);
             }

@@ -54,16 +54,6 @@ impl WorkerUpdate {
         self.read_clock = Some(read_clock);
         self
     }
-
-    /// A fresh (staleness 0) update — convenient for synchronous baselines
-    /// and tests.
-    pub fn fresh(
-        gradient: Gradient,
-        label_distribution: LabelDistribution,
-        num_samples: usize,
-    ) -> Self {
-        Self::new(gradient, 0, label_distribution, num_samples, 0)
-    }
 }
 
 #[cfg(test)]
@@ -79,19 +69,17 @@ mod tests {
         assert_eq!(u.worker_id, 99);
         assert_eq!(u.num_samples, 32);
         assert_eq!(u.gradient, g);
-
-        let f = WorkerUpdate::fresh(g, ld, 16);
-        assert_eq!(f.staleness, 0);
-        assert_eq!(f.worker_id, 0);
-        assert_eq!(f.read_clock, None);
+        assert_eq!(u.read_clock, None);
     }
 
     #[test]
     fn read_clock_rides_along() {
-        let u = WorkerUpdate::fresh(
+        let u = WorkerUpdate::new(
             Gradient::from_vec(vec![1.0]),
+            0,
             LabelDistribution::uniform(2),
             4,
+            0,
         )
         .with_read_clock(vec![3, 5]);
         assert_eq!(u.read_clock.as_deref(), Some(&[3, 5][..]));

@@ -1,6 +1,6 @@
 //! In-memory labelled dataset.
 
-use fleet_ml::tensor::Tensor;
+use fleet_ml::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// A labelled classification dataset held in memory.
@@ -23,7 +23,7 @@ impl Dataset {
     ///
     /// Panics if `features.len()` is not `labels.len() * product(feature_shape)`
     /// or if a label is `>= num_classes`.
-    pub fn new(
+    pub(crate) fn new(
         features: Vec<f32>,
         labels: Vec<usize>,
         feature_shape: Vec<usize>,
@@ -65,19 +65,9 @@ impl Dataset {
         self.num_classes
     }
 
-    /// Shape of one example's features.
-    pub fn feature_shape(&self) -> &[usize] {
-        &self.feature_shape
-    }
-
     /// Number of feature values per example.
     pub fn feature_len(&self) -> usize {
         self.feature_shape.iter().product()
-    }
-
-    /// All labels.
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
     }
 
     /// The label of example `index`.
@@ -94,7 +84,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn example(&self, index: usize) -> &[f32] {
+    pub(crate) fn example(&self, index: usize) -> &[f32] {
         let len = self.feature_len();
         &self.features[index * len..(index + 1) * len]
     }
@@ -145,36 +135,6 @@ impl Dataset {
             self.num_classes,
         );
         (train, test)
-    }
-
-    /// Returns a new dataset containing only the given example indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let per = self.feature_len();
-        let mut features = Vec::with_capacity(indices.len() * per);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            features.extend_from_slice(self.example(i));
-            labels.push(self.labels[i]);
-        }
-        Dataset::new(
-            features,
-            labels,
-            self.feature_shape.clone(),
-            self.num_classes,
-        )
-    }
-
-    /// Counts examples per class.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_classes];
-        for &l in &self.labels {
-            counts[l] += 1;
-        }
-        counts
     }
 }
 
@@ -230,22 +190,5 @@ mod tests {
         assert_eq!(train.len(), 3);
         assert_eq!(test.len(), 1);
         assert_eq!(test.example(0), &[6.0, 7.0]);
-    }
-
-    #[test]
-    fn subset_extracts_examples() {
-        let d = toy();
-        let s = d.subset(&[3, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.example(0), &[6.0, 7.0]);
-        assert_eq!(s.labels(), &[1, 0]);
-    }
-
-    #[test]
-    fn class_counts_sum_to_len() {
-        let d = toy();
-        let counts = d.class_counts();
-        assert_eq!(counts, vec![2, 2]);
-        assert_eq!(counts.iter().sum::<usize>(), d.len());
     }
 }

@@ -92,7 +92,7 @@ impl LabelDistribution {
     ///
     /// Distributions of different lengths are compared over the shorter prefix
     /// (the remaining mass necessarily contributes zero overlap).
-    pub fn bhattacharyya(&self, other: &LabelDistribution) -> f32 {
+    pub(crate) fn bhattacharyya(&self, other: &LabelDistribution) -> f32 {
         self.probabilities
             .iter()
             .zip(other.probabilities.iter())
@@ -137,18 +137,13 @@ impl GlobalLabelDistribution {
         }
     }
 
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Per-class counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Snapshot as a normalised [`LabelDistribution`] (uniform when empty).
-    pub fn distribution(&self) -> LabelDistribution {
+    pub(crate) fn distribution(&self) -> LabelDistribution {
         LabelDistribution::from_counts(&self.counts)
     }
 
@@ -210,11 +205,10 @@ mod tests {
     #[test]
     fn global_distribution_accumulates() {
         let mut g = GlobalLabelDistribution::new(3);
-        assert_eq!(g.total(), 0);
+        assert_eq!(g.counts(), &[0, 0, 0]);
         assert_eq!(g.distribution(), LabelDistribution::uniform(3));
         g.record_labels(&[0, 0, 1]);
         g.record(2, 1);
-        assert_eq!(g.total(), 4);
         assert_eq!(g.counts(), &[2, 1, 1]);
         let d = g.distribution();
         assert!((d.probability(0) - 0.5).abs() < 1e-6);

@@ -10,22 +10,23 @@
 //! # Example
 //!
 //! ```
-//! use fleet_data::synthetic::{SyntheticSpec, generate};
 //! use fleet_data::partition::non_iid_shards;
+//! use fleet_data::synthetic::{generate, SyntheticSpec};
 //!
-//! let dataset = generate(&SyntheticSpec::mnist_like(200), 1);
+//! let dataset = generate(&SyntheticSpec::vector(10, 64, 200), 1);
 //! let users = non_iid_shards(&dataset, 10, 2, 7);
 //! assert_eq!(users.len(), 10);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod dataset;
-pub mod label_distribution;
+mod dataset;
+mod label_distribution;
 pub mod partition;
 pub mod sampling;
 pub mod synthetic;
-pub mod twitter;
+mod twitter;
 
 pub use dataset::Dataset;
 pub use label_distribution::{GlobalLabelDistribution, LabelDistribution};
+pub use twitter::{HashtagStream, Post, StreamSpec};

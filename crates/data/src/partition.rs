@@ -64,16 +64,6 @@ pub fn non_iid_shards(
     users
 }
 
-/// Number of distinct labels a user's local data covers. Useful to verify the
-/// non-IID pathology (few labels per user) in tests and experiments.
-pub fn distinct_labels(dataset: &Dataset, user_indices: &[usize]) -> usize {
-    let mut seen = vec![false; dataset.num_classes()];
-    for &i in user_indices {
-        seen[dataset.label(i)] = true;
-    }
-    seen.iter().filter(|&&s| s).count()
-}
-
 fn split_evenly(indices: &[usize], parts: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); parts];
     let base = indices.len() / parts;
@@ -96,6 +86,16 @@ mod tests {
 
     fn dataset() -> Dataset {
         generate(&SyntheticSpec::vector(10, 4, 200), 5)
+    }
+
+    /// Number of distinct labels a user's local data covers: the measure of
+    /// the non-IID pathology (few labels per user).
+    fn distinct_labels(dataset: &Dataset, user_indices: &[usize]) -> usize {
+        let mut seen = vec![false; dataset.num_classes()];
+        for &i in user_indices {
+            seen[dataset.label(i)] = true;
+        }
+        seen.iter().filter(|&&s| s).count()
     }
 
     #[test]

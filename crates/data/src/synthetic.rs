@@ -1,10 +1,10 @@
 //! Synthetic dataset generators standing in for the paper's image benchmarks.
 //!
 //! Each class is a Gaussian cluster in feature space; the class count, feature
-//! shape, sample count and cluster spread are configurable. The named
-//! constructors keep the class counts of the datasets used in the paper
-//! (MNIST: 10, E-MNIST: 62, CIFAR-100: 100) so that the experiment harnesses
-//! stay recognisable, while staying small enough to run on a laptop.
+//! shape, sample count and cluster spread are configurable, so the
+//! experiment harnesses can keep the class counts of the datasets used in the
+//! paper (MNIST: 10, E-MNIST: 62, CIFAR-100: 100) while staying small enough
+//! to run on a laptop.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -17,7 +17,7 @@ mod rand_distr_like {
     use rand::Rng;
 
     /// Draws one sample from `N(mean, std)`.
-    pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
+    pub(crate) fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
         // Box–Muller transform; avoid u1 == 0.
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
@@ -43,40 +43,6 @@ pub struct SyntheticSpec {
 }
 
 impl SyntheticSpec {
-    /// MNIST-like: 10 classes, `[1, 8, 8]` images.
-    pub fn mnist_like(num_examples: usize) -> Self {
-        Self {
-            num_classes: 10,
-            feature_shape: vec![1, 8, 8],
-            num_examples,
-            cluster_std: 0.6,
-            cluster_spread: 1.0,
-        }
-    }
-
-    /// E-MNIST-like: 62 classes, `[1, 8, 8]` images.
-    pub fn emnist_like(num_examples: usize) -> Self {
-        Self {
-            num_classes: 62,
-            feature_shape: vec![1, 8, 8],
-            num_examples,
-            cluster_std: 0.6,
-            cluster_spread: 1.0,
-        }
-    }
-
-    /// CIFAR-100-like: 100 classes, `[3, 8, 8]` images, higher overlap
-    /// (the hardest of the three benchmarks, as in the paper).
-    pub fn cifar100_like(num_examples: usize) -> Self {
-        Self {
-            num_classes: 100,
-            feature_shape: vec![3, 8, 8],
-            num_examples,
-            cluster_std: 0.9,
-            cluster_spread: 1.0,
-        }
-    }
-
     /// A flat-vector variant (no image structure) used by fast unit tests and
     /// the MLP-based experiment harnesses.
     pub fn vector(num_classes: usize, feature_dim: usize, num_examples: usize) -> Self {
@@ -90,7 +56,7 @@ impl SyntheticSpec {
     }
 
     /// Number of feature values per example.
-    pub fn feature_len(&self) -> usize {
+    pub(crate) fn feature_len(&self) -> usize {
         self.feature_shape.iter().product()
     }
 }
@@ -141,7 +107,7 @@ pub fn generate(spec: &SyntheticSpec, seed: u64) -> Dataset {
 
 /// In-place min-max scaling of a feature buffer to `[0, 1]`.
 /// Leaves the buffer untouched when it is empty or constant.
-pub fn min_max_scale(values: &mut [f32]) {
+pub(crate) fn min_max_scale(values: &mut [f32]) {
     if values.is_empty() {
         return;
     }
@@ -161,13 +127,31 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// An image-shaped spec: 10 classes of `[1, 8, 8]` examples.
+    fn image_spec(num_examples: usize) -> SyntheticSpec {
+        SyntheticSpec {
+            num_classes: 10,
+            feature_shape: vec![1, 8, 8],
+            num_examples,
+            cluster_std: 0.6,
+            cluster_spread: 1.0,
+        }
+    }
+
+    fn class_counts(d: &Dataset) -> Vec<usize> {
+        let mut counts = vec![0; d.num_classes()];
+        for i in 0..d.len() {
+            counts[d.label(i)] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn generate_respects_spec() {
-        let spec = SyntheticSpec::mnist_like(100);
-        let d = generate(&spec, 42);
+        let d = generate(&image_spec(100), 42);
         assert_eq!(d.len(), 100);
         assert_eq!(d.num_classes(), 10);
-        assert_eq!(d.feature_shape(), &[1, 8, 8]);
+        assert_eq!(d.batch(&[0]).0.shape(), &[1, 1, 8, 8]);
     }
 
     #[test]
@@ -180,25 +164,17 @@ mod tests {
     #[test]
     fn all_classes_represented() {
         let d = generate(&SyntheticSpec::vector(7, 4, 70), 3);
-        let counts = d.class_counts();
-        assert!(counts.iter().all(|&c| c == 10));
+        assert!(class_counts(&d).iter().all(|&c| c == 10));
     }
 
     #[test]
     fn features_scaled_to_unit_interval() {
-        let d = generate(&SyntheticSpec::mnist_like(64), 9);
+        let d = generate(&image_spec(64), 9);
         for i in 0..d.len() {
             for &v in d.example(i) {
                 assert!((0.0..=1.0).contains(&v), "feature {v} outside [0,1]");
             }
         }
-    }
-
-    #[test]
-    fn named_specs_match_paper_class_counts() {
-        assert_eq!(SyntheticSpec::mnist_like(1).num_classes, 10);
-        assert_eq!(SyntheticSpec::emnist_like(1).num_classes, 62);
-        assert_eq!(SyntheticSpec::cifar100_like(1).num_classes, 100);
     }
 
     #[test]
@@ -227,7 +203,7 @@ mod tests {
         let d = generate(&spec, 11);
         // Nearest-centroid classification.
         let mut centroids = vec![vec![0.0f32; 6]; 4];
-        let counts = d.class_counts();
+        let counts = class_counts(&d);
         for i in 0..d.len() {
             let c = d.label(i);
             for (k, v) in d.example(i).iter().enumerate() {
@@ -266,7 +242,7 @@ mod tests {
             let spec = SyntheticSpec::vector(classes, dim, n);
             let d = generate(&spec, seed);
             prop_assert_eq!(d.len(), n);
-            prop_assert!(d.labels().iter().all(|&l| l < classes));
+            prop_assert!((0..d.len()).all(|i| d.label(i) < classes));
         }
     }
 }

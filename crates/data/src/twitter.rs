@@ -70,7 +70,7 @@ impl Default for StreamSpec {
 
 impl StreamSpec {
     /// Total number of hours covered by the stream.
-    pub fn total_hours(&self) -> usize {
+    pub(crate) fn total_hours(&self) -> usize {
         self.days * 24
     }
 }
@@ -168,13 +168,8 @@ impl HashtagStream {
         &self.spec
     }
 
-    /// All posts, ordered by timestamp.
-    pub fn posts(&self) -> &[Post] {
-        &self.posts
-    }
-
     /// Posts with `start_hour <= timestamp < end_hour`.
-    pub fn window(&self, start_hour: f64, end_hour: f64) -> Vec<&Post> {
+    pub(crate) fn window(&self, start_hour: f64, end_hour: f64) -> Vec<&Post> {
         self.posts
             .iter()
             .filter(|p| p.timestamp_hours >= start_hour && p.timestamp_hours < end_hour)
@@ -239,8 +234,8 @@ mod tests {
             HashtagStream::generate(&spec, 1)
         );
         assert_ne!(
-            HashtagStream::generate(&spec, 1).posts()[0],
-            HashtagStream::generate(&spec, 2).posts()[0]
+            HashtagStream::generate(&spec, 1).posts[0],
+            HashtagStream::generate(&spec, 2).posts[0]
         );
     }
 
@@ -248,17 +243,14 @@ mod tests {
     fn post_count_matches_spec() {
         let spec = small_spec();
         let stream = HashtagStream::generate(&spec, 3);
-        assert_eq!(
-            stream.posts().len(),
-            spec.total_hours() * spec.posts_per_hour
-        );
+        assert_eq!(stream.posts.len(), spec.total_hours() * spec.posts_per_hour);
     }
 
     #[test]
     fn posts_are_time_ordered_and_in_range() {
         let stream = HashtagStream::generate(&small_spec(), 4);
         let mut prev = 0.0;
-        for p in stream.posts() {
+        for p in &stream.posts {
             assert!(p.timestamp_hours >= prev);
             assert!(p.timestamp_hours < 48.0);
             assert!(p.user_id < 5);
@@ -272,7 +264,7 @@ mod tests {
     fn chunks_partition_the_stream() {
         let stream = HashtagStream::generate(&small_spec(), 5);
         let total: usize = (0..48).map(|h| stream.chunk(h).len()).sum();
-        assert_eq!(total, stream.posts().len());
+        assert_eq!(total, stream.posts.len());
     }
 
     #[test]

@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 pub enum CoreAllocation {
     /// Only the big cluster (FLeet's choice on big.LITTLE SoCs).
     BigCoresOnly,
-    /// Only the LITTLE cluster.
-    LittleCoresOnly,
     /// Every core in the SoC (FLeet's choice on symmetric SoCs).
     AllCores,
     /// An explicit number of big and LITTLE cores (what CALOREE sweeps over).
@@ -31,7 +29,7 @@ pub enum CoreAllocation {
 
 impl CoreAllocation {
     /// FLeet's allocation policy for a device (§2.4).
-    pub fn fleet_policy(profile: &DeviceProfile) -> Self {
+    pub(crate) fn fleet_policy(profile: &DeviceProfile) -> Self {
         if profile.is_big_little() {
             CoreAllocation::BigCoresOnly
         } else {
@@ -41,12 +39,11 @@ impl CoreAllocation {
 
     /// Number of (big, little) cores this allocation uses on `profile`,
     /// clamped to what the SoC offers.
-    pub fn cores_used(&self, profile: &DeviceProfile) -> (u32, u32) {
+    pub(crate) fn cores_used(&self, profile: &DeviceProfile) -> (u32, u32) {
         match *self {
             CoreAllocation::BigCoresOnly => {
                 (profile.big_cores.max(1).min(profile.big_cores.max(1)), 0)
             }
-            CoreAllocation::LittleCoresOnly => (0, profile.little_cores),
             CoreAllocation::AllCores => (profile.big_cores, profile.little_cores),
             CoreAllocation::Custom { big, little } => {
                 (big.min(profile.big_cores), little.min(profile.little_cores))
@@ -59,7 +56,7 @@ impl CoreAllocation {
     ///
     /// Returns a small positive floor when the allocation selects no usable
     /// core, so downstream latency stays finite.
-    pub fn relative_speed(&self, profile: &DeviceProfile) -> f32 {
+    pub(crate) fn relative_speed(&self, profile: &DeviceProfile) -> f32 {
         let (big, little) = self.cores_used(profile);
         let reference = reference_throughput(profile);
         let throughput = throughput(profile, big, little);
@@ -68,7 +65,7 @@ impl CoreAllocation {
 
     /// Relative *power* draw of this allocation compared with the baseline.
     /// Big cores draw more power per core than LITTLE cores.
-    pub fn relative_power(&self, profile: &DeviceProfile) -> f32 {
+    pub(crate) fn relative_power(&self, profile: &DeviceProfile) -> f32 {
         let (big, little) = self.cores_used(profile);
         let reference = reference_power(profile);
         let power = power(big, little);
@@ -77,7 +74,7 @@ impl CoreAllocation {
 
     /// Relative energy per unit of work: power divided by speed. FLeet's
     /// policy has value 1.0 by construction.
-    pub fn relative_energy(&self, profile: &DeviceProfile) -> f32 {
+    pub(crate) fn relative_energy(&self, profile: &DeviceProfile) -> f32 {
         self.relative_power(profile) / self.relative_speed(profile)
     }
 }
@@ -124,7 +121,7 @@ fn reference_power(profile: &DeviceProfile) -> f32 {
 
 /// Enumerates every feasible `Custom` allocation of a device (used by CALOREE
 /// to build its performance hash table).
-pub fn enumerate_allocations(profile: &DeviceProfile) -> Vec<CoreAllocation> {
+pub(crate) fn enumerate_allocations(profile: &DeviceProfile) -> Vec<CoreAllocation> {
     let mut out = Vec::new();
     for big in 0..=profile.big_cores {
         for little in 0..=profile.little_cores {
@@ -165,7 +162,10 @@ mod tests {
     #[test]
     fn little_cores_are_slower_and_less_efficient_for_compute() {
         let s7 = by_name("Galaxy S7").unwrap();
-        let little = CoreAllocation::LittleCoresOnly;
+        let little = CoreAllocation::Custom {
+            big: 0,
+            little: s7.little_cores,
+        };
         assert!(little.relative_speed(&s7) < 1.0);
         // §2.4: big cores are MORE energy-efficient for compute-intensive tasks.
         assert!(little.relative_energy(&s7) > 1.0);

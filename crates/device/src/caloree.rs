@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// One entry of the performance hash table: a configuration with its measured
 /// speed and power on the *training* device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhtEntry {
+pub(crate) struct PhtEntry {
     /// The core allocation this entry describes.
     pub allocation: CoreAllocation,
     /// Measured throughput in samples per second.
@@ -32,7 +32,7 @@ pub struct PhtEntry {
 
 /// The performance hash table: energy-optimal configurations sorted by speed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerformanceHashTable {
+pub(crate) struct PerformanceHashTable {
     /// Name of the device the PHT was collected on.
     pub trained_on: String,
     entries: Vec<PhtEntry>,
@@ -46,7 +46,7 @@ impl PerformanceHashTable {
     /// # Panics
     ///
     /// Panics if `calibration_batch` is zero.
-    pub fn profile(device: &mut Device, calibration_batch: usize) -> Self {
+    pub(crate) fn profile(device: &mut Device, calibration_batch: usize) -> Self {
         assert!(calibration_batch > 0, "calibration batch must be positive");
         let profile = device.profile().clone();
         let original_allocation = device.allocation();
@@ -76,16 +76,11 @@ impl PerformanceHashTable {
         }
     }
 
-    /// The retained (energy-optimal) configurations, slowest first.
-    pub fn entries(&self) -> &[PhtEntry] {
-        &self.entries
-    }
-
     /// Picks the most energy-efficient configuration whose *predicted* speed
     /// still finishes `batch_size` samples within `deadline_seconds`. Falls
     /// back to the fastest configuration when none is predicted to meet the
     /// deadline. Returns `None` for an empty PHT.
-    pub fn select(&self, batch_size: usize, deadline_seconds: f32) -> Option<PhtEntry> {
+    pub(crate) fn select(&self, batch_size: usize, deadline_seconds: f32) -> Option<PhtEntry> {
         let required_speed = batch_size as f32 / deadline_seconds.max(1e-6);
         self.entries
             .iter()
@@ -156,7 +151,7 @@ pub struct Caloree {
 
 impl Caloree {
     /// Creates a controller from a previously collected PHT.
-    pub fn new(pht: PerformanceHashTable) -> Self {
+    pub(crate) fn new(pht: PerformanceHashTable) -> Self {
         Self {
             pht,
             switch_overhead_seconds: 0.08,
@@ -167,11 +162,6 @@ impl Caloree {
     /// "ideal" same-device setup).
     pub fn trained_on(device: &mut Device, calibration_batch: usize) -> Self {
         Self::new(PerformanceHashTable::profile(device, calibration_batch))
-    }
-
-    /// The underlying PHT.
-    pub fn pht(&self) -> &PerformanceHashTable {
-        &self.pht
     }
 
     /// Runs `batch_size` samples on `device` under a deadline, using the PHT
@@ -249,7 +239,7 @@ mod tests {
     fn pht_is_sorted_and_nondominated() {
         let mut device = Device::new(by_name("Galaxy S7").unwrap(), 1);
         let pht = PerformanceHashTable::profile(&mut device, 500);
-        let entries = pht.entries();
+        let entries = &pht.entries;
         assert!(!entries.is_empty());
         for w in entries.windows(2) {
             assert!(w[0].samples_per_second <= w[1].samples_per_second);
@@ -272,7 +262,7 @@ mod tests {
         let pht = PerformanceHashTable::profile(&mut device, 200);
         let entry = pht.select(100_000, 0.001).unwrap();
         let fastest = pht
-            .entries()
+            .entries
             .iter()
             .map(|e| e.samples_per_second)
             .fold(0.0f32, f32::max);

@@ -55,12 +55,12 @@ impl Device {
     }
 
     /// Overrides the core allocation (used by the CALOREE comparison).
-    pub fn set_allocation(&mut self, allocation: CoreAllocation) {
+    pub(crate) fn set_allocation(&mut self, allocation: CoreAllocation) {
         self.allocation = allocation;
     }
 
     /// The current core allocation.
-    pub fn allocation(&self) -> CoreAllocation {
+    pub(crate) fn allocation(&self) -> CoreAllocation {
         self.allocation
     }
 
@@ -77,11 +77,6 @@ impl Device {
     /// Number of learning tasks executed so far.
     pub fn tasks_executed(&self) -> u64 {
         self.tasks_executed
-    }
-
-    /// Current temperature in °C.
-    pub fn temperature(&self) -> f32 {
-        self.thermal.temperature()
     }
 
     /// The stock-Android feature snapshot sent to the server with a learning
@@ -109,7 +104,7 @@ impl Device {
 
     /// The true (noise-free) battery-percent-per-sample slope at the current
     /// temperature and allocation.
-    pub fn true_energy_slope(&self) -> f32 {
+    pub(crate) fn true_energy_slope(&self) -> f32 {
         let thermal_penalty = 1.0 + 0.5 * self.profile.thermal_sensitivity * self.thermal.excess();
         self.profile.base_energy_pct_per_sample
             * thermal_penalty
@@ -223,7 +218,7 @@ mod tests {
         for _ in 0..30 {
             d.execute_task(2000);
         }
-        assert!(d.temperature() > 31.0);
+        assert!(d.thermal.temperature() > 31.0);
         assert!(d.true_latency_slope() > cold_slope);
         // Cooling down restores the slope.
         d.idle(1e5);
@@ -239,7 +234,7 @@ mod tests {
         assert!(d.battery_pct() < 100.0);
         d.recharge();
         assert_eq!(d.battery_pct(), 100.0);
-        assert_eq!(d.temperature(), 30.0);
+        assert_eq!(d.thermal.temperature(), 30.0);
     }
 
     #[test]

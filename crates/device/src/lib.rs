@@ -9,28 +9,30 @@
 //!
 //! The crate provides:
 //!
-//! * [`profile::DeviceProfile`] and a [`profile::catalogue`] of named device
-//!   models spanning the heterogeneity reported in the paper,
-//! * [`features::DeviceFeatures`] — the stock-Android observable state that
-//!   I-Prof receives with every worker request,
-//! * [`thermal::ThermalModel`] — temperature rise under load / cool-down,
-//! * [`device::Device`] — a stateful simulated handset executing learning
-//!   tasks and reporting latency and energy,
-//! * [`allocation`] — FLeet's big-core-only allocation policy (§2.4),
-//! * [`caloree`] — the CALOREE baseline resource manager (§3.4, Table 2, Fig. 14),
-//! * [`network`] — 3G/4G network latency models used for the staleness study (§3.1).
+//! * [`DeviceProfile`] and a [`profile::catalogue`] of named device models
+//!   spanning the heterogeneity reported in the paper,
+//! * [`DeviceFeatures`] — the stock-Android observable state that I-Prof
+//!   receives with every worker request,
+//! * [`Device`] — a stateful simulated handset executing learning tasks and
+//!   reporting latency and energy, with temperature rise under load and
+//!   cool-down, and FLeet's big-core-only allocation policy (§2.4),
+//! * [`Caloree`] — the CALOREE baseline resource manager (§3.4, Table 2,
+//!   Fig. 14),
+//! * [`NetworkKind`] / [`RoundTripModel`] — 3G/4G network latency models
+//!   used for the staleness study (§3.1).
 
 #![forbid(unsafe_code)]
 
-pub mod allocation;
-pub mod caloree;
-pub mod device;
-pub mod features;
-pub mod network;
+mod allocation;
+mod caloree;
+mod device;
+mod features;
+mod network;
 pub mod profile;
-pub mod thermal;
+mod thermal;
 
-pub use device::{Device, TaskExecution};
+pub use caloree::{train_on_profile, Caloree};
+pub use device::Device;
 pub use features::DeviceFeatures;
-pub use network::NetworkKind;
+pub use network::{NetworkKind, RoundTripModel};
 pub use profile::DeviceProfile;

@@ -20,7 +20,7 @@ pub enum NetworkKind {
 
 impl NetworkKind {
     /// Transfer seconds for the paper's reference model (download + upload).
-    pub fn reference_transfer_seconds(&self) -> f64 {
+    pub(crate) fn reference_transfer_seconds(&self) -> f64 {
         match self {
             NetworkKind::Lte4G => 1.1,
             NetworkKind::Hspa3G => 3.8,
@@ -53,7 +53,7 @@ impl RoundTripModel {
     /// # Panics
     ///
     /// Panics if `mean_seconds < minimum_seconds` or `minimum_seconds < 0`.
-    pub fn new(minimum_seconds: f64, mean_seconds: f64, seed: u64) -> Self {
+    pub(crate) fn new(minimum_seconds: f64, mean_seconds: f64, seed: u64) -> Self {
         assert!(minimum_seconds >= 0.0, "minimum must be non-negative");
         assert!(
             mean_seconds >= minimum_seconds,
@@ -79,16 +79,6 @@ impl RoundTripModel {
         }
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         self.minimum_seconds - excess_mean * u.ln()
-    }
-
-    /// The configured minimum latency.
-    pub fn minimum_seconds(&self) -> f64 {
-        self.minimum_seconds
-    }
-
-    /// The configured mean latency.
-    pub fn mean_seconds(&self) -> f64 {
-        self.mean_seconds
     }
 }
 

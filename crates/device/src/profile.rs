@@ -42,19 +42,19 @@ pub struct DeviceProfile {
 impl DeviceProfile {
     /// Sum of the maximum frequencies over all cores in GHz — one of the
     /// features I-Prof reads from the Android API.
-    pub fn sum_max_freq_ghz(&self) -> f32 {
+    pub(crate) fn sum_max_freq_ghz(&self) -> f32 {
         self.big_cores as f32 * self.big_freq_ghz + self.little_cores as f32 * self.little_freq_ghz
     }
 
     /// Whether the SoC is an ARM big.LITTLE design.
-    pub fn is_big_little(&self) -> bool {
+    pub(crate) fn is_big_little(&self) -> bool {
         self.big_cores > 0 && self.little_cores > 0
     }
 
     /// Energy consumed per non-idle CPU second as a fraction of the battery,
     /// derived from the per-sample figures (the feature I-Prof's energy
     /// predictor uses).
-    pub fn energy_per_cpu_second(&self) -> f32 {
+    pub(crate) fn energy_per_cpu_second(&self) -> f32 {
         if self.base_secs_per_sample <= 0.0 {
             0.0
         } else {

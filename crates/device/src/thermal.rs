@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// First-order thermal state of a device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThermalModel {
+pub(crate) struct ThermalModel {
     /// Ambient (resting) temperature in °C.
     pub ambient_celsius: f32,
     /// Temperature rise per second of sustained computation, in °C/s.
@@ -24,7 +24,7 @@ pub struct ThermalModel {
 
 impl ThermalModel {
     /// Creates a thermal model starting at ambient temperature.
-    pub fn new(ambient_celsius: f32, heating_per_second: f32, cooling_rate: f32) -> Self {
+    pub(crate) fn new(ambient_celsius: f32, heating_per_second: f32, cooling_rate: f32) -> Self {
         Self {
             ambient_celsius,
             heating_per_second,
@@ -35,37 +35,37 @@ impl ThermalModel {
     }
 
     /// A typical smartphone thermal envelope.
-    pub fn typical() -> Self {
+    pub(crate) fn typical() -> Self {
         Self::new(30.0, 0.25, 0.02)
     }
 
     /// Current temperature in °C.
-    pub fn temperature(&self) -> f32 {
+    pub(crate) fn temperature(&self) -> f32 {
         self.current_celsius
     }
 
     /// Degrees above ambient.
-    pub fn excess(&self) -> f32 {
+    pub(crate) fn excess(&self) -> f32 {
         (self.current_celsius - self.ambient_celsius).max(0.0)
     }
 
     /// Records `busy_seconds` of sustained computation, heating the device
     /// (clamped at `max_celsius`).
-    pub fn heat(&mut self, busy_seconds: f32) {
+    pub(crate) fn heat(&mut self, busy_seconds: f32) {
         self.current_celsius =
             (self.current_celsius + self.heating_per_second * busy_seconds).min(self.max_celsius);
     }
 
     /// Records `idle_seconds` of idling, cooling exponentially towards
     /// ambient.
-    pub fn cool(&mut self, idle_seconds: f32) {
+    pub(crate) fn cool(&mut self, idle_seconds: f32) {
         let excess = self.current_celsius - self.ambient_celsius;
         let decay = (-self.cooling_rate * idle_seconds).exp();
         self.current_celsius = self.ambient_celsius + excess * decay;
     }
 
     /// Resets to ambient temperature.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.current_celsius = self.ambient_celsius;
     }
 }

@@ -24,7 +24,7 @@ impl MomentsAccountant {
     /// # Panics
     ///
     /// Panics if `sampling_ratio` is not in `(0, 1]` or δ is not in `(0, 1)`.
-    pub fn new(sampling_ratio: f64, delta: f64) -> Self {
+    pub(crate) fn new(sampling_ratio: f64, delta: f64) -> Self {
         assert!(
             sampling_ratio > 0.0 && sampling_ratio <= 1.0,
             "sampling ratio must be in (0, 1]"
@@ -44,8 +44,10 @@ impl MomentsAccountant {
     }
 
     /// Estimated privacy loss ε after `steps` iterations with noise
-    /// multiplier `sigma`. Returns `f64::INFINITY` when `sigma` is zero.
-    pub fn epsilon(&self, sigma: f64, steps: u64) -> f64 {
+    /// multiplier `sigma`. Returns `f64::INFINITY` when `sigma` is zero. The
+    /// reference [`MomentsAccountant::noise_for_epsilon`] is tested against.
+    #[cfg(test)]
+    fn epsilon(&self, sigma: f64, steps: u64) -> f64 {
         if sigma <= 0.0 {
             return f64::INFINITY;
         }
@@ -54,7 +56,8 @@ impl MomentsAccountant {
     }
 
     /// The noise multiplier σ needed to stay within `epsilon` after `steps`
-    /// iterations (the inverse of [`MomentsAccountant::epsilon`]).
+    /// iterations: the inverse of the closed-form bound
+    /// `ε = 2q·√(T·ln(1/δ)) / σ`.
     ///
     /// # Panics
     ///

@@ -13,8 +13,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accountant;
-pub mod mechanism;
+mod accountant;
+mod mechanism;
 
 pub use accountant::MomentsAccountant;
 pub use mechanism::GaussianMechanism;

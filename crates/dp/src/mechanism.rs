@@ -33,16 +33,6 @@ impl GaussianMechanism {
         }
     }
 
-    /// The clipping bound.
-    pub fn clip_norm(&self) -> f32 {
-        self.clip_norm
-    }
-
-    /// The noise multiplier σ.
-    pub fn noise_multiplier(&self) -> f32 {
-        self.noise_multiplier
-    }
-
     /// The raw RNG state, for checkpoint/restore of a mid-run mechanism.
     pub fn rng_state(&self) -> u64 {
         self.rng.state()
@@ -85,7 +75,7 @@ impl GaussianMechanism {
 
 /// Clips a flat vector to an L2 norm bound in place, returning the factor
 /// applied (1.0 when no clipping was necessary).
-pub fn clip_l2(values: &mut [f32], max_norm: f32) -> f32 {
+pub(crate) fn clip_l2(values: &mut [f32], max_norm: f32) -> f32 {
     let norm: f32 = values.iter().map(|v| v * v).sum::<f32>().sqrt();
     if norm > max_norm && norm > 0.0 {
         let factor = max_norm / norm;

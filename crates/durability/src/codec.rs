@@ -7,7 +7,7 @@
 //! * [`JournalRecord`] — one write-ahead-journal entry: a monotonic
 //!   submission sequence number, an [`EventKind`], and the opaque event
 //!   payload (the raw wire bytes of the request/result, or a reclaimed task
-//!   id). [`encode_record`] emits the record *body* only; the journal file
+//!   id). [`put_record`] emits the record *body* only; the journal file
 //!   layer ([`crate::journal`]) wraps it in a `[u32 len][body][u32 crc]`
 //!   frame so a torn tail is detectable.
 //! * [`CheckpointDoc`] — the on-disk checkpoint container: generation,
@@ -26,20 +26,20 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Hard bound on any length-prefixed field (matches the transport's frame
 /// bound order of magnitude; a journal event is at most one wire message).
-pub const MAX_PAYLOAD_LEN: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD_LEN: usize = 256 * 1024 * 1024;
 
 /// Journal record body format version.
-pub const RECORD_VERSION: u8 = 1;
+pub(crate) const RECORD_VERSION: u8 = 1;
 
 /// Checkpoint container format version.
-pub const DOC_VERSION: u8 = 1;
+pub(crate) const DOC_VERSION: u8 = 1;
 
 /// Magic prefix of a checkpoint container file.
-pub const DOC_MAGIC: [u8; 8] = *b"FLTCKPT\0";
+pub(crate) const DOC_MAGIC: [u8; 8] = *b"FLTCKPT\0";
 
 /// Why a durable artifact failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
+pub(crate) enum CodecError {
     /// The buffer ended before the document did.
     Truncated,
     /// The container's magic prefix is wrong — not one of our files.
@@ -90,12 +90,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// The on-disk discriminant.
-    pub fn as_byte(self) -> u8 {
+    pub(crate) fn as_byte(self) -> u8 {
         self as u8
     }
 
     /// Parses an on-disk discriminant.
-    pub fn from_byte(byte: u8) -> Option<EventKind> {
+    pub(crate) fn from_byte(byte: u8) -> Option<EventKind> {
         match byte {
             1 => Some(EventKind::Request),
             2 => Some(EventKind::Result),
@@ -111,7 +111,7 @@ impl EventKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
     /// Position in the total submission order (1-based; a checkpoint's
-    /// [`CheckpointDoc::seq`] says which prefix it already covers).
+    /// `seq` says which prefix it already covers).
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
@@ -178,27 +178,14 @@ pub(crate) fn put_record(buf: &mut BytesMut, record: &JournalRecord) {
     buf.put_slice(payload);
 }
 
-/// Encodes a journal record body (the journal file layer adds the
-/// `[u32 len][body][u32 crc]` frame).
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`]; such a record could
-/// never be read back.
-pub fn encode_record(record: &JournalRecord) -> Bytes {
-    let mut buf = BytesMut::with_capacity(record_len(record));
-    put_record(&mut buf, record);
-    buf.freeze()
-}
-
-/// Decodes a journal record body produced by [`encode_record`].
+/// Decodes a journal record body produced by [`put_record`].
 ///
 /// # Errors
 ///
 /// [`CodecError`] on truncation, unknown version or kind, an out-of-bounds
 /// length, or trailing garbage. CRC validation happens one layer down, in
 /// the journal file framing.
-pub fn decode_record(mut buf: Bytes) -> Result<JournalRecord, CodecError> {
+pub(crate) fn decode_record(mut buf: Bytes) -> Result<JournalRecord, CodecError> {
     if buf.remaining() < 1 + 8 + 1 {
         return Err(CodecError::Truncated);
     }
@@ -222,7 +209,7 @@ pub fn decode_record(mut buf: Bytes) -> Result<JournalRecord, CodecError> {
 /// # Panics
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`].
-pub fn encode_doc(doc: &CheckpointDoc) -> Bytes {
+pub(crate) fn encode_doc(doc: &CheckpointDoc) -> Bytes {
     let CheckpointDoc {
         generation,
         seq,
@@ -249,7 +236,7 @@ pub fn encode_doc(doc: &CheckpointDoc) -> Bytes {
 /// # Errors
 ///
 /// [`CodecError`] on any structural or integrity failure.
-pub fn decode_doc(buf: Bytes) -> Result<CheckpointDoc, CodecError> {
+pub(crate) fn decode_doc(buf: Bytes) -> Result<CheckpointDoc, CodecError> {
     if buf.len() < 8 + 1 + 3 * 8 + 4 + 4 {
         return Err(CodecError::Truncated);
     }
@@ -292,6 +279,13 @@ pub(crate) fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A record body on its own, as [`put_record`] writes it into a frame.
+    fn encode_record(record: &JournalRecord) -> Bytes {
+        let mut buf = BytesMut::with_capacity(record_len(record));
+        put_record(&mut buf, record);
+        buf.freeze()
+    }
 
     fn sample_record() -> JournalRecord {
         JournalRecord {

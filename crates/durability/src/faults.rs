@@ -36,7 +36,7 @@ impl DiskFaultPlan {
 
     /// A uniform draw in `[0, 1)` for fault case `case` and draw `salt`,
     /// via the same splitmix64 finalizer the simulation `FaultPlan` uses.
-    pub fn uniform(&self, case: u64, salt: u64) -> f64 {
+    pub(crate) fn uniform(&self, case: u64, salt: u64) -> f64 {
         let mut h = self
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -51,7 +51,7 @@ impl DiskFaultPlan {
     }
 
     /// Which fault `case` injects (uniform thirds).
-    pub fn scenario(&self, case: u64) -> DiskFault {
+    pub(crate) fn scenario(&self, case: u64) -> DiskFault {
         let draw = self.uniform(case, 0);
         if draw < 1.0 / 3.0 {
             DiskFault::TornTail
@@ -64,12 +64,12 @@ impl DiskFaultPlan {
 
     /// Where to truncate a `len`-byte file for `case` (any offset in
     /// `[0, len]`, both torn-header and no-op tears included).
-    pub fn truncation_point(&self, case: u64, len: usize) -> usize {
+    pub(crate) fn truncation_point(&self, case: u64, len: usize) -> usize {
         (self.uniform(case, 1) * (len as f64 + 1.0)) as usize
     }
 
     /// Which byte of a `len`-byte file to corrupt for `case`.
-    pub fn corruption_offset(&self, case: u64, len: usize) -> usize {
+    pub(crate) fn corruption_offset(&self, case: u64, len: usize) -> usize {
         ((self.uniform(case, 2) * len as f64) as usize).min(len.saturating_sub(1))
     }
 

@@ -6,14 +6,14 @@
 //!
 //! ```text
 //! [8B magic "FLTWAL\0\0"] [u8 version] [u64 generation LE] [u32 crc of the 17 header bytes]
-//! repeated: [u32 body_len LE] [body = codec::encode_record output] [u32 crc32(body) LE]
+//! repeated: [u32 body_len LE] [body = codec::put_record output] [u32 crc32(body) LE]
 //! ```
 //!
 //! A crash can tear the file anywhere. The reader treats the first frame
 //! that is short, oversized, CRC-broken or undecodable as the end of the
-//! journal and reports the byte offset of the last *good* frame, so the
-//! writer can reopen the file truncated to that offset and keep appending —
-//! a torn tail costs the unacknowledged suffix, never the whole file.
+//! journal — a torn tail costs the unacknowledged suffix, never the whole
+//! file. Nothing is ever appended after a tear: recovery seals what it
+//! replayed into a new checkpoint generation with a fresh journal.
 
 use crate::codec::{decode_record, put_record, record_len, JournalRecord, MAX_PAYLOAD_LEN};
 use crate::crc::crc32;
@@ -24,10 +24,10 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Journal file format version.
-pub const JOURNAL_VERSION: u8 = 1;
+pub(crate) const JOURNAL_VERSION: u8 = 1;
 
 /// Magic prefix of a journal file.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"FLTWAL\0\0";
+pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"FLTWAL\0\0";
 
 const HEADER_LEN: usize = 8 + 1 + 8 + 4;
 
@@ -46,7 +46,7 @@ fn header_bytes(generation: u64) -> [u8; HEADER_LEN] {
 }
 
 /// Appends record frames to one journal file.
-pub struct JournalWriter {
+pub(crate) struct JournalWriter {
     file: File,
     fsync: FsyncPolicy,
 }
@@ -54,7 +54,11 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Creates a fresh journal for `generation`, truncating any existing
     /// file at `path`, and writes the sealed header.
-    pub fn create(path: &Path, generation: u64, fsync: FsyncPolicy) -> io::Result<JournalWriter> {
+    pub(crate) fn create(
+        path: &Path,
+        generation: u64,
+        fsync: FsyncPolicy,
+    ) -> io::Result<JournalWriter> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -67,22 +71,10 @@ impl JournalWriter {
         Ok(JournalWriter { file, fsync })
     }
 
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_len` (the last good offset reported by [`read_journal`]) so a
-    /// torn tail is physically discarded before new frames land after it.
-    pub fn reopen(path: &Path, valid_len: u64, fsync: FsyncPolicy) -> io::Result<JournalWriter> {
-        let file = OpenOptions::new().write(true).read(true).open(path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0))?;
-        Ok(JournalWriter { file, fsync })
-    }
-
     /// Appends one record frame. With [`FsyncPolicy::EveryRecord`] the frame
     /// is on stable storage when this returns; otherwise the kernel owns it
     /// (still crash-proof against process death).
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
+    pub(crate) fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
         // `[len][body][crc]` built in one buffer, the CRC taken in place.
         let body_len = record_len(record);
         let mut frame = BytesMut::with_capacity(4 + body_len + 4);
@@ -99,7 +91,7 @@ impl JournalWriter {
 
     /// Flushes the journal to stable storage regardless of policy (used when
     /// a checkpoint rotates this journal out).
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         if matches!(self.fsync, FsyncPolicy::Never) {
             return Ok(());
         }
@@ -108,14 +100,11 @@ impl JournalWriter {
 }
 
 /// What [`read_journal`] recovered from one journal file.
-pub struct ReadJournal {
+pub(crate) struct ReadJournal {
     /// The generation named in the (valid) header.
     pub generation: u64,
     /// Every record up to the first torn/corrupt frame, in file order.
     pub records: Vec<JournalRecord>,
-    /// Byte offset just past the last good frame — the length to truncate
-    /// to before appending again.
-    pub valid_len: u64,
 }
 
 /// Reads a journal file, tolerating a torn tail.
@@ -125,7 +114,7 @@ pub struct ReadJournal {
 /// usable history at all. Otherwise every cleanly framed record before the
 /// first tear is returned; the tear itself (short frame, oversized length,
 /// CRC mismatch, undecodable body) just ends the journal early.
-pub fn read_journal(path: &Path) -> Option<ReadJournal> {
+pub(crate) fn read_journal(path: &Path) -> Option<ReadJournal> {
     let mut raw = Vec::new();
     File::open(path).ok()?.read_to_end(&mut raw).ok()?;
     // Shared from here on: every record's payload is a view of this buffer.
@@ -165,7 +154,6 @@ pub fn read_journal(path: &Path) -> Option<ReadJournal> {
     Some(ReadJournal {
         generation,
         records,
-        valid_len: offset as u64,
     })
 }
 
@@ -190,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_and_reopens() {
+    fn roundtrips() {
         let path = scratch("roundtrip");
         let mut writer = JournalWriter::create(&path, 3, FsyncPolicy::Never).unwrap();
         for seq in 1..=4 {
@@ -200,12 +188,6 @@ mod tests {
         let read = read_journal(&path).unwrap();
         assert_eq!(read.generation, 3);
         assert_eq!(read.records, (1..=4).map(record).collect::<Vec<_>>());
-
-        let mut writer = JournalWriter::reopen(&path, read.valid_len, FsyncPolicy::Never).unwrap();
-        writer.append(&record(5)).unwrap();
-        drop(writer);
-        let read = read_journal(&path).unwrap();
-        assert_eq!(read.records.len(), 5);
     }
 
     /// Golden vector captured before `append` built its frame in one buffer:
@@ -235,7 +217,6 @@ mod tests {
                 None => assert!(len < HEADER_LEN, "header vanished at length {len}"),
                 Some(read) => {
                     assert!(len >= HEADER_LEN);
-                    assert!(read.valid_len as usize <= len);
                     for (i, rec) in read.records.iter().enumerate() {
                         assert_eq!(
                             rec,

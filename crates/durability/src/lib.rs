@@ -42,16 +42,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codec;
-pub mod crc;
-pub mod faults;
-pub mod journal;
-pub mod store;
+mod codec;
+mod crc;
+mod faults;
+mod journal;
+mod store;
 
-pub use codec::{
-    decode_doc, decode_record, encode_doc, encode_record, CheckpointDoc, CodecError, EventKind,
-    JournalRecord,
-};
+pub use codec::{EventKind, JournalRecord};
 pub use faults::{DiskFault, DiskFaultPlan};
 pub use store::{DurableStore, Recovered};
 
@@ -89,20 +86,15 @@ pub struct DurabilityOptions {
     pub checkpoint_every: u64,
     /// When to flush to stable storage.
     pub fsync: FsyncPolicy,
-    /// Checkpoint generations retained on disk (at least 1; the default 2
-    /// keeps one complete fallback generation behind the newest).
-    pub keep_generations: u64,
 }
 
 impl DurabilityOptions {
-    /// Defaults: checkpoint every 64 applied steps, fsync on checkpoints,
-    /// keep two generations.
+    /// Defaults: checkpoint every 64 applied steps, fsync on checkpoints.
     pub fn new(dir: PathBuf) -> Self {
         DurabilityOptions {
             dir,
             checkpoint_every: 64,
             fsync: FsyncPolicy::OnCheckpoint,
-            keep_generations: 2,
         }
     }
 }

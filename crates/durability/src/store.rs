@@ -24,6 +24,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Checkpoint generations retained on disk: the newest plus one complete
+/// fallback generation behind it.
+const KEEP_GENERATIONS: u64 = 2;
+
 fn ckpt_name(generation: u64) -> String {
     format!("ckpt-{generation:020}.bin")
 }
@@ -73,7 +77,6 @@ impl Recovered {
 pub struct DurableStore {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    keep_generations: u64,
     /// Highest generation number present (or ever seen) on disk; the next
     /// checkpoint uses `generation + 1` so even a corrupt newest generation
     /// is never reused.
@@ -160,7 +163,6 @@ impl DurableStore {
         let store = DurableStore {
             dir: options.dir.clone(),
             fsync: options.fsync,
-            keep_generations: options.keep_generations.max(1),
             generation: max_seen,
             next_seq: 0,
             writer: None,
@@ -246,7 +248,7 @@ impl DurableStore {
     /// Deletes checkpoint/journal generations older than the retention
     /// window. Best-effort: a file that cannot be deleted is just retained.
     fn prune(&self) {
-        let cutoff = self.generation.saturating_sub(self.keep_generations - 1);
+        let cutoff = self.generation.saturating_sub(KEEP_GENERATIONS - 1);
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return;
         };
@@ -261,16 +263,6 @@ impl DurableStore {
                 }
             }
         }
-    }
-
-    /// The current checkpoint generation (0 before [`DurableStore::begin`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The sequence number the next [`DurableStore::append`] will get.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -307,7 +299,7 @@ mod tests {
         );
         assert_eq!(recovered.last_seq(), 0);
         assert_eq!(store.begin(payload(0), 0, 0).unwrap(), 1);
-        assert_eq!(store.next_seq(), 1);
+        assert_eq!(store.next_seq, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -388,9 +380,7 @@ mod tests {
     #[test]
     fn pruning_respects_retention_window() {
         let dir = scratch("prune");
-        let mut opts = options(&dir);
-        opts.keep_generations = 2;
-        let (mut store, _) = DurableStore::open(&opts).unwrap();
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
         store.begin(payload(0), 0, 0).unwrap();
         for generation in 2..=5u8 {
             store

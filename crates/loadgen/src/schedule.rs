@@ -18,9 +18,8 @@
 //! RNG, thermal state, network RTT stream) never crosses a worker
 //! boundary, so the fan-out partition cannot reassociate anything.
 
-use fleet_device::network::{NetworkKind, RoundTripModel};
 use fleet_device::profile::catalogue;
-use fleet_device::Device;
+use fleet_device::{Device, NetworkKind, RoundTripModel};
 use std::fmt;
 
 /// What a scheduled event does on the wire.
@@ -105,7 +104,7 @@ impl Default for WorkloadSpec {
 
 impl WorkloadSpec {
     /// Checks the spec describes a non-empty workload.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         if self.workers == 0 {
             return Err(SpecError::ZeroWorkers);
         }
@@ -200,7 +199,8 @@ impl Schedule {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
+    /// Returns a [`SpecError`] when `workers`, `ops_per_worker` or
+    /// `batch_size` is zero.
     pub fn generate(spec: &WorkloadSpec) -> Result<Schedule, SpecError> {
         spec.validate()?;
         let workers: Vec<u32> = (0..spec.workers as u32).collect();
@@ -221,7 +221,8 @@ impl Schedule {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
+    /// Returns a [`SpecError`] when `workers`, `ops_per_worker` or
+    /// `batch_size` is zero.
     pub fn generate_serial(spec: &WorkloadSpec) -> Result<Schedule, SpecError> {
         spec.validate()?;
         let mut events: Vec<Event> = (0..spec.workers as u32)
@@ -232,11 +233,6 @@ impl Schedule {
             spec: spec.clone(),
             events,
         })
-    }
-
-    /// The spec this schedule was generated from.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     /// All events in virtual-time order.

@@ -13,11 +13,11 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use fleet_ml::gradient::Gradient;
+/// use fleet_ml::Gradient;
 ///
 /// let mut g = Gradient::from_vec(vec![3.0, 4.0]);
 /// assert_eq!(g.l2_norm(), 5.0);
-/// g.scale_in_place(0.5);
+/// assert_eq!(g.clip_l2(2.5), 0.5);
 /// assert_eq!(g.as_slice(), &[1.5, 2.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -58,20 +58,8 @@ impl Gradient {
         &mut self.values
     }
 
-    /// Consumes the gradient, returning the flat vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.values
-    }
-
-    /// Returns a copy scaled by `factor`.
-    pub fn scaled(&self, factor: f32) -> Gradient {
-        Gradient {
-            values: self.values.iter().map(|v| v * factor).collect(),
-        }
-    }
-
     /// Scales every entry in place.
-    pub fn scale_in_place(&mut self, factor: f32) {
+    pub(crate) fn scale_in_place(&mut self, factor: f32) {
         for v in &mut self.values {
             *v *= factor;
         }
@@ -115,23 +103,6 @@ impl Gradient {
             1.0
         }
     }
-
-    /// Element-wise average of a non-empty set of gradients (FedAvg-style).
-    ///
-    /// Returns `None` when `gradients` is empty or lengths are inconsistent.
-    pub fn average(gradients: &[Gradient]) -> Option<Gradient> {
-        let first = gradients.first()?;
-        let len = first.len();
-        if gradients.iter().any(|g| g.len() != len) {
-            return None;
-        }
-        let mut acc = Gradient::zeros(len);
-        for g in gradients {
-            acc.add_scaled(g, 1.0);
-        }
-        acc.scale_in_place(1.0 / gradients.len() as f32);
-        Some(acc)
-    }
 }
 
 impl FromIterator<f32> for Gradient {
@@ -153,14 +124,6 @@ mod tests {
         assert_eq!(g.len(), 5);
         assert!(!g.is_empty());
         assert_eq!(g.l2_norm(), 0.0);
-    }
-
-    #[test]
-    fn scaled_and_in_place_agree() {
-        let g = Gradient::from_vec(vec![1.0, -2.0, 3.0]);
-        let mut h = g.clone();
-        h.scale_in_place(0.25);
-        assert_eq!(g.scaled(0.25), h);
     }
 
     #[test]
@@ -195,22 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn average_of_two() {
-        let a = Gradient::from_vec(vec![1.0, 3.0]);
-        let b = Gradient::from_vec(vec![3.0, 5.0]);
-        let avg = Gradient::average(&[a, b]).unwrap();
-        assert_eq!(avg.as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn average_rejects_empty_and_mismatched() {
-        assert!(Gradient::average(&[]).is_none());
-        let a = Gradient::zeros(2);
-        let b = Gradient::zeros(3);
-        assert!(Gradient::average(&[a, b]).is_none());
-    }
-
-    #[test]
     fn from_iterator_collects() {
         let g: Gradient = (0..4).map(|i| i as f32).collect();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
@@ -227,20 +174,9 @@ mod tests {
         #[test]
         fn prop_scale_then_norm(values in proptest::collection::vec(-10.0f32..10.0, 1..64), k in 0.0f32..4.0) {
             let g = Gradient::from_vec(values);
-            let scaled = g.scaled(k);
+            let mut scaled = g.clone();
+            scaled.scale_in_place(k);
             prop_assert!((scaled.l2_norm() - k * g.l2_norm()).abs() < 1e-2);
-        }
-
-        #[test]
-        fn prop_average_is_bounded_by_extremes(values in proptest::collection::vec(-10.0f32..10.0, 4..32)) {
-            let a = Gradient::from_vec(values.clone());
-            let b = Gradient::from_vec(values.iter().map(|v| v * 3.0).collect());
-            let avg = Gradient::average(&[a.clone(), b.clone()]).unwrap();
-            for i in 0..values.len() {
-                let lo = a.as_slice()[i].min(b.as_slice()[i]) - 1e-4;
-                let hi = a.as_slice()[i].max(b.as_slice()[i]) + 1e-4;
-                prop_assert!(avg.as_slice()[i] >= lo && avg.as_slice()[i] <= hi);
-            }
         }
     }
 }

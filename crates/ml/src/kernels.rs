@@ -10,7 +10,7 @@
 //!   forward.
 //! * [`matmul_tn_acc`] — `C += Aᵀ·B` (`A: [k,m]`, `B: [k,n]`): weight
 //!   gradients, accumulating directly into the layer's gradient buffer.
-//! * [`matmul_nt`] / [`matmul_nt_acc`] — `C = A·Bᵀ` / `C += A·Bᵀ`
+//! * [`matmul_nt`] / `matmul_nt_acc` — `C = A·Bᵀ` / `C += A·Bᵀ`
 //!   (`A: [m,k]`, `B: [n,k]`): input gradients, and the im2col conv weight
 //!   gradient (which accumulates `dY · colsᵀ` straight into the layer
 //!   buffer).
@@ -46,7 +46,7 @@
 //!
 //! There is a single implementation of every micro-kernel: lane-explicit
 //! loops over `f32::mul_add`, written so that the lane structure (an
-//! `MR × NR` accumulator tile, [`DOT_LANES`] dot-product lanes reduced by a
+//! `MR × NR` accumulator tile, `DOT_LANES` dot-product lanes reduced by a
 //! fixed pairwise tree) is visible to the compiler. Nothing is selected at
 //! runtime and the crate contains no `unsafe`. The supported configuration is
 //! a build whose target has hardware FMA — the workspace's
@@ -524,7 +524,7 @@ pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the dimensions.
-pub fn matmul_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check("matmul_nt_acc", a.len(), b.len(), out.len(), m, k, n);
     matmul_nt_fan_out(a, b, out, m, k, n, true);
 }

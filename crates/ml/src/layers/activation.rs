@@ -9,9 +9,7 @@ use crate::{MlError, Result};
 /// # Example
 ///
 /// ```
-/// use fleet_ml::layers::Relu;
-/// use fleet_ml::layer::Layer;
-/// use fleet_ml::tensor::Tensor;
+/// use fleet_ml::{Layer, Relu, Tensor};
 ///
 /// # fn main() -> Result<(), fleet_ml::MlError> {
 /// let mut relu = Relu::new();

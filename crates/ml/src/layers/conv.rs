@@ -165,7 +165,7 @@ impl Conv2d {
 
     /// Output spatial size for an input spatial size, or `None` if the input
     /// is smaller than the kernel.
-    pub fn output_size(&self, input: usize) -> Option<usize> {
+    pub(crate) fn output_size(&self, input: usize) -> Option<usize> {
         if input < self.kernel {
             None
         } else {
@@ -678,7 +678,7 @@ mod tests {
     fn known_convolution_value() {
         // 2x2 all-ones kernel over a 2x2 input sums the input.
         let mut conv = Conv2d::new(1, 1, 2, 1, Initializer::Zeros, 0);
-        conv.weights = Tensor::ones(&[1, 1, 2, 2]);
+        conv.weights = Tensor::full(&[1, 1, 2, 2], 1.0);
         let input = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
         let out = conv.forward(&input).unwrap();
         assert_eq!(out.data(), &[10.0]);
@@ -713,14 +713,22 @@ mod tests {
             let eps = 1e-2f32;
             conv.zero_gradients();
             let out = forward(&mut conv, &input).unwrap();
-            backward(&mut conv, &Tensor::ones(out.shape())).unwrap();
+            backward(&mut conv, &Tensor::full(out.shape(), 1.0)).unwrap();
             let analytic = conv.gradients()[0].data()[0];
 
             let original = conv.weights.data()[0];
             conv.weights.data_mut()[0] = original + eps;
-            let plus = forward(&mut conv, &input).unwrap().sum();
+            let plus = forward(&mut conv, &input)
+                .unwrap()
+                .data()
+                .iter()
+                .sum::<f32>();
             conv.weights.data_mut()[0] = original - eps;
-            let minus = forward(&mut conv, &input).unwrap().sum();
+            let minus = forward(&mut conv, &input)
+                .unwrap()
+                .data()
+                .iter()
+                .sum::<f32>();
             conv.weights.data_mut()[0] = original;
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
@@ -735,7 +743,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 2, 1, Initializer::Xavier, 1);
         let input = Tensor::zeros(&[2, 2, 5, 5]);
         let out = conv.forward(&input).unwrap();
-        let grad_in = conv.backward(&Tensor::ones(out.shape())).unwrap();
+        let grad_in = conv.backward(&Tensor::full(out.shape(), 1.0)).unwrap();
         assert_eq!(grad_in.shape(), input.shape());
     }
 
@@ -779,9 +787,9 @@ mod tests {
     #[test]
     fn backward_before_forward_errors_instead_of_using_an_empty_workspace() {
         let mut conv = Conv2d::new(1, 1, 2, 1, Initializer::Xavier, 0);
-        assert!(conv.backward(&Tensor::ones(&[1, 1, 2, 2])).is_err());
+        assert!(conv.backward(&Tensor::full(&[1, 1, 2, 2], 1.0)).is_err());
         assert!(conv
-            .backward_input_unneeded(&Tensor::ones(&[1, 1, 2, 2]))
+            .backward_input_unneeded(&Tensor::full(&[1, 1, 2, 2], 1.0))
             .is_err());
     }
 

@@ -6,13 +6,13 @@ use crate::{MlError, Result};
 
 /// Flattens `[batch, d1, d2, ...]` inputs into `[batch, d1*d2*...]`.
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
+pub(crate) struct Flatten {
     input_shape: Option<Vec<usize>>,
 }
 
 impl Flatten {
     /// Creates a new flatten layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { input_shape: None }
     }
 }

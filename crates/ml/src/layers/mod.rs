@@ -13,5 +13,5 @@ mod pool;
 pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use flatten::Flatten;
+pub(crate) use flatten::Flatten;
 pub use pool::MaxPool2d;

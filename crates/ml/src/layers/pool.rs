@@ -50,7 +50,7 @@ impl MaxPool2d {
 
     /// Output spatial size for an input spatial size, or `None` if the input
     /// is smaller than the pooling window.
-    pub fn output_size(&self, input: usize) -> Option<usize> {
+    pub(crate) fn output_size(&self, input: usize) -> Option<usize> {
         if input < self.window {
             None
         } else {

@@ -7,22 +7,23 @@
 //! recurrent hashtag recommender with mini-batch Stochastic Gradient Descent
 //! on mobile devices. This crate provides everything those experiments need:
 //!
-//! * [`tensor::Tensor`] — a dense row-major `f32` tensor with the handful of
+//! * [`Tensor`] — a dense row-major `f32` tensor with the handful of
 //!   operations required by forward/backward passes,
 //! * [`kernels`] — the blocked, thread-parallel matrix kernels behind
-//!   [`tensor::Tensor::matmul`] and its fused variants: one lane-explicit
-//!   `mul_add` path that native (FMA-capable) builds, the supported
-//!   configuration, compile to fused vector instructions,
-//! * [`layer::Layer`] implementations (dense, conv2d, max-pool, ReLU, flatten),
-//! * [`loss`] — softmax cross-entropy,
-//! * [`model::Sequential`] — a feed-forward model container exposing its
-//!   parameters and gradients as flat vectors (the unit exchanged between FLeet
-//!   workers and the server),
-//! * [`gradient::Gradient`] — the flat gradient container with the arithmetic
-//!   used by the aggregation algorithms (scaling, addition, clipping),
-//! * [`optimizer::Sgd`] — plain SGD used for the ideal synchronous baseline,
+//!   [`Tensor::matmul`] and its fused variants: one lane-explicit `mul_add`
+//!   path that native (FMA-capable) builds, the supported configuration,
+//!   compile to fused vector instructions,
+//! * [`Layer`] implementations ([`Dense`], [`Conv2d`], [`MaxPool2d`],
+//!   [`Relu`], flatten) and a softmax cross-entropy loss,
+//! * [`Sequential`] — a feed-forward model container exposing its parameters
+//!   and gradients as flat vectors (the unit exchanged between FLeet workers
+//!   and the server),
+//! * [`Gradient`] — the flat gradient container with the arithmetic used by
+//!   the aggregation algorithms (scaling, addition, clipping),
 //! * [`models`] — builders for the paper's Table 1 topologies (scaled to run on
-//!   a laptop) and a bag-of-words hashtag recommender,
+//!   a laptop) and the smaller MLP/CNN stand-ins the experiments default to,
+//! * [`HashtagRecommender`] / [`MostPopularRecommender`] — the hashtag
+//!   recommender of §3.1 and its most-popular baseline,
 //! * [`metrics`] — accuracy and the F1-score @ top-k used in §3.1.
 //!
 //! # Kernel architecture
@@ -41,19 +42,17 @@
 //!    count. The async-simulation reproducibility guarantee rests on this.
 //! 3. **Caller-owned scratch.** Layers reuse per-layer workspaces instead of
 //!    allocating per call: `forward` caches its input via
-//!    [`tensor::Tensor::copy_from`] (reusing the buffer), `zero_gradients`
-//!    zeroes in place, and the `*_into` tensor methods
-//!    ([`tensor::Tensor::matmul_into`], [`tensor::Tensor::matmul_nt_into`],
-//!    [`tensor::Tensor::matmul_tn_acc_into`],
-//!    [`tensor::Tensor::add_scaled_into`]) write into tensors whose
-//!    allocations persist across steps. [`model::Sequential`] closes the
-//!    remaining loop by handing every consumed activation and gradient
-//!    tensor back to the layer that produced it
-//!    ([`layer::Layer::recycle_output`] / [`layer::Layer::recycle_grad`]),
-//!    so a training step runs allocation-free after the first pass. The
-//!    convention throughout: a `&mut Tensor` out-parameter is resized with
-//!    [`tensor::Tensor::resize_for`] (which keeps capacity) and fully
-//!    overwritten unless the method name says it accumulates (`_acc_`).
+//!    `Tensor::copy_from` (reusing the buffer), `zero_gradients` zeroes in
+//!    place, and the `*_into` tensor methods ([`Tensor::matmul_into`],
+//!    `Tensor::matmul_nt_into`, `Tensor::matmul_tn_acc_into`) write into
+//!    tensors whose allocations persist across steps. [`Sequential`] closes
+//!    the remaining loop by handing every consumed activation and gradient
+//!    tensor back to the layer that produced it ([`Layer::recycle_output`] /
+//!    [`Layer::recycle_grad`]), so a training step runs allocation-free
+//!    after the first pass. The convention throughout: a `&mut Tensor`
+//!    out-parameter is resized with `Tensor::resize_for` (which keeps
+//!    capacity) and fully overwritten unless the method name says it
+//!    accumulates (`_acc_`).
 //!
 //!    `Conv2d` is the showcase: it lowers batches into a persistent im2col
 //!    workspace and runs forward and backward entirely on the fused GEMM
@@ -68,7 +67,7 @@
 //!
 //! ```
 //! use fleet_ml::models::mlp_classifier;
-//! use fleet_ml::tensor::Tensor;
+//! use fleet_ml::Tensor;
 //!
 //! # fn main() -> Result<(), fleet_ml::MlError> {
 //! let mut model = mlp_classifier(4, &[16], 3, 42);
@@ -81,18 +80,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod gradient;
-pub mod init;
+mod gradient;
+mod init;
 pub mod kernels;
-pub mod layer;
-pub mod layers;
-pub mod loss;
+mod layer;
+mod layers;
+mod loss;
 pub mod metrics;
-pub mod model;
+mod model;
 pub mod models;
-pub mod optimizer;
-pub mod recommender;
-pub mod tensor;
+mod recommender;
+mod tensor;
 
 use std::error::Error;
 use std::fmt;
@@ -144,8 +142,12 @@ impl fmt::Display for MlError {
 impl Error for MlError {}
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, MlError>;
+pub(crate) type Result<T> = std::result::Result<T, MlError>;
 
 pub use gradient::Gradient;
+pub use init::Initializer;
+pub use layer::Layer;
+pub use layers::{Conv2d, Dense, MaxPool2d, Relu};
 pub use model::Sequential;
+pub use recommender::{HashtagRecommender, MostPopularRecommender};
 pub use tensor::Tensor;

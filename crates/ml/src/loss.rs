@@ -13,7 +13,7 @@ use crate::{MlError, Result};
 /// # Panics
 ///
 /// Panics if the tensor is not 2-D.
-pub fn softmax(logits: &Tensor) -> Tensor {
+pub(crate) fn softmax(logits: &Tensor) -> Tensor {
     assert_eq!(logits.shape().len(), 2, "softmax requires a 2-D tensor");
     let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
     let mut out = vec![0.0f32; batch * classes];
@@ -31,11 +31,11 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 
 /// Softmax cross-entropy loss for integer class labels.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SoftmaxCrossEntropy;
+pub(crate) struct SoftmaxCrossEntropy;
 
 impl SoftmaxCrossEntropy {
     /// Creates the loss function.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 
@@ -49,7 +49,7 @@ impl SoftmaxCrossEntropy {
     ///
     /// Returns an error when the batch sizes disagree, the batch is empty or a
     /// label is out of range.
-    pub fn forward(&self, logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
+    pub(crate) fn forward(&self, logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
         if logits.shape().len() != 2 {
             return Err(MlError::ShapeMismatch {
                 expected: vec![labels.len(), 0],

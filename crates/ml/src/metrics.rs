@@ -47,7 +47,7 @@ pub fn class_accuracy(predictions: &[usize], labels: &[usize], class: usize) -> 
 /// top-k output, `actual` the ground-truth set.
 ///
 /// Returns `(precision, recall, f1)`, all zero when either side is empty.
-pub fn precision_recall_f1(recommended: &[usize], actual: &[usize]) -> (f32, f32, f32) {
+pub(crate) fn precision_recall_f1(recommended: &[usize], actual: &[usize]) -> (f32, f32, f32) {
     if recommended.is_empty() || actual.is_empty() {
         return (0.0, 0.0, 0.0);
     }
@@ -77,41 +77,6 @@ pub fn mean_f1_at_k(pairs: &[(Vec<usize>, Vec<usize>)]) -> f32 {
         .map(|(rec, act)| precision_recall_f1(rec, act).2)
         .sum();
     total / pairs.len() as f32
-}
-
-/// Utility accumulating a running average (used by the experiment harnesses
-/// when reporting per-chunk metrics).
-#[derive(Debug, Clone, Default)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Current mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
 }
 
 #[cfg(test)]
@@ -163,15 +128,5 @@ mod tests {
         let pairs = vec![(vec![1, 2], vec![1, 2]), (vec![3], vec![4])];
         assert!((mean_f1_at_k(&pairs) - 0.5).abs() < 1e-6);
         assert_eq!(mean_f1_at_k(&[]), 0.0);
-    }
-
-    #[test]
-    fn running_mean_accumulates() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        m.push(2.0);
-        m.push(4.0);
-        assert_eq!(m.mean(), 3.0);
-        assert_eq!(m.count(), 2);
     }
 }

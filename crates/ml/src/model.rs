@@ -26,7 +26,7 @@ pub struct Sequential {
 
 impl Sequential {
     /// Creates an empty model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             layers: Vec::new(),
             loss: SoftmaxCrossEntropy::new(),
@@ -34,18 +34,18 @@ impl Sequential {
     }
 
     /// Appends a layer, returning `self` for chaining.
-    pub fn with_layer(mut self, layer: Box<dyn Layer>) -> Self {
+    pub(crate) fn with_layer(mut self, layer: Box<dyn Layer>) -> Self {
         self.layers.push(layer);
         self
     }
 
     /// Appends a layer in place.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
+    pub(crate) fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
     }
 
     /// Number of layers.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.layers.len()
     }
 
@@ -87,7 +87,7 @@ impl Sequential {
     /// # Errors
     ///
     /// Propagates shape/label errors from the layers and the loss.
-    pub fn backward(&mut self, inputs: &Tensor, labels: &[usize]) -> Result<f32> {
+    pub(crate) fn backward(&mut self, inputs: &Tensor, labels: &[usize]) -> Result<f32> {
         let logits = self.forward(inputs)?;
         let (loss, mut grad) = self.loss.forward(&logits, labels)?;
         // Mirror of the forward pass: every consumed gradient tensor is
@@ -112,7 +112,7 @@ impl Sequential {
     }
 
     /// Clears all accumulated parameter gradients.
-    pub fn zero_gradients(&mut self) {
+    pub(crate) fn zero_gradients(&mut self) {
         for layer in &mut self.layers {
             layer.zero_gradients();
         }
@@ -159,7 +159,7 @@ impl Sequential {
 
     /// Returns the currently accumulated gradient as a flat [`Gradient`] in
     /// the same layout as [`Sequential::parameters`].
-    pub fn gradient(&self) -> Gradient {
+    pub(crate) fn gradient(&self) -> Gradient {
         let mut out = Vec::with_capacity(self.parameter_count());
         for layer in &self.layers {
             for g in layer.gradients() {
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn gradient_has_parameter_length() {
         let mut model = tiny_model();
-        let inputs = Tensor::ones(&[2, 4]);
+        let inputs = Tensor::full(&[2, 4], 1.0);
         let (_, grad) = model.compute_gradient(&inputs, &[0, 1]).unwrap();
         assert_eq!(grad.len(), model.parameter_count());
         assert!(grad.l2_norm() > 0.0);
@@ -272,7 +272,7 @@ mod tests {
     fn apply_gradient_changes_parameters() {
         let mut model = tiny_model();
         let before = model.parameters();
-        let inputs = Tensor::ones(&[2, 4]);
+        let inputs = Tensor::full(&[2, 4], 1.0);
         let (_, grad) = model.compute_gradient(&inputs, &[0, 1]).unwrap();
         model.apply_gradient(&grad, 0.1).unwrap();
         assert_ne!(model.parameters(), before);
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn gradients_accumulate_until_zeroed() {
         let mut model = tiny_model();
-        let inputs = Tensor::ones(&[1, 4]);
+        let inputs = Tensor::full(&[1, 4], 1.0);
         model.zero_gradients();
         model.backward(&inputs, &[0]).unwrap();
         let g1 = model.gradient();

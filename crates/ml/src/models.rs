@@ -13,17 +13,6 @@ use crate::init::Initializer;
 use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use crate::model::Sequential;
 
-/// Multinomial logistic regression: a single dense layer from `input_dim` to
-/// `classes`.
-pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new().with_layer(Box::new(Dense::new(
-        input_dim,
-        classes,
-        Initializer::Xavier,
-        seed,
-    )))
-}
-
 /// Multi-layer perceptron with ReLU activations between the hidden layers.
 pub fn mlp_classifier(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Sequential {
     let mut model = Sequential::new();
@@ -189,14 +178,6 @@ pub fn table1_summaries() -> Vec<ModelSummary> {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
-
-    #[test]
-    fn logistic_regression_shapes() {
-        let mut m = logistic_regression(6, 4, 0);
-        let out = m.forward(&Tensor::zeros(&[3, 6])).unwrap();
-        assert_eq!(out.shape(), &[3, 4]);
-        assert_eq!(m.parameter_count(), 6 * 4 + 4);
-    }
 
     #[test]
     fn mlp_shapes_and_depth() {

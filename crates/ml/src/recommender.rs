@@ -16,8 +16,6 @@ use crate::Result;
 #[derive(Debug)]
 pub struct HashtagRecommender {
     model: Sequential,
-    vocab_size: usize,
-    feature_dim: usize,
 }
 
 impl HashtagRecommender {
@@ -27,38 +25,7 @@ impl HashtagRecommender {
     pub fn new(feature_dim: usize, vocab_size: usize, hidden: usize, seed: u64) -> Self {
         Self {
             model: mlp_classifier(feature_dim, &[hidden], vocab_size, seed),
-            vocab_size,
-            feature_dim,
         }
-    }
-
-    /// Number of hashtags in the vocabulary.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
-    /// Dimensionality of the context features.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
-    }
-
-    /// Total number of model parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.model.parameter_count()
-    }
-
-    /// Flat model parameters (the unit shipped to FLeet workers).
-    pub fn parameters(&self) -> Vec<f32> {
-        self.model.parameters()
-    }
-
-    /// Overwrites the model parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the length does not match.
-    pub fn set_parameters(&mut self, params: &[f32]) -> Result<()> {
-        self.model.set_parameters(params)
     }
 
     /// Computes the gradient of one user mini-batch without applying it
@@ -82,22 +49,6 @@ impl HashtagRecommender {
     /// Returns an error when the gradient length does not match.
     pub fn apply_gradient(&mut self, gradient: &Gradient, learning_rate: f32) -> Result<()> {
         self.model.apply_gradient(gradient, learning_rate)
-    }
-
-    /// Trains directly on one mini-batch (gradient + immediate apply).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/label errors.
-    pub fn train_on_batch(
-        &mut self,
-        features: &Tensor,
-        hashtags: &[usize],
-        learning_rate: f32,
-    ) -> Result<f32> {
-        let (loss, grad) = self.compute_gradient(features, hashtags)?;
-        self.apply_gradient(&grad, learning_rate)?;
-        Ok(loss)
     }
 
     /// Recommends the top-`k` hashtags for each row of `features`.
@@ -150,8 +101,6 @@ mod tests {
     #[test]
     fn recommender_shapes() {
         let mut rec = HashtagRecommender::new(8, 20, 16, 0);
-        assert_eq!(rec.vocab_size(), 20);
-        assert_eq!(rec.feature_dim(), 8);
         let recs = rec.recommend_top_k(&Tensor::zeros(&[3, 8]), 5).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].len(), 5);
@@ -163,33 +112,11 @@ mod tests {
         // Context feature 0 active => hashtag 2.
         let features = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0], &[1, 4]);
         for _ in 0..100 {
-            rec.train_on_batch(&features, &[2], 0.5).unwrap();
+            let (_, gradient) = rec.compute_gradient(&features, &[2]).unwrap();
+            rec.apply_gradient(&gradient, 0.5).unwrap();
         }
         let top = rec.recommend_top_k(&features, 1).unwrap();
         assert_eq!(top[0][0], 2);
-    }
-
-    #[test]
-    fn parameter_roundtrip() {
-        let mut a = HashtagRecommender::new(4, 6, 8, 1);
-        let mut b = HashtagRecommender::new(4, 6, 8, 2);
-        b.set_parameters(&a.parameters()).unwrap();
-        let x = Tensor::ones(&[1, 4]);
-        assert_eq!(
-            a.recommend_top_k(&x, 3).unwrap(),
-            b.recommend_top_k(&x, 3).unwrap()
-        );
-    }
-
-    #[test]
-    fn gradient_then_apply_matches_train_on_batch() {
-        let mut a = HashtagRecommender::new(3, 4, 4, 9);
-        let mut b = HashtagRecommender::new(3, 4, 4, 9);
-        let x = Tensor::from_vec(vec![0.5, -0.5, 1.0], &[1, 3]);
-        let (_, g) = a.compute_gradient(&x, &[1]).unwrap();
-        a.apply_gradient(&g, 0.1).unwrap();
-        b.train_on_batch(&x, &[1], 0.1).unwrap();
-        assert_eq!(a.parameters(), b.parameters());
     }
 
     #[test]

@@ -12,12 +12,12 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use fleet_ml::tensor::Tensor;
+/// use fleet_ml::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-/// let b = Tensor::ones(&[2, 2]);
-/// let c = a.add(&b);
-/// assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
+/// let b = Tensor::full(&[2, 1], 1.0);
+/// let c = a.matmul(&b);
+/// assert_eq!(c.data(), &[3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
@@ -56,15 +56,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor filled with ones.
-    pub fn ones(shape: &[usize]) -> Self {
-        let len: usize = shape.iter().product();
-        Self {
-            shape: shape.to_vec(),
-            data: vec![1.0; len],
-        }
-    }
-
     /// Creates a tensor filled with a constant value.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let len: usize = shape.iter().product();
@@ -80,13 +71,8 @@ impl Tensor {
     }
 
     /// The total number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Immutable view of the underlying data in row-major order.
@@ -95,12 +81,12 @@ impl Tensor {
     }
 
     /// Mutable view of the underlying data in row-major order.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -109,7 +95,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the new shape has a different number of elements.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
+    pub(crate) fn reshape(&self, shape: &[usize]) -> Tensor {
         Tensor::from_vec(self.data.clone(), shape)
     }
 
@@ -118,7 +104,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or the indices are out of bounds.
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
+    pub(crate) fn at2(&self, row: usize, col: usize) -> f32 {
         assert_eq!(self.shape.len(), 2, "at2 requires a 2-D tensor");
         let cols = self.shape[1];
         self.data[row * cols + col]
@@ -129,79 +115,28 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or the indices are out of bounds.
-    pub fn at2_mut(&mut self, row: usize, col: usize) -> &mut f32 {
+    pub(crate) fn at2_mut(&mut self, row: usize, col: usize) -> &mut f32 {
         assert_eq!(self.shape.len(), 2, "at2_mut requires a 2-D tensor");
         let cols = self.shape[1];
         &mut self.data[row * cols + col]
     }
 
-    /// Element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by a scalar.
-    pub fn scale(&self, factor: f32) -> Tensor {
+    pub(crate) fn scale(&self, factor: f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|v| v * factor).collect(),
         }
     }
 
-    /// Applies a function to every element.
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// `out = self + factor · other`, written into a caller-owned scratch
-    /// tensor (no allocation when `out` already has capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled_into(&self, other: &Tensor, factor: f32, out: &mut Tensor) {
-        assert_eq!(
-            self.shape, other.shape,
-            "add_scaled_into shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        out.resize_for(&self.shape.clone());
-        crate::kernels::add_scaled(&self.data, &other.data, factor, &mut out.data);
-    }
-
     /// Overwrites every element with `value`, keeping the allocation.
-    pub fn fill(&mut self, value: f32) {
+    pub(crate) fn fill(&mut self, value: f32) {
         self.data.fill(value);
     }
 
     /// Makes this tensor a copy of `other`, reusing the existing allocation
     /// when it is large enough (the workhorse of layer input caching).
-    pub fn copy_from(&mut self, other: &Tensor) {
+    pub(crate) fn copy_from(&mut self, other: &Tensor) {
         self.resize_for(&other.shape.clone());
         self.data.copy_from_slice(&other.data);
     }
@@ -209,48 +144,13 @@ impl Tensor {
     /// Reshapes in place to `shape`, growing or shrinking the data buffer but
     /// keeping its allocation where possible. Contents are unspecified after
     /// the call; callers overwrite them.
-    pub fn resize_for(&mut self, shape: &[usize]) {
+    pub(crate) fn resize_for(&mut self, shape: &[usize]) {
         let len: usize = shape.iter().product();
         if self.shape != shape {
             self.shape.clear();
             self.shape.extend_from_slice(shape);
         }
         self.data.resize(len, 0.0);
-    }
-
-    /// In-place element-wise addition of `other * factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled_inplace(&mut self, other: &Tensor, factor: f32) {
-        assert_eq!(
-            self.shape, other.shape,
-            "add_scaled_inplace shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b * factor;
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0.0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// L2 norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Matrix multiplication of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
@@ -306,7 +206,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes disagree or `out` is not `[m, n]`.
-    pub fn matmul_tn_acc_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_tn_acc_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, n) = self.check_tn(other);
         assert_eq!(
             out.shape,
@@ -345,7 +245,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if either tensor is not 2-D or the shared dimension disagrees.
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.shape.len(), 2, "matmul_nt requires 2-D tensors (lhs)");
         assert_eq!(other.shape.len(), 2, "matmul_nt requires 2-D tensors (rhs)");
         let (m, k) = (self.shape[0], self.shape[1]);
@@ -358,12 +258,14 @@ impl Tensor {
         crate::kernels::matmul_nt(&self.data, &other.data, &mut out.data, m, k, n);
     }
 
-    /// Transpose of a 2-D tensor.
+    /// Transpose of a 2-D tensor: the reference the fused `matmul_tn` /
+    /// `matmul_nt` layouts are tested against.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D.
-    pub fn transpose(&self) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Tensor {
         assert_eq!(self.shape.len(), 2, "transpose requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m * n];
@@ -375,59 +277,12 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Sums a 2-D tensor over its rows, producing a `[cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn sum_rows(&self) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "sum_rows requires a 2-D tensor");
-        let n = self.shape[1];
-        if n == 0 {
-            return Tensor::zeros(&[0]);
-        }
-        let mut out = vec![0.0f32; n];
-        for row in self.data.chunks_exact(n) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        Tensor::from_vec(out, &[n])
-    }
-
-    /// Extracts row `i` of a 2-D tensor as a `[cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or `i` is out of bounds.
-    pub fn row(&self, i: usize) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "row requires a 2-D tensor");
-        let n = self.shape[1];
-        Tensor::from_vec(self.data[i * n..(i + 1) * n].to_vec(), &[n])
-    }
-
-    /// Stacks 1-D tensors of equal length into a 2-D `[rows, cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or the rows have different lengths.
-    pub fn stack_rows(rows: &[Tensor]) -> Tensor {
-        assert!(!rows.is_empty(), "stack_rows requires at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "stack_rows rows must have equal length");
-            data.extend_from_slice(r.data());
-        }
-        Tensor::from_vec(data, &[rows.len(), cols])
-    }
-
     /// Index of the maximum element of each row of a 2-D tensor.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or has zero columns.
-    pub fn argmax_rows(&self) -> Vec<usize> {
+    pub(crate) fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.shape.len(), 2, "argmax_rows requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         assert!(n > 0, "argmax_rows requires at least one column");
@@ -448,7 +303,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D.
-    pub fn topk_rows(&self, k: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn topk_rows(&self, k: usize) -> Vec<Vec<usize>> {
         assert_eq!(self.shape.len(), 2, "topk_rows requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         (0..m)
@@ -464,23 +319,6 @@ impl Tensor {
                 idx
             })
             .collect()
-    }
-
-    fn zip_with<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
-        assert_eq!(
-            self.shape, other.shape,
-            "element-wise op shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
     }
 }
 
@@ -510,28 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn zeros_ones_full() {
-        assert_eq!(Tensor::zeros(&[2, 2]).sum(), 0.0);
-        assert_eq!(Tensor::ones(&[2, 2]).sum(), 4.0);
-        assert_eq!(Tensor::full(&[3], 2.5).sum(), 7.5);
+    fn zeros_and_full() {
+        assert_eq!(Tensor::zeros(&[2, 2]).data(), &[0.0; 4]);
+        assert_eq!(Tensor::full(&[3], 2.5).data(), &[2.5; 3]);
     }
 
     #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
-        assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn add_scaled_inplace_matches_add_scale() {
-        let mut a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        a.add_scaled_inplace(&b, 0.5);
-        assert_eq!(a.data(), &[2.5, 4.0]);
     }
 
     #[test]
@@ -557,30 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn sum_rows_and_row() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.sum_rows().data(), &[4.0, 6.0]);
-        assert_eq!(a.row(1).data(), &[3.0, 4.0]);
-    }
-
-    #[test]
     fn argmax_and_topk() {
         let a = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.7, 0.2, 0.1], &[2, 3]);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
         let topk = a.topk_rows(2);
         assert_eq!(topk[0], vec![1, 0]);
         assert_eq!(topk[1], vec![0, 1]);
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let rows = vec![
-            Tensor::from_vec(vec![1.0, 2.0], &[2]),
-            Tensor::from_vec(vec![3.0, 4.0], &[2]),
-        ];
-        let m = Tensor::stack_rows(&rows);
-        assert_eq!(m.shape(), &[2, 2]);
-        assert_eq!(m.at2(1, 0), 3.0);
     }
 
     #[test]
@@ -591,23 +398,7 @@ mod tests {
         assert_eq!(b.data(), a.data());
     }
 
-    #[test]
-    fn mean_and_norm() {
-        let a = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        assert!((a.mean() - 3.5).abs() < 1e-6);
-        assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        assert_eq!(Tensor::zeros(&[0]).mean(), 0.0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_add_commutative(data in proptest::collection::vec(-100.0f32..100.0, 1..64)) {
-            let n = data.len();
-            let a = Tensor::from_vec(data.clone(), &[n]);
-            let b = Tensor::from_vec(data.iter().rev().cloned().collect(), &[n]);
-            prop_assert_eq!(a.add(&b), b.add(&a));
-        }
-
         #[test]
         fn prop_scale_linear(data in proptest::collection::vec(-10.0f32..10.0, 1..32), k in -5.0f32..5.0) {
             let n = data.len();
@@ -702,23 +493,13 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_into_scratch() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
-        let mut out = Tensor::default();
-        a.add_scaled_into(&b, 0.5, &mut out);
-        assert_eq!(out.data(), &[6.0, 12.0]);
-        assert_eq!(out.shape(), &[2]);
-    }
-
-    #[test]
     fn copy_from_and_fill_keep_allocation() {
-        let big = Tensor::ones(&[8, 8]);
+        let big = Tensor::full(&[8, 8], 1.0);
         let mut scratch = Tensor::default();
         scratch.copy_from(&big);
         assert_eq!(scratch, big);
         scratch.fill(0.0);
-        assert_eq!(scratch.sum(), 0.0);
+        assert_eq!(scratch.data(), &[0.0; 64]);
         let small = Tensor::from_vec(vec![5.0], &[1, 1]);
         scratch.copy_from(&small);
         assert_eq!(scratch, small);

@@ -7,7 +7,7 @@
 //! [`parallel_chunks_mut`] for disjoint in-place work (the matmul kernels),
 //! [`parallel_map`] for independent computations, [`parallel_map_with`] for
 //! per-thread scratch state (the per-round worker gradients in
-//! `fleet_server::simulation`) and [`parallel_uneven_zip_mut`] for fan-out
+//! `fleet_server::AsyncSimulation`) and [`parallel_uneven_zip_mut`] for fan-out
 //! over unequal contiguous ranges paired with per-range state (the sharded
 //! parameter server in `fleet_core`).
 //!

@@ -2,7 +2,7 @@
 //! (the deviation statistics reported in Figs. 12 and 13 of the paper).
 
 /// Absolute deviations of measured costs from an SLO target.
-pub fn deviations(measured: &[f32], slo: f32) -> Vec<f32> {
+pub(crate) fn deviations(measured: &[f32], slo: f32) -> Vec<f32> {
     measured.iter().map(|&m| (m - slo).abs()).collect()
 }
 
@@ -12,7 +12,7 @@ pub fn deviations(measured: &[f32], slo: f32) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 100]`.
-pub fn percentile(values: &[f32], p: f32) -> f32 {
+pub(crate) fn percentile(values: &[f32], p: f32) -> f32 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if values.is_empty() {
         return 0.0;

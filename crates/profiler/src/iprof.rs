@@ -29,7 +29,7 @@ pub struct BatchPrediction {
     pub personalized: bool,
 }
 
-/// Checkpointed mutable state of one [`SlopePredictor`]. Configuration
+/// Checkpointed mutable state of one `SlopePredictor`. Configuration
 /// (ε, slope floor, retrain period) is not part of the state; it comes from
 /// the constructor of the predictor the state is imported into.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -184,7 +184,7 @@ impl SlopePredictor {
     }
 }
 
-/// The I-Prof profiler: one [`SlopePredictor`] for computation time and one
+/// The I-Prof profiler: one `SlopePredictor` for computation time and one
 /// for energy, combined through the SLO to propose a mini-batch size.
 #[derive(Debug, Clone)]
 pub struct IProf {
@@ -204,7 +204,7 @@ impl IProf {
 
     /// Creates an I-Prof instance with explicit ε-insensitive-loss thresholds
     /// for the latency and energy passive-aggressive models.
-    pub fn with_sensitivity(slo: Slo, latency_epsilon: f32, energy_epsilon: f32) -> Self {
+    pub(crate) fn with_sensitivity(slo: Slo, latency_epsilon: f32, energy_epsilon: f32) -> Self {
         Self {
             slo,
             latency: SlopePredictor::new(
@@ -220,26 +220,16 @@ impl IProf {
         }
     }
 
-    /// The configured SLO.
-    pub fn slo(&self) -> Slo {
-        self.slo
-    }
-
     /// Pre-trains the cold-start global computation-time model from offline
     /// calibration data `(latency_features, seconds_per_sample)`.
-    pub fn pretrain_latency(&mut self, samples: &[(Vec<f32>, f32)]) {
+    pub(crate) fn pretrain_latency(&mut self, samples: &[(Vec<f32>, f32)]) {
         self.latency.pretrain(samples);
     }
 
     /// Pre-trains the cold-start global energy model from offline calibration
     /// data `(energy_features, battery_pct_per_sample)`.
-    pub fn pretrain_energy(&mut self, samples: &[(Vec<f32>, f32)]) {
+    pub(crate) fn pretrain_energy(&mut self, samples: &[(Vec<f32>, f32)]) {
         self.energy.pretrain(samples);
-    }
-
-    /// Number of device models with a personalised latency model.
-    pub fn personalized_models(&self) -> usize {
-        self.latency.personal.len().max(self.energy.personal.len())
     }
 
     /// Exports the profiler's full mutable state for checkpointing. Personal
@@ -468,6 +458,7 @@ mod tests {
     fn observe_ignores_zero_batches() {
         let mut iprof = IProf::new(Slo::latency(3.0));
         iprof.observe("P", &features(8.0, 30.0), 0, 1.0, 1.0);
-        assert_eq!(iprof.personalized_models(), 0);
+        assert!(iprof.latency.personal.is_empty());
+        assert!(iprof.energy.personal.is_empty());
     }
 }

@@ -19,26 +19,28 @@
 //!   features, pre-trained offline on calibration devices and periodically
 //!   re-trained — used for the first request of every device model, and
 //! * a **personalised model per device model** — an online
-//!   passive-aggressive regressor with an ε-insensitive loss
-//!   ([`passive_aggressive::PassiveAggressiveRegressor`]) — bootstrapped from
-//!   the first observation and refined with every subsequent learning task.
+//!   passive-aggressive regressor with an ε-insensitive loss — bootstrapped
+//!   from the first observation and refined with every subsequent learning
+//!   task.
 //!
-//! [`maui::Maui`] implements the comparison profiler: a single linear
-//! regression on the mini-batch size alone (the paper's adaptation of MAUI).
+//! The MAUI baseline ([`pretrained_maui`]) is the comparison profiler: a
+//! single linear regression on the mini-batch size alone (the paper's
+//! adaptation of MAUI).
 
 #![forbid(unsafe_code)]
 
-pub mod eval;
-pub mod iprof;
-pub mod linreg;
-pub mod maui;
-pub mod passive_aggressive;
-pub mod slo;
-pub mod training;
+mod eval;
+mod iprof;
+mod linreg;
+mod maui;
+mod passive_aggressive;
+mod slo;
+mod training;
 
+pub use eval::DeviationStats;
 pub use iprof::{BatchPrediction, IProf, IProfState, SlopePredictorState};
-pub use maui::Maui;
 pub use slo::Slo;
+pub use training::{collect_calibration, pretrained_iprof, pretrained_maui};
 
 use fleet_device::DeviceFeatures;
 

@@ -9,37 +9,37 @@ use serde::{Deserialize, Serialize};
 
 /// A fitted linear regression model.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct LinearRegression {
+pub(crate) struct LinearRegression {
     theta: Vec<f32>,
 }
 
 impl LinearRegression {
     /// Creates an (unfitted) all-zero model with `dim` coefficients.
-    pub fn zeros(dim: usize) -> Self {
+    pub(crate) fn zeros(dim: usize) -> Self {
         Self {
             theta: vec![0.0; dim],
         }
     }
 
     /// Creates a model from explicit coefficients.
-    pub fn from_coefficients(theta: Vec<f32>) -> Self {
+    pub(crate) fn from_coefficients(theta: Vec<f32>) -> Self {
         Self { theta }
     }
 
     /// The coefficient vector θ.
-    pub fn coefficients(&self) -> &[f32] {
+    pub(crate) fn coefficients(&self) -> &[f32] {
         &self.theta
     }
 
     /// Number of coefficients.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.theta.len()
     }
 
     /// Fits θ with ordinary least squares (ridge λ = 1e-6 for numerical
     /// stability). Returns `None` when the inputs are empty, inconsistent, or
     /// the normal equations are singular.
-    pub fn fit(samples: &[(Vec<f32>, f32)]) -> Option<Self> {
+    pub(crate) fn fit(samples: &[(Vec<f32>, f32)]) -> Option<Self> {
         let dim = samples.first()?.0.len();
         if dim == 0 || samples.iter().any(|(x, _)| x.len() != dim) {
             return None;
@@ -66,7 +66,7 @@ impl LinearRegression {
     }
 
     /// Predicts `xᵀθ`. Mismatched lengths are truncated to the shorter one.
-    pub fn predict(&self, x: &[f32]) -> f32 {
+    pub(crate) fn predict(&self, x: &[f32]) -> f32 {
         self.theta.iter().zip(x.iter()).map(|(&t, &v)| t * v).sum()
     }
 }

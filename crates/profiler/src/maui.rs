@@ -29,7 +29,7 @@ pub struct Maui {
 
 impl Maui {
     /// Creates a MAUI profiler for the given SLO.
-    pub fn new(slo: Slo) -> Self {
+    pub(crate) fn new(slo: Slo) -> Self {
         Self {
             slo,
             latency_samples: Vec::new(),
@@ -41,32 +41,27 @@ impl Maui {
         }
     }
 
-    /// The configured SLO.
-    pub fn slo(&self) -> Slo {
-        self.slo
-    }
-
     /// Pre-trains from offline calibration pairs `(batch_size, seconds)`.
-    pub fn pretrain_latency(&mut self, samples: &[(usize, f32)]) {
+    pub(crate) fn pretrain_latency(&mut self, samples: &[(usize, f32)]) {
         self.latency_samples
             .extend(samples.iter().map(|&(n, t)| (vec![n as f32], t)));
         self.refit();
     }
 
     /// Pre-trains from offline calibration pairs `(batch_size, battery_pct)`.
-    pub fn pretrain_energy(&mut self, samples: &[(usize, f32)]) {
+    pub(crate) fn pretrain_energy(&mut self, samples: &[(usize, f32)]) {
         self.energy_samples
             .extend(samples.iter().map(|&(n, e)| (vec![n as f32], e)));
         self.refit();
     }
 
     /// Per-sample computation-time slope the model currently believes in.
-    pub fn latency_slope(&self) -> f32 {
+    pub(crate) fn latency_slope(&self) -> f32 {
         self.latency_model.predict(&[1.0]).max(MIN_SLOPE)
     }
 
     /// Per-sample energy slope the model currently believes in.
-    pub fn energy_slope(&self) -> f32 {
+    pub(crate) fn energy_slope(&self) -> f32 {
         self.energy_model.predict(&[1.0]).max(MIN_SLOPE)
     }
 

@@ -15,32 +15,17 @@ use serde::{Deserialize, Serialize};
 
 /// An online passive-aggressive regressor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PassiveAggressiveRegressor {
+pub(crate) struct PassiveAggressiveRegressor {
     theta: Vec<f32>,
     epsilon: f32,
     updates: u64,
 }
 
 impl PassiveAggressiveRegressor {
-    /// Creates a regressor of dimensionality `dim` with sensitivity ε,
-    /// starting from all-zero parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is negative.
-    pub fn new(dim: usize, epsilon: f32) -> Self {
-        assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        Self {
-            theta: vec![0.0; dim],
-            epsilon,
-            updates: 0,
-        }
-    }
-
     /// Bootstraps the regressor from an existing coefficient vector (I-Prof
     /// initialises each personalised model from the cold-start global model's
     /// first prediction for that device).
-    pub fn with_initial(theta: Vec<f32>, epsilon: f32) -> Self {
+    pub(crate) fn with_initial(theta: Vec<f32>, epsilon: f32) -> Self {
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         Self {
             theta,
@@ -57,7 +42,7 @@ impl PassiveAggressiveRegressor {
     /// # Panics
     ///
     /// Panics if `epsilon` is negative.
-    pub fn restore(theta: Vec<f32>, epsilon: f32, updates: u64) -> Self {
+    pub(crate) fn restore(theta: Vec<f32>, epsilon: f32, updates: u64) -> Self {
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         Self {
             theta,
@@ -67,34 +52,29 @@ impl PassiveAggressiveRegressor {
     }
 
     /// The current coefficients.
-    pub fn coefficients(&self) -> &[f32] {
+    pub(crate) fn coefficients(&self) -> &[f32] {
         &self.theta
     }
 
     /// Number of updates applied so far.
-    pub fn updates(&self) -> u64 {
+    pub(crate) fn updates(&self) -> u64 {
         self.updates
     }
 
-    /// The configured ε.
-    pub fn epsilon(&self) -> f32 {
-        self.epsilon
-    }
-
     /// Predicts `xᵀθ` (dimensions beyond the model are ignored).
-    pub fn predict(&self, x: &[f32]) -> f32 {
+    pub(crate) fn predict(&self, x: &[f32]) -> f32 {
         self.theta.iter().zip(x.iter()).map(|(&t, &v)| t * v).sum()
     }
 
     /// The ε-insensitive loss for an observation (Eq. 2 of the paper).
-    pub fn loss(&self, x: &[f32], target: f32) -> f32 {
+    pub(crate) fn loss(&self, x: &[f32], target: f32) -> f32 {
         let error = (self.predict(x) - target).abs();
         (error - self.epsilon).max(0.0)
     }
 
     /// Applies one passive-aggressive update for the observation `(x, target)`.
     /// Observations with zero feature norm are ignored.
-    pub fn update(&mut self, x: &[f32], target: f32) {
+    pub(crate) fn update(&mut self, x: &[f32], target: f32) {
         let norm_sq: f32 = x.iter().map(|v| v * v).sum();
         if norm_sq <= f32::EPSILON {
             return;
@@ -126,7 +106,7 @@ mod tests {
 
     #[test]
     fn update_moves_prediction_towards_target() {
-        let mut pa = PassiveAggressiveRegressor::new(1, 0.0);
+        let mut pa = PassiveAggressiveRegressor::with_initial(vec![0.0; 1], 0.0);
         let before = (pa.predict(&[2.0]) - 10.0).abs();
         pa.update(&[2.0], 10.0);
         let after = (pa.predict(&[2.0]) - 10.0).abs();
@@ -137,7 +117,7 @@ mod tests {
 
     #[test]
     fn converges_to_linear_relation() {
-        let mut pa = PassiveAggressiveRegressor::new(2, 0.01);
+        let mut pa = PassiveAggressiveRegressor::with_initial(vec![0.0; 2], 0.01);
         for i in 0..500 {
             let x = vec![1.0, (i % 10) as f32];
             let y = 0.5 + 0.2 * x[1];
@@ -149,8 +129,8 @@ mod tests {
 
     #[test]
     fn smaller_epsilon_is_more_aggressive() {
-        let mut tight = PassiveAggressiveRegressor::new(1, 0.0);
-        let mut loose = PassiveAggressiveRegressor::new(1, 0.5);
+        let mut tight = PassiveAggressiveRegressor::with_initial(vec![0.0; 1], 0.0);
+        let mut loose = PassiveAggressiveRegressor::with_initial(vec![0.0; 1], 0.5);
         tight.update(&[1.0], 1.0);
         loose.update(&[1.0], 1.0);
         assert!(tight.coefficients()[0] > loose.coefficients()[0]);
@@ -158,7 +138,7 @@ mod tests {
 
     #[test]
     fn zero_norm_features_are_ignored() {
-        let mut pa = PassiveAggressiveRegressor::new(2, 0.1);
+        let mut pa = PassiveAggressiveRegressor::with_initial(vec![0.0; 2], 0.1);
         pa.update(&[0.0, 0.0], 5.0);
         assert_eq!(pa.coefficients(), &[0.0, 0.0]);
     }

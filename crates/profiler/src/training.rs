@@ -28,12 +28,12 @@ pub struct CalibrationSample {
 
 impl CalibrationSample {
     /// Seconds per sample.
-    pub fn latency_slope(&self) -> f32 {
+    pub(crate) fn latency_slope(&self) -> f32 {
         self.computation_seconds / self.batch_size.max(1) as f32
     }
 
     /// Battery percent per sample.
-    pub fn energy_slope(&self) -> f32 {
+    pub(crate) fn energy_slope(&self) -> f32 {
         self.energy_pct / self.batch_size.max(1) as f32
     }
 }
@@ -89,7 +89,7 @@ pub fn pretrained_iprof(slo: Slo, samples: &[CalibrationSample]) -> IProf {
     iprof
 }
 
-/// Builds a [`Maui`] baseline pre-trained on the given calibration samples.
+/// Builds a `Maui` baseline pre-trained on the given calibration samples.
 pub fn pretrained_maui(slo: Slo, samples: &[CalibrationSample]) -> Maui {
     let mut maui = Maui::new(slo);
     let latency: Vec<(usize, f32)> = samples

@@ -43,27 +43,11 @@ pub struct ControllerCounters {
 
 impl Controller {
     /// Creates a controller with the given thresholds.
-    pub fn new(thresholds: ControllerThresholds) -> Self {
+    pub(crate) fn new(thresholds: ControllerThresholds) -> Self {
         Self {
             thresholds,
             ..Self::default()
         }
-    }
-
-    /// A controller that accepts everything (thresholds disabled).
-    pub fn permissive() -> Self {
-        Self::new(ControllerThresholds::default())
-    }
-
-    /// The active thresholds.
-    pub fn thresholds(&self) -> ControllerThresholds {
-        self.thresholds
-    }
-
-    /// Replaces the thresholds (the A/B procedure of §2.4 raises them
-    /// gradually).
-    pub fn set_thresholds(&mut self, thresholds: ControllerThresholds) {
-        self.thresholds = thresholds;
     }
 
     /// Decides whether a task with the proposed mini-batch size and
@@ -73,7 +57,11 @@ impl Controller {
     /// # Errors
     ///
     /// Returns the [`RejectionReason`] when a threshold is violated.
-    pub fn admit(&mut self, batch_size: usize, similarity: f32) -> Result<(), RejectionReason> {
+    pub(crate) fn admit(
+        &mut self,
+        batch_size: usize,
+        similarity: f32,
+    ) -> Result<(), RejectionReason> {
         if self.thresholds.min_batch_size > 0 && batch_size < self.thresholds.min_batch_size {
             self.rejected_size += 1;
             return Err(RejectionReason::BatchTooSmall {
@@ -96,27 +84,12 @@ impl Controller {
         self.accepted
     }
 
-    /// Number of tasks rejected because the batch was too small.
-    pub fn rejected_for_size(&self) -> u64 {
-        self.rejected_size
-    }
-
-    /// Number of tasks rejected because the data was too similar.
-    pub fn rejected_for_similarity(&self) -> u64 {
-        self.rejected_similarity
-    }
-
     /// Number of tasks shed because the server was overloaded. The overload
     /// check happens *before* admission (no point scoring a task the server
     /// cannot absorb), so the caller reports it here rather than through
     /// [`Controller::admit`].
-    pub fn note_overload(&mut self) {
+    pub(crate) fn note_overload(&mut self) {
         self.rejected_overload += 1;
-    }
-
-    /// Number of tasks shed under overload backpressure.
-    pub fn rejected_for_overload(&self) -> u64 {
-        self.rejected_overload
     }
 
     /// Total number of rejected tasks.
@@ -125,7 +98,7 @@ impl Controller {
     }
 
     /// Exports the acceptance counters for checkpointing.
-    pub fn counters(&self) -> ControllerCounters {
+    pub(crate) fn counters(&self) -> ControllerCounters {
         ControllerCounters {
             accepted: self.accepted,
             rejected_size: self.rejected_size,
@@ -135,7 +108,7 @@ impl Controller {
     }
 
     /// Restores counters captured with [`Controller::counters`].
-    pub fn restore_counters(&mut self, counters: ControllerCounters) {
+    pub(crate) fn restore_counters(&mut self, counters: ControllerCounters) {
         self.accepted = counters.accepted;
         self.rejected_size = counters.rejected_size;
         self.rejected_similarity = counters.rejected_similarity;
@@ -149,7 +122,7 @@ mod tests {
 
     #[test]
     fn permissive_controller_accepts_everything() {
-        let mut c = Controller::permissive();
+        let mut c = Controller::default();
         assert!(c.admit(1, 1.0).is_ok());
         assert!(c.admit(0, 0.0).is_ok());
         assert_eq!(c.accepted(), 2);
@@ -170,7 +143,7 @@ mod tests {
             })
         );
         assert!(c.admit(10, 0.5).is_ok());
-        assert_eq!(c.rejected_for_size(), 1);
+        assert_eq!(c.rejected_size, 1);
     }
 
     #[test]
@@ -181,31 +154,16 @@ mod tests {
         });
         assert_eq!(c.admit(100, 0.95), Err(RejectionReason::TooSimilar));
         assert!(c.admit(100, 0.85).is_ok());
-        assert_eq!(c.rejected_for_similarity(), 1);
-    }
-
-    #[test]
-    fn thresholds_can_be_tightened_at_runtime() {
-        let mut c = Controller::permissive();
-        assert!(c.admit(3, 1.0).is_ok());
-        c.set_thresholds(ControllerThresholds {
-            min_batch_size: 5,
-            max_similarity: Some(0.5),
-        });
-        assert!(c.admit(3, 0.4).is_err());
-        assert!(c.admit(6, 0.6).is_err());
-        assert!(c.admit(6, 0.4).is_ok());
-        assert_eq!(c.accepted(), 2);
-        assert_eq!(c.rejected(), 2);
+        assert_eq!(c.rejected_similarity, 1);
     }
 
     #[test]
     fn overload_counts_as_a_rejection() {
-        let mut c = Controller::permissive();
+        let mut c = Controller::default();
         assert!(c.admit(5, 0.1).is_ok());
         c.note_overload();
         c.note_overload();
-        assert_eq!(c.rejected_for_overload(), 2);
+        assert_eq!(c.rejected_overload, 2);
         assert_eq!(c.rejected(), 2);
         assert_eq!(c.accepted(), 1);
     }
@@ -221,7 +179,7 @@ mod tests {
         let _ = c.admit(100, 0.5);
         c.note_overload();
         let counters = c.counters();
-        let mut restored = Controller::new(c.thresholds());
+        let mut restored = Controller::new(c.thresholds);
         restored.restore_counters(counters);
         assert_eq!(restored.counters(), counters);
         assert_eq!(restored.accepted(), 1);

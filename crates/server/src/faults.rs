@@ -17,7 +17,7 @@
 
 /// What the (simulated) network does to an uploaded result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResultFate {
+pub(crate) enum ResultFate {
     /// The result reaches the server exactly once.
     Deliver,
     /// The result is lost; the lease will expire and be reclaimed.
@@ -57,7 +57,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The fault-free plan: every probability zero, no crashes. Running
     /// under this plan is byte-identical to running without fault injection.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             seed: 0,
             drop_request: 0.0,
@@ -88,7 +88,7 @@ impl FaultPlan {
 
     /// Whether the plan can never fire: all probabilities zero and no
     /// crash-restarts scheduled.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.drop_request == 0.0
             && self.drop_result == 0.0
             && self.duplicate_result == 0.0
@@ -97,7 +97,7 @@ impl FaultPlan {
     }
 
     /// Whether `worker`'s task request in `round` is lost.
-    pub fn drops_request(&self, round: u64, worker: u64) -> bool {
+    pub(crate) fn drops_request(&self, round: u64, worker: u64) -> bool {
         self.decide(round, worker, 0x71ea_c8b1, self.drop_request)
     }
 
@@ -105,7 +105,7 @@ impl FaultPlan {
     /// result faults are mutually exclusive; drop wins over duplicate wins
     /// over delay (each carved out of the same uniform draw, so the marginal
     /// probabilities are exactly the configured ones).
-    pub fn result_fate(&self, round: u64, worker: u64) -> ResultFate {
+    pub(crate) fn result_fate(&self, round: u64, worker: u64) -> ResultFate {
         let u = self.uniform(round, worker, 0x3c6e_f372);
         if u < self.drop_result {
             ResultFate::Drop
@@ -120,7 +120,7 @@ impl FaultPlan {
 
     /// Workers that crash-restart at the start of `round`, in ascending
     /// worker order.
-    pub fn crashes_at(&self, round: u64) -> Vec<u64> {
+    pub(crate) fn crashes_at(&self, round: u64) -> Vec<u64> {
         let mut workers: Vec<u64> = self
             .crash_restarts
             .iter()

@@ -12,7 +12,7 @@
 //!    and local label information,
 //! 2. I-Prof bounds the workload (mini-batch size) from the device features,
 //! 3. AdaSGD computes the similarity of the request with past learning tasks,
-//! 4. the [`controller::Controller`] accepts or rejects the task; accepted
+//! 4. the controller accepts or rejects the task; accepted
 //!    tasks receive a [`protocol::TaskAssignment`] with the current model and
 //!    the mini-batch size,
 //! 5. the worker computes the gradient and returns a [`protocol::TaskResult`],
@@ -20,27 +20,25 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
-pub mod controller;
-pub mod faults;
-pub mod online;
+mod checkpoint;
+mod controller;
+mod faults;
+mod online;
 pub mod protocol;
-pub mod server;
-pub mod simulation;
-pub mod staleness_model;
-pub mod tasks;
+mod server;
+mod simulation;
+mod staleness_model;
+mod tasks;
 pub mod wire;
-pub mod worker;
+mod worker;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint};
-pub use controller::{Controller, ControllerCounters, ControllerThresholds};
-pub use faults::{FaultPlan, FaultStats, ResultFate};
+pub use faults::FaultPlan;
 pub use fleet_core::ApplyMode;
+pub use online::{run_online_vs_standard, OnlineFlConfig};
 pub use protocol::ResultDisposition;
-pub use server::{FleetServer, FleetServerConfig, FleetServerConfigBuilder, FleetServerState};
-pub use simulation::{
-    AsyncSimulation, SimulationCheckpoint, SimulationConfig, SimulationConfigBuilder,
-    StalenessDistribution, TrainingHistory,
-};
-pub use tasks::{Lease, TaskTable, TaskTableState};
+pub use server::{FleetServer, FleetServerConfig, FleetServerState};
+pub use simulation::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
+pub use staleness_model::{bursty_start_times, histogram, staleness_from_timestamps};
+pub use tasks::TaskTable;
 pub use worker::{RetryPolicy, Worker};

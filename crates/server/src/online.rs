@@ -13,11 +13,9 @@
 //! The model is reset at the beginning of every 2-day shard, exactly as in the
 //! paper's evaluation procedure.
 
-use fleet_data::twitter::{HashtagStream, Post};
+use fleet_data::{HashtagStream, Post};
 use fleet_ml::metrics::mean_f1_at_k;
-use fleet_ml::recommender::{HashtagRecommender, MostPopularRecommender};
-use fleet_ml::tensor::Tensor;
-use fleet_ml::Gradient;
+use fleet_ml::{Gradient, HashtagRecommender, MostPopularRecommender, Tensor};
 
 /// Configuration of the hashtag-recommendation comparison.
 #[derive(Debug, Clone, Copy)]
@@ -210,7 +208,7 @@ fn evaluate(model: &mut HashtagRecommender, chunk: &[&Post], top_k: usize) -> f3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleet_data::twitter::StreamSpec;
+    use fleet_data::StreamSpec;
 
     fn small_stream() -> HashtagStream {
         HashtagStream::generate(

@@ -82,7 +82,7 @@ impl FleetServerConfig {
 
     /// Checks the combined invariants (core cluster plus the server-level
     /// knobs) and returns the first violation.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.core.validate()?;
         if self.num_classes == 0 {
             return Err(ConfigError::ZeroNumClasses);
@@ -140,51 +140,15 @@ impl FleetServerConfigBuilder {
         self
     }
 
-    /// Replaces the whole core cluster at once.
-    pub fn core(mut self, value: CoreConfig) -> Self {
-        self.config.core = value;
-        self
-    }
-
-    /// Sets AdaSGD's expected percentage of non-stragglers.
-    pub fn s_percentile(mut self, value: f64) -> Self {
-        self.config.s_percentile = value;
-        self
-    }
-
     /// Sets the number of classes of the learning task.
     pub fn num_classes(mut self, value: usize) -> Self {
         self.config.num_classes = value;
         self
     }
 
-    /// Sets the per-task SLO handed to I-Prof.
-    pub fn slo(mut self, value: Slo) -> Self {
-        self.config.slo = value;
-        self
-    }
-
-    /// Sets the controller thresholds.
-    pub fn thresholds(mut self, value: ControllerThresholds) -> Self {
-        self.config.thresholds = value;
-        self
-    }
-
-    /// Sets the network model the lease deadline budgets for.
-    pub fn network(mut self, value: NetworkKind) -> Self {
-        self.config.network = value;
-        self
-    }
-
     /// Sets the lease floor in logical rounds.
     pub fn lease_min_rounds(mut self, value: u64) -> Self {
         self.config.lease_min_rounds = value;
-        self
-    }
-
-    /// Sets the seconds → logical-rounds lease conversion rate.
-    pub fn lease_rounds_per_second(mut self, value: f64) -> Self {
-        self.config.lease_rounds_per_second = value;
         self
     }
 
@@ -198,7 +162,7 @@ impl FleetServerConfigBuilder {
 /// A full checkpoint of a [`FleetServer`]'s mutable state. Restoring it into
 /// a server built with the same [`FleetServerConfig`] resumes the run
 /// bit-for-bit (see [`FleetServer::restore_checkpoint`]). The binary
-/// encoding lives in [`crate::checkpoint`].
+/// encoding is [`crate::encode_checkpoint`] / [`crate::decode_checkpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetServerState {
     /// Parameter-server state (parameters, pending buffers, clocks,
@@ -259,11 +223,6 @@ impl FleetServer {
         self.telemetry = telemetry;
     }
 
-    /// The server configuration.
-    pub fn config(&self) -> &FleetServerConfig {
-        &self.config
-    }
-
     /// The current global model parameters.
     pub fn parameters(&self) -> &[f32] {
         self.parameter_server.parameters()
@@ -273,32 +232,6 @@ impl FleetServer {
     /// lockstep mode; the aggregation-round counter in per-shard mode).
     pub fn clock(&self) -> u64 {
         self.parameter_server.clock()
-    }
-
-    /// The per-shard vector clock (see
-    /// [`fleet_core::ParameterServer::shard_clocks`]).
-    pub fn shard_clocks(&self) -> Vec<u64> {
-        self.parameter_server.shard_clocks()
-    }
-
-    /// The per-shard staleness attributed to the most recent result
-    /// (per-shard mode; empty in lockstep — see
-    /// [`fleet_core::ParameterServer::last_shard_staleness`]).
-    pub fn last_shard_staleness(&self) -> &[u64] {
-        self.parameter_server.last_shard_staleness()
-    }
-
-    /// Applies one shard's pending gradients immediately (per-shard mode
-    /// only) — the scheduling freedom knob: a deployment can drain a shard
-    /// ahead of its K-th submission when e.g. its segment is about to be
-    /// handed to pull-heavy workers. See
-    /// [`fleet_core::ParameterServer::flush_shard`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in lockstep mode or when `shard` is out of range.
-    pub fn flush_shard(&mut self, shard: usize) -> bool {
-        self.parameter_server.flush_shard(shard)
     }
 
     /// Access to the controller statistics.
@@ -583,12 +516,6 @@ impl FleetServer {
         }
     }
 
-    /// Min-over-shards applied-update frontier (see
-    /// [`fleet_core::ParameterServer::updates_applied`]).
-    pub fn updates_applied(&self) -> u64 {
-        self.parameter_server.updates_applied()
-    }
-
     /// Captures the server's full mutable state. Restoring it into a server
     /// built with the same [`FleetServerConfig`] resumes the run bit-for-bit
     /// — parameters, pending gradients, vector clocks, lease table, I-Prof
@@ -741,11 +668,11 @@ mod tests {
         let (mut sharded, mut workers, _) = build_world(4);
         let mut reference = FleetServer::new(
             sharded.parameters().to_vec(),
-            sharded.config().to_builder().shards(1).build().unwrap(),
+            sharded.config.to_builder().shards(1).build().unwrap(),
         );
         sharded = FleetServer::new(
             sharded.parameters().to_vec(),
-            sharded.config().to_builder().shards(8).build().unwrap(),
+            sharded.config.to_builder().shards(8).build().unwrap(),
         );
         for _ in 0..3 {
             for worker in workers.iter_mut() {
@@ -772,7 +699,7 @@ mod tests {
         let (base, mut workers, _) = build_world(2);
         let mut server = FleetServer::new(
             base.parameters().to_vec(),
-            base.config()
+            base.config
                 .to_builder()
                 .shards(4)
                 .aggregation_k(2)
@@ -798,16 +725,19 @@ mod tests {
         let ack0 = server.handle_result(r0);
         assert!(!ack0.model_updated);
         // ... then shard 0 is drained ahead of its K-th submission.
-        assert!(server.flush_shard(0));
-        assert_eq!(server.shard_clocks(), vec![1, 0, 0, 0]);
+        assert!(server.parameter_server.flush_shard(0));
+        assert_eq!(server.parameter_server.shard_clocks(), vec![1, 0, 0, 0]);
 
         // The second result sees the divergence: shard 0 applied one update
         // since the worker's read, the others none.
         let r1 = workers[1].execute(&a1).unwrap();
         let ack1 = server.handle_result(r1);
         assert!(ack1.model_updated, "shards 1–3 reach K on this result");
-        assert_eq!(server.last_shard_staleness(), &[1, 0, 0, 0]);
-        assert_eq!(server.shard_clocks(), vec![1, 1, 1, 1]);
+        assert_eq!(
+            server.parameter_server.last_shard_staleness(),
+            &[1, 0, 0, 0]
+        );
+        assert_eq!(server.parameter_server.shard_clocks(), vec![1, 1, 1, 1]);
         assert!(ack1.scaling_factor > 0.0 && ack1.scaling_factor <= 1.0);
     }
 
@@ -817,14 +747,14 @@ mod tests {
         let model = mlp_classifier(6, &[8], 4, 0);
         let mut server = FleetServer::new(
             model.parameters(),
-            FleetServerConfig::builder()
-                .num_classes(4)
-                .thresholds(ControllerThresholds {
+            FleetServerConfig {
+                num_classes: 4,
+                thresholds: ControllerThresholds {
                     min_batch_size: usize::MAX,
                     max_similarity: None,
-                })
-                .build()
-                .expect("valid config"),
+                },
+                ..FleetServerConfig::default()
+            },
         );
         let mut worker = Worker::new(
             0,
@@ -943,7 +873,7 @@ mod tests {
         assert_eq!(second.scaling_factor, 0.0);
         assert_eq!(server.clock(), clock_after_first);
         assert_eq!(server.parameters(), after_first.as_slice());
-        assert_eq!(server.tasks().completed_len(), 1);
+        assert_eq!(server.tasks().export_state().completed.len(), 1);
     }
 
     #[test]
@@ -966,7 +896,7 @@ mod tests {
             Err(WireError::LengthOutOfBounds(honest.gradient.len() - 1))
         );
         assert_eq!(server.tasks().outstanding_len(), 1);
-        assert_eq!(server.tasks().completed_len(), 0);
+        assert_eq!(server.tasks().export_state().completed.len(), 0);
         assert_eq!(server.clock(), 0);
         assert_eq!(server.parameters(), before.as_slice());
 
@@ -984,12 +914,11 @@ mod tests {
         // A one-round lease: zero rounds-per-second budget floored at 1.
         let mut server = FleetServer::new(
             base.parameters().to_vec(),
-            base.config()
-                .to_builder()
-                .lease_min_rounds(1)
-                .lease_rounds_per_second(0.0)
-                .build()
-                .unwrap(),
+            FleetServerConfig {
+                lease_min_rounds: 1,
+                lease_rounds_per_second: 0.0,
+                ..base.config.clone()
+            },
         );
         let slow_assignment = match server.handle_request(&workers[0].request()) {
             TaskResponse::Assignment(a) => a,
@@ -1006,7 +935,7 @@ mod tests {
         assert_eq!(ack.disposition, ResultDisposition::Expired);
         assert!(!ack.model_updated);
         assert_eq!(server.parameters(), before.as_slice());
-        assert_eq!(server.tasks().expired_len(), 1);
+        assert_eq!(server.tasks().export_state().expired.len(), 1);
     }
 
     #[test]
@@ -1016,7 +945,7 @@ mod tests {
         // single shard after one buffered gradient.
         let mut server = FleetServer::new(
             base.parameters().to_vec(),
-            base.config()
+            base.config
                 .to_builder()
                 .aggregation_k(100)
                 .max_pending(1)
@@ -1037,7 +966,7 @@ mod tests {
             }
             other => panic!("expected overload rejection, got {other:?}"),
         }
-        assert_eq!(server.controller().rejected_for_overload(), 1);
+        assert_eq!(server.controller().counters().rejected_overload, 1);
         assert_eq!(server.controller().rejected(), 1);
     }
 
@@ -1053,7 +982,7 @@ mod tests {
         assert!(server.reclaim_task(assignment.task_id));
         assert!(!server.reclaim_task(assignment.task_id), "idempotent");
         assert_eq!(server.tasks().outstanding_len(), 0);
-        assert_eq!(server.tasks().expired_len(), 1);
+        assert_eq!(server.tasks().export_state().expired.len(), 1);
 
         let straggler = workers[0].execute(&assignment).unwrap();
         let before = server.parameters().to_vec();
@@ -1073,7 +1002,7 @@ mod tests {
         let (base, mut workers, _) = build_world(2);
         let mut lockstep = FleetServer::new(
             base.parameters().to_vec(),
-            base.config().to_builder().aggregation_k(2).build().unwrap(),
+            base.config.to_builder().aggregation_k(2).build().unwrap(),
         );
         if let TaskResponse::Assignment(a) = lockstep.handle_request(&workers[0].request()) {
             lockstep.handle_result(workers[0].execute(&a).unwrap());
@@ -1084,7 +1013,7 @@ mod tests {
 
         let mut per_shard = FleetServer::new(
             base.parameters().to_vec(),
-            base.config()
+            base.config
                 .to_builder()
                 .aggregation_k(2)
                 .shards(2)
@@ -1120,10 +1049,8 @@ mod tests {
         let state = crate::checkpoint::decode_checkpoint(encoded).expect("roundtrip");
         assert_eq!(state.tasks.outstanding.len(), 1, "lease must be captured");
 
-        let mut restored = FleetServer::new(
-            vec![0.0; server.parameters().len()],
-            server.config().clone(),
-        );
+        let mut restored =
+            FleetServer::new(vec![0.0; server.parameters().len()], server.config.clone());
         restored.restore_checkpoint(state.clone());
         assert_eq!(restored.tasks().outstanding_len(), 1);
 
@@ -1136,7 +1063,7 @@ mod tests {
             ResultDisposition::Duplicate
         );
         assert_eq!(restored.tasks().outstanding_len(), 0);
-        assert_eq!(restored.tasks().completed_len(), 1);
+        assert_eq!(restored.tasks().export_state().completed.len(), 1);
 
         // Task-id continuity: the restored table never reuses the id.
         match restored.handle_request(&workers[1].request()) {
@@ -1146,10 +1073,8 @@ mod tests {
 
         // The other deterministic fate: a restore that reclaims the lease
         // (worker presumed dead) classifies the straggler Expired.
-        let mut reclaimed = FleetServer::new(
-            vec![0.0; server.parameters().len()],
-            server.config().clone(),
-        );
+        let mut reclaimed =
+            FleetServer::new(vec![0.0; server.parameters().len()], server.config.clone());
         reclaimed.restore_checkpoint(state);
         assert!(reclaimed.reclaim_task(assignment.task_id));
         let straggler = workers[0].execute(&assignment).unwrap();
@@ -1174,10 +1099,8 @@ mod tests {
         let state = crate::checkpoint::decode_checkpoint(encoded).expect("roundtrip");
         assert_eq!(state, server.checkpoint());
 
-        let mut restored = FleetServer::new(
-            vec![0.0; server.parameters().len()],
-            server.config().clone(),
-        );
+        let mut restored =
+            FleetServer::new(vec![0.0; server.parameters().len()], server.config.clone());
         restored.restore_checkpoint(state);
         assert_eq!(restored.parameters(), server.parameters());
 
@@ -1211,7 +1134,7 @@ mod tests {
             let (mut duplicated, mut workers, _) = build_world(4);
             let mut reference = FleetServer::new(
                 duplicated.parameters().to_vec(),
-                duplicated.config().clone(),
+                duplicated.config.clone(),
             );
             let mut sent = Vec::new();
             for (worker, dups) in workers.iter_mut().zip(dup_counts) {
@@ -1245,7 +1168,7 @@ mod tests {
                 proptest::prop_assert_eq!(ack.disposition, ResultDisposition::Duplicate);
             }
             proptest::prop_assert_eq!(duplicated.clock(), reference.clock());
-            proptest::prop_assert_eq!(duplicated.updates_applied(), reference.updates_applied());
+            proptest::prop_assert_eq!(duplicated.parameter_server.updates_applied(), reference.parameter_server.updates_applied());
             proptest::prop_assert_eq!(duplicated.parameters(), reference.parameters());
         }
     }

@@ -134,7 +134,7 @@ pub struct SimulationConfig {
     /// `0` disables; ignored in lockstep mode. Needs `aggregation_k ≥ 2` to
     /// have any effect (with K = 1 nothing is ever pending to flush).
     pub flush_every: usize,
-    /// The fault-injection schedule. [`FaultPlan::none`] (the default) is
+    /// The fault-injection schedule. `FaultPlan::none()` (the default) is
     /// byte-identical to running without the fault layer; fault decisions
     /// are stateless hashes, so they never perturb the RNG streams.
     pub faults: FaultPlan,
@@ -169,16 +169,9 @@ impl SimulationConfig {
         }
     }
 
-    /// A builder seeded from this configuration.
-    pub fn to_builder(&self) -> SimulationConfigBuilder {
-        SimulationConfigBuilder {
-            config: self.clone(),
-        }
-    }
-
     /// Checks the combined invariants (core cluster plus the simulation
     /// knobs) and returns the first violation.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.core.validate()?;
         if self.steps == 0 {
             return Err(ConfigError::ZeroSteps);
@@ -199,10 +192,8 @@ impl SimulationConfig {
 }
 
 /// Builder for [`SimulationConfig`]; `build` validates and returns a typed
-/// [`ConfigError`] — e.g. [`ConfigError::LockstepFlush`] for a scripted
-/// flush cadence in lockstep mode, which would silently do nothing. The
-/// core-cluster setters (`learning_rate`, `aggregation_k`, `shards`,
-/// `apply_mode`) are flattened into this builder.
+/// [`ConfigError`]. The core-cluster setters (`learning_rate`,
+/// `aggregation_k`, `shards`) are flattened into this builder.
 #[derive(Debug, Clone)]
 pub struct SimulationConfigBuilder {
     config: SimulationConfig,
@@ -224,18 +215,6 @@ impl SimulationConfigBuilder {
     /// Sets the parameter-server shard count.
     pub fn shards(mut self, value: usize) -> Self {
         self.config.core.shards = value;
-        self
-    }
-
-    /// Sets the shard apply-scheduling mode.
-    pub fn apply_mode(mut self, value: ApplyMode) -> Self {
-        self.config.core.apply_mode = value;
-        self
-    }
-
-    /// Replaces the whole core cluster at once.
-    pub fn core(mut self, value: CoreConfig) -> Self {
-        self.config.core = value;
         self
     }
 
@@ -287,18 +266,6 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Sets the scripted shard-flush cadence (per-shard mode only).
-    pub fn flush_every(mut self, value: usize) -> Self {
-        self.config.flush_every = value;
-        self
-    }
-
-    /// Sets the fault-injection schedule.
-    pub fn faults(mut self, value: FaultPlan) -> Self {
-        self.config.faults = value;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, value: u64) -> Self {
         self.config.seed = value;
@@ -337,7 +304,7 @@ pub struct TrainingHistory {
     /// The weight attached to every applied gradient, in submission order.
     pub scaling_factors: Vec<f64>,
     /// What the fault plan injected and how deliveries were classified.
-    /// All-zero except `applied` under [`FaultPlan::none`].
+    /// All-zero except `applied` under `FaultPlan::none()`.
     pub faults: FaultStats,
 }
 
@@ -905,7 +872,7 @@ impl<'a> AsyncSimulation<'a> {
         checkpoint
     }
 
-    /// Resumes a run from a [`SimulationCheckpoint`] — e.g. after a server
+    /// Resumes a run from a `SimulationCheckpoint` — e.g. after a server
     /// crash-restart — and runs it to completion. The aggregator must be
     /// constructed with the same parameters as the original's (its mutable
     /// state is restored from the checkpoint); the resumed trajectory is

@@ -6,7 +6,7 @@
 //! model advances by one step per pushed gradient, so the staleness of a task
 //! equals the number of *other* tasks that complete while it is in flight.
 
-use fleet_device::network::RoundTripModel;
+use fleet_device::RoundTripModel;
 
 /// Computes per-task staleness values.
 ///

@@ -98,7 +98,7 @@ impl TaskTable {
     /// instead of waiting out the logical deadline. Completed, already
     /// expired and unknown ids are left untouched (`None`): a result that
     /// raced the disconnect and got applied stays applied.
-    pub fn reclaim(&mut self, task_id: u64) -> Option<Lease> {
+    pub(crate) fn reclaim(&mut self, task_id: u64) -> Option<Lease> {
         let lease = self.outstanding.remove(&task_id)?;
         self.expired.insert(task_id);
         Some(lease)
@@ -127,28 +127,13 @@ impl TaskTable {
         }
     }
 
-    /// The lease for an outstanding task, if any.
-    pub fn lease(&self, task_id: u64) -> Option<&Lease> {
-        self.outstanding.get(&task_id)
-    }
-
     /// Number of outstanding leases.
     pub fn outstanding_len(&self) -> usize {
         self.outstanding.len()
     }
 
-    /// Number of completed tasks.
-    pub fn completed_len(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// Number of expired (reclaimed) tasks.
-    pub fn expired_len(&self) -> usize {
-        self.expired.len()
-    }
-
     /// Exports the table for checkpointing (all sets in sorted order).
-    pub fn export_state(&self) -> TaskTableState {
+    pub(crate) fn export_state(&self) -> TaskTableState {
         TaskTableState {
             next_id: self.next_id,
             outstanding: self
@@ -170,7 +155,7 @@ impl TaskTable {
 
     /// Rebuilds a table from a state captured with
     /// [`TaskTable::export_state`].
-    pub fn from_state(state: TaskTableState) -> Self {
+    pub(crate) fn from_state(state: TaskTableState) -> Self {
         Self {
             next_id: state.next_id,
             outstanding: state
@@ -214,7 +199,7 @@ mod tests {
         assert_eq!(table.classify(id, 7), ResultDisposition::Applied);
         assert_eq!(table.classify(id, 7), ResultDisposition::Duplicate);
         assert_eq!(table.classify(id, 7), ResultDisposition::Duplicate);
-        assert_eq!(table.completed_len(), 1);
+        assert_eq!(table.completed.len(), 1);
         assert_eq!(table.outstanding_len(), 0);
     }
 
@@ -244,7 +229,7 @@ mod tests {
         assert_eq!(reclaimed[0].1.worker_id, 3);
         // The straggler's late result is rejected, not applied.
         assert_eq!(table.classify(id, 3), ResultDisposition::Expired);
-        assert_eq!(table.expired_len(), 1);
+        assert_eq!(table.expired.len(), 1);
     }
 
     #[test]
@@ -275,7 +260,7 @@ mod tests {
         let lease = table.reclaim(id).expect("outstanding lease reclaims");
         assert_eq!(lease.worker_id, 4);
         assert_eq!(table.outstanding_len(), 0);
-        assert_eq!(table.expired_len(), 1);
+        assert_eq!(table.expired.len(), 1);
         // The dead worker's late retransmission is a straggler now.
         assert_eq!(table.classify(id, 4), ResultDisposition::Expired);
     }

@@ -58,13 +58,8 @@ impl Worker {
         &self.device
     }
 
-    /// Number of locally available samples.
-    pub fn available_samples(&self) -> usize {
-        self.local_indices.len()
-    }
-
     /// Label distribution of the worker's full local dataset.
-    pub fn local_label_distribution(&self) -> LabelDistribution {
+    pub(crate) fn local_label_distribution(&self) -> LabelDistribution {
         let labels: Vec<usize> = self
             .local_indices
             .iter()

@@ -1,16 +1,14 @@
 //! HDR-style fixed-bucket histograms for latency and depth distributions.
 //!
-//! The bucket layout is log-linear with [`SUB_BITS`] significant bits:
+//! The bucket layout is log-linear with `SUB_BITS` significant bits:
 //! values below 2^SUB_BITS get one bucket each (exact), and every further
 //! power-of-two range is split into 2^SUB_BITS equal sub-buckets, so a
 //! recorded value is represented with a relative error of at most
 //! `1 / 2^SUB_BITS` (≈ 3.1%). The whole `u64` range fits in a fixed array
-//! of [`BUCKET_COUNT`] counters allocated once at construction:
+//! of `BUCKET_COUNT` counters allocated once at construction:
 //! [`Histogram::record`] is two shifts, a mask and an increment — no
-//! allocation, no branching on history — and [`Histogram::merge`] is a
-//! plain element-wise add, so aggregation across threads or sweep points is
-//! exact and order-independent (deterministic by construction, unlike
-//! sampling reservoirs).
+//! allocation, no branching on history, deterministic by construction
+//! (unlike sampling reservoirs).
 //!
 //! Percentile queries return the **upper bound** of the bucket holding the
 //! rank, clamped to the exactly-tracked `[min, max]` — so
@@ -23,7 +21,7 @@ const SUB_BITS: u32 = 5;
 /// Sub-buckets per power-of-two range.
 const SUB_COUNT: usize = 1 << SUB_BITS;
 /// Total fixed bucket count covering all of `u64`.
-pub const BUCKET_COUNT: usize = SUB_COUNT + (64 - SUB_BITS as usize) * SUB_COUNT;
+pub(crate) const BUCKET_COUNT: usize = SUB_COUNT + (64 - SUB_BITS as usize) * SUB_COUNT;
 
 /// Bucket index of a value (see the module docs for the layout).
 #[inline]
@@ -70,7 +68,7 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram. The single allocation lives here; recording is
     /// allocation-free.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: vec![0u64; BUCKET_COUNT]
                 .into_boxed_slice()
@@ -85,7 +83,7 @@ impl Histogram {
 
     /// Records one sample.
     #[inline]
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.counts[bucket_index(value)] += 1;
         self.total += 1;
         self.sum += value as u128;
@@ -93,25 +91,13 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds `other` into `self`: exactly equivalent to having recorded both
-    /// sample streams into one histogram, in any order.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total
     }
 
     /// Exact smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.total == 0 {
             0
         } else {
@@ -120,12 +106,12 @@ impl Histogram {
     }
 
     /// Exact largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Exact arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -136,7 +122,7 @@ impl Histogram {
     /// The value at the given percentile (0 < `pct` ≤ 100): the upper bound
     /// of the bucket holding the `ceil(pct/100 · count)`-th smallest sample,
     /// clamped to the exact `[min, max]`. Returns 0 when empty.
-    pub fn value_at_percentile(&self, pct: f64) -> u64 {
+    pub(crate) fn value_at_percentile(&self, pct: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -153,7 +139,7 @@ impl Histogram {
     }
 
     /// A plain-data copy of the summary statistics.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count(),
             mean: self.mean(),
@@ -300,47 +286,5 @@ mod tests {
                 );
             }
         }
-
-        /// Merging arbitrary partitions of a stream is exactly recording
-        /// the whole stream — deterministic aggregation, no drift.
-        #[test]
-        fn merge_is_partition_invariant(
-            values in proptest::collection::vec(0u64..u64::MAX / 2, 1..300),
-            split in 0usize..300,
-        ) {
-            let cut = split.min(values.len());
-            let mut whole = Histogram::new();
-            let mut left = Histogram::new();
-            let mut right = Histogram::new();
-            for (i, &v) in values.iter().enumerate() {
-                whole.record(v);
-                if i < cut {
-                    left.record(v);
-                } else {
-                    right.record(v);
-                }
-            }
-            left.merge(&right);
-            proptest::prop_assert_eq!(left.snapshot(), whole.snapshot());
-        }
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in [3u64, 999, 1_000_000, 42, 7_777_777_777, 0] {
-            whole.record(v);
-        }
-        for v in [3u64, 999, 1_000_000] {
-            a.record(v);
-        }
-        for v in [42u64, 7_777_777_777, 0] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), whole.snapshot());
-        assert_eq!(a.counts, whole.counts);
     }
 }

@@ -56,7 +56,7 @@ impl Recorder {
     }
 
     /// Current value of one counter.
-    pub fn counter(&self, counter: Counter) -> u64 {
+    pub(crate) fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize].load(Ordering::Relaxed)
     }
 

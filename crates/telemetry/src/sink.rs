@@ -54,7 +54,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 17] = [
+    pub(crate) const ALL: [Counter; 17] = [
         Counter::Requests,
         Counter::Assignments,
         Counter::RejectedOverloaded,
@@ -73,29 +73,6 @@ impl Counter {
         Counter::JournalAppends,
         Counter::Checkpoints,
     ];
-
-    /// Stable snake_case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Requests => "requests",
-            Counter::Assignments => "assignments",
-            Counter::RejectedOverloaded => "rejected_overloaded",
-            Counter::RejectedBatchTooSmall => "rejected_batch_too_small",
-            Counter::RejectedTooSimilar => "rejected_too_similar",
-            Counter::Results => "results",
-            Counter::Applied => "applied",
-            Counter::Duplicates => "duplicates",
-            Counter::Expired => "expired",
-            Counter::Unsolicited => "unsolicited",
-            Counter::ModelUpdates => "model_updates",
-            Counter::Retries => "retries",
-            Counter::ConnectionsOpened => "connections_opened",
-            Counter::ConnectionsClosed => "connections_closed",
-            Counter::TasksReclaimed => "tasks_reclaimed",
-            Counter::JournalAppends => "journal_appends",
-            Counter::Checkpoints => "checkpoints",
-        }
-    }
 }
 
 /// Latency distributions a sink can record into. Closed and indexable like
@@ -113,20 +90,11 @@ pub enum Latency {
 
 impl Latency {
     /// Every latency metric, in report order.
-    pub const ALL: [Latency; 3] = [
+    pub(crate) const ALL: [Latency; 3] = [
         Latency::RequestExchange,
         Latency::SubmitExchange,
         Latency::HandleFrame,
     ];
-
-    /// Stable snake_case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Latency::RequestExchange => "request_exchange",
-            Latency::SubmitExchange => "submit_exchange",
-            Latency::HandleFrame => "handle_frame",
-        }
-    }
 }
 
 /// The reporting interface. All methods default to no-ops; implementors
@@ -159,12 +127,6 @@ pub trait TelemetrySink: Send + Sync {
         let _ = (shard, delta);
     }
 }
-
-/// The do-nothing sink (every trait default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {}
 
 /// A cheap, cloneable handle instrumented components store. Disabled by
 /// default; [`TelemetryHandle::get`] is the hot-path gate — one `Option`
@@ -226,7 +188,9 @@ mod tests {
         let handle = TelemetryHandle::disabled();
         assert!(!handle.is_enabled());
         assert!(handle.get().is_none());
-        // The no-op sink's defaults are callable and inert.
+        // The trait's defaults are callable and inert.
+        struct NoopSink;
+        impl TelemetrySink for NoopSink {}
         let noop = NoopSink;
         assert_eq!(noop.now_ns(), 0);
         noop.add(Counter::Requests, 1);

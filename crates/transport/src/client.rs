@@ -14,8 +14,8 @@
 //! mid-upload is indistinguishable from a duplicate — the server answers
 //! `Applied` to exactly one copy.
 
-use crate::conn::{Endpoint, Stream};
-use crate::deadline::DeadlineReader;
+use crate::conn::{Endpoint, Stream, WRITE_TIMEOUT};
+use crate::deadline::{DeadlineReader, READ_BUDGET};
 use crate::frame::{
     self, decode_status, read_frame, write_frame, FrameError, FrameKind, ServerStatus,
 };
@@ -34,12 +34,6 @@ pub struct ClientConfig {
     pub retry: RetryPolicy,
     /// Wall-time length of one logical backoff round.
     pub backoff_unit: Duration,
-    /// Total wall-clock budget to receive one reply frame.
-    pub read_budget: Duration,
-    /// Kernel timeout on any single write.
-    pub write_timeout: Duration,
-    /// Bound on a received frame's declared length.
-    pub max_frame_len: usize,
     /// Where client-observed exchange latencies and retry counts are
     /// reported. Disabled by default.
     pub telemetry: TelemetryHandle,
@@ -50,9 +44,6 @@ impl Default for ClientConfig {
         ClientConfig {
             retry: RetryPolicy::new(),
             backoff_unit: Duration::from_millis(10),
-            read_budget: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_frame_len: frame::MAX_FRAME_LEN,
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -285,14 +276,14 @@ impl WorkerClient {
     ) -> Result<Result<Vec<u8>, ClientError>, Transient> {
         if self.stream.is_none() {
             let stream = Stream::connect(&self.endpoint).map_err(Transient::Io)?;
-            let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("connected above");
         write_frame(stream, kind, payload).map_err(Transient::Io)?;
         let (reply_kind, reply) = {
-            let mut reader = DeadlineReader::new(stream, self.config.read_budget);
-            read_frame(&mut reader, self.config.max_frame_len).map_err(Transient::Frame)?
+            let mut reader = DeadlineReader::new(stream, READ_BUDGET);
+            read_frame(&mut reader, frame::MAX_FRAME_LEN).map_err(Transient::Frame)?
         };
         if reply_kind == expect {
             return Ok(Ok(reply));

@@ -1,4 +1,4 @@
-//! Socket abstraction: one [`Endpoint`] / [`Stream`] / [`Listener`] surface
+//! Socket abstraction: one [`Endpoint`] / [`Stream`] / `Listener` surface
 //! over Unix-domain sockets and localhost TCP, so the framing, server and
 //! client layers are transport-agnostic.
 
@@ -7,6 +7,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Kernel timeout on any single socket write, on both sides: a peer that
+/// stops draining its receive buffer fails the write and loses the
+/// connection.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Where a server listens (and a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +113,7 @@ impl Stream {
 
     /// A second handle to the same socket (used by the server to force-close
     /// connections from the shutdown path).
-    pub fn try_clone(&self) -> io::Result<Self> {
+    pub(crate) fn try_clone(&self) -> io::Result<Self> {
         match self {
             Stream::Uds(s) => Ok(Stream::Uds(s.try_clone()?)),
             Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
@@ -116,7 +121,7 @@ impl Stream {
     }
 
     /// Sets the kernel-level timeout for any single `read` call. The
-    /// per-frame budget layered on top lives in [`crate::deadline`].
+    /// per-frame budget layered on top lives in the `deadline` module.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Uds(s) => s.set_read_timeout(timeout),
@@ -125,7 +130,7 @@ impl Stream {
     }
 
     /// Sets the kernel-level timeout for any single `write` call.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Uds(s) => s.set_write_timeout(timeout),
             Stream::Tcp(s) => s.set_write_timeout(timeout),
@@ -134,7 +139,7 @@ impl Stream {
 
     /// Closes both directions; any thread blocked on the socket wakes with
     /// an EOF or error. Errors are ignored — the socket may already be gone.
-    pub fn shutdown_both(&self) {
+    pub(crate) fn shutdown_both(&self) {
         match self {
             Stream::Uds(s) => {
                 let _ = s.shutdown(Shutdown::Both);

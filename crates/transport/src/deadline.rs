@@ -18,10 +18,15 @@ use crate::conn::Stream;
 use std::io::{self, IoSliceMut, Read};
 use std::time::{Duration, Instant};
 
+/// The wall-clock budget to receive one whole frame: the client's always,
+/// the server's unless [`crate::TransportConfig::read_budget`] says
+/// otherwise.
+pub(crate) const READ_BUDGET: Duration = Duration::from_secs(10);
+
 /// Wraps a [`Stream`] for the duration of one frame read, enforcing a total
 /// wall-clock budget across all partial reads.
 #[derive(Debug)]
-pub struct DeadlineReader<'a> {
+pub(crate) struct DeadlineReader<'a> {
     stream: &'a mut Stream,
     deadline: Instant,
 }
@@ -32,7 +37,7 @@ impl<'a> DeadlineReader<'a> {
         clippy::disallowed_methods,
         reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
     )]
-    pub fn new(stream: &'a mut Stream, budget: Duration) -> Self {
+    pub(crate) fn new(stream: &'a mut Stream, budget: Duration) -> Self {
         DeadlineReader {
             deadline: Instant::now() + budget,
             stream,

@@ -50,7 +50,7 @@ impl FrameKind {
     }
 
     /// Parses an on-wire kind byte.
-    pub fn from_byte(byte: u8) -> Option<Self> {
+    pub(crate) fn from_byte(byte: u8) -> Option<Self> {
         match byte {
             1 => Some(FrameKind::Request),
             2 => Some(FrameKind::Result),
@@ -250,7 +250,7 @@ pub struct ServerStatus {
 /// and not encoded here a compile error; [`decode_status`]'s struct literal
 /// does the same on its side.
 #[deny(unused_variables)]
-pub fn encode_status(status: &ServerStatus) -> Vec<u8> {
+pub(crate) fn encode_status(status: &ServerStatus) -> Vec<u8> {
     let ServerStatus {
         steps,
         clock,
@@ -271,7 +271,7 @@ pub fn encode_status(status: &ServerStatus) -> Vec<u8> {
 ///
 /// [`FrameError::Malformed`] when the payload is not exactly the encoded
 /// shape.
-pub fn decode_status(payload: &[u8]) -> Result<ServerStatus, FrameError> {
+pub(crate) fn decode_status(payload: &[u8]) -> Result<ServerStatus, FrameError> {
     if payload.len() != 25 {
         return Err(FrameError::Malformed("status payload must be 25 bytes"));
     }

@@ -23,7 +23,7 @@
 //!   `Error` frame (best effort) and a closed socket; the accept loop and
 //!   every other connection keep going.
 //! * **Deadlines**: all socket reads run under a per-frame wall-clock budget
-//!   ([`deadline`] — the one module in the crate allowed to touch
+//!   (the `deadline` module — the one place in the crate allowed to touch
 //!   `Instant`), so a stalled peer cannot pin its thread forever.
 //! * **Disconnect reclaims leases**: tasks assigned over a connection that
 //!   dies re-enter the pool immediately through PR 6's expiry path
@@ -50,18 +50,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod conn;
-pub mod deadline;
-pub(crate) mod durable;
+mod client;
+mod conn;
+mod deadline;
+mod durable;
 pub mod frame;
-pub mod server;
+mod server;
 
 pub use client::{ClientConfig, ClientError, WorkerClient};
 pub use conn::{Endpoint, Stream};
-pub use deadline::DeadlineReader;
-pub use frame::{FrameError, FrameKind, ServerStatus, MAX_FRAME_LEN};
-// Re-exported so embedders configure durability without a direct
+// Re-exported so embedders pick an fsync policy without a direct
 // fleet-durability dependency.
-pub use fleet_durability::{DurabilityOptions, FsyncPolicy};
-pub use server::{TransportConfig, TransportConfigBuilder, TransportConfigError, TransportServer};
+pub use fleet_durability::FsyncPolicy;
+pub use frame::{FrameKind, ServerStatus, MAX_FRAME_LEN};
+pub use server::{TransportConfig, TransportConfigError, TransportServer};

@@ -25,10 +25,10 @@
 //! core mutex before its reply frame leaves, checkpoints are written on a
 //! step cadence, and [`TransportServer::bind`] recovers
 //! checkpoint-plus-journal from disk before the accept loop opens (see
-//! [`crate::durable`]).
+//! the `durable` module).
 
-use crate::conn::{Endpoint, Listener, Stream};
-use crate::deadline::DeadlineReader;
+use crate::conn::{Endpoint, Listener, Stream, WRITE_TIMEOUT};
+use crate::deadline::{DeadlineReader, READ_BUDGET};
 use crate::durable::{self, reclaim_payload, Durable};
 use crate::frame::{
     self, encode_status, read_frame, write_frame, FrameError, FrameKind, ServerStatus,
@@ -51,17 +51,12 @@ use std::time::Duration;
 /// Configuration of a [`TransportServer`].
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
-    /// Hard bound on any received frame's declared length; longer headers
-    /// kill the connection before a body byte is read.
-    pub max_frame_len: usize,
     /// Total wall-clock budget to receive one complete frame (header and
     /// body), measured from its first byte. A connection idling *between*
     /// frames is a worker computing and is left alone; a connection stalled
-    /// *mid-frame* is a slow-loris and is cut off.
+    /// *mid-frame* is a slow-loris and is cut off. Ten seconds by default;
+    /// the socket tests shorten it to 80–200 ms to exercise that cut.
     pub read_budget: Duration,
-    /// Kernel timeout on any single write; a peer that stops draining its
-    /// receive buffer fails the write and loses the connection.
-    pub write_timeout: Duration,
     /// When set, the server is durable: [`TransportServer::bind`] recovers
     /// checkpoint + write-ahead journal from this directory before
     /// accepting, every applied exchange is journaled before its reply, and
@@ -78,9 +73,7 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            max_frame_len: frame::MAX_FRAME_LEN,
-            read_budget: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
+            read_budget: READ_BUDGET,
             durability: None,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -97,40 +90,28 @@ impl TransportConfig {
     }
 }
 
-/// Why a [`TransportConfigBuilder::build`] call failed.
+/// Why building a [`TransportConfig`] (see [`TransportConfig::builder`])
+/// failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportConfigError {
-    /// `max_frame_len` is zero — no frame could ever be received.
-    ZeroMaxFrameLen,
     /// The per-frame read budget is zero — every frame would time out.
     ZeroReadBudget,
-    /// The write timeout is zero — every reply would fail.
-    ZeroWriteTimeout,
-    /// A durability knob was set without [`TransportConfigBuilder::durable`]:
+    /// A durability knob was set without `.durable(dir)`:
     /// the journal would silently not exist.
     DurabilityWithoutDir {
-        /// The knob that was set (`checkpoint_every`, `fsync`,
-        /// `keep_generations`).
+        /// The knob that was set (`checkpoint_every` or `fsync`).
         knob: &'static str,
     },
-    /// `keep_generations` is zero — recovery needs at least one checkpoint
-    /// generation on disk.
-    ZeroKeepGenerations,
 }
 
 impl std::fmt::Display for TransportConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TransportConfigError::ZeroMaxFrameLen => write!(f, "max_frame_len must be at least 1"),
             TransportConfigError::ZeroReadBudget => write!(f, "read_budget must be non-zero"),
-            TransportConfigError::ZeroWriteTimeout => write!(f, "write_timeout must be non-zero"),
             TransportConfigError::DurabilityWithoutDir { knob } => write!(
                 f,
                 "durability knob `{knob}` set without a durable directory; call .durable(dir)"
             ),
-            TransportConfigError::ZeroKeepGenerations => {
-                write!(f, "keep_generations must be at least 1")
-            }
         }
     }
 }
@@ -138,37 +119,22 @@ impl std::fmt::Display for TransportConfigError {
 impl std::error::Error for TransportConfigError {}
 
 /// Builder for [`TransportConfig`]. The durability options are folded in:
-/// `.durable(dir)` turns the journal on, and the cadence/fsync/retention
-/// knobs refine it — setting any of them *without* `.durable(dir)` is a
+/// `.durable(dir)` turns the journal on, and the cadence/fsync knobs
+/// refine it — setting any of them *without* `.durable(dir)` is a
 /// typed error instead of a silently non-durable server.
 #[derive(Debug, Clone, Default)]
 pub struct TransportConfigBuilder {
-    max_frame_len: Option<usize>,
     read_budget: Option<Duration>,
-    write_timeout: Option<Duration>,
     telemetry: Option<TelemetryHandle>,
     durable_dir: Option<PathBuf>,
     checkpoint_every: Option<u64>,
     fsync: Option<FsyncPolicy>,
-    keep_generations: Option<u64>,
 }
 
 impl TransportConfigBuilder {
-    /// Bounds any received frame's declared length.
-    pub fn max_frame_len(mut self, value: usize) -> Self {
-        self.max_frame_len = Some(value);
-        self
-    }
-
     /// Sets the wall-clock budget to receive one complete frame.
     pub fn read_budget(mut self, value: Duration) -> Self {
         self.read_budget = Some(value);
-        self
-    }
-
-    /// Sets the kernel timeout on any single write.
-    pub fn write_timeout(mut self, value: Duration) -> Self {
-        self.write_timeout = Some(value);
         self
     }
 
@@ -198,27 +164,11 @@ impl TransportConfigBuilder {
         self
     }
 
-    /// Checkpoint generations retained on disk. Requires
-    /// [`TransportConfigBuilder::durable`].
-    pub fn keep_generations(mut self, value: u64) -> Self {
-        self.keep_generations = Some(value);
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<TransportConfig, TransportConfigError> {
-        let defaults = TransportConfig::default();
-        let max_frame_len = self.max_frame_len.unwrap_or(defaults.max_frame_len);
-        if max_frame_len == 0 {
-            return Err(TransportConfigError::ZeroMaxFrameLen);
-        }
-        let read_budget = self.read_budget.unwrap_or(defaults.read_budget);
+        let read_budget = self.read_budget.unwrap_or(READ_BUDGET);
         if read_budget.is_zero() {
             return Err(TransportConfigError::ZeroReadBudget);
-        }
-        let write_timeout = self.write_timeout.unwrap_or(defaults.write_timeout);
-        if write_timeout.is_zero() {
-            return Err(TransportConfigError::ZeroWriteTimeout);
         }
         let durability = match self.durable_dir {
             Some(dir) => {
@@ -229,19 +179,12 @@ impl TransportConfigBuilder {
                 if let Some(fsync) = self.fsync {
                     options.fsync = fsync;
                 }
-                if let Some(keep) = self.keep_generations {
-                    if keep == 0 {
-                        return Err(TransportConfigError::ZeroKeepGenerations);
-                    }
-                    options.keep_generations = keep;
-                }
                 Some(options)
             }
             None => {
                 for (set, knob) in [
                     (self.checkpoint_every.is_some(), "checkpoint_every"),
                     (self.fsync.is_some(), "fsync"),
-                    (self.keep_generations.is_some(), "keep_generations"),
                 ] {
                     if set {
                         return Err(TransportConfigError::DurabilityWithoutDir { knob });
@@ -251,9 +194,7 @@ impl TransportConfigBuilder {
             }
         };
         Ok(TransportConfig {
-            max_frame_len,
             read_budget,
-            write_timeout,
             durability,
             telemetry: self.telemetry.unwrap_or_default(),
         })
@@ -497,7 +438,7 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
     if let Some(sink) = shared.config.telemetry.get() {
         sink.add(Counter::ConnectionsOpened, 1);
     }
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Task ids assigned over this connection. On any disconnect they are
     // force-reclaimed; ids whose results were applied are in the completed
     // set by then, so reclaiming them is a no-op.
@@ -519,7 +460,7 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
                 first: Some(first[0]),
                 rest: DeadlineReader::new(&mut stream, shared.config.read_budget),
             };
-            read_frame(&mut reader, shared.config.max_frame_len)
+            read_frame(&mut reader, frame::MAX_FRAME_LEN)
         };
         let outcome = match frame {
             Ok((kind, payload)) => {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// A fresh UDS endpoint under the system temp dir, unique per test process
 /// and tag; any stale socket file from a crashed previous run is removed.
-pub fn uds_endpoint(tag: &str) -> Endpoint {
+pub(crate) fn uds_endpoint(tag: &str) -> Endpoint {
     let path =
         std::env::temp_dir().join(format!("fleet-transport-{}-{tag}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -20,17 +20,17 @@ pub fn uds_endpoint(tag: &str) -> Endpoint {
 
 /// The tests' model shape: a small MLP classifier over the synthetic
 /// 4-class / 6-feature vector task.
-pub fn model_parameters() -> Vec<f32> {
+pub(crate) fn model_parameters() -> Vec<f32> {
     mlp_classifier(6, &[8], 4, 0).parameters()
 }
 
 /// A permissive server over the test model.
-pub fn fresh_server(config: FleetServerConfig) -> FleetServer {
+pub(crate) fn fresh_server(config: FleetServerConfig) -> FleetServer {
     FleetServer::new(model_parameters(), config)
 }
 
 /// The tests' base config (matching the 4-class dataset).
-pub fn base_config() -> FleetServerConfig {
+pub(crate) fn base_config() -> FleetServerConfig {
     FleetServerConfig::builder()
         .num_classes(4)
         .build()
@@ -39,7 +39,7 @@ pub fn base_config() -> FleetServerConfig {
 
 /// Deterministic workers over a shared synthetic dataset: same seeds, same
 /// partition, so two calls build byte-identical worker fleets.
-pub fn build_workers(count: usize) -> Vec<Worker> {
+pub(crate) fn build_workers(count: usize) -> Vec<Worker> {
     let dataset = Arc::new(generate(&SyntheticSpec::vector(4, 6, 160), 11));
     let users = non_iid_shards(&dataset, count, 2, 12);
     let profiles = catalogue();
@@ -61,7 +61,7 @@ pub fn build_workers(count: usize) -> Vec<Worker> {
 
 /// FNV-1a over the parameter bit patterns: equal digests mean bit-for-bit
 /// equal models.
-pub fn digest(params: &[f32]) -> u64 {
+pub(crate) fn digest(params: &[f32]) -> u64 {
     params.iter().fold(0xcbf29ce484222325u64, |h, p| {
         (h ^ u64::from(p.to_bits())).wrapping_mul(0x100000001b3)
     })

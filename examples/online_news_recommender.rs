@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release -p fleet-examples --example online_news_recommender`
 
-use fleet_data::twitter::{HashtagStream, StreamSpec};
-use fleet_server::online::{run_online_vs_standard, OnlineFlConfig};
+use fleet_data::{HashtagStream, StreamSpec};
+use fleet_server::{run_online_vs_standard, OnlineFlConfig};
 
 fn main() {
     let spec = StreamSpec {

@@ -6,9 +6,9 @@
 
 use fleet_device::profile::{aws_device_farm_set, catalogue};
 use fleet_device::Device;
-use fleet_profiler::eval::DeviationStats;
-use fleet_profiler::training::{collect_calibration, pretrained_iprof, pretrained_maui};
-use fleet_profiler::{Slo, WorkloadProfiler};
+use fleet_profiler::{
+    collect_calibration, pretrained_iprof, pretrained_maui, DeviationStats, Slo, WorkloadProfiler,
+};
 
 fn main() {
     let slo = Slo::latency(3.0);

@@ -2,7 +2,8 @@
 # CI gate for the FLeet reproduction workspace.
 #
 #   scripts/ci.sh           full gate: fmt, clippy (which carries the
-#                           invariant gates below), build, tier-1 tests, the
+#                           invariant gates below), warning-free docs,
+#                           build, tier-1 tests, the
 #                           frozen benchmark's build (and its --check smoke;
 #                           neither may leave a diff under benchmark/),
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
@@ -21,17 +22,25 @@
 #                           must equal the uninterrupted trajectory), the
 #                           loadgen schedule digest (bit-identical at two
 #                           FLEET_NUM_THREADS settings and equal to the
-#                           pinned loadgen value), bench smoke (every
-#                           criterion bench runs once and writes an untracked
-#                           BENCH_<name>.json; nothing reads them back)
+#                           pinned loadgen value), bench smoke (the kernel,
+#                           shard and conv criterion benches run once and
+#                           write an untracked BENCH_<name>.json; nothing
+#                           reads them back)
 #   scripts/ci.sh --quick   skip the digest sweep, the benchmark --check and
-#                           the bench smoke (clippy and the benchmark build
-#                           still run)
+#                           the bench smoke (clippy, the docs and the
+#                           benchmark build still run)
 #
 # Invariant gates. The pinned digests hold bit-for-bit only while a handful
 # of conventions do; each is a stock lint or a compile error, so the clippy
-# and build steps below *are* the gate (levels: `[workspace.lints.clippy]` in
+# and build steps below *are* the gate (levels: `[workspace.lints]` in
 # Cargo.toml; banned paths and the reason for each: clippy.toml):
+#   api surface   every product crate root is its API list: modules are
+#                 private unless a caller outside the crate names them, and
+#                 rustc's unreachable_pub (deny) rejects a `pub` item no path
+#                 exports, so an item nothing outside needs is `pub(crate)`
+#                 and rustc's dead_code (an error under -D warnings) names it
+#                 the moment its last caller goes; rustdoc -D warnings
+#                 rejects a doc link to a private or deleted item
 #   unsafe        `#![forbid(unsafe_code)]` everywhere but fleet-parallel,
 #                 where clippy::undocumented_unsafe_blocks + missing_safety_doc
 #                 demand a `// SAFETY:` / `# Safety` at every site
@@ -75,6 +84,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets, deny warnings; the invariant gates)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings: no link to a private or missing item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --release
@@ -282,8 +294,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     run_bench ml_kernels BENCH_kernels.json 200
     run_bench shards BENCH_shards.json 200
     run_bench conv BENCH_conv.json 400
-    run_bench transport BENCH_transport.json 200
-    run_bench durability BENCH_durability.json 200
 fi
 
 echo "==> CI gate passed"

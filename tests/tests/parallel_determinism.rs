@@ -265,7 +265,7 @@ fn cnn_training_digest_is_stable() {
     // the batch-parallel lowering/GEMM/scatter phases, not just the serial
     // path.
     use fleet_ml::models::small_cnn;
-    use fleet_ml::tensor::Tensor;
+    use fleet_ml::Tensor;
     let (batch, size, classes) = (64usize, 16usize, 10usize);
     let x = Tensor::from_vec(
         (0..batch * size * size)
@@ -295,7 +295,7 @@ fn parallel_large_kernels_are_reproducible() {
     pin_threads();
     // 256-cubed crosses the kernels' parallel threshold, so the row fan-out
     // is exercised directly.
-    use fleet_ml::tensor::Tensor;
+    use fleet_ml::Tensor;
     let a = Tensor::from_vec(
         (0..256 * 256).map(|i| (i as f32 * 0.001).sin()).collect(),
         &[256, 256],

@@ -1,12 +1,11 @@
 //! Integration tests spanning the device simulator and the profilers:
 //! calibration, SLO tracking, and the CALOREE comparison.
 
-use fleet_device::caloree::train_on_profile;
 use fleet_device::profile::{by_name, catalogue};
-use fleet_device::Device;
-use fleet_profiler::eval::DeviationStats;
-use fleet_profiler::training::{collect_calibration, pretrained_iprof, pretrained_maui};
-use fleet_profiler::{Slo, WorkloadProfiler};
+use fleet_device::{train_on_profile, Device};
+use fleet_profiler::{
+    collect_calibration, pretrained_iprof, pretrained_maui, DeviationStats, Slo, WorkloadProfiler,
+};
 
 #[test]
 fn iprof_tracks_the_latency_slo_better_than_maui_across_the_fleet() {
