@@ -1,13 +1,15 @@
 //! Shard-scaling of the parameter-server aggregation hot path: per-submit
 //! cost of [`ParameterServer::submit`] as the range-partitioned shard count
 //! grows, on a large flat model (1M parameters) and on a small one (64k)
-//! where the fan-out overhead is expected to dominate.
+//! where the per-shard overhead weighs most. `submit` visits the shards
+//! in order on the calling thread, so the sweep prices the per-shard split
+//! and bookkeeping alone.
 //!
 //! Run via `scripts/ci.sh` (or set `FLEET_BENCH_JSON=BENCH_shards.json`) to
 //! record the aggregation-throughput trajectory; timings are per-machine, so
 //! compare runs from the same host only. The companion determinism tests
 //! guarantee the *outputs* are bit-for-bit identical at every shard count —
-//! this bench only measures how much wall-clock the fan-out buys.
+//! this bench only measures what the shard count costs in wall-clock.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fleet_core::{ApplyMode, DynSgd, ParameterServer, WorkerUpdate};
@@ -18,7 +20,7 @@ use fleet_server::TaskTable;
 /// 1M parameters (4 MB): large enough that splitting, scaling and applying
 /// dominate the per-submit cost.
 const LARGE_MODEL: usize = 1 << 20;
-/// 64k parameters: small enough that thread fan-out is mostly overhead.
+/// 64k parameters: small enough that per-shard bookkeeping shows.
 const SMALL_MODEL: usize = 1 << 16;
 
 fn bench_sharded_submit(c: &mut Criterion, name: &str, model_size: usize) {
@@ -43,11 +45,11 @@ fn shard_benches(c: &mut Criterion) {
     bench_sharded_submit(c, "sharded_submit_64k", SMALL_MODEL);
 
     // K = 4 on the large model: the apply pass folds four pending segments
-    // per shard, so the fan-out amortises the spawn cost over more work.
-    // Lockstep-vs-per-shard pairs at each shard count: the per-shard mode
-    // pays the vector-clock staleness attribution (one Λ(τ_s) evaluation
-    // per shard, against the read clock the update carries) on top of the
-    // identical split/scale/apply work, so the pair isolates that overhead.
+    // per shard. Lockstep-vs-per-shard pairs at each shard count: the
+    // per-shard mode pays the vector-clock staleness attribution (one
+    // Λ(τ_s) evaluation per shard, against the read clock the update
+    // carries) on top of the identical split/scale/apply work, so the pair
+    // isolates that overhead.
     for shards in [1usize, 8] {
         for (name, mode) in [
             ("sharded_submit_1m_k4", ApplyMode::Lockstep),

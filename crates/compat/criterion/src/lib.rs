@@ -209,12 +209,12 @@ fn render_json(results: &[BenchResult]) -> String {
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // Whether the workspace's fan-outs (shard application, kernel rows,
+    // Whether the workspace's fan-outs (kernel rows, conv batches,
     // simulation rounds) ran inline during this record: FLEET_NUM_THREADS
     // wins when set (mirroring fleet_parallel::max_threads), else the host's
-    // parallelism decides. A single-core artifact's multi-shard/multi-thread
-    // numbers measure the serial path — flag it so whoever reads the record
-    // does not misread flat scaling curves.
+    // parallelism decides. A single-core artifact's multi-thread numbers
+    // measure the serial path — flag it so whoever reads the record does not
+    // misread flat scaling curves.
     let effective_threads = std::env::var("FLEET_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

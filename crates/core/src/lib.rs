@@ -26,11 +26,11 @@
 //! The [`ParameterServer`] applies these weighted gradients to a flat
 //! parameter vector with a configurable aggregation parameter `K`
 //! (the number of gradients per model update). The vector is
-//! range-partitioned into shards (see [`ParameterServer::with_shards`])
-//! so aggregation fans out across cores. In the default
+//! range-partitioned into shards (see [`ParameterServer::with_shards`]),
+//! each with its own pending buffer and clock. In the default
 //! [`ApplyMode::Lockstep`] every shard applies on the same K-th
-//! submission and results are bit-for-bit identical at every shard and
-//! thread count; in [`ApplyMode::PerShard`] each shard applies on
+//! submission and results are bit-for-bit identical at every shard
+//! count; in [`ApplyMode::PerShard`] each shard applies on
 //! its own trigger (pending reaching K, or an explicit flush), the shard
 //! clocks form a vector clock, and staleness — hence the Λ(τ) weight — is
 //! evaluated per shard slice. The `server` module docs spell out the layout

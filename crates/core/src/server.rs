@@ -1,5 +1,6 @@
 //! The asynchronous parameter server applying weighted worker gradients
-//! (Eq. 3 of the paper), sharded for fan-out aggregation.
+//! (Eq. 3 of the paper), range-partitioned into shards with their own
+//! clocks.
 //!
 //! # Shard layout
 //!
@@ -14,8 +15,8 @@
 //!
 //! * **[`ApplyMode::Lockstep`]** (default): every shard applies its pending
 //!   run on the same K-th submission, so the per-shard clocks advance in
-//!   lockstep with the server's global clock and the sharding buys parallel
-//!   bandwidth but no scheduling freedom. Staleness `τ = t − t_i` is
+//!   lockstep with the server's global clock and the shard count changes
+//!   nothing observable. Staleness `τ = t − t_i` is
 //!   measured against the global clock, so the semantics (and the Λ(τ)
 //!   dampening of Fig. 8) are independent of the shard count.
 //! * **[`ApplyMode::PerShard`]**: each shard owns an independent apply
@@ -35,27 +36,21 @@
 //!
 //! [`ParameterServer::submit`] splits each incoming gradient by shard range,
 //! scales every element exactly once, and applies each shard's pending
-//! buffer *in submission order*, element by element. Shards are disjoint
-//! ranges processed via [`fleet_parallel::parallel_uneven_zip_mut`], which
-//! assigns every range to exactly one thread, so the per-element sequence of
-//! floating-point operations is identical to the serial single-shard loop.
-//! In lockstep mode, model parameters are therefore **bit-for-bit identical
-//! for any shard count and any thread count** (the workspace digest tests
-//! sweep {1, 2, 8} shards; run them under `FLEET_NUM_THREADS=1/4/7` to sweep
-//! threads). In per-shard mode the *shard count is part of the semantics*
-//! (each shard slice carries its own τ), but results remain bit-for-bit
-//! identical at any **thread** count for a fixed shard count and submission
-//! schedule: applies are ordered on (shard, submission index) — never on
-//! wall-clock arrival — and flushes are caller-ordered.
+//! buffer *in submission order*, element by element, visiting the shards in
+//! order on the calling thread. Shards are disjoint ranges, so the
+//! per-element sequence of floating-point operations is identical to the
+//! single-shard loop. In lockstep mode, model parameters are therefore
+//! **bit-for-bit identical for any shard count** (the workspace digest tests
+//! sweep {1, 2, 8} shards, and ci.sh runs them under
+//! `FLEET_NUM_THREADS=1/4/7`). In per-shard mode the *shard count is part of
+//! the semantics* (each shard slice carries its own τ), but results remain a
+//! function of the shard count and the submission schedule alone: applies
+//! are ordered on (shard, submission index) — never on wall-clock arrival —
+//! and flushes are caller-ordered.
 
 use crate::aggregator::{Aggregator, AggregatorState};
 use crate::config::CoreConfig;
 use crate::update::WorkerUpdate;
-
-/// Minimum per-shard segment length before `submit` fans out across threads:
-/// below this the scale/apply work per shard is cheaper than spawning, so the
-/// shards run inline (in the same order, producing the same bits).
-const FAN_OUT_MIN_SHARD_LEN: usize = 32 * 1024;
 
 /// How shard applies are scheduled relative to each other (see the module
 /// docs for the full semantics).
@@ -149,17 +144,14 @@ struct Shard {
 /// into shards — a global logical clock and an aggregation buffer of `K`
 /// gradients per update (§2.3: `K` can be 1 for maximum update frequency, or
 /// larger / time-window based). [`ParameterServer::new`] starts with a single
-/// shard; [`ParameterServer::with_shards`] re-partitions so the aggregation
-/// hot path fans out across cores, and [`ParameterServer::with_apply_mode`]
+/// shard; [`ParameterServer::with_shards`] re-partitions it into shards with
+/// their own pending buffers and clocks, and [`ParameterServer::with_apply_mode`]
 /// (or [`ParameterServer::from_config`]) picks the scheduling mode. See the
 /// module docs for the layout and the determinism contract.
 #[derive(Debug)]
 pub struct ParameterServer<A: Aggregator> {
     parameters: Vec<f32>,
     shards: Vec<Shard>,
-    /// Cached shard lengths, in shard order (the fan-out helper needs them
-    /// alongside the mutably borrowed shards).
-    shard_lens: Vec<usize>,
     aggregator: A,
     learning_rate: f32,
     aggregation_k: usize,
@@ -197,7 +189,6 @@ impl<A: Aggregator> ParameterServer<A> {
         let mut server = Self {
             parameters: initial_parameters,
             shards: Vec::new(),
-            shard_lens: Vec::new(),
             aggregator,
             learning_rate,
             aggregation_k,
@@ -317,7 +308,6 @@ impl<A: Aggregator> ParameterServer<A> {
             .unwrap_or(self.clock);
         let applied = self.updates_applied();
         self.shards.clear();
-        self.shard_lens.clear();
         let mut start = 0;
         for i in 0..num_shards {
             let shard_len = base + usize::from(i < extra);
@@ -328,7 +318,6 @@ impl<A: Aggregator> ParameterServer<A> {
                 clock,
                 applied,
             });
-            self.shard_lens.push(shard_len);
             start += shard_len;
         }
     }
@@ -486,11 +475,8 @@ impl<A: Aggregator> ParameterServer<A> {
     /// scaled by the aggregator's weight and buffered per shard; shards
     /// apply their pending runs (in submission order) when their trigger
     /// fires — the same K-th submission for every shard in lockstep mode,
-    /// each shard's own pending count reaching K in per-shard mode. With
-    /// more than one shard — and segments long enough to beat the spawn
-    /// cost — the split, scale and apply all fan out across threads via
-    /// [`fleet_parallel`]; see the module docs for the determinism contract
-    /// of each mode.
+    /// each shard's own pending count reaching K in per-shard mode. See the
+    /// module docs for the determinism contract of each mode.
     ///
     /// # Panics
     ///
@@ -537,18 +523,18 @@ impl<A: Aggregator> ParameterServer<A> {
             .iter()
             .any(|s| s.pending.len() + 1 >= aggregation_k);
         let learning_rate = self.learning_rate;
-        let gradient = update.gradient.as_slice();
         let weights = shard_weights
             .as_ref()
             .map(|(_, weights)| weights.as_slice());
-        // One shard's share of the submission. Applies are ordered on
-        // (shard, submission index) — a shard's pending segments drain in
-        // the order they were submitted, and each shard belongs to exactly
-        // one fan-out thread — so the result is bit-for-bit reproducible at
-        // any thread count (the `shard`, `pershard` and `chaos_*` digests in
-        // the ci.sh sweep pin it).
-        let body = |i: usize, shard: &mut Shard, segment: &mut [f32]| {
-            let incoming = &gradient[shard.start..shard.start + shard.len];
+        // Each shard's share of the submission, in shard order. Applies are
+        // ordered on (shard, submission index) — a shard's pending segments
+        // drain in the order they were submitted — so the result is
+        // bit-for-bit the single-shard run in lockstep mode (the `shard`,
+        // `pershard` and `chaos_*` digests in the ci.sh sweep pin it).
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let range = shard.start..shard.start + shard.len;
+            let segment = &mut self.parameters[range.clone()];
+            let incoming = &update.gradient.as_slice()[range];
             let weight = weights.map_or(weight, |w| w[i]);
             if shard.pending.len() + 1 >= aggregation_k {
                 // Drain the shard's pending run in submission order, then
@@ -573,8 +559,7 @@ impl<A: Aggregator> ParameterServer<A> {
                     .pending
                     .push(incoming.iter().map(|g| g * weight).collect());
             }
-        };
-        self.fan_out_shards(body);
+        }
         if round_complete {
             self.pending_count = 0;
             self.clock += 1;
@@ -640,30 +625,6 @@ impl<A: Aggregator> ParameterServer<A> {
             weights.push(shard_weight);
         }
         (taus, weights)
-    }
-
-    /// Runs `body` once per (shard, parameter segment) pair — across threads
-    /// when each shard carries enough elements to beat the per-submit
-    /// thread-spawn cost, inline in shard order below that (identical op
-    /// order either way, so this is purely a latency decision).
-    fn fan_out_shards(&mut self, body: impl Fn(usize, &mut Shard, &mut [f32]) + Sync) {
-        let fan_out = self.shards.len() > 1
-            && self.parameters.len() / self.shards.len() >= FAN_OUT_MIN_SHARD_LEN;
-        if fan_out {
-            fleet_parallel::parallel_uneven_zip_mut(
-                &mut self.shards,
-                &mut self.parameters,
-                &self.shard_lens,
-                body,
-            );
-        } else {
-            let mut rest = self.parameters.as_mut_slice();
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                let (segment, tail) = rest.split_at_mut(shard.len);
-                rest = tail;
-                body(i, shard, segment);
-            }
-        }
     }
 
     /// Applies one shard's pending run immediately (in submission order),
@@ -1179,11 +1140,11 @@ mod tests {
     }
 
     proptest! {
-        /// Bit-for-bit equivalence of the sharded fan-out against the
+        /// Bit-for-bit equivalence of the sharded submit against the
         /// single-shard reference, over random models, K, shard counts and
         /// staleness sequences.
         #[test]
-        fn prop_sharded_fan_out_is_bitwise_equivalent(
+        fn prop_sharded_submit_is_bitwise_equivalent(
             len in 1usize..80,
             shards in 1usize..12,
             k in 1usize..5,

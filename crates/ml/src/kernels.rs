@@ -100,9 +100,9 @@ pub(crate) const NR: usize = 16;
 /// large-`k` dot throughput while keeping the scalar tail under 32 elements.
 const DOT_LANES: usize = 32;
 
-/// Below this many fused multiply-adds (~50 µs of work) the pool fan-out
+/// Below this many fused multiply-adds (~50 µs of work) spawning the fan-out
 /// costs more than the arithmetic; kernels stay on the calling thread.
-/// Fan-out is also suppressed automatically inside `fleet_parallel` workers,
+/// Fan-out is also suppressed automatically inside `fleet_parallel` slots,
 /// so the simulation's per-task gradients never nest fan-outs. The im2col
 /// convolution layer reuses the same budget to gate its batch fan-out.
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 19;
@@ -133,9 +133,10 @@ pub(crate) const NT_PACK_MIN_ROWS: usize = 2 * MR;
 const DOT_COL_BLOCK: usize = 8;
 
 thread_local! {
-    /// Per-thread B-panel scratch, reused across kernel calls. The pool
-    /// workers are persistent, so after warm-up no kernel call allocates;
-    /// the buffer grows to the largest `k × NR` panel the thread has packed.
+    /// Per-thread B-panel scratch, reused across kernel calls on the same
+    /// thread; the buffer grows to the largest `k × NR` panel the thread has
+    /// packed. A fan-out slot runs on a freshly spawned thread, so it starts
+    /// empty and allocates once per fan-out.
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -819,7 +820,7 @@ mod tests {
 
     #[test]
     fn large_shapes_cross_parallel_threshold_and_agree() {
-        // Above PAR_FLOP_THRESHOLD the pool fan-out and the per-chunk tile
+        // Above PAR_FLOP_THRESHOLD the thread fan-out and the per-chunk tile
         // partition are both in play, for every layout.
         let (m, k, n) = (128, 64, 128);
         assert!(m * k * n >= PAR_FLOP_THRESHOLD);

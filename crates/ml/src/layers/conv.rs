@@ -21,11 +21,12 @@
 //!   model the input-gradient GEMM + scatter is skipped entirely
 //!   ([`Layer::backward_input_unneeded`]).
 //!
-//! After the first step no per-call allocations remain: the column
-//! workspace, the `d(cols)` scratch (thread-local, one per persistent pool
-//! worker) and the forward/backward output buffers (recycled by
+//! After the first step the column workspace, the calling thread's
+//! `d(cols)` scratch and the forward/backward output buffers (recycled by
 //! [`crate::model::Sequential`] via [`Layer::recycle_output`] /
-//! [`Layer::recycle_grad`]) all persist across steps.
+//! [`Layer::recycle_grad`]) all persist across steps. The batch fan-out's
+//! spawned slots start with empty thread-local scratch, so a parallel
+//! backward pass allocates its `d(cols)` once per slot.
 //!
 //! # Determinism
 //!
@@ -35,7 +36,7 @@
 //! output element in the order a direct loop nest would, so each output
 //! element is one fixed fused-multiply-add chain — identical across thread
 //! counts. Batch parallelism (gated on a work threshold, like the kernels'
-//! own fan-out) splits *whole images* across the persistent pool; per-image
+//! own fan-out) splits *whole images* across threads; per-image
 //! work is independent, so the partition cannot reassociate anything.
 //!
 //! The seed repository's direct loop nest survives as a test-only oracle
@@ -77,8 +78,9 @@ const _: () = assert!(
 );
 
 thread_local! {
-    /// Per-thread `d(cols)` scratch for the backward pass. Pool workers are
-    /// persistent, so after warm-up the backward fan-out never allocates.
+    /// Per-thread `d(cols)` scratch for the backward pass, reused across
+    /// calls on the same thread. A fan-out slot runs on a freshly spawned
+    /// thread, so it starts empty and allocates once per fan-out.
     static DCOLS_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -665,45 +665,29 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
             });
         }
 
-        // Phase 2 — compute the K independent worker gradients, in
-        // parallel when it pays: each worker *thread* clones one model
-        // replica and reuses it across its contiguous run of tasks.
-        // Gradient computation is deterministic (no RNG) and
-        // compute_gradient zeroes accumulated state first, so replica
-        // reuse and fan-out both preserve results bit-for-bit. (Tasks whose
-        // request was dropped are computed and discarded — filtering them
-        // here would complicate the fan-out for no observable difference.)
+        // Phase 2 — compute the K independent worker gradients: each fan-out
+        // slot clones one model replica and reuses it across its contiguous
+        // run of tasks (one slot, inline, at one thread). Gradient
+        // computation is deterministic (no RNG) and compute_gradient zeroes
+        // accumulated state first, so replica reuse and fan-out both
+        // preserve results bit-for-bit. (Tasks whose request was dropped are
+        // computed and discarded — filtering them here would complicate the
+        // fan-out for no observable difference.)
         let history = &self.history;
-        let gradients: Vec<fleet_ml::Gradient> =
-            if tasks.len() > 1 && fleet_parallel::max_threads() > 1 {
-                let replica_of = &*model;
-                fleet_parallel::parallel_map_with(
-                    &tasks,
-                    || replica_of.clone(),
-                    |replica, task| {
-                        replica
-                            .set_parameters(&history[task.snapshot_index])
-                            .expect("history snapshots always match the architecture");
-                        let (_, gradient) = replica
-                            .compute_gradient(&task.inputs, &task.labels)
-                            .expect("training batches always match the architecture");
-                        gradient
-                    },
-                )
-            } else {
-                tasks
-                    .iter()
-                    .map(|task| {
-                        model
-                            .set_parameters(&history[task.snapshot_index])
-                            .expect("history snapshots always match the architecture");
-                        let (_, gradient) = model
-                            .compute_gradient(&task.inputs, &task.labels)
-                            .expect("training batches always match the architecture");
-                        gradient
-                    })
-                    .collect()
-            };
+        let replica_of = &*model;
+        let gradients: Vec<fleet_ml::Gradient> = fleet_parallel::parallel_map_with(
+            &tasks,
+            || replica_of.clone(),
+            |replica, task| {
+                replica
+                    .set_parameters(&history[task.snapshot_index])
+                    .expect("history snapshots always match the architecture");
+                let (_, gradient) = replica
+                    .compute_gradient(&task.inputs, &task.labels)
+                    .expect("training batches always match the architecture");
+                gradient
+            },
+        );
 
         // Phase 3 — privatise (worker-side DP noise), ship each result
         // through the versioned wire codec exactly as the deployed

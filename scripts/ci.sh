@@ -9,10 +9,12 @@
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
 #                           shard + CNN-training + per-shard + fault-injected
 #                           digests, every one checked against its pinned
-#                           value in scripts/expected_digests.txt), the
-#                           multi-process socket smoke (a TransportServer +
-#                           3 worker processes over UDS must reproduce the
-#                           pinned in-process digest bit-for-bit) and the
+#                           value in scripts/expected_digests.txt),
+#                           fleet-parallel's tests at FLEET_NUM_THREADS=1
+#                           and 7, the multi-process socket smoke (a
+#                           TransportServer + 3 worker processes over UDS
+#                           must reproduce the pinned in-process digest
+#                           bit-for-bit) and the
 #                           socket chaos smoke (torn frame, dead peer,
 #                           overload; run twice, digests must agree), the
 #                           kill-restart chaos smoke (a durable server
@@ -26,9 +28,9 @@
 #                           shard and conv criterion benches run once and
 #                           write an untracked BENCH_<name>.json; nothing
 #                           reads them back)
-#   scripts/ci.sh --quick   skip the digest sweep, the benchmark --check and
-#                           the bench smoke (clippy, the docs and the
-#                           benchmark build still run)
+#   scripts/ci.sh --quick   skip the digest and fleet-parallel sweeps, the
+#                           benchmark --check and the bench smoke (clippy,
+#                           the docs and the benchmark build still run)
 #
 # Invariant gates. The pinned digests hold bit-for-bit only while a handful
 # of conventions do; each is a stock lint or a compile error, so the clippy
@@ -41,15 +43,15 @@
 #                 and rustc's dead_code (an error under -D warnings) names it
 #                 the moment its last caller goes; rustdoc -D warnings
 #                 rejects a doc link to a private or deleted item
-#   unsafe        `#![forbid(unsafe_code)]` everywhere but fleet-parallel,
-#                 where clippy::undocumented_unsafe_blocks + missing_safety_doc
-#                 demand a `// SAFETY:` / `# Safety` at every site
+#   unsafe        `#![forbid(unsafe_code)]` in every crate root under
+#                 crates/
 #   collections   clippy::disallowed_types bans std HashMap/HashSet: no
 #                 hash-seed-dependent order can reach exported state
 #   clocks        clippy::disallowed_methods bans Instant::now/SystemTime::now
 #                 outside the waived measurement and socket-deadline sites
 #   threads       clippy::disallowed_methods bans thread::spawn/scope/Builder
-#                 outside fleet-parallel's pool and the waived I/O threads
+#                 outside fleet-parallel's one `thread::scope` fan-out and the
+#                 waived I/O threads
 #   waivers       per-item `#[expect(clippy::…, reason = "…")]` only:
 #                 clippy::allow_attributes_without_reason rejects a bare one,
 #                 and a stale one (or a deleted clippy.toml) is an unfulfilled
@@ -199,6 +201,15 @@ if [[ "${1:-}" != "--quick" ]]; then
         }
         check_digests "threads=$threads" "$out" \
             shard cnn pershard chaos_l1 chaos_p1 chaos_l2 chaos_p2
+    done
+    # fleet-parallel's own tests, at the inline width and a wide fan-out:
+    # tier-1 runs them only at this host's thread count.
+    echo "==> fleet-parallel tests (FLEET_NUM_THREADS=1/7)"
+    for threads in 1 7; do
+        FLEET_NUM_THREADS=$threads cargo test --release -q -p fleet-parallel || {
+            echo "FAIL: fleet-parallel tests at threads=$threads"
+            exit 1
+        }
     done
     # Cross-process determinism: a real TransportServer plus three worker
     # *processes* over a Unix socket must land on the pinned digest — the

@@ -1,8 +1,8 @@
 //! Reproducibility of the parallel simulation engine.
 //!
 //! `AsyncSimulation::run` fans each aggregation round's K worker gradients
-//! out across threads, and the sharded `ParameterServer` fans aggregation
-//! itself out across range-partitioned shards; these tests pin the thread
+//! out across threads, and the sharded `ParameterServer` applies them over
+//! range-partitioned shards; these tests pin the thread
 //! count above one (so the parallel path runs even on single-core CI) and
 //! assert that repeated runs with one seed are bit-for-bit identical —
 //! histories, scaling factors and final model parameters — and that the
