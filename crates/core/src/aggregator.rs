@@ -18,14 +18,16 @@ use fleet_data::GlobalLabelDistribution;
 
 /// The mutable state of an [`Aggregator`], exported as plain data for
 /// checkpoint/restore. Stateless aggregators (DynSGD, FedAvg, SSGD) export
-/// empty vectors; AdaSGD exports its staleness window and the accumulated
+/// empty vectors; AdaSGD exports its staleness history and the accumulated
 /// global label counts — everything `Λ(τ)` calibration and similarity
-/// boosting depend on. The byte encoding lives with the wire codec
-/// (`fleet-server`); this struct keeps the crates below it codec-free.
+/// boosting depend on. Neither grows with the number of observations. The
+/// byte encoding lives with the wire codec (`fleet-server`); this struct
+/// keeps the crates below it codec-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AggregatorState {
-    /// Observed staleness values, in observation order.
-    pub staleness_values: Vec<u64>,
+    /// Observed staleness as `(value, count)` pairs: ascending, distinct
+    /// values, every count at least 1.
+    pub staleness_counts: Vec<(u64, u64)>,
     /// Accumulated per-class sample counts of the global label distribution.
     pub label_counts: Vec<u64>,
 }
@@ -162,13 +164,13 @@ impl Aggregator for AdaSgd {
 
     fn export_state(&self) -> AggregatorState {
         AggregatorState {
-            staleness_values: self.staleness.values().to_vec(),
+            staleness_counts: self.staleness.counts().collect(),
             label_counts: self.global_labels.counts().to_vec(),
         }
     }
 
     fn import_state(&mut self, state: AggregatorState) {
-        self.staleness.restore_values(state.staleness_values);
+        self.staleness.restore_counts(state.staleness_counts);
         let num_classes = self.global_labels.counts().len();
         self.global_labels = GlobalLabelDistribution::new(num_classes);
         for (class, &count) in state.label_counts.iter().enumerate() {

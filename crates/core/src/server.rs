@@ -601,11 +601,11 @@ impl<A: Aggregator> ParameterServer<A> {
         let mut taus = Vec::with_capacity(self.shards.len());
         let mut weights = Vec::with_capacity(self.shards.len());
         // Evaluate Λ(τ) once per *distinct* τ, not once per shard: for
-        // AdaSGD a single evaluation re-estimates τ_thres (a percentile over
-        // the staleness window) and the label similarity, so per-shard calls
-        // would multiply that cost by the shard count — and in the common
-        // undiverged case every shard shares one τ anyway. Shard counts are
-        // small, so a linear scan beats hashing.
+        // AdaSGD a single evaluation computes the label similarity over every
+        // class (and reads τ_thres off the staleness counts), so per-shard
+        // calls would multiply that cost by the shard count — and in the
+        // common undiverged case every shard shares one τ anyway. Shard
+        // counts are small, so a linear scan beats hashing.
         let mut distinct: Vec<(u64, f32)> = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             let tau = match update.read_clock.as_deref() {

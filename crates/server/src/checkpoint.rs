@@ -13,6 +13,12 @@
 //! exhaustive struct pattern and every `get_*`/`decode_*` ends in a struct
 //! literal: a state field added and forgotten on either side is a compile
 //! error, not a checkpoint that silently drops it.
+//!
+//! Version history. v1: the aggregator's staleness history as every observed
+//! value, in observation order. v2 (what [`encode_checkpoint`] writes): the
+//! same history as ascending `(value, count)` pairs, so the section stops
+//! growing with uptime. The decoder still reads v1, folding its values into
+//! counts.
 
 #![deny(unused_variables)]
 
@@ -26,9 +32,13 @@ use crate::wire::{
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fleet_core::{AggregatorState, ParameterServerState};
 use fleet_profiler::{IProfState, SlopePredictorState};
+use std::collections::BTreeMap;
 
-/// Checkpoint format version.
-const CHECKPOINT_VERSION: u8 = 1;
+/// Checkpoint format version written by [`encode_checkpoint`].
+const CHECKPOINT_VERSION: u8 = 2;
+
+/// The version that stored every observed staleness value; still decoded.
+const CHECKPOINT_V1: u8 = 1;
 
 /// Reads an element count and checks that `count` elements of at least
 /// `min_encoded` bytes each are still in the buffer. A count comes from
@@ -53,7 +63,8 @@ fn server_state_len(state: &ParameterServerState) -> usize {
         + 3 * 8
         + u64s_len(state.last_shard_staleness.len())
         + f32s_len(state.last_shard_weights.len())
-        + u64s_len(state.aggregator.staleness_values.len())
+        + 4
+        + 16 * state.aggregator.staleness_counts.len()
         + u64s_len(state.aggregator.label_counts.len())
 }
 
@@ -70,7 +81,7 @@ fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
         last_shard_weights,
         aggregator:
             AggregatorState {
-                staleness_values,
+                staleness_counts,
                 label_counts,
             },
     } = state;
@@ -89,11 +100,51 @@ fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
     buf.put_u64_le(*updates_received);
     put_u64_slice(buf, last_shard_staleness);
     put_f32_slice(buf, last_shard_weights);
-    put_u64_slice(buf, staleness_values);
+    buf.put_u32_le(checked_field_len(staleness_counts.len()));
+    for &(value, count) in staleness_counts {
+        buf.put_u64_le(value);
+        buf.put_u64_le(count);
+    }
     put_u64_slice(buf, label_counts);
 }
 
-fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> {
+/// Reads v2's staleness history, accepting only the form the tracker
+/// exports (ascending distinct values, non-zero counts) so that a decoded
+/// checkpoint re-encodes to the same bytes, and only counts whose total fits
+/// the tracker's `u64`.
+fn get_staleness_counts(buf: &mut Bytes) -> Result<Vec<(u64, u64)>, WireError> {
+    let len = get_count(buf, 16)?;
+    let mut counts: Vec<(u64, u64)> = Vec::with_capacity(len);
+    let mut total = 0u64;
+    for _ in 0..len {
+        let (value, count) = (buf.get_u64_le(), buf.get_u64_le());
+        if counts
+            .last()
+            .is_some_and(|&(previous, _)| previous >= value)
+        {
+            return Err(WireError::Malformed("staleness values not ascending"));
+        }
+        if count == 0 {
+            return Err(WireError::Malformed("staleness count of zero"));
+        }
+        total = total
+            .checked_add(count)
+            .ok_or(WireError::Malformed("staleness counts overflow u64"))?;
+        counts.push((value, count));
+    }
+    Ok(counts)
+}
+
+/// Folds v1's staleness history (every observed value) into v2's counts.
+fn fold_staleness_values(values: Vec<u64>) -> Vec<(u64, u64)> {
+    let mut counts = BTreeMap::new();
+    for value in values {
+        *counts.entry(value).or_insert(0) += 1;
+    }
+    counts.into_iter().collect()
+}
+
+fn get_server_state(buf: &mut Bytes, version: u8) -> Result<ParameterServerState, WireError> {
     let parameters = get_f32_vec(buf)?;
     // Smallest shard: its segment count. Smallest segment: its length prefix.
     let shard_count = get_count(buf, 4)?;
@@ -114,7 +165,11 @@ fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> 
     let updates_received = buf.get_u64_le();
     let last_shard_staleness = get_u64_vec(buf)?;
     let last_shard_weights = get_f32_vec(buf)?;
-    let staleness_values = get_u64_vec(buf)?;
+    let staleness_counts = if version == CHECKPOINT_V1 {
+        fold_staleness_values(get_u64_vec(buf)?)
+    } else {
+        get_staleness_counts(buf)?
+    };
     let label_counts = get_u64_vec(buf)?;
     Ok(ParameterServerState {
         parameters,
@@ -127,7 +182,7 @@ fn get_server_state(buf: &mut Bytes) -> Result<ParameterServerState, WireError> 
         last_shard_staleness,
         last_shard_weights,
         aggregator: AggregatorState {
-            staleness_values,
+            staleness_counts,
             label_counts,
         },
     })
@@ -329,7 +384,8 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a checkpoint produced by [`encode_checkpoint`].
+/// Decodes a checkpoint produced by [`encode_checkpoint`], or by its v1
+/// predecessor.
 ///
 /// # Errors
 ///
@@ -338,10 +394,10 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
 pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> {
     need(&buf, 1)?;
     let version = buf.get_u8();
-    if version != CHECKPOINT_VERSION {
+    if version != CHECKPOINT_VERSION && version != CHECKPOINT_V1 {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let parameter_server = get_server_state(&mut buf)?;
+    let parameter_server = get_server_state(&mut buf, version)?;
     let latency = get_predictor_state(&mut buf)?;
     let energy = get_predictor_state(&mut buf)?;
     need(&buf, 4 * 8)?;
@@ -386,7 +442,7 @@ mod tests {
                 last_shard_staleness: vec![1, 0, 2],
                 last_shard_weights: vec![0.9, 1.0, 0.4],
                 aggregator: AggregatorState {
-                    staleness_values: vec![0, 1, 1, 2],
+                    staleness_counts: vec![(0, 1), (1, 2), (2, 1)],
                     label_counts: vec![5, 0, 9],
                 },
             },
@@ -432,14 +488,49 @@ mod tests {
         assert_eq!(decoded, state);
     }
 
-    /// Golden vector captured on the element-wise codec: checkpoints on disk
-    /// must stay readable across the bulk-path rewrite.
+    /// The sample checkpoint as v1 wrote it (captured on the element-wise
+    /// codec), staleness history `[0, 1, 1, 2]` stored value by value.
+    const SAMPLE_V1_HEX: &str = "01030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e04000000000000000000000001000000000000000100000000000000020000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130";
+
+    fn unhex(hex: &str) -> Bytes {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// Golden vector of the current (v2) encoding.
     #[test]
     fn golden_bytes_of_the_sample_checkpoint() {
         assert_eq!(
             crate::wire::hex(&encode_checkpoint(&sample_state())),
-            "01030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e04000000000000000000000001000000000000000100000000000000020000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130"
+            "02030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e0300000000000000000000000100000000000000010000000000000002000000000000000200000000000000010000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130"
         );
+    }
+
+    /// Checkpoints on disk from before v2 stay readable: the values fold
+    /// into the counts the sample state holds.
+    #[test]
+    fn v1_golden_bytes_decode_to_the_sample_state() {
+        assert_eq!(decode_checkpoint(unhex(SAMPLE_V1_HEX)), Ok(sample_state()));
+    }
+
+    #[test]
+    fn non_canonical_staleness_counts_are_rejected() {
+        for (counts, error) in [
+            (vec![(1, 2), (0, 1)], "staleness values not ascending"),
+            (vec![(1, 1), (1, 1)], "staleness values not ascending"),
+            (vec![(3, 0)], "staleness count of zero"),
+            (vec![(0, u64::MAX), (1, 1)], "staleness counts overflow u64"),
+        ] {
+            let mut state = sample_state();
+            state.parameter_server.aggregator.staleness_counts = counts;
+            assert_eq!(
+                decode_checkpoint(encode_checkpoint(&state)),
+                Err(WireError::Malformed(error))
+            );
+        }
     }
 
     #[test]
@@ -478,13 +569,15 @@ mod tests {
 
     #[test]
     fn truncation_errors_at_every_offset() {
-        let encoded = encode_checkpoint(&sample_state());
-        for len in 0..encoded.len() {
-            let truncated = encoded.slice(0..len);
-            assert!(
-                decode_checkpoint(truncated).is_err(),
-                "prefix of length {len} decoded successfully"
-            );
+        for encoded in [encode_checkpoint(&sample_state()), unhex(SAMPLE_V1_HEX)] {
+            for len in 0..encoded.len() {
+                let truncated = encoded.slice(0..len);
+                assert!(
+                    decode_checkpoint(truncated).is_err(),
+                    "v{} prefix of length {len} decoded successfully",
+                    encoded[0]
+                );
+            }
         }
     }
 

@@ -73,6 +73,8 @@ pub enum WireError {
     LengthOutOfBounds(usize),
     /// A string field is not valid UTF-8.
     InvalidUtf8,
+    /// Well-framed fields whose values the format forbids (named here).
+    Malformed(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -82,6 +84,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::LengthOutOfBounds(len) => write!(f, "length field {len} out of bounds"),
             WireError::InvalidUtf8 => write!(f, "string field is not valid utf-8"),
+            WireError::Malformed(what) => write!(f, "malformed {what}"),
         }
     }
 }

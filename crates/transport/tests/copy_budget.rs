@@ -153,8 +153,10 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
         + u64s(server.shard_applied.len())
         + 3 * 8
         + u64s(server.last_shard_staleness.len())
-        + f32s(server.last_shard_weights.len())
-        + u64s(server.aggregator.staleness_values.len())
+        + f32s(server.last_shard_weights.len());
+    counts.push(("staleness_pairs", at));
+    at += 4
+        + 16 * server.aggregator.staleness_counts.len()
         + u64s(server.aggregator.label_counts.len());
     for predictor in [&state.iprof.latency, &state.iprof.energy] {
         at += f32s(predictor.global.len());
@@ -186,7 +188,9 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
         .sum::<usize>();
     assert_eq!(at, valid.len(), "the walk covers the whole checkpoint");
     assert!(
-        !state.tasks.outstanding.is_empty() && !state.iprof.latency.personal.is_empty(),
+        !state.tasks.outstanding.is_empty()
+            && !state.iprof.latency.personal.is_empty()
+            && !server.aggregator.staleness_counts.is_empty(),
         "the sample exercises the tables"
     );
 
