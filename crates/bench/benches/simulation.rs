@@ -2,11 +2,11 @@
 //! second), which bounds how fast the Figs. 8–11 experiments run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fleet_bench::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 use fleet_core::AdaSgd;
 use fleet_data::partition::non_iid_shards;
 use fleet_data::synthetic::{generate, SyntheticSpec};
 use fleet_ml::models::mlp_classifier;
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 
 fn simulation_benches(c: &mut Criterion) {
     let data = generate(&SyntheticSpec::vector(10, 32, 2000), 1);

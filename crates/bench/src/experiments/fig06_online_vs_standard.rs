@@ -2,9 +2,8 @@
 //! temporal hashtag-recommendation workload (F1-score @ top-5 per 1-hour
 //! chunk; the paper reports a 2.3x average boost for Online FL).
 
-use crate::{ExperimentWriter, Scale};
+use crate::{run_online_vs_standard, ExperimentWriter, OnlineFlConfig, Scale};
 use fleet_data::{HashtagStream, StreamSpec};
-use fleet_server::{run_online_vs_standard, OnlineFlConfig};
 
 /// Runs the comparison over a synthetic 13-day stream.
 pub fn run(scale: Scale) {

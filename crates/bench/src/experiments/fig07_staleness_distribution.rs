@@ -1,9 +1,8 @@
 //! Figure 7: the staleness distribution induced by exponential round-trip
 //! latencies over bursty task arrivals — a Gaussian body with a long tail.
 
-use crate::{ExperimentWriter, Scale};
+use crate::{bursty_start_times, histogram, staleness_from_timestamps, ExperimentWriter, Scale};
 use fleet_device::RoundTripModel;
-use fleet_server::{bursty_start_times, histogram, staleness_from_timestamps};
 
 /// Generates task arrivals, samples round-trip latencies with the paper's
 /// exponential model (min 7.1 s, mean 8.45 s) and reports the staleness

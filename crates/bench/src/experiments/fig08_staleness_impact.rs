@@ -3,9 +3,11 @@
 //! SSGD (staleness-free) baselines, on non-IID data.
 
 use crate::experiments::common;
-use crate::{ExperimentWriter, Scale};
+use crate::{
+    AsyncSimulation, ExperimentWriter, Scale, SimulationConfig, StalenessDistribution,
+    TrainingHistory,
+};
 use fleet_core::{AdaSgd, Aggregator, DynSgd, FedAvg, Ssgd};
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 
 fn config(scale: Scale, staleness: StalenessDistribution, seed: u64) -> SimulationConfig {
     SimulationConfig::builder()

@@ -4,9 +4,11 @@
 //! the CDF of the gradient scaling factors (Fig. 9b).
 
 use crate::experiments::common;
-use crate::{ExperimentWriter, Scale};
+use crate::{
+    AsyncSimulation, ExperimentWriter, Scale, SimulationConfig, StalenessDistribution,
+    TrainingHistory,
+};
 use fleet_core::{AdaSgd, Aggregator, DynSgd, Ssgd};
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 
 fn config(scale: Scale) -> SimulationConfig {
     SimulationConfig::builder()

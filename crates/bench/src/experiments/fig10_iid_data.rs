@@ -2,9 +2,11 @@
 //! and CIFAR-100-like (100 classes) stand-ins under D2 staleness.
 
 use crate::experiments::common;
-use crate::{ExperimentWriter, Scale};
+use crate::{
+    AsyncSimulation, ExperimentWriter, Scale, SimulationConfig, StalenessDistribution,
+    TrainingHistory,
+};
 use fleet_core::{AdaSgd, Aggregator, DynSgd, FedAvg, Ssgd};
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 
 fn run_one<A: Aggregator>(
     world: &common::World,

@@ -3,10 +3,12 @@
 //! ε = 13.66 (and without noise), on IID data with D2 staleness.
 
 use crate::experiments::common;
-use crate::{ExperimentWriter, Scale};
+use crate::{
+    AsyncSimulation, ExperimentWriter, Scale, SimulationConfig, StalenessDistribution,
+    TrainingHistory,
+};
 use fleet_core::{AdaSgd, Aggregator, DynSgd};
 use fleet_dp::MomentsAccountant;
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 
 fn run_one<A: Aggregator>(
     world: &common::World,

@@ -7,12 +7,12 @@
 //!
 //! * a zero-probability plan is byte-identical to not having the fault layer
 //!   at all — the pinned fault-free digests cannot move, and
-//! * a faulty run is bit-stable across thread counts and SIMD backends,
-//!   because the faults fall on the same `(round, worker)` coordinates no
-//!   matter how the work is scheduled.
+//! * a faulty run is bit-stable across thread counts, because the faults
+//!   fall on the same `(round, worker)` coordinates no matter how the work
+//!   is scheduled.
 //!
 //! The plan models the fault classes of the wire protocol's fault model
-//! (see [`crate::protocol`]): dropped requests, dropped / duplicated /
+//! (see [`fleet_server::protocol`]): dropped requests, dropped / duplicated /
 //! delayed (straggler) results, and worker crash-restarts.
 
 /// What the (simulated) network does to an uploaded result.

@@ -6,6 +6,18 @@
 //! are thin wrappers around these modules; `all_experiments` runs everything
 //! and writes CSV output under the workspace `results/` directory.
 //!
+//! The harness also owns the drivers those modules run on, none of which is
+//! part of the middleware (`fleet-server`):
+//!
+//! * [`AsyncSimulation`] — the controlled-staleness simulation of §3.2
+//!   (Figs. 8–11): staleness drawn from a [`StalenessDistribution`], any
+//!   `Aggregator`, optionally under a deterministic [`FaultPlan`]; results
+//!   cross the middleware's wire codec and lease table;
+//! * [`run_online_vs_standard`] — Online FL versus Standard FL on the
+//!   hashtag stream (Fig. 6);
+//! * [`staleness_from_timestamps`] and [`bursty_start_times`] — the staleness
+//!   distribution derived from task timestamps (Fig. 7).
+//!
 //! | Module | Paper artefact |
 //! |---|---|
 //! | [`experiments::fig03_weak_workers`] | Fig. 3 — weak workers cancel strong workers |
@@ -27,9 +39,17 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+mod faults;
+mod online;
 pub mod output;
+mod simulation;
+mod staleness_model;
 
+pub use faults::FaultPlan;
+pub use online::{run_online_vs_standard, OnlineFlConfig};
 pub use output::ExperimentWriter;
+pub use simulation::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
+pub use staleness_model::{bursty_start_times, histogram, staleness_from_timestamps};
 
 /// How much compute an experiment run should spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -19,33 +19,19 @@
 //! expired leases never touch the model. Fault decisions are pure hashes of
 //! `(seed, round, worker)`, so they consume no RNG stream: a run under
 //! [`FaultPlan::none`] is byte-identical to a run without the fault layer,
-//! and a faulty run is bit-stable across thread counts and SIMD modes.
-//!
-//! # Checkpoint / restore
-//!
-//! [`AsyncSimulation::run_until`] stops after a prefix of the configured
-//! steps and returns a [`SimulationCheckpoint`] capturing every piece of
-//! mutable state — RNG streams, server state, snapshot history, in-flight
-//! delayed results, the lease table and the partial history.
-//! [`AsyncSimulation::resume`] continues from it; the resumed run reproduces
-//! the uninterrupted run bit for bit (the crash-restart determinism test
-//! pins this).
+//! and a faulty run is bit-stable across thread counts.
 
 use crate::faults::{FaultPlan, FaultStats, ResultFate};
-use crate::protocol::{ResultDisposition, TaskResult};
-use crate::tasks::{TaskTable, TaskTableState};
-use crate::wire;
 use bytes::Bytes;
-use fleet_core::{
-    Aggregator, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState,
-    WorkerUpdate,
-};
+use fleet_core::{Aggregator, ApplyMode, ConfigError, CoreConfig, ParameterServer, WorkerUpdate};
 use fleet_data::partition::UserPartition;
 use fleet_data::sampling::MiniBatchSampler;
 use fleet_data::{Dataset, LabelDistribution};
 use fleet_dp::GaussianMechanism;
 use fleet_ml::metrics::{accuracy, class_accuracy};
 use fleet_ml::Sequential;
+use fleet_server::protocol::{ResultDisposition, TaskResult};
+use fleet_server::{wire, TaskTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -328,43 +314,6 @@ impl TrainingHistory {
     }
 }
 
-/// Everything mutable about a run in flight, captured between rounds.
-///
-/// `PartialEq` compares bit-for-bit; a checkpoint taken at step `s` of a run
-/// equals the checkpoint taken at step `s` of any replay of that run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulationCheckpoint {
-    /// The next step to execute.
-    pub step: usize,
-    /// State of the planning RNG.
-    pub rng_state: u64,
-    /// State of the mini-batch sampler's RNG.
-    pub sampler_state: u64,
-    /// State of the DP mechanism's RNG, if DP is enabled.
-    pub dp_state: Option<u64>,
-    /// Full parameter-server state (parameters, pending buffers, clocks,
-    /// aggregator).
-    pub server: ParameterServerState,
-    /// The bounded snapshot history, oldest first.
-    pub history: Vec<Vec<f32>>,
-    /// The shard vector clock at each snapshot (per-shard mode; empty in
-    /// lockstep).
-    pub clock_history: Vec<Vec<u64>>,
-    /// The lease table.
-    pub tasks: TaskTableState,
-    /// In-flight delayed results as `(due_step, sequence, worker, encoded
-    /// wire bytes)`.
-    pub delayed: Vec<(u64, u64, u64, Vec<u8>)>,
-    /// Next delayed-result sequence number.
-    pub next_seq: u64,
-    /// Evaluation points recorded so far.
-    pub evals: Vec<EvalPoint>,
-    /// Scaling factors recorded so far.
-    pub scaling_factors: Vec<f64>,
-    /// Fault counters so far.
-    pub faults: FaultStats,
-}
-
 /// One pre-sampled worker task of an aggregation round: everything phase 2
 /// needs to compute the gradient without touching the (serial) RNG streams.
 #[derive(Debug)]
@@ -385,7 +334,7 @@ struct DelayedResult {
     due_step: u64,
     seq: u64,
     worker: u64,
-    bytes: Vec<u8>,
+    bytes: Bytes,
 }
 
 /// The asynchronous training simulation engine.
@@ -398,8 +347,7 @@ pub struct AsyncSimulation<'a> {
 }
 
 /// The mutable state of a run in flight (see the phase comments in
-/// [`Engine::round`]). Extracted from the former monolithic `run` loop so
-/// checkpoint/restore can capture and rebuild it between rounds.
+/// [`Engine::round`]).
 struct Engine<'s, 'a, A: Aggregator> {
     sim: &'s AsyncSimulation<'a>,
     rng: StdRng,
@@ -469,84 +417,6 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
         }
     }
 
-    fn from_checkpoint(
-        sim: &'s AsyncSimulation<'a>,
-        aggregator: A,
-        checkpoint: &SimulationCheckpoint,
-    ) -> Self {
-        let cfg = &sim.config;
-        let algorithm = aggregator.name();
-        let mut server = ParameterServer::new(
-            checkpoint.server.parameters.clone(),
-            aggregator,
-            cfg.core.learning_rate,
-            cfg.core.aggregation_k,
-        )
-        .with_shards(cfg.core.shards.max(1))
-        .with_apply_mode(cfg.core.apply_mode);
-        server.restore_state(checkpoint.server.clone());
-
-        let (eval_inputs, eval_labels) = sim.eval_batch();
-        Self {
-            sim,
-            rng: StdRng::from_state(checkpoint.rng_state),
-            sampler: MiniBatchSampler::from_rng_state(checkpoint.sampler_state),
-            dp: cfg.dp.map(|(clip, sigma)| {
-                let state = checkpoint
-                    .dp_state
-                    .expect("a checkpoint of a DP run records the DP RNG state");
-                GaussianMechanism::from_rng_state(clip, sigma, state)
-            }),
-            server,
-            per_shard: cfg.core.apply_mode == ApplyMode::PerShard,
-            max_history: sim.max_history(),
-            history: checkpoint.history.iter().cloned().collect(),
-            clock_history: checkpoint.clock_history.iter().cloned().collect(),
-            tasks_table: TaskTable::from_state(checkpoint.tasks.clone()),
-            delayed: checkpoint
-                .delayed
-                .iter()
-                .map(|(due_step, seq, worker, bytes)| DelayedResult {
-                    due_step: *due_step,
-                    seq: *seq,
-                    worker: *worker,
-                    bytes: bytes.clone(),
-                })
-                .collect(),
-            next_seq: checkpoint.next_seq,
-            result: TrainingHistory {
-                algorithm,
-                evals: checkpoint.evals.clone(),
-                scaling_factors: checkpoint.scaling_factors.clone(),
-                faults: checkpoint.faults,
-            },
-            eval_inputs,
-            eval_labels,
-        }
-    }
-
-    fn checkpoint(&self, next_step: usize) -> SimulationCheckpoint {
-        SimulationCheckpoint {
-            step: next_step,
-            rng_state: self.rng.state(),
-            sampler_state: self.sampler.rng_state(),
-            dp_state: self.dp.as_ref().map(|m| m.rng_state()),
-            server: self.server.export_state(),
-            history: self.history.iter().cloned().collect(),
-            clock_history: self.clock_history.iter().cloned().collect(),
-            tasks: self.tasks_table.export_state(),
-            delayed: self
-                .delayed
-                .iter()
-                .map(|d| (d.due_step, d.seq, d.worker, d.bytes.clone()))
-                .collect(),
-            next_seq: self.next_seq,
-            evals: self.result.evals.clone(),
-            scaling_factors: self.result.scaling_factors.clone(),
-            faults: self.result.faults,
-        }
-    }
-
     /// Delivers one encoded result to the server: decode, classify against
     /// the lease table, and submit only `Applied` results. Duplicates and
     /// expired leases bump their counters and never touch the model.
@@ -604,7 +474,7 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
             let split = self.delayed.partition_point(|d| d.due_step <= round);
             let due: Vec<DelayedResult> = self.delayed.drain(..split).collect();
             for d in due {
-                self.deliver(Bytes::from(d.bytes), true);
+                self.deliver(d.bytes, true);
             }
             // Crash-restarts: the worker loses whatever it still had in
             // flight, then rejoins immediately.
@@ -737,7 +607,7 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                             due_step: round + rounds,
                             seq: self.next_seq,
                             worker: task.user as u64,
-                            bytes: encoded.to_vec(),
+                            bytes: encoded,
                         });
                         self.next_seq += 1;
                     }
@@ -824,51 +694,6 @@ impl<'a> AsyncSimulation<'a> {
     pub fn run<A: Aggregator>(&self, model: &mut Sequential, aggregator: A) -> TrainingHistory {
         let mut engine = Engine::new(self, model, aggregator);
         for step in 0..self.config.steps {
-            engine.round(model, step);
-        }
-        engine.finish(model)
-    }
-
-    /// Runs the first `stop_step` rounds and returns a checkpoint from which
-    /// [`AsyncSimulation::resume`] reproduces the rest of the run bit for
-    /// bit. The model is left holding the parameters at the stop point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stop_step` exceeds the configured number of steps.
-    pub fn run_until<A: Aggregator>(
-        &self,
-        model: &mut Sequential,
-        aggregator: A,
-        stop_step: usize,
-    ) -> SimulationCheckpoint {
-        assert!(
-            stop_step <= self.config.steps,
-            "stop step {stop_step} exceeds configured steps {}",
-            self.config.steps
-        );
-        let mut engine = Engine::new(self, model, aggregator);
-        for step in 0..stop_step {
-            engine.round(model, step);
-        }
-        let checkpoint = engine.checkpoint(stop_step);
-        engine.finish(model);
-        checkpoint
-    }
-
-    /// Resumes a run from a `SimulationCheckpoint` — e.g. after a server
-    /// crash-restart — and runs it to completion. The aggregator must be
-    /// constructed with the same parameters as the original's (its mutable
-    /// state is restored from the checkpoint); the resumed trajectory is
-    /// bit-identical to the uninterrupted run's.
-    pub fn resume<A: Aggregator>(
-        &self,
-        model: &mut Sequential,
-        aggregator: A,
-        checkpoint: &SimulationCheckpoint,
-    ) -> TrainingHistory {
-        let mut engine = Engine::from_checkpoint(self, aggregator, checkpoint);
-        for step in checkpoint.step..self.config.steps {
             engine.round(model, step);
         }
         engine.finish(model)
@@ -1221,54 +1046,6 @@ mod tests {
         let b = sim_b.run(&mut m2, AdaSgd::new(5, 99.7));
         assert_eq!(a, b);
         assert_eq!(m1.parameters(), m2.parameters());
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_the_uninterrupted_run() {
-        // Crash-restart recovery: stop at a flush boundary, rebuild the
-        // engine from the checkpoint, and the resumed run must match the
-        // uninterrupted one bit for bit — under faults and DP no less.
-        let (train, test, users) = world();
-        let mut cfg = fast_config(StalenessDistribution::d1());
-        cfg.core.aggregation_k = 4;
-        cfg.steps = 40;
-        cfg.core.shards = 4;
-        cfg.core.apply_mode = ApplyMode::PerShard;
-        cfg.flush_every = 2;
-        cfg.dp = Some((1.0, 0.5));
-        cfg.faults = FaultPlan::chaos(3);
-        let sim = AsyncSimulation::new(&train, &test, &users, cfg);
-
-        let mut uninterrupted_model = mlp_classifier(8, &[16], 5, 3);
-        let uninterrupted = sim.run(&mut uninterrupted_model, AdaSgd::new(5, 99.7));
-
-        let mut model = mlp_classifier(8, &[16], 5, 3);
-        let checkpoint = sim.run_until(&mut model, AdaSgd::new(5, 99.7), 20);
-        // Simulate the crash: a fresh model, a fresh aggregator, state only
-        // from the checkpoint.
-        let mut restored_model = mlp_classifier(8, &[16], 5, 99);
-        let resumed = sim.resume(&mut restored_model, AdaSgd::new(5, 99.7), &checkpoint);
-        assert_eq!(resumed, uninterrupted);
-        assert_eq!(
-            restored_model.parameters(),
-            uninterrupted_model.parameters()
-        );
-    }
-
-    #[test]
-    fn checkpoints_are_reproducible() {
-        let (train, test, users) = world();
-        let mut cfg = fast_config(StalenessDistribution::d1());
-        cfg.core.aggregation_k = 3;
-        cfg.steps = 30;
-        cfg.faults = FaultPlan::chaos(11);
-        let sim = AsyncSimulation::new(&train, &test, &users, cfg);
-        let mut m1 = mlp_classifier(8, &[16], 5, 3);
-        let mut m2 = mlp_classifier(8, &[16], 5, 3);
-        let a = sim.run_until(&mut m1, AdaSgd::new(5, 99.7), 17);
-        let b = sim.run_until(&mut m2, AdaSgd::new(5, 99.7), 17);
-        assert_eq!(a, b);
-        assert!(a.step == 17);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub fn staleness_from_timestamps(start_times: &[f64], round_trip: &mut RoundTrip
     tasks
         .iter_mut()
         .map(|&mut (start, finish)| {
-            let before_finish = partition_point(&completions, |&c| c < finish);
-            let before_start = partition_point(&completions, |&c| c <= start);
+            let before_finish = completions.partition_point(|&c| c < finish);
+            let before_start = completions.partition_point(|&c| c <= start);
             // Exclude the task's own completion (it lies in the interval).
             (before_finish - before_start).saturating_sub(1) as u64
         })
@@ -51,22 +51,10 @@ pub fn histogram(values: &[u64], max_bin: usize) -> Vec<f64> {
     bins
 }
 
-fn partition_point(sorted: &[f64], pred: impl Fn(&f64) -> bool) -> usize {
-    let mut lo = 0;
-    let mut hi = sorted.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(&sorted[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 /// Generates bursty task start times resembling tweet activity: a base rate
-/// with periodic peak hours at `peak_multiplier` times the base rate.
+/// with periodic peak hours at `peak_multiplier` times the base rate. Blocks
+/// of `peak_length` tasks alternate, and every `peak_period`-th block is a
+/// peak; either being zero means no peaks.
 pub fn bursty_start_times(
     total_tasks: usize,
     base_interval_seconds: f64,
@@ -77,7 +65,8 @@ pub fn bursty_start_times(
     let mut times = Vec::with_capacity(total_tasks);
     let mut now = 0.0;
     for i in 0..total_tasks {
-        let in_peak = peak_period > 0 && (i / peak_length).is_multiple_of(peak_period);
+        let in_peak =
+            peak_period > 0 && peak_length > 0 && (i / peak_length).is_multiple_of(peak_period);
         let interval = if in_peak {
             base_interval_seconds / peak_multiplier.max(1.0)
         } else {
@@ -115,6 +104,13 @@ mod tests {
             max as f64 > 4.0 * mean,
             "long tail expected: max {max}, mean {mean}"
         );
+    }
+
+    #[test]
+    fn zero_peak_length_or_period_means_no_peaks() {
+        let steady: Vec<f64> = (1..=20).map(|i| i as f64 * 2.0).collect();
+        assert_eq!(bursty_start_times(20, 2.0, 40.0, 10, 0), steady);
+        assert_eq!(bursty_start_times(20, 2.0, 40.0, 0, 100), steady);
     }
 
     #[test]

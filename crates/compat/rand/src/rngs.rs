@@ -23,21 +23,6 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl StdRng {
-    /// The raw generator state — a single `u64` counter. Together with
-    /// [`StdRng::from_state`] this is the checkpoint/restore surface: a
-    /// restored generator continues the exact output stream of the
-    /// checkpointed one (SplitMix64 is a pure function of this counter).
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator from a counter captured with [`StdRng::state`].
-    pub fn from_state(state: u64) -> Self {
-        Self { state }
-    }
-}
-
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
         // Pre-mix the seed so that consecutive seeds land far apart in the

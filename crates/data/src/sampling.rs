@@ -24,19 +24,6 @@ impl MiniBatchSampler {
         }
     }
 
-    /// The raw RNG state, for checkpoint/restore of a mid-run sampler.
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Rebuilds a sampler from a state captured with
-    /// [`MiniBatchSampler::rng_state`]; it continues the exact draw stream.
-    pub fn from_rng_state(state: u64) -> Self {
-        Self {
-            rng: StdRng::from_state(state),
-        }
-    }
-
     /// Samples `batch_size` indices from `local_indices`.
     ///
     /// Sampling is without replacement while the local dataset is large

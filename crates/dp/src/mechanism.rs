@@ -33,23 +33,6 @@ impl GaussianMechanism {
         }
     }
 
-    /// The raw RNG state, for checkpoint/restore of a mid-run mechanism.
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Rebuilds a mechanism whose noise stream continues exactly where a
-    /// state captured with [`GaussianMechanism::rng_state`] left off.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GaussianMechanism::new`].
-    pub fn from_rng_state(clip_norm: f32, noise_multiplier: f32, state: u64) -> Self {
-        let mut mechanism = Self::new(clip_norm, noise_multiplier, 0);
-        mechanism.rng = StdRng::from_state(state);
-        mechanism
-    }
-
     /// Privatises a flat gradient computed on `batch_size` examples in place:
     /// clip to `clip_norm`, then add Gaussian noise with standard deviation
     /// `noise_multiplier * clip_norm / batch_size` per coordinate (the

@@ -6,7 +6,7 @@
 //! [`parallel_chunks_mut`] for disjoint in-place work (the matmul kernels),
 //! [`parallel_map`] for independent computations and [`parallel_map_with`]
 //! for per-thread scratch state (the per-round worker gradients in
-//! `fleet_server::AsyncSimulation`).
+//! `fleet_bench::AsyncSimulation`).
 //!
 //! # Why no pool
 //!

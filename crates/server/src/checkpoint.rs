@@ -6,8 +6,9 @@
 //! a one-byte version tag, `u32` little-endian length prefixes bounded by
 //! [`MAX_FIELD_LEN`](crate::wire::MAX_FIELD_LEN), raw little-endian scalars.
 //! A checkpoint taken mid-run and restored into a freshly constructed server
-//! resumes bit-identically (see the crash-restart test in
-//! `tests/parallel_determinism.rs`).
+//! resumes bit-identically (see `server::tests::checkpoint_restore_resumes_bitwise`
+//! and its per-shard sibling, and `crates/transport/tests/durability_restart.rs`
+//! for the same through the on-disk journal and checkpoint).
 //!
 //! As in [`crate::wire`], every `put_*`/`encode_*` binds its state with an
 //! exhaustive struct pattern and every `get_*`/`decode_*` ends in a struct

@@ -2,9 +2,10 @@
 //!
 //! The FLeet middleware itself (Fig. 2 of the paper): the server that owns the
 //! global model, the controller that accepts or rejects learning tasks, the
-//! worker runtime that executes them on (simulated) mobile devices, the wire
-//! protocol connecting the two sides, and the asynchronous simulation engine
-//! used by every experiment.
+//! worker runtime that executes them on (simulated) mobile devices, and the
+//! wire protocol connecting the two sides. The controlled-staleness
+//! simulation that produces the paper's figures is the experiment harness's
+//! (`fleet-bench`), not part of the middleware.
 //!
 //! The protocol follows the five steps of the paper:
 //!
@@ -22,23 +23,15 @@
 
 mod checkpoint;
 mod controller;
-mod faults;
-mod online;
 pub mod protocol;
 mod server;
-mod simulation;
-mod staleness_model;
 mod tasks;
 pub mod wire;
 mod worker;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint};
-pub use faults::FaultPlan;
 pub use fleet_core::ApplyMode;
-pub use online::{run_online_vs_standard, OnlineFlConfig};
 pub use protocol::ResultDisposition;
 pub use server::{FleetServer, FleetServerConfig, FleetServerState};
-pub use simulation::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
-pub use staleness_model::{bursty_start_times, histogram, staleness_from_timestamps};
 pub use tasks::TaskTable;
 pub use worker::{RetryPolicy, Worker};

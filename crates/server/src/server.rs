@@ -1084,26 +1084,48 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_restore_resumes_bitwise() {
-        // Crash-restart the server mid-run: encode the checkpoint through
-        // the binary codec, restore into a freshly built server, and both
-        // must stay bit-identical under the same subsequent traffic.
-        let (mut server, mut workers, _) = build_world(4);
+    /// Crash-restarts `server` mid-run: one warm-up round, `before_checkpoint`,
+    /// then every worker pulls a task, the checkpoint goes through the binary
+    /// codec into a freshly built server, and both must stay bit-identical
+    /// under the same subsequent traffic — the uploads of the tasks assigned
+    /// before the checkpoint first, then a fresh round.
+    fn assert_checkpoint_restore_resumes_bitwise(
+        mut server: FleetServer,
+        workers: &mut [Worker],
+        before_checkpoint: impl FnOnce(&mut FleetServer),
+    ) -> FleetServerState {
+        let pull = |server: &mut FleetServer, worker: &mut Worker| match server
+            .handle_request(&worker.request())
+        {
+            TaskResponse::Assignment(a) => a,
+            TaskResponse::Rejected(r) => panic!("rejected: {r:?}"),
+        };
         for worker in workers.iter_mut() {
-            if let TaskResponse::Assignment(a) = server.handle_request(&worker.request()) {
-                server.handle_result(worker.execute(&a).unwrap());
-            }
+            let assignment = pull(&mut server, worker);
+            server.handle_result(worker.execute(&assignment).unwrap());
         }
-        let encoded = crate::checkpoint::encode_checkpoint(&server.checkpoint());
+        before_checkpoint(&mut server);
+        let in_flight: Vec<_> = workers
+            .iter_mut()
+            .map(|worker| pull(&mut server, worker))
+            .collect();
+
+        let checkpoint = server.checkpoint();
+        let encoded = crate::checkpoint::encode_checkpoint(&checkpoint);
         let state = crate::checkpoint::decode_checkpoint(encoded).expect("roundtrip");
-        assert_eq!(state, server.checkpoint());
+        assert_eq!(state, checkpoint);
 
         let mut restored =
             FleetServer::new(vec![0.0; server.parameters().len()], server.config.clone());
         restored.restore_checkpoint(state);
         assert_eq!(restored.parameters(), server.parameters());
 
+        for (worker, assignment) in workers.iter_mut().zip(&in_flight) {
+            let result = worker.execute(assignment).unwrap();
+            let ack = server.handle_result(result.clone());
+            assert_eq!(ack.disposition, ResultDisposition::Applied);
+            assert_eq!(ack, restored.handle_result(result));
+        }
         for worker in workers.iter_mut() {
             let request = worker.request();
             let (a, b) = (
@@ -1121,6 +1143,44 @@ mod tests {
         }
         assert_eq!(server.parameters(), restored.parameters());
         assert_eq!(server.checkpoint(), restored.checkpoint());
+        checkpoint
+    }
+
+    #[test]
+    fn checkpoint_restore_resumes_bitwise() {
+        // The default lockstep, single-shard, K = 1 server.
+        let (server, mut workers, _) = build_world(4);
+        let checkpoint = assert_checkpoint_restore_resumes_bitwise(server, &mut workers, |_| {});
+        assert_eq!(checkpoint.tasks.outstanding.len(), 4);
+    }
+
+    #[test]
+    fn per_shard_checkpoint_restore_resumes_bitwise() {
+        // Per-shard apply, two shards, K = 2: the checkpoint must carry a
+        // pending segment and diverged shard clocks, and the in-flight
+        // uploads echo read clocks taken before it.
+        let (base, mut workers, _) = build_world(3);
+        let server = FleetServer::new(
+            base.parameters().to_vec(),
+            base.config
+                .to_builder()
+                .apply_mode(ApplyMode::PerShard)
+                .shards(2)
+                .aggregation_k(2)
+                .build()
+                .unwrap(),
+        );
+        let checkpoint =
+            assert_checkpoint_restore_resumes_bitwise(server, &mut workers, |server| {
+                // Three warm-up uploads at K = 2 leave one segment pending per
+                // shard; draining shard 0 alone pulls its clock ahead.
+                assert!(server.parameter_server.flush_shard(0));
+            });
+        let core = &checkpoint.parameter_server;
+        assert_eq!(core.shard_clocks, vec![2, 1]);
+        assert!(core.shard_pending[0].is_empty());
+        assert_eq!(core.shard_pending[1].len(), 1);
+        assert_eq!(checkpoint.tasks.outstanding.len(), 3);
     }
 
     proptest::proptest! {

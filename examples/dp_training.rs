@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --release -p fleet-examples --example dp_training`
 
+use fleet_bench::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 use fleet_core::{AdaSgd, DynSgd};
 use fleet_data::partition::iid_partition;
 use fleet_data::synthetic::{generate, SyntheticSpec};
 use fleet_dp::MomentsAccountant;
 use fleet_ml::models::mlp_classifier;
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 
 fn main() {
     let data = generate(&SyntheticSpec::vector(10, 32, 4000), 9);

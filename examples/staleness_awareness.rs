@@ -3,11 +3,11 @@
 //!
 //! Run with: `cargo run --release -p fleet-examples --example staleness_awareness`
 
+use fleet_bench::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 use fleet_core::{AdaSgd, Aggregator, DynSgd, FedAvg, Ssgd};
 use fleet_data::partition::non_iid_shards;
 use fleet_data::synthetic::{generate, SyntheticSpec};
 use fleet_ml::models::mlp_classifier;
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution};
 
 fn main() {
     let data = generate(&SyntheticSpec::vector(10, 32, 4000), 3);

@@ -3,7 +3,9 @@
 #
 #   scripts/ci.sh           full gate: fmt, clippy (which carries the
 #                           invariant gates below), warning-free docs,
-#                           build, tier-1 tests, the
+#                           build, tier-1 tests, every experiment at Quick
+#                           scale (`all_experiments --quick`; CSVs go to the
+#                           gitignored results/), the
 #                           frozen benchmark's build (and its --check smoke;
 #                           neither may leave a diff under benchmark/),
 #                           determinism digest sweep (FLEET_NUM_THREADS=1/4/7;
@@ -30,7 +32,8 @@
 #                           reads them back)
 #   scripts/ci.sh --quick   skip the digest and fleet-parallel sweeps, the
 #                           benchmark --check and the bench smoke (clippy,
-#                           the docs and the benchmark build still run)
+#                           the docs, the Quick-scale experiments and the
+#                           benchmark build still run)
 #
 # Invariant gates. The pinned digests hold bit-for-bit only while a handful
 # of conventions do; each is a stock lint or a compile error, so the clippy
@@ -95,6 +98,14 @@ cargo build --release
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
+
+# Every table and figure at Quick scale. Most experiments run in no test
+# (only the cheap ones are in experiment_harness_smoke.rs), so a driver that
+# panics or stops building its rows would otherwise go unnoticed. A few
+# seconds in release, against minutes as a debug tier-1 test; the CSVs land
+# in the gitignored results/.
+echo "==> every experiment at Quick scale (all_experiments --quick)"
+cargo run --release -q -p fleet-bench --bin all_experiments -- --quick >/dev/null
 
 # benchmark/ is a package of its own, outside the workspace, and frozen
 # between benchmark PRs: it must keep compiling against the crates' public

@@ -2,8 +2,8 @@
 //! under the asynchronous simulation engine (the §3.2 experiments at test
 //! scale), and of the per-shard vector-clock staleness attribution.
 
+use fleet_bench::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 use fleet_core::{AdaSgd, ApplyMode, DynSgd, FedAvg, ParameterServer, Ssgd, WorkerUpdate};
-use fleet_server::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
 use fleet_tests::{small_model, small_world};
 
 fn run_with(
