@@ -24,9 +24,21 @@
 use crate::crc::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Hard bound on any length-prefixed field (matches the transport's frame
-/// bound order of magnitude; a journal event is at most one wire message).
-pub(crate) const MAX_PAYLOAD_LEN: usize = 256 * 1024 * 1024;
+/// Hard bound on any length-prefixed field: the largest payload whose
+/// journal record body (version, seq, kind, length prefix, payload) still
+/// fits the journal frame's `u32` length prefix.
+///
+/// A journal event is one frame the transport accepted, appended under the
+/// transport's core mutex, so this bound must cover every frame
+/// `fleet_transport::MAX_FRAME_LEN` admits, which the transport asserts at
+/// compile time: below it, one in-bound frame would panic the append and
+/// poison the mutex. Readers never allocate from a length prefix: they slice
+/// the buffer already read, after checking the bytes are there.
+pub const MAX_PAYLOAD_LEN: usize = u32::MAX as usize - RECORD_HEADER_LEN;
+
+/// Bytes of a record body before its payload: version, seq, kind and the
+/// payload's length prefix.
+const RECORD_HEADER_LEN: usize = 1 + 8 + 1 + 4;
 
 /// Journal record body format version.
 pub(crate) const RECORD_VERSION: u8 = 1;
@@ -159,7 +171,7 @@ fn take_payload(buf: &mut Bytes) -> Result<Bytes, CodecError> {
 
 /// Encoded size of a record body, as [`put_record`] writes it.
 pub(crate) fn record_len(record: &JournalRecord) -> usize {
-    1 + 8 + 1 + 4 + record.payload.len()
+    RECORD_HEADER_LEN + record.payload.len()
 }
 
 /// Appends a journal record body to `buf` — the payload's one copy on its

@@ -10,12 +10,12 @@
 //! ```
 //!
 //! A crash can tear the file anywhere. The reader treats the first frame
-//! that is short, oversized, CRC-broken or undecodable as the end of the
-//! journal — a torn tail costs the unacknowledged suffix, never the whole
-//! file. Nothing is ever appended after a tear: recovery seals what it
+//! that is short (its length prefix runs past the end of the file),
+//! CRC-broken or undecodable as the end of the journal — a torn tail costs
+//! the unacknowledged suffix, never the whole file. Nothing is ever appended after a tear: recovery seals what it
 //! replayed into a new checkpoint generation with a fresh journal.
 
-use crate::codec::{decode_record, put_record, record_len, JournalRecord, MAX_PAYLOAD_LEN};
+use crate::codec::{decode_record, put_record, record_len, JournalRecord};
 use crate::crc::crc32;
 use crate::FsyncPolicy;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -30,10 +30,6 @@ pub(crate) const JOURNAL_VERSION: u8 = 1;
 pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"FLTWAL\0\0";
 
 const HEADER_LEN: usize = 8 + 1 + 8 + 4;
-
-/// Frames longer than a record body could ever legitimately be (version +
-/// seq + kind + len prefix + max payload).
-const MAX_FRAME_BODY: usize = 1 + 8 + 1 + 4 + MAX_PAYLOAD_LEN;
 
 fn header_bytes(generation: u64) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
@@ -78,7 +74,7 @@ impl JournalWriter {
         // `[len][body][crc]` built in one buffer, the CRC taken in place.
         let body_len = record_len(record);
         let mut frame = BytesMut::with_capacity(4 + body_len + 4);
-        frame.put_u32_le(body_len as u32);
+        frame.put_u32_le(u32::try_from(body_len).expect("MAX_PAYLOAD_LEN keeps a body in u32"));
         put_record(&mut frame, record);
         let crc = crc32(&frame[4..]);
         frame.put_u32_le(crc);
@@ -112,8 +108,9 @@ pub(crate) struct ReadJournal {
 /// Returns `None` when the file is missing, shorter than a header, or the
 /// header itself fails its magic/version/CRC checks — such a file carries no
 /// usable history at all. Otherwise every cleanly framed record before the
-/// first tear is returned; the tear itself (short frame, oversized length,
-/// CRC mismatch, undecodable body) just ends the journal early.
+/// first tear is returned; the tear itself (a short frame or a length past
+/// the end of the file, CRC mismatch, undecodable body) just ends the
+/// journal early.
 pub(crate) fn read_journal(path: &Path) -> Option<ReadJournal> {
     let mut raw = Vec::new();
     File::open(path).ok()?.read_to_end(&mut raw).ok()?;
@@ -136,7 +133,7 @@ pub(crate) fn read_journal(path: &Path) -> Option<ReadJournal> {
         }
         let body_len =
             u32::from_le_bytes(raw[offset..offset + 4].try_into().expect("4-byte len")) as usize;
-        if body_len > MAX_FRAME_BODY || raw.len() - offset - 4 < body_len + 4 {
+        if raw.len() - offset - 4 < body_len + 4 {
             break;
         }
         let body = raw.slice(offset + 4..offset + 4 + body_len);

@@ -48,7 +48,7 @@ mod faults;
 mod journal;
 mod store;
 
-pub use codec::{EventKind, JournalRecord};
+pub use codec::{EventKind, JournalRecord, MAX_PAYLOAD_LEN};
 pub use faults::{DiskFault, DiskFaultPlan};
 pub use store::{DurableStore, Recovered};
 

@@ -10,10 +10,15 @@
 //! and its per-shard sibling, and `crates/transport/tests/durability_restart.rs`
 //! for the same through the on-disk journal and checkpoint).
 //!
-//! As in [`crate::wire`], every `put_*`/`encode_*` binds its state with an
-//! exhaustive struct pattern and every `get_*`/`decode_*` ends in a struct
-//! literal: a state field added and forgotten on either side is a compile
-//! error, not a checkpoint that silently drops it.
+//! As in [`crate::wire`], each section is written down twice and nowhere
+//! else. Every `put_*` writes into a `wire::Sink` and binds its state with an
+//! exhaustive struct pattern, and [`encode_checkpoint`] measures the whole
+//! checkpoint before it allocates; every `get_*` reads through the wire's
+//! checked getters and ends in a struct literal. A state field added and
+//! forgotten on either side is a compile error, not a checkpoint that
+//! silently drops it. The one size kept by hand is each element's smallest
+//! encoding, passed to `get_counted`, which bounds an untrusted count by
+//! the bytes left before the count sizes an allocation.
 //!
 //! Version history. v1: the aggregator's staleness history as every observed
 //! value, in observation order. v2 (what [`encode_checkpoint`] writes): the
@@ -27,10 +32,9 @@ use crate::controller::ControllerCounters;
 use crate::server::FleetServerState;
 use crate::tasks::TaskTableState;
 use crate::wire::{
-    checked_field_len, f32s_len, get_f32_vec, get_len, get_string, get_u64_vec, need,
-    put_f32_slice, put_str, put_u64_slice, str_len, u64s_len, WireError,
+    encode, get_f32, get_flag, get_len, get_string, get_u64, get_u8, get_vec, need, Sink, WireError,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use fleet_core::{AggregatorState, ParameterServerState};
 use fleet_profiler::{IProfState, SlopePredictorState};
 use std::collections::BTreeMap;
@@ -41,35 +45,25 @@ const CHECKPOINT_VERSION: u8 = 2;
 /// The version that stored every observed staleness value; still decoded.
 const CHECKPOINT_V1: u8 = 1;
 
-/// Reads an element count and checks that `count` elements of at least
-/// `min_encoded` bytes each are still in the buffer. A count comes from
-/// untrusted bytes; only after this check may it size an allocation.
-fn get_count(buf: &mut Bytes, min_encoded: usize) -> Result<usize, WireError> {
+/// Reads an element count, checks that `count` elements of at least
+/// `min_encoded` bytes each are still in the buffer, then decodes them with
+/// `get`. A count comes from untrusted bytes; only after this check may it
+/// size the allocation.
+fn get_counted<T>(
+    buf: &mut Bytes,
+    min_encoded: usize,
+    mut get: impl FnMut(&mut Bytes) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
     let count = get_len(buf)?;
     need(buf, count.saturating_mul(min_encoded))?;
-    Ok(count)
+    let mut elements = Vec::with_capacity(count);
+    for _ in 0..count {
+        elements.push(get(buf)?);
+    }
+    Ok(elements)
 }
 
-fn server_state_len(state: &ParameterServerState) -> usize {
-    let pending: usize = state
-        .shard_pending
-        .iter()
-        .map(|pending| 4 + pending.iter().map(|s| f32s_len(s.len())).sum::<usize>())
-        .sum();
-    f32s_len(state.parameters.len())
-        + 4
-        + pending
-        + u64s_len(state.shard_clocks.len())
-        + u64s_len(state.shard_applied.len())
-        + 3 * 8
-        + u64s_len(state.last_shard_staleness.len())
-        + f32s_len(state.last_shard_weights.len())
-        + 4
-        + 16 * state.aggregator.staleness_counts.len()
-        + u64s_len(state.aggregator.label_counts.len())
-}
-
-fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
+fn put_server_state(s: &mut Sink, state: &ParameterServerState) {
     let ParameterServerState {
         parameters,
         shard_pending,
@@ -86,27 +80,27 @@ fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
                 label_counts,
             },
     } = state;
-    put_f32_slice(buf, parameters);
-    buf.put_u32_le(checked_field_len(shard_pending.len()));
+    s.put_vec(parameters, f32::to_le_bytes);
+    s.put_len(shard_pending.len());
     for pending in shard_pending {
-        buf.put_u32_le(checked_field_len(pending.len()));
+        s.put_len(pending.len());
         for segment in pending {
-            put_f32_slice(buf, segment);
+            s.put_vec(segment, f32::to_le_bytes);
         }
     }
-    put_u64_slice(buf, shard_clocks);
-    put_u64_slice(buf, shard_applied);
-    buf.put_u64_le(*pending_count as u64);
-    buf.put_u64_le(*clock);
-    buf.put_u64_le(*updates_received);
-    put_u64_slice(buf, last_shard_staleness);
-    put_f32_slice(buf, last_shard_weights);
-    buf.put_u32_le(checked_field_len(staleness_counts.len()));
+    s.put_vec(shard_clocks, u64::to_le_bytes);
+    s.put_vec(shard_applied, u64::to_le_bytes);
+    s.put_u64(*pending_count as u64);
+    s.put_u64(*clock);
+    s.put_u64(*updates_received);
+    s.put_vec(last_shard_staleness, u64::to_le_bytes);
+    s.put_vec(last_shard_weights, f32::to_le_bytes);
+    s.put_len(staleness_counts.len());
     for &(value, count) in staleness_counts {
-        buf.put_u64_le(value);
-        buf.put_u64_le(count);
+        s.put_u64(value);
+        s.put_u64(count);
     }
-    put_u64_slice(buf, label_counts);
+    s.put_vec(label_counts, u64::to_le_bytes);
 }
 
 /// Reads v2's staleness history, accepting only the form the tracker
@@ -114,25 +108,17 @@ fn put_server_state(buf: &mut BytesMut, state: &ParameterServerState) {
 /// checkpoint re-encodes to the same bytes, and only counts whose total fits
 /// the tracker's `u64`.
 fn get_staleness_counts(buf: &mut Bytes) -> Result<Vec<(u64, u64)>, WireError> {
-    let len = get_count(buf, 16)?;
-    let mut counts: Vec<(u64, u64)> = Vec::with_capacity(len);
-    let mut total = 0u64;
-    for _ in 0..len {
-        let (value, count) = (buf.get_u64_le(), buf.get_u64_le());
-        if counts
-            .last()
-            .is_some_and(|&(previous, _)| previous >= value)
-        {
-            return Err(WireError::Malformed("staleness values not ascending"));
-        }
-        if count == 0 {
-            return Err(WireError::Malformed("staleness count of zero"));
-        }
-        total = total
-            .checked_add(count)
-            .ok_or(WireError::Malformed("staleness counts overflow u64"))?;
-        counts.push((value, count));
+    let counts = get_counted(buf, 16, |buf| Ok((get_u64(buf)?, get_u64(buf)?)))?;
+    if counts.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(WireError::Malformed("staleness values not ascending"));
     }
+    if counts.iter().any(|&(_, count)| count == 0) {
+        return Err(WireError::Malformed("staleness count of zero"));
+    }
+    counts
+        .iter()
+        .try_fold(0u64, |total, &(_, count)| total.checked_add(count))
+        .ok_or(WireError::Malformed("staleness counts overflow u64"))?;
     Ok(counts)
 }
 
@@ -146,32 +132,24 @@ fn fold_staleness_values(values: Vec<u64>) -> Vec<(u64, u64)> {
 }
 
 fn get_server_state(buf: &mut Bytes, version: u8) -> Result<ParameterServerState, WireError> {
-    let parameters = get_f32_vec(buf)?;
+    let parameters = get_vec(buf, f32::from_le_bytes)?;
     // Smallest shard: its segment count. Smallest segment: its length prefix.
-    let shard_count = get_count(buf, 4)?;
-    let mut shard_pending = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        let segments = get_count(buf, 4)?;
-        let mut pending = Vec::with_capacity(segments);
-        for _ in 0..segments {
-            pending.push(get_f32_vec(buf)?);
-        }
-        shard_pending.push(pending);
-    }
-    let shard_clocks = get_u64_vec(buf)?;
-    let shard_applied = get_u64_vec(buf)?;
-    need(buf, 3 * 8)?;
-    let pending_count = buf.get_u64_le() as usize;
-    let clock = buf.get_u64_le();
-    let updates_received = buf.get_u64_le();
-    let last_shard_staleness = get_u64_vec(buf)?;
-    let last_shard_weights = get_f32_vec(buf)?;
+    let shard_pending = get_counted(buf, 4, |buf| {
+        get_counted(buf, 4, |buf| get_vec(buf, f32::from_le_bytes))
+    })?;
+    let shard_clocks = get_vec(buf, u64::from_le_bytes)?;
+    let shard_applied = get_vec(buf, u64::from_le_bytes)?;
+    let pending_count = get_u64(buf)? as usize;
+    let clock = get_u64(buf)?;
+    let updates_received = get_u64(buf)?;
+    let last_shard_staleness = get_vec(buf, u64::from_le_bytes)?;
+    let last_shard_weights = get_vec(buf, f32::from_le_bytes)?;
     let staleness_counts = if version == CHECKPOINT_V1 {
-        fold_staleness_values(get_u64_vec(buf)?)
+        fold_staleness_values(get_vec(buf, u64::from_le_bytes)?)
     } else {
         get_staleness_counts(buf)?
     };
-    let label_counts = get_u64_vec(buf)?;
+    let label_counts = get_vec(buf, u64::from_le_bytes)?;
     Ok(ParameterServerState {
         parameters,
         shard_pending,
@@ -189,28 +167,7 @@ fn get_server_state(buf: &mut Bytes, version: u8) -> Result<ParameterServerState
     })
 }
 
-fn predictor_state_len(state: &SlopePredictorState) -> usize {
-    let personal: usize = state
-        .personal
-        .iter()
-        .map(|(model, theta, _)| str_len(model) + f32s_len(theta.len()) + 8)
-        .sum();
-    let calibration: usize = state
-        .calibration
-        .iter()
-        .map(|(features, _)| f32s_len(features.len()) + 4)
-        .sum();
-    f32s_len(state.global.len())
-        + 4
-        + personal
-        + 4
-        + calibration
-        + 1
-        + state.seen_range.map_or(0, |_| 2 * 4)
-        + 8
-}
-
-fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
+fn put_predictor_state(s: &mut Sink, state: &SlopePredictorState) {
     let SlopePredictorState {
         global,
         personal,
@@ -218,59 +175,44 @@ fn put_predictor_state(buf: &mut BytesMut, state: &SlopePredictorState) {
         seen_range,
         since_retrain,
     } = state;
-    put_f32_slice(buf, global);
-    buf.put_u32_le(checked_field_len(personal.len()));
+    s.put_vec(global, f32::to_le_bytes);
+    s.put_len(personal.len());
     for (model, theta, updates) in personal {
-        put_str(buf, model);
-        put_f32_slice(buf, theta);
-        buf.put_u64_le(*updates);
+        s.put_str(model);
+        s.put_vec(theta, f32::to_le_bytes);
+        s.put_u64(*updates);
     }
-    buf.put_u32_le(checked_field_len(calibration.len()));
+    s.put_len(calibration.len());
     for (features, slope) in calibration {
-        put_f32_slice(buf, features);
-        buf.put_f32_le(*slope);
+        s.put_vec(features, f32::to_le_bytes);
+        s.put_f32(*slope);
     }
-    match *seen_range {
-        Some((lo, hi)) => {
-            buf.put_u8(1);
-            buf.put_f32_le(lo);
-            buf.put_f32_le(hi);
-        }
-        None => buf.put_u8(0),
+    s.put_u8(seen_range.is_some() as u8);
+    if let Some((lo, hi)) = *seen_range {
+        s.put_f32(lo);
+        s.put_f32(hi);
     }
-    buf.put_u64_le(*since_retrain);
+    s.put_u64(*since_retrain);
 }
 
 fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError> {
-    let global = get_f32_vec(buf)?;
+    let global = get_vec(buf, f32::from_le_bytes)?;
     // Smallest entry: empty model string, empty theta, the update count.
-    let personal_count = get_count(buf, 4 + 4 + 8)?;
-    let mut personal = Vec::with_capacity(personal_count);
-    for _ in 0..personal_count {
+    let personal = get_counted(buf, 4 + 4 + 8, |buf| {
         let model = get_string(buf)?;
-        let theta = get_f32_vec(buf)?;
-        need(buf, 8)?;
-        personal.push((model, theta, buf.get_u64_le()));
-    }
+        let theta = get_vec(buf, f32::from_le_bytes)?;
+        Ok((model, theta, get_u64(buf)?))
+    })?;
     // Smallest sample: empty feature vector plus the slope.
-    let calibration_count = get_count(buf, 4 + 4)?;
-    let mut calibration = Vec::with_capacity(calibration_count);
-    for _ in 0..calibration_count {
-        let features = get_f32_vec(buf)?;
-        need(buf, 4)?;
-        calibration.push((features, buf.get_f32_le()));
-    }
-    need(buf, 1)?;
-    let seen_range = match buf.get_u8() {
-        0 => None,
-        1 => {
-            need(buf, 8)?;
-            Some((buf.get_f32_le(), buf.get_f32_le()))
-        }
-        other => return Err(WireError::LengthOutOfBounds(other as usize)),
+    let calibration = get_counted(buf, 4 + 4, |buf| {
+        Ok((get_vec(buf, f32::from_le_bytes)?, get_f32(buf)?))
+    })?;
+    let seen_range = if get_flag(buf, "seen_range flag")? {
+        Some((get_f32(buf)?, get_f32(buf)?))
+    } else {
+        None
     };
-    need(buf, 8)?;
-    let since_retrain = buf.get_u64_le();
+    let since_retrain = get_u64(buf)?;
     Ok(SlopePredictorState {
         global,
         personal,
@@ -280,48 +222,32 @@ fn get_predictor_state(buf: &mut Bytes) -> Result<SlopePredictorState, WireError
     })
 }
 
-fn task_table_state_len(state: &TaskTableState) -> usize {
-    8 + 4
-        + state.outstanding.len() * 4 * 8
-        + u64s_len(state.completed.len())
-        + u64s_len(state.expired.len())
-}
-
-fn put_task_table_state(buf: &mut BytesMut, state: &TaskTableState) {
+fn put_task_table_state(s: &mut Sink, state: &TaskTableState) {
     let TaskTableState {
         next_id,
         outstanding,
         completed,
         expired,
     } = state;
-    buf.put_u64_le(*next_id);
-    buf.put_u32_le(checked_field_len(outstanding.len()));
+    s.put_u64(*next_id);
+    s.put_len(outstanding.len());
     for &(id, worker, issued, deadline) in outstanding {
-        buf.put_u64_le(id);
-        buf.put_u64_le(worker);
-        buf.put_u64_le(issued);
-        buf.put_u64_le(deadline);
+        s.put_u64(id);
+        s.put_u64(worker);
+        s.put_u64(issued);
+        s.put_u64(deadline);
     }
-    put_u64_slice(buf, completed);
-    put_u64_slice(buf, expired);
+    s.put_vec(completed, u64::to_le_bytes);
+    s.put_vec(expired, u64::to_le_bytes);
 }
 
 fn get_task_table_state(buf: &mut Bytes) -> Result<TaskTableState, WireError> {
-    need(buf, 8)?;
-    let next_id = buf.get_u64_le();
-    let outstanding_count = get_count(buf, 4 * 8)?;
-    let outstanding = (0..outstanding_count)
-        .map(|_| {
-            (
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-            )
-        })
-        .collect();
-    let completed = get_u64_vec(buf)?;
-    let expired = get_u64_vec(buf)?;
+    let next_id = get_u64(buf)?;
+    let outstanding = get_counted(buf, 4 * 8, |buf| {
+        Ok((get_u64(buf)?, get_u64(buf)?, get_u64(buf)?, get_u64(buf)?))
+    })?;
+    let completed = get_vec(buf, u64::from_le_bytes)?;
+    let expired = get_vec(buf, u64::from_le_bytes)?;
     Ok(TaskTableState {
         next_id,
         outstanding,
@@ -351,38 +277,26 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
         tasks,
         device_models,
     } = state;
-    let len = 1
-        + server_state_len(parameter_server)
-        + predictor_state_len(latency)
-        + predictor_state_len(energy)
-        + 4 * 8
-        + task_table_state_len(tasks)
-        + 4
-        + device_models
-            .iter()
-            .map(|(_, model)| 8 + str_len(model))
-            .sum::<usize>();
-    let mut buf = BytesMut::with_capacity(len);
-    buf.put_u8(CHECKPOINT_VERSION);
-    put_server_state(&mut buf, parameter_server);
-    put_predictor_state(&mut buf, latency);
-    put_predictor_state(&mut buf, energy);
-    for counter in [
-        accepted,
-        rejected_size,
-        rejected_similarity,
-        rejected_overload,
-    ] {
-        buf.put_u64_le(*counter);
-    }
-    put_task_table_state(&mut buf, tasks);
-    buf.put_u32_le(checked_field_len(device_models.len()));
-    for (worker, model) in device_models {
-        buf.put_u64_le(*worker);
-        put_str(&mut buf, model);
-    }
-    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
-    buf.freeze()
+    encode(|s| {
+        s.put_u8(CHECKPOINT_VERSION);
+        put_server_state(s, parameter_server);
+        put_predictor_state(s, latency);
+        put_predictor_state(s, energy);
+        for counter in [
+            accepted,
+            rejected_size,
+            rejected_similarity,
+            rejected_overload,
+        ] {
+            s.put_u64(*counter);
+        }
+        put_task_table_state(s, tasks);
+        s.put_len(device_models.len());
+        for (worker, model) in device_models {
+            s.put_u64(*worker);
+            s.put_str(model);
+        }
+    })
 }
 
 /// Decodes a checkpoint produced by [`encode_checkpoint`], or by its v1
@@ -393,30 +307,22 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
 /// Returns a [`WireError`] when the buffer is truncated, has an unknown
 /// version byte, or contains malformed fields.
 pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> {
-    need(&buf, 1)?;
-    let version = buf.get_u8();
+    let version = get_u8(&mut buf)?;
     if version != CHECKPOINT_VERSION && version != CHECKPOINT_V1 {
         return Err(WireError::UnsupportedVersion(version));
     }
     let parameter_server = get_server_state(&mut buf, version)?;
     let latency = get_predictor_state(&mut buf)?;
     let energy = get_predictor_state(&mut buf)?;
-    need(&buf, 4 * 8)?;
     let controller = ControllerCounters {
-        accepted: buf.get_u64_le(),
-        rejected_size: buf.get_u64_le(),
-        rejected_similarity: buf.get_u64_le(),
-        rejected_overload: buf.get_u64_le(),
+        accepted: get_u64(&mut buf)?,
+        rejected_size: get_u64(&mut buf)?,
+        rejected_similarity: get_u64(&mut buf)?,
+        rejected_overload: get_u64(&mut buf)?,
     };
     let tasks = get_task_table_state(&mut buf)?;
     // Smallest route: the worker id and an empty model string.
-    let device_count = get_count(&mut buf, 8 + 4)?;
-    let mut device_models = Vec::with_capacity(device_count);
-    for _ in 0..device_count {
-        need(&buf, 8)?;
-        let worker = buf.get_u64_le();
-        device_models.push((worker, get_string(&mut buf)?));
-    }
+    let device_models = get_counted(&mut buf, 8 + 4, |buf| Ok((get_u64(buf)?, get_string(buf)?)))?;
     Ok(FleetServerState {
         parameter_server,
         iprof: IProfState { latency, energy },
@@ -598,7 +504,7 @@ mod tests {
         raw[needle_pos] = 7;
         assert_eq!(
             decode_checkpoint(Bytes::from(raw)),
-            Err(WireError::LengthOutOfBounds(7))
+            Err(WireError::Malformed("seen_range flag"))
         );
     }
 }

@@ -6,11 +6,22 @@
 //! little-endian scalars, f32 slices packed raw. The format is versioned with
 //! a one-byte tag so it can evolve.
 //!
+//! Each message is written down twice, once per direction, and nowhere
+//! else. An encoder writes into a `Sink`; `encode` runs it twice, first
+//! into a sink that only counts bytes, then into one buffer allocated at
+//! exactly that count, so no encoder keeps its own size. A decoder reads
+//! through checked getters (`get_u8`, `get_u64`, `get_f32`, `get_vec`, …)
+//! that return [`WireError::UnexpectedEof`] instead of panicking, so no
+//! decoder keeps a hand-summed size either. Only a length prefix about to
+//! size an allocation is checked against the bytes left (`get_vec`, and
+//! `get_counted` in the checkpoint codec).
+//!
 //! Every encoder binds its message with an exhaustive struct pattern (no
 //! `..`) and every decoder ends in a struct literal, so a field added to a
 //! protocol type and forgotten on either side fails `cargo build` here:
 //! unmentioned in the pattern or literal is an error by itself, bound but
-//! never written is the `unused_variables` error below.
+//! never written is the `unused_variables` error below. Field order is what
+//! the golden vectors in the tests pin.
 
 #![deny(unused_variables)]
 
@@ -119,113 +130,116 @@ pub(crate) fn checked_field_len(len: usize) -> u32 {
 /// to stay in L1 while a megabyte body streams through it.
 const BLOCK: usize = 256;
 
-/// Encoded size of a length-prefixed `f32` vector of `len` elements.
-pub(crate) fn f32s_len(len: usize) -> usize {
-    4 + 4 * len
+/// Where an encoder writes: a byte count alone (the measuring pass of
+/// [`encode`]), or a byte count and the buffer being filled.
+pub(crate) struct Sink {
+    len: usize,
+    buf: Option<BytesMut>,
 }
 
-/// Encoded size of a length-prefixed `u64` vector of `len` elements.
-pub(crate) fn u64s_len(len: usize) -> usize {
-    4 + 8 * len
-}
-
-/// Encoded size of a length-prefixed string.
-pub(crate) fn str_len(s: &str) -> usize {
-    4 + s.len()
-}
-
-pub(crate) fn put_u64_slice(buf: &mut BytesMut, values: &[u64]) {
-    buf.put_u32_le(checked_field_len(values.len()));
-    let mut block = [0u8; 8 * BLOCK];
-    for values in values.chunks(BLOCK) {
-        let raw = &mut block[..8 * values.len()];
-        for (dst, v) in raw.chunks_exact_mut(8).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
+impl Sink {
+    fn put_slice(&mut self, raw: &[u8]) {
+        self.len += raw.len();
+        if let Some(buf) = &mut self.buf {
+            buf.put_slice(raw);
         }
-        buf.put_slice(raw);
     }
-}
 
-pub(crate) fn get_u64_vec(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
-    let len = get_len(buf)?;
-    need(buf, len * 8)?;
-    let values = buf.chunk()[..len * 8]
-        .chunks_exact(8)
-        .map(|raw| u64::from_le_bytes(raw.try_into().expect("chunks_exact(8)")))
-        .collect();
-    buf.advance(len * 8);
-    Ok(values)
-}
+    pub(crate) fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
 
-pub(crate) fn put_f32_slice(buf: &mut BytesMut, values: &[f32]) {
-    buf.put_u32_le(checked_field_len(values.len()));
-    let mut block = [0u8; 4 * BLOCK];
-    for values in values.chunks(BLOCK) {
-        let raw = &mut block[..4 * values.len()];
-        for (dst, v) in raw.chunks_exact_mut(4).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
+    pub(crate) fn put_u64(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub(crate) fn put_f32(&mut self, v: f32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    /// Writes an element or byte count as a `u32` length prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` exceeds [`MAX_FIELD_LEN`] — in the measuring pass,
+    /// before anything is allocated.
+    pub(crate) fn put_len(&mut self, len: usize) {
+        self.put_slice(&checked_field_len(len).to_le_bytes());
+    }
+
+    pub(crate) fn put_str(&mut self, s: &str) {
+        self.put_len(s.len());
+        self.put_slice(s.as_bytes());
+    }
+
+    /// Writes a length-prefixed vector, each element as the `W` bytes
+    /// `to_le_bytes` gives. The fill pass converts [`BLOCK`] elements at a
+    /// time into a stack buffer and appends each block in one copy.
+    pub(crate) fn put_vec<T: Copy, const W: usize>(
+        &mut self,
+        values: &[T],
+        to_le_bytes: impl Fn(T) -> [u8; W],
+    ) {
+        self.put_len(values.len());
+        self.len += W * values.len();
+        let Some(buf) = &mut self.buf else { return };
+        let mut block = [[0u8; W]; BLOCK];
+        for values in values.chunks(BLOCK) {
+            let raw = &mut block[..values.len()];
+            for (dst, v) in raw.iter_mut().zip(values) {
+                *dst = to_le_bytes(*v);
+            }
+            buf.put_slice(raw.as_flattened());
         }
-        buf.put_slice(raw);
     }
 }
 
-pub(crate) fn get_f32_vec(buf: &mut Bytes) -> Result<Vec<f32>, WireError> {
-    let len = get_len(buf)?;
-    need(buf, len * 4)?;
-    let values = buf.chunk()[..len * 4]
-        .chunks_exact(4)
-        .map(|raw| f32::from_le_bytes(raw.try_into().expect("chunks_exact(4)")))
-        .collect();
-    buf.advance(len * 4);
-    Ok(values)
+/// Runs the encoder `write` twice: into a [`Sink`] that only counts bytes,
+/// then into one buffer allocated at exactly that count, which it returns.
+pub(crate) fn encode(write: impl Fn(&mut Sink)) -> Bytes {
+    let mut measured = Sink { len: 0, buf: None };
+    write(&mut measured);
+    let mut filled = Sink {
+        len: 0,
+        buf: Some(BytesMut::with_capacity(measured.len)),
+    };
+    write(&mut filled);
+    let buf = filled.buf.expect("the fill pass owns a buffer");
+    debug_assert_eq!(buf.len(), measured.len, "both passes write the same bytes");
+    buf.freeze()
 }
 
-/// Reads a probability vector and rebuilds the label distribution by scaling
-/// to counts (sufficient precision for similarity computation).
-///
-/// A genuine encoding only ever carries finite probabilities in `[0, 1]`, so
-/// anything else is rejected as corruption. The bound matters beyond hygiene:
-/// an adversarial f32 would saturate the count conversion at `u64::MAX` and
-/// overflow the total inside `LabelDistribution::from_counts`. After this
-/// check each count is at most `1e6` and the vector at most [`MAX_FIELD_LEN`]
-/// long, so the sum cannot overflow.
-fn get_label_distribution(buf: &mut Bytes) -> Result<LabelDistribution, WireError> {
-    let probabilities = get_f32_vec(buf)?;
-    if probabilities.is_empty() {
-        return Err(WireError::LengthOutOfBounds(0));
-    }
-    if let Some(bad) = probabilities
-        .iter()
-        .position(|p| !p.is_finite() || *p < 0.0 || *p > 1.0)
-    {
-        return Err(WireError::LengthOutOfBounds(bad));
-    }
-    let counts: Vec<u64> = probabilities
-        .iter()
-        .map(|p| (p * 1_000_000.0).round() as u64)
-        .collect();
-    Ok(LabelDistribution::from_counts(&counts))
+/// Reads `N` raw bytes, or reports that the message ended first.
+fn get_array<const N: usize>(buf: &mut Bytes) -> Result<[u8; N], WireError> {
+    let raw = *buf.first_chunk::<N>().ok_or(WireError::UnexpectedEof)?;
+    buf.advance(N);
+    Ok(raw)
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(checked_field_len(s.len()));
-    buf.put_slice(s.as_bytes());
+pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
+    get_array(buf).map(u8::from_le_bytes)
 }
 
-pub(crate) fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
-    let len = get_len(buf)?;
-    if buf.remaining() < len {
-        return Err(WireError::UnexpectedEof);
+pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
+    get_array(buf).map(u64::from_le_bytes)
+}
+
+pub(crate) fn get_f32(buf: &mut Bytes) -> Result<f32, WireError> {
+    get_array(buf).map(f32::from_le_bytes)
+}
+
+/// Reads a flag byte: 0 or 1, anything else is [`WireError::Malformed`]
+/// naming the flag.
+pub(crate) fn get_flag(buf: &mut Bytes, what: &'static str) -> Result<bool, WireError> {
+    match get_u8(buf)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::Malformed(what)),
     }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
 }
 
 pub(crate) fn get_len(buf: &mut Bytes) -> Result<usize, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::UnexpectedEof);
-    }
-    let len = buf.get_u32_le() as usize;
+    let len = u32::from_le_bytes(get_array(buf)?) as usize;
     if len > MAX_FIELD_LEN {
         return Err(WireError::LengthOutOfBounds(len));
     }
@@ -238,6 +252,56 @@ pub(crate) fn need(buf: &Bytes, bytes: usize) -> Result<(), WireError> {
     } else {
         Ok(())
     }
+}
+
+/// Reads a vector written by [`Sink::put_vec`]. Its length prefix sizes the
+/// allocation only once the bytes it promises are known to be there.
+pub(crate) fn get_vec<T, const W: usize>(
+    buf: &mut Bytes,
+    from_le_bytes: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, WireError> {
+    let len = get_len(buf)?;
+    need(buf, len * W)?;
+    let (elements, _) = buf.chunk()[..len * W].as_chunks::<W>();
+    let values = elements.iter().map(|raw| from_le_bytes(*raw)).collect();
+    buf.advance(len * W);
+    Ok(values)
+}
+
+pub(crate) fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
+    let len = get_len(buf)?;
+    if buf.remaining() < len {
+        return Err(WireError::UnexpectedEof);
+    }
+    let raw = buf.copy_to_bytes(len);
+    String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+}
+
+/// Reads a probability vector and rebuilds the label distribution by scaling
+/// to counts (sufficient precision for similarity computation).
+///
+/// A genuine encoding only ever carries finite probabilities in `[0, 1]`, so
+/// anything else is rejected as corruption. The bound matters beyond hygiene:
+/// an adversarial f32 would saturate the count conversion at `u64::MAX` and
+/// overflow the total inside `LabelDistribution::from_counts`. After this
+/// check each count is at most `1e6` and the vector at most [`MAX_FIELD_LEN`]
+/// long, so the sum cannot overflow.
+fn get_label_distribution(buf: &mut Bytes) -> Result<LabelDistribution, WireError> {
+    let probabilities = get_vec(buf, f32::from_le_bytes)?;
+    if probabilities.is_empty() {
+        return Err(WireError::LengthOutOfBounds(0));
+    }
+    if probabilities
+        .iter()
+        .any(|p| !p.is_finite() || *p < 0.0 || *p > 1.0)
+    {
+        return Err(WireError::Malformed("label probability outside [0, 1]"));
+    }
+    let counts: Vec<u64> = probabilities
+        .iter()
+        .map(|p| (p * 1_000_000.0).round() as u64)
+        .collect();
+    Ok(LabelDistribution::from_counts(&counts))
 }
 
 /// Encodes a [`TaskRequest`] into a byte buffer.
@@ -261,25 +325,22 @@ pub fn encode_request(request: &TaskRequest) -> Bytes {
         label_distribution,
         available_samples,
     } = request;
-    let len =
-        1 + 8 + str_len(device_model) + 5 * 4 + f32s_len(label_distribution.as_slice().len()) + 8;
-    let mut buf = BytesMut::with_capacity(len);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u64_le(*worker_id);
-    put_str(&mut buf, device_model);
-    for v in [
-        available_memory_mb,
-        total_memory_mb,
-        temperature_celsius,
-        sum_max_freq_ghz,
-        energy_per_cpu_second,
-    ] {
-        buf.put_f32_le(*v);
-    }
-    put_f32_slice(&mut buf, label_distribution.as_slice());
-    buf.put_u64_le(*available_samples as u64);
-    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
-    buf.freeze()
+    encode(|s| {
+        s.put_u8(WIRE_VERSION);
+        s.put_u64(*worker_id);
+        s.put_str(device_model);
+        for v in [
+            available_memory_mb,
+            total_memory_mb,
+            temperature_celsius,
+            sum_max_freq_ghz,
+            energy_per_cpu_second,
+        ] {
+            s.put_f32(*v);
+        }
+        s.put_vec(label_distribution.as_slice(), f32::to_le_bytes);
+        s.put_u64(*available_samples as u64);
+    })
 }
 
 /// Decodes a [`TaskRequest`] from bytes produced by [`encode_request`].
@@ -289,25 +350,21 @@ pub fn encode_request(request: &TaskRequest) -> Bytes {
 /// Returns a [`WireError`] when the buffer is truncated, has an unknown
 /// version, or contains malformed fields.
 pub fn decode_request(mut buf: Bytes) -> Result<TaskRequest, WireError> {
-    need(&buf, 1)?;
-    let version = buf.get_u8();
+    let version = get_u8(&mut buf)?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    need(&buf, 8)?;
-    let worker_id = buf.get_u64_le();
+    let worker_id = get_u64(&mut buf)?;
     let device_model = get_string(&mut buf)?;
-    need(&buf, 5 * 4)?;
     let device_features = DeviceFeatures {
-        available_memory_mb: buf.get_f32_le(),
-        total_memory_mb: buf.get_f32_le(),
-        temperature_celsius: buf.get_f32_le(),
-        sum_max_freq_ghz: buf.get_f32_le(),
-        energy_per_cpu_second: buf.get_f32_le(),
+        available_memory_mb: get_f32(&mut buf)?,
+        total_memory_mb: get_f32(&mut buf)?,
+        temperature_celsius: get_f32(&mut buf)?,
+        sum_max_freq_ghz: get_f32(&mut buf)?,
+        energy_per_cpu_second: get_f32(&mut buf)?,
     };
     let label_distribution = get_label_distribution(&mut buf)?;
-    need(&buf, 8)?;
-    let available_samples = buf.get_u64_le() as usize;
+    let available_samples = get_u64(&mut buf)? as usize;
     Ok(TaskRequest {
         worker_id,
         device_model,
@@ -335,52 +392,36 @@ pub fn encode_result(result: &TaskResult) -> Bytes {
         read_clock,
         task_id,
     } = result;
-    let len = 1
-        + 2 * 8
-        + f32s_len(gradient.as_slice().len())
-        + f32s_len(label_distribution.as_slice().len())
-        + 8
-        + 2 * 4
-        + match (task_id, read_clock) {
-            (Some(_), read_clock) => {
-                1 + read_clock.as_ref().map_or(0, |clock| u64s_len(clock.len())) + 8
-            }
-            (None, Some(read_clock)) => u64s_len(read_clock.len()),
-            (None, None) => 0,
-        };
-    let mut buf = BytesMut::with_capacity(len);
-    // Emit the oldest version able to carry the message: a result without a
-    // read clock or task id is byte-identical to the v1 encoding, so v1
-    // peers keep decoding everything a lockstep deployment produces.
-    buf.put_u8(match (task_id, read_clock) {
-        (Some(_), _) => WIRE_VERSION_TASK_ID,
-        (None, Some(_)) => WIRE_VERSION_READ_CLOCK,
-        (None, None) => WIRE_VERSION,
-    });
-    buf.put_u64_le(*worker_id);
-    buf.put_u64_le(*model_version);
-    put_f32_slice(&mut buf, gradient.as_slice());
-    put_f32_slice(&mut buf, label_distribution.as_slice());
-    buf.put_u64_le(*num_samples as u64);
-    buf.put_f32_le(*computation_seconds);
-    buf.put_f32_le(*energy_pct);
-    match (task_id, read_clock) {
-        // v3: explicit clock-presence flag, then the id.
-        (Some(task_id), read_clock) => {
-            match read_clock {
-                Some(read_clock) => {
-                    buf.put_u8(1);
-                    put_u64_slice(&mut buf, read_clock);
+    encode(|s| {
+        // Emit the oldest version able to carry the message: a result
+        // without a read clock or task id is byte-identical to the v1
+        // encoding, so v1 peers keep decoding everything a lockstep
+        // deployment produces.
+        s.put_u8(match (task_id, read_clock) {
+            (Some(_), _) => WIRE_VERSION_TASK_ID,
+            (None, Some(_)) => WIRE_VERSION_READ_CLOCK,
+            (None, None) => WIRE_VERSION,
+        });
+        s.put_u64(*worker_id);
+        s.put_u64(*model_version);
+        s.put_vec(gradient.as_slice(), f32::to_le_bytes);
+        s.put_vec(label_distribution.as_slice(), f32::to_le_bytes);
+        s.put_u64(*num_samples as u64);
+        s.put_f32(*computation_seconds);
+        s.put_f32(*energy_pct);
+        match (task_id, read_clock) {
+            // v3: explicit clock-presence flag, then the id.
+            (Some(task_id), read_clock) => {
+                s.put_u8(read_clock.is_some() as u8);
+                if let Some(read_clock) = read_clock {
+                    s.put_vec(read_clock, u64::to_le_bytes);
                 }
-                None => buf.put_u8(0),
+                s.put_u64(*task_id);
             }
-            buf.put_u64_le(*task_id);
+            (None, Some(read_clock)) => s.put_vec(read_clock, u64::to_le_bytes),
+            (None, None) => {}
         }
-        (None, Some(read_clock)) => put_u64_slice(&mut buf, read_clock),
-        (None, None) => {}
-    }
-    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
-    buf.freeze()
+    })
 }
 
 /// Decodes a [`TaskResult`] from bytes produced by [`encode_result`].
@@ -390,35 +431,28 @@ pub fn encode_result(result: &TaskResult) -> Bytes {
 /// Returns a [`WireError`] when the buffer is truncated, has an unknown
 /// version, or contains malformed fields.
 pub fn decode_result(mut buf: Bytes) -> Result<TaskResult, WireError> {
-    need(&buf, 1)?;
-    let version = buf.get_u8();
+    let version = get_u8(&mut buf)?;
     if !matches!(
         version,
         WIRE_VERSION | WIRE_VERSION_READ_CLOCK | WIRE_VERSION_TASK_ID
     ) {
         return Err(WireError::UnsupportedVersion(version));
     }
-    need(&buf, 16)?;
-    let worker_id = buf.get_u64_le();
-    let model_version = buf.get_u64_le();
-    let gradient = Gradient::from_vec(get_f32_vec(&mut buf)?);
+    let worker_id = get_u64(&mut buf)?;
+    let model_version = get_u64(&mut buf)?;
+    let gradient = Gradient::from_vec(get_vec(&mut buf, f32::from_le_bytes)?);
     let label_distribution = get_label_distribution(&mut buf)?;
-    need(&buf, 8 + 4 + 4)?;
-    let num_samples = buf.get_u64_le() as usize;
-    let computation_seconds = buf.get_f32_le();
-    let energy_pct = buf.get_f32_le();
+    let num_samples = get_u64(&mut buf)? as usize;
+    let computation_seconds = get_f32(&mut buf)?;
+    let energy_pct = get_f32(&mut buf)?;
     let (read_clock, task_id) = match version {
         WIRE_VERSION_TASK_ID => {
-            need(&buf, 1)?;
-            let read_clock = match buf.get_u8() {
-                0 => None,
-                1 => Some(get_u64_vec(&mut buf)?),
-                flag => return Err(WireError::LengthOutOfBounds(flag as usize)),
-            };
-            need(&buf, 8)?;
-            (read_clock, Some(buf.get_u64_le()))
+            let read_clock = get_flag(&mut buf, "read-clock presence flag")?
+                .then(|| get_vec(&mut buf, u64::from_le_bytes))
+                .transpose()?;
+            (read_clock, Some(get_u64(&mut buf)?))
         }
-        WIRE_VERSION_READ_CLOCK => (Some(get_u64_vec(&mut buf)?), None),
+        WIRE_VERSION_READ_CLOCK => (Some(get_vec(&mut buf, u64::from_le_bytes)?), None),
         _ => (None, None),
     };
     Ok(TaskResult {
@@ -434,9 +468,9 @@ pub fn decode_result(mut buf: Bytes) -> Result<TaskResult, WireError> {
     })
 }
 
-/// Encodes a [`TaskAssignment`] into `buf` (the payload of a
+/// Encodes a [`TaskAssignment`] (the payload of a
 /// [`TaskResponse::Assignment`]).
-pub(crate) fn put_assignment(buf: &mut BytesMut, assignment: &TaskAssignment) {
+fn put_assignment(s: &mut Sink, assignment: &TaskAssignment) {
     let TaskAssignment {
         task_id,
         model_parameters,
@@ -444,26 +478,20 @@ pub(crate) fn put_assignment(buf: &mut BytesMut, assignment: &TaskAssignment) {
         shard_clocks,
         mini_batch_size,
     } = assignment;
-    buf.put_u64_le(*task_id);
-    buf.put_u64_le(*model_version);
-    buf.put_u64_le(*mini_batch_size as u64);
-    put_f32_slice(buf, model_parameters);
-    put_u64_slice(buf, shard_clocks);
-}
-
-/// Encoded size of a [`TaskAssignment`] as [`put_assignment`] writes it.
-fn assignment_len(assignment: &TaskAssignment) -> usize {
-    3 * 8 + f32s_len(assignment.model_parameters.len()) + u64s_len(assignment.shard_clocks.len())
+    s.put_u64(*task_id);
+    s.put_u64(*model_version);
+    s.put_u64(*mini_batch_size as u64);
+    s.put_vec(model_parameters, f32::to_le_bytes);
+    s.put_vec(shard_clocks, u64::to_le_bytes);
 }
 
 /// Decodes a [`TaskAssignment`] written by [`put_assignment`].
-pub(crate) fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireError> {
-    need(buf, 3 * 8)?;
-    let task_id = buf.get_u64_le();
-    let model_version = buf.get_u64_le();
-    let mini_batch_size = buf.get_u64_le() as usize;
-    let model_parameters = get_f32_vec(buf)?;
-    let shard_clocks = get_u64_vec(buf)?;
+fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireError> {
+    let task_id = get_u64(buf)?;
+    let model_version = get_u64(buf)?;
+    let mini_batch_size = get_u64(buf)? as usize;
+    let model_parameters = get_vec(buf, f32::from_le_bytes)?;
+    let shard_clocks = get_vec(buf, u64::from_le_bytes)?;
     Ok(TaskAssignment {
         task_id,
         model_parameters,
@@ -481,37 +509,30 @@ pub(crate) fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireErro
 /// Panics if the assignment's parameter vector exceeds [`MAX_FIELD_LEN`] —
 /// such a message could never decode.
 pub fn encode_response(response: &TaskResponse) -> Bytes {
-    let len = 2 + match response {
-        TaskResponse::Assignment(assignment) => assignment_len(assignment),
-        TaskResponse::Rejected(RejectionReason::BatchTooSmall { .. }) => 1 + 2 * 8,
-        TaskResponse::Rejected(RejectionReason::TooSimilar) => 1,
-        TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => 1 + 8,
-    };
-    let mut buf = BytesMut::with_capacity(len);
-    buf.put_u8(RESPONSE_WIRE_VERSION);
-    match response {
-        TaskResponse::Assignment(assignment) => {
-            buf.put_u8(RESPONSE_TAG_ASSIGNMENT);
-            put_assignment(&mut buf, assignment);
-        }
-        TaskResponse::Rejected(reason) => {
-            buf.put_u8(RESPONSE_TAG_REJECTED);
-            match *reason {
-                RejectionReason::BatchTooSmall { proposed, minimum } => {
-                    buf.put_u8(REJECT_TAG_BATCH_TOO_SMALL);
-                    buf.put_u64_le(proposed as u64);
-                    buf.put_u64_le(minimum as u64);
-                }
-                RejectionReason::TooSimilar => buf.put_u8(REJECT_TAG_TOO_SIMILAR),
-                RejectionReason::Overloaded { shard } => {
-                    buf.put_u8(REJECT_TAG_OVERLOADED);
-                    buf.put_u64_le(shard as u64);
+    encode(|s| {
+        s.put_u8(RESPONSE_WIRE_VERSION);
+        match response {
+            TaskResponse::Assignment(assignment) => {
+                s.put_u8(RESPONSE_TAG_ASSIGNMENT);
+                put_assignment(s, assignment);
+            }
+            TaskResponse::Rejected(reason) => {
+                s.put_u8(RESPONSE_TAG_REJECTED);
+                match *reason {
+                    RejectionReason::BatchTooSmall { proposed, minimum } => {
+                        s.put_u8(REJECT_TAG_BATCH_TOO_SMALL);
+                        s.put_u64(proposed as u64);
+                        s.put_u64(minimum as u64);
+                    }
+                    RejectionReason::TooSimilar => s.put_u8(REJECT_TAG_TOO_SIMILAR),
+                    RejectionReason::Overloaded { shard } => {
+                        s.put_u8(REJECT_TAG_OVERLOADED);
+                        s.put_u64(shard as u64);
+                    }
                 }
             }
         }
-    }
-    debug_assert_eq!(buf.len(), len, "reserved length is the encoded length");
-    buf.freeze()
+    })
 }
 
 /// Decodes a [`TaskResponse`] from bytes produced by [`encode_response`].
@@ -519,39 +540,30 @@ pub fn encode_response(response: &TaskResponse) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`WireError`] when the buffer is truncated, has an unknown
-/// version, or carries an unknown variant tag (reported as
-/// [`WireError::LengthOutOfBounds`] with the offending tag, matching the v3
-/// clock-flag idiom).
+/// version, or carries an unknown variant tag ([`WireError::Malformed`]
+/// naming the tag).
 pub fn decode_response(mut buf: Bytes) -> Result<TaskResponse, WireError> {
-    need(&buf, 2)?;
-    let version = buf.get_u8();
+    let version = get_u8(&mut buf)?;
     if version != RESPONSE_WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    match buf.get_u8() {
+    match get_u8(&mut buf)? {
         RESPONSE_TAG_ASSIGNMENT => Ok(TaskResponse::Assignment(get_assignment(&mut buf)?)),
         RESPONSE_TAG_REJECTED => {
-            need(&buf, 1)?;
-            let reason = match buf.get_u8() {
-                REJECT_TAG_BATCH_TOO_SMALL => {
-                    need(&buf, 16)?;
-                    RejectionReason::BatchTooSmall {
-                        proposed: buf.get_u64_le() as usize,
-                        minimum: buf.get_u64_le() as usize,
-                    }
-                }
+            let reason = match get_u8(&mut buf)? {
+                REJECT_TAG_BATCH_TOO_SMALL => RejectionReason::BatchTooSmall {
+                    proposed: get_u64(&mut buf)? as usize,
+                    minimum: get_u64(&mut buf)? as usize,
+                },
                 REJECT_TAG_TOO_SIMILAR => RejectionReason::TooSimilar,
-                REJECT_TAG_OVERLOADED => {
-                    need(&buf, 8)?;
-                    RejectionReason::Overloaded {
-                        shard: buf.get_u64_le() as usize,
-                    }
-                }
-                tag => return Err(WireError::LengthOutOfBounds(tag as usize)),
+                REJECT_TAG_OVERLOADED => RejectionReason::Overloaded {
+                    shard: get_u64(&mut buf)? as usize,
+                },
+                _ => return Err(WireError::Malformed("rejection reason tag")),
             };
             Ok(TaskResponse::Rejected(reason))
         }
-        tag => Err(WireError::LengthOutOfBounds(tag as usize)),
+        _ => Err(WireError::Malformed("response tag")),
     }
 }
 
@@ -564,20 +576,20 @@ pub fn encode_ack(ack: &ResultAck) -> Bytes {
         clock,
         disposition,
     } = *ack;
-    let mut buf = BytesMut::with_capacity(1 + 8 + 8 + 1 + 8 + 1);
-    buf.put_u8(RESPONSE_WIRE_VERSION);
-    buf.put_u64_le(staleness);
-    // The bytes shim carries no f64 accessors; ship the raw IEEE bits.
-    buf.put_u64_le(scaling_factor.to_bits());
-    buf.put_u8(model_updated as u8);
-    buf.put_u64_le(clock);
-    buf.put_u8(match disposition {
-        ResultDisposition::Applied => 0,
-        ResultDisposition::Duplicate => 1,
-        ResultDisposition::Expired => 2,
-        ResultDisposition::Unsolicited => 3,
-    });
-    buf.freeze()
+    encode(|s| {
+        s.put_u8(RESPONSE_WIRE_VERSION);
+        s.put_u64(staleness);
+        // The bytes shim carries no f64 accessors; ship the raw IEEE bits.
+        s.put_u64(scaling_factor.to_bits());
+        s.put_u8(model_updated as u8);
+        s.put_u64(clock);
+        s.put_u8(match disposition {
+            ResultDisposition::Applied => 0,
+            ResultDisposition::Duplicate => 1,
+            ResultDisposition::Expired => 2,
+            ResultDisposition::Unsolicited => 3,
+        });
+    })
 }
 
 /// Decodes a [`ResultAck`] from bytes produced by [`encode_ack`].
@@ -585,29 +597,23 @@ pub fn encode_ack(ack: &ResultAck) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`WireError`] when the buffer is truncated, has an unknown
-/// version, or carries an out-of-range flag or disposition byte (reported as
-/// [`WireError::LengthOutOfBounds`] with the offending byte).
+/// version, or carries an out-of-range flag or disposition byte
+/// ([`WireError::Malformed`] naming the field).
 pub fn decode_ack(mut buf: Bytes) -> Result<ResultAck, WireError> {
-    need(&buf, 1)?;
-    let version = buf.get_u8();
+    let version = get_u8(&mut buf)?;
     if version != RESPONSE_WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    need(&buf, 8 + 8 + 1 + 8 + 1)?;
-    let staleness = buf.get_u64_le();
-    let scaling_factor = f64::from_bits(buf.get_u64_le());
-    let model_updated = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        flag => return Err(WireError::LengthOutOfBounds(flag as usize)),
-    };
-    let clock = buf.get_u64_le();
-    let disposition = match buf.get_u8() {
+    let staleness = get_u64(&mut buf)?;
+    let scaling_factor = f64::from_bits(get_u64(&mut buf)?);
+    let model_updated = get_flag(&mut buf, "ack model_updated flag")?;
+    let clock = get_u64(&mut buf)?;
+    let disposition = match get_u8(&mut buf)? {
         0 => ResultDisposition::Applied,
         1 => ResultDisposition::Duplicate,
         2 => ResultDisposition::Expired,
         3 => ResultDisposition::Unsolicited,
-        tag => return Err(WireError::LengthOutOfBounds(tag as usize)),
+        _ => return Err(WireError::Malformed("ack disposition tag")),
     };
     Ok(ResultAck {
         staleness,
@@ -686,11 +692,9 @@ mod tests {
                 let mut raw = valid.clone();
                 let at = first_prob + slot * 4;
                 raw[at..at + 4].copy_from_slice(&bad.to_le_bytes());
-                assert!(
-                    matches!(
-                        decode_request(Bytes::from(raw)),
-                        Err(WireError::LengthOutOfBounds(_))
-                    ),
+                assert_eq!(
+                    decode_request(Bytes::from(raw)),
+                    Err(WireError::Malformed("label probability outside [0, 1]")),
                     "probability {bad} in slot {slot} must be rejected"
                 );
             }
@@ -775,60 +779,10 @@ mod tests {
         // The flag byte sits 9 bytes from the end (flag + u64 id).
         let flag_offset = raw.len() - 9;
         raw[flag_offset] = 2;
-        assert!(decode_result(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn v3_truncation_errors_at_every_offset() {
-        // Both v3 shapes: with and without the optional clock vector.
-        let mut result = sample_result();
-        result.task_id = Some(99);
-        for read_clock in [None, Some(vec![3u64, 1, 4])] {
-            result.read_clock = read_clock;
-            let encoded = encode_result(&result);
-            for cut in 0..encoded.len() {
-                assert!(
-                    decode_result(encoded.slice(0..cut)).is_err(),
-                    "v3 result cut at {cut} should fail"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn v2_truncation_errors_at_every_offset() {
-        let mut result = sample_result();
-        result.read_clock = Some(vec![3, 1, 4, 1, 5]);
-        let encoded = encode_result(&result);
-        for cut in 0..encoded.len() {
-            assert!(
-                decode_result(encoded.slice(0..cut)).is_err(),
-                "v2 result cut at {cut} should fail"
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_buffers_error_cleanly_at_every_field_offset() {
-        // Every proper prefix — i.e. a truncation inside any field, length
-        // prefix or scalar — must produce an error, never a panic or a
-        // bogus decode.
-        let encoded_request = encode_request(&sample_request());
-        for cut in 0..encoded_request.len() {
-            let partial = encoded_request.slice(0..cut);
-            assert!(
-                decode_request(partial).is_err(),
-                "request cut at {cut} should fail"
-            );
-        }
-        let encoded_result = encode_result(&sample_result());
-        for cut in 0..encoded_result.len() {
-            let partial = encoded_result.slice(0..cut);
-            assert!(
-                decode_result(partial).is_err(),
-                "result cut at {cut} should fail"
-            );
-        }
+        assert_eq!(
+            decode_result(Bytes::from(raw)),
+            Err(WireError::Malformed("read-clock presence flag"))
+        );
     }
 
     fn sample_assignment() -> TaskAssignment {
@@ -904,10 +858,16 @@ mod tests {
         );
         raw[0] = RESPONSE_WIRE_VERSION;
         raw[1] = 7; // unknown variant tag
-        assert!(decode_response(Bytes::from(raw.clone())).is_err());
+        assert_eq!(
+            decode_response(Bytes::from(raw.clone())),
+            Err(WireError::Malformed("response tag"))
+        );
         raw[1] = RESPONSE_TAG_REJECTED;
         raw[2] = 9; // unknown rejection tag
-        assert!(decode_response(Bytes::from(raw)).is_err());
+        assert_eq!(
+            decode_response(Bytes::from(raw)),
+            Err(WireError::Malformed("rejection reason tag"))
+        );
 
         let mut ack_raw = encode_ack(&sample_ack()).to_vec();
         ack_raw[0] = 42;
@@ -918,87 +878,132 @@ mod tests {
         ack_raw[0] = RESPONSE_WIRE_VERSION;
         let flag_offset = 1 + 8 + 8;
         ack_raw[flag_offset] = 2; // model_updated must be 0 or 1
-        assert!(decode_ack(Bytes::from(ack_raw.clone())).is_err());
+        assert_eq!(
+            decode_ack(Bytes::from(ack_raw.clone())),
+            Err(WireError::Malformed("ack model_updated flag"))
+        );
         ack_raw[flag_offset] = 1;
         let last = ack_raw.len() - 1;
         ack_raw[last] = 4; // disposition out of range
-        assert!(decode_ack(Bytes::from(ack_raw)).is_err());
+        assert_eq!(
+            decode_ack(Bytes::from(ack_raw)),
+            Err(WireError::Malformed("ack disposition tag"))
+        );
+    }
+
+    /// A decoder with its message type erased, so one table holds them all.
+    type Decoder = fn(Bytes) -> Result<(), WireError>;
+
+    /// Every shape of every message — the request; results v1, v2, and v3
+    /// with and without a clock; the assignment; the three rejections; the
+    /// ack — with its name, its decoder and its golden encoding. The vectors were
+    /// captured on the element-wise codec (before the bulk path replaced
+    /// it): the bytes on the wire are the compatibility contract.
+    fn every_message_shape() -> Vec<(&'static str, Bytes, Decoder, &'static str)> {
+        let request: Decoder = |raw| decode_request(raw).map(drop);
+        let result: Decoder = |raw| decode_result(raw).map(drop);
+        let response: Decoder = |raw| decode_response(raw).map(drop);
+        let ack: Decoder = |raw| decode_ack(raw).map(drop);
+        let v1 = sample_result();
+        let v2 = TaskResult {
+            read_clock: Some(vec![17, 15, 18]),
+            ..v1.clone()
+        };
+        let v3_with_clock = TaskResult {
+            task_id: Some(7_341),
+            ..v2.clone()
+        };
+        let v3 = TaskResult {
+            read_clock: None,
+            ..v3_with_clock.clone()
+        };
+        let rejected = |reason| encode_response(&TaskResponse::Rejected(reason));
+        vec![
+            ("request", encode_request(&sample_request()), request, "012a000000000000000900000047616c61787920533700000045000080450000f04100002041acc5a737050000000000803e0000003f000000000000803e00000000dc00000000000000"),
+            ("result v1", encode_result(&v1), result, "012a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d"),
+            ("result v2", encode_result(&v2), result, "022a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d0300000011000000000000000f000000000000001200000000000000"),
+            ("result v3 with clock", encode_result(&v3_with_clock), result, "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d010300000011000000000000000f000000000000001200000000000000ad1c000000000000"),
+            ("result v3", encode_result(&v3), result, "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d00ad1c000000000000"),
+            (
+                "assignment",
+                encode_response(&TaskResponse::Assignment(sample_assignment())),
+                response,
+                "010029230000000000000c000000000000006000000000000000040000000000003f0000a0bf0000704000000000030000000c000000000000000b000000000000000c00000000000000",
+            ),
+            (
+                "rejection batch too small",
+                rejected(RejectionReason::BatchTooSmall {
+                    proposed: 3,
+                    minimum: 16,
+                }),
+                response,
+                "01010003000000000000001000000000000000",
+            ),
+            ("rejection too similar", rejected(RejectionReason::TooSimilar), response, "010101"),
+            (
+                "rejection overloaded",
+                rejected(RejectionReason::Overloaded { shard: 5 }),
+                response,
+                "0101020500000000000000",
+            ),
+            ("ack", encode_ack(&sample_ack()), ack, "010300000000000000000000000000e43f01290000000000000000"),
+        ]
     }
 
     #[test]
-    fn response_truncation_errors_at_every_offset() {
-        let shapes = [
-            TaskResponse::Assignment(sample_assignment()),
-            TaskResponse::Rejected(RejectionReason::BatchTooSmall {
-                proposed: 1,
-                minimum: 2,
-            }),
-            TaskResponse::Rejected(RejectionReason::TooSimilar),
-            TaskResponse::Rejected(RejectionReason::Overloaded { shard: 0 }),
-        ];
-        for original in shapes {
-            let encoded = encode_response(&original);
+    fn golden_bytes_of_every_message_shape() {
+        for (_, encoded, decode, golden) in every_message_shape() {
+            assert_eq!(hex(&encoded), golden);
+            assert_eq!(decode(encoded), Ok(()));
+        }
+    }
+
+    /// Every proper prefix of each named shape — a cut inside any field,
+    /// length prefix or scalar — errors: never a panic, never a bogus decode.
+    fn assert_every_cut_errors(names: &[&str]) {
+        let shapes: Vec<_> = every_message_shape()
+            .into_iter()
+            .filter(|(name, ..)| names.contains(name))
+            .collect();
+        assert_eq!(shapes.len(), names.len(), "unknown shape in {names:?}");
+        for (name, encoded, decode, _) in shapes {
             for cut in 0..encoded.len() {
                 assert!(
-                    decode_response(encoded.slice(0..cut)).is_err(),
-                    "response {original:?} cut at {cut} should fail"
+                    decode(encoded.slice(0..cut)).is_err(),
+                    "{name} cut at {cut} should fail"
                 );
             }
         }
     }
 
     #[test]
-    fn ack_truncation_errors_at_every_offset() {
-        let encoded = encode_ack(&sample_ack());
-        for cut in 0..encoded.len() {
-            assert!(
-                decode_ack(encoded.slice(0..cut)).is_err(),
-                "ack cut at {cut} should fail"
-            );
-        }
+    fn truncated_buffers_error_cleanly_at_every_field_offset() {
+        assert_every_cut_errors(&["request", "result v1"]);
     }
 
-    /// Golden vectors captured on the element-wise codec (before the bulk
-    /// path replaced it): the bytes on the wire are the compatibility
-    /// contract, so every shape of every message is pinned.
     #[test]
-    fn golden_bytes_of_every_message_shape() {
-        assert_eq!(hex(&encode_request(&sample_request())), "012a000000000000000900000047616c61787920533700000045000080450000f04100002041acc5a737050000000000803e0000003f000000000000803e00000000dc00000000000000");
-        let mut result = sample_result();
-        assert_eq!(hex(&encode_result(&result)), "012a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d");
-        result.read_clock = Some(vec![17, 15, 18]);
-        assert_eq!(hex(&encode_result(&result)), "022a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d0300000011000000000000000f000000000000001200000000000000");
-        result.task_id = Some(7_341);
-        assert_eq!(hex(&encode_result(&result)), "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d010300000011000000000000000f000000000000001200000000000000ad1c000000000000");
-        result.read_clock = None;
-        assert_eq!(hex(&encode_result(&result)), "032a000000000000001100000000000000030000000000803e000000bf0000803f050000000000000000000000abaa2a3f00000000abaaaa3e0300000000000000000030408fc2753d00ad1c000000000000");
-        assert_eq!(
-            hex(&encode_response(&TaskResponse::Assignment(sample_assignment()))),
-            "010029230000000000000c000000000000006000000000000000040000000000003f0000a0bf0000704000000000030000000c000000000000000b000000000000000c00000000000000"
-        );
-        for (reason, golden) in [
-            (
-                RejectionReason::BatchTooSmall {
-                    proposed: 3,
-                    minimum: 16,
-                },
-                "01010003000000000000001000000000000000",
-            ),
-            (RejectionReason::TooSimilar, "010101"),
-            (
-                RejectionReason::Overloaded { shard: 5 },
-                "0101020500000000000000",
-            ),
-        ] {
-            assert_eq!(
-                hex(&encode_response(&TaskResponse::Rejected(reason))),
-                golden
-            );
-        }
-        assert_eq!(
-            hex(&encode_ack(&sample_ack())),
-            "010300000000000000000000000000e43f01290000000000000000"
-        );
+    fn v2_truncation_errors_at_every_offset() {
+        assert_every_cut_errors(&["result v2"]);
+    }
+
+    #[test]
+    fn v3_truncation_errors_at_every_offset() {
+        assert_every_cut_errors(&["result v3 with clock", "result v3"]);
+    }
+
+    #[test]
+    fn response_truncation_errors_at_every_offset() {
+        assert_every_cut_errors(&[
+            "assignment",
+            "rejection batch too small",
+            "rejection too similar",
+            "rejection overloaded",
+        ]);
+    }
+
+    #[test]
+    fn ack_truncation_errors_at_every_offset() {
+        assert_every_cut_errors(&["ack"]);
     }
 
     #[test]
@@ -1075,6 +1080,15 @@ mod tests {
         ));
     }
 
+    /// The byte count of `encode`'s measuring pass, checked here in any
+    /// build (`encode` compares it with the fill only under debug
+    /// assertions).
+    fn measured_len(write: impl Fn(&mut Sink)) -> usize {
+        let mut measured = Sink { len: 0, buf: None };
+        write(&mut measured);
+        measured.len
+    }
+
     /// Slice lengths that straddle the bulk codec's conversion block.
     const STRADDLING: [usize; 6] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7];
 
@@ -1099,18 +1113,17 @@ mod tests {
             let len = STRADDLING[which];
             let bits: Vec<u32> = AWKWARD_F32_BITS.iter().chain(&noise).copied().take(len).collect();
             let values: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
-            let mut bulk = BytesMut::new();
-            put_f32_slice(&mut bulk, &values);
+            let write = |s: &mut Sink| s.put_vec(&values, f32::to_le_bytes);
             // The element-wise encoding the bulk path replaced is the format.
             let mut reference = BytesMut::new();
             reference.put_u32_le(len as u32);
             for v in &values {
                 reference.put_f32_le(*v);
             }
-            prop_assert_eq!(bulk.len(), f32s_len(len));
-            prop_assert_eq!(&bulk, &reference);
-            let mut encoded = bulk.freeze();
-            let decoded = get_f32_vec(&mut encoded).unwrap();
+            prop_assert_eq!(measured_len(write), reference.len());
+            let mut encoded = encode(write);
+            prop_assert_eq!(&encoded[..], &reference[..]);
+            let decoded = get_vec(&mut encoded, f32::from_le_bytes).unwrap();
             prop_assert!(encoded.is_empty());
             prop_assert_eq!(decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
         }
@@ -1119,17 +1132,16 @@ mod tests {
         fn prop_bulk_u64_slices_roundtrip(which in 0usize..STRADDLING.len(),
                                           noise in proptest::collection::vec(any::<u64>(), 3 * BLOCK + 7)) {
             let values = &noise[..STRADDLING[which]];
-            let mut bulk = BytesMut::new();
-            put_u64_slice(&mut bulk, values);
+            let write = |s: &mut Sink| s.put_vec(values, u64::to_le_bytes);
             let mut reference = BytesMut::new();
             reference.put_u32_le(values.len() as u32);
             for v in values {
                 reference.put_u64_le(*v);
             }
-            prop_assert_eq!(bulk.len(), u64s_len(values.len()));
-            prop_assert_eq!(&bulk, &reference);
-            let mut encoded = bulk.freeze();
-            prop_assert_eq!(get_u64_vec(&mut encoded).unwrap(), values);
+            prop_assert_eq!(measured_len(write), reference.len());
+            let mut encoded = encode(write);
+            prop_assert_eq!(&encoded[..], &reference[..]);
+            prop_assert_eq!(get_vec(&mut encoded, u64::from_le_bytes).unwrap(), values);
             prop_assert!(encoded.is_empty());
         }
 

@@ -18,7 +18,15 @@ use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 /// element is the 4-byte `f32` of a parameter vector — 256 MiB — plus
 /// headroom for the fixed fields around it. Anything larger is a corrupt or
 /// hostile header.
+///
+/// It must not exceed the durable store's bound: a durable server journals
+/// every request and result payload it accepts, under the core mutex, so the
+/// largest payload a frame can carry (`MAX_FRAME_LEN - 1`, after the kind
+/// byte) has to fit [`fleet_durability::MAX_PAYLOAD_LEN`]. The assertion
+/// below holds that at compile time.
 pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024 + 4096;
+
+const _: () = assert!(MAX_FRAME_LEN - 1 <= fleet_durability::MAX_PAYLOAD_LEN);
 
 /// What a frame carries. Kinds 1–4 travel worker→server, 5–8 server→worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

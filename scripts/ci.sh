@@ -26,12 +26,15 @@
 #                           must equal the uninterrupted trajectory), the
 #                           loadgen schedule digest (bit-identical at two
 #                           FLEET_NUM_THREADS settings and equal to the
-#                           pinned loadgen value), bench smoke (the kernel,
+#                           pinned loadgen value), the kernel, conv and
+#                           wire/checkpoint codec suites again in a release
+#                           build, bench smoke (the kernel,
 #                           shard and conv criterion benches run once and
 #                           write an untracked BENCH_<name>.json; nothing
 #                           reads them back)
 #   scripts/ci.sh --quick   skip the digest and fleet-parallel sweeps, the
-#                           benchmark --check and the bench smoke (clippy,
+#                           release-build suites, the benchmark --check and
+#                           the bench smoke (clippy,
 #                           the docs, the Quick-scale experiments and the
 #                           benchmark build still run)
 #
@@ -62,7 +65,10 @@
 #   codecs        every encoder binds its message with an exhaustive struct
 #                 pattern under `deny(unused_variables)` and every decoder
 #                 builds a struct literal, so a field missed on either side
-#                 fails `cargo build`
+#                 fails `cargo build`; no codec keeps a hand-written length
+#                 (fleet-server's encoders measure themselves, its decoders
+#                 read through checked getters), so those two are the only
+#                 copies of a message and the golden vectors pin their order
 #
 # Env knobs:
 #   FLEET_BENCH_TIME_MS=N       per-benchmark measurement window
@@ -306,12 +312,14 @@ if [[ "${1:-}" != "--quick" ]]; then
         echo "==> re-pinned scripts/expected_digests.txt (commit it deliberately)"
     fi
 
-    # The kernel reference suites and the direct-vs-im2col parity suite again
-    # under the optimiser: tier-1 above ran them in a debug build, and the
-    # vectorised release lowering is what ships.
-    echo "==> kernel + conv parity tests (release build)"
+    # The kernel reference suites, the direct-vs-im2col parity suite and the
+    # wire/checkpoint codec suites (bit-exact bulk vector proptests, golden
+    # vectors) again under the optimiser: tier-1 above ran them in a debug
+    # build, and the vectorised release lowering is what ships.
+    echo "==> kernel, conv and codec parity tests (release build)"
     cargo test --release -q -p fleet-ml kernels
     cargo test --release -q -p fleet-ml conv
+    cargo test --release -q -p fleet-server -- wire checkpoint
 
     run_bench ml_kernels BENCH_kernels.json 200
     run_bench shards BENCH_shards.json 200
