@@ -49,7 +49,10 @@ pub(crate) struct JournalWriter {
 
 impl JournalWriter {
     /// Creates a fresh journal for `generation`, truncating any existing
-    /// file at `path`, and writes the sealed header.
+    /// file at `path`, and writes the sealed header. The header is not
+    /// synced here: the sync that makes a record stable — after each append
+    /// under [`FsyncPolicy::EveryRecord`], at rotation under
+    /// [`FsyncPolicy::OnCheckpoint`] — carries the header with it.
     pub(crate) fn create(
         path: &Path,
         generation: u64,
@@ -61,9 +64,6 @@ impl JournalWriter {
             .truncate(true)
             .open(path)?;
         file.write_all(&header_bytes(generation))?;
-        if !matches!(fsync, FsyncPolicy::Never) {
-            file.sync_data()?;
-        }
         Ok(JournalWriter { file, fsync })
     }
 

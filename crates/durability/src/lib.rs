@@ -19,6 +19,12 @@
 //!   into place under a strictly monotonic generation number. A torn or
 //!   bit-flipped container fails its CRC and recovery falls back to the last
 //!   complete generation.
+//! * **Checkpoints are written off the caller's path.** The caller rotates
+//!   the journal and hands the container to a writer thread; at most one
+//!   write is in flight, and [`DurableStore::begin`], [`DurableStore::wait`]
+//!   and dropping the store join it. A write error comes back from the next
+//!   call that joins (the next [`DurableStore::checkpoint`] included), and a
+//!   failed write never costs the fallback generation.
 //! * **The journal is torn-tail tolerant.** Records are length-prefixed and
 //!   CRC-framed; a crash mid-append leaves a torn tail that recovery
 //!   truncates instead of failing on. Records carry a contiguous sequence
@@ -62,12 +68,14 @@ use std::path::PathBuf;
 /// (power/kernel) failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync the journal after every appended record, plus every checkpoint.
-    /// Full single-record durability against machine crashes; the slowest.
+    /// fsync the journal after every appended record, plus every checkpoint,
+    /// and the directory once a rotated journal is created. Full
+    /// single-record durability against machine crashes; the slowest.
     EveryRecord,
     /// fsync only when a checkpoint is written (both the container and the
     /// journal being rotated out). Machine crashes can lose the tail of the
-    /// active journal — never a checkpointed prefix.
+    /// active journal — never a checkpointed prefix, i.e. never what a
+    /// generation whose writer finished covers.
     OnCheckpoint,
     /// Never fsync. Process-crash-safe only; the benchmark baseline.
     Never,

@@ -12,9 +12,39 @@
 //!
 //! Writing checkpoint generation `G` rotates the journal: records appended
 //! afterwards land in `wal-G`. Sequence numbers chain across rotations, so
-//! when checkpoint `G` itself is torn, recovery falls back to `G-1` and
-//! replays `wal-(G-1)` *and* `wal-G` seamlessly — the contiguity check is on
-//! `seq`, not on file boundaries.
+//! when checkpoint `G` itself is torn or missing, recovery falls back to
+//! `G-1` and replays `wal-(G-1)` *and* `wal-G` seamlessly — the contiguity
+//! check is on `seq`, not on file boundaries.
+//!
+//! ## The checkpoint writer
+//!
+//! [`DurableStore::checkpoint`] does two things on the caller's thread:
+//! it creates `wal-G` and switches appends to it. Everything else — sync the
+//! rotated-out `wal-(G-1)`, seal the container, write `ckpt-G.bin.tmp`,
+//! fsync, rename, sync the directory, prune — runs on a writer thread the
+//! caller does not wait for. The invariants that keep that safe:
+//!
+//! 1. **At most one write is in flight.** The next checkpoint joins the
+//!    previous writer before it starts; that join is the backpressure, and
+//!    it bounds memory to one extra payload.
+//! 2. **`wal-G` exists before `ckpt-G` can supersede `wal-(G-1)`,** and a
+//!    generation whose journal took a record or whose checkpoint was renamed
+//!    is never reused. A rotation that fails to create `wal-G` changes
+//!    nothing: appends stay in `wal-(G-1)`, which recovery still reads.
+//! 3. **Prune counts only completed generations.** A write that renamed
+//!    `ckpt-G` prunes what precedes the newest generation completed before
+//!    it, so the fallback survives until the next generation is in place,
+//!    and a failed write prunes nothing.
+//! 4. **Errors still surface,** from the next call that joins the writer:
+//!    the next [`DurableStore::checkpoint`], [`DurableStore::begin`] or
+//!    [`DurableStore::wait`].
+//! 5. **Some calls wait.** `begin` returns with its generation on disk, and
+//!    dropping the store joins the writer, so no thread is still writing a
+//!    directory its store has let go of. A finished write is also a state a
+//!    kill can leave.
+//! 6. **A crash between the snapshot and the rename loses nothing:**
+//!    `ckpt-(G-1)` plus `wal-(G-1)` plus `wal-G` replay to the same state,
+//!    because the `seq` chain already spans journals.
 
 use crate::codec::{decode_doc, encode_doc, CheckpointDoc, EventKind, JournalRecord};
 use crate::journal::{read_journal, JournalWriter};
@@ -23,10 +53,7 @@ use bytes::Bytes;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Checkpoint generations retained on disk: the newest plus one complete
-/// fallback generation behind it.
-const KEEP_GENERATIONS: u64 = 2;
+use std::thread::JoinHandle;
 
 fn ckpt_name(generation: u64) -> String {
     format!("ckpt-{generation:020}.bin")
@@ -81,8 +108,13 @@ pub struct DurableStore {
     /// checkpoint uses `generation + 1` so even a corrupt newest generation
     /// is never reused.
     generation: u64,
+    /// Newest generation whose checkpoint is known to be renamed into place
+    /// (0 = none): the fallback the next write's prune keeps.
+    completed: u64,
     next_seq: u64,
     writer: Option<JournalWriter>,
+    /// The checkpoint write in flight, if any; it returns its generation.
+    in_flight: Option<JoinHandle<io::Result<u64>>>,
 }
 
 impl DurableStore {
@@ -164,8 +196,10 @@ impl DurableStore {
             dir: options.dir.clone(),
             fsync: options.fsync,
             generation: max_seen,
+            completed: base_generation,
             next_seq: 0,
             writer: None,
+            in_flight: None,
         };
         Ok((
             store,
@@ -179,9 +213,12 @@ impl DurableStore {
     /// Seals the recovered (or initial) state into a fresh checkpoint
     /// generation and opens its journal. `seq` is the sequence number the
     /// payload covers through ([`Recovered::last_seq`] after replay); the
-    /// first [`DurableStore::append`] gets `seq + 1`.
+    /// first [`DurableStore::append`] gets `seq + 1`. Returns with the
+    /// generation on disk.
     pub fn begin(&mut self, state_payload: Bytes, seq: u64, steps: u64) -> io::Result<u64> {
-        self.write_generation(state_payload, seq, steps)
+        let generation = self.rotate(state_payload, seq, steps)?;
+        self.wait()?;
+        Ok(generation)
     }
 
     /// Appends one event to the active journal, returning its sequence
@@ -199,68 +236,120 @@ impl DurableStore {
         Ok(seq)
     }
 
-    /// Writes a new checkpoint generation covering everything appended so
-    /// far, rotates the journal, and prunes generations beyond the retention
-    /// window. Returns the new generation number.
+    /// Starts a new checkpoint generation covering everything appended so
+    /// far: rotates the journal here, and leaves writing the container (and
+    /// pruning generations beyond the retention window) to a writer thread
+    /// this call does not wait for. Joins the previous write first; its
+    /// error, if any, is returned instead. Returns the new generation
+    /// number.
     pub fn checkpoint(&mut self, state_payload: Bytes, steps: u64) -> io::Result<u64> {
-        if let Some(writer) = self.writer.as_mut() {
-            // The rotated-out journal must be stable before the checkpoint
-            // that supersedes it claims to cover it.
-            writer.sync()?;
-        }
         let seq = self.next_seq.saturating_sub(1);
-        self.write_generation(state_payload, seq, steps)
+        self.rotate(state_payload, seq, steps)
     }
 
-    fn write_generation(&mut self, state_payload: Bytes, seq: u64, steps: u64) -> io::Result<u64> {
+    /// Waits for the checkpoint write in flight, if any, and returns its
+    /// error. Afterwards every generation this store started is on disk or
+    /// has reported why not.
+    pub fn wait(&mut self) -> io::Result<()> {
+        let Some(in_flight) = self.in_flight.take() else {
+            return Ok(());
+        };
+        self.completed = in_flight
+            .join()
+            .map_err(|_| io::Error::other("checkpoint writer panicked"))??;
+        Ok(())
+    }
+
+    fn rotate(&mut self, state_payload: Bytes, seq: u64, steps: u64) -> io::Result<u64> {
+        self.wait()?;
         let generation = self.generation + 1;
+        let journal =
+            JournalWriter::create(&self.dir.join(wal_name(generation)), generation, self.fsync)?;
+        if matches!(self.fsync, FsyncPolicy::EveryRecord) {
+            // The new journal's directory entry must be stable before the
+            // first record appended to it claims to be.
+            sync_dir(&self.dir)?;
+        }
+        let rotated_out = self.writer.replace(journal);
+        self.generation = generation;
+        self.next_seq = seq + 1;
+
         let doc = CheckpointDoc {
             generation,
             seq,
             steps,
             payload: state_payload,
         };
-        let final_path = self.dir.join(ckpt_name(generation));
-        let tmp_path = self.dir.join(format!("{}.tmp", ckpt_name(generation)));
-        {
-            let mut file = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut file, &encode_doc(&doc))?;
-            if !matches!(self.fsync, FsyncPolicy::Never) {
-                file.sync_all()?;
-            }
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        if !matches!(self.fsync, FsyncPolicy::Never) {
-            sync_dir(&self.dir)?;
-        }
-
-        self.writer = Some(JournalWriter::create(
-            &self.dir.join(wal_name(generation)),
-            generation,
-            self.fsync,
-        )?);
-        self.generation = generation;
-        self.next_seq = seq + 1;
-        self.prune();
+        let dir = self.dir.clone();
+        let fsync = self.fsync;
+        let keep_from = self.completed;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the checkpoint writer blocks on write and fsync, off the caller's path: an I/O thread, not compute fan-out"
+        )]
+        let in_flight = std::thread::Builder::new()
+            .name("fleet-checkpoint".into())
+            .spawn(move || write_checkpoint(&dir, fsync, rotated_out, &doc, keep_from))?;
+        self.in_flight = Some(in_flight);
         Ok(generation)
     }
+}
 
-    /// Deletes checkpoint/journal generations older than the retention
-    /// window. Best-effort: a file that cannot be deleted is just retained.
-    fn prune(&self) {
-        let cutoff = self.generation.saturating_sub(KEEP_GENERATIONS - 1);
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            let generation = parse_generation(&name, "ckpt-", ".bin")
-                .or_else(|| parse_generation(&name, "wal-", ".log"));
-            if let Some(generation) = generation {
-                if generation < cutoff {
-                    let _ = fs::remove_file(entry.path());
-                }
+impl Drop for DurableStore {
+    fn drop(&mut self) {
+        // Nothing may still be writing a directory its store let go of; an
+        // error here has no caller left to receive it.
+        let _ = self.wait();
+    }
+}
+
+/// The writer thread's half of a checkpoint: make the journal it supersedes
+/// stable, put the container atomically in place, then prune.
+fn write_checkpoint(
+    dir: &Path,
+    fsync: FsyncPolicy,
+    rotated_out: Option<JournalWriter>,
+    doc: &CheckpointDoc,
+    keep_from: u64,
+) -> io::Result<u64> {
+    if let Some(mut journal) = rotated_out {
+        // The rotated-out journal must be stable before the checkpoint that
+        // supersedes it claims to cover it.
+        journal.sync()?;
+    }
+    let final_path = dir.join(ckpt_name(doc.generation));
+    let tmp_path = dir.join(format!("{}.tmp", ckpt_name(doc.generation)));
+    {
+        let mut file = fs::File::create(&tmp_path)?;
+        io::Write::write_all(&mut file, &encode_doc(doc))?;
+        if !matches!(fsync, FsyncPolicy::Never) {
+            file.sync_all()?;
+        }
+    }
+    fs::rename(&tmp_path, &final_path)?;
+    if !matches!(fsync, FsyncPolicy::Never) {
+        sync_dir(dir)?;
+    }
+    prune(dir, keep_from);
+    Ok(doc.generation)
+}
+
+/// Deletes checkpoint/journal generations older than `keep_from`, the
+/// newest generation completed before the one just renamed: that one and
+/// its journals stay as the fallback. Best-effort: a file that cannot be
+/// deleted is just retained.
+fn prune(dir: &Path, keep_from: u64) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy().into_owned();
+        let generation = parse_generation(&name, "ckpt-", ".bin")
+            .or_else(|| parse_generation(&name, "wal-", ".log"));
+        if let Some(generation) = generation {
+            if generation < keep_from {
+                let _ = fs::remove_file(entry.path());
             }
         }
     }
@@ -390,6 +479,7 @@ mod tests {
                 .checkpoint(payload(generation), u64::from(generation))
                 .unwrap();
         }
+        store.wait().unwrap();
         let mut names: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -431,6 +521,151 @@ mod tests {
             recovered.records.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn recovered_seqs(recovered: &Recovered) -> Vec<u64> {
+        recovered.records.iter().map(|r| r.seq).collect()
+    }
+
+    #[test]
+    fn begin_and_drop_leave_no_write_in_flight() {
+        let dir = scratch("settled");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        // `begin` returns with its generation renamed into place.
+        assert!(dir.join(ckpt_name(1)).is_file());
+        store.append(EventKind::Request, payload(1)).unwrap();
+        store.checkpoint(payload(1), 1).unwrap();
+        drop(store);
+        // Dropping the store joined the writer: the container is in place
+        // and no temp file is left for a thread to finish.
+        assert!(dir.join(ckpt_name(2)).is_file());
+        assert!(!dir.join(format!("{}.tmp", ckpt_name(2))).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_rotation_loses_no_acknowledged_record() {
+        let dir = scratch("rotation");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        assert_eq!(store.append(EventKind::Request, payload(1)).unwrap(), 1);
+        // A directory squatting on the next journal's name makes the
+        // rotation fail before anything has changed.
+        fs::create_dir(dir.join(wal_name(2))).unwrap();
+        assert!(store.checkpoint(payload(1), 1).is_err());
+        // The appends after the failure are acknowledged: they must be
+        // recoverable.
+        assert_eq!(store.append(EventKind::Result, payload(2)).unwrap(), 2);
+        assert_eq!(store.append(EventKind::Request, payload(3)).unwrap(), 3);
+        drop(store);
+        let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 1);
+        assert_eq!(recovered_seqs(&recovered), vec![1, 2, 3]);
+        assert_eq!(recovered.last_seq(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_surfaces_on_the_next_join_and_keeps_the_fallback() {
+        let dir = scratch("write-fails");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        store.append(EventKind::Request, payload(1)).unwrap();
+        store.append(EventKind::Result, payload(2)).unwrap();
+        // A directory squatting on the temp name makes generation 2's writer
+        // fail after the journal has rotated.
+        let squat = dir.join(format!("{}.tmp", ckpt_name(2)));
+        fs::create_dir(&squat).unwrap();
+        assert_eq!(store.checkpoint(payload(2), 2).unwrap(), 2);
+        store.append(EventKind::Request, payload(3)).unwrap();
+        // The next call that joins the writer reports the failure...
+        assert!(store.checkpoint(payload(3), 3).is_err());
+        store.append(EventKind::Result, payload(4)).unwrap();
+        // ...and once reported, it is not reported twice.
+        store.wait().unwrap();
+        drop(store);
+        fs::remove_dir(&squat).unwrap();
+        let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 1);
+        assert_eq!(recovered_seqs(&recovered), vec![1, 2, 3, 4]);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // The same failure reported by `wait`.
+        let dir = scratch("wait-fails");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        store.append(EventKind::Request, payload(1)).unwrap();
+        fs::create_dir(dir.join(format!("{}.tmp", ckpt_name(2)))).unwrap();
+        store.checkpoint(payload(1), 1).unwrap();
+        store.append(EventKind::Result, payload(2)).unwrap();
+        assert!(store.wait().is_err());
+        drop(store);
+        let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 1);
+        assert_eq!(recovered_seqs(&recovered), vec![1, 2]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prune_keeps_the_last_completed_generation_across_a_failed_write() {
+        let dir = scratch("prune-failed");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        store.append(EventKind::Request, payload(1)).unwrap();
+        store.checkpoint(payload(1), 1).unwrap();
+        store.wait().unwrap();
+        // Generation 3's write fails; generation 4's succeeds.
+        store.append(EventKind::Request, payload(2)).unwrap();
+        let squat = dir.join(format!("{}.tmp", ckpt_name(3)));
+        fs::create_dir(&squat).unwrap();
+        store.checkpoint(payload(2), 2).unwrap();
+        assert!(store.wait().is_err());
+        store.append(EventKind::Request, payload(3)).unwrap();
+        store.checkpoint(payload(3), 3).unwrap();
+        store.wait().unwrap();
+        fs::remove_dir(&squat).unwrap();
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        // Generation 2 was the newest completed one when 4 was started: it
+        // stays as 4's fallback, with every journal after it.
+        assert_eq!(
+            names,
+            vec![
+                ckpt_name(2),
+                ckpt_name(4),
+                wal_name(2),
+                wal_name(3),
+                wal_name(4)
+            ]
+        );
+        drop(store);
+        fs::remove_file(dir.join(ckpt_name(4))).unwrap();
+        let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 2);
+        assert_eq!(recovered_seqs(&recovered), vec![2, 3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_record_rotation_recovers() {
+        let dir = scratch("every-record");
+        let mut every_record = options(&dir);
+        every_record.fsync = FsyncPolicy::EveryRecord;
+        {
+            let (mut store, _) = DurableStore::open(&every_record).unwrap();
+            store.begin(payload(0), 0, 0).unwrap();
+            store.append(EventKind::Request, payload(1)).unwrap();
+            store.checkpoint(payload(1), 1).unwrap();
+            store.append(EventKind::Result, payload(2)).unwrap();
+        }
+        let (_store, recovered) = DurableStore::open(&every_record).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 2);
+        assert_eq!(recovered_seqs(&recovered), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

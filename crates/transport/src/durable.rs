@@ -2,6 +2,13 @@
 //! recovery on startup and the journal/checkpoint bookkeeping the apply path
 //! carries per event.
 //!
+//! Inside the core mutex an exchange appends its record and, on the cadence,
+//! snapshots the core into a checkpoint payload and rotates the journal;
+//! the container is written by the store's writer thread while the next
+//! exchanges run. A write error surfaces from the next cadence checkpoint.
+//! Recovery and shutdown seal a generation and wait for it, so `bind` and
+//! `shutdown` return with it on disk.
+//!
 //! The replay contract mirrors the live `handle_frame` path exactly — same
 //! entry points, same step accounting — so `recover` is the live path run
 //! against journaled bytes instead of socket bytes. That is what makes a
@@ -36,8 +43,10 @@ impl Durable {
         self.store.append(kind, payload)
     }
 
-    /// Writes a cadence checkpoint when enough steps have passed since the
-    /// last one; returns whether one was written.
+    /// Starts a cadence checkpoint when enough steps have passed since the
+    /// last one; returns whether one was started. Its container is written
+    /// off this thread; the error of the previous one, if any, comes back
+    /// here.
     pub(crate) fn maybe_checkpoint(
         &mut self,
         server: &FleetServer,
@@ -48,12 +57,18 @@ impl Durable {
         {
             return Ok(false);
         }
-        self.force_checkpoint(server, steps)?;
+        self.checkpoint(server, steps)?;
         Ok(true)
     }
 
-    /// Writes a checkpoint unconditionally (shutdown path).
-    pub(crate) fn force_checkpoint(&mut self, server: &FleetServer, steps: u64) -> io::Result<()> {
+    /// Seals a checkpoint unconditionally and waits until it is on disk
+    /// (shutdown path).
+    pub(crate) fn seal(&mut self, server: &FleetServer, steps: u64) -> io::Result<()> {
+        self.checkpoint(server, steps)?;
+        self.store.wait()
+    }
+
+    fn checkpoint(&mut self, server: &FleetServer, steps: u64) -> io::Result<()> {
         self.store
             .checkpoint(encode_checkpoint(&server.checkpoint()), steps)?;
         self.steps_at_checkpoint = steps;
@@ -67,7 +82,8 @@ impl Durable {
 /// Recovery = restore the newest valid checkpoint, then replay the journal
 /// suffix through the same wire entry points the live path uses (with the
 /// same step accounting), then seal the result as a fresh checkpoint
-/// generation so the journal never grows without bound across restarts.
+/// generation — on disk before this returns — so the journal never grows
+/// without bound across restarts.
 ///
 /// Replay is forgiving the same way the on-disk readers are: a record the
 /// core rejects ends the replay there (everything after it depended on state

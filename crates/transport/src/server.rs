@@ -22,10 +22,12 @@
 //!
 //! With [`TransportConfig::durability`] set, death of the server *process*
 //! joins the fault envelope: every applied exchange is journaled inside the
-//! core mutex before its reply frame leaves, checkpoints are written on a
-//! step cadence, and [`TransportServer::bind`] recovers
-//! checkpoint-plus-journal from disk before the accept loop opens (see
-//! the `durable` module).
+//! core mutex before its reply frame leaves, and checkpoints are taken on a
+//! step cadence — snapshotted and the journal rotated inside the mutex, the
+//! container written by the durable store's writer thread outside it.
+//! [`TransportServer::bind`] recovers checkpoint-plus-journal from disk
+//! before the accept loop opens, and [`TransportServer::shutdown`] returns
+//! with its final checkpoint on disk (see the `durable` module).
 
 use crate::conn::{Endpoint, Listener, Stream, WRITE_TIMEOUT};
 use crate::deadline::{DeadlineReader, READ_BUDGET};
@@ -326,7 +328,7 @@ impl TransportServer {
             if let Some(durable) = durable {
                 // Seal the drained state as the final generation so the next
                 // bind recovers it without replaying this run's journal.
-                durable.force_checkpoint(server, *steps)?;
+                durable.seal(server, *steps)?;
             }
             state
         };
@@ -341,12 +343,14 @@ impl TransportServer {
     /// socket file is left on disk. The durable directory is frozen exactly
     /// as an uncontrolled kill at this instant leaves it, which is what the
     /// restart tests recover from. Threads are still joined so the process
-    /// can continue.
+    /// can continue, the durable store's checkpoint writer among them: a
+    /// finished write is also a state a kill can leave.
     pub fn abort(mut self) {
         let handles = self.stop_accepting();
         // Freeze the journal before connections close: the disconnect
         // reclaims that follow must not be journaled, exactly as a real kill
-        // would never get to journal them.
+        // would never get to journal them. Dropping the store joins its
+        // writer, so no thread is still writing the directory afterwards.
         self.shared.core.lock().expect("core mutex").durable = None;
         self.close_connections(handles);
     }
@@ -654,8 +658,12 @@ pub(crate) fn ack_takes_step(ack: &ResultAck) -> bool {
 
 /// One request→response or result→ack exchange; both message kinds run the
 /// same pipeline under one hold of the core mutex: handle → step count →
-/// journal append → cadence checkpoint → counters → encode. `takes_step`
-/// says whether the reply moves the cross-process step counter.
+/// journal append → cadence checkpoint → counters → encode. The cadence
+/// checkpoint holds the mutex only to snapshot the core and rotate the
+/// journal; the container is written off the exchange path, and a failed
+/// write answers the exchange of the next cadence checkpoint with
+/// `Fatal("checkpoint failed: …")`. `takes_step` says whether the reply moves
+/// the cross-process step counter.
 fn exchange<T>(
     shared: &Shared,
     payload: Vec<u8>,

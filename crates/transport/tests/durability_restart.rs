@@ -268,3 +268,101 @@ fn restart_after_disk_faults_never_panics_and_serves() {
         }
     }
 }
+
+/// The files of `dir` whose names start with `prefix`, sorted.
+fn files_named(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list the durable directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| {
+            path.file_name()
+                .is_some_and(|name| name.to_string_lossy().starts_with(prefix))
+        })
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn crash_between_snapshot_and_rename_resumes_the_digest() {
+    let dir = durable_dir("torn-rename");
+    let endpoint = uds_endpoint("durable-torn-rename");
+    let reference = in_process_digest(2, 3);
+    let mut fleet = build_workers(2);
+
+    // Two rounds at a cadence of two steps: a checkpoint is started by the
+    // last exchange of each round. Then worker 0 takes its round-3 lease —
+    // a record of the journal that cadence checkpoint rotated in — and the
+    // server dies.
+    let server = bind_durable(&endpoint, &dir, 2);
+    let endpoint = server.endpoint().clone();
+    let mut clients: Vec<WorkerClient> = (0..fleet.len())
+        .map(|_| WorkerClient::new(endpoint.clone()))
+        .collect();
+    for _ in 0..2 {
+        for (worker, client) in fleet.iter_mut().zip(clients.iter_mut()) {
+            match client.request(&worker.request()).expect("request") {
+                TaskResponse::Assignment(assignment) => {
+                    let result = worker.execute(&assignment).unwrap();
+                    let ack = client.submit(&result).expect("submit");
+                    assert_eq!(ack.disposition, ResultDisposition::Applied);
+                }
+                TaskResponse::Rejected(reason) => panic!("unexpected rejection: {reason:?}"),
+            }
+        }
+    }
+    let pending = match clients[0].request(&fleet[0].request()).expect("request") {
+        TaskResponse::Assignment(assignment) => assignment,
+        TaskResponse::Rejected(reason) => panic!("unexpected rejection: {reason:?}"),
+    };
+    server.abort();
+    drop(clients);
+
+    // Rewind the directory to a kill between the snapshot and the rename:
+    // the newest checkpoint never made it, a torn temp file lies beside it,
+    // and its journal already holds the round-3 request.
+    let newest = files_named(&dir, "ckpt-")
+        .pop()
+        .expect("a cadence checkpoint");
+    let raw = std::fs::read(&newest).expect("read the newest checkpoint");
+    std::fs::remove_file(&newest).expect("delete the newest checkpoint");
+    let mut torn = newest.clone().into_os_string();
+    torn.push(".tmp");
+    std::fs::write(&torn, &raw[..raw.len() / 2]).expect("leave a torn temp file");
+
+    let server = bind_durable(&endpoint, &dir, 2);
+    assert_eq!(server.steps(), 4, "two rounds survive the lost checkpoint");
+    let mut clients: Vec<WorkerClient> = (0..fleet.len())
+        .map(|_| WorkerClient::new(endpoint.clone()))
+        .collect();
+    // Worker 0 finishes the lease it took before the crash; worker 1 plays
+    // its round-3 turn.
+    let result = fleet[0].execute(&pending).unwrap();
+    let ack = clients[0].submit(&result).expect("submit");
+    assert_eq!(ack.disposition, ResultDisposition::Applied);
+    match clients[1].request(&fleet[1].request()).expect("request") {
+        TaskResponse::Assignment(assignment) => {
+            let result = fleet[1].execute(&assignment).unwrap();
+            let ack = clients[1].submit(&result).expect("submit");
+            assert_eq!(ack.disposition, ResultDisposition::Applied);
+        }
+        TaskResponse::Rejected(reason) => panic!("unexpected rejection: {reason:?}"),
+    }
+    let state = server.shutdown().expect("shutdown");
+    assert_eq!(
+        digest(&state.parameter_server.parameters),
+        reference,
+        "a crash between snapshot and rename must reproduce the uninterrupted digest"
+    );
+    assert!(
+        files_named(&dir, "ckpt-")
+            .iter()
+            .all(|path| path.extension().is_some_and(|ext| ext == "bin")),
+        "shutdown returns with no checkpoint write in flight"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Endpoint::Uds(path) = &endpoint {
+        let _ = std::fs::remove_file(path);
+    }
+}

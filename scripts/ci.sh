@@ -27,8 +27,12 @@
 #                           loadgen schedule digest (bit-identical at two
 #                           FLEET_NUM_THREADS settings and equal to the
 #                           pinned loadgen value), the kernel, conv and
-#                           wire/checkpoint codec suites again in a release
-#                           build, bench smoke (the kernel,
+#                           wire/checkpoint codec suites, fleet-durability's
+#                           tests and the transport's durability_restart
+#                           tests again in a release build (the
+#                           checkpoint writer thread races the appends
+#                           differently under the optimiser), bench smoke
+#                           (the kernel,
 #                           shard and conv criterion benches run once and
 #                           write an untracked BENCH_<name>.json; nothing
 #                           reads them back)
@@ -320,6 +324,14 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo test --release -q -p fleet-ml kernels
     cargo test --release -q -p fleet-ml conv
     cargo test --release -q -p fleet-server -- wire checkpoint
+
+    # The durable store writes its checkpoints on a thread of their own while
+    # the caller keeps appending; its suites (slicing CRC against the
+    # bytewise oracle, failed writes and rotations, a crash between snapshot
+    # and rename) again at release speed, where that interleaving differs.
+    echo "==> durable store and restart tests (release build)"
+    cargo test --release -q -p fleet-durability
+    cargo test --release -q -p fleet-transport --test durability_restart
 
     run_bench ml_kernels BENCH_kernels.json 200
     run_bench shards BENCH_shards.json 200
