@@ -675,7 +675,8 @@ mod tests {
     fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         Tensor::from_vec(x.to_vec(), &[rows, cols])
             .transpose()
-            .into_vec()
+            .data()
+            .to_vec()
     }
 
     /// NaN-aware closeness: both NaN passes, an infinity must match exactly,

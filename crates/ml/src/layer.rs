@@ -54,26 +54,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.parameters().iter().map(|p| p.len()).sum()
     }
 
-    /// Hands a tensor previously returned by [`Layer::forward`] back to the
-    /// layer once the pipeline is done reading it, so the allocation can back
-    /// the next forward pass. [`crate::model::Sequential`] calls this for
-    /// every intermediate activation; layers with an output workspace
-    /// (convolution, pooling, activations) reclaim the buffer, the default
-    /// implementation simply drops it. Correctness never depends on this
-    /// being called.
-    fn recycle_output(&mut self, output: Tensor) {
-        let _ = output;
-    }
-
-    /// Backward twin of [`Layer::recycle_output`]: hands a tensor previously
-    /// returned by [`Layer::backward`] back to the layer once the upstream
-    /// layer has consumed it, so the allocation can back the next backward
-    /// pass. The default drops it; correctness never depends on this being
-    /// called.
-    fn recycle_grad(&mut self, grad: Tensor) {
-        let _ = grad;
-    }
-
     /// [`Layer::backward`] for the *first* layer of a model, where the
     /// returned input gradient has no consumer: layers whose input gradient
     /// is expensive (convolution: one full GEMM plus a scatter) override this
@@ -88,7 +68,16 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.backward(grad_output).map(|_| ())
     }
 
-    /// Boxed deep clone of the layer (parameters, gradients and caches).
+    /// Gives every buffer the layer borrowed from the thread's scratch pool
+    /// for its latest pass (cached inputs, masks, im2col columns) back to
+    /// the pool. A following [`Layer::backward`] errors as if no forward had
+    /// run. [`crate::model::Sequential`] calls this before each of its passes
+    /// returns, so a model at rest holds only its parameters and gradients.
+    /// The default does nothing: a layer that owns its caches keeps them.
+    fn release_scratch(&mut self) {}
+
+    /// Boxed deep clone of the layer: its parameters and gradients, and any
+    /// scratch it still holds (none, after [`Layer::release_scratch`]).
     ///
     /// Powers `Clone` for [`crate::model::Sequential`], which the parallel
     /// async simulation uses to hand each worker thread its own model replica.

@@ -20,13 +20,9 @@ use crate::{MlError, Result};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    /// Mask workspace reused across steps ([`Tensor::resize_for`] keeps the
-    /// allocation); `None` only before the first forward pass.
+    /// The latest forward pass's mask, on a lent buffer; `None` before the
+    /// first forward pass and after [`Layer::release_scratch`].
     mask: Option<Tensor>,
-    /// Recycled forward-output allocation (see [`Layer::recycle_output`]).
-    out_spare: Vec<f32>,
-    /// Recycled input-gradient allocation (see [`Layer::recycle_grad`]).
-    grad_spare: Vec<f32>,
 }
 
 impl Relu {
@@ -42,23 +38,21 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mask = self.mask.get_or_insert_with(Tensor::default);
-        mask.resize_for(input.shape());
-        let mut out = std::mem::take(&mut self.out_spare);
-        out.resize(input.len(), 0.0);
+        let mask = Tensor::relend(&mut self.mask, input.shape());
+        let mut out = Tensor::lent(input.shape());
         // One fused sweep writing both the mask and the masked output
         // (`v * m`, like the old two-pass `map` + `mul`, so non-finite
         // values propagate identically). Indexed over equal-length slices so
         // the bounds checks hoist and the loop vectorises.
         let src = input.data();
         let msk = &mut mask.data_mut()[..src.len()];
-        let dst = &mut out[..src.len()];
+        let dst = &mut out.data_mut()[..src.len()];
         for i in 0..src.len() {
             let m = f32::from(src[i] > 0.0);
             msk[i] = m;
             dst[i] = src[i] * m;
         }
-        Ok(Tensor::from_vec(out, input.shape()))
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -72,12 +66,16 @@ impl Layer for Relu {
                 context: "Relu::backward".to_string(),
             });
         }
-        let mut grad = std::mem::take(&mut self.grad_spare);
-        grad.resize(grad_output.len(), 0.0);
-        for ((g, &go), &m) in grad.iter_mut().zip(grad_output.data()).zip(mask.data()) {
+        let mut grad = Tensor::lent(grad_output.shape());
+        for ((g, &go), &m) in grad
+            .data_mut()
+            .iter_mut()
+            .zip(grad_output.data())
+            .zip(mask.data())
+        {
             *g = go * m;
         }
-        Ok(Tensor::from_vec(grad, grad_output.shape()))
+        Ok(grad)
     }
 
     fn parameters(&self) -> Vec<&Tensor> {
@@ -94,12 +92,10 @@ impl Layer for Relu {
 
     fn zero_gradients(&mut self) {}
 
-    fn recycle_output(&mut self, output: Tensor) {
-        self.out_spare = output.into_vec();
-    }
-
-    fn recycle_grad(&mut self, grad: Tensor) {
-        self.grad_spare = grad.into_vec();
+    fn release_scratch(&mut self) {
+        if let Some(mask) = self.mask.take() {
+            mask.give_back();
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -6,8 +6,8 @@
 //! FLOPs of the benchmark models live. The layer routes them through
 //! [`crate::kernels`]:
 //!
-//! * **Forward** lowers each batch image into a persistent, layer-owned
-//!   im2col workspace — one `[K × N]` column matrix per image, where
+//! * **Forward** lowers each batch image into an im2col workspace — one
+//!   `[K × N]` column matrix per image, where
 //!   `K = in_channels · kernel²` patch rows in `(ic, ky, kx)`-ascending order
 //!   and `N = oh · ow` output positions — and computes
 //!   `out_b = W · cols_b + bias` with the register-tiled
@@ -21,12 +21,15 @@
 //!   model the input-gradient GEMM + scatter is skipped entirely
 //!   ([`Layer::backward_input_unneeded`]).
 //!
-//! After the first step the column workspace, the calling thread's
-//! `d(cols)` scratch and the forward/backward output buffers (recycled by
-//! [`crate::model::Sequential`] via [`Layer::recycle_output`] /
-//! [`Layer::recycle_grad`]) all persist across steps. The batch fan-out's
-//! spawned slots start with empty thread-local scratch, so a parallel
-//! backward pass allocates its `d(cols)` once per slot.
+//! The column workspace, the cached input, the `d(cols)` and transposed
+//! weight-gradient scratch and the output and input-gradient tensors are
+//! all lent by the thread's scratch pool ([`crate::scratch`]); the layer
+//! itself keeps only its parameters and gradients across steps. The columns
+//! and cached input stay with the layer from forward to backward and go back
+//! to the pool at [`Layer::release_scratch`]; the rest go back as soon as
+//! their pass is done with them. The batch fan-out's spawned slots start
+//! with empty pools, so a parallel backward pass allocates its `d(cols)`
+//! once per slot.
 //!
 //! # Determinism
 //!
@@ -46,11 +49,10 @@
 //! tests at the bottom of this file pin that parity across strides,
 //! remainder shapes, one-hot and NaN/Inf inputs.
 
-use std::cell::RefCell;
-
 use crate::init::Initializer;
 use crate::kernels;
 use crate::layer::Layer;
+use crate::scratch;
 use crate::tensor::Tensor;
 use crate::{MlError, Result};
 
@@ -77,24 +79,6 @@ const _: () = assert!(
     "transposed weight-gradient orientation would leave the blocked-dot path"
 );
 
-thread_local! {
-    /// Per-thread `d(cols)` scratch for the backward pass, reused across
-    /// calls on the same thread. A fan-out slot runs on a freshly spawned
-    /// thread, so it starts empty and allocates once per fan-out.
-    static DCOLS_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` on this thread's `d(cols)` scratch, grown to at least `len`.
-fn with_dcols<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    DCOLS_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
-}
-
 /// A 2-D convolution over `[batch, in_channels, height, width]` inputs with
 /// stride support and no padding ("valid" convolution), as in the paper's
 /// Table 1 topologies.
@@ -110,18 +94,13 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weights: Tensor,
     grad_bias: Tensor,
+    /// The latest forward pass's input, copied onto a lent buffer; `None`
+    /// before the first forward pass and after [`Layer::release_scratch`].
     cached_input: Option<Tensor>,
-    /// Whole-batch im2col workspace: one `[K × N]` column matrix per image of
-    /// `cached_input`, lowered by the latest forward and reused by the
-    /// backward weight-gradient GEMM.
+    /// Whole-batch im2col workspace on a lent buffer: one `[K × N]` column
+    /// matrix per image of `cached_input`, lowered by the latest forward and
+    /// reused by the backward weight-gradient GEMM.
     cols: Vec<f32>,
-    /// Scratch for the transposed weight-gradient product (small-`oc`
-    /// layers; see [`GW_TRANSPOSE_MAX_OC`]).
-    gwt_scratch: Vec<f32>,
-    /// Recycled forward-output allocation (see [`Layer::recycle_output`]).
-    out_spare: Vec<f32>,
-    /// Recycled input-gradient allocation (see [`Layer::recycle_grad`]).
-    grad_spare: Vec<f32>,
 }
 
 impl Conv2d {
@@ -159,9 +138,6 @@ impl Conv2d {
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
             cols: Vec::new(),
-            gwt_scratch: Vec::new(),
-            out_spare: Vec::new(),
-            grad_spare: Vec::new(),
         }
     }
 
@@ -218,19 +194,9 @@ impl Conv2d {
         Ok((batch, oh, ow))
     }
 
-    /// Takes the recycled output allocation, resized for `len` elements.
-    fn take_out_buf(&mut self, len: usize) -> Vec<f32> {
-        let mut out = std::mem::take(&mut self.out_spare);
-        out.resize(len, 0.0);
-        out
-    }
-
-    /// Remembers `input` for the backward pass, reusing the cache's buffer.
+    /// Remembers `input` for the backward pass, on a lent buffer.
     fn cache_input(&mut self, input: &Tensor) {
-        match &mut self.cached_input {
-            Some(cache) => cache.copy_from(input),
-            cache => *cache = Some(input.clone()),
-        }
+        Tensor::relend(&mut self.cached_input, input.shape()).copy_from(input);
     }
 
     /// im2col forward: lower every image, then one GEMM + bias broadcast per
@@ -245,10 +211,8 @@ impl Conv2d {
         );
         let kk = in_c * kernel * kernel;
         let n = oh * ow;
-        let cols_len = batch * kk * n;
-        if self.cols.len() != cols_len {
-            self.cols.resize(cols_len, 0.0);
-        }
+        scratch::give(std::mem::take(&mut self.cols));
+        self.cols = scratch::take(batch * kk * n);
         let parallel = batch * out_c * kk * n >= kernels::PAR_FLOP_THRESHOLD;
 
         // Phase 1: lower images into the workspace (disjoint per image).
@@ -268,7 +232,7 @@ impl Conv2d {
 
         // Phase 2: out_b = W · cols_b + bias (disjoint per image, workspace
         // now read-only).
-        let mut out = self.take_out_buf(batch * out_c * n);
+        let mut out = Tensor::lent(&[batch, out_c, oh, ow]);
         let w_data = self.weights.data();
         let bias = self.bias.data();
         let cols = &self.cols;
@@ -284,11 +248,11 @@ impl Conv2d {
             }
         };
         if parallel {
-            fleet_parallel::parallel_chunks_mut(&mut out, out_c * n, gemm);
+            fleet_parallel::parallel_chunks_mut(out.data_mut(), out_c * n, gemm);
         } else {
-            gemm(0, &mut out);
+            gemm(0, out.data_mut());
         }
-        Tensor::from_vec(out, &[batch, out_c, oh, ow])
+        out
     }
 
     /// The seed repository's direct loop nest, kept verbatim as the parity
@@ -303,7 +267,8 @@ impl Conv2d {
             self.kernel,
             self.stride,
         );
-        let mut out = self.take_out_buf(batch * out_c * oh * ow);
+        let mut out = Tensor::lent(&[batch, out_c, oh, ow]);
+        let out_data = out.data_mut();
         let in_data = input.data();
         let w_data = self.weights.data();
         let bias_data = self.bias.data();
@@ -311,7 +276,7 @@ impl Conv2d {
             for oc in 0..out_c {
                 let bias = bias_data[oc];
                 for oy in 0..oh {
-                    let out_row = &mut out[((b * out_c + oc) * oh + oy) * ow..][..ow];
+                    let out_row = &mut out_data[((b * out_c + oc) * oh + oy) * ow..][..ow];
                     out_row.fill(bias);
                     // Accumulate one (ic, ky, kx) weight at a time across the
                     // whole output row — for stride 1 that is a contiguous
@@ -342,7 +307,7 @@ impl Conv2d {
             }
         }
         self.cache_input(input);
-        Ok(Tensor::from_vec(out, &[batch, out_c, oh, ow]))
+        Ok(out)
     }
 
     /// im2col backward: `d(cols) = Wᵀ·dY` + col2im scatter per image
@@ -372,34 +337,34 @@ impl Conv2d {
         let w_data = self.weights.data();
         let img_len = in_c * h * w;
         let grad_input = if need_input_grad {
-            let mut grad_input = std::mem::take(&mut self.grad_spare);
-            grad_input.resize(input.len(), 0.0);
+            let mut grad_input = Tensor::lent(input.shape());
             grad_input.fill(0.0);
             // Per-image input gradients: dcols_b = Wᵀ·dY_b, scattered back
-            // to image geometry. Disjoint per image, so batch-parallel.
+            // to image geometry. Disjoint per image, so batch-parallel; each
+            // slot borrows its `d(cols)` from its own thread's pool.
             let scatter = |first_image: usize, chunk: &mut [f32]| {
+                let mut dcols = scratch::take(kk * n);
                 for (i, gi_b) in chunk.chunks_mut(img_len).enumerate() {
                     let b = first_image + i;
-                    with_dcols(kk * n, |dcols| {
-                        dcols.fill(0.0);
-                        kernels::matmul_tn_acc(
-                            w_data,
-                            &go[b * out_c * n..][..out_c * n],
-                            dcols,
-                            kk,
-                            out_c,
-                            n,
-                        );
-                        col2im_add(dcols, gi_b, in_c, h, w, kernel, stride, oh, ow);
-                    });
+                    dcols.fill(0.0);
+                    kernels::matmul_tn_acc(
+                        w_data,
+                        &go[b * out_c * n..][..out_c * n],
+                        &mut dcols,
+                        kk,
+                        out_c,
+                        n,
+                    );
+                    col2im_add(&dcols, gi_b, in_c, h, w, kernel, stride, oh, ow);
                 }
+                scratch::give(dcols);
             };
             if batch * kk * out_c * n >= kernels::PAR_FLOP_THRESHOLD {
-                fleet_parallel::parallel_chunks_mut(&mut grad_input, img_len, scatter);
+                fleet_parallel::parallel_chunks_mut(grad_input.data_mut(), img_len, scatter);
             } else {
-                scatter(0, &mut grad_input);
+                scatter(0, grad_input.data_mut());
             }
-            Some(Tensor::from_vec(grad_input, input.shape()))
+            Some(grad_input)
         } else {
             None
         };
@@ -411,19 +376,21 @@ impl Conv2d {
         // transposed — bit-identical, far less memory traffic (see
         // [`GW_TRANSPOSE_MAX_OC`]).
         let transposed = out_c < GW_TRANSPOSE_MAX_OC && kk >= out_c;
-        if transposed {
-            self.gwt_scratch.resize(kk * out_c, 0.0);
-        }
+        let mut gwt = if transposed {
+            scratch::take(kk * out_c)
+        } else {
+            Vec::new()
+        };
         let gw = self.grad_weights.data_mut();
         let gb = self.grad_bias.data_mut();
         for b in 0..batch {
             let go_b = &go[b * out_c * n..][..out_c * n];
             let cols_b = &self.cols[b * kk * n..][..kk * n];
             if transposed {
-                kernels::matmul_nt(cols_b, go_b, &mut self.gwt_scratch, kk, n, out_c);
+                kernels::matmul_nt(cols_b, go_b, &mut gwt, kk, n, out_c);
                 for (i, gw_row) in gw.chunks_mut(kk).enumerate() {
                     for (j, g) in gw_row.iter_mut().enumerate() {
-                        *g += self.gwt_scratch[j * out_c + i];
+                        *g += gwt[j * out_c + i];
                     }
                 }
             } else {
@@ -437,6 +404,7 @@ impl Conv2d {
                 *g = sum;
             }
         }
+        scratch::give(gwt);
         grad_input
     }
 
@@ -456,9 +424,9 @@ impl Conv2d {
         // buffers are written, so no clone of the input is needed.
         let input = self.cached_input.as_ref().expect("checked by backward");
         let (h, w) = (input.shape()[2], input.shape()[3]);
-        let mut grad_input = std::mem::take(&mut self.grad_spare);
-        grad_input.resize(input.len(), 0.0);
+        let mut grad_input = Tensor::lent(input.shape());
         grad_input.fill(0.0);
+        let gi = grad_input.data_mut();
         let in_data = input.data();
         let go = grad_output.data();
         let w_data = self.weights.data();
@@ -484,7 +452,7 @@ impl Conv2d {
                                 let wbase = ((oc * in_c + ic) * kernel + ky) * kernel;
                                 let gw_row = &mut gw[wbase..wbase + kernel];
                                 let w_row = &w_data[wbase..wbase + kernel];
-                                let gi_patch = &mut grad_input[base..base + kernel];
+                                let gi_patch = &mut gi[base..base + kernel];
                                 for kx in 0..kernel {
                                     gw_row[kx] += g * in_patch[kx];
                                     gi_patch[kx] += g * w_row[kx];
@@ -495,7 +463,7 @@ impl Conv2d {
                 }
             }
         }
-        Ok(Tensor::from_vec(grad_input, input.shape()))
+        Ok(grad_input)
     }
 }
 
@@ -635,12 +603,11 @@ impl Layer for Conv2d {
         self.grad_bias.fill(0.0);
     }
 
-    fn recycle_output(&mut self, output: Tensor) {
-        self.out_spare = output.into_vec();
-    }
-
-    fn recycle_grad(&mut self, grad: Tensor) {
-        self.grad_spare = grad.into_vec();
+    fn release_scratch(&mut self) {
+        if let Some(input) = self.cached_input.take() {
+            input.give_back();
+        }
+        scratch::give(std::mem::take(&mut self.cols));
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

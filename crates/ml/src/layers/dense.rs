@@ -29,8 +29,8 @@ pub struct Dense {
     bias: Tensor,
     grad_weights: Tensor,
     grad_bias: Tensor,
-    /// Input cache reused across steps ([`Tensor::copy_from`] keeps the
-    /// allocation); `None` only before the first forward pass.
+    /// The latest forward pass's input, copied onto a lent buffer; `None`
+    /// before the first forward pass and after [`Layer::release_scratch`].
     cached_input: Option<Tensor>,
 }
 
@@ -69,7 +69,8 @@ impl Layer for Dense {
                 context: "Dense::forward".to_string(),
             });
         }
-        let mut out = input.matmul(&self.weights);
+        let mut out = Tensor::lent(&[input.shape()[0], self.out_features]);
+        input.matmul_into(&self.weights, &mut out);
         // Broadcast the bias over the batch with row-slice arithmetic.
         let bias = self.bias.data();
         for row in out.data_mut().chunks_mut(self.out_features) {
@@ -77,10 +78,7 @@ impl Layer for Dense {
                 *o += b;
             }
         }
-        match &mut self.cached_input {
-            Some(cache) => cache.copy_from(input),
-            cache => *cache = Some(input.clone()),
-        }
+        Tensor::relend(&mut self.cached_input, input.shape()).copy_from(input);
         Ok(out)
     }
 
@@ -106,7 +104,9 @@ impl Layer for Dense {
             }
         }
         // dx = grad_output · W^T — fused NT kernel, no transpose.
-        Ok(grad_output.matmul_nt(&self.weights))
+        let mut grad_input = Tensor::lent(&[grad_output.shape()[0], self.in_features]);
+        grad_output.matmul_nt_into(&self.weights, &mut grad_input);
+        Ok(grad_input)
     }
 
     fn parameters(&self) -> Vec<&Tensor> {
@@ -124,6 +124,12 @@ impl Layer for Dense {
     fn zero_gradients(&mut self) {
         self.grad_weights.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    fn release_scratch(&mut self) {
+        if let Some(input) = self.cached_input.take() {
+            input.give_back();
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -1,6 +1,7 @@
 //! Max-pooling layer.
 
 use crate::layer::Layer;
+use crate::scratch;
 use crate::tensor::Tensor;
 use crate::{MlError, Result};
 
@@ -19,14 +20,12 @@ use crate::{MlError, Result};
 pub struct MaxPool2d {
     window: usize,
     stride: usize,
-    /// Input shape of the latest forward pass; empty before the first one.
+    /// Input shape of the latest forward pass; empty before the first one
+    /// and after [`Layer::release_scratch`].
     cached_input_shape: Vec<usize>,
-    /// For each output element, the flat input index of the element that won.
+    /// For each output element, the flat input index of the element that
+    /// won, on a lent buffer.
     cached_argmax: Vec<u32>,
-    /// Recycled forward-output allocation (see [`Layer::recycle_output`]).
-    out_spare: Vec<f32>,
-    /// Recycled input-gradient allocation (see [`Layer::recycle_grad`]).
-    grad_spare: Vec<f32>,
 }
 
 impl MaxPool2d {
@@ -43,8 +42,6 @@ impl MaxPool2d {
             stride,
             cached_input_shape: Vec::new(),
             cached_argmax: Vec::new(),
-            out_spare: Vec::new(),
-            grad_spare: Vec::new(),
         }
     }
 
@@ -148,15 +145,16 @@ impl Layer for MaxPool2d {
         );
         let data = input.data();
         let out_len = batch * channels * oh * ow;
-        let mut out = std::mem::take(&mut self.out_spare);
-        out.resize(out_len, 0.0);
+        let mut out = Tensor::lent(&[batch, channels, oh, ow]);
         out.fill(f32::NEG_INFINITY);
-        self.cached_argmax.resize(out_len, 0);
-        self.cached_argmax[..out_len].fill(0);
+        scratch::give(std::mem::take(&mut self.cached_argmax));
+        self.cached_argmax = scratch::take(out_len);
+        self.cached_argmax.fill(0);
+        let out_data = out.data_mut();
         let (window, stride) = (self.window, self.stride);
         for plane in 0..batch * channels {
             for oy in 0..oh {
-                let out_row = &mut out[(plane * oh + oy) * ow..][..ow];
+                let out_row = &mut out_data[(plane * oh + oy) * ow..][..ow];
                 let arg_row = &mut self.cached_argmax[(plane * oh + oy) * ow..][..ow];
                 for ky in 0..window {
                     let iy = oy * stride + ky;
@@ -198,7 +196,7 @@ impl Layer for MaxPool2d {
         }
         self.cached_input_shape.clear();
         self.cached_input_shape.extend_from_slice(shape);
-        Ok(Tensor::from_vec(out, &[batch, channels, oh, ow]))
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -214,13 +212,13 @@ impl Layer for MaxPool2d {
                 context: "MaxPool2d::backward".to_string(),
             });
         }
-        let mut grad_input = std::mem::take(&mut self.grad_spare);
-        grad_input.resize(self.cached_input_shape.iter().product(), 0.0);
+        let mut grad_input = Tensor::lent(&self.cached_input_shape);
         grad_input.fill(0.0);
+        let gi = grad_input.data_mut();
         for (&in_idx, &g) in self.cached_argmax.iter().zip(grad_output.data()) {
-            grad_input[in_idx as usize] += g;
+            gi[in_idx as usize] += g;
         }
-        Ok(Tensor::from_vec(grad_input, &self.cached_input_shape))
+        Ok(grad_input)
     }
 
     fn parameters(&self) -> Vec<&Tensor> {
@@ -237,12 +235,9 @@ impl Layer for MaxPool2d {
 
     fn zero_gradients(&mut self) {}
 
-    fn recycle_output(&mut self, output: Tensor) {
-        self.out_spare = output.into_vec();
-    }
-
-    fn recycle_grad(&mut self, grad: Tensor) {
-        self.grad_spare = grad.into_vec();
+    fn release_scratch(&mut self) {
+        self.cached_input_shape.clear();
+        scratch::give(std::mem::take(&mut self.cached_argmax));
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -40,21 +40,22 @@
 //!    produced by a fixed-order loop whose per-element operations are fused
 //!    multiply-adds, so results are bit-for-bit identical for any thread
 //!    count. The async-simulation reproducibility guarantee rests on this.
-//! 3. **Caller-owned scratch.** Layers reuse per-layer workspaces instead of
-//!    allocating per call: `forward` caches its input via
-//!    `Tensor::copy_from` (reusing the buffer), `zero_gradients` zeroes in
-//!    place, and the `*_into` tensor methods ([`Tensor::matmul_into`],
-//!    `Tensor::matmul_nt_into`, `Tensor::matmul_tn_acc_into`) write into
-//!    tensors whose allocations persist across steps. [`Sequential`] closes
-//!    the remaining loop by handing every consumed activation and gradient
-//!    tensor back to the layer that produced it ([`Layer::recycle_output`] /
-//!    [`Layer::recycle_grad`]), so a training step runs allocation-free
-//!    after the first pass. The convention throughout: a `&mut Tensor`
-//!    out-parameter is resized with `Tensor::resize_for` (which keeps
-//!    capacity) and fully overwritten unless the method name says it
-//!    accumulates (`_acc_`).
+//! 3. **Thread-owned scratch.** Every transient buffer of a pass — im2col
+//!    columns, ReLU masks, pooling argmax indices, cached inputs, each
+//!    activation and input gradient — is lent by one thread-local pool
+//!    (`scratch`) instead of living in the layer. [`Sequential`] gives each
+//!    activation and gradient back as soon as the next layer has consumed
+//!    it, and every layer's caches ([`Layer::release_scratch`]) before a
+//!    pass returns, so a model at rest holds only its parameters and
+//!    gradients, and all the replicas one thread runs share that thread's
+//!    one warm working set. Parameter gradients accumulate in place and
+//!    `zero_gradients` zeroes in place. The convention throughout: a lent
+//!    buffer's contents, like those of a `&mut Tensor` out-parameter resized
+//!    with `Tensor::resize_for`, are unspecified: each kernel fully
+//!    overwrites its output unless its name says it accumulates (`_acc_`),
+//!    and a lent buffer that is accumulated into is zero-filled first.
 //!
-//!    `Conv2d` is the showcase: it lowers batches into a persistent im2col
+//!    `Conv2d` is the showcase: it lowers batches into a lent im2col
 //!    workspace and runs forward and backward entirely on the fused GEMM
 //!    kernels (see `layers::conv`).
 //!
@@ -90,6 +91,7 @@ pub mod metrics;
 mod model;
 pub mod models;
 mod recommender;
+mod scratch;
 mod tensor;
 
 use std::error::Error;

@@ -15,18 +15,23 @@ use crate::{MlError, Result};
 /// Panics if the tensor is not 2-D.
 pub(crate) fn softmax(logits: &Tensor) -> Tensor {
     assert_eq!(logits.shape().len(), 2, "softmax requires a 2-D tensor");
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-    let mut out = vec![0.0f32; batch * classes];
-    for i in 0..batch {
-        let row = &logits.data()[i * classes..(i + 1) * classes];
+    let classes = logits.shape()[1];
+    let mut out = Tensor::lent(logits.shape());
+    for (row, out_row) in logits
+        .data()
+        .chunks(classes)
+        .zip(out.data_mut().chunks_mut(classes))
+    {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        for j in 0..classes {
-            out[i * classes + j] = exps[j] / sum;
+        for (o, &v) in out_row.iter_mut().zip(row) {
+            *o = (v - max).exp();
+        }
+        let sum: f32 = out_row.iter().sum();
+        for o in out_row {
+            *o /= sum;
         }
     }
-    Tensor::from_vec(out, &[batch, classes])
+    out
 }
 
 /// Softmax cross-entropy loss for integer class labels.
@@ -69,11 +74,12 @@ impl SoftmaxCrossEntropy {
                 "label {bad} out of range for {classes} classes"
             )));
         }
-        let probs = softmax(logits);
+        // The gradient is the softmax with one subtracted at each label;
+        // a row's label probability is read before its entry is changed.
+        let mut grad = softmax(logits);
         let mut loss = 0.0f32;
-        let mut grad = probs.clone();
         for (i, &label) in labels.iter().enumerate() {
-            let p = probs.at2(i, label).max(1e-12);
+            let p = grad.at2(i, label).max(1e-12);
             loss -= p.ln();
             *grad.at2_mut(i, label) -= 1.0;
         }

@@ -16,8 +16,11 @@ use crate::{MlError, Result};
 
 /// A feed-forward stack of layers trained with softmax cross-entropy.
 ///
-/// `Clone` produces a full replica (parameters, gradients and caches); the
-/// parallel async simulation clones one replica per worker thread.
+/// `Clone` produces a full replica of the parameters and gradients; the
+/// parallel async simulation clones one replica per worker thread. Between
+/// passes a model holds nothing else: every transient buffer of a pass is
+/// lent by the thread's scratch pool and given back before the pass
+/// returns.
 #[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -56,23 +59,37 @@ impl Sequential {
 
     /// Runs a forward pass through every layer.
     ///
-    /// Each intermediate activation is handed back to the layer that produced
-    /// it via [`Layer::recycle_output`] as soon as the next layer has
-    /// consumed it, so layers with output workspaces (convolution, pooling)
-    /// run allocation-free after the first pass.
-    ///
     /// # Errors
     ///
     /// Propagates shape errors from the layers.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
+        self.with_logits(input, Tensor::clone)
+    }
+
+    /// Runs a forward pass and `f` on the logits, then gives every buffer of
+    /// the pass back to the scratch pool. The logits are lent too, so a
+    /// caller that keeps them gets a copy: the pool then keeps every buffer
+    /// it lent, and the next pass allocates none.
+    fn with_logits<R>(&mut self, input: &Tensor, f: impl FnOnce(&Tensor) -> R) -> Result<R> {
+        let logits = self.forward_pass(input);
+        self.release_scratch();
+        let logits = logits?;
+        let out = f(&logits);
+        logits.give_back();
+        Ok(out)
+    }
+
+    /// [`Sequential::forward`] leaving each layer's caches in place for a
+    /// backward pass. Each intermediate activation goes back to the scratch
+    /// pool as soon as the next layer has consumed it.
+    fn forward_pass(&mut self, input: &Tensor) -> Result<Tensor> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(input.clone());
-        }
-        let mut current = self.layers[0].forward(input)?;
-        for i in 1..self.layers.len() {
-            let (done, rest) = self.layers.split_at_mut(i);
-            let next = rest[0].forward(&current)?;
-            done[i - 1].recycle_output(std::mem::replace(&mut current, next));
+        };
+        let mut current = first.forward(input)?;
+        for layer in rest {
+            let next = layer.forward(&current)?;
+            std::mem::replace(&mut current, next).give_back();
         }
         Ok(current)
     }
@@ -88,27 +105,38 @@ impl Sequential {
     ///
     /// Propagates shape/label errors from the layers and the loss.
     pub(crate) fn backward(&mut self, inputs: &Tensor, labels: &[usize]) -> Result<f32> {
-        let logits = self.forward(inputs)?;
+        let loss = self.backward_pass(inputs, labels);
+        self.release_scratch();
+        loss
+    }
+
+    /// [`Sequential::backward`] before the layers give their caches back.
+    fn backward_pass(&mut self, inputs: &Tensor, labels: &[usize]) -> Result<f32> {
+        let logits = self.forward_pass(inputs)?;
         let (loss, mut grad) = self.loss.forward(&logits, labels)?;
-        // Mirror of the forward pass: every consumed gradient tensor is
-        // handed back to the layer that produced it ([`Layer::recycle_grad`])
-        // so the backward chain runs allocation-free after the first step.
-        for i in (1..self.layers.len()).rev() {
-            let next = self.layers[i].backward(&grad)?;
-            let consumed = std::mem::replace(&mut grad, next);
-            if i + 1 < self.layers.len() {
-                self.layers[i + 1].recycle_grad(consumed);
-            }
+        logits.give_back();
+        // Mirror of the forward pass: every consumed gradient tensor goes
+        // back to the scratch pool once the layer below has produced its own.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            grad.give_back();
+            return Ok(loss);
+        };
+        for layer in rest.iter_mut().rev() {
+            let next = layer.backward(&grad)?;
+            std::mem::replace(&mut grad, next).give_back();
         }
         // The first layer's input gradient has no consumer; let the layer
         // skip computing it (a full GEMM + scatter for convolutions).
-        if let Some(first) = self.layers.first_mut() {
-            first.backward_input_unneeded(&grad)?;
-        }
-        if self.layers.len() > 1 {
-            self.layers[1].recycle_grad(grad);
-        }
+        first.backward_input_unneeded(&grad)?;
+        grad.give_back();
         Ok(loss)
+    }
+
+    /// Gives every layer's pass scratch back to the thread's pool.
+    fn release_scratch(&mut self) {
+        for layer in &mut self.layers {
+            layer.release_scratch();
+        }
     }
 
     /// Clears all accumulated parameter gradients.
@@ -223,7 +251,7 @@ impl Sequential {
     ///
     /// Propagates shape errors from the forward pass.
     pub fn predict(&mut self, inputs: &Tensor) -> Result<Vec<usize>> {
-        Ok(self.forward(inputs)?.argmax_rows())
+        self.with_logits(inputs, Tensor::argmax_rows)
     }
 }
 

@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::scratch;
+
 /// A dense, row-major tensor of `f32` values.
 ///
 /// # Example
@@ -85,18 +87,22 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub(crate) fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Returns a tensor with the same data but a new shape.
+    /// Returns a copy of this tensor with a new shape, on a buffer lent by
+    /// this thread's scratch pool ([`Tensor::lent`]).
     ///
     /// # Panics
     ///
     /// Panics if the new shape has a different number of elements.
     pub(crate) fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(self.data.clone(), shape)
+        let mut out = Tensor::lent(shape);
+        assert_eq!(
+            out.len(),
+            self.len(),
+            "reshape of {:?} to {shape:?} changes the element count",
+            self.shape
+        );
+        out.data.copy_from_slice(&self.data);
+        out
     }
 
     /// Element access for 2-D tensors.
@@ -121,12 +127,12 @@ impl Tensor {
         &mut self.data[row * cols + col]
     }
 
-    /// Multiplies every element by a scalar.
-    pub(crate) fn scale(&self, factor: f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|v| v * factor).collect(),
+    /// Multiplies every element by a scalar, in place.
+    pub(crate) fn scale(mut self, factor: f32) -> Tensor {
+        for v in &mut self.data {
+            *v *= factor;
         }
+        self
     }
 
     /// Overwrites every element with `value`, keeping the allocation.
@@ -137,8 +143,28 @@ impl Tensor {
     /// Makes this tensor a copy of `other`, reusing the existing allocation
     /// when it is large enough (the workhorse of layer input caching).
     pub(crate) fn copy_from(&mut self, other: &Tensor) {
-        self.resize_for(&other.shape.clone());
+        self.resize_for(&other.shape);
         self.data.copy_from_slice(&other.data);
+    }
+
+    /// A tensor of `shape` on a buffer lent by this thread's scratch pool
+    /// ([`crate::scratch`]). Its contents are unspecified.
+    pub(crate) fn lent(shape: &[usize]) -> Tensor {
+        Tensor::from_vec(scratch::take(shape.iter().product()), shape)
+    }
+
+    /// Gives this tensor's buffer back to this thread's scratch pool.
+    pub(crate) fn give_back(self) {
+        scratch::give(self.data);
+    }
+
+    /// Gives back the tensor `slot` holds, if any, and refills the slot with
+    /// a [`Tensor::lent`] one of `shape`.
+    pub(crate) fn relend<'a>(slot: &'a mut Option<Tensor>, shape: &[usize]) -> &'a mut Tensor {
+        if let Some(old) = slot.take() {
+            old.give_back();
+        }
+        slot.insert(Tensor::lent(shape))
     }
 
     /// Reshapes in place to `shape`, growing or shrinking the data buffer but
@@ -403,7 +429,7 @@ mod tests {
         fn prop_scale_linear(data in proptest::collection::vec(-10.0f32..10.0, 1..32), k in -5.0f32..5.0) {
             let n = data.len();
             let a = Tensor::from_vec(data, &[n]);
-            let direct = a.scale(2.0 * k);
+            let direct = a.clone().scale(2.0 * k);
             let composed = a.scale(k).scale(2.0);
             for (x, y) in direct.data().iter().zip(composed.data().iter()) {
                 prop_assert!((x - y).abs() < 1e-3);

@@ -1,0 +1,172 @@
+//! The model scratch budget, held as a *count* of the bytes a pass allocates
+//! on the calling thread. Every transient buffer of a pass (im2col columns,
+//! masks, argmax indices, cached inputs, activations, input gradients) is
+//! lent by the thread's scratch pool and given back before the pass
+//! returns, so once one replica has warmed the pool, another replica's first
+//! pass allocates little beyond the gradient it returns, and a model at
+//! rest clones as nothing but its parameters and gradients.
+//!
+//! The counting allocator is this binary's `#[global_allocator]`. It counts
+//! per thread, so a fan-out slot's own pool (on its own thread) is not part
+//! of the figure; the tests run at any `FLEET_NUM_THREADS`.
+
+use fleet_ml::models::table1_mnist_cnn;
+use fleet_ml::{Sequential, Tensor};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Mutex;
+
+thread_local! {
+    /// Bytes handed out to the current thread. Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// neither allocates nor registers TLS teardown.
+    static ALLOCATED_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, plus a count of the bytes requested: whole allocations, and the
+/// growth of reallocations.
+struct Counting;
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED_HERE.try_with(|here| here.set(here.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Serialises the tests of this binary, so each measures its own pass with
+/// the machine to itself.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn allocated_here() -> u64 {
+    ALLOCATED_HERE.with(Cell::get)
+}
+
+/// Bytes a pass may allocate beyond what it returns: tensor shapes and the
+/// per-layer gradient lists — never a buffer.
+const SLACK: u64 = 4 << 10;
+
+/// Fan-outs in one `table1_mnist_cnn` gradient at batch 32: each
+/// convolution's forward lowers and multiplies in one each, and the second
+/// convolution's input gradient scatters in one.
+const FAN_OUTS_PER_PASS: u64 = 5;
+
+/// What one fan-out at the configured width allocates on the calling
+/// thread: std's bookkeeping for each slot it spawns (nothing at one thread).
+fn fan_out_bookkeeping() -> u64 {
+    let mut parts = vec![0u8; fleet_parallel::max_threads()];
+    let before = allocated_here();
+    fleet_parallel::parallel_chunks_mut(&mut parts, 1, |_, part| part[0] = 1);
+    allocated_here() - before
+}
+
+/// A deterministic `[batch, 1, 28, 28]` image batch and its labels.
+fn mnist_batch(batch: usize, salt: usize) -> (Tensor, Vec<usize>) {
+    let pixels = (0..batch * 28 * 28)
+        .map(|i| (((i + salt) * 37) % 255) as f32 / 255.0)
+        .collect();
+    let labels = (0..batch).map(|i| (i + salt) % 10).collect();
+    (Tensor::from_vec(pixels, &[batch, 1, 28, 28]), labels)
+}
+
+#[test]
+fn a_replica_computes_its_first_gradient_on_the_threads_warm_scratch() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut replicas: Vec<Sequential> = vec![table1_mnist_cnn(42); 4];
+    let (inputs, labels) = mnist_batch(32, 0);
+    // On an empty pool, early small borrowers get the large buffers that
+    // early large ones gave back, so the first pass leaves a pool shaped by
+    // that order; the second pass settles it.
+    for _ in 0..2 {
+        replicas[0]
+            .compute_gradient(&inputs, &labels)
+            .expect("warm-up gradient");
+    }
+    let bookkeeping = FAN_OUTS_PER_PASS * fan_out_bookkeeping();
+
+    for (k, replica) in replicas.iter_mut().enumerate().skip(1) {
+        let before = allocated_here();
+        let (_, gradient) = replica
+            .compute_gradient(&inputs, &labels)
+            .expect("replica gradient");
+        let allocated = allocated_here() - before;
+        let returned = 4 * gradient.len() as u64;
+        assert!(
+            allocated <= returned + SLACK + bookkeeping,
+            "replica {k}'s first gradient allocated {allocated} B on this thread; \
+             the gradient it returns is {returned} B and its fan-outs' \
+             bookkeeping {bookkeeping} B"
+        );
+    }
+}
+
+#[test]
+fn a_model_at_rest_clones_as_its_parameters_and_gradients() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut model = table1_mnist_cnn(7);
+    let (inputs, _) = mnist_batch(512, 3);
+    let predicted = model.predict(&inputs).expect("predict");
+    assert_eq!(predicted.len(), 512);
+
+    let before = allocated_here();
+    let replica = model.clone();
+    let allocated = allocated_here() - before;
+    let weights = 2 * 4 * replica.parameter_count() as u64;
+    assert!(
+        allocated <= weights + SLACK,
+        "cloning a model after a 512-image predict allocated {allocated} B; \
+         its parameters and gradients are {weights} B"
+    );
+}
+
+#[test]
+fn logits_a_caller_keeps_cost_only_their_copy() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut model = table1_mnist_cnn(3);
+    let (inputs, _) = mnist_batch(32, 5);
+    let mut kept = Vec::new();
+    for _ in 0..2 {
+        kept.push(model.forward(&inputs).expect("warm-up forward"));
+    }
+    let bookkeeping = FAN_OUTS_PER_PASS * fan_out_bookkeeping();
+
+    for pass in 0..3 {
+        let before = allocated_here();
+        let logits = model.forward(&inputs).expect("forward");
+        let allocated = allocated_here() - before;
+        let returned = 4 * logits.data().len() as u64;
+        assert!(
+            allocated <= returned + SLACK + bookkeeping,
+            "forward {pass} allocated {allocated} B on this thread; \
+             the logits it returns are {returned} B"
+        );
+        kept.push(logits);
+    }
+}

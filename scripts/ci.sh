@@ -31,7 +31,9 @@
 #                           tests and the transport's durability_restart
 #                           tests again in a release build (the
 #                           checkpoint writer thread races the appends
-#                           differently under the optimiser), bench smoke
+#                           differently under the optimiser), fleet-ml's
+#                           scratch pool budget and stale-buffer tests at
+#                           FLEET_NUM_THREADS=1 and 7, bench smoke
 #                           (the kernel,
 #                           shard and conv criterion benches run once and
 #                           write an untracked BENCH_<name>.json; nothing
@@ -332,6 +334,20 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> durable store and restart tests (release build)"
     cargo test --release -q -p fleet-durability
     cargo test --release -q -p fleet-transport --test durability_restart
+
+    # Every transient layer buffer is lent by a thread-local scratch pool.
+    # The allocation budget (a warm pool lends a new replica its whole pass)
+    # and the stale-buffer suite (a warm pool's gradients equal a fresh
+    # thread's bit for bit) again at the inline width and a wide fan-out,
+    # whose spawned slots each borrow from a pool of their own.
+    echo "==> scratch pool budget and reuse tests (FLEET_NUM_THREADS=1/7)"
+    for threads in 1 7; do
+        FLEET_NUM_THREADS=$threads cargo test --release -q -p fleet-ml \
+            --test scratch_budget --test scratch_reuse || {
+            echo "FAIL: scratch pool tests at threads=$threads"
+            exit 1
+        }
+    done
 
     run_bench ml_kernels BENCH_kernels.json 200
     run_bench shards BENCH_shards.json 200
