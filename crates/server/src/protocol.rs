@@ -163,6 +163,22 @@ pub struct TaskAssignment {
     pub mini_batch_size: usize,
 }
 
+/// An admitted learning task: everything a [`TaskAssignment`] carries except
+/// the model. Admission grants it; the model is attached afterwards, either
+/// copied into a [`TaskAssignment`] or shared as the server's published
+/// encoding (`FleetServer::published_model`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskGrant {
+    /// See [`TaskAssignment::task_id`].
+    pub task_id: u64,
+    /// See [`TaskAssignment::model_version`].
+    pub model_version: u64,
+    /// See [`TaskAssignment::shard_clocks`].
+    pub shard_clocks: Vec<u64>,
+    /// See [`TaskAssignment::mini_batch_size`].
+    pub mini_batch_size: usize,
+}
+
 /// Why the controller refused to hand out a learning task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RejectionReason {

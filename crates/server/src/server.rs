@@ -3,8 +3,8 @@
 
 use crate::controller::{Controller, ControllerCounters, ControllerThresholds};
 use crate::protocol::{
-    RejectionReason, ResultAck, ResultDisposition, TaskAssignment, TaskRequest, TaskResponse,
-    TaskResult,
+    RejectionReason, ResultAck, ResultDisposition, TaskAssignment, TaskGrant, TaskRequest,
+    TaskResponse, TaskResult,
 };
 use crate::tasks::{TaskTable, TaskTableState};
 use crate::wire::{self, WireError};
@@ -16,6 +16,7 @@ use fleet_device::NetworkKind;
 use fleet_profiler::{IProf, IProfState, Slo, WorkloadProfiler};
 use fleet_telemetry::{Counter, TelemetryHandle};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Configuration of a [`FleetServer`].
 ///
@@ -195,6 +196,23 @@ pub struct FleetServer {
     /// site, no clock reads) unless a sink is installed via
     /// [`FleetServer::set_telemetry`].
     telemetry: TelemetryHandle,
+    /// The current parameters as an assignment's encoded model field; see
+    /// [`FleetServer::published_model`].
+    published: Published,
+}
+
+/// The published model: encoded on the first assignment of a parameter
+/// version, dropped at every parameter change. Its `Debug` shows the length
+/// only, never the body.
+#[derive(Default)]
+struct Published(Option<Bytes>);
+
+impl fmt::Debug for Published {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Published")
+            .field("bytes", &self.0.as_ref().map(Bytes::len))
+            .finish()
+    }
 }
 
 impl FleetServer {
@@ -213,6 +231,7 @@ impl FleetServer {
             device_models: BTreeMap::new(),
             config,
             telemetry: TelemetryHandle::disabled(),
+            published: Published::default(),
         }
     }
 
@@ -239,12 +258,63 @@ impl FleetServer {
         &self.controller
     }
 
-    /// Handles a learning-task request (steps 1–4 of Fig. 2), plus the
-    /// fault-tolerance envelope: expired leases are reclaimed, overload is
-    /// shed before admission, and accepted tasks get a lease whose deadline
-    /// budgets I-Prof's predicted compute time plus the modelled network
-    /// transfer.
+    /// The current parameters encoded as an assignment's model field
+    /// (`wire::encode_assignment`'s body): a shared view, not a copy.
+    ///
+    /// The first call after a parameter change encodes the model; every
+    /// later call for the same version clones the view. Applying a result
+    /// that moves the model, a [`FleetServer::drain`] that flushes a shard,
+    /// and [`FleetServer::restore_checkpoint`] drop the published body, so
+    /// the server holds at most one; a body still being written to a socket
+    /// lives until its last view is dropped.
+    pub fn published_model(&mut self) -> Bytes {
+        let parameters = self.parameter_server.parameters();
+        self.published
+            .0
+            .get_or_insert_with(|| wire::encode_model(parameters))
+            .clone()
+    }
+
+    /// Handles a learning-task request (steps 1–4 of Fig. 2) and hands the
+    /// model out by value.
+    ///
+    /// The assignment owns a copy of the parameters, made here on every
+    /// accepted request; the in-process drivers compute on it directly. The
+    /// socket server does not pay for it: it calls
+    /// [`FleetServer::admit_request`] and sends
+    /// [`FleetServer::published_model`], encoded once per model version.
     pub fn handle_request(&mut self, request: &TaskRequest) -> TaskResponse {
+        match self.admit_request(request) {
+            Ok(TaskGrant {
+                task_id,
+                model_version,
+                shard_clocks,
+                mini_batch_size,
+            }) => TaskResponse::Assignment(TaskAssignment {
+                task_id,
+                model_parameters: self.parameter_server.parameters().to_vec(),
+                model_version,
+                shard_clocks,
+                mini_batch_size,
+            }),
+            Err(reason) => TaskResponse::Rejected(reason),
+        }
+    }
+
+    /// Admits or rejects a learning-task request (steps 1–4 of Fig. 2)
+    /// without touching the model, plus the fault-tolerance envelope:
+    /// expired leases are reclaimed, overload is shed before admission, and
+    /// accepted tasks get a lease whose deadline budgets I-Prof's predicted
+    /// compute time plus the modelled network transfer.
+    ///
+    /// Every request path runs through here: [`FleetServer::handle_request`]
+    /// attaches a copy of the model, the socket server the published body,
+    /// and journal replay nothing at all.
+    ///
+    /// # Errors
+    ///
+    /// The [`RejectionReason`] when the task is shed or refused.
+    pub fn admit_request(&mut self, request: &TaskRequest) -> Result<TaskGrant, RejectionReason> {
         let reclaimed = self.tasks.reclaim_expired(self.parameter_server.clock());
         if let Some(sink) = self.telemetry.get() {
             sink.add(Counter::Requests, 1);
@@ -260,7 +330,7 @@ impl FleetServer {
             if let Some(sink) = self.telemetry.get() {
                 sink.add(Counter::RejectedOverloaded, 1);
             }
-            return TaskResponse::Rejected(RejectionReason::Overloaded { shard });
+            return Err(RejectionReason::Overloaded { shard });
         }
 
         // Step 2: I-Prof bounds the workload (and predicts its cost, which
@@ -285,9 +355,8 @@ impl FleetServer {
                 if let Some(sink) = self.telemetry.get() {
                     sink.add(Counter::Assignments, 1);
                 }
-                TaskResponse::Assignment(TaskAssignment {
+                Ok(TaskGrant {
                     task_id,
-                    model_parameters: self.parameter_server.parameters().to_vec(),
                     model_version: self.parameter_server.clock(),
                     // Per-shard servers hand out the vector clock so the
                     // worker can echo it back and get per-shard staleness
@@ -311,7 +380,7 @@ impl FleetServer {
                         1,
                     );
                 }
-                TaskResponse::Rejected(reason)
+                Err(reason)
             }
         }
     }
@@ -353,7 +422,18 @@ impl FleetServer {
     /// touched: the lease stays outstanding, so the worker's corrected retry
     /// still applies.
     pub fn handle_result_wire(&mut self, raw: Bytes) -> Result<ResultAck, WireError> {
-        let result = wire::decode_result(raw)?;
+        self.handle_result_checked(wire::decode_result(raw)?)
+    }
+
+    /// Handles a result decoded from the wire: [`FleetServer::handle_result`]
+    /// behind the check [`FleetServer::handle_result_wire`] documents, for a
+    /// transport that decodes before it takes the server.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::LengthOutOfBounds`] when the gradient's length is not
+    /// the model's parameter count; no state is touched.
+    pub fn handle_result_checked(&mut self, result: TaskResult) -> Result<ResultAck, WireError> {
         if result.gradient.len() != self.parameter_server.parameters().len() {
             return Err(WireError::LengthOutOfBounds(result.gradient.len()));
         }
@@ -439,6 +519,9 @@ impl FleetServer {
             Vec::new()
         };
         let outcome = self.parameter_server.submit(update);
+        if outcome.applied {
+            self.published = Published::default();
+        }
         if let Some(sink) = self.telemetry.get() {
             sink.add(Counter::Applied, 1);
             if outcome.applied {
@@ -508,12 +591,16 @@ impl FleetServer {
     /// checkpointed as pending instead. Returns the number of shards
     /// flushed.
     pub fn drain(&mut self) -> usize {
-        match self.config.core.apply_mode {
+        let flushed = match self.config.core.apply_mode {
             ApplyMode::Lockstep => 0,
             ApplyMode::PerShard => (0..self.parameter_server.num_shards())
                 .filter(|&shard| self.parameter_server.flush_shard(shard))
                 .count(),
+        };
+        if flushed > 0 {
+            self.published = Published::default();
         }
+        flushed
     }
 
     /// Captures the server's full mutable state. Restoring it into a server
@@ -546,6 +633,7 @@ impl FleetServer {
         self.controller.restore_counters(state.controller);
         self.tasks = TaskTable::from_state(state.tasks);
         self.device_models = state.device_models.into_iter().collect();
+        self.published = Published::default();
     }
 }
 
@@ -1181,6 +1269,116 @@ mod tests {
         assert!(core.shard_pending[0].is_empty());
         assert_eq!(core.shard_pending[1].len(), 1);
         assert_eq!(checkpoint.tasks.outstanding.len(), 3);
+    }
+
+    /// SplitMix64: the seeded stream that picks the next operation.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Hands the same seeded interleaving of requests, results, drains,
+    /// checkpoints and restores to two servers: one answers with
+    /// `handle_request`'s copied assignment, the other with the grant plus
+    /// the published body. Every assignment's parts must concatenate to the
+    /// copied assignment's `encode_response` and decode to the current
+    /// parameters — a body published before a change must never be sent
+    /// after it.
+    fn assert_published_model_stays_coherent(mode: ApplyMode, k: usize, seed: u64) {
+        let (base, mut workers, _) = build_world(3);
+        let config = base
+            .config
+            .to_builder()
+            .apply_mode(mode)
+            .shards(2)
+            .aggregation_k(k)
+            .build()
+            .unwrap();
+        let mut copied = FleetServer::new(base.parameters().to_vec(), config.clone());
+        let mut shared = FleetServer::new(base.parameters().to_vec(), config);
+        let mut snapshot = copied.checkpoint();
+        let mut in_flight: Vec<TaskResult> = Vec::new();
+        let mut rng = seed;
+        let mut assignments = 0;
+        for _ in 0..80 {
+            match next(&mut rng) % 8 {
+                0..=3 => {
+                    let worker = next(&mut rng) as usize % workers.len();
+                    let request = workers[worker].request();
+                    match (
+                        copied.handle_request(&request),
+                        shared.admit_request(&request),
+                    ) {
+                        (TaskResponse::Assignment(assignment), Ok(grant)) => {
+                            let parts = wire::encode_assignment(&grant, shared.published_model());
+                            let sent: Vec<u8> =
+                                parts.iter().flat_map(|part| part.iter().copied()).collect();
+                            let whole = TaskResponse::Assignment(assignment.clone());
+                            assert_eq!(sent, wire::encode_response(&whole).to_vec());
+                            assert_eq!(wire::decode_response(Bytes::from(sent)), Ok(whole));
+                            assert_eq!(assignment.model_parameters, shared.parameters());
+                            assignments += 1;
+                            let mut result = forged_result(&shared, request.worker_id);
+                            let scale = (next(&mut rng) % 1000) as f32 * 1e-3;
+                            result.gradient = fleet_ml::Gradient::from_vec(
+                                (0..shared.parameters().len())
+                                    .map(|i| scale * (i as f32).sin())
+                                    .collect(),
+                            );
+                            result.model_version = assignment.model_version;
+                            result.task_id = Some(assignment.task_id);
+                            result.read_clock =
+                                (mode == ApplyMode::PerShard).then_some(assignment.shard_clocks);
+                            in_flight.push(result);
+                        }
+                        (TaskResponse::Rejected(a), Err(b)) => assert_eq!(a, b),
+                        (a, b) => panic!("the servers diverged: {a:?} against {b:?}"),
+                    }
+                }
+                4 | 5 if !in_flight.is_empty() => {
+                    let result = in_flight.swap_remove(next(&mut rng) as usize % in_flight.len());
+                    assert_eq!(
+                        copied.handle_result(result.clone()),
+                        shared.handle_result(result)
+                    );
+                }
+                6 => assert_eq!(copied.drain(), shared.drain()),
+                7 if next(&mut rng).is_multiple_of(2) => snapshot = copied.checkpoint(),
+                7 => {
+                    copied.restore_checkpoint(snapshot.clone());
+                    shared.restore_checkpoint(snapshot.clone());
+                }
+                _ => {}
+            }
+            assert_eq!(copied.parameters(), shared.parameters());
+        }
+        assert!(assignments > 10, "{mode:?}, K = {k}: too few assignments");
+        assert_eq!(copied.checkpoint(), shared.checkpoint());
+    }
+
+    #[test]
+    fn published_model_stays_coherent_under_seeded_interleavings() {
+        for mode in [ApplyMode::Lockstep, ApplyMode::PerShard] {
+            for k in 1..=3 {
+                for seed in [42, 7, 2024] {
+                    assert_published_model_stays_coherent(mode, k, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_output_names_the_published_body_without_printing_it() {
+        let (mut server, _, _) = build_world(1);
+        assert!(format!("{server:?}").contains("Published { bytes: None }"));
+        let body = server.published_model();
+        assert_eq!(body.len(), 4 + 4 * server.parameters().len());
+        assert!(
+            format!("{server:?}").contains(&format!("Published {{ bytes: Some({}) }}", body.len()))
+        );
     }
 
     proptest::proptest! {

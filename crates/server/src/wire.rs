@@ -26,8 +26,8 @@
 #![deny(unused_variables)]
 
 use crate::protocol::{
-    RejectionReason, ResultAck, ResultDisposition, TaskAssignment, TaskRequest, TaskResponse,
-    TaskResult,
+    RejectionReason, ResultAck, ResultDisposition, TaskAssignment, TaskGrant, TaskRequest,
+    TaskResponse, TaskResult,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fleet_data::LabelDistribution;
@@ -468,24 +468,62 @@ pub fn decode_result(mut buf: Bytes) -> Result<TaskResult, WireError> {
     })
 }
 
-/// Encodes a [`TaskAssignment`] (the payload of a
-/// [`TaskResponse::Assignment`]).
-fn put_assignment(s: &mut Sink, assignment: &TaskAssignment) {
-    let TaskAssignment {
-        task_id,
-        model_parameters,
-        model_version,
-        shard_clocks,
-        mini_batch_size,
-    } = assignment;
-    s.put_u64(*task_id);
-    s.put_u64(*model_version);
-    s.put_u64(*mini_batch_size as u64);
-    s.put_vec(model_parameters, f32::to_le_bytes);
+/// Writes the head of an assignment response: the response version and tag,
+/// then the scalars that come before the model.
+fn put_assignment_head(s: &mut Sink, task_id: u64, model_version: u64, mini_batch_size: usize) {
+    s.put_u8(RESPONSE_WIRE_VERSION);
+    s.put_u8(RESPONSE_TAG_ASSIGNMENT);
+    s.put_u64(task_id);
+    s.put_u64(model_version);
+    s.put_u64(mini_batch_size as u64);
+}
+
+/// Writes an assignment's model field: a length prefix, then the
+/// parameters as little-endian `f32`s.
+fn put_model(s: &mut Sink, parameters: &[f32]) {
+    s.put_vec(parameters, f32::to_le_bytes);
+}
+
+/// Writes the tail of an assignment response: the shard clocks.
+fn put_assignment_tail(s: &mut Sink, shard_clocks: &[u64]) {
     s.put_vec(shard_clocks, u64::to_le_bytes);
 }
 
-/// Decodes a [`TaskAssignment`] written by [`put_assignment`].
+/// Encodes `parameters` as an assignment's model field: the body a server
+/// publishes once per model version and shares across the assignments of
+/// that version (see [`encode_assignment`]).
+///
+/// # Panics
+///
+/// Panics if `parameters` exceeds [`MAX_FIELD_LEN`].
+pub(crate) fn encode_model(parameters: &[f32]) -> Bytes {
+    encode(|s| put_model(s, parameters))
+}
+
+/// Encodes an assignment response in three parts — head, model, tail —
+/// whose concatenation is byte for byte what [`encode_response`] writes for
+/// the same assignment: both are built from the same field writers.
+///
+/// `model` is the published body (`FleetServer::published_model`) and is
+/// returned as is, so an assignment costs two small buffers and no copy of
+/// the model; a frame writer puts the three parts on the wire with one
+/// vectored write. Only the first assignment of a model version pays for
+/// the model's encoding, when the server publishes it.
+pub fn encode_assignment(grant: &TaskGrant, model: Bytes) -> [Bytes; 3] {
+    let TaskGrant {
+        task_id,
+        model_version,
+        shard_clocks,
+        mini_batch_size,
+    } = grant;
+    [
+        encode(|s| put_assignment_head(s, *task_id, *model_version, *mini_batch_size)),
+        model,
+        encode(|s| put_assignment_tail(s, shard_clocks)),
+    ]
+}
+
+/// Decodes a [`TaskAssignment`] written by [`encode_response`].
 fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireError> {
     let task_id = get_u64(buf)?;
     let model_version = get_u64(buf)?;
@@ -504,31 +542,40 @@ fn get_assignment(buf: &mut Bytes) -> Result<TaskAssignment, WireError> {
 /// Encodes a [`TaskResponse`] (steps 2–4 of Fig. 2 as the server ships them
 /// back over a socket).
 ///
+/// An assignment is encoded whole, model included, into one buffer. The
+/// socket server sends the same bytes as [`encode_assignment`]'s parts, so
+/// that the model is encoded once per version rather than once per task.
+///
 /// # Panics
 ///
 /// Panics if the assignment's parameter vector exceeds [`MAX_FIELD_LEN`] —
 /// such a message could never decode.
 pub fn encode_response(response: &TaskResponse) -> Bytes {
-    encode(|s| {
-        s.put_u8(RESPONSE_WIRE_VERSION);
-        match response {
-            TaskResponse::Assignment(assignment) => {
-                s.put_u8(RESPONSE_TAG_ASSIGNMENT);
-                put_assignment(s, assignment);
-            }
-            TaskResponse::Rejected(reason) => {
-                s.put_u8(RESPONSE_TAG_REJECTED);
-                match *reason {
-                    RejectionReason::BatchTooSmall { proposed, minimum } => {
-                        s.put_u8(REJECT_TAG_BATCH_TOO_SMALL);
-                        s.put_u64(proposed as u64);
-                        s.put_u64(minimum as u64);
-                    }
-                    RejectionReason::TooSimilar => s.put_u8(REJECT_TAG_TOO_SIMILAR),
-                    RejectionReason::Overloaded { shard } => {
-                        s.put_u8(REJECT_TAG_OVERLOADED);
-                        s.put_u64(shard as u64);
-                    }
+    encode(|s| match response {
+        TaskResponse::Assignment(TaskAssignment {
+            task_id,
+            model_parameters,
+            model_version,
+            shard_clocks,
+            mini_batch_size,
+        }) => {
+            put_assignment_head(s, *task_id, *model_version, *mini_batch_size);
+            put_model(s, model_parameters);
+            put_assignment_tail(s, shard_clocks);
+        }
+        TaskResponse::Rejected(reason) => {
+            s.put_u8(RESPONSE_WIRE_VERSION);
+            s.put_u8(RESPONSE_TAG_REJECTED);
+            match *reason {
+                RejectionReason::BatchTooSmall { proposed, minimum } => {
+                    s.put_u8(REJECT_TAG_BATCH_TOO_SMALL);
+                    s.put_u64(proposed as u64);
+                    s.put_u64(minimum as u64);
+                }
+                RejectionReason::TooSimilar => s.put_u8(REJECT_TAG_TOO_SIMILAR),
+                RejectionReason::Overloaded { shard } => {
+                    s.put_u8(REJECT_TAG_OVERLOADED);
+                    s.put_u64(shard as u64);
                 }
             }
         }
@@ -956,6 +1003,30 @@ mod tests {
             assert_eq!(hex(&encoded), golden);
             assert_eq!(decode(encoded), Ok(()));
         }
+    }
+
+    #[test]
+    fn assignment_parts_concatenate_to_the_golden_bytes() {
+        let (.., golden) = every_message_shape()
+            .into_iter()
+            .find(|(name, ..)| *name == "assignment")
+            .expect("the assignment shape");
+        let TaskAssignment {
+            task_id,
+            model_parameters,
+            model_version,
+            shard_clocks,
+            mini_batch_size,
+        } = sample_assignment();
+        let grant = TaskGrant {
+            task_id,
+            model_version,
+            shard_clocks,
+            mini_batch_size,
+        };
+        let parts = encode_assignment(&grant, encode_model(&model_parameters));
+        let wire: Vec<u8> = parts.iter().flat_map(|part| part.iter().copied()).collect();
+        assert_eq!(hex(&wire), golden);
     }
 
     /// Every proper prefix of each named shape — a cut inside any field,

@@ -10,17 +10,18 @@
 //! `shutdown` return with it on disk.
 //!
 //! The replay contract mirrors the live `handle_frame` path exactly — same
-//! entry points, same step accounting — so `recover` is the live path run
-//! against journaled bytes instead of socket bytes. That is what makes a
-//! kill-restart run reproduce the uninterrupted run's digest bit-for-bit:
-//! the core never sees a different event sequence, only a differently
-//! sourced one.
+//! decoders, same core calls, same step accounting — so `recover` is the
+//! live path run against journaled bytes instead of socket bytes, minus the
+//! replies. That is what makes a kill-restart run reproduce the
+//! uninterrupted run's digest bit-for-bit: the core never sees a different
+//! event sequence, only a differently sourced one.
 //!
 //! [`TransportServer`]: crate::server::TransportServer
 
-use crate::server::{ack_takes_step, response_takes_step};
+use crate::server::{ack_takes_step, admission_takes_step};
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, DurableStore, EventKind, Recovered};
+use fleet_server::wire::decode_request;
 use fleet_server::{decode_checkpoint, encode_checkpoint, FleetServer};
 use std::io;
 
@@ -80,8 +81,8 @@ impl Durable {
 /// [`Durable`] plus the recovered step counter.
 ///
 /// Recovery = restore the newest valid checkpoint, then replay the journal
-/// suffix through the same wire entry points the live path uses (with the
-/// same step accounting), then seal the result as a fresh checkpoint
+/// suffix through the same decoders and core calls the live path uses (with
+/// the same step accounting), then seal the result as a fresh checkpoint
 /// generation — on disk before this returns — so the journal never grows
 /// without bound across restarts.
 ///
@@ -112,8 +113,12 @@ pub(crate) fn recover(
 
     for record in records {
         match record.kind {
-            EventKind::Request => match server.handle_request_wire(record.payload) {
-                Ok(response) => steps += u64::from(response_takes_step(&response)),
+            // A replayed request is admitted and nothing more: no worker is
+            // waiting for the model.
+            EventKind::Request => match decode_request(record.payload) {
+                Ok(request) => {
+                    steps += u64::from(admission_takes_step(&server.admit_request(&request)));
+                }
                 Err(_) => break,
             },
             EventKind::Result => match server.handle_result_wire(record.payload) {

@@ -9,6 +9,7 @@
 //! or corrupt header cannot make the server allocate unbounded memory.
 
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
+use std::ops::Deref;
 
 /// Hard bound on a frame's declared length (kind byte + payload).
 ///
@@ -194,18 +195,34 @@ pub fn read_frame(
     }
 }
 
-/// Writes one frame and flushes. The 5-byte header and the payload go out
-/// as one vectored write — one syscall on a socket that takes the whole
-/// frame, and no assembly buffer — resumed after a short write or an
-/// `Interrupted` until every byte is accepted.
+/// Writes one frame and flushes: [`write_frame_parts`] with the payload in
+/// one part.
+///
+/// # Errors
+///
+/// As [`write_frame_parts`].
+pub fn write_frame(writer: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
+    write_frame_parts(writer, kind, &[payload])
+}
+
+/// Writes one frame whose payload is the concatenation of `parts`, and
+/// flushes. The 5-byte header and every part go out as one vectored write —
+/// one syscall on a socket that takes the whole frame, and no assembly
+/// buffer, so a body shared by many frames is never copied to send it —
+/// resumed after a short write or an `Interrupted` until every byte is
+/// accepted. Empty parts are allowed.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when the payload would exceed [`MAX_FRAME_LEN`] — the peer
 /// could never accept it; `WriteZero` when the writer stops accepting bytes
 /// mid-frame; or whatever the socket reports.
-pub fn write_frame(writer: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() + 1;
+pub fn write_frame_parts(
+    writer: &mut impl Write,
+    kind: FrameKind,
+    parts: &[impl Deref<Target = [u8]>],
+) -> io::Result<()> {
+    let len = 1 + parts.iter().map(|part| part.len()).sum::<usize>();
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -215,19 +232,22 @@ pub fn write_frame(writer: &mut impl Write, kind: FrameKind, payload: &[u8]) -> 
     let mut header = [0u8; 5];
     header[..4].copy_from_slice(&(len as u32).to_le_bytes());
     header[4] = kind.as_byte();
-    // Bytes of `header ++ payload` the writer has accepted so far.
-    let mut sent = 0;
-    while sent < header.len() + payload.len() {
-        let head = &header[sent.min(header.len())..];
-        let tail = &payload[sent.saturating_sub(header.len())..];
-        match writer.write_vectored(&[IoSlice::new(head), IoSlice::new(tail)]) {
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&header[..])
+        .chain(parts.iter().map(|part| &**part))
+        .map(IoSlice::new)
+        .collect();
+    // What the writer has not yet accepted; advancing drops every slice it
+    // has fully taken, empty ones included.
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "writer stopped accepting bytes mid-frame",
                 ))
             }
-            Ok(n) => sent += n,
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
             Err(err) => return Err(err),
         }
@@ -477,6 +497,74 @@ mod tests {
                 writer.accepted,
                 reference_frame(FrameKind::Ack, b"stalled")[..budget]
             );
+        }
+    }
+
+    /// A writer that takes at most `step` bytes per call, gathered across
+    /// as many buffers as that spans, failing every other call with
+    /// `Interrupted` first: each accepted write can end inside any part.
+    struct Gather {
+        step: usize,
+        calls: usize,
+        accepted: Vec<u8>,
+    }
+
+    impl Write for Gather {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.step - taken);
+                self.accepted.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn parts_resume_across_part_boundaries_to_the_one_part_frame() {
+        let head = [0xa0, 0xa1, 0xa2];
+        let body: Vec<u8> = (0..29u8).collect();
+        let tail = [0xf0; 5];
+        let empty: &[u8] = &[];
+        for parts in [
+            vec![&head[..], &body[..], &tail[..]],
+            vec![empty, &head[..], empty, &body[..], empty, &tail[..], empty],
+            vec![empty],
+            vec![],
+        ] {
+            let whole = parts.concat();
+            let mut one_part = Vec::new();
+            write_frame(&mut one_part, FrameKind::Response, &whole).unwrap();
+            assert_eq!(one_part, reference_frame(FrameKind::Response, &whole));
+            for step in [1, 3, 7] {
+                let mut gather = Gather {
+                    step,
+                    calls: 0,
+                    accepted: Vec::new(),
+                };
+                write_frame_parts(&mut gather, FrameKind::Response, &parts).unwrap();
+                assert_eq!(gather.accepted, one_part, "gathered, step {step}");
+                let mut trickle = Trickle {
+                    step,
+                    budget: usize::MAX,
+                    interrupt: true,
+                    calls: 0,
+                    accepted: Vec::new(),
+                };
+                write_frame_parts(&mut trickle, FrameKind::Response, &parts).unwrap();
+                assert_eq!(trickle.accepted, one_part, "one buffer a call, step {step}");
+            }
         }
     }
 

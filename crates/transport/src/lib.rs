@@ -44,9 +44,10 @@
 //!   pre-crash upload retransmitted after restart classifies `Duplicate`.
 //!
 //! Determinism note: the transport never reorders what the core applies —
-//! every request/result exchange runs under one mutex over the
-//! `FleetServer` — so a schedule of exchanges produces exactly the bytes the
-//! in-process run produces. The multi-process demo pins that digest.
+//! every request's admission and every result's apply run under one mutex
+//! over the `FleetServer` (decoding and encoding run outside it) — so a
+//! schedule of exchanges produces exactly the bytes the in-process run
+//! produces. The multi-process demo pins that digest.
 
 #![forbid(unsafe_code)]
 

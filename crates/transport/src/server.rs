@@ -16,9 +16,14 @@
 //! |                                        | `Response` frame; conn lives   |
 //!
 //! Nothing a single peer does can take down the accept loop or another
-//! connection. The core mutex serialises whole exchanges, so the byte-level
-//! trajectory of the model is exactly the one the same schedule produces
-//! in-process.
+//! connection. The core mutex serialises what orders the model's
+//! trajectory — admission or apply, the step count and the journal — so the
+//! byte-level trajectory of the model is exactly the one the same schedule
+//! produces in-process. Decoding the payload and encoding the reply happen
+//! outside it: a connection decodes its frame before it takes the lock and
+//! encodes its reply after it lets go. An assignment shares the core's
+//! published model (encoded once per version) and goes out as head, model
+//! and tail in one vectored write.
 //!
 //! With [`TransportConfig::durability`] set, death of the server *process*
 //! joins the fault envelope: every applied exchange is journaled inside the
@@ -33,12 +38,13 @@ use crate::conn::{Endpoint, Listener, Stream, WRITE_TIMEOUT};
 use crate::deadline::{DeadlineReader, READ_BUDGET};
 use crate::durable::{self, reclaim_payload, Durable};
 use crate::frame::{
-    self, encode_status, read_frame, write_frame, FrameError, FrameKind, ServerStatus,
+    self, encode_status, read_frame, write_frame, write_frame_parts, FrameError, FrameKind,
+    ServerStatus,
 };
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, EventKind, FsyncPolicy};
 use fleet_server::protocol::{RejectionReason, ResultAck, TaskResponse};
-use fleet_server::wire::{encode_ack, encode_response, WireError};
+use fleet_server::wire::{self, encode_ack, encode_response, WireError};
 use fleet_server::{FleetServer, FleetServerState, ResultDisposition};
 use fleet_telemetry::{Counter, Latency, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
@@ -499,8 +505,8 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
             }
         };
         match outcome {
-            ConnOutcome::Reply(kind, payload) => {
-                if write_frame(&mut stream, kind, &payload).is_err() {
+            ConnOutcome::Reply(kind, parts) => {
+                if write_frame_parts(&mut stream, kind, &parts).is_err() {
                     break;
                 }
             }
@@ -579,8 +585,9 @@ impl io::Read for FrameInFlight<'_> {
 }
 
 enum ConnOutcome {
-    /// Send this frame and keep serving.
-    Reply(FrameKind, Bytes),
+    /// Send a frame of this kind, its payload the concatenated parts, and
+    /// keep serving.
+    Reply(FrameKind, Vec<Bytes>),
     /// Send an `Error` frame with this message and close the connection.
     Fatal(String),
 }
@@ -596,33 +603,43 @@ fn handle_frame(
             shared,
             payload,
             EventKind::Request,
-            "request",
-            |server, raw| server.handle_request_wire(raw),
-            |response| {
-                if let TaskResponse::Assignment(assignment) = response {
-                    issued.insert(assignment.task_id);
-                }
-                response_takes_step(response)
+            wire::decode_request,
+            |server, request| {
+                Ok(server
+                    .admit_request(&request)
+                    .map(|grant| (grant, server.published_model())))
             },
-            |response| (FrameKind::Response, encode_response(response)),
+            |admission| {
+                if let Ok((grant, _)) = admission {
+                    issued.insert(grant.task_id);
+                }
+                admission_takes_step(admission)
+            },
+            |admission| {
+                let parts = match admission {
+                    Ok((grant, model)) => wire::encode_assignment(&grant, model).into(),
+                    Err(reason) => vec![encode_response(&TaskResponse::Rejected(reason))],
+                };
+                (FrameKind::Response, parts)
+            },
         ),
         FrameKind::Result => exchange(
             shared,
             payload,
             EventKind::Result,
-            "result",
-            |server, raw| server.handle_result_wire(raw),
+            wire::decode_result,
+            |server, result| server.handle_result_checked(result),
             ack_takes_step,
-            |ack| (FrameKind::Ack, encode_ack(ack)),
+            |ack| (FrameKind::Ack, vec![encode_ack(&ack)]),
         ),
         FrameKind::Status => {
             let status = snapshot_status(shared);
-            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status).into())
+            ConnOutcome::Reply(FrameKind::StatusReply, vec![encode_status(&status).into()])
         }
         FrameKind::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
             let status = snapshot_status(shared);
-            ConnOutcome::Reply(FrameKind::StatusReply, encode_status(&status).into())
+            ConnOutcome::Reply(FrameKind::StatusReply, vec![encode_status(&status).into()])
         }
         // Server→worker kinds arriving at the server are a protocol
         // violation.
@@ -635,88 +652,118 @@ fn handle_frame(
     }
 }
 
-/// Whether the reply to a request moves the cross-process step counter
+/// Whether the answer to a request moves the cross-process step counter
 /// ([`ServerStatus::steps`]). The live exchange and journal replay both ask
 /// here, so a recovered counter is the one the crashed process would have had.
-pub(crate) fn response_takes_step(response: &TaskResponse) -> bool {
-    match response {
+pub(crate) fn admission_takes_step<T>(admission: &Result<T, RejectionReason>) -> bool {
+    match admission {
         // The step is taken when the assignment's result is applied.
-        TaskResponse::Assignment(_) => false,
+        Ok(_) => false,
         // An overload rejection is backpressure, not an answer: the worker
         // still owes this exchange, so the step counter must not move.
-        TaskResponse::Rejected(RejectionReason::Overloaded { .. }) => false,
+        Err(RejectionReason::Overloaded { .. }) => false,
         // Terminal rejections consume the worker's turn.
-        TaskResponse::Rejected(_) => true,
+        Err(_) => true,
     }
 }
 
-/// The result-side half of [`response_takes_step`]: only an applied result
+/// The result-side half of [`admission_takes_step`]: only an applied result
 /// completes a step; a duplicate, expired or unsolicited upload does not.
 pub(crate) fn ack_takes_step(ack: &ResultAck) -> bool {
     ack.disposition == ResultDisposition::Applied
 }
 
-/// One request→response or result→ack exchange; both message kinds run the
-/// same pipeline under one hold of the core mutex: handle → step count →
-/// journal append → cadence checkpoint → counters → encode. The cadence
-/// checkpoint holds the mutex only to snapshot the core and rotate the
-/// journal; the container is written off the exchange path, and a failed
-/// write answers the exchange of the next cadence checkpoint with
-/// `Fatal("checkpoint failed: …")`. `takes_step` says whether the reply moves
-/// the cross-process step counter.
-fn exchange<T>(
+/// Runs `f`, turning its wire error or its panic into the `Fatal` outcome
+/// that cuts the peer off. A panic (a bug, or input the decode layer failed
+/// to reject) stops at this boundary: the offending peer is cut off, the
+/// server lives.
+fn guarded<T>(what: &str, f: impl FnOnce() -> Result<T, WireError>) -> Result<T, ConnOutcome> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(err)) => Err(ConnOutcome::Fatal(format!("bad {what} payload: {err}"))),
+        Err(_) => Err(ConnOutcome::Fatal(format!(
+            "internal error handling {what}"
+        ))),
+    }
+}
+
+/// One request→response or result→ack exchange. Both message kinds run the
+/// same pipeline: decode → (core mutex: handle → step count → journal
+/// append → cadence checkpoint → counters) → encode.
+///
+/// One hold of the mutex covers only what orders the model's trajectory:
+/// admission or apply, the step count, the journal append and the cadence
+/// checkpoint. The payload is decoded before the lock is taken (a result's
+/// megabyte gradient is copied out of the frame while other exchanges
+/// apply), and the reply is encoded after it is released; an assignment's
+/// model is the core's published body, shared rather than copied. A decode
+/// error or panic ends in the same `Fatal` as one in the handler, and
+/// neither is journaled. The cadence checkpoint holds the mutex only to
+/// snapshot the core and rotate the journal; the container is written off
+/// the exchange path, and a failed write answers the exchange of the next
+/// cadence checkpoint with `Fatal("checkpoint failed: …")`. `takes_step`
+/// says whether the reply moves the cross-process step counter.
+fn exchange<M, T>(
     shared: &Shared,
     payload: Vec<u8>,
     event: EventKind,
-    what: &str,
-    handle: impl FnOnce(&mut FleetServer, Bytes) -> Result<T, WireError>,
+    decode: impl FnOnce(Bytes) -> Result<M, WireError>,
+    handle: impl FnOnce(&mut FleetServer, M) -> Result<T, WireError>,
     takes_step: impl FnOnce(&T) -> bool,
-    encode: impl FnOnce(&T) -> (FrameKind, Bytes),
+    encode: impl FnOnce(T) -> (FrameKind, Vec<Bytes>),
 ) -> ConnOutcome {
-    // The frame's buffer, shared from here on: the handler and the journal
+    let what = match event {
+        EventKind::Request => "request",
+        EventKind::Result => "result",
+        EventKind::Reclaim => "reclaim",
+    };
+    // The frame's buffer, shared from here on: the decoder and the journal
     // each get a view of it (`clone` bumps a reference count), never a copy.
     let raw = Bytes::from(payload);
-    let mut core = shared.core.lock().expect("core mutex");
-    let Core {
-        server,
-        steps,
-        durable,
-    } = &mut *core;
-    // `catch_unwind` *inside* the guard: a panic in the core (a bug, or input
-    // the decode layer failed to reject) stops at this boundary instead of
-    // unwinding through the guard and poisoning the mutex for every other
-    // connection. The offending peer is cut off; the server lives.
-    let handled =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(server, raw.clone())));
-    let reply = match handled {
-        Ok(Ok(reply)) => reply,
-        Ok(Err(err)) => return ConnOutcome::Fatal(format!("bad {what} payload: {err}")),
-        Err(_) => return ConnOutcome::Fatal(format!("internal error handling {what}")),
+    let message = match guarded(what, || decode(raw.clone())) {
+        Ok(message) => message,
+        Err(fatal) => return fatal,
     };
-    if takes_step(&reply) {
-        *steps += 1;
-    }
-    // Journal before replying, whatever the reply: even a rejected request
-    // mutates controller/profiler state and even a Duplicate result advances
-    // the logical clock's expiry sweep, so replay must see every exchange to
-    // reconverge bit-for-bit.
-    if let Some(durable) = durable {
-        if let Err(err) = durable.append(event, raw) {
-            return ConnOutcome::Fatal(format!("journal append failed: {err}"));
-        }
-        let checkpointed = match durable.maybe_checkpoint(server, *steps) {
-            Ok(wrote) => wrote,
-            Err(err) => return ConnOutcome::Fatal(format!("checkpoint failed: {err}")),
+    let reply = {
+        let mut core = shared.core.lock().expect("core mutex");
+        let Core {
+            server,
+            steps,
+            durable,
+        } = &mut *core;
+        // `catch_unwind` *inside* the guard: a panic in the core stops here
+        // instead of unwinding through the guard and poisoning the mutex for
+        // every other connection.
+        let reply = match guarded(what, || handle(server, message)) {
+            Ok(reply) => reply,
+            Err(fatal) => return fatal,
         };
-        if let Some(sink) = shared.config.telemetry.get() {
-            sink.add(Counter::JournalAppends, 1);
-            if checkpointed {
-                sink.add(Counter::Checkpoints, 1);
+        if takes_step(&reply) {
+            *steps += 1;
+        }
+        // Journal before replying, whatever the reply: even a rejected
+        // request mutates controller/profiler state and even a Duplicate
+        // result advances the logical clock's expiry sweep, so replay must
+        // see every exchange to reconverge bit-for-bit.
+        if let Some(durable) = durable {
+            if let Err(err) = durable.append(event, raw) {
+                return ConnOutcome::Fatal(format!("journal append failed: {err}"));
+            }
+            let checkpointed = match durable.maybe_checkpoint(server, *steps) {
+                Ok(wrote) => wrote,
+                Err(err) => return ConnOutcome::Fatal(format!("checkpoint failed: {err}")),
+            };
+            if let Some(sink) = shared.config.telemetry.get() {
+                sink.add(Counter::JournalAppends, 1);
+                if checkpointed {
+                    sink.add(Counter::Checkpoints, 1);
+                }
             }
         }
-    }
-    let (kind, body) = encode(&reply);
-    ConnOutcome::Reply(kind, body)
+        reply
+    };
+    let (kind, parts) = encode(reply);
+    ConnOutcome::Reply(kind, parts)
 }
 
 fn snapshot_status(shared: &Shared) -> ServerStatus {

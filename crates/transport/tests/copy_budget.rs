@@ -18,7 +18,7 @@ mod common;
 use bytes::{Buf, Bytes};
 use common::{base_config, build_workers, fresh_server, uds_endpoint};
 use fleet_ml::Gradient;
-use fleet_server::protocol::{TaskResponse, TaskResult};
+use fleet_server::protocol::{TaskAssignment, TaskResponse, TaskResult};
 use fleet_server::wire::{self, MAX_FIELD_LEN};
 use fleet_server::{decode_checkpoint, encode_checkpoint, FleetServer, ResultDisposition};
 use fleet_transport::{TransportConfig, TransportServer, WorkerClient};
@@ -217,10 +217,13 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
 fn an_exchange_allocates_a_body_once_per_hop() {
     const TASKS: u64 = 6;
     // Allocated bytes per wire byte. Each direction's body is legitimately
-    // materialised at: encode, the receiver's frame buffer, decode — 6 per
-    // task — plus the assignment's copy of the model: 7 bodies for 2 on the
-    // wire, 3.5. The copy-per-hand-off path this replaced spent 16 (8.0).
-    const BUDGET: f64 = 4.4;
+    // materialised at: encode, the receiver's frame buffer, decode — 6
+    // bodies for the 2 on the wire, 3.0. The model goes out as the server's
+    // published body, encoded once per version (here every task applies, so
+    // once per task) and never copied into the assignment. The
+    // copy-per-hand-off path of the first socket transport spent 16 (8.0),
+    // and the assignment's own copy of the model 7 (3.5).
+    const BUDGET: f64 = 3.3;
 
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let server = TransportServer::bind(
@@ -274,5 +277,80 @@ fn an_exchange_allocates_a_body_once_per_hop() {
         per_wire_byte <= BUDGET,
         "{per_wire_byte:.2} bytes allocated per wire byte ({allocated} over {TASKS} tasks of \
          {wire_bytes} wire bytes); the budget is {BUDGET}"
+    );
+}
+
+/// Bytes allocated by every thread but this one while `f` runs: with the
+/// client on this thread, what the server's threads allocated.
+fn allocated_elsewhere(f: impl FnOnce()) -> u64 {
+    let (everywhere, here) = (ALLOCATED.load(Ordering::Relaxed), allocated_here());
+    f();
+    (ALLOCATED.load(Ordering::Relaxed) - everywhere) - (allocated_here() - here)
+}
+
+#[test]
+fn a_second_assignment_of_a_version_allocates_no_body_on_the_server() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = TransportServer::bind(
+        &uds_endpoint("copy-budget-shared"),
+        FleetServer::new(vec![0.0; PARAMETERS], base_config()),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    let mut client = WorkerClient::new(server.endpoint().clone());
+    let request = build_workers(1).remove(0).request();
+    let body = 4 * PARAMETERS as u64;
+    let mut assign = || {
+        let TaskResponse::Assignment(assignment) = client.request(&request).expect("request")
+        else {
+            panic!("the permissive config assigns every request");
+        };
+        assignment
+    };
+    let result_for = |assignment: &TaskAssignment| TaskResult {
+        worker_id: request.worker_id,
+        model_version: assignment.model_version,
+        gradient: Gradient::from_vec(vec![1e-4; PARAMETERS]),
+        label_distribution: request.label_distribution.clone(),
+        num_samples: 16,
+        computation_seconds: 0.5,
+        energy_pct: 0.01,
+        read_clock: None,
+        task_id: Some(assignment.task_id),
+    };
+
+    let mut submitter = WorkerClient::new(server.endpoint().clone());
+    let mut submit = |assignment: &TaskAssignment| {
+        let ack = submitter.submit(&result_for(assignment)).expect("submit");
+        assert_eq!(ack.disposition, ResultDisposition::Applied);
+    };
+
+    // Unmeasured: connect, size the server's tables, move the model.
+    submit(&assign());
+    // Two requests between two applies: both are handed the new version.
+    let mut assignments = Vec::new();
+    let mut measured = Vec::new();
+    for _ in 0..2 {
+        measured.push(allocated_elsewhere(|| assignments.push(assign())));
+    }
+    assignments.iter().for_each(&mut submit);
+    server.shutdown().expect("shutdown");
+
+    assert_eq!(assignments[0].model_version, assignments[1].model_version);
+    assert_eq!(
+        assignments[0].model_parameters,
+        assignments[1].model_parameters
+    );
+    let [publishing, sharing] = measured[..] else {
+        unreachable!("two measured requests")
+    };
+    assert!(
+        publishing >= body,
+        "the first request of a version publishes it: {publishing} bytes for a {body}-byte model"
+    );
+    assert!(
+        sharing < body / 16,
+        "the second request of a version allocated {sharing} bytes on the server; \
+         its {body}-byte model was already encoded"
     );
 }

@@ -31,7 +31,10 @@
 #                           tests and the transport's durability_restart
 #                           tests again in a release build (the
 #                           checkpoint writer thread races the appends
-#                           differently under the optimiser), fleet-ml's
+#                           differently under the optimiser), the
+#                           transport's copy_budget tests in a release
+#                           build (the allocation count that ships is the
+#                           optimised one), fleet-ml's
 #                           scratch pool budget and stale-buffer tests at
 #                           FLEET_NUM_THREADS=1 and 7, bench smoke
 #                           (the kernel,
@@ -334,6 +337,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> durable store and restart tests (release build)"
     cargo test --release -q -p fleet-durability
     cargo test --release -q -p fleet-transport --test durability_restart
+
+    # The data path's allocation budget (bodies allocated per wire byte, and
+    # no body allocated to send an already published model) counts what the
+    # allocator hands out, and the optimised build is the one that ships.
+    echo "==> transport copy budget (release build)"
+    cargo test --release -q -p fleet-transport --test copy_budget
 
     # Every transient layer buffer is lent by a thread-local scratch pool.
     # The allocation budget (a warm pool lends a new replica its whole pass)
