@@ -3,6 +3,7 @@
 //! so every corruption scenario is a pure function of its coordinates and
 //! reproduces bit-for-bit across runs and machines.
 
+use crate::store::{parse_generation, CHECKPOINT, JOURNAL};
 use std::fs::{self, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,7 +87,7 @@ impl DiskFaultPlan {
         let fault = self.scenario(case);
         match fault {
             DiskFault::TornTail => {
-                if let Some(path) = newest(dir, "wal-", ".log")? {
+                if let Some(path) = newest(dir, JOURNAL)? {
                     let len = fs::metadata(&path)?.len() as usize;
                     let keep = self.truncation_point(case, len).min(len);
                     OpenOptions::new()
@@ -96,7 +97,7 @@ impl DiskFaultPlan {
                 }
             }
             DiskFault::CorruptCrc => {
-                if let Some(path) = newest(dir, "ckpt-", ".bin")? {
+                if let Some(path) = newest(dir, CHECKPOINT)? {
                     let mut raw = fs::read(&path)?;
                     if !raw.is_empty() {
                         let offset = self.corruption_offset(case, raw.len());
@@ -106,7 +107,7 @@ impl DiskFaultPlan {
                 }
             }
             DiskFault::MissingNewest => {
-                if let Some(path) = newest(dir, "ckpt-", ".bin")? {
+                if let Some(path) = newest(dir, CHECKPOINT)? {
                     fs::remove_file(&path)?;
                 }
             }
@@ -115,18 +116,13 @@ impl DiskFaultPlan {
     }
 }
 
-/// The highest-generation file matching `prefix`/`suffix` in `dir`.
-fn newest(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Option<PathBuf>> {
+/// The highest-generation file in `dir` with these name `affixes`.
+fn newest(dir: &Path, affixes: (&str, &str)) -> io::Result<Option<PathBuf>> {
     let mut best: Option<(u64, PathBuf)> = None;
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        let Some(generation) = name
-            .strip_prefix(prefix)
-            .and_then(|rest| rest.strip_suffix(suffix))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
+        let Some(generation) = parse_generation(&name.to_string_lossy(), affixes) else {
             continue;
         };
         if best.as_ref().map(|(g, _)| generation > *g).unwrap_or(true) {

@@ -85,6 +85,16 @@ impl JournalWriter {
         Ok(())
     }
 
+    /// A writer over the journal at `path` opened read-only, so every append
+    /// fails: a disk that refuses a write.
+    #[cfg(test)]
+    pub(crate) fn read_only(path: &Path, fsync: FsyncPolicy) -> io::Result<JournalWriter> {
+        Ok(JournalWriter {
+            file: File::open(path)?,
+            fsync,
+        })
+    }
+
     /// Flushes the journal to stable storage regardless of policy (used when
     /// a checkpoint rotates this journal out).
     pub(crate) fn sync(&mut self) -> io::Result<()> {

@@ -30,6 +30,11 @@
 //!   truncates instead of failing on. Records carry a contiguous sequence
 //!   number, so replay stops at the first gap — a corrupted record can only
 //!   shorten the recovered history, never reorder or skip within it.
+//! * **A failed append is fail-stop.** After an append fails, what reached
+//!   the journal is unknown, so every later [`DurableStore::append`],
+//!   [`DurableStore::checkpoint`] and [`DurableStore::begin`] returns an
+//!   error of the same kind. Nothing is acknowledged on top of a lost event:
+//!   the prefix a restart recovers covers every append that returned `Ok`.
 //! * **Recovery chains generations.** `load newest valid checkpoint` +
 //!   `replay journal records in submission order` — and when the newest
 //!   checkpoint itself is lost, the previous generation's checkpoint plus

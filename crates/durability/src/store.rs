@@ -55,15 +55,25 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 
+/// The name affixes of a checkpoint container: `ckpt-{generation:020}.bin`.
+pub(crate) const CHECKPOINT: (&str, &str) = ("ckpt-", ".bin");
+
+/// The name affixes of a journal: `wal-{generation:020}.log`.
+pub(crate) const JOURNAL: (&str, &str) = ("wal-", ".log");
+
 fn ckpt_name(generation: u64) -> String {
-    format!("ckpt-{generation:020}.bin")
+    let (prefix, suffix) = CHECKPOINT;
+    format!("{prefix}{generation:020}{suffix}")
 }
 
 fn wal_name(generation: u64) -> String {
-    format!("wal-{generation:020}.log")
+    let (prefix, suffix) = JOURNAL;
+    format!("{prefix}{generation:020}{suffix}")
 }
 
-fn parse_generation(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+/// The generation in `name`, when it is a file of the kind `affixes` names
+/// ([`CHECKPOINT`] or [`JOURNAL`]).
+pub(crate) fn parse_generation(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
     name.strip_prefix(prefix)?
         .strip_suffix(suffix)?
         .parse()
@@ -115,6 +125,9 @@ pub struct DurableStore {
     writer: Option<JournalWriter>,
     /// The checkpoint write in flight, if any; it returns its generation.
     in_flight: Option<JoinHandle<io::Result<u64>>>,
+    /// The kind of the first append error, once one happened: the store is
+    /// fail-stop from then on.
+    failed: Option<io::ErrorKind>,
 }
 
 impl DurableStore {
@@ -137,10 +150,10 @@ impl DurableStore {
                 let _ = fs::remove_file(entry.path());
                 continue;
             }
-            if let Some(generation) = parse_generation(&name, "ckpt-", ".bin") {
+            if let Some(generation) = parse_generation(&name, CHECKPOINT) {
                 checkpoints.push(generation);
                 max_seen = max_seen.max(generation);
-            } else if let Some(generation) = parse_generation(&name, "wal-", ".log") {
+            } else if let Some(generation) = parse_generation(&name, JOURNAL) {
                 journals.push(generation);
                 max_seen = max_seen.max(generation);
             }
@@ -200,6 +213,7 @@ impl DurableStore {
             next_seq: 0,
             writer: None,
             in_flight: None,
+            failed: None,
         };
         Ok((
             store,
@@ -225,15 +239,33 @@ impl DurableStore {
     /// number. The record is in the kernel (or, under
     /// [`FsyncPolicy::EveryRecord`], on stable storage) before this returns,
     /// so a reply sent afterwards can never outlive the journal entry.
+    ///
+    /// A failed append leaves the journal's contents unknown, so it makes
+    /// the store fail-stop: every later `append`, `checkpoint` and `begin`
+    /// returns an error of the same kind.
     pub fn append(&mut self, kind: EventKind, payload: Bytes) -> io::Result<u64> {
+        self.check_not_failed()?;
         let writer = self
             .writer
             .as_mut()
             .expect("DurableStore::begin must run before append");
         let seq = self.next_seq;
-        writer.append(&JournalRecord { seq, kind, payload })?;
+        if let Err(err) = writer.append(&JournalRecord { seq, kind, payload }) {
+            self.failed = Some(err.kind());
+            return Err(err);
+        }
         self.next_seq += 1;
         Ok(seq)
+    }
+
+    fn check_not_failed(&self) -> io::Result<()> {
+        match self.failed {
+            Some(kind) => Err(io::Error::new(
+                kind,
+                "an earlier journal append failed; the store is fail-stop",
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Starts a new checkpoint generation covering everything appended so
@@ -261,6 +293,7 @@ impl DurableStore {
     }
 
     fn rotate(&mut self, state_payload: Bytes, seq: u64, steps: u64) -> io::Result<u64> {
+        self.check_not_failed()?;
         self.wait()?;
         let generation = self.generation + 1;
         let journal =
@@ -345,8 +378,8 @@ fn prune(dir: &Path, keep_from: u64) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy().into_owned();
-        let generation = parse_generation(&name, "ckpt-", ".bin")
-            .or_else(|| parse_generation(&name, "wal-", ".log"));
+        let generation =
+            parse_generation(&name, CHECKPOINT).or_else(|| parse_generation(&name, JOURNAL));
         if let Some(generation) = generation {
             if generation < keep_from {
                 let _ = fs::remove_file(entry.path());
@@ -648,6 +681,37 @@ mod tests {
         let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
         assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 2);
         assert_eq!(recovered_seqs(&recovered), vec![2, 3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_makes_the_store_fail_stop() {
+        let dir = scratch("append-fails");
+        let (mut store, _) = DurableStore::open(&options(&dir)).unwrap();
+        store.begin(payload(0), 0, 0).unwrap();
+        assert_eq!(store.append(EventKind::Request, payload(1)).unwrap(), 1);
+        assert_eq!(store.append(EventKind::Result, payload(2)).unwrap(), 2);
+        // The disk refuses one write, then takes writes again.
+        let read_only = JournalWriter::read_only(&dir.join(wal_name(1)), FsyncPolicy::Never);
+        let writable = store.writer.replace(read_only.unwrap());
+        let failed = store.append(EventKind::Request, payload(3)).unwrap_err();
+        store.writer = writable;
+        // What reached the journal is unknown now: nothing is acknowledged
+        // on top of it.
+        let again = store.append(EventKind::Request, payload(4)).unwrap_err();
+        assert_eq!(again.kind(), failed.kind());
+        assert_eq!(
+            store.checkpoint(payload(4), 4).unwrap_err().kind(),
+            failed.kind()
+        );
+        assert_eq!(
+            store.begin(payload(4), 4, 4).unwrap_err().kind(),
+            failed.kind()
+        );
+        drop(store);
+        let (_store, recovered) = DurableStore::open(&options(&dir)).unwrap();
+        assert_eq!(recovered.checkpoint.as_ref().unwrap().generation, 1);
+        assert_eq!(recovered_seqs(&recovered), vec![1, 2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,10 @@
 //! [`DeadlineReader`] therefore budgets the **total** wall time for one
 //! frame: before every partial read it re-arms the kernel timeout with the
 //! time remaining, so the whole frame — header and body — must land within
-//! the budget or the read fails with `TimedOut` and the connection dies.
+//! the budget or the read fails with `TimedOut` and the connection dies. On
+//! the server the budget arms with the frame's first byte
+//! ([`DeadlineReader::from_first_byte`]); the client's is armed from the
+//! start.
 
 use crate::conn::Stream;
 use std::io::{self, IoSliceMut, Read};
@@ -28,26 +31,43 @@ pub(crate) const READ_BUDGET: Duration = Duration::from_secs(10);
 #[derive(Debug)]
 pub(crate) struct DeadlineReader<'a> {
     stream: &'a mut Stream,
-    deadline: Instant,
+    budget: Duration,
+    /// When the frame must be complete; `None` until the budget is armed.
+    deadline: Option<Instant>,
 }
 
 impl<'a> DeadlineReader<'a> {
-    /// Starts a frame read with `budget` of total wall time.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
-    )]
+    /// Starts a frame read with `budget` of total wall time, armed at once:
+    /// a client waiting on a hung server waits at most the budget.
     pub(crate) fn new(stream: &'a mut Stream, budget: Duration) -> Self {
+        let mut reader = Self::from_first_byte(stream, budget);
+        reader.arm();
+        reader
+    }
+
+    /// Starts a frame read whose budget arms when its first byte arrives:
+    /// the wait for a frame to *start* is unbounded (an idle worker is
+    /// computing, not attacking), and the frame then has the whole budget.
+    pub(crate) fn from_first_byte(stream: &'a mut Stream, budget: Duration) -> Self {
         DeadlineReader {
-            deadline: Instant::now() + budget,
             stream,
+            budget,
+            deadline: None,
         }
     }
 }
 
 impl DeadlineReader<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
+    )]
+    fn arm(&mut self) {
+        self.deadline = Some(Instant::now() + self.budget);
+    }
+
     /// Runs one read on the stream with the kernel timeout re-armed to the
-    /// budget that is left.
+    /// budget that is left, or with no timeout before the budget is armed.
     #[expect(
         clippy::disallowed_methods,
         reason = "a socket read deadline is wall time by definition; it bounds I/O and never reaches round state"
@@ -56,10 +76,17 @@ impl DeadlineReader<'_> {
         &mut self,
         read: impl FnOnce(&mut Stream) -> io::Result<usize>,
     ) -> io::Result<usize> {
-        let now = Instant::now();
+        let Some(deadline) = self.deadline else {
+            self.stream.set_read_timeout(None)?;
+            let got = read(self.stream)?;
+            if got > 0 {
+                self.arm();
+            }
+            return Ok(got);
+        };
         // The kernel rejects a zero timeout (it means "block forever"), so
         // anything under a millisecond of budget is already an overrun.
-        let remaining = self.deadline.saturating_duration_since(now);
+        let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining < Duration::from_millis(1) {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,

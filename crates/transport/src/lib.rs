@@ -43,18 +43,21 @@
 //!   from disk reproduces the uninterrupted run's digest bit-for-bit, and a
 //!   pre-crash upload retransmitted after restart classifies `Duplicate`.
 //!
-//! Determinism note: the transport never reorders what the core applies —
-//! every request's admission and every result's apply run under one mutex
-//! over the `FleetServer` (decoding and encoding run outside it) — so a
-//! schedule of exchanges produces exactly the bytes the in-process run
-//! produces. The multi-process demo pins that digest.
+//! Determinism note: the transport never reorders what the core applies.
+//! A request, a result, a disconnect's lease reclaim and a replayed journal
+//! record are all one event, decoded by one function and applied by one
+//! function under one mutex over the `FleetServer` (decoding a frame and
+//! encoding its reply run outside it). So a schedule of exchanges produces
+//! exactly the bytes the in-process run produces, and a restarted server
+//! replays its journal into exactly the state the live exchanges built. The
+//! multi-process demo pins that digest.
 
 #![forbid(unsafe_code)]
 
 mod client;
 mod conn;
+mod core;
 mod deadline;
-mod durable;
 pub mod frame;
 mod server;
 

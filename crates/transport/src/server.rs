@@ -16,36 +16,37 @@
 //! |                                        | `Response` frame; conn lives   |
 //!
 //! Nothing a single peer does can take down the accept loop or another
-//! connection. The core mutex serialises what orders the model's
-//! trajectory — admission or apply, the step count and the journal — so the
-//! byte-level trajectory of the model is exactly the one the same schedule
-//! produces in-process. Decoding the payload and encoding the reply happen
-//! outside it: a connection decodes its frame before it takes the lock and
-//! encodes its reply after it lets go. An assignment shares the core's
-//! published model (encoded once per version) and goes out as head, model
-//! and tail in one vectored write.
+//! connection. Each exchange is one event through the core (the `core`
+//! module): the connection decodes its frame before it takes the core
+//! mutex, applies and journals the event under it, and encodes its reply
+//! after it lets go. The mutex thus serialises exactly what orders the
+//! model's trajectory — admission or apply, the step count and the journal
+//! — so the byte-level trajectory of the model is the one the same schedule
+//! produces in-process. An assignment shares the core's published model
+//! (encoded once per version) and goes out as head, model and tail in one
+//! vectored write.
 //!
 //! With [`TransportConfig::durability`] set, death of the server *process*
 //! joins the fault envelope: every applied exchange is journaled inside the
 //! core mutex before its reply frame leaves, and checkpoints are taken on a
 //! step cadence — snapshotted and the journal rotated inside the mutex, the
 //! container written by the durable store's writer thread outside it.
-//! [`TransportServer::bind`] recovers checkpoint-plus-journal from disk
-//! before the accept loop opens, and [`TransportServer::shutdown`] returns
-//! with its final checkpoint on disk (see the `durable` module).
+//! [`TransportServer::bind`] recovers by replaying the journal through the
+//! same decode and apply before the accept loop opens, and
+//! [`TransportServer::shutdown`] returns with its final checkpoint on disk.
 
 use crate::conn::{Endpoint, Listener, Stream, WRITE_TIMEOUT};
+use crate::core::{Core, Event, Outcome};
 use crate::deadline::{DeadlineReader, READ_BUDGET};
-use crate::durable::{self, reclaim_payload, Durable};
 use crate::frame::{
     self, encode_status, read_frame, write_frame, write_frame_parts, FrameError, FrameKind,
     ServerStatus,
 };
 use bytes::Bytes;
 use fleet_durability::{DurabilityOptions, EventKind, FsyncPolicy};
-use fleet_server::protocol::{RejectionReason, ResultAck, TaskResponse};
+use fleet_server::protocol::{RejectionReason, ResultAck, TaskGrant, TaskResponse};
 use fleet_server::wire::{self, encode_ack, encode_response, WireError};
-use fleet_server::{FleetServer, FleetServerState, ResultDisposition};
+use fleet_server::{FleetServer, FleetServerState};
 use fleet_telemetry::{Counter, Latency, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -209,17 +210,6 @@ impl TransportConfigBuilder {
     }
 }
 
-/// The mutable core every connection thread shares.
-struct Core {
-    server: FleetServer,
-    /// Completed protocol steps: applied results + terminal (non-overload)
-    /// rejections. See [`ServerStatus::steps`].
-    steps: u64,
-    /// The durable store, when configured — inside the mutex so journal
-    /// order is exactly apply order.
-    durable: Option<Durable>,
-}
-
 struct Shared {
     core: Mutex<Core>,
     draining: AtomicBool,
@@ -258,24 +248,16 @@ impl TransportServer {
         server: FleetServer,
         config: TransportConfig,
     ) -> io::Result<Self> {
-        let mut server = server;
-        let (durable, steps) = match &config.durability {
-            Some(options) => {
-                let (durable, steps) = durable::recover(&mut server, options)?;
-                (Some(durable), steps)
-            }
-            None => (None, 0),
+        let mut core = match &config.durability {
+            Some(options) => Core::recover(server, options)?,
+            None => Core::new(server),
         };
         // Installed after recovery so journal replay is never double-counted
         // as live protocol traffic.
-        server.set_telemetry(config.telemetry.clone());
+        core.server.set_telemetry(config.telemetry.clone());
         let (listener, resolved) = Listener::bind(endpoint)?;
         let shared = Arc::new(Shared {
-            core: Mutex::new(Core {
-                server,
-                steps,
-                durable,
-            }),
+            core: Mutex::new(core),
             draining: AtomicBool::new(false),
             conns: Mutex::new(BTreeMap::new()),
             config,
@@ -318,7 +300,10 @@ impl TransportServer {
     /// # Errors
     ///
     /// Only sealing the durable store's final checkpoint can fail; the
-    /// teardown itself is best-effort and infallible.
+    /// teardown itself is best-effort and infallible. The seal fails, among
+    /// other reasons, after any journal append failed during the run: the
+    /// store is fail-stop from then on, so the drained state, which holds an
+    /// event the journal lost, never becomes a generation.
     pub fn shutdown(mut self) -> io::Result<FleetServerState> {
         let handles = self.stop_accepting();
         self.close_connections(handles);
@@ -326,16 +311,9 @@ impl TransportServer {
             let mut core = self.shared.core.lock().expect("core mutex");
             core.server.drain();
             let state = core.server.checkpoint();
-            let Core {
-                server,
-                steps,
-                durable,
-            } = &mut *core;
-            if let Some(durable) = durable {
-                // Seal the drained state as the final generation so the next
-                // bind recovers it without replaying this run's journal.
-                durable.seal(server, *steps)?;
-            }
+            // Seal the drained state as the final generation so the next
+            // bind recovers it without replaying this run's journal.
+            core.seal()?;
             state
         };
         if let Endpoint::Uds(path) = &self.endpoint {
@@ -457,21 +435,10 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
         // Wait indefinitely for the next frame to *start*: an idle worker is
         // computing, not attacking. (Shutdown still wakes this read by
         // force-closing the socket.) The deadline arms on the first byte.
-        let _ = stream.set_read_timeout(None);
-        let mut first = [0u8; 1];
-        match stream.read(&mut first) {
-            Ok(1) => {}
-            // 0 bytes = clean close between frames; errors = reset or
-            // forced close. Either way the connection is over.
-            _ => break,
-        }
-        let frame = {
-            let mut reader = FrameInFlight {
-                first: Some(first[0]),
-                rest: DeadlineReader::new(&mut stream, shared.config.read_budget),
-            };
-            read_frame(&mut reader, frame::MAX_FRAME_LEN)
-        };
+        let frame = read_frame(
+            &mut DeadlineReader::from_first_byte(&mut stream, shared.config.read_budget),
+            frame::MAX_FRAME_LEN,
+        );
         let outcome = match frame {
             Ok((kind, payload)) => {
                 let started = shared
@@ -489,6 +456,7 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
                 }
                 outcome
             }
+            // A clean close between frames.
             Err(FrameError::Closed) => break,
             Err(err @ (FrameError::Io(_) | FrameError::Torn { .. })) => {
                 // The peer is gone or mid-crash; an Error frame would only
@@ -521,18 +489,17 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
     }
     if !issued.is_empty() {
         let mut core = shared.core.lock().expect("core mutex");
-        let Core {
-            server, durable, ..
-        } = &mut *core;
+        // Ids whose results were applied are in the completed set by now:
+        // reclaiming them is a no-op, and nothing is journaled for them.
         for task_id in issued {
-            if server.reclaim_task(task_id) {
-                if let Some(durable) = durable {
-                    // Best-effort: a reclaim that misses the journal is not
-                    // lost state, just a lease that replay re-issues as
-                    // outstanding — it re-expires through the lease clock,
-                    // the same path a crashed worker's lease always takes.
-                    let _ = durable.append(EventKind::Reclaim, reclaim_payload(task_id));
-                }
+            let raw = Bytes::from(task_id.to_le_bytes().to_vec());
+            let event = Event::decode(EventKind::Reclaim, raw.clone());
+            if let Ok(Outcome::Reclaimed(true)) = event.and_then(|event| core.apply(event)) {
+                // Best-effort: a reclaim that misses the journal is not lost
+                // state, just a lease that replay re-issues as outstanding —
+                // it re-expires through the lease clock, the same path a
+                // crashed worker's lease always takes.
+                let _ = core.journal(EventKind::Reclaim, raw);
             }
         }
     }
@@ -547,39 +514,6 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
     for _ in 0..16 {
         if !matches!(stream.read(&mut discard), Ok(n) if n > 0) {
             break;
-        }
-    }
-}
-
-/// Replays the frame's first byte (read without a deadline while the
-/// connection idled) ahead of the deadline-bounded remainder.
-struct FrameInFlight<'a> {
-    first: Option<u8>,
-    rest: DeadlineReader<'a>,
-}
-
-impl io::Read for FrameInFlight<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(byte) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(byte);
-                return Ok(0);
-            }
-            buf[0] = byte;
-            return Ok(1);
-        }
-        self.rest.read(buf)
-    }
-
-    fn read_vectored(&mut self, bufs: &mut [io::IoSliceMut<'_>]) -> io::Result<usize> {
-        match self.first {
-            // Still owed the replayed byte: one buffer at a time, as the
-            // trait's default does.
-            Some(_) => match bufs.iter_mut().find(|buf| !buf.is_empty()) {
-                Some(buf) => self.read(buf),
-                None => Ok(0),
-            },
-            None => self.rest.read_vectored(bufs),
         }
     }
 }
@@ -599,39 +533,8 @@ fn handle_frame(
     issued: &mut BTreeSet<u64>,
 ) -> ConnOutcome {
     match kind {
-        FrameKind::Request => exchange(
-            shared,
-            payload,
-            EventKind::Request,
-            wire::decode_request,
-            |server, request| {
-                Ok(server
-                    .admit_request(&request)
-                    .map(|grant| (grant, server.published_model())))
-            },
-            |admission| {
-                if let Ok((grant, _)) = admission {
-                    issued.insert(grant.task_id);
-                }
-                admission_takes_step(admission)
-            },
-            |admission| {
-                let parts = match admission {
-                    Ok((grant, model)) => wire::encode_assignment(&grant, model).into(),
-                    Err(reason) => vec![encode_response(&TaskResponse::Rejected(reason))],
-                };
-                (FrameKind::Response, parts)
-            },
-        ),
-        FrameKind::Result => exchange(
-            shared,
-            payload,
-            EventKind::Result,
-            wire::decode_result,
-            |server, result| server.handle_result_checked(result),
-            ack_takes_step,
-            |ack| (FrameKind::Ack, vec![encode_ack(&ack)]),
-        ),
+        FrameKind::Request => exchange(shared, EventKind::Request, payload, issued),
+        FrameKind::Result => exchange(shared, EventKind::Result, payload, issued),
         FrameKind::Status => {
             let status = snapshot_status(shared);
             ConnOutcome::Reply(FrameKind::StatusReply, vec![encode_status(&status).into()])
@@ -652,27 +555,6 @@ fn handle_frame(
     }
 }
 
-/// Whether the answer to a request moves the cross-process step counter
-/// ([`ServerStatus::steps`]). The live exchange and journal replay both ask
-/// here, so a recovered counter is the one the crashed process would have had.
-pub(crate) fn admission_takes_step<T>(admission: &Result<T, RejectionReason>) -> bool {
-    match admission {
-        // The step is taken when the assignment's result is applied.
-        Ok(_) => false,
-        // An overload rejection is backpressure, not an answer: the worker
-        // still owes this exchange, so the step counter must not move.
-        Err(RejectionReason::Overloaded { .. }) => false,
-        // Terminal rejections consume the worker's turn.
-        Err(_) => true,
-    }
-}
-
-/// The result-side half of [`admission_takes_step`]: only an applied result
-/// completes a step; a duplicate, expired or unsolicited upload does not.
-pub(crate) fn ack_takes_step(ack: &ResultAck) -> bool {
-    ack.disposition == ResultDisposition::Applied
-}
-
 /// Runs `f`, turning its wire error or its panic into the `Fatal` outcome
 /// that cuts the peer off. A panic (a bug, or input the decode layer failed
 /// to reject) stops at this boundary: the offending peer is cut off, the
@@ -687,32 +569,40 @@ fn guarded<T>(what: &str, f: impl FnOnce() -> Result<T, WireError>) -> Result<T,
     }
 }
 
-/// One request→response or result→ack exchange. Both message kinds run the
-/// same pipeline: decode → (core mutex: handle → step count → journal
-/// append → cadence checkpoint → counters) → encode.
+/// The answer to an exchange, decided under the core mutex and encoded
+/// after it.
+enum Reply {
+    /// A granted task and the core's published model for it.
+    Assignment(TaskGrant, Bytes),
+    Rejected(RejectionReason),
+    Ack(ResultAck),
+}
+
+/// One request→response or result→ack exchange: [`Event::decode`] →
+/// (core mutex: [`Core::apply`] → published model → [`Core::journal`] →
+/// counters) → encode.
 ///
 /// One hold of the mutex covers only what orders the model's trajectory:
 /// admission or apply, the step count, the journal append and the cadence
-/// checkpoint. The payload is decoded before the lock is taken (a result's
-/// megabyte gradient is copied out of the frame while other exchanges
-/// apply), and the reply is encoded after it is released; an assignment's
-/// model is the core's published body, shared rather than copied. A decode
-/// error or panic ends in the same `Fatal` as one in the handler, and
-/// neither is journaled. The cadence checkpoint holds the mutex only to
-/// snapshot the core and rotate the journal; the container is written off
-/// the exchange path, and a failed write answers the exchange of the next
-/// cadence checkpoint with `Fatal("checkpoint failed: …")`. `takes_step`
-/// says whether the reply moves the cross-process step counter.
-fn exchange<M, T>(
+/// checkpoint, plus fetching the published model a grant goes out with.
+/// The payload is decoded before the lock is taken (a result's megabyte
+/// gradient is copied out of the frame while other exchanges apply), and
+/// the reply is encoded after it is released; an assignment's model is the
+/// core's published body, shared rather than copied. A decode error or
+/// panic ends in the same `Fatal` as one in the core, and neither is
+/// journaled. A granted task id enters `issued` before its request is
+/// journaled, so a connection that dies on a failed append still reclaims
+/// it. The cadence checkpoint holds the mutex only to snapshot the core and
+/// rotate the journal; the container is written off the exchange path, and
+/// a failed write answers the exchange of the next cadence checkpoint with
+/// `Fatal("checkpoint failed: …")`.
+fn exchange(
     shared: &Shared,
+    kind: EventKind,
     payload: Vec<u8>,
-    event: EventKind,
-    decode: impl FnOnce(Bytes) -> Result<M, WireError>,
-    handle: impl FnOnce(&mut FleetServer, M) -> Result<T, WireError>,
-    takes_step: impl FnOnce(&T) -> bool,
-    encode: impl FnOnce(T) -> (FrameKind, Vec<Bytes>),
+    issued: &mut BTreeSet<u64>,
 ) -> ConnOutcome {
-    let what = match event {
+    let what = match kind {
         EventKind::Request => "request",
         EventKind::Result => "result",
         EventKind::Reclaim => "reclaim",
@@ -720,40 +610,42 @@ fn exchange<M, T>(
     // The frame's buffer, shared from here on: the decoder and the journal
     // each get a view of it (`clone` bumps a reference count), never a copy.
     let raw = Bytes::from(payload);
-    let message = match guarded(what, || decode(raw.clone())) {
-        Ok(message) => message,
+    let event = match guarded(what, || Event::decode(kind, raw.clone())) {
+        Ok(event) => event,
         Err(fatal) => return fatal,
     };
     let reply = {
         let mut core = shared.core.lock().expect("core mutex");
-        let Core {
-            server,
-            steps,
-            durable,
-        } = &mut *core;
         // `catch_unwind` *inside* the guard: a panic in the core stops here
         // instead of unwinding through the guard and poisoning the mutex for
         // every other connection.
-        let reply = match guarded(what, || handle(server, message)) {
+        let reply = guarded(what, || {
+            Ok(match core.apply(event)? {
+                Outcome::Admission(Ok(grant)) => {
+                    Reply::Assignment(grant, core.server.published_model())
+                }
+                Outcome::Admission(Err(reason)) => Reply::Rejected(reason),
+                Outcome::Ack(ack) => Reply::Ack(ack),
+                Outcome::Reclaimed(_) => unreachable!("no frame kind decodes to a reclaim"),
+            })
+        });
+        let reply = match reply {
             Ok(reply) => reply,
             Err(fatal) => return fatal,
         };
-        if takes_step(&reply) {
-            *steps += 1;
+        if let Reply::Assignment(grant, _) = &reply {
+            issued.insert(grant.task_id);
         }
         // Journal before replying, whatever the reply: even a rejected
         // request mutates controller/profiler state and even a Duplicate
         // result advances the logical clock's expiry sweep, so replay must
         // see every exchange to reconverge bit-for-bit.
-        if let Some(durable) = durable {
-            if let Err(err) = durable.append(event, raw) {
-                return ConnOutcome::Fatal(format!("journal append failed: {err}"));
-            }
-            let checkpointed = match durable.maybe_checkpoint(server, *steps) {
-                Ok(wrote) => wrote,
-                Err(err) => return ConnOutcome::Fatal(format!("checkpoint failed: {err}")),
-            };
-            if let Some(sink) = shared.config.telemetry.get() {
+        let checkpointed = match core.journal(kind, raw) {
+            Ok(checkpointed) => checkpointed,
+            Err(message) => return ConnOutcome::Fatal(message),
+        };
+        if let Some(sink) = shared.config.telemetry.get() {
+            if core.durable.is_some() {
                 sink.add(Counter::JournalAppends, 1);
                 if checkpointed {
                     sink.add(Counter::Checkpoints, 1);
@@ -762,7 +654,17 @@ fn exchange<M, T>(
         }
         reply
     };
-    let (kind, parts) = encode(reply);
+    let (kind, parts) = match reply {
+        Reply::Assignment(grant, model) => (
+            FrameKind::Response,
+            wire::encode_assignment(&grant, model).into(),
+        ),
+        Reply::Rejected(reason) => (
+            FrameKind::Response,
+            vec![encode_response(&TaskResponse::Rejected(reason))],
+        ),
+        Reply::Ack(ack) => (FrameKind::Ack, vec![encode_ack(&ack)]),
+    };
     ConnOutcome::Reply(kind, parts)
 }
 

@@ -28,8 +28,10 @@
 #                           FLEET_NUM_THREADS settings and equal to the
 #                           pinned loadgen value), the kernel, conv and
 #                           wire/checkpoint codec suites, fleet-durability's
-#                           tests and the transport's durability_restart
-#                           tests again in a release build (the
+#                           tests and the transport's unit tests (replay
+#                           equals live at every crash point) and
+#                           durability_restart tests again in a release
+#                           build (the
 #                           checkpoint writer thread races the appends
 #                           differently under the optimiser), the
 #                           transport's copy_budget tests in a release
@@ -333,9 +335,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     # The durable store writes its checkpoints on a thread of their own while
     # the caller keeps appending; its suites (slicing CRC against the
     # bytewise oracle, failed writes and rotations, a crash between snapshot
-    # and rename) again at release speed, where that interleaving differs.
+    # and rename), the transport's unit tests (replay equals live at every
+    # crash point, each copied while the writer may be mid-write) and its
+    # restart tests again at release speed, where that interleaving differs.
     echo "==> durable store and restart tests (release build)"
     cargo test --release -q -p fleet-durability
+    cargo test --release -q -p fleet-transport --lib
     cargo test --release -q -p fleet-transport --test durability_restart
 
     # The data path's allocation budget (bodies allocated per wire byte, and
