@@ -12,7 +12,8 @@
 //!   in isolation (8→48 channels, 5x5 on 8x8).
 //! * `table1_emnist_step_im2col` / `table1_cifar100_step_im2col` — the other
 //!   two Table 1 topologies, for the perf trajectory.
-//! * `maxpool2d_forward_24x24` — the row-vectorised pooling sweep.
+//! * `maxpool2d_forward_24x24` — the MNIST model's first pool (3x3 at
+//!   stride 3): one whole-window scan per output element.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fleet_ml::models::{table1_cifar100_cnn, table1_emnist_cnn, table1_mnist_cnn};

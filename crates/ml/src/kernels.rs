@@ -16,10 +16,15 @@
 //!   buffer).
 //!
 //! All layouts run the same `MR × NR` register-tiled micro-kernel (partial
-//! sums held in registers, remainders falling back to row-axpy loops); the
-//! accumulating variants seed the tile registers from the existing output,
-//! so every element stays one fused chain. Work is split across threads by
-//! contiguous output rows via [`fleet_parallel::parallel_chunks_mut`].
+//! sums held in registers); the accumulating variants seed the tile
+//! registers from the existing output, so every element stays one fused
+//! chain. In the NN and TN kernels a narrow column tail (`n % NR`, all of
+//! `n` when `n < NR`) goes through the tile too: its columns are packed into
+//! a zero-padded `[k × NR]` panel, the padded lanes compute chains on zeros
+//! that are dropped, and the real lanes compute exactly the chain a
+//! per-column loop would. Only the row tail (`rows % MR`) falls back to
+//! row-axpy loops. Work is split across threads by contiguous output rows
+//! via [`fleet_parallel::parallel_chunks_mut`].
 //!
 //! # B-panel packing
 //!
@@ -103,9 +108,11 @@ const DOT_LANES: usize = 32;
 /// Below this many fused multiply-adds (~50 µs of work) spawning the fan-out
 /// costs more than the arithmetic; kernels stay on the calling thread.
 /// Fan-out is also suppressed automatically inside `fleet_parallel` slots,
-/// so the simulation's per-task gradients never nest fan-outs. The im2col
-/// convolution layer reuses the same budget to gate its batch fan-out.
-pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 19;
+/// so the simulation's per-task gradients never nest fan-outs. It gates the
+/// kernels' own row fan-out only: no layer fans out (the im2col convolution
+/// runs its batch on the calling thread, see `layers::conv`), and no GEMM of
+/// the Table 1 MNIST CNN at batch 32 reaches it.
+const PAR_FLOP_THRESHOLD: usize = 1 << 19;
 
 /// Minimum number of full `MR`-row groups in a chunk before the NN kernel
 /// packs `B` panels: one group reads the panel exactly once, so packing only
@@ -151,12 +158,54 @@ fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
-/// Packs the `NR`-wide column panel `b[:, j0..j0+NR]` of a row-major `[k, n]`
-/// matrix into `panel[p*NR + j] = b[p][j0 + j]`.
+/// Packs the column panel `b[:, j0..j0+NR]` of a row-major `[k, n]` matrix
+/// into `panel[p*NR + j] = b[p][j0 + j]`. A panel that runs past `n` (the
+/// column tail) is zero-padded to the full `NR` lanes.
 fn pack_b_panel(b: &[f32], panel: &mut [f32], k: usize, n: usize, j0: usize) {
+    let width = NR.min(n - j0);
     for p in 0..k {
-        panel[p * NR..p * NR + NR].copy_from_slice(&b[p * n + j0..p * n + j0 + NR]);
+        let dst = &mut panel[p * NR..p * NR + NR];
+        let src = &b[p * n + j0..p * n + j0 + width];
+        if width == NR {
+            dst.copy_from_slice(src);
+        } else {
+            dst[..width].copy_from_slice(src);
+            dst[width..].fill(0.0);
+        }
     }
+}
+
+/// Runs the register tile over the column tail `j0 = n - n % NR .. n` of
+/// every full `MR`-row group in `tiled`: the tail of `b` (a `[k, n]`
+/// operand) is packed zero-padded ([`pack_b_panel`]), each group's tail is
+/// staged in a full-width `MR × NR` block (seeded from the output, for the
+/// accumulating tile), `tile(panel, stage, g)` runs the tile of group `g`
+/// on both, and only the real columns are copied back. A real lane's chain
+/// has the same operands, order and seed as a per-column axpy loop's.
+fn tile_column_tail(
+    tiled: &mut [f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    tile: impl Fn(&[f32], &mut [f32], usize),
+) {
+    let j0 = n - n % NR;
+    if j0 == n || tiled.is_empty() {
+        return;
+    }
+    with_pack_buf(k * NR, |panel| {
+        pack_b_panel(b, panel, k, n, j0);
+        for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
+            let mut stage = [0.0f32; MR * NR];
+            for (lane, row) in stage.chunks_exact_mut(NR).zip(group.chunks_exact(n)) {
+                lane[..n - j0].copy_from_slice(&row[j0..]);
+            }
+            tile(panel, &mut stage, g);
+            for (lane, row) in stage.chunks_exact(NR).zip(group.chunks_exact_mut(n)) {
+                row[j0..].copy_from_slice(&lane[..n - j0]);
+            }
+        }
+    });
 }
 
 /// Packs `NR` rows `b[j0..j0+NR, :]` of a row-major `[n, k]` matrix
@@ -276,18 +325,19 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
 ///
 /// Full `MR`-row groups run the register-tiled micro-kernel over `NR`-column
 /// panels — packed into a contiguous thread-local buffer first when the chunk
-/// sweeps each panel at least [`PACK_MIN_GROUPS`] times; row/column remainders
-/// fall back to the axpy loop. Either way each output element
-/// accumulates over `p` in ascending order, so neither the partition into
-/// tiles (and threads) nor the packing gate ever changes the numerics.
+/// sweeps each panel at least [`PACK_MIN_GROUPS`] times — and over their
+/// zero-padded column tail ([`tile_column_tail`]); the row tail falls back to
+/// the axpy loop. Either way each output element accumulates over `p` in
+/// ascending order from zero, so neither the partition into tiles (and
+/// threads) nor the packing gate ever changes the numerics.
 fn matmul_rows(a: &[f32], b: &[f32], chunk: &mut [f32], first_row: usize, k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = chunk.len() / n;
     let n_main = n - n % NR;
-    let full_groups = rows / MR;
-    if full_groups >= PACK_MIN_GROUPS && n_main > 0 && n > NR {
+    let full_groups = chunk.len() / n / MR;
+    let (tiled, row_tail) = chunk.split_at_mut(full_groups * MR * n);
+    if full_groups >= PACK_MIN_GROUPS && n > NR {
         // Panel-outer sweep: pack b[:, j0..j0+NR] once, reuse it for every
         // MR-row group of the chunk. (With n == NR, `b` already *is* one
         // contiguous panel — the n > NR gate above skips the no-op copy and
@@ -295,59 +345,28 @@ fn matmul_rows(a: &[f32], b: &[f32], chunk: &mut [f32], first_row: usize, k: usi
         with_pack_buf(k * NR, |panel| {
             for j0 in (0..n_main).step_by(NR) {
                 pack_b_panel(b, panel, k, n, j0);
-                for g in 0..full_groups {
-                    let group = &mut chunk[g * MR * n..(g + 1) * MR * n];
+                for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
                     tile_nn(a, panel, NR, 0, group, first_row + g * MR, k, n, j0, false);
                 }
             }
         });
-        // Row tail (rows % MR) over the full width, and column tail
-        // (n % NR) of the tiled rows: fused axpy, same per-element chains.
-        for r in full_groups * MR..rows {
-            let a_row = &a[(first_row + r) * k..(first_row + r) * k + k];
-            let out_row = &mut chunk[r * n..(r + 1) * n];
-            out_row.fill(0.0);
-            for (p, &av) in a_row.iter().enumerate() {
-                axpy(out_row, &b[p * n..p * n + n], av);
-            }
-        }
-        if n_main < n {
-            for r in 0..full_groups * MR {
-                let a_row = &a[(first_row + r) * k..(first_row + r) * k + k];
-                let tail = &mut chunk[r * n + n_main..(r + 1) * n];
-                tail.fill(0.0);
-                for (p, &av) in a_row.iter().enumerate() {
-                    axpy(tail, &b[p * n + n_main..(p + 1) * n], av);
-                }
-            }
-        }
-        return;
-    }
-    for (group_idx, group) in chunk.chunks_mut(MR * n).enumerate() {
-        let row0 = first_row + group_idx * MR;
-        if group.len() == MR * n {
+    } else {
+        for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
             for j0 in (0..n_main).step_by(NR) {
-                tile_nn(a, b, n, j0, group, row0, k, n, j0, false);
+                tile_nn(a, b, n, j0, group, first_row + g * MR, k, n, j0, false);
             }
-            if n_main < n {
-                for (i, out_row) in group.chunks_mut(n).enumerate() {
-                    let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
-                    let tail = &mut out_row[n_main..];
-                    tail.fill(0.0);
-                    for (p, &av) in a_row.iter().enumerate() {
-                        axpy(tail, &b[p * n + n_main..(p + 1) * n], av);
-                    }
-                }
-            }
-        } else {
-            // Fewer than MR rows remain: plain axpy rows.
-            for (i, out_row) in group.chunks_mut(n).enumerate() {
-                let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
-                out_row.fill(0.0);
-                for (p, &av) in a_row.iter().enumerate() {
-                    axpy(out_row, &b[p * n..p * n + n], av);
-                }
-            }
+        }
+    }
+    tile_column_tail(tiled, b, k, n, |panel, stage, g| {
+        tile_nn(a, panel, NR, 0, stage, first_row + g * MR, k, NR, 0, false);
+    });
+    // Fewer than MR rows remain: plain axpy rows.
+    let row0 = first_row + full_groups * MR;
+    for (i, out_row) in row_tail.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
+        out_row.fill(0.0);
+        for (p, &av) in a_row.iter().enumerate() {
+            axpy(out_row, &b[p * n..p * n + n], av);
         }
     }
 }
@@ -420,7 +439,8 @@ pub fn matmul_tn_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 
 /// Accumulates `chunk += aᵀ[first_row.., :] · b` for `chunk.len() / n` rows.
 ///
-/// Same tiling as [`matmul_rows`], except the `MR` input scalars per `p` come
+/// Same tiling as [`matmul_rows`] (unpacked main panels, a zero-padded
+/// column tail, axpy row tail), except the `MR` input scalars per `p` come
 /// from a row of `a` (adjacent columns) and the tile accumulates *onto* the
 /// output, seeding its registers from the existing values so the fused chain
 /// is identical to the remainder path's (see [`tile_tn`]).
@@ -437,28 +457,20 @@ fn matmul_tn_rows(
         return;
     }
     let n_main = n - n % NR;
-    for (group_idx, group) in chunk.chunks_mut(MR * n).enumerate() {
-        let row0 = first_row + group_idx * MR;
-        if group.len() == MR * n {
-            for j0 in (0..n_main).step_by(NR) {
-                tile_tn(a, b, group, row0, m, k, n, j0);
-            }
-            if n_main < n {
-                for (i, out_row) in group.chunks_mut(n).enumerate() {
-                    let col = row0 + i;
-                    let tail = &mut out_row[n_main..];
-                    for p in 0..k {
-                        axpy(tail, &b[p * n + n_main..(p + 1) * n], a[p * m + col]);
-                    }
-                }
-            }
-        } else {
-            for (i, out_row) in group.chunks_mut(n).enumerate() {
-                let col = row0 + i;
-                for p in 0..k {
-                    axpy(out_row, &b[p * n..p * n + n], a[p * m + col]);
-                }
-            }
+    let full_groups = chunk.len() / n / MR;
+    let (tiled, row_tail) = chunk.split_at_mut(full_groups * MR * n);
+    for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
+        for j0 in (0..n_main).step_by(NR) {
+            tile_tn(a, b, n, j0, group, first_row + g * MR, m, k, n, j0);
+        }
+    }
+    tile_column_tail(tiled, b, k, n, |panel, stage, g| {
+        tile_tn(a, panel, NR, 0, stage, first_row + g * MR, m, k, NR, 0);
+    });
+    let row0 = first_row + full_groups * MR;
+    for (i, out_row) in row_tail.chunks_exact_mut(n).enumerate() {
+        for p in 0..k {
+            axpy(out_row, &b[p * n..p * n + n], a[p * m + row0 + i]);
         }
     }
 }
@@ -470,6 +482,8 @@ fn matmul_tn_rows(
 /// remainder axpy path produces. Seeding (rather than adding a zero-based
 /// accumulator at the end) is what keeps rows bit-identical no matter whether
 /// the thread partition routes them through the tile or the remainder path.
+/// As in [`tile_nn`], `b` is the full `[k, n]` operand (`b_stride = n`,
+/// `bj = j0`) or a packed `[k × NR]` panel (`b_stride = NR`, `bj = 0`).
 #[expect(
     clippy::too_many_arguments,
     reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
@@ -477,6 +491,8 @@ fn matmul_tn_rows(
 fn tile_tn(
     a: &[f32],
     b: &[f32],
+    b_stride: usize,
+    bj: usize,
     group: &mut [f32],
     row0: usize,
     m: usize,
@@ -489,7 +505,9 @@ fn tile_tn(
         lane.copy_from_slice(&group[i * n + j0..i * n + j0 + NR]);
     }
     for p in 0..k {
-        let b_lane: &[f32; NR] = b[p * n + j0..p * n + j0 + NR].try_into().unwrap();
+        let b_lane: &[f32; NR] = b[p * b_stride + bj..p * b_stride + bj + NR]
+            .try_into()
+            .unwrap();
         let a_lane: &[f32; MR] = a[p * m + row0..p * m + row0 + MR].try_into().unwrap();
         for i in 0..MR {
             let av = a_lane[i];
@@ -950,6 +968,71 @@ mod tests {
             matmul_tn_rows(&a, &b, chunk, c * 4, m, k, n);
         }
         assert_eq!(bits(&whole), bits(&split), "partition changed TN bits");
+    }
+
+    /// The scalar oracle of the NN and TN contract: element `(i, j)` is one
+    /// `mul_add` chain over ascending `p` of `a_at(i, p) · b[p][j]`, started
+    /// from `seed[i][j]`.
+    fn chain_reference(
+        a_at: impl Fn(usize, usize) -> f32,
+        b: &[f32],
+        seed: &[f32],
+        (m, k, n): (usize, usize, usize),
+    ) -> Vec<f32> {
+        (0..m * n)
+            .map(|e| {
+                let (i, j) = (e / n, e % n);
+                (0..k).fold(seed[e], |acc, p| a_at(i, p).mul_add(b[p * n + j], acc))
+            })
+            .collect()
+    }
+
+    mod narrow_tails {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn narrow_tails_are_the_same_chain(
+                m in 1usize..=14,
+                k in 1usize..=40,
+                n in 1usize..=40,
+                salt in 0u64..1000,
+                poisoned in any::<bool>(),
+            ) {
+                // The range covers n < NR, n % NR != 0, and m on both sides
+                // of PACK_MIN_GROUPS·MR = NT_PACK_MIN_ROWS (unpacked and
+                // packed main panels), with a row tail or without one.
+                let mut a = fill_pattern(m * k, 2.0, salt);
+                let mut b = fill_pattern(k * n, 2.0, salt ^ 0xABCD);
+                if poisoned {
+                    for (i, v) in a.iter_mut().chain(b.iter_mut()).enumerate() {
+                        match (i + salt as usize) % 29 {
+                            3 => *v = f32::NAN,
+                            11 => *v = f32::INFINITY,
+                            19 => *v = f32::NEG_INFINITY,
+                            _ => {}
+                        }
+                    }
+                }
+                let stale = fill_pattern(m * n, 1.0, salt ^ 0x5EED);
+                let what = format!("{m}x{k}x{n} salt {salt} poisoned {poisoned}");
+
+                // matmul overwrites whatever `out` held: chains start at 0.0.
+                let mut out = stale.clone();
+                matmul(&a, &b, &mut out, m, k, n);
+                let zeros = vec![0.0; m * n];
+                let expected = chain_reference(|i, p| a[i * k + p], &b, &zeros, (m, k, n));
+                prop_assert_eq!(bits(&out), bits(&expected), "nn {}", what);
+
+                // matmul_tn_acc extends the chains already in `out`.
+                let a_t = transpose(&a, m, k); // stored [k, m]
+                let mut out = stale.clone();
+                matmul_tn_acc(&a_t, &b, &mut out, m, k, n);
+                let expected = chain_reference(|i, p| a_t[p * m + i], &b, &stale, (m, k, n));
+                prop_assert_eq!(bits(&out), bits(&expected), "tn {}", what);
+            }
+        }
     }
 
     #[test]

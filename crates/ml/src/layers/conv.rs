@@ -11,14 +11,17 @@
 //!   `K = in_channels · kernel²` patch rows in `(ic, ky, kx)`-ascending order
 //!   and `N = oh · ow` output positions — and computes
 //!   `out_b = W · cols_b + bias` with the register-tiled
-//!   [`crate::kernels::matmul`] (`W` reshaped `[out_channels, K]`).
-//! * **Backward** reuses the *same* workspace: `dW += dY_b · cols_bᵀ` via the
-//!   fused [`crate::kernels::matmul_nt_acc`] straight into the gradient
-//!   buffer (layers with few output channels compute the bit-identical
-//!   transposed product instead — see [`GW_TRANSPOSE_MAX_OC`]), and
-//!   `d(cols_b) = Wᵀ · dY_b` via [`crate::kernels::matmul_tn_acc`] followed
-//!   by a col2im scatter-add into `grad_input`. As the first layer of a
-//!   model the input-gradient GEMM + scatter is skipped entirely
+//!   [`crate::kernels::matmul`] (`W` reshaped `[out_channels, K]`) right
+//!   after lowering image `b`, while its columns are still in cache.
+//! * **Backward** reuses the *same* workspace, image by image in ascending
+//!   order: `d(cols_b) = Wᵀ · dY_b` via [`crate::kernels::matmul_tn_acc`]
+//!   followed by a col2im scatter-add into `grad_input`, then
+//!   `dW += dY_b · cols_bᵀ` via the fused [`crate::kernels::matmul_nt_acc`]
+//!   straight into the gradient buffer (layers with few output channels
+//!   compute the bit-identical transposed product instead — see
+//!   [`GW_TRANSPOSE_MAX_OC`]) and the bias sums, every channel's chain
+//!   extended in one pass over the positions. As the first layer of a model
+//!   the input-gradient GEMM + scatter is skipped entirely
 //!   ([`Layer::backward_input_unneeded`]).
 //!
 //! The column workspace, the cached input, the `d(cols)` and transposed
@@ -27,9 +30,20 @@
 //! itself keeps only its parameters and gradients across steps. The columns
 //! and cached input stay with the layer from forward to backward and go back
 //! to the pool at [`Layer::release_scratch`]; the rest go back as soon as
-//! their pass is done with them. The batch fan-out's spawned slots start
-//! with empty pools, so a parallel backward pass allocates its `d(cols)`
-//! once per slot.
+//! their pass is done with them.
+//!
+//! # One core per gradient
+//!
+//! The layer does not fan its batch out: both passes run on the calling
+//! thread, and only the kernels keep their own fan-out above their work
+//! threshold (which no GEMM of the Table 1 MNIST CNN at batch 32 reaches).
+//! A FLeet worker's task is one mini-batch gradient, so the cores are
+//! better spent on other tasks than on splitting one: a per-image fan-out
+//! cost five spawns per MNIST gradient (fleetbench's `parallel.fanout_us`,
+//! ≈ 35–58 µs each against ≈ 4–5 µs inline) and moved every activation
+//! between the cores' private caches, and on the two-core reference host
+//! `FLEET_NUM_THREADS=1` ran `train_inproc` faster than the default two
+//! threads did (numbers in `fleet_parallel`'s crate docs).
 //!
 //! # Determinism
 //!
@@ -38,9 +52,8 @@
 //! ascending-`k` accumulation visit the `(input, weight)` products of an
 //! output element in the order a direct loop nest would, so each output
 //! element is one fixed fused-multiply-add chain — identical across thread
-//! counts. Batch parallelism (gated on a work threshold, like the kernels'
-//! own fan-out) splits *whole images* across threads; per-image
-//! work is independent, so the partition cannot reassociate anything.
+//! counts. Images are independent except for the weight and bias gradients,
+//! which accumulate in ascending image order.
 //!
 //! The seed repository's direct loop nest survives as a test-only oracle
 //! (`forward_direct` / `backward_direct`). It rounds each product and add
@@ -199,8 +212,9 @@ impl Conv2d {
         Tensor::relend(&mut self.cached_input, input.shape()).copy_from(input);
     }
 
-    /// im2col forward: lower every image, then one GEMM + bias broadcast per
-    /// image, both phases batch-parallel above the work threshold.
+    /// im2col forward, one image at a time: lower image `b` into its slice
+    /// of the workspace, then `out_b = W · cols_b + bias` while those
+    /// columns are still in cache.
     fn forward_im2col(&mut self, input: &Tensor, batch: usize, oh: usize, ow: usize) -> Tensor {
         let (h, w) = (input.shape()[2], input.shape()[3]);
         let (in_c, out_c, kernel, stride) = (
@@ -211,46 +225,34 @@ impl Conv2d {
         );
         let kk = in_c * kernel * kernel;
         let n = oh * ow;
+        let img_len = in_c * h * w;
         scratch::give(std::mem::take(&mut self.cols));
         self.cols = scratch::take(batch * kk * n);
-        let parallel = batch * out_c * kk * n >= kernels::PAR_FLOP_THRESHOLD;
-
-        // Phase 1: lower images into the workspace (disjoint per image).
-        let in_data = input.data();
-        let img_len = in_c * h * w;
-        let lower = |first_image: usize, chunk: &mut [f32]| {
-            for (i, cols_b) in chunk.chunks_mut(kk * n).enumerate() {
-                let img = &in_data[(first_image + i) * img_len..][..img_len];
-                im2col_image(img, cols_b, in_c, h, w, kernel, stride, oh, ow);
-            }
-        };
-        if parallel {
-            fleet_parallel::parallel_chunks_mut(&mut self.cols, kk * n, lower);
-        } else {
-            lower(0, &mut self.cols);
-        }
-
-        // Phase 2: out_b = W · cols_b + bias (disjoint per image, workspace
-        // now read-only).
         let mut out = Tensor::lent(&[batch, out_c, oh, ow]);
+        let out_data = out.data_mut();
+        let in_data = input.data();
         let w_data = self.weights.data();
         let bias = self.bias.data();
-        let cols = &self.cols;
-        let gemm = |first_image: usize, chunk: &mut [f32]| {
-            for (i, out_b) in chunk.chunks_mut(out_c * n).enumerate() {
-                let b = first_image + i;
-                kernels::matmul(w_data, &cols[b * kk * n..][..kk * n], out_b, out_c, kk, n);
-                for (row, &bv) in out_b.chunks_mut(n).zip(bias) {
-                    for o in row {
-                        *o += bv;
-                    }
+        for b in 0..batch {
+            let cols_b = &mut self.cols[b * kk * n..][..kk * n];
+            let out_b = &mut out_data[b * out_c * n..][..out_c * n];
+            im2col_image(
+                &in_data[b * img_len..][..img_len],
+                cols_b,
+                in_c,
+                h,
+                w,
+                kernel,
+                stride,
+                oh,
+                ow,
+            );
+            kernels::matmul(w_data, cols_b, out_b, out_c, kk, n);
+            for (row, &bv) in out_b.chunks_mut(n).zip(bias) {
+                for o in row {
+                    *o += bv;
                 }
             }
-        };
-        if parallel {
-            fleet_parallel::parallel_chunks_mut(out.data_mut(), out_c * n, gemm);
-        } else {
-            gemm(0, out.data_mut());
         }
         out
     }
@@ -310,11 +312,12 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// im2col backward: `d(cols) = Wᵀ·dY` + col2im scatter per image
-    /// (batch-parallel), then `dW += dY·colsᵀ` and the bias row sums
-    /// accumulated in image order. With `need_input_grad` unset (first layer
-    /// of a model) the whole input-gradient GEMM + scatter phase is skipped
-    /// and `None` is returned.
+    /// im2col backward, one image at a time in ascending order: image `b`'s
+    /// input gradient (`d(cols_b) = Wᵀ·dY_b` scattered back by col2im), then
+    /// its `dW += dY_b·cols_bᵀ` and bias sums, which extend the gradient
+    /// chains in place. With `need_input_grad` unset (first layer of a model)
+    /// the input-gradient GEMM and scatter are skipped and `None` is
+    /// returned.
     fn backward_im2col(
         &mut self,
         grad_output: &Tensor,
@@ -333,47 +336,19 @@ impl Conv2d {
         );
         let kk = in_c * kernel * kernel;
         let n = oh * ow;
-        let go = grad_output.data();
-        let w_data = self.weights.data();
         let img_len = in_c * h * w;
-        let grad_input = if need_input_grad {
+        let mut grad_input = need_input_grad.then(|| {
             let mut grad_input = Tensor::lent(input.shape());
             grad_input.fill(0.0);
-            // Per-image input gradients: dcols_b = Wᵀ·dY_b, scattered back
-            // to image geometry. Disjoint per image, so batch-parallel; each
-            // slot borrows its `d(cols)` from its own thread's pool.
-            let scatter = |first_image: usize, chunk: &mut [f32]| {
-                let mut dcols = scratch::take(kk * n);
-                for (i, gi_b) in chunk.chunks_mut(img_len).enumerate() {
-                    let b = first_image + i;
-                    dcols.fill(0.0);
-                    kernels::matmul_tn_acc(
-                        w_data,
-                        &go[b * out_c * n..][..out_c * n],
-                        &mut dcols,
-                        kk,
-                        out_c,
-                        n,
-                    );
-                    col2im_add(&dcols, gi_b, in_c, h, w, kernel, stride, oh, ow);
-                }
-                scratch::give(dcols);
-            };
-            if batch * kk * out_c * n >= kernels::PAR_FLOP_THRESHOLD {
-                fleet_parallel::parallel_chunks_mut(grad_input.data_mut(), img_len, scatter);
-            } else {
-                scatter(0, grad_input.data_mut());
-            }
-            Some(grad_input)
+            grad_input
+        });
+        let mut dcols = if need_input_grad {
+            scratch::take(kk * n)
         } else {
-            None
+            Vec::new()
         };
-
-        // dW/db accumulate serially in image order over the forward-lowered
-        // workspace (the fan-out inside the GEMM still parallelises large
-        // products); the fused accumulating kernel extends the existing
-        // gradient chains in place. Small-`oc` layers compute the product
-        // transposed — bit-identical, far less memory traffic (see
+        // Small-`oc` layers compute the weight gradient transposed —
+        // bit-identical, far less memory traffic (see
         // [`GW_TRANSPOSE_MAX_OC`]).
         let transposed = out_c < GW_TRANSPOSE_MAX_OC && kk >= out_c;
         let mut gwt = if transposed {
@@ -381,11 +356,19 @@ impl Conv2d {
         } else {
             Vec::new()
         };
+        let go = grad_output.data();
+        let w_data = self.weights.data();
         let gw = self.grad_weights.data_mut();
         let gb = self.grad_bias.data_mut();
         for b in 0..batch {
             let go_b = &go[b * out_c * n..][..out_c * n];
             let cols_b = &self.cols[b * kk * n..][..kk * n];
+            if let Some(grad_input) = grad_input.as_mut() {
+                dcols.fill(0.0);
+                kernels::matmul_tn_acc(w_data, go_b, &mut dcols, kk, out_c, n);
+                let gi_b = &mut grad_input.data_mut()[b * img_len..][..img_len];
+                col2im_add(&dcols, gi_b, in_c, h, w, kernel, stride, oh, ow);
+            }
             if transposed {
                 kernels::matmul_nt(cols_b, go_b, &mut gwt, kk, n, out_c);
                 for (i, gw_row) in gw.chunks_mut(kk).enumerate() {
@@ -396,14 +379,9 @@ impl Conv2d {
             } else {
                 kernels::matmul_nt_acc(go_b, cols_b, gw, out_c, n, kk);
             }
-            for (g, row) in gb.iter_mut().zip(go_b.chunks(n)) {
-                let mut sum = *g;
-                for &v in row {
-                    sum += v;
-                }
-                *g = sum;
-            }
+            add_row_sums(gb, go_b, n);
         }
+        scratch::give(dcols);
         scratch::give(gwt);
         grad_input
     }
@@ -464,6 +442,39 @@ impl Conv2d {
             }
         }
         Ok(grad_input)
+    }
+}
+
+/// Channels whose bias sums [`add_row_sums`] keeps in flight at once.
+const BIAS_LANES: usize = 8;
+
+/// `sums[c] += Σ_pos rows[c][pos]` over the `n`-long rows of a
+/// `[sums.len(), n]` matrix. Each channel's sum is the same serial chain as
+/// `for v in row { sum += v }` — seeded with `sums[c]`, ascending `pos` —
+/// but one pass over the positions extends up to [`BIAS_LANES`] channels'
+/// chains together, so their adds overlap instead of each waiting on the
+/// last.
+fn add_row_sums(sums: &mut [f32], rows: &[f32], n: usize) {
+    if n == 0 {
+        return;
+    }
+    let mut groups = sums.chunks_exact_mut(BIAS_LANES);
+    let mut group_rows = rows.chunks_exact(BIAS_LANES * n);
+    for (sums, rows) in (&mut groups).zip(&mut group_rows) {
+        let mut acc: [f32; BIAS_LANES] = (&*sums).try_into().expect("a full group");
+        for pos in 0..n {
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a += rows[c * n + pos];
+            }
+        }
+        sums.copy_from_slice(&acc);
+    }
+    // The last `sums.len() % BIAS_LANES` channels: the same pass, in place.
+    let (sums, rows) = (groups.into_remainder(), group_rows.remainder());
+    for pos in 0..n {
+        for (c, s) in sums.iter_mut().enumerate() {
+            *s += rows[c * n + pos];
+        }
     }
 }
 
@@ -750,6 +761,36 @@ mod tests {
             let direct_bits: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
             let transposed_bits: Vec<u32> = transposed.iter().map(|v| v.to_bits()).collect();
             assert_eq!(direct_bits, transposed_bits, "oc={oc} kk={kk} n={n}");
+        }
+    }
+
+    #[test]
+    fn interleaved_bias_sums_equal_serial_per_channel_sums() {
+        // `add_row_sums` interleaves the channels' chains; each channel must
+        // still be the serial ascending-position chain from its seed. Values
+        // span many magnitudes, so any reordering would show in the bits.
+        for channels in [1usize, 7, 8, 9, 17, 48] {
+            for n in [1usize, 3, 16, 37, 576] {
+                let rows: Vec<f32> = (0..channels * n)
+                    .map(|i| (i as f32 * 0.618).sin() * 10f32.powi((i % 9) as i32 - 4))
+                    .collect();
+                let seed: Vec<f32> = (0..channels).map(|c| (c as f32 * 1.3).cos()).collect();
+                let serial: Vec<f32> = seed
+                    .iter()
+                    .zip(rows.chunks(n))
+                    .map(|(&s, row)| {
+                        let mut sum = s;
+                        for &v in row {
+                            sum += v;
+                        }
+                        sum
+                    })
+                    .collect();
+                let mut interleaved = seed.clone();
+                add_row_sums(&mut interleaved, &rows, n);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&interleaved), bits(&serial), "{channels} x {n}");
+            }
         }
     }
 

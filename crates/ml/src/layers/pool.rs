@@ -8,14 +8,16 @@ use crate::{MlError, Result};
 /// 2-D max-pooling over `[batch, channels, height, width]` inputs.
 ///
 /// The paper's Table 1 uses pooling windows of 2x2, 3x3 and 4x4 with matching
-/// strides; this layer supports any window/stride combination.
+/// strides (and 3x3 at stride 2 for CIFAR-100); this layer supports any
+/// window/stride combination.
 ///
-/// The forward pass sweeps each window tap `(ky, kx)` across the whole output
-/// row at once — a branchless compare-and-select over `ox`, the long
-/// dimension, which the compiler vectorises — instead of gathering the full
-/// window per output element. Ties keep the semantics of the scalar
-/// reference: the *first* window position (in `(ky, kx)` order) to reach the
-/// maximum wins the argmax, and NaN inputs never win (a `>` comparison).
+/// The forward pass scans the whole window of each output element in
+/// `(ky, kx)` order with the running max and argmax in registers, and writes
+/// the element once (monomorphised for windows 2–4). Ties keep the semantics
+/// of the scalar reference: the *first* window position (in `(ky, kx)`
+/// order) to reach the maximum wins the argmax, and NaN inputs never win (a
+/// `>` comparison); a window with no winner (all NaN or −∞) yields −∞ and
+/// argmax 0.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
@@ -56,59 +58,46 @@ impl MaxPool2d {
     }
 }
 
-/// One window row of strided pooling: every output element scans its `W`
-/// contiguous candidates starting at `ox·stride`, visiting them in the same
-/// strictly-greater order as the sliding-tap sweep.
-fn strided_row<const W: usize>(
-    out_row: &mut [f32],
-    arg_row: &mut [u32],
-    in_row: &[f32],
-    row_base: u32,
-    stride: usize,
-) {
-    for (ox, (o, a)) in out_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
-        let base = ox * stride;
-        let win: &[f32; W] = in_row[base..base + W].try_into().unwrap();
-        let mut best = *o;
-        let mut arg = *a;
-        for (kx, &x) in win.iter().enumerate() {
-            let gt = x > best;
-            best = if gt { x } else { best };
-            arg = if gt {
-                row_base + (base + kx) as u32
-            } else {
-                arg
-            };
-        }
-        *o = best;
-        *a = arg;
-    }
-}
-
-/// [`strided_row`] for window sizes outside the monomorphised set.
-fn strided_row_dyn(
-    out_row: &mut [f32],
-    arg_row: &mut [u32],
-    in_row: &[f32],
-    row_base: u32,
+/// Max-pools one `[h, w]` input plane whose first element has flat index
+/// `plane_base` into its `[oh, ow]` output and argmax planes. Each output
+/// element scans its whole window, rows `ky` then columns `kx` ascending,
+/// starting from −∞ and argmax 0. `W` is the window when it is monomorphised
+/// (Table 1's 2–4, so the scan unrolls); `W = 0` reads `window` instead.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
+fn pool_plane<const W: usize>(
+    plane: &[f32],
+    plane_base: usize,
+    out: &mut [f32],
+    argmax: &mut [u32],
+    w: usize,
+    ow: usize,
     stride: usize,
     window: usize,
 ) {
-    for (ox, (o, a)) in out_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
-        let base = ox * stride;
-        let mut best = *o;
-        let mut arg = *a;
-        for (kx, &x) in in_row[base..base + window].iter().enumerate() {
-            let gt = x > best;
-            best = if gt { x } else { best };
-            arg = if gt {
-                row_base + (base + kx) as u32
-            } else {
-                arg
-            };
+    let window = if W == 0 { window } else { W };
+    let rows = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
+    for (oy, (out_row, arg_row)) in rows.enumerate() {
+        for (ox, (o, a)) in out_row.iter_mut().zip(arg_row).enumerate() {
+            let mut best = f32::NEG_INFINITY;
+            let mut arg = 0;
+            for ky in 0..window {
+                let at = (oy * stride + ky) * w + ox * stride;
+                for (kx, &x) in plane[at..at + window].iter().enumerate() {
+                    let gt = x > best;
+                    best = if gt { x } else { best };
+                    arg = if gt {
+                        (plane_base + at + kx) as u32
+                    } else {
+                        arg
+                    };
+                }
+            }
+            *o = best;
+            *a = arg;
         }
-        *o = best;
-        *a = arg;
     }
 }
 
@@ -143,56 +132,32 @@ impl Layer for MaxPool2d {
             input.len() <= u32::MAX as usize,
             "MaxPool2d input too large for u32 argmax indices"
         );
-        let data = input.data();
         let out_len = batch * channels * oh * ow;
         let mut out = Tensor::lent(&[batch, channels, oh, ow]);
-        out.fill(f32::NEG_INFINITY);
         scratch::give(std::mem::take(&mut self.cached_argmax));
         self.cached_argmax = scratch::take(out_len);
-        self.cached_argmax.fill(0);
-        let out_data = out.data_mut();
-        let (window, stride) = (self.window, self.stride);
-        for plane in 0..batch * channels {
-            for oy in 0..oh {
-                let out_row = &mut out_data[(plane * oh + oy) * ow..][..ow];
-                let arg_row = &mut self.cached_argmax[(plane * oh + oy) * ow..][..ow];
-                for ky in 0..window {
-                    let iy = oy * stride + ky;
-                    let in_row = &data[(plane * h + iy) * w..][..w];
-                    let row_base = ((plane * h + iy) * w) as u32;
-                    if stride == 1 {
-                        // Sliding windows: sweep each contiguous tap across
-                        // the whole output row (compare-and-select over the
-                        // long dimension).
-                        for kx in 0..window {
-                            let src = &in_row[kx..kx + ow];
-                            for (ox, ((o, a), &x)) in out_row
-                                .iter_mut()
-                                .zip(arg_row.iter_mut())
-                                .zip(src)
-                                .enumerate()
-                            {
-                                let gt = x > *o;
-                                *o = if gt { x } else { *o };
-                                *a = if gt { row_base + (ox + kx) as u32 } else { *a };
-                            }
-                        }
-                    } else {
-                        // Strided windows: per output element, scan the
-                        // contiguous window with the running max/argmax in
-                        // registers. Monomorphised per Table-1 window size
-                        // so the scan fully unrolls without bounds checks.
-                        match window {
-                            2 => strided_row::<2>(out_row, arg_row, in_row, row_base, stride),
-                            3 => strided_row::<3>(out_row, arg_row, in_row, row_base, stride),
-                            4 => strided_row::<4>(out_row, arg_row, in_row, row_base, stride),
-                            _ => {
-                                strided_row_dyn(out_row, arg_row, in_row, row_base, stride, window)
-                            }
-                        }
-                    }
-                }
-            }
+        let pool = match self.window {
+            2 => pool_plane::<2>,
+            3 => pool_plane::<3>,
+            4 => pool_plane::<4>,
+            _ => pool_plane::<0>,
+        };
+        let planes = input
+            .data()
+            .chunks_exact(h * w)
+            .zip(out.data_mut().chunks_exact_mut(oh * ow))
+            .zip(self.cached_argmax.chunks_exact_mut(oh * ow));
+        for (p, ((plane, out_plane), arg_plane)) in planes.enumerate() {
+            pool(
+                plane,
+                p * h * w,
+                out_plane,
+                arg_plane,
+                w,
+                ow,
+                self.stride,
+                self.window,
+            );
         }
         self.cached_input_shape.clear();
         self.cached_input_shape.extend_from_slice(shape);
@@ -301,30 +266,49 @@ mod tests {
         assert!(pool.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
     }
 
-    /// Reference implementation: the pre-vectorisation per-element gather.
-    fn reference_pool(
+    /// The previous forward pass, kept as the oracle: outputs pre-filled
+    /// with −∞ and argmax 0, then every window row `ky` swept into the whole
+    /// output row — each tap across the row for stride 1, each element's
+    /// `kx` run for larger strides.
+    fn sweep_oracle(
         data: &[f32],
         (batch, channels, h, w): (usize, usize, usize, usize),
         window: usize,
         stride: usize,
-    ) -> (Vec<f32>, Vec<usize>) {
+    ) -> (Vec<f32>, Vec<u32>) {
         let oh = (h - window) / stride + 1;
         let ow = (w - window) / stride + 1;
         let mut out = vec![f32::NEG_INFINITY; batch * channels * oh * ow];
-        let mut argmax = vec![0usize; out.len()];
-        for b in 0..batch {
-            for c in 0..channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let out_idx = ((b * channels + c) * oh + oy) * ow + ox;
-                        for ky in 0..window {
-                            for kx in 0..window {
-                                let in_idx = ((b * channels + c) * h + oy * stride + ky) * w
-                                    + ox * stride
-                                    + kx;
-                                if data[in_idx] > out[out_idx] {
-                                    out[out_idx] = data[in_idx];
-                                    argmax[out_idx] = in_idx;
+        let mut argmax = vec![0u32; out.len()];
+        for plane in 0..batch * channels {
+            for oy in 0..oh {
+                let out_row = &mut out[(plane * oh + oy) * ow..][..ow];
+                let arg_row = &mut argmax[(plane * oh + oy) * ow..][..ow];
+                for ky in 0..window {
+                    let iy = oy * stride + ky;
+                    let in_row = &data[(plane * h + iy) * w..][..w];
+                    let row_base = ((plane * h + iy) * w) as u32;
+                    if stride == 1 {
+                        for kx in 0..window {
+                            let src = &in_row[kx..kx + ow];
+                            for (ox, ((o, a), &x)) in out_row
+                                .iter_mut()
+                                .zip(arg_row.iter_mut())
+                                .zip(src)
+                                .enumerate()
+                            {
+                                let gt = x > *o;
+                                *o = if gt { x } else { *o };
+                                *a = if gt { row_base + (ox + kx) as u32 } else { *a };
+                            }
+                        }
+                    } else {
+                        for (ox, (o, a)) in out_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
+                            let base = ox * stride;
+                            for (kx, &x) in in_row[base..base + window].iter().enumerate() {
+                                if x > *o {
+                                    *o = x;
+                                    *a = row_base + (base + kx) as u32;
                                 }
                             }
                         }
@@ -335,38 +319,77 @@ mod tests {
         (out, argmax)
     }
 
-    /// Shape/stride regression for the row-vectorised forward: every
-    /// window/stride combination Table 1 uses (and a non-matching pair with
-    /// overlap, and one with gaps) must reproduce the scalar reference — max
-    /// values, argmax routing and output shape — including duplicate maxima,
-    /// where the first window position must keep winning.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs the layer and the oracle on `data` and requires equal output
+    /// bits, argmax indices and shapes.
+    fn assert_matches_sweep(
+        data: Vec<f32>,
+        dims: (usize, usize, usize, usize),
+        window: usize,
+        stride: usize,
+    ) {
+        let (batch, channels, h, w) = dims;
+        let (expected, exp_argmax) = sweep_oracle(&data, dims, window, stride);
+        let mut pool = MaxPool2d::new(window, stride);
+        let out = pool
+            .forward(&Tensor::from_vec(data, &[batch, channels, h, w]))
+            .unwrap();
+        let (oh, ow) = ((h - window) / stride + 1, (w - window) / stride + 1);
+        let what = format!("w{window}/s{stride} {dims:?}");
+        assert_eq!(out.shape(), &[batch, channels, oh, ow], "shape {what}");
+        assert_eq!(bits(out.data()), bits(&expected), "values {what}");
+        assert_eq!(pool.cached_argmax, exp_argmax, "argmax {what}");
+    }
+
+    /// Every window/stride combination Table 1 uses, a non-matching pair
+    /// with overlap, one with gaps and a stride-1 window must reproduce the
+    /// sweep, duplicate maxima included (the first window position keeps
+    /// winning).
     #[test]
-    fn vectorised_forward_matches_reference_across_shapes_and_strides() {
+    fn forward_matches_the_sweep_across_table1_shapes_and_strides() {
         for &(window, stride) in &[(2, 2), (3, 3), (4, 4), (3, 2), (2, 3), (3, 1)] {
-            let (batch, channels, h, w) = (2, 3, 11, 13);
+            let dims = (2, 3, 11, 13);
             // Coarse value grid so duplicate maxima occur inside windows.
-            let data: Vec<f32> = (0..batch * channels * h * w)
+            let data: Vec<f32> = (0..2 * 3 * 11 * 13)
                 .map(|i| ((i * 37) % 11) as f32 - 5.0)
                 .collect();
-            let input = Tensor::from_vec(data.clone(), &[batch, channels, h, w]);
-            let mut pool = MaxPool2d::new(window, stride);
-            let out = pool.forward(&input).unwrap();
-            let oh = (h - window) / stride + 1;
-            let ow = (w - window) / stride + 1;
-            assert_eq!(
-                out.shape(),
-                &[batch, channels, oh, ow],
-                "w{window}/s{stride}"
-            );
-            let (expected, exp_argmax) =
-                reference_pool(&data, (batch, channels, h, w), window, stride);
-            assert_eq!(
-                out.data(),
-                expected.as_slice(),
-                "values w{window}/s{stride}"
-            );
-            let got_argmax: Vec<usize> = pool.cached_argmax.iter().map(|&v| v as usize).collect();
-            assert_eq!(got_argmax, exp_argmax, "argmax w{window}/s{stride}");
+            assert_matches_sweep(data, dims, window, stride);
+        }
+    }
+
+    mod sweep_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn whole_window_scan_equals_the_sweep(
+                window in 1usize..=5,
+                stride in 1usize..=4,
+                batch in 1usize..=2,
+                channels in 1usize..=3,
+                extra_h in 0usize..=8,
+                extra_w in 0usize..=8,
+                salt in 0usize..1000,
+            ) {
+                // A coarse grid (ties inside windows) laced with NaN, ±∞ and
+                // both zeros; a 1x1 window over NaN or −∞ has no winner.
+                let (h, w) = (window + extra_h, window + extra_w);
+                let data: Vec<f32> = (0..batch * channels * h * w)
+                    .map(|i| match (i * 7 + salt) % 19 {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 | 3 => f32::NEG_INFINITY,
+                        4 => -0.0,
+                        5 => 0.0,
+                        r => (r % 5) as f32 - 2.0,
+                    })
+                    .collect();
+                assert_matches_sweep(data, (batch, channels, h, w), window, stride);
+            }
         }
     }
 

@@ -16,8 +16,10 @@
 //!
 //! A lent buffer's contents are unspecified (stale data from its previous
 //! borrower), so every borrower overwrites or zero-fills what it reads. The
-//! pool lives in a `thread_local!`: a fan-out slot's spawned thread starts
-//! with an empty one and frees it when the thread exits.
+//! pool lives in a `thread_local!`. No layer fans out, so a pass borrows
+//! from its calling thread's pool only; a thread that runs gradients (a
+//! simulation's scoped round slot, say) starts with an empty pool and frees
+//! it when it exits.
 
 use std::cell::RefCell;
 

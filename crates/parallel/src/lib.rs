@@ -21,6 +21,17 @@
 //! gained only ≈ 6 %. Callers keep fan-outs coarse (the kernels gate on a
 //! work threshold), so a spawn is paid once per large call.
 //!
+//! A fan-out inside one worker gradient did not pay either. The convolution
+//! layer used to split its batch over five fan-outs per MNIST gradient;
+//! with it, `train_inproc` (seed 42, 15 s, three runs per setting) ran at
+//! 343–377 tasks/s with `FLEET_NUM_THREADS=1` against 264–336 at the
+//! default two threads. With the layer on one core the two settings gave
+//! 356–455 and 318–409 tasks/s (six runs each, both orders), all above the
+//! fan-out's best. Nothing on that workload's measured path reads the thread
+//! count any more; the gap left is unexplained (one candidate, unverified:
+//! glibc's single-threaded malloc fast path, which a process leaves once it
+//! has spawned a thread, as the set-up's schedule generation does).
+//!
 //! # Determinism contract
 //!
 //! All helpers partition work into *contiguous* ranges and write each output

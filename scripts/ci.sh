@@ -26,7 +26,7 @@
 #                           must equal the uninterrupted trajectory), the
 #                           loadgen schedule digest (bit-identical at two
 #                           FLEET_NUM_THREADS settings and equal to the
-#                           pinned loadgen value), the kernel, conv and
+#                           pinned loadgen value), the kernel, conv, pool and
 #                           wire/checkpoint codec suites, fleet-durability's
 #                           tests and the transport's unit tests (replay
 #                           equals live at every crash point) and
@@ -37,8 +37,9 @@
 #                           transport's copy_budget tests in a release
 #                           build (the allocation count that ships is the
 #                           optimised one), fleet-ml's
-#                           scratch pool budget and stale-buffer tests at
-#                           FLEET_NUM_THREADS=1 and 7, bench smoke
+#                           scratch pool budget (no spawn allowance) and
+#                           stale-buffer tests at FLEET_NUM_THREADS=1 and 7,
+#                           bench smoke
 #                           (the kernel,
 #                           shard and conv criterion benches run once and
 #                           write an untracked BENCH_<name>.json; nothing
@@ -213,8 +214,8 @@ if [[ "${1:-}" != "--quick" ]]; then
     # The kernels promise bit-for-bit identical results on any thread count.
     # Sweep three and require one digest per contract — the lockstep
     # sharded-simulation digest, the CNN training digest (which drives the
-    # im2col convolution engine, pooling and the batch fan-out) and the
-    # per-shard asynchronous-apply digest (vector-clock staleness over the
+    # im2col convolution engine, pooling and the kernels' column tails) and
+    # the per-shard asynchronous-apply digest (vector-clock staleness over the
     # scripted flush schedule). Each must also match the value pinned in
     # scripts/expected_digests.txt: a cross-combination mismatch means a
     # fan-out partition reassociated a reduction; a drift from the pinned
@@ -323,13 +324,16 @@ if [[ "${1:-}" != "--quick" ]]; then
         echo "==> re-pinned scripts/expected_digests.txt (commit it deliberately)"
     fi
 
-    # The kernel reference suites, the direct-vs-im2col parity suite and the
+    # The kernel reference suites (narrow column tails against a scalar
+    # fused chain), the direct-vs-im2col parity suite, the pooling suite
+    # (whole-window scan against the per-row sweep oracle) and the
     # wire/checkpoint codec suites (bit-exact bulk vector proptests, golden
     # vectors) again under the optimiser: tier-1 above ran them in a debug
     # build, and the vectorised release lowering is what ships.
     echo "==> kernel, conv and codec parity tests (release build)"
     cargo test --release -q -p fleet-ml kernels
     cargo test --release -q -p fleet-ml conv
+    cargo test --release -q -p fleet-ml pool
     cargo test --release -q -p fleet-server -- wire checkpoint
 
     # The durable store writes its checkpoints on a thread of their own while
@@ -350,10 +354,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo test --release -q -p fleet-transport --test copy_budget
 
     # Every transient layer buffer is lent by a thread-local scratch pool.
-    # The allocation budget (a warm pool lends a new replica its whole pass)
-    # and the stale-buffer suite (a warm pool's gradients equal a fresh
-    # thread's bit for bit) again at the inline width and a wide fan-out,
-    # whose spawned slots each borrow from a pool of their own.
+    # The allocation budget (a warm pool lends a new replica its whole pass,
+    # with no allowance for spawning) and the stale-buffer suite (a warm
+    # pool's gradients equal a fresh thread's bit for bit) again at the
+    # inline width and a wide one: the MNIST pass spawns nothing at either,
+    # so a layer fan-out that came back fails the budget at 7 threads.
     echo "==> scratch pool budget and reuse tests (FLEET_NUM_THREADS=1/7)"
     for threads in 1 7; do
         FLEET_NUM_THREADS=$threads cargo test --release -q -p fleet-ml \
