@@ -5,8 +5,8 @@
 //! get a machine-readable record of the perf trajectory. The key rows:
 //!
 //! * `matmul_256_blocked`, `matmul_tn_256`, `matmul_nt_256` — the three
-//!   layouts of the blocked/parallel kernel on the acceptance-size
-//!   256x256x256 product.
+//!   layouts of the blocked, register-tiled kernel on the acceptance-size
+//!   256x256x256 product, on the calling thread.
 //! * `matmul_64_dense_blocked` vs `matmul_64_onehot_blocked` — the kernel has
 //!   no `a == 0.0` sparsity skip, so one-hot rows must cost what dense rows
 //!   cost.

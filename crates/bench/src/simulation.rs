@@ -537,12 +537,13 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
 
         // Phase 2 — compute the K independent worker gradients: each fan-out
         // slot clones one model replica and reuses it across its contiguous
-        // run of tasks (one slot, inline, at one thread). Gradient
-        // computation is deterministic (no RNG) and compute_gradient zeroes
-        // accumulated state first, so replica reuse and fan-out both
-        // preserve results bit-for-bit. (Tasks whose request was dropped are
-        // computed and discarded — filtering them here would complicate the
-        // fan-out for no observable difference.)
+        // run of tasks (one slot, inline, at one thread), and each gradient
+        // runs whole on its slot's thread — this fan-out across tasks is the
+        // only one. Gradient computation is deterministic (no RNG) and
+        // compute_gradient zeroes accumulated state first, so replica reuse
+        // and fan-out both preserve results bit-for-bit. (Tasks whose request
+        // was dropped are computed and discarded — filtering them here would
+        // complicate the fan-out for no observable difference.)
         let history = &self.history;
         let replica_of = &*model;
         let gradients: Vec<fleet_ml::Gradient> = fleet_parallel::parallel_map_with(

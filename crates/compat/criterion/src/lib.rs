@@ -209,8 +209,9 @@ fn render_json(results: &[BenchResult]) -> String {
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // Whether the workspace's fan-outs (kernel rows, conv batches,
-    // simulation rounds) ran inline during this record: FLEET_NUM_THREADS
+    // Whether the workspace's fan-outs (the simulation's per-round worker
+    // gradients, the load generator's schedules; the kernels always run on
+    // the calling thread) ran inline during this record: FLEET_NUM_THREADS
     // wins when set (mirroring fleet_parallel::max_threads), else the host's
     // parallelism decides. A single-core artifact's multi-thread numbers
     // measure the serial path — flag it so whoever reads the record does not

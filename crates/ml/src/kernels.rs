@@ -1,5 +1,5 @@
-//! Blocked, parallel `f32` matrix kernels — the hot path of every FLeet
-//! worker gradient computation.
+//! Blocked, register-tiled `f32` matrix kernels — the hot path of every
+//! FLeet worker gradient computation.
 //!
 //! # Design
 //!
@@ -23,19 +23,20 @@
 //! a zero-padded `[k × NR]` panel, the padded lanes compute chains on zeros
 //! that are dropped, and the real lanes compute exactly the chain a
 //! per-column loop would. Only the row tail (`rows % MR`) falls back to
-//! row-axpy loops. Work is split across threads by contiguous output rows
-//! via [`fleet_parallel::parallel_chunks_mut`].
+//! row-axpy loops. Every call runs whole on the calling thread: a learning
+//! task is one gradient on one core, and the parallelism that pays is across
+//! tasks, never inside one kernel call.
 //!
 //! # B-panel packing
 //!
-//! When a chunk sweeps at least `PACK_MIN_GROUPS` full `MR`-row groups, the
+//! When the output has at least `PACK_MIN_GROUPS` full `MR`-row groups, the
 //! NN kernel first copies each `NR`-wide column panel of `B` into a
 //! contiguous `[k × NR]` thread-local buffer and runs the
 //! whole row sweep against the packed panel: the panel is loaded once from
 //! strided memory and then reread `rows / MR` times from L1 with unit stride.
 //! Packing is a pure *layout* change — the tile performs the identical fused
 //! operations in the identical order — so the packed and unpacked paths are
-//! bit-for-bit interchangeable and the gate can key on chunk size freely.
+//! bit-for-bit interchangeable and the gate can key on the row count freely.
 //!
 //! The NT kernels pack the *transposed* `B` rows into the same `[k × NR]`
 //! panel shape and then reuse the NN micro-kernel unchanged. This replaces
@@ -43,9 +44,8 @@
 //! for every output row) with the register-tiled sweep, lifting NT off its
 //! memory-bandwidth plateau. Products with `m < NT_PACK_MIN_ROWS` keep
 //! the blocked-dot formulation: there are not enough row sweeps to amortise
-//! the panel transpose. The branch keys on the full `m` — never the
-//! per-chunk partition — so the numeric structure of each output element is
-//! a function of the shape alone.
+//! the panel transpose. The branch keys on `m`, so the numeric structure of
+//! each output element is a function of the shape alone.
 //!
 //! # One kernel path and its determinism contract
 //!
@@ -64,12 +64,13 @@
 //! metadata; it selects no code.
 //!
 //! A fused multiply-add rounds once per element, and every output element
-//! accumulates over the depth dimension in ascending order regardless of how
-//! tiles or threads partition the output — so results are **bit-for-bit
-//! identical across thread counts**. The tests at the bottom of this file pin
-//! partition- and packing-invariance bitwise, and agreement with the naive
-//! reference to tolerance on dense, one-hot, NaN/Inf and remainder-sized
-//! shapes; the simulation's reproducibility tests depend on it.
+//! accumulates over the depth dimension in ascending order regardless of
+//! which tile, column tail or row tail computes it — and no kernel reads the
+//! thread count — so results are **bit-for-bit identical across thread
+//! counts**. The tests at the bottom of this file pin the tail paths' chains
+//! and packing-invariance bitwise, and agreement with the naive reference to
+//! tolerance on dense, one-hot, NaN/Inf and remainder-sized shapes; the
+//! simulation's reproducibility tests depend on it.
 //!
 //! # The seed kernel's sparsity branch
 //!
@@ -105,19 +106,10 @@ pub(crate) const NR: usize = 16;
 /// large-`k` dot throughput while keeping the scalar tail under 32 elements.
 const DOT_LANES: usize = 32;
 
-/// Below this many fused multiply-adds (~50 µs of work) spawning the fan-out
-/// costs more than the arithmetic; kernels stay on the calling thread.
-/// Fan-out is also suppressed automatically inside `fleet_parallel` slots,
-/// so the simulation's per-task gradients never nest fan-outs. It gates the
-/// kernels' own row fan-out only: no layer fans out (the im2col convolution
-/// runs its batch on the calling thread, see `layers::conv`), and no GEMM of
-/// the Table 1 MNIST CNN at batch 32 reaches it.
-const PAR_FLOP_THRESHOLD: usize = 1 << 19;
-
-/// Minimum number of full `MR`-row groups in a chunk before the NN kernel
-/// packs `B` panels: one group reads the panel exactly once, so packing only
-/// amortises from the second sweep on. Gating on chunk size is safe because
-/// packing never changes the arithmetic (see the module docs).
+/// Minimum number of full `MR`-row groups before the NN kernel packs `B`
+/// panels: one group reads the panel exactly once, so packing only amortises
+/// from the second sweep on. The gate is free to key on the row count
+/// because packing never changes the arithmetic (see the module docs).
 const PACK_MIN_GROUPS: usize = 2;
 
 /// Minimum total rows `m` before the NT kernels use the packed-tile
@@ -127,7 +119,7 @@ const PACK_MIN_GROUPS: usize = 2;
 /// gradient with few output channels and a long position axis is the
 /// motivating small-`m`, large-`k` case). Unlike [`PACK_MIN_GROUPS`] this
 /// gate *changes the numeric structure* (fused chain vs. reduction tree), so
-/// it must key on the full `m` — never the per-chunk partition.
+/// it keys on the shape alone.
 pub(crate) const NT_PACK_MIN_ROWS: usize = 2 * MR;
 
 /// Column block for the NT kernels' blocked-dot path: this many `B` rows
@@ -142,8 +134,7 @@ const DOT_COL_BLOCK: usize = 8;
 thread_local! {
     /// Per-thread B-panel scratch, reused across kernel calls on the same
     /// thread; the buffer grows to the largest `k × NR` panel the thread has
-    /// packed. A fan-out slot runs on a freshly spawned thread, so it starts
-    /// empty and allocates once per fan-out.
+    /// packed, so a kernel call whose panel fits allocates nothing.
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -305,63 +296,51 @@ fn check(name: &str, a: usize, b: usize, out: usize, m: usize, k: usize, n: usiz
 
 /// `out = a · b` with `a: [m,k]`, `b: [k,n]`, `out: [m,n]`, all row-major.
 ///
-/// Cache-blocked and parallel over output rows; `out` is fully overwritten.
+/// Cache-blocked and register-tiled; `out` is fully overwritten.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the dimensions.
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check("matmul", a.len(), b.len(), out.len(), m, k, n);
-    if m * k * n < PAR_FLOP_THRESHOLD {
-        matmul_rows(a, b, out, 0, k, n);
-        return;
-    }
-    fleet_parallel::parallel_chunks_mut(out, n, |first_row, chunk| {
-        matmul_rows(a, b, chunk, first_row, k, n);
-    });
-}
-
-/// Computes `chunk = a[first_row.., :] · b` for `chunk.len() / n` rows.
-///
-/// Full `MR`-row groups run the register-tiled micro-kernel over `NR`-column
-/// panels — packed into a contiguous thread-local buffer first when the chunk
-/// sweeps each panel at least [`PACK_MIN_GROUPS`] times — and over their
-/// zero-padded column tail ([`tile_column_tail`]); the row tail falls back to
-/// the axpy loop. Either way each output element accumulates over `p` in
-/// ascending order from zero, so neither the partition into tiles (and
-/// threads) nor the packing gate ever changes the numerics.
-fn matmul_rows(a: &[f32], b: &[f32], chunk: &mut [f32], first_row: usize, k: usize, n: usize) {
+    // Full `MR`-row groups run the register-tiled micro-kernel over
+    // `NR`-column panels — packed into a contiguous thread-local buffer first
+    // when each panel is swept at least `PACK_MIN_GROUPS` times — and over
+    // their zero-padded column tail (`tile_column_tail`); the row tail falls
+    // back to the axpy loop. Either way each output element accumulates over
+    // `p` in ascending order from zero, so neither the partition into tiles
+    // nor the packing gate ever changes the numerics.
     if n == 0 {
         return;
     }
     let n_main = n - n % NR;
-    let full_groups = chunk.len() / n / MR;
-    let (tiled, row_tail) = chunk.split_at_mut(full_groups * MR * n);
+    let full_groups = m / MR;
+    let (tiled, row_tail) = out.split_at_mut(full_groups * MR * n);
     if full_groups >= PACK_MIN_GROUPS && n > NR {
         // Panel-outer sweep: pack b[:, j0..j0+NR] once, reuse it for every
-        // MR-row group of the chunk. (With n == NR, `b` already *is* one
-        // contiguous panel — the n > NR gate above skips the no-op copy and
-        // the in-place branch below reads it directly.)
+        // MR-row group. (With n == NR, `b` already *is* one contiguous panel
+        // — the n > NR gate above skips the no-op copy and the in-place
+        // branch below reads it directly.)
         with_pack_buf(k * NR, |panel| {
             for j0 in (0..n_main).step_by(NR) {
                 pack_b_panel(b, panel, k, n, j0);
                 for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
-                    tile_nn(a, panel, NR, 0, group, first_row + g * MR, k, n, j0, false);
+                    tile_nn(a, panel, NR, 0, group, g * MR, k, n, j0, false);
                 }
             }
         });
     } else {
         for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
             for j0 in (0..n_main).step_by(NR) {
-                tile_nn(a, b, n, j0, group, first_row + g * MR, k, n, j0, false);
+                tile_nn(a, b, n, j0, group, g * MR, k, n, j0, false);
             }
         }
     }
     tile_column_tail(tiled, b, k, n, |panel, stage, g| {
-        tile_nn(a, panel, NR, 0, stage, first_row + g * MR, k, NR, 0, false);
+        tile_nn(a, panel, NR, 0, stage, g * MR, k, NR, 0, false);
     });
     // Fewer than MR rows remain: plain axpy rows.
-    let row0 = first_row + full_groups * MR;
+    let row0 = full_groups * MR;
     for (i, out_row) in row_tail.chunks_exact_mut(n).enumerate() {
         let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
         out_row.fill(0.0);
@@ -428,46 +407,26 @@ fn tile_nn(
 /// Panics if a slice length disagrees with the dimensions.
 pub fn matmul_tn_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check("matmul_tn_acc", a.len(), b.len(), out.len(), m, k, n);
-    if m * k * n < PAR_FLOP_THRESHOLD {
-        matmul_tn_rows(a, b, out, 0, m, k, n);
-        return;
-    }
-    fleet_parallel::parallel_chunks_mut(out, n, |first_row, chunk| {
-        matmul_tn_rows(a, b, chunk, first_row, m, k, n);
-    });
-}
-
-/// Accumulates `chunk += aᵀ[first_row.., :] · b` for `chunk.len() / n` rows.
-///
-/// Same tiling as [`matmul_rows`] (unpacked main panels, a zero-padded
-/// column tail, axpy row tail), except the `MR` input scalars per `p` come
-/// from a row of `a` (adjacent columns) and the tile accumulates *onto* the
-/// output, seeding its registers from the existing values so the fused chain
-/// is identical to the remainder path's (see [`tile_tn`]).
-fn matmul_tn_rows(
-    a: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    first_row: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+    // Same tiling as `matmul` (unpacked main panels, a zero-padded column
+    // tail, axpy row tail), except the `MR` input scalars per `p` come from a
+    // row of `a` (adjacent columns) and the tile accumulates *onto* the
+    // output, seeding its registers from the existing values so the fused
+    // chain is identical to the remainder path's (see `tile_tn`).
     if n == 0 {
         return;
     }
     let n_main = n - n % NR;
-    let full_groups = chunk.len() / n / MR;
-    let (tiled, row_tail) = chunk.split_at_mut(full_groups * MR * n);
+    let full_groups = m / MR;
+    let (tiled, row_tail) = out.split_at_mut(full_groups * MR * n);
     for (g, group) in tiled.chunks_exact_mut(MR * n).enumerate() {
         for j0 in (0..n_main).step_by(NR) {
-            tile_tn(a, b, n, j0, group, first_row + g * MR, m, k, n, j0);
+            tile_tn(a, b, n, j0, group, g * MR, m, k, n, j0);
         }
     }
     tile_column_tail(tiled, b, k, n, |panel, stage, g| {
-        tile_tn(a, panel, NR, 0, stage, first_row + g * MR, m, k, NR, 0);
+        tile_tn(a, panel, NR, 0, stage, g * MR, m, k, NR, 0);
     });
-    let row0 = first_row + full_groups * MR;
+    let row0 = full_groups * MR;
     for (i, out_row) in row_tail.chunks_exact_mut(n).enumerate() {
         for p in 0..k {
             axpy(out_row, &b[p * n..p * n + n], a[p * m + row0 + i]);
@@ -480,8 +439,8 @@ fn matmul_tn_rows(
 /// is fused, so an output element's value is one fused chain
 /// `out = fma(a_p, b_p, out)` over ascending `p` — exactly the chain the
 /// remainder axpy path produces. Seeding (rather than adding a zero-based
-/// accumulator at the end) is what keeps rows bit-identical no matter whether
-/// the thread partition routes them through the tile or the remainder path.
+/// accumulator at the end) is what keeps a row's bits the same whether it
+/// falls in a full `MR` group (the tile) or in the row tail (the axpy path).
 /// As in [`tile_nn`], `b` is the full `[k, n]` operand (`b_stride = n`,
 /// `bj = j0`) or a packed `[k × NR]` panel (`b_stride = NR`, `bj = 0`).
 #[expect(
@@ -531,7 +490,7 @@ fn tile_tn(
 /// Panics if a slice length disagrees with the dimensions.
 pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check("matmul_nt", a.len(), b.len(), out.len(), m, k, n);
-    matmul_nt_fan_out(a, b, out, m, k, n, false);
+    matmul_nt_into(a, b, out, m, k, n, false);
 }
 
 /// `out += a · bᵀ` — the accumulating variant of [`matmul_nt`], used by the
@@ -545,68 +504,35 @@ pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 /// Panics if a slice length disagrees with the dimensions.
 pub(crate) fn matmul_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check("matmul_nt_acc", a.len(), b.len(), out.len(), m, k, n);
-    matmul_nt_fan_out(a, b, out, m, k, n, true);
+    matmul_nt_into(a, b, out, m, k, n, true);
 }
 
-fn matmul_nt_fan_out(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    acc: bool,
-) {
-    if m * k * n < PAR_FLOP_THRESHOLD {
-        matmul_nt_rows(a, b, out, 0, m, k, n, acc);
-        return;
-    }
-    fleet_parallel::parallel_chunks_mut(out, n, |first_row, chunk| {
-        matmul_nt_rows(a, b, chunk, first_row, m, k, n, acc);
-    });
-}
-
-/// Computes `chunk {=, +=} a[first_row.., :] · bᵀ` for `chunk.len() / n`
-/// rows.
+/// Computes `out {=, +=} a · bᵀ`, the body of [`matmul_nt`] and
+/// [`matmul_nt_acc`].
 ///
 /// Main path: each `NR`-wide group of output columns packs the matching `B`
 /// rows transposed ([`pack_bt_panel`]) and runs the NN micro-kernel over
 /// every `MR`-row group, with row remainders taking the axpy loop over the
 /// same panel (identical fused chains). The column tail (`n % NR`) and the
-/// `m < NT_PACK_MIN_ROWS` case keep the blocked-dot formulation — both
-/// branches key only on the full shape, never the chunk partition, so
-/// results are bit-identical across thread counts.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
-)]
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    first_row: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    acc: bool,
-) {
+/// `m < NT_PACK_MIN_ROWS` case keep the blocked-dot formulation; both
+/// branches key on the shape alone.
+fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if n == 0 {
         return;
     }
-    let rows = chunk.len() / n;
     let n_main = if m < NT_PACK_MIN_ROWS { 0 } else { n - n % NR };
     if n_main > 0 {
-        let full_groups = rows / MR;
+        let full_groups = m / MR;
         with_pack_buf(k * NR, |panel| {
             for j0 in (0..n_main).step_by(NR) {
                 pack_bt_panel(b, panel, k, j0);
                 for g in 0..full_groups {
-                    let group = &mut chunk[g * MR * n..(g + 1) * MR * n];
-                    tile_nn(a, panel, NR, 0, group, first_row + g * MR, k, n, j0, acc);
+                    let group = &mut out[g * MR * n..(g + 1) * MR * n];
+                    tile_nn(a, panel, NR, 0, group, g * MR, k, n, j0, acc);
                 }
-                for r in full_groups * MR..rows {
-                    let a_row = &a[(first_row + r) * k..(first_row + r) * k + k];
-                    let seg = &mut chunk[r * n + j0..r * n + j0 + NR];
+                for r in full_groups * MR..m {
+                    let a_row = &a[r * k..r * k + k];
+                    let seg = &mut out[r * n + j0..r * n + j0 + NR];
                     if !acc {
                         seg.fill(0.0);
                     }
@@ -620,16 +546,15 @@ fn matmul_nt_rows(
     // Blocked-dot columns, in groups of DOT_COL_BLOCK: the block of `b` rows
     // stays L1-resident while every `a` row sweeps it, instead of re-
     // streaming all of `b` per output row. Pure iteration-order change over
-    // independent output elements — bit-identical to the unblocked loop and
-    // independent of the row partition.
+    // independent output elements — bit-identical to the unblocked loop.
     for jb in (n_main..n).step_by(DOT_COL_BLOCK) {
         let jend = (jb + DOT_COL_BLOCK).min(n);
-        for i in 0..rows {
-            let a_row = &a[(first_row + i) * k..(first_row + i) * k + k];
+        for i in 0..m {
+            let a_row = &a[i * k..i * k + k];
             for j in jb..jend {
                 let d = dot(a_row, &b[j * k..j * k + k]);
-                let out = &mut chunk[i * n + j];
-                *out = if acc { *out + d } else { d };
+                let cell = &mut out[i * n + j];
+                *cell = if acc { *cell + d } else { d };
             }
         }
     }
@@ -838,11 +763,10 @@ mod tests {
     }
 
     #[test]
-    fn large_shapes_cross_parallel_threshold_and_agree() {
-        // Above PAR_FLOP_THRESHOLD the thread fan-out and the per-chunk tile
-        // partition are both in play, for every layout.
+    fn large_shapes_cross_threshold_and_agree() {
+        // Many MR-row groups and NR-column panels, with B packed, for every
+        // layout.
         let (m, k, n) = (128, 64, 128);
-        assert!(m * k * n >= PAR_FLOP_THRESHOLD);
         let a = fill_pattern(m * k, 1.0, 0);
         let b = fill_pattern(k * n, 1.0, 1);
         let mut naive = vec![0.0; m * n];
@@ -878,45 +802,22 @@ mod tests {
     }
 
     #[test]
-    fn nt_is_partition_invariant() {
-        // A row must produce identical bits whether the thread partition
-        // routes it through the MR tile or the remainder axpy path, for both
-        // the overwriting and the accumulating variant.
-        let (m, k, n) = (16, 40, 35); // n_main = 32, 3 dot-tail columns
-        let a = fill_pattern(m * k, 1.0, 0);
-        let b = fill_pattern(n * k, 1.0, 1);
-        let init = fill_pattern(m * n, 0.5, 2);
-        for acc in [false, true] {
-            let mut whole = init.clone();
-            matmul_nt_rows(&a, &b, &mut whole, 0, m, k, n, acc);
-            let mut split = init.clone();
-            for c in 0..4 {
-                let chunk = &mut split[c * 4 * n..(c + 1) * 4 * n];
-                matmul_nt_rows(&a, &b, chunk, c * 4, m, k, n, acc);
-            }
-            assert_eq!(
-                bits(&whole),
-                bits(&split),
-                "partition changed NT bits (acc={acc})"
-            );
-        }
-    }
-
-    #[test]
     fn packed_and_unpacked_nn_are_bit_identical() {
-        // The packing gate keys on chunk size, so the two layouts must agree
-        // bitwise. Drive matmul_rows directly: >= PACK_MIN_GROUPS full MR
-        // groups packs, a single group does not.
+        // The packing gate keys on the row count, so the two layouts must
+        // agree bitwise: PACK_MIN_GROUPS full MR groups pack, a single group
+        // does not.
         let (m, k, n) = (2 * MR, 33, 37);
         let a = fill_pattern(m * k, 1.0, 0);
         let b = fill_pattern(k * n, 1.0, 1);
         let mut packed = vec![0.0f32; m * n];
-        matmul_rows(&a, &b, &mut packed, 0, k, n);
+        matmul(&a, &b, &mut packed, m, k, n);
         let mut unpacked = vec![0.0f32; m * n];
-        for c in 0..2 {
-            // One MR group per chunk: below the packing gate.
-            let chunk = &mut unpacked[c * MR * n..(c + 1) * MR * n];
-            matmul_rows(&a, &b, chunk, c * MR, k, n);
+        for (rows, a_rows) in unpacked
+            .chunks_exact_mut(MR * n)
+            .zip(a.chunks_exact(MR * k))
+        {
+            // One MR group per call: below the packing gate.
+            matmul(a_rows, &b, rows, MR, k, n);
         }
         assert_eq!(bits(&packed), bits(&unpacked), "packing changed NN bits");
     }
@@ -942,32 +843,6 @@ mod tests {
     fn dimension_mismatch_panics() {
         let mut out = [0.0; 4];
         matmul(&[1.0; 3], &[1.0; 4], &mut out, 2, 2, 2);
-    }
-
-    #[test]
-    fn tn_accumulate_is_partition_invariant() {
-        // Regression: a row must produce identical bits whether the thread
-        // partition routes it through the MR tile or the remainder path.
-        // Before the accumulators were seeded from the existing output, the
-        // tile added a zero-based sum in one extra rounding, so chunk
-        // boundaries not aligned to MR changed the result with the thread
-        // count.
-        let (m, k, n) = (16, 64, 32);
-        let a = fill_pattern(k * m, 1.0, 0);
-        let b = fill_pattern(k * n, 1.0, 1);
-        let init = fill_pattern(m * n, 0.5, 2);
-        // One chunk of all 16 rows: two full MR=6 groups + 4 remainder rows
-        // (the single-thread partition).
-        let mut whole = init.clone();
-        matmul_tn_rows(&a, &b, &mut whole, 0, m, k, n);
-        // Four 4-row chunks: every row takes the remainder path (the
-        // four-thread partition).
-        let mut split = init.clone();
-        for c in 0..4 {
-            let chunk = &mut split[c * 4 * n..(c + 1) * 4 * n];
-            matmul_tn_rows(&a, &b, chunk, c * 4, m, k, n);
-        }
-        assert_eq!(bits(&whole), bits(&split), "partition changed TN bits");
     }
 
     /// The scalar oracle of the NN and TN contract: element `(i, j)` is one

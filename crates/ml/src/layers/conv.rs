@@ -34,16 +34,15 @@
 //!
 //! # One core per gradient
 //!
-//! The layer does not fan its batch out: both passes run on the calling
-//! thread, and only the kernels keep their own fan-out above their work
-//! threshold (which no GEMM of the Table 1 MNIST CNN at batch 32 reaches).
-//! A FLeet worker's task is one mini-batch gradient, so the cores are
-//! better spent on other tasks than on splitting one: a per-image fan-out
-//! cost five spawns per MNIST gradient (fleetbench's `parallel.fanout_us`,
-//! ≈ 35–58 µs each against ≈ 4–5 µs inline) and moved every activation
-//! between the cores' private caches, and on the two-core reference host
-//! `FLEET_NUM_THREADS=1` ran `train_inproc` faster than the default two
-//! threads did (numbers in `fleet_parallel`'s crate docs).
+//! The layer does not fan its batch out, and neither do the kernels it
+//! calls: both passes run on the calling thread. A FLeet worker's task is
+//! one mini-batch gradient, so the cores are better spent on other tasks
+//! than on splitting one: a per-image fan-out cost five spawns per MNIST
+//! gradient (fleetbench's `parallel.fanout_us`, ≈ 35–58 µs each against
+//! ≈ 4–5 µs inline) and moved every activation between the cores' private
+//! caches, and on the two-core reference host `FLEET_NUM_THREADS=1` ran
+//! `train_inproc` faster than the default two threads did (numbers in
+//! `fleet_parallel`'s crate docs).
 //!
 //! # Determinism
 //!

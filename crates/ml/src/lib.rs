@@ -9,7 +9,7 @@
 //!
 //! * [`Tensor`] — a dense row-major `f32` tensor with the handful of
 //!   operations required by forward/backward passes,
-//! * [`kernels`] — the blocked, thread-parallel matrix kernels behind
+//! * [`kernels`] — the blocked, register-tiled matrix kernels behind
 //!   [`Tensor::matmul`] and its fused variants: one lane-explicit `mul_add`
 //!   path that native (FMA-capable) builds, the supported configuration,
 //!   compile to fused vector instructions,
@@ -35,11 +35,14 @@
 //!    `Aᵀ·B` (accumulating) and `A·Bᵀ` directly on row-major slices, so the
 //!    backward pass never materialises a transpose and weight gradients
 //!    accumulate straight into the layer's gradient buffer.
-//! 2. **Deterministic parallelism.** Large kernels split their *output
-//!    rows* across threads (`fleet_parallel`); every output element is
-//!    produced by a fixed-order loop whose per-element operations are fused
-//!    multiply-adds, so results are bit-for-bit identical for any thread
-//!    count. The async-simulation reproducibility guarantee rests on this.
+//! 2. **Task-level parallelism only.** A learning task is one gradient on
+//!    one core: no kernel or layer spawns a thread or reads the thread
+//!    count, and the cores are used across tasks (the simulation's
+//!    per-round worker slots, the server's connections). Every output
+//!    element is produced by a fixed-order loop whose per-element operations
+//!    are fused multiply-adds, so results are bit-for-bit identical however
+//!    many tasks run side by side. The async-simulation reproducibility
+//!    guarantee rests on this.
 //! 3. **Thread-owned scratch.** Every transient buffer of a pass — im2col
 //!    columns, ReLU masks, pooling argmax indices, cached inputs, each
 //!    activation and input gradient — is lent by one thread-local pool

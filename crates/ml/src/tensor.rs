@@ -181,7 +181,7 @@ impl Tensor {
 
     /// Matrix multiplication of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Runs the blocked, parallel kernel of [`crate::kernels`]; see
+    /// Runs the blocked, register-tiled kernel of [`crate::kernels`]; see
     /// [`Tensor::matmul_into`] for the allocation-free variant.
     ///
     /// # Panics

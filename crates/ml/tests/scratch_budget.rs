@@ -7,12 +7,13 @@
 //! rest clones as nothing but its parameters and gradients.
 //!
 //! The counting allocator is this binary's `#[global_allocator]`. It counts
-//! per thread, and the budget has no allowance for spawning: no layer fans
-//! out and no GEMM of this model at batch 32 reaches the kernels' fan-out
-//! threshold, so a pass at any `FLEET_NUM_THREADS` runs on the calling
-//! thread alone. `scripts/ci.sh` runs these tests at 1 and 7 threads, where
-//! a fan-out that came back would allocate its slots' bookkeeping here.
+//! bytes and calls per thread, and the budget has no allowance for spawning:
+//! neither the layers nor the kernels fan out, so a pass or a kernel call at
+//! any `FLEET_NUM_THREADS` runs on the calling thread alone.
+//! `scripts/ci.sh` runs these tests at 1 and 7 threads, where a fan-out that
+//! came back would allocate its slots' bookkeeping here.
 
+use fleet_ml::kernels;
 use fleet_ml::models::table1_mnist_cnn;
 use fleet_ml::{Sequential, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -24,14 +25,18 @@ thread_local! {
     /// without a destructor, so touching it from inside the allocator
     /// neither allocates nor registers TLS teardown.
     static ALLOCATED_HERE: Cell<u64> = const { Cell::new(0) };
+    /// Allocator calls (allocations and reallocations) made by the current
+    /// thread; const-initialised for the same reason.
+    static CALLS_HERE: Cell<u64> = const { Cell::new(0) };
 }
 
-/// `System`, plus a count of the bytes requested: whole allocations, and the
-/// growth of reallocations.
+/// `System`, plus a count of the calls and of the bytes requested: whole
+/// allocations, and the growth of reallocations.
 struct Counting;
 
 fn count(bytes: usize) {
     let _ = ALLOCATED_HERE.try_with(|here| here.set(here.get() + bytes as u64));
+    let _ = CALLS_HERE.try_with(|here| here.set(here.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -72,9 +77,19 @@ fn allocated_here() -> u64 {
     ALLOCATED_HERE.with(Cell::get)
 }
 
+fn calls_here() -> u64 {
+    CALLS_HERE.with(Cell::get)
+}
+
 /// Bytes a pass may allocate beyond what it returns: tensor shapes and the
 /// per-layer gradient lists — never a buffer.
 const SLACK: u64 = 4 << 10;
+
+/// Allocator calls a replica's first MNIST gradient on a warm thread may
+/// make, as measured (a repeat on the same replica makes 31). Beyond the
+/// gradient returned they add up to under 1 kB — shapes and lists, never a
+/// buffer — so a hole in the scratch pool would show here as extra calls.
+const GRADIENT_CALLS: u64 = 33;
 
 /// A deterministic `[batch, 1, 28, 28]` image batch and its labels.
 fn mnist_batch(batch: usize, salt: usize) -> (Tensor, Vec<usize>) {
@@ -100,16 +115,49 @@ fn a_replica_computes_its_first_gradient_on_the_threads_warm_scratch() {
     }
 
     for (k, replica) in replicas.iter_mut().enumerate().skip(1) {
-        let before = allocated_here();
+        let (bytes_before, calls_before) = (allocated_here(), calls_here());
         let (_, gradient) = replica
             .compute_gradient(&inputs, &labels)
             .expect("replica gradient");
-        let allocated = allocated_here() - before;
+        let allocated = allocated_here() - bytes_before;
+        let calls = calls_here() - calls_before;
         let returned = 4 * gradient.len() as u64;
         assert!(
             allocated <= returned + SLACK,
             "replica {k}'s first gradient allocated {allocated} B on this thread; \
              the gradient it returns is {returned} B"
+        );
+        assert!(
+            calls <= GRADIENT_CALLS,
+            "replica {k}'s first gradient made {calls} allocator calls on this thread; \
+             the budget is {GRADIENT_CALLS}"
+        );
+    }
+}
+
+#[test]
+fn a_warm_kernel_call_allocates_nothing_on_the_calling_thread() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    const N: usize = 256;
+    let a: Vec<f32> = (0..N * N).map(|i| (i as f32 * 0.001).sin()).collect();
+    let b: Vec<f32> = (0..N * N).map(|i| (i as f32 * 0.002).cos()).collect();
+    let mut out = vec![0.0f32; N * N];
+    let all: [(&str, Kernel); 3] = [
+        ("matmul", kernels::matmul),
+        ("matmul_tn_acc", kernels::matmul_tn_acc),
+        ("matmul_nt", kernels::matmul_nt),
+    ];
+    for (name, kernel) in all {
+        // The first call may grow this thread's packing buffer.
+        kernel(&a, &b, &mut out, N, N, N);
+        let before = allocated_here();
+        kernel(&a, &b, &mut out, N, N, N);
+        let allocated = allocated_here() - before;
+        assert_eq!(
+            allocated, 0,
+            "a warm {N}x{N}x{N} {name} allocated {allocated} B on this thread: \
+             a kernel call must run whole on its caller, spawning nothing"
         );
     }
 }

@@ -2,11 +2,13 @@
 //! `std::thread::scope`.
 //!
 //! This is the workspace's stand-in for `rayon` (which is unavailable in the
-//! network-less build environment), with a rayon-like surface:
-//! [`parallel_chunks_mut`] for disjoint in-place work (the matmul kernels),
-//! [`parallel_map`] for independent computations and [`parallel_map_with`]
-//! for per-thread scratch state (the per-round worker gradients in
-//! `fleet_bench::AsyncSimulation`).
+//! network-less build environment), with a rayon-like surface. Its callers
+//! fan out across *tasks*, never inside one: [`parallel_map_with`] gives each
+//! slot one model replica for the per-round worker gradients in
+//! `fleet_bench::AsyncSimulation`, and [`parallel_map`] generates the load
+//! generator's per-worker schedules. [`parallel_chunks_mut`] has no caller in
+//! the workspace any more; it stays because the frozen benchmark's
+//! fan-out-versus-inline probe calls it.
 //!
 //! # Why no pool
 //!
@@ -18,19 +20,20 @@
 //! side, `FLEET_NUM_THREADS=1` against the pool gave `serve_cifar`
 //! 1 467–1 537 tasks/s against 1 479–1 505, `serve_tiny` and
 //! `serve_durable` sat inside each other's spread too, and `train_inproc`
-//! gained only ≈ 6 %. Callers keep fan-outs coarse (the kernels gate on a
-//! work threshold), so a spawn is paid once per large call.
+//! gained only ≈ 6 %. Callers keep fan-outs coarse, so a spawn is paid once
+//! per batch of tasks.
 //!
-//! A fan-out inside one worker gradient did not pay either. The convolution
-//! layer used to split its batch over five fan-outs per MNIST gradient;
-//! with it, `train_inproc` (seed 42, 15 s, three runs per setting) ran at
-//! 343–377 tasks/s with `FLEET_NUM_THREADS=1` against 264–336 at the
-//! default two threads. With the layer on one core the two settings gave
+//! A fan-out inside one worker gradient did not pay either, and none is
+//! left. The convolution layer used to split its batch over five fan-outs
+//! per MNIST gradient; with it, `train_inproc` (seed 42, 15 s, three runs
+//! per setting) ran at 343–377 tasks/s with `FLEET_NUM_THREADS=1` against
+//! 264–336 at the default two threads. With the layer on one core the two settings gave
 //! 356–455 and 318–409 tasks/s (six runs each, both orders), all above the
-//! fan-out's best. Nothing on that workload's measured path reads the thread
-//! count any more; the gap left is unexplained (one candidate, unverified:
-//! glibc's single-threaded malloc fast path, which a process leaves once it
-//! has spawned a thread, as the set-up's schedule generation does).
+//! fan-out's best. The GEMM kernels' row fan-out, which only a lone large
+//! gradient ever reached, went the same way. Nothing on that workload's
+//! measured path reads the thread count; the gap left is unexplained (a
+//! warm gradient makes ~31 allocator calls, too few for a per-call malloc
+//! cost to explain it).
 //!
 //! # Determinism contract
 //!
@@ -40,29 +43,21 @@
 //! partition depends only on the work size and [`max_threads`]. Nothing here
 //! may introduce reduction-order nondeterminism; keep it that way.
 //!
-//! # Thread count and nesting
+//! # Thread count
 //!
 //! [`max_threads`] honours a [`set_max_threads`] override, then
 //! `FLEET_NUM_THREADS`, then `std::thread::available_parallelism`. With one
-//! thread every helper runs the work inline and spawns nothing. Fan-out
-//! slots run with nested fan-out suppressed: a parallel kernel called from
-//! inside a [`parallel_map`] task executes inline instead of spawning
-//! `threads²` threads. A panicking slot's own payload reaches the caller
-//! after every slot has finished.
+//! thread every helper runs the work inline and spawns nothing. Nothing
+//! guards against nesting: no task run in a slot calls back into this crate,
+//! and one that did would spawn up to `threads²` threads. A panicking slot's
+//! own payload reaches the caller after every slot has finished.
 
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 static THREADS: OnceLock<usize> = OnceLock::new();
-
-thread_local! {
-    /// True while this thread is executing a fan-out slot; parallel helpers
-    /// run inline instead of nesting another fan-out.
-    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Maximum worker threads: the [`set_max_threads`] override if one was
 /// installed, else env `FLEET_NUM_THREADS`, else the hardware's available
@@ -91,34 +86,6 @@ pub fn set_max_threads(threads: usize) -> bool {
     threads > 0 && THREADS.set(threads).is_ok()
 }
 
-fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
-    /// Restores the flag even when `f` unwinds: slot 0 runs on the calling
-    /// thread, which may catch the panic and keep going, so a leaked `true`
-    /// would silently disable all future parallelism on it.
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0;
-            IN_PARALLEL_REGION.with(|flag| flag.set(prev));
-        }
-    }
-    let _restore = Restore(IN_PARALLEL_REGION.with(|flag| flag.replace(true)));
-    f()
-}
-
-#[cfg(test)]
-fn in_parallel_region() -> bool {
-    IN_PARALLEL_REGION.with(Cell::get)
-}
-
-fn fan_out_width(work_items: usize) -> usize {
-    if IN_PARALLEL_REGION.with(Cell::get) {
-        1
-    } else {
-        max_threads().min(work_items)
-    }
-}
-
 /// Runs `task(slot, part)` for every part, slot 0 on the calling thread and
 /// the rest on scoped threads, and returns the results in slot order.
 ///
@@ -141,10 +108,10 @@ where
     std::thread::scope(|scope| {
         let spawned: Vec<_> = parts
             .enumerate()
-            .map(|(i, part)| scope.spawn(move || run_as_worker(|| task(i + 1, part))))
+            .map(|(i, part)| scope.spawn(move || task(i + 1, part)))
             .collect();
         let mut out = Vec::with_capacity(spawned.len() + 1);
-        out.push(run_as_worker(|| task(0, first)));
+        out.push(task(0, first));
         for handle in spawned {
             match handle.join() {
                 Ok(result) => out.push(result),
@@ -160,8 +127,8 @@ where
 /// parallel. `unit` is the indivisible block length (e.g. one matrix row);
 /// every chunk is a multiple of `unit` except possibly the last.
 ///
-/// Runs inline when the data is a single block, only one thread is
-/// available, or the caller is itself a fan-out slot.
+/// Runs inline when the data is a single block or only one thread is
+/// available.
 ///
 /// # Panics
 ///
@@ -173,7 +140,7 @@ where
 {
     assert!(unit > 0, "unit block length must be positive");
     let blocks = data.len().div_ceil(unit);
-    let threads = fan_out_width(blocks);
+    let threads = max_threads().min(blocks);
     if threads <= 1 {
         f(0, data);
         return;
@@ -186,7 +153,7 @@ where
 
 /// Maps `f` over `items` with preserved output order, fanning contiguous
 /// ranges out to at most [`max_threads`] slots. Runs inline for a single
-/// item, a single thread, or when called from inside a fan-out slot.
+/// item or a single thread.
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -211,7 +178,7 @@ where
         let mut state = init();
         chunk.iter().map(|item| f(&mut state, item)).collect()
     };
-    let threads = fan_out_width(items.len());
+    let threads = max_threads().min(items.len());
     if threads <= 1 {
         return run(items);
     }
@@ -310,23 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_fan_out_runs_inline() {
-        let items: Vec<usize> = (0..8).collect();
-        let out = parallel_map(&items, |&x| {
-            // A nested helper must not spawn again; it still computes.
-            let mut inner = vec![0usize; 16];
-            parallel_chunks_mut(&mut inner, 4, |first, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = first * 4 + i + x;
-                }
-            });
-            inner.iter().sum::<usize>()
-        });
-        let expected: Vec<usize> = (0..8).map(|x| (0..16).map(|i| i + x).sum()).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
     }
@@ -365,29 +315,6 @@ mod tests {
         assert_eq!(
             parallel_map(&items, |&x| x * 3),
             (0..32).map(|x| x * 3).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn slot0_panic_does_not_leak_suppression() {
-        // Slot 0 runs on the calling thread; its panic unwinds through
-        // `run_as_worker`, which must restore the nesting flag or every
-        // later fan-out on this thread would silently run inline.
-        let items: Vec<usize> = (0..64).collect();
-        let boom = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
-                assert!(x != 0, "slot 0 task exploded");
-                x
-            })
-        });
-        assert!(boom.is_err());
-        assert!(
-            !in_parallel_region(),
-            "suppression flag leaked after slot-0 panic"
-        );
-        assert_eq!(
-            parallel_map(&items, |&x| x + 1),
-            (1..=64).collect::<Vec<_>>()
         );
     }
 }

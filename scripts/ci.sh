@@ -96,8 +96,8 @@
 # The bench smoke proves the criterion benches still build and run. The
 # BENCH_*.json it leaves at the repo root are gitignored micro-records for
 # whoever ran it (the meta block records threads + ISA features and whether
-# the fan-out ran inline); they are never a claim — a number that may be
-# cited comes from benchmark/ (fleetbench) and nowhere else.
+# the simulation's fan-out ran inline); they are never a claim — a number
+# that may be cited comes from benchmark/ (fleetbench) and nowhere else.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -291,9 +291,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     done
 
     # The workload schedule is a pure function of its spec — generated
-    # through the same deterministic fan-out as the kernels, so its digest
-    # must be bit-identical across thread counts and match the pinned value
-    # (workers=64 ops=2 seed=42, printed by schedule_stability.rs).
+    # through the same deterministic fan-out as the simulation's worker
+    # gradients, so its digest must be bit-identical across thread counts and
+    # match the pinned value (workers=64 ops=2 seed=42, printed by
+    # schedule_stability.rs).
     echo "==> loadgen schedule digest (FLEET_NUM_THREADS=1 vs 7)"
     for threads in 1 7; do
         out=$(FLEET_NUM_THREADS=$threads \
@@ -355,10 +356,11 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     # Every transient layer buffer is lent by a thread-local scratch pool.
     # The allocation budget (a warm pool lends a new replica its whole pass,
-    # with no allowance for spawning) and the stale-buffer suite (a warm
-    # pool's gradients equal a fresh thread's bit for bit) again at the
-    # inline width and a wide one: the MNIST pass spawns nothing at either,
-    # so a layer fan-out that came back fails the budget at 7 threads.
+    # with no allowance for spawning; a warm 256-cubed kernel call allocates
+    # nothing) and the stale-buffer suite (a warm pool's gradients equal a
+    # fresh thread's bit for bit) again at the inline width and a wide one:
+    # neither the MNIST pass nor a kernel call spawns at either, so a layer
+    # or kernel fan-out that came back fails the budget at 7 threads.
     echo "==> scratch pool budget and reuse tests (FLEET_NUM_THREADS=1/7)"
     for threads in 1 7; do
         FLEET_NUM_THREADS=$threads cargo test --release -q -p fleet-ml \

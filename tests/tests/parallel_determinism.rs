@@ -226,11 +226,10 @@ fn cnn_training_digest_is_stable() {
     // so the im2col convolution path joins the cross-thread
     // bit-stability contract: `scripts/ci.sh` reruns this binary under
     // FLEET_NUM_THREADS=1/4/7 and compares the digest
-    // this test prints. The conv layer runs its batch on the calling thread
-    // and none of this model's GEMMs reaches the kernels' fan-out threshold,
-    // so the digest pins the numeric trajectory of the im2col, pooling and
-    // kernel tail paths; the kernels' own row fan-out is covered by
-    // `parallel_large_kernels_are_reproducible` below.
+    // this test prints. The conv layer and the kernels run on the calling
+    // thread, so the digest pins the numeric trajectory of the im2col,
+    // pooling and kernel tail paths; the kernels' large packed shapes are
+    // covered by `parallel_large_kernels_are_reproducible` below.
     use fleet_ml::models::small_cnn;
     use fleet_ml::Tensor;
     let (batch, size, classes) = (64usize, 16usize, 10usize);
@@ -260,8 +259,9 @@ fn cnn_training_digest_is_stable() {
 #[test]
 fn parallel_large_kernels_are_reproducible() {
     pin_threads();
-    // 256-cubed crosses the kernels' parallel threshold, so the row fan-out
-    // is exercised directly.
+    // 256-cubed runs every kernel layout's packed main panels over many
+    // MR-row groups; the kernels read no thread count, so the bits must not
+    // move under FLEET_NUM_THREADS either.
     use fleet_ml::Tensor;
     let a = Tensor::from_vec(
         (0..256 * 256).map(|i| (i as f32 * 0.001).sin()).collect(),
