@@ -12,7 +12,7 @@
 //! this bench only measures what the shard count costs in wall-clock.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fleet_core::{ApplyMode, DynSgd, ParameterServer, WorkerUpdate};
+use fleet_core::{DynSgd, ParameterServer, WorkerUpdate};
 use fleet_data::LabelDistribution;
 use fleet_ml::Gradient;
 use fleet_server::TaskTable;
@@ -45,40 +45,31 @@ fn shard_benches(c: &mut Criterion) {
     bench_sharded_submit(c, "sharded_submit_64k", SMALL_MODEL);
 
     // K = 4 on the large model: the apply pass folds four pending segments
-    // per shard. Lockstep-vs-per-shard pairs at each shard count: the
-    // per-shard mode pays the vector-clock staleness attribution (one
-    // Λ(τ_s) evaluation per shard, against the read clock the update
-    // carries) on top of the identical split/scale/apply work, so the pair
-    // isolates that overhead.
+    // per shard, and each update carries a coherent read clock three updates
+    // in the past — the steady-state shape of a mildly stale worker — so
+    // the row includes the vector-clock staleness attribution.
     for shards in [1usize, 8] {
-        for (name, mode) in [
-            ("sharded_submit_1m_k4", ApplyMode::Lockstep),
-            ("pershard_submit_1m_k4", ApplyMode::PerShard),
-        ] {
-            c.bench_with_input(BenchmarkId::new(name, shards), &shards, |b, &shards| {
+        c.bench_with_input(
+            BenchmarkId::new("sharded_submit_1m_k4", shards),
+            &shards,
+            |b, &shards| {
                 let mut server =
                     ParameterServer::new(vec![0.0; LARGE_MODEL], DynSgd::new(), 0.01, 4)
-                        .with_shards(shards)
-                        .with_apply_mode(mode);
+                        .with_shards(shards);
                 let template = Gradient::from_vec(vec![0.01; LARGE_MODEL]);
                 let labels = LabelDistribution::from_labels(&[0, 1, 2, 3, 4], 10);
                 b.iter(|| {
-                    let mut update = WorkerUpdate::new(template.clone(), 3, labels.clone(), 100, 7);
-                    if mode == ApplyMode::PerShard {
-                        // A coherent read three updates in the past — the
-                        // steady-state shape of a mildly stale worker.
-                        update.read_clock = Some(
-                            server
-                                .shard_clocks()
-                                .iter()
-                                .map(|c| c.saturating_sub(3))
-                                .collect(),
-                        );
-                    }
+                    let read_clock = server
+                        .shard_clocks()
+                        .iter()
+                        .map(|c| c.saturating_sub(3))
+                        .collect();
+                    let update = WorkerUpdate::new(template.clone(), 3, labels.clone(), 100, 7)
+                        .with_read_clock(read_clock);
                     black_box(server.submit(update))
                 });
-            });
-        }
+            },
+        );
     }
 
     // The chaos-overhead pair: the fault-tolerant protocol wraps every

@@ -177,8 +177,9 @@ pub fn run_online_vs_standard(
     result
 }
 
-/// Builds a training batch from a user's posts (the primary hashtag is the
-/// training label, as described in DESIGN.md).
+/// Builds a training batch from a user's posts. The softmax recommender
+/// takes one label per example, so a post's primary (first) hashtag is its
+/// training label; evaluation still scores all of its hashtags.
 fn batch_from_posts(posts: &[&Post]) -> (Tensor, Vec<usize>) {
     let feature_dim = posts.first().map(|p| p.features.len()).unwrap_or(1);
     let mut data = Vec::with_capacity(posts.len() * feature_dim);

@@ -23,7 +23,7 @@
 
 use crate::faults::{FaultPlan, FaultStats, ResultFate};
 use bytes::Bytes;
-use fleet_core::{Aggregator, ApplyMode, ConfigError, CoreConfig, ParameterServer, WorkerUpdate};
+use fleet_core::{Aggregator, ConfigError, CoreConfig, ParameterServer, WorkerUpdate};
 use fleet_data::partition::UserPartition;
 use fleet_data::sampling::MiniBatchSampler;
 use fleet_data::{Dataset, LabelDistribution};
@@ -85,14 +85,14 @@ impl StalenessDistribution {
 
 /// Configuration of one asynchronous training run.
 ///
-/// The learning-rate / K / shards / apply-mode cluster lives in the embedded
+/// The learning-rate / K / shards cluster lives in the embedded
 /// [`CoreConfig`] (shared with the FLeet server);
 /// [`SimulationConfig::builder`] flattens those knobs. The engine ignores
 /// `core.max_pending` — the simulation has no admission layer to shed load.
 #[derive(Debug, Clone)]
 pub struct SimulationConfig {
-    /// The shared core knobs: learning rate γ, aggregation parameter K,
-    /// shard count and apply mode.
+    /// The shared core knobs: learning rate γ, aggregation parameter K and
+    /// shard count.
     pub core: CoreConfig,
     /// Number of global model updates (steps).
     pub steps: usize,
@@ -112,13 +112,17 @@ pub struct SimulationConfig {
     pub eval_examples: usize,
     /// Track the accuracy of this class separately (Fig. 9a).
     pub track_class: Option<usize>,
-    /// In per-shard mode, flush one shard (round-robin) after the first
-    /// submission of every `flush_every`-th round — a deterministic stand-in
-    /// for the divergent shard cadences a deployed scheduler would produce
-    /// under uneven load, which is what makes the vector clock actually
-    /// diverge in a simulation whose submissions all span the full model.
-    /// `0` disables; ignored in lockstep mode. Needs `aggregation_k ≥ 2` to
-    /// have any effect (with K = 1 nothing is ever pending to flush).
+    /// Flush one shard (round-robin) after the first submission of every
+    /// `flush_every`-th round — a deterministic stand-in for the divergent
+    /// shard cadences a deployed scheduler would produce under uneven load,
+    /// which is what makes the vector clock actually diverge in a simulation
+    /// whose submissions all span the full model. Workers echo their read
+    /// vector clock if and only if this is nonzero: without flushes the
+    /// planned staleness, counted in rounds, is the experiment's control
+    /// variable, and under faults the vector clock (which counts applies)
+    /// would disagree with it. `0` disables. Needs `aggregation_k ≥ 2` to
+    /// have any effect on the model (with K = 1 nothing is ever pending to
+    /// flush).
     pub flush_every: usize,
     /// The fault-injection schedule. `FaultPlan::none()` (the default) is
     /// byte-identical to running without the fault layer; fault decisions
@@ -167,11 +171,6 @@ impl SimulationConfig {
         }
         if self.eval_every == 0 {
             return Err(ConfigError::ZeroEvalEvery);
-        }
-        if self.flush_every > 0 && self.core.apply_mode == ApplyMode::Lockstep {
-            return Err(ConfigError::LockstepFlush {
-                flush_every: self.flush_every,
-            });
         }
         Ok(())
     }
@@ -354,7 +353,7 @@ struct Engine<'s, 'a, A: Aggregator> {
     sampler: MiniBatchSampler,
     dp: Option<GaussianMechanism>,
     server: ParameterServer<A>,
-    per_shard: bool,
+    ship_read_clock: bool,
     max_history: usize,
     history: VecDeque<Vec<f32>>,
     clock_history: VecDeque<Vec<u64>>,
@@ -376,19 +375,18 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
             cfg.core.learning_rate,
             cfg.core.aggregation_k,
         )
-        .with_shards(cfg.core.shards.max(1))
-        .with_apply_mode(cfg.core.apply_mode);
-        let per_shard = cfg.core.apply_mode == ApplyMode::PerShard;
+        .with_shards(cfg.core.shards.max(1));
+        let ship_read_clock = cfg.flush_every > 0;
 
         // Bounded history of past parameter snapshots; index 0 is the oldest.
         let max_history = sim.max_history();
         let mut history: VecDeque<Vec<f32>> = VecDeque::with_capacity(max_history);
         history.push_back(server.parameters().to_vec());
-        // In per-shard mode, the shard vector clock at each snapshot — what a
+        // With flushes, the shard vector clock at each snapshot — what a
         // worker pulling that snapshot observed, kept index-aligned with
         // `history` so the read clock ships with the gradient.
         let mut clock_history: VecDeque<Vec<u64>> = VecDeque::new();
-        if per_shard {
+        if ship_read_clock {
             clock_history.push_back(server.shard_clocks());
         }
 
@@ -401,7 +399,7 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                 .dp
                 .map(|(clip, sigma)| GaussianMechanism::new(clip, sigma, cfg.seed.wrapping_add(2))),
             server,
-            per_shard,
+            ship_read_clock,
             max_history,
             history,
             clock_history,
@@ -585,11 +583,11 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                     num_samples: task.labels.len(),
                     computation_seconds: 0.0,
                     energy_pct: 0.0,
-                    // Per-shard mode: ship the vector clock the worker
-                    // observed at its snapshot, exactly as a deployed worker
-                    // echoes `TaskAssignment::shard_clocks`.
+                    // With flushes, ship the vector clock the worker observed
+                    // at its snapshot, exactly as a deployed worker echoes
+                    // `TaskAssignment::shard_clocks`.
                     read_clock: self
-                        .per_shard
+                        .ship_read_clock
                         .then(|| self.clock_history[task.snapshot_index].clone()),
                     task_id: Some(task_id),
                 };
@@ -622,23 +620,19 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
             // round-robin every `flush_every`-th round. The flushed shard
             // applies its pending run early and its clock pulls ahead — the
             // scripted stand-in for shards draining at different cadences.
-            if self.per_shard
-                && cfg.flush_every > 0
-                && index == 0
-                && (step + 1).is_multiple_of(cfg.flush_every)
-            {
+            if cfg.flush_every > 0 && index == 0 && (step + 1).is_multiple_of(cfg.flush_every) {
                 let target = (step + 1) / cfg.flush_every % self.server.num_shards();
                 self.server.flush_shard(target);
             }
         }
 
         self.history.push_back(self.server.parameters().to_vec());
-        if self.per_shard {
+        if self.ship_read_clock {
             self.clock_history.push_back(self.server.shard_clocks());
         }
         if self.history.len() > self.max_history {
             self.history.pop_front();
-            if self.per_shard {
+            if self.ship_read_clock {
                 self.clock_history.pop_front();
             }
         }
@@ -906,18 +900,20 @@ mod tests {
 
     #[test]
     fn per_shard_without_flushes_matches_lockstep_bitwise() {
-        // With no scripted flushes the shard clocks never diverge, every
-        // per-shard τ_s equals the scalar staleness, and the whole engine —
-        // vector clocks through the wire codec included — reproduces the
-        // lockstep run bit for bit.
+        // With no flush firing the shard clocks never diverge, every τ_s a
+        // shipped read clock yields equals the scalar staleness, and the
+        // whole engine — vector clocks through the wire codec included —
+        // reproduces the run that ships none (whose shards weigh in
+        // lockstep at the scalar staleness) bit for bit. A cadence longer
+        // than the run ships the clocks without ever flushing.
         let (train, test, users) = world();
         let mut runs = Vec::new();
-        for mode in [ApplyMode::Lockstep, ApplyMode::PerShard] {
+        for flush_every in [0, 31] {
             let mut cfg = fast_config(StalenessDistribution::d1());
             cfg.core.aggregation_k = 4;
             cfg.steps = 30;
             cfg.core.shards = 4;
-            cfg.core.apply_mode = mode;
+            cfg.flush_every = flush_every;
             let sim = AsyncSimulation::new(&train, &test, &users, cfg);
             let mut model = mlp_classifier(8, &[16], 5, 3);
             runs.push((
@@ -932,15 +928,14 @@ mod tests {
     #[test]
     fn per_shard_flush_schedule_diverges_and_replays() {
         // The scripted flush schedule makes the shard clocks genuinely
-        // diverge — the per-shard run must differ from lockstep — while
+        // diverge — the run must differ from the unflushed one — while
         // staying bit-for-bit reproducible for the fixed seed.
         let (train, test, users) = world();
-        let run = |mode: ApplyMode, flush_every: usize| {
+        let run = |flush_every: usize| {
             let mut cfg = fast_config(StalenessDistribution::d1());
             cfg.core.aggregation_k = 4;
             cfg.steps = 30;
             cfg.core.shards = 4;
-            cfg.core.apply_mode = mode;
             cfg.flush_every = flush_every;
             let sim = AsyncSimulation::new(&train, &test, &users, cfg);
             let mut model = mlp_classifier(8, &[16], 5, 3);
@@ -949,12 +944,12 @@ mod tests {
                 model.parameters(),
             )
         };
-        let lockstep = run(ApplyMode::Lockstep, 0);
-        let a = run(ApplyMode::PerShard, 2);
-        let b = run(ApplyMode::PerShard, 2);
-        assert_eq!(a, b, "per-shard runs must replay exactly");
+        let unflushed = run(0);
+        let a = run(2);
+        let b = run(2);
+        assert_eq!(a, b, "flushed runs must replay exactly");
         assert_ne!(
-            a.1, lockstep.1,
+            a.1, unflushed.1,
             "flush-diverged shard clocks must change the trajectory"
         );
     }

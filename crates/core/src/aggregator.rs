@@ -55,10 +55,10 @@ pub trait Aggregator: std::fmt::Debug + Send {
     }
 
     /// The weight for `update` evaluated at an explicit `staleness` instead
-    /// of the one the update carries. This is the per-shard entry point: a
-    /// server in [`crate::server::ApplyMode::PerShard`] attributes a
-    /// different staleness `τ_s` to each shard slice of one gradient (vector
-    /// clock semantics) and weights every slice with
+    /// of the one the update carries. This is the per-shard entry point: the
+    /// [`crate::server::ParameterServer`] attributes a different staleness
+    /// `τ_s` to each shard slice of one gradient (vector clock semantics)
+    /// and weights every slice with
     /// `scaling_factor_at(update, τ_s)` — same Eq. 3, per shard.
     fn scaling_factor_at(&self, update: &WorkerUpdate, staleness: u64) -> f64;
 
@@ -398,8 +398,9 @@ mod tests {
     #[test]
     fn scaling_factor_at_matches_the_carried_staleness() {
         // The per-shard entry point evaluated at the update's own staleness
-        // must be exactly the scalar path — the lockstep/per-shard
-        // equivalence (no clock divergence => identical weights) rests on it.
+        // must be exactly the scalar path: a coherent read clock weighs as
+        // the scalar staleness (no clock divergence => identical weights),
+        // and the server reuses the scalar weight for any slice at that τ.
         let mut ada = AdaSgd::new(10, 99.7);
         for _ in 0..40 {
             ada.record(&update(12, &[0, 1], 10));

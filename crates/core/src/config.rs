@@ -1,7 +1,7 @@
 //! The shared core-knob cluster and its validation.
 //!
-//! Before this module, the `learning_rate` / `aggregation_k` / `shards` /
-//! `apply_mode` (+ `max_pending`) cluster was duplicated across
+//! Before this module, the `learning_rate` / `aggregation_k` / `shards`
+//! (+ `max_pending`) cluster was duplicated across
 //! `ParameterServerConfig`, `FleetServerConfig` and `SimulationConfig`, and
 //! the load harness would have been a fourth copy. [`CoreConfig`] is now
 //! the single owner: the parameter server consumes it directly
@@ -13,7 +13,6 @@
 //! returns a typed [`ConfigError`] for nonsensical combinations instead of
 //! panicking deep inside the engine.
 
-use crate::server::ApplyMode;
 use std::error::Error;
 use std::fmt;
 
@@ -31,15 +30,13 @@ pub struct CoreConfig {
     pub aggregation_k: usize,
     /// Number of range-partitioned shards.
     pub shards: usize,
-    /// How shard applies are scheduled.
-    pub apply_mode: ApplyMode,
     /// Backpressure bound on a shard's pending buffer: when any shard holds
     /// this many unapplied gradient segments, [`crate::ParameterServer::saturated_shard`]
     /// reports overload so admission layers can shed new tasks instead of
-    /// growing the buffer without bound. `0` disables the bound. Only
-    /// meaningful below `aggregation_k` in lockstep mode (the buffer never
-    /// exceeds `K − 1` there); in per-shard mode flush-starved shards can
-    /// otherwise queue arbitrarily deep.
+    /// growing the buffer without bound. `0` disables the bound. Without
+    /// flushes it is only meaningful below `aggregation_k` (the buffer never
+    /// exceeds `K − 1` then); a flush-starved shard can otherwise queue
+    /// arbitrarily deep.
     pub max_pending: usize,
 }
 
@@ -49,7 +46,6 @@ impl Default for CoreConfig {
             learning_rate: 5e-2,
             aggregation_k: 1,
             shards: 1,
-            apply_mode: ApplyMode::Lockstep,
             max_pending: 0,
         }
     }
@@ -89,13 +85,6 @@ pub enum ConfigError {
     ZeroAggregationK,
     /// The shard count is zero.
     ZeroShards,
-    /// `flush_every > 0` with [`ApplyMode::Lockstep`]: scripted shard
-    /// flushes only exist to diverge the vector clock, which lockstep mode
-    /// does not have.
-    LockstepFlush {
-        /// The configured flush cadence.
-        flush_every: usize,
-    },
     /// A simulation with zero steps.
     ZeroSteps,
     /// A zero mini-batch size.
@@ -128,11 +117,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "aggregation parameter K must be at least 1")
             }
             ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
-            ConfigError::LockstepFlush { flush_every } => write!(
-                f,
-                "flush_every = {flush_every} requires ApplyMode::PerShard \
-                 (lockstep shards have no vector clock to diverge)"
-            ),
             ConfigError::ZeroSteps => write!(f, "a simulation needs at least 1 step"),
             ConfigError::ZeroBatchSize => write!(f, "mini-batch size must be at least 1"),
             ConfigError::ZeroEvalEvery => write!(f, "eval_every must be at least 1"),
@@ -185,7 +169,7 @@ mod tests {
     fn errors_display_something_actionable() {
         let err = with(|c| c.shards = 0).validate().unwrap_err();
         assert!(err.to_string().contains("shard count"));
-        let err = ConfigError::LockstepFlush { flush_every: 2 };
-        assert!(err.to_string().contains("PerShard"));
+        let err = with(|c| c.learning_rate = -1.0).validate().unwrap_err();
+        assert!(err.to_string().contains("-1"));
     }
 }

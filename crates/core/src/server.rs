@@ -9,28 +9,25 @@
 //! `len % num_shards` shards hold one extra element). Each shard owns a
 //! pending buffer of scaled gradient segments and its own logical clock.
 //!
-//! # Apply modes
+//! # Apply schedule
 //!
-//! [`ApplyMode`] decides how the shard clocks relate to each other:
+//! Each shard owns its apply trigger: its own pending buffer reaching `K`,
+//! or an explicit [`ParameterServer::flush_shard`]. The shard clocks form a
+//! *vector clock*, and staleness is defined **per shard** as the
+//! applied-update count on that shard between the worker's read (the
+//! [`crate::update::WorkerUpdate::read_clock`] snapshot) and its write:
+//! `τ_s = clock_s − read_clock[s]`. Λ(τ_s) — and the dampening floor — are
+//! evaluated per shard slice with the same clamp, via
+//! [`crate::aggregator::Aggregator::scaling_factor_at`]. An update without
+//! a read clock is weighed at its scalar staleness `τ = t − t_i` on every
+//! shard. The global clock is a *round counter*: it advances on every K-th
+//! submission, whatever the individual shards did, while
+//! [`ParameterServer::shard_clocks`] carries the per-shard state.
 //!
-//! * **[`ApplyMode::Lockstep`]** (default): every shard applies its pending
-//!   run on the same K-th submission, so the per-shard clocks advance in
-//!   lockstep with the server's global clock and the shard count changes
-//!   nothing observable. Staleness `τ = t − t_i` is
-//!   measured against the global clock, so the semantics (and the Λ(τ)
-//!   dampening of Fig. 8) are independent of the shard count.
-//! * **[`ApplyMode::PerShard`]**: each shard owns an independent apply
-//!   trigger — its own pending buffer reaching `K`, or an explicit
-//!   [`ParameterServer::flush_shard`] — and the shard clocks become a
-//!   genuine *vector clock*. Staleness is then defined **per shard** as the
-//!   applied-update count on that shard between the worker's read (the
-//!   [`crate::update::WorkerUpdate::read_clock`] snapshot) and its write:
-//!   `τ_s = clock_s − read_clock[s]`. Λ(τ_s) — and the dampening floor —
-//!   are evaluated per shard slice with the existing clamp, via
-//!   [`crate::aggregator::Aggregator::scaling_factor_at`]. The global clock
-//!   degrades to a *round counter* (it still advances on every K-th
-//!   submission) while [`ParameterServer::shard_clocks`] carries the real
-//!   per-shard state.
+//! Without flushes every shard reaches `K` on the same submission, so every
+//! shard clock equals the global clock, a coherent read clock gives every
+//! slice the scalar staleness, and the shard count changes nothing
+//! observable.
 //!
 //! # Determinism contract
 //!
@@ -39,38 +36,35 @@
 //! buffer *in submission order*, element by element, visiting the shards in
 //! order on the calling thread. Shards are disjoint ranges, so the
 //! per-element sequence of floating-point operations is identical to the
-//! single-shard loop. In lockstep mode, model parameters are therefore
+//! single-shard loop. Without flushes, model parameters are therefore
 //! **bit-for-bit identical for any shard count** (the workspace digest tests
 //! sweep {1, 2, 8} shards, and ci.sh runs them under
-//! `FLEET_NUM_THREADS=1/4/7`). In per-shard mode the *shard count is part of
-//! the semantics* (each shard slice carries its own τ), but results remain a
-//! function of the shard count and the submission schedule alone: applies
-//! are ordered on (shard, submission index) — never on wall-clock arrival —
-//! and flushes are caller-ordered.
+//! `FLEET_NUM_THREADS=1/4/7`). Once flushes diverge the clocks the *shard
+//! count is part of the semantics* (each shard slice carries its own τ), but
+//! results remain a function of the shard count and the submission schedule
+//! alone: applies are ordered on (shard, submission index) — never on
+//! wall-clock arrival — and flushes are caller-ordered.
 
 use crate::aggregator::{Aggregator, AggregatorState};
 use crate::config::CoreConfig;
 use crate::update::WorkerUpdate;
 
-/// How shard applies are scheduled relative to each other (see the module
-/// docs for the full semantics).
+/// How shard applies are scheduled. There is one schedule (see the module
+/// docs); the type stays only because the frozen benchmark names it, and it
+/// goes in the next `[benchmark]` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ApplyMode {
-    /// Every shard applies on the same K-th submission; per-shard clocks
-    /// advance in lockstep with the global clock. Bit-identical to the
-    /// pre-`ApplyMode` server at any shard count.
-    #[default]
-    Lockstep,
     /// Each shard applies on its own trigger (pending reaching K, or an
     /// explicit flush); staleness is evaluated per shard against the vector
     /// clock.
+    #[default]
     PerShard,
 }
 
 /// The full mutable state of a [`ParameterServer`], exported as plain data
 /// for checkpoint/restore (the byte encoding lives with the wire codec in
-/// `fleet-server`). Configuration — learning rate, K, shard count, apply
-/// mode — is *not* part of the state: restore targets a server constructed
+/// `fleet-server`). Configuration — learning rate, K, shard count — is
+/// *not* part of the state: restore targets a server constructed
 /// with the same configuration, and [`ParameterServer::restore_state`]
 /// asserts the shapes agree.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,9 +83,9 @@ pub struct ParameterServerState {
     pub clock: u64,
     /// Total gradients received.
     pub updates_received: u64,
-    /// Per-shard staleness of the most recent submission (per-shard mode).
+    /// Per-shard staleness of the most recent submission.
     pub last_shard_staleness: Vec<u64>,
-    /// Per-shard weights of the most recent submission (per-shard mode).
+    /// Per-shard weights of the most recent submission.
     pub last_shard_weights: Vec<f32>,
     /// The aggregator's exported state.
     pub aggregator: AggregatorState,
@@ -102,8 +96,8 @@ pub struct ParameterServerState {
 pub struct SubmitOutcome {
     /// The weight `min(1, Λ(τ)·1/sim)` that was attached to the gradient at
     /// the update's *scalar* staleness, as the aggregator computed it in f64.
-    /// In per-shard mode each shard slice may carry a different weight (see
-    /// [`ParameterServer::last_shard_weights`]); this field then reports the
+    /// Each shard slice may carry a different weight (see
+    /// [`ParameterServer::last_shard_weights`]); this field reports the
     /// scalar-staleness reference value.
     pub scaling_factor: f64,
     /// The f32 weight actually multiplied into the gradient (at the scalar
@@ -113,9 +107,8 @@ pub struct SubmitOutcome {
     /// nullifying the gradient — precisely what the floor exists to
     /// prevent). Per-shard weights get the identical clamp.
     pub applied_weight: f32,
-    /// Whether this submission triggered a model update — in lockstep mode
-    /// the K-th gradient of the aggregation round; in per-shard mode whether
-    /// *any* shard applied on this submission.
+    /// Whether this submission triggered a model update: whether *any*
+    /// shard applied on it.
     pub applied: bool,
     /// The server's global logical clock after the submission.
     pub clock: u64,
@@ -144,10 +137,10 @@ struct Shard {
 /// into shards — a global logical clock and an aggregation buffer of `K`
 /// gradients per update (§2.3: `K` can be 1 for maximum update frequency, or
 /// larger / time-window based). [`ParameterServer::new`] starts with a single
-/// shard; [`ParameterServer::with_shards`] re-partitions it into shards with
-/// their own pending buffers and clocks, and [`ParameterServer::with_apply_mode`]
-/// (or [`ParameterServer::from_config`]) picks the scheduling mode. See the
-/// module docs for the layout and the determinism contract.
+/// shard; [`ParameterServer::with_shards`] (or
+/// [`ParameterServer::from_config`]) re-partitions it into shards with their
+/// own pending buffers and clocks. See the module docs for the layout, the
+/// apply schedule and the determinism contract.
 #[derive(Debug)]
 pub struct ParameterServer<A: Aggregator> {
     parameters: Vec<f32>,
@@ -155,22 +148,19 @@ pub struct ParameterServer<A: Aggregator> {
     aggregator: A,
     learning_rate: f32,
     aggregation_k: usize,
-    apply_mode: ApplyMode,
     max_pending: usize,
     pending_count: usize,
     clock: u64,
     updates_received: u64,
-    /// Per-shard staleness values attributed to the most recent submission
-    /// (per-shard mode only; empty in lockstep).
+    /// Per-shard staleness values attributed to the most recent submission.
     last_shard_staleness: Vec<u64>,
-    /// Per-shard f32 weights applied to the most recent submission
-    /// (per-shard mode only; empty in lockstep).
+    /// Per-shard f32 weights applied to the most recent submission.
     last_shard_weights: Vec<f32>,
 }
 
 impl<A: Aggregator> ParameterServer<A> {
     /// Creates a server over an initial flat parameter vector, with a single
-    /// shard in lockstep mode.
+    /// shard.
     ///
     /// # Panics
     ///
@@ -192,7 +182,6 @@ impl<A: Aggregator> ParameterServer<A> {
             aggregator,
             learning_rate,
             aggregation_k,
-            apply_mode: ApplyMode::Lockstep,
             max_pending: 0,
             pending_count: 0,
             clock: 0,
@@ -220,7 +209,6 @@ impl<A: Aggregator> ParameterServer<A> {
             config.aggregation_k,
         )
         .with_shards(config.shards)
-        .with_apply_mode(config.apply_mode)
         .with_max_pending(config.max_pending)
     }
 
@@ -233,10 +221,10 @@ impl<A: Aggregator> ParameterServer<A> {
 
     /// Re-partitions the parameters into `num_shards` near-equal contiguous
     /// ranges. Shard counts above the parameter length leave the excess
-    /// shards empty (harmless no-ops). In lockstep mode the partition does
+    /// shards empty (harmless no-ops). Without flushes the partition does
     /// not affect results — outputs are bit-for-bit identical for every
-    /// shard count; in per-shard mode the shard count is part of the
-    /// semantics (each shard carries its own τ).
+    /// shard count; once flushes diverge the clocks the shard count is part
+    /// of the semantics (each shard carries its own τ).
     ///
     /// # Panics
     ///
@@ -252,36 +240,6 @@ impl<A: Aggregator> ParameterServer<A> {
         self
     }
 
-    /// Switches the apply-scheduling mode (see [`ApplyMode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if gradients are pending — the two modes account for pending
-    /// runs differently, so switching mid-round would misattribute them —
-    /// or if the shard clocks have diverged (lockstep's invariant is that
-    /// every shard clock equals the global clock; adopting diverged clocks
-    /// would silently break it).
-    pub fn with_apply_mode(mut self, mode: ApplyMode) -> Self {
-        assert!(
-            !self.has_pending(),
-            "cannot switch apply mode with pending gradients"
-        );
-        assert!(
-            self.shards.windows(2).all(|w| w[0].clock == w[1].clock),
-            "cannot switch apply mode with diverged shard clocks"
-        );
-        // Adopting lockstep also requires the (undiverged) shard clocks to
-        // sit *at* the global clock: in per-shard mode flushes can push
-        // every shard collectively past the round counter, and lockstep
-        // guarantees every shard clock equals clock() from then on.
-        assert!(
-            mode != ApplyMode::Lockstep || self.shards.iter().all(|s| s.clock == self.clock),
-            "cannot adopt lockstep with shard clocks ahead of the global clock"
-        );
-        self.apply_mode = mode;
-        self
-    }
-
     fn has_pending(&self) -> bool {
         self.pending_count != 0 || self.shards.iter().any(|s| !s.pending.is_empty())
     }
@@ -291,8 +249,8 @@ impl<A: Aggregator> ParameterServer<A> {
         let base = len / num_shards;
         let extra = len % num_shards;
         // Seed the new shards from the most advanced existing clock, not the
-        // global one: in per-shard mode the global clock is only a round
-        // counter, and a flush-diverged shard may sit *above* it. Resetting
+        // global one: the global clock is only a round counter, and a
+        // flush-diverged shard may sit *above* it. Resetting
         // to the round counter would move the vector clock backwards, and a
         // worker holding a pre-partition read snapshot would then be
         // attributed spuriously fresh per-shard staleness (saturating_sub of
@@ -328,18 +286,19 @@ impl<A: Aggregator> ParameterServer<A> {
         &self.parameters
     }
 
-    /// The server's global logical clock `t`. In lockstep mode this is the
-    /// number of model updates so far; in per-shard mode it degrades to a
-    /// round counter (it advances on every K-th submission, whatever the
-    /// individual shards did) and [`Self::shard_clocks`] carries the real
-    /// per-shard state.
+    /// The server's global logical clock `t`: a round counter that advances
+    /// on every K-th submission, whatever the individual shards did.
+    /// Without flushes it is also the number of model updates so far;
+    /// [`Self::shard_clocks`] carries the per-shard state.
     pub fn clock(&self) -> u64 {
         self.clock
     }
 
-    /// The apply-scheduling mode in force.
+    /// The apply schedule, which is always [`ApplyMode::PerShard`]. Kept
+    /// only because the frozen benchmark calls it; it goes in the next
+    /// `[benchmark]` PR.
     pub fn apply_mode(&self) -> ApplyMode {
-        self.apply_mode
+        ApplyMode::PerShard
     }
 
     /// Number of shards the parameters are partitioned into.
@@ -348,32 +307,30 @@ impl<A: Aggregator> ParameterServer<A> {
     }
 
     /// The full vector clock, in shard order — what a worker snapshots at
-    /// model-read time so a per-shard server can attribute per-shard
-    /// staleness to its gradient. In lockstep mode every entry equals
-    /// [`Self::clock`]; in per-shard mode the shards advance independently.
+    /// model-read time so the server can attribute per-shard staleness to
+    /// its gradient. Without flushes every entry equals [`Self::clock`];
+    /// flushes make the shards advance independently.
     pub fn shard_clocks(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.clock).collect()
     }
 
     /// The per-shard staleness values `τ_s` attributed to the most recent
-    /// submission (empty before the first submission and in lockstep mode,
-    /// where the scalar staleness applies to every shard).
+    /// submission (empty before the first submission).
     pub fn last_shard_staleness(&self) -> &[u64] {
         &self.last_shard_staleness
     }
 
     /// The per-shard f32 weights applied to the most recent submission
-    /// (empty before the first submission and in lockstep mode, where
-    /// `SubmitOutcome::applied_weight` applies to every shard).
+    /// (empty before the first submission).
     pub fn last_shard_weights(&self) -> &[f32] {
         &self.last_shard_weights
     }
 
     /// Number of gradients that have been folded into the model on *every*
-    /// shard — the fully-applied frontier. In lockstep mode all shards apply
-    /// together, so this is simply the number of applied gradients; in
-    /// per-shard mode a gradient applied on some shards but still pending on
-    /// others does not count yet.
+    /// shard — the fully-applied frontier. Without flushes all shards apply
+    /// together, so this is simply the number of applied gradients; after a
+    /// flush, a gradient applied on some shards but still pending on others
+    /// does not count yet.
     pub fn updates_applied(&self) -> u64 {
         self.shards.iter().map(|s| s.applied).min().unwrap_or(0)
     }
@@ -423,9 +380,9 @@ impl<A: Aggregator> ParameterServer<A> {
 
     /// Restores state captured with [`ParameterServer::export_state`] into a
     /// server constructed with the same configuration (learning rate, K,
-    /// shard count, apply mode). After the restore, every subsequent
-    /// submission produces bit-for-bit the outputs the checkpointed server
-    /// would have produced.
+    /// shard count). After the restore, every subsequent submission
+    /// produces bit-for-bit the outputs the checkpointed server would have
+    /// produced.
     ///
     /// # Panics
     ///
@@ -472,18 +429,15 @@ impl<A: Aggregator> ParameterServer<A> {
     }
 
     /// Submits one worker update. The gradient is split by shard range,
-    /// scaled by the aggregator's weight and buffered per shard; shards
-    /// apply their pending runs (in submission order) when their trigger
-    /// fires — the same K-th submission for every shard in lockstep mode,
-    /// each shard's own pending count reaching K in per-shard mode. See the
-    /// module docs for the determinism contract of each mode.
+    /// scaled by its shard slice's weight and buffered per shard; each shard
+    /// applies its pending run (in submission order) when its own pending
+    /// count reaches K. See the module docs for the determinism contract.
     ///
     /// # Panics
     ///
     /// Panics if the gradient length differs from the parameter length, or
     /// if the update carries a [`WorkerUpdate::read_clock`] whose length
-    /// differs from the shard count (in per-shard mode; lockstep ignores the
-    /// read clock).
+    /// differs from the shard count.
     pub fn submit(&mut self, update: WorkerUpdate) -> SubmitOutcome {
         assert_eq!(
             update.gradient.len(),
@@ -493,29 +447,24 @@ impl<A: Aggregator> ParameterServer<A> {
             self.parameters.len()
         );
         let scaling = self.aggregator.scaling_factor(&update);
-        // Per-shard staleness and weights must be evaluated against the same
-        // aggregator state as the scalar factor — i.e. *before* `record`
-        // refreshes the staleness statistics and global label distribution —
-        // or an undiverged per-shard run would drift from lockstep.
-        let shard_weights = match self.apply_mode {
-            ApplyMode::Lockstep => None,
-            ApplyMode::PerShard => Some(self.shard_staleness_weights(&update)),
-        };
-        self.aggregator.record(&update);
-        self.updates_received += 1;
-
         // `DampeningPolicy::factor` floors the f64 weight at
         // `f64::MIN_POSITIVE`, but the floor dies in the f32 cast (anything
         // below f32's subnormal range becomes an exact 0.0). Clamp again
         // after the cast so extreme staleness keeps a nonzero weight.
         let weight = (scaling as f32).max(f32::MIN_POSITIVE);
+        // Per-shard staleness and weights must be evaluated against the same
+        // aggregator state as the scalar factor — i.e. *before* `record`
+        // refreshes the staleness statistics and global label distribution —
+        // or a coherent read clock would weigh differently from the scalar
+        // staleness.
+        let (taus, weights) = self.shard_staleness_weights(&update, weight);
+        self.aggregator.record(&update);
+        self.updates_received += 1;
 
         self.pending_count += 1;
         // The global clock is a deterministic round counter: it advances on
-        // every K-th submission. In lockstep that is also every shard's
-        // apply trigger — `flush_shard` is forbidden there, so each shard's
-        // pending run is exactly as long as the global count — and the shard
-        // clocks advance with it.
+        // every K-th submission. Without flushes that is also every shard's
+        // apply trigger, and the shard clocks advance with it.
         let round_complete = self.pending_count >= self.aggregation_k;
         let aggregation_k = self.aggregation_k;
         let applied = self
@@ -523,19 +472,16 @@ impl<A: Aggregator> ParameterServer<A> {
             .iter()
             .any(|s| s.pending.len() + 1 >= aggregation_k);
         let learning_rate = self.learning_rate;
-        let weights = shard_weights
-            .as_ref()
-            .map(|(_, weights)| weights.as_slice());
         // Each shard's share of the submission, in shard order. Applies are
         // ordered on (shard, submission index) — a shard's pending segments
-        // drain in the order they were submitted — so the result is
-        // bit-for-bit the single-shard run in lockstep mode (the `shard`,
-        // `pershard` and `chaos_*` digests in the ci.sh sweep pin it).
-        for (i, shard) in self.shards.iter_mut().enumerate() {
+        // drain in the order they were submitted — so without flushes the
+        // result is bit-for-bit the single-shard run (the `shard` and
+        // `chaos_l*` digests in the ci.sh sweep pin it; `pershard` and
+        // `chaos_p*` pin the flushed schedule).
+        for (shard, &weight) in self.shards.iter_mut().zip(&weights) {
             let range = shard.start..shard.start + shard.len;
             let segment = &mut self.parameters[range.clone()];
             let incoming = &update.gradient.as_slice()[range];
-            let weight = weights.map_or(weight, |w| w[i]);
             if shard.pending.len() + 1 >= aggregation_k {
                 // Drain the shard's pending run in submission order, then
                 // fold the incoming gradient in directly: per element the op
@@ -564,10 +510,8 @@ impl<A: Aggregator> ParameterServer<A> {
             self.pending_count = 0;
             self.clock += 1;
         }
-        if let Some((taus, weights)) = shard_weights {
-            self.last_shard_staleness = taus;
-            self.last_shard_weights = weights;
-        }
+        self.last_shard_staleness = taus;
+        self.last_shard_weights = weights;
         SubmitOutcome {
             scaling_factor: scaling,
             applied_weight: weight,
@@ -581,14 +525,19 @@ impl<A: Aggregator> ParameterServer<A> {
     /// updates shard `s` applied since the worker's read
     /// ([`WorkerUpdate::read_clock`]; a missing read clock falls back to the
     /// scalar staleness for every shard, so wire peers that predate vector
-    /// clocks keep working). The weight gets the same post-cast clamp as the
-    /// scalar path.
+    /// clocks keep working). `scalar_weight` is the clamped weight at the
+    /// update's scalar staleness, which any slice at that τ reuses. The
+    /// weight gets the same post-cast clamp as the scalar path.
     ///
     /// # Panics
     ///
     /// Panics if the update carries a read clock whose length differs from
     /// the shard count.
-    fn shard_staleness_weights(&self, update: &WorkerUpdate) -> (Vec<u64>, Vec<f32>) {
+    fn shard_staleness_weights(
+        &self,
+        update: &WorkerUpdate,
+        scalar_weight: f32,
+    ) -> (Vec<u64>, Vec<f32>) {
         if let Some(read_clock) = update.read_clock.as_deref() {
             assert_eq!(
                 read_clock.len(),
@@ -603,10 +552,12 @@ impl<A: Aggregator> ParameterServer<A> {
         // Evaluate Λ(τ) once per *distinct* τ, not once per shard: for
         // AdaSGD a single evaluation computes the label similarity over every
         // class (and reads τ_thres off the staleness counts), so per-shard
-        // calls would multiply that cost by the shard count — and in the
-        // common undiverged case every shard shares one τ anyway. Shard
-        // counts are small, so a linear scan beats hashing.
-        let mut distinct: Vec<(u64, f32)> = Vec::new();
+        // calls would multiply that cost by the shard count. The cache starts
+        // with the scalar staleness — `scaling_factor` is `scaling_factor_at`
+        // the update's own staleness, same bits — so an undiverged submit
+        // evaluates Λ once in all. Shard counts are small, so a linear scan
+        // beats hashing.
+        let mut distinct: Vec<(u64, f32)> = vec![(update.staleness, scalar_weight)];
         for (i, shard) in self.shards.iter().enumerate() {
             let tau = match update.read_clock.as_deref() {
                 Some(read_clock) => shard.clock.saturating_sub(read_clock[i]),
@@ -628,23 +579,15 @@ impl<A: Aggregator> ParameterServer<A> {
     }
 
     /// Applies one shard's pending run immediately (in submission order),
-    /// without waiting for its pending buffer to reach K — the second apply
-    /// trigger a per-shard scheduler owns. Advances the shard's clock when
-    /// anything was pending; an empty flush is a no-op (the clock counts
-    /// applied updates, not trigger attempts). Returns whether the shard
-    /// applied anything.
+    /// without waiting for its pending buffer to reach K — the shard's
+    /// second apply trigger. Advances the shard's clock when anything was
+    /// pending; an empty flush is a no-op (the clock counts applied updates,
+    /// not trigger attempts). Returns whether the shard applied anything.
     ///
     /// # Panics
     ///
-    /// Panics if the server is in lockstep mode (lockstep accounts pending
-    /// gradients globally, so draining one shard would desynchronise the
-    /// round) or `shard` is out of range.
+    /// Panics if `shard` is out of range.
     pub fn flush_shard(&mut self, shard: usize) -> bool {
-        assert_eq!(
-            self.apply_mode,
-            ApplyMode::PerShard,
-            "flush_shard requires ApplyMode::PerShard"
-        );
         let learning_rate = self.learning_rate;
         let s = &mut self.shards[shard];
         if s.pending.is_empty() {
@@ -664,10 +607,6 @@ impl<A: Aggregator> ParameterServer<A> {
 
     /// Flushes every shard's pending run (see [`Self::flush_shard`]), in
     /// shard order. Returns the number of shards that applied anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server is in lockstep mode.
     pub fn flush(&mut self) -> usize {
         (0..self.shards.len())
             .filter(|&i| self.flush_shard(i))
@@ -796,8 +735,9 @@ mod tests {
         }
         assert_eq!(server.clock(), 3);
         assert_eq!(server.shard_clocks(), vec![3; 4]);
-        assert!(server.last_shard_staleness().is_empty());
-        assert!(server.last_shard_weights().is_empty());
+        // No read clock: every slice carries the scalar staleness.
+        assert_eq!(server.last_shard_staleness(), &[5; 4]);
+        assert_eq!(server.last_shard_weights(), &[1.0; 4]);
     }
 
     /// The acceptance criterion in miniature: identical submission sequences
@@ -867,9 +807,7 @@ mod tests {
         let aggregator = AdaSgd::new(4, 99.7)
             .with_fixed_tau_thres(12)
             .without_similarity_boost();
-        let mut server = ParameterServer::new(vec![0.0, 0.0], aggregator, 1.0, 1)
-            .with_shards(2)
-            .with_apply_mode(ApplyMode::PerShard);
+        let mut server = ParameterServer::new(vec![0.0, 0.0], aggregator, 1.0, 1).with_shards(2);
         // Drive both shard clocks to 10_000 with zero gradients (K = 1: every
         // submission applies immediately on both shards).
         for _ in 0..10_000 {
@@ -900,41 +838,100 @@ mod tests {
         assert_eq!(outcome.applied_weight, 1.0);
     }
 
-    /// Without clock divergence (no flushes) the per-shard mode is the
-    /// lockstep mode, bit for bit: every shard's τ_s equals the scalar
-    /// staleness, so every slice gets the identical weight and the apply
-    /// triggers coincide.
+    /// Without clock divergence (no flushes) a coherent read clock weighs
+    /// exactly as the scalar staleness, bit for bit: every shard's τ_s
+    /// equals it, so every slice gets the identical weight. The `lockstep`
+    /// reference is the same server fed no read clock, which weighs every
+    /// shard at the one scalar staleness.
     #[test]
     fn per_shard_without_divergence_matches_lockstep_bitwise() {
         let len = 41;
         let init: Vec<f32> = (0..len).map(|i| (i as f32 * 0.23).sin()).collect();
         for k in [1usize, 3] {
-            let mut lockstep =
+            let mut scalar =
                 ParameterServer::new(init.clone(), DynSgd::new(), 0.05, k).with_shards(4);
-            let mut per_shard = ParameterServer::new(init.clone(), DynSgd::new(), 0.05, k)
-                .with_shards(4)
-                .with_apply_mode(ApplyMode::PerShard);
+            let mut per_shard =
+                ParameterServer::new(init.clone(), DynSgd::new(), 0.05, k).with_shards(4);
             for step in 0..12u64 {
                 let gradient: Vec<f32> = (0..len)
                     .map(|i| ((i as f32 + step as f32) * 0.7).cos())
                     .collect();
                 // Clamp like the simulation planner: a worker cannot have
                 // read a model more updates old than have happened.
-                let staleness = (step % 4).min(lockstep.clock());
-                // The per-shard server reads a coherent vector clock whose
-                // entries all lag by the scalar staleness.
+                let staleness = (step % 4).min(scalar.clock());
+                // The read clock is coherent: every entry lags by the scalar
+                // staleness.
                 let read_clock: Vec<u64> = per_shard
                     .shard_clocks()
                     .iter()
                     .map(|c| c - staleness)
                     .collect();
-                let a = lockstep.submit(update(gradient.clone(), staleness));
+                let a = scalar.submit(update(gradient.clone(), staleness));
                 let b = per_shard.submit(update(gradient, staleness).with_read_clock(read_clock));
                 assert_eq!(a, b, "k={k} step={step}");
-                assert_eq!(lockstep.parameters(), per_shard.parameters());
+                assert_eq!(scalar.parameters(), per_shard.parameters());
+                assert_eq!(
+                    scalar.last_shard_staleness(),
+                    per_shard.last_shard_staleness()
+                );
+                assert_eq!(scalar.last_shard_weights(), per_shard.last_shard_weights());
             }
-            assert_eq!(lockstep.updates_applied(), per_shard.updates_applied());
+            assert_eq!(scalar.updates_applied(), per_shard.updates_applied());
         }
+    }
+
+    /// Counts `scaling_factor_at` calls (Λ evaluations) of a wrapped
+    /// `DynSgd`.
+    #[derive(Debug, Default)]
+    struct CountingDynSgd {
+        inner: DynSgd,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl Aggregator for CountingDynSgd {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn scaling_factor_at(&self, update: &WorkerUpdate, staleness: u64) -> f64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.scaling_factor_at(update, staleness)
+        }
+
+        fn record(&mut self, update: &WorkerUpdate) {
+            self.inner.record(update);
+        }
+    }
+
+    /// An undiverged submit evaluates Λ once, not once for the scalar
+    /// factor and once more for the shard slices — with or without a
+    /// coherent read clock.
+    #[test]
+    fn undiverged_submit_evaluates_lambda_once() {
+        let mut server =
+            ParameterServer::new(vec![0.0; 8], CountingDynSgd::default(), 0.1, 1).with_shards(4);
+        server.submit(update(vec![1.0; 8], 0));
+        assert_eq!(server.aggregator().calls.get(), 1, "no read clock");
+        let read_clock = server.shard_clocks().iter().map(|c| c - 1).collect();
+        server.submit(update(vec![1.0; 8], 1).with_read_clock(read_clock));
+        assert_eq!(server.aggregator().calls.get(), 2, "coherent read clock");
+        assert_eq!(server.last_shard_weights(), &[0.5; 4]);
+    }
+
+    /// A diverged submit evaluates Λ once per distinct τ: the scalar one,
+    /// shared by the shards that did not move, plus the flushed shard's.
+    #[test]
+    fn diverged_submit_evaluates_lambda_once_per_distinct_tau() {
+        let mut server =
+            ParameterServer::new(vec![0.0; 8], CountingDynSgd::default(), 1.0, 2).with_shards(4);
+        server.submit(update(vec![1.0; 8], 0).with_read_clock(vec![0; 4]));
+        assert!(server.flush_shard(0));
+        assert_eq!(server.shard_clocks(), vec![1, 0, 0, 0]);
+        let calls = server.aggregator().calls.get();
+        server.submit(update(vec![1.0; 8], 0).with_read_clock(vec![0; 4]));
+        assert_eq!(server.aggregator().calls.get() - calls, 2);
+        assert_eq!(server.last_shard_staleness(), &[1, 0, 0, 0]);
+        assert_eq!(server.last_shard_weights(), &[0.5, 1.0, 1.0, 1.0]);
     }
 
     /// The scripted-divergence core of the per-shard semantics: flushing one
@@ -942,9 +939,7 @@ mod tests {
     /// submission is weighted per shard — exact values asserted.
     #[test]
     fn flushes_diverge_shard_clocks_and_staleness() {
-        let mut server = ParameterServer::new(vec![0.0; 2], DynSgd::new(), 1.0, 3)
-            .with_shards(2)
-            .with_apply_mode(ApplyMode::PerShard);
+        let mut server = ParameterServer::new(vec![0.0; 2], DynSgd::new(), 1.0, 3).with_shards(2);
 
         // Two submissions, flushing shard 0 after each: shard 0 applies each
         // buffered segment immediately, shard 1 keeps buffering.
@@ -990,27 +985,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flush_shard requires ApplyMode::PerShard")]
-    fn lockstep_flush_panics() {
-        let mut server = ParameterServer::new(vec![0.0], FedAvg::new(), 0.1, 2);
-        server.flush_shard(0);
-    }
-
-    #[test]
     #[should_panic(expected = "read clock length")]
     fn mismatched_read_clock_panics() {
-        let mut server = ParameterServer::new(vec![0.0; 4], FedAvg::new(), 0.1, 1)
-            .with_shards(2)
-            .with_apply_mode(ApplyMode::PerShard);
+        let mut server = ParameterServer::new(vec![0.0; 4], FedAvg::new(), 0.1, 1).with_shards(2);
         server.submit(update(vec![0.0; 4], 0).with_read_clock(vec![0, 0, 0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot switch apply mode with pending gradients")]
-    fn mode_switch_with_pending_panics() {
-        let mut server = ParameterServer::new(vec![0.0], FedAvg::new(), 0.1, 2);
-        server.submit(update(vec![1.0], 0));
-        let _ = server.with_apply_mode(ApplyMode::PerShard);
     }
 
     #[test]
@@ -1019,7 +997,6 @@ mod tests {
             learning_rate: 0.25,
             aggregation_k: 2,
             shards: 3,
-            apply_mode: ApplyMode::PerShard,
             max_pending: 5,
         };
         config.validate().expect("valid config");
@@ -1028,16 +1005,13 @@ mod tests {
         assert_eq!(server.num_shards(), 3);
         assert_eq!(server.apply_mode(), ApplyMode::PerShard);
         assert_eq!(server.max_pending, 5);
-        assert_eq!(CoreConfig::default().apply_mode, ApplyMode::Lockstep);
     }
 
-    /// A per-shard server with a missing read clock falls back to the scalar
-    /// staleness on every shard (wire peers predating vector clocks).
+    /// A missing read clock falls back to the scalar staleness on every
+    /// shard (wire peers predating vector clocks).
     #[test]
     fn missing_read_clock_falls_back_to_scalar_staleness() {
-        let mut server = ParameterServer::new(vec![0.0; 4], DynSgd::new(), 1.0, 1)
-            .with_shards(2)
-            .with_apply_mode(ApplyMode::PerShard);
+        let mut server = ParameterServer::new(vec![0.0; 4], DynSgd::new(), 1.0, 1).with_shards(2);
         server.submit(update(vec![1.0; 4], 9));
         assert_eq!(server.last_shard_staleness(), &[9, 9]);
         assert_eq!(server.last_shard_weights(), &[0.1, 0.1]);
@@ -1078,7 +1052,6 @@ mod tests {
             learning_rate: 0.5,
             aggregation_k: 3,
             shards: 3,
-            apply_mode: ApplyMode::PerShard,
             max_pending: 0,
         };
         config.validate().expect("valid config");
@@ -1164,8 +1137,9 @@ mod tests {
             }
         }
 
-        /// Per-shard mode with a coherent (undiverged) read clock is the
-        /// lockstep run, bit for bit — over random schedules.
+        /// A coherent (undiverged) read clock weighs exactly as the scalar
+        /// staleness, which a server fed no read clock uses on every shard
+        /// — bit for bit, over random schedules.
         #[test]
         fn prop_per_shard_coherent_reads_match_lockstep(
             len in 1usize..60,
@@ -1174,26 +1148,26 @@ mod tests {
             seeds in proptest::collection::vec((0u64..20, -1.0f32..1.0), 1..16),
         ) {
             let init: Vec<f32> = (0..len).map(|i| (i as f32 * 0.19).cos()).collect();
-            let mut lockstep =
+            let mut scalar =
                 ParameterServer::new(init.clone(), DynSgd::new(), 0.1, k).with_shards(shards);
-            let mut per_shard = ParameterServer::new(init, DynSgd::new(), 0.1, k)
-                .with_shards(shards)
-                .with_apply_mode(ApplyMode::PerShard);
+            let mut per_shard =
+                ParameterServer::new(init, DynSgd::new(), 0.1, k).with_shards(shards);
             for &(staleness, scale) in &seeds {
                 let gradient: Vec<f32> =
                     (0..len).map(|i| scale * ((i as f32) * 0.5).sin()).collect();
                 // Clamp like the simulation planner: staleness cannot exceed
                 // the number of updates that have happened.
-                let staleness = staleness.min(lockstep.clock());
+                let staleness = staleness.min(scalar.clock());
                 let read_clock: Vec<u64> = per_shard
                     .shard_clocks()
                     .iter()
                     .map(|c| c - staleness)
                     .collect();
-                let a = lockstep.submit(update(gradient.clone(), staleness));
+                let a = scalar.submit(update(gradient.clone(), staleness));
                 let b = per_shard.submit(update(gradient, staleness).with_read_clock(read_clock));
                 prop_assert_eq!(a, b);
-                prop_assert_eq!(lockstep.parameters(), per_shard.parameters());
+                prop_assert_eq!(scalar.parameters(), per_shard.parameters());
+                prop_assert_eq!(scalar.last_shard_weights(), per_shard.last_shard_weights());
             }
         }
     }

@@ -20,12 +20,11 @@ pub struct WorkerUpdate {
     pub num_samples: usize,
     /// Identifier of the worker that produced the update.
     pub worker_id: u64,
-    /// The per-shard vector clock observed when the worker pulled the model,
-    /// for servers running [`crate::server::ApplyMode::PerShard`]: entry `s`
-    /// is the applied-update count of shard `s` at read time, so the server
-    /// can attribute a *per-shard* staleness `τ_s = clock_s − read_clock[s]`
-    /// to the gradient. `None` (and any server in lockstep mode) falls back
-    /// to the scalar [`WorkerUpdate::staleness`] for every shard.
+    /// The per-shard vector clock observed when the worker pulled the model:
+    /// entry `s` is the applied-update count of shard `s` at read time, so
+    /// the server can attribute a *per-shard* staleness
+    /// `τ_s = clock_s − read_clock[s]` to the gradient. `None` falls back to
+    /// the scalar [`WorkerUpdate::staleness`] for every shard.
     pub read_clock: Option<Vec<u64>>,
 }
 

@@ -6,7 +6,7 @@
 //! hashtag popularity is short-lived. We cannot redistribute that crawl, so
 //! this module generates a stream with the same essential property — hashtag
 //! popularity life-cycles much shorter than a day — while remaining fully
-//! deterministic and laptop-sized (see DESIGN.md, substitution table).
+//! deterministic and laptop-sized.
 //!
 //! Each [`Post`] carries a context feature vector (what the recommender sees)
 //! and the set of hashtags the user actually attached (the ground truth for

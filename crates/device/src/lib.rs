@@ -1,11 +1,12 @@
 //! # fleet-device
 //!
 //! A parametric simulator of the mobile devices the FLeet paper evaluates on
-//! (40 commercial Android phones plus a Raspberry Pi). See DESIGN.md for the
-//! substitution rationale: the paper's own measurements (Fig. 4) show that a
-//! learning task's computation time and energy grow *linearly* with the
-//! mini-batch size, with a slope that differs per device and drifts with
-//! temperature — exactly the structure this simulator reproduces.
+//! (40 commercial Android phones plus a Raspberry Pi). The phones are not
+//! available, and a simulator suffices: the paper's own measurements
+//! (Fig. 4) show that a learning task's computation time and energy grow
+//! *linearly* with the mini-batch size, with a slope that differs per device
+//! and drifts with temperature — exactly the structure this simulator
+//! reproduces.
 //!
 //! The crate provides:
 //!

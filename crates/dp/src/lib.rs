@@ -9,7 +9,8 @@
 //! worker gradients and a [`MomentsAccountant`] with the standard closed-form
 //! approximation of the accountant's ε bound (sufficient here because the
 //! experiments only need the qualitative "smaller ε ⇒ more noise ⇒ slower
-//! convergence" relationship — see DESIGN.md).
+//! convergence" relationship; `accountant.rs` states the bound and its
+//! constant).
 
 #![forbid(unsafe_code)]
 

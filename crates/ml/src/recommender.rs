@@ -1,10 +1,12 @@
 //! Hashtag recommender used by the Online-vs-Standard-FL experiment (§3.1).
 //!
 //! The paper trains a small recurrent network over tweet text and evaluates
-//! F1-score @ top-5 of the predicted hashtags. Our substitution (see
-//! DESIGN.md) keeps the essential structure: a softmax model over the hashtag
-//! vocabulary trained online from user mini-batches, whose input is a context
-//! feature vector, plus the "most popular" baseline of the paper.
+//! F1-score @ top-5 of the predicted hashtags. The tweet crawl is not
+//! available (`fleet_data::twitter` generates a synthetic stream instead),
+//! so our substitution keeps the essential structure: a softmax model over
+//! the hashtag vocabulary trained online from user mini-batches, whose input
+//! is a context feature vector, plus the "most popular" baseline of the
+//! paper.
 
 use crate::gradient::Gradient;
 use crate::model::Sequential;

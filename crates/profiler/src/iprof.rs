@@ -196,8 +196,9 @@ pub struct IProf {
 impl IProf {
     /// Creates an I-Prof instance for an SLO with the default
     /// passive-aggressive sensitivities (1e-4 s/sample for computation time,
-    /// 1e-6 battery-percent/sample for energy; see EXPERIMENTS.md for how
-    /// these relate to the ε values quoted in the paper).
+    /// 1e-6 battery-percent/sample for energy). Each ε is in the units of its
+    /// regression target, the per-sample slope, so it is set on that scale;
+    /// `passive_aggressive.rs` shows how ε sets the size of each update.
     pub fn new(slo: Slo) -> Self {
         Self::with_sensitivity(slo, 1e-4, 1e-6)
     }

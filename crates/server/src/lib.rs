@@ -30,7 +30,6 @@ pub mod wire;
 mod worker;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint};
-pub use fleet_core::ApplyMode;
 pub use protocol::ResultDisposition;
 pub use server::{FleetServer, FleetServerConfig, FleetServerState};
 pub use tasks::TaskTable;

@@ -56,8 +56,9 @@
 //! | v3      | `task_id` + explicit clock    | `task_id` present             |
 //! |         | presence flag                 |                               |
 //!
-//! A v1 peer keeps decoding everything a lockstep, pre-lease deployment
-//! produces; v3 is only on the wire once the server actually issues task ids.
+//! A v1 peer keeps decoding every result that carries neither a vector
+//! clock nor a task id; v3 is only on the wire once the server actually
+//! issues task ids.
 //!
 //! The server→worker messages have their own single-version line
 //! (`RESPONSE_WIRE_VERSION` in [`crate::wire`]) covering [`TaskResponse`]
@@ -152,10 +153,9 @@ pub struct TaskAssignment {
     pub model_parameters: Vec<f32>,
     /// The server's logical clock at the time the model was handed out.
     pub model_version: u64,
-    /// The per-shard vector clock at hand-out time, when the server runs the
-    /// parameter shards asynchronously (`ApplyMode::PerShard`); empty in
-    /// lockstep mode, where [`TaskAssignment::model_version`] carries the
-    /// whole story. The worker echoes it back as
+    /// The per-shard vector clock at hand-out time, one entry per parameter
+    /// shard (shards apply asynchronously, so it can say more than
+    /// [`TaskAssignment::model_version`]). The worker echoes it back as
     /// [`TaskResult::read_clock`] so the server can attribute a *per-shard*
     /// staleness to the gradient.
     pub shard_clocks: Vec<u64>,
@@ -223,8 +223,8 @@ pub struct TaskResult {
     pub energy_pct: f32,
     /// The per-shard vector clock the worker observed when it pulled the
     /// model (echoed from [`TaskAssignment::shard_clocks`]); `None` when the
-    /// server hands out lockstep assignments, or from wire peers that
-    /// predate vector clocks (wire format v1).
+    /// assignment carried no clock, or from wire peers that predate vector
+    /// clocks (wire format v1).
     pub read_clock: Option<Vec<u64>>,
     /// The task identifier echoed from [`TaskAssignment::task_id`]; `None`
     /// from wire peers that predate leases (wire formats v1/v2). Id-less

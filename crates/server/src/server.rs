@@ -20,14 +20,14 @@ use std::fmt;
 
 /// Configuration of a [`FleetServer`].
 ///
-/// The learning-rate / K / shards / apply-mode / backpressure cluster lives
+/// The learning-rate / K / shards / backpressure cluster lives
 /// in the embedded [`CoreConfig`] (shared with the simulation and the load
 /// harness); [`FleetServerConfig::builder`] flattens those knobs so callers
 /// write `.shards(8)` rather than reaching through `core`.
 #[derive(Debug, Clone)]
 pub struct FleetServerConfig {
-    /// The shared core knobs: learning rate γ, aggregation parameter K,
-    /// shard count and apply mode, plus the `max_pending` backpressure bound
+    /// The shared core knobs: learning rate γ, aggregation parameter K and
+    /// shard count, plus the `max_pending` backpressure bound
     /// (when a shard sits at the bound, new task requests are rejected with
     /// [`RejectionReason::Overloaded`] instead of queueing gradients the
     /// server cannot absorb).
@@ -104,7 +104,7 @@ impl FleetServerConfig {
 
 /// Builder for [`FleetServerConfig`]; `build` validates and returns a typed
 /// [`ConfigError`]. Core-cluster setters (`learning_rate`, `aggregation_k`,
-/// `shards`, `apply_mode`, `max_pending`) are flattened into this builder.
+/// `shards`, `max_pending`) are flattened into this builder.
 #[derive(Debug, Clone)]
 pub struct FleetServerConfigBuilder {
     config: FleetServerConfig,
@@ -129,9 +129,10 @@ impl FleetServerConfigBuilder {
         self
     }
 
-    /// Sets the shard apply-scheduling mode.
-    pub fn apply_mode(mut self, value: ApplyMode) -> Self {
-        self.config.core.apply_mode = value;
+    /// Accepts the one apply schedule, [`ApplyMode::PerShard`], and changes
+    /// nothing. Kept only because the frozen benchmark calls it; it goes in
+    /// the next `[benchmark]` PR.
+    pub fn apply_mode(self, _value: ApplyMode) -> Self {
         self
     }
 
@@ -247,8 +248,8 @@ impl FleetServer {
         self.parameter_server.parameters()
     }
 
-    /// The server's logical clock (number of model updates so far in
-    /// lockstep mode; the aggregation-round counter in per-shard mode).
+    /// The server's logical clock: the aggregation-round counter (without
+    /// flushes, the number of model updates so far).
     pub fn clock(&self) -> u64 {
         self.parameter_server.clock()
     }
@@ -358,14 +359,9 @@ impl FleetServer {
                 Ok(TaskGrant {
                     task_id,
                     model_version: self.parameter_server.clock(),
-                    // Per-shard servers hand out the vector clock so the
-                    // worker can echo it back and get per-shard staleness
-                    // attribution; lockstep assignments stay as before
-                    // (empty).
-                    shard_clocks: match self.config.core.apply_mode {
-                        ApplyMode::Lockstep => Vec::new(),
-                        ApplyMode::PerShard => self.parameter_server.shard_clocks(),
-                    },
+                    // The vector clock, which the worker echoes back for
+                    // per-shard staleness attribution.
+                    shard_clocks: self.parameter_server.shard_clocks(),
                     mini_batch_size: batch,
                 })
             }
@@ -503,13 +499,13 @@ impl FleetServer {
             result.worker_id,
         );
         // A result carrying the read-time vector clock gets per-shard
-        // staleness attribution (per-shard mode; a lockstep server ignores
-        // it). Results from v1 peers fall back to the scalar staleness.
-        if self.config.core.apply_mode == ApplyMode::PerShard
-            && result
-                .read_clock
-                .as_ref()
-                .is_some_and(|rc| rc.len() == self.parameter_server.num_shards())
+        // staleness attribution. The clock comes from outside, so one of the
+        // wrong length is ignored rather than trusted; results from v1 peers
+        // fall back to the scalar staleness.
+        if result
+            .read_clock
+            .as_ref()
+            .is_some_and(|rc| rc.len() == self.parameter_server.num_shards())
         {
             update.read_clock = result.read_clock;
         }
@@ -584,19 +580,11 @@ impl FleetServer {
         reclaimed
     }
 
-    /// Drains the parameter server ahead of a shutdown: in per-shard mode
-    /// every shard with buffered gradients is flushed (applied) so the
-    /// checkpoint captures their effect; in lockstep mode partially
-    /// aggregated gradients are part of the deterministic trajectory and are
-    /// checkpointed as pending instead. Returns the number of shards
-    /// flushed.
+    /// Drains the parameter server ahead of a shutdown: every shard with
+    /// buffered gradients is flushed (applied) so the checkpoint captures
+    /// their effect. Returns the number of shards flushed.
     pub fn drain(&mut self) -> usize {
-        let flushed = match self.config.core.apply_mode {
-            ApplyMode::Lockstep => 0,
-            ApplyMode::PerShard => (0..self.parameter_server.num_shards())
-                .filter(|&shard| self.parameter_server.flush_shard(shard))
-                .count(),
-        };
+        let flushed = self.parameter_server.flush();
         if flushed > 0 {
             self.published = Published::default();
         }
@@ -765,17 +753,29 @@ mod tests {
         for _ in 0..3 {
             for worker in workers.iter_mut() {
                 let request = worker.request();
-                let (a, b) = (
+                match (
                     reference.handle_request(&request),
                     sharded.handle_request(&request),
-                );
-                assert_eq!(a, b);
-                if let TaskResponse::Assignment(assignment) = a {
-                    let result = worker.execute(&assignment).unwrap();
-                    let ack_ref = reference.handle_result(result.clone());
-                    let ack_sharded = sharded.handle_result(result);
-                    assert_eq!(ack_ref, ack_sharded);
-                    assert_eq!(reference.parameters(), sharded.parameters());
+                ) {
+                    (TaskResponse::Assignment(a), TaskResponse::Assignment(b)) => {
+                        // Every field but the vector clock, which has one
+                        // entry per shard, and every entry is the clock.
+                        assert_eq!(a.shard_clocks, vec![a.model_version]);
+                        assert_eq!(b.shard_clocks, vec![a.model_version; 8]);
+                        let strip = |x: &TaskAssignment| TaskAssignment {
+                            shard_clocks: Vec::new(),
+                            ..x.clone()
+                        };
+                        assert_eq!(strip(&a), strip(&b));
+                        let result = worker.execute(&a).unwrap();
+                        let mut sharded_result = result.clone();
+                        sharded_result.read_clock = Some(b.shard_clocks);
+                        let ack_ref = reference.handle_result(result);
+                        let ack_sharded = sharded.handle_result(sharded_result);
+                        assert_eq!(ack_ref, ack_sharded);
+                        assert_eq!(reference.parameters(), sharded.parameters());
+                    }
+                    (a, b) => assert_eq!(a, b),
                 }
             }
         }
@@ -791,7 +791,6 @@ mod tests {
                 .to_builder()
                 .shards(4)
                 .aggregation_k(2)
-                .apply_mode(ApplyMode::PerShard)
                 .build()
                 .unwrap(),
         );
@@ -1086,40 +1085,35 @@ mod tests {
     }
 
     #[test]
-    fn drain_flushes_per_shard_pending_and_noops_in_lockstep() {
+    fn drain_flushes_pending_gradients() {
         let (base, mut workers, _) = build_world(2);
-        let mut lockstep = FleetServer::new(
-            base.parameters().to_vec(),
-            base.config.to_builder().aggregation_k(2).build().unwrap(),
-        );
-        if let TaskResponse::Assignment(a) = lockstep.handle_request(&workers[0].request()) {
-            lockstep.handle_result(workers[0].execute(&a).unwrap());
+        for (shards, worker) in [1, 2].into_iter().zip(workers.iter_mut()) {
+            // The default config at K = 2, with one and with two shards.
+            let mut server = FleetServer::new(
+                base.parameters().to_vec(),
+                base.config
+                    .to_builder()
+                    .aggregation_k(2)
+                    .shards(shards)
+                    .build()
+                    .unwrap(),
+            );
+            if let TaskResponse::Assignment(a) = server.handle_request(&worker.request()) {
+                server.handle_result(worker.execute(&a).unwrap());
+            }
+            let before = server.parameters().to_vec();
+            assert_eq!(
+                server.drain(),
+                shards,
+                "every shard held a buffered gradient"
+            );
+            assert_ne!(
+                server.parameters(),
+                before.as_slice(),
+                "the flushed gradient reaches the model before the checkpoint"
+            );
+            assert_eq!(server.drain(), 0, "nothing left to flush");
         }
-        let before = lockstep.parameters().to_vec();
-        assert_eq!(lockstep.drain(), 0, "lockstep pending is checkpointable");
-        assert_eq!(lockstep.parameters(), before.as_slice());
-
-        let mut per_shard = FleetServer::new(
-            base.parameters().to_vec(),
-            base.config
-                .to_builder()
-                .aggregation_k(2)
-                .shards(2)
-                .apply_mode(ApplyMode::PerShard)
-                .build()
-                .unwrap(),
-        );
-        if let TaskResponse::Assignment(a) = per_shard.handle_request(&workers[1].request()) {
-            per_shard.handle_result(workers[1].execute(&a).unwrap());
-        }
-        let before = per_shard.parameters().to_vec();
-        assert_eq!(per_shard.drain(), 2, "both shards held a buffered gradient");
-        assert_ne!(
-            per_shard.parameters(),
-            before.as_slice(),
-            "the flushed gradient reaches the model before the checkpoint"
-        );
-        assert_eq!(per_shard.drain(), 0, "nothing left to flush");
     }
 
     #[test]
@@ -1236,7 +1230,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_resumes_bitwise() {
-        // The default lockstep, single-shard, K = 1 server.
+        // The default single-shard, K = 1 server.
         let (server, mut workers, _) = build_world(4);
         let checkpoint = assert_checkpoint_restore_resumes_bitwise(server, &mut workers, |_| {});
         assert_eq!(checkpoint.tasks.outstanding.len(), 4);
@@ -1252,7 +1246,6 @@ mod tests {
             base.parameters().to_vec(),
             base.config
                 .to_builder()
-                .apply_mode(ApplyMode::PerShard)
                 .shards(2)
                 .aggregation_k(2)
                 .build()
@@ -1287,12 +1280,11 @@ mod tests {
     /// copied assignment's `encode_response` and decode to the current
     /// parameters — a body published before a change must never be sent
     /// after it.
-    fn assert_published_model_stays_coherent(mode: ApplyMode, k: usize, seed: u64) {
+    fn assert_published_model_stays_coherent(k: usize, seed: u64) {
         let (base, mut workers, _) = build_world(3);
         let config = base
             .config
             .to_builder()
-            .apply_mode(mode)
             .shards(2)
             .aggregation_k(k)
             .build()
@@ -1330,8 +1322,7 @@ mod tests {
                             );
                             result.model_version = assignment.model_version;
                             result.task_id = Some(assignment.task_id);
-                            result.read_clock =
-                                (mode == ApplyMode::PerShard).then_some(assignment.shard_clocks);
+                            result.read_clock = Some(assignment.shard_clocks);
                             in_flight.push(result);
                         }
                         (TaskResponse::Rejected(a), Err(b)) => assert_eq!(a, b),
@@ -1355,17 +1346,15 @@ mod tests {
             }
             assert_eq!(copied.parameters(), shared.parameters());
         }
-        assert!(assignments > 10, "{mode:?}, K = {k}: too few assignments");
+        assert!(assignments > 10, "K = {k}: too few assignments");
         assert_eq!(copied.checkpoint(), shared.checkpoint());
     }
 
     #[test]
     fn published_model_stays_coherent_under_seeded_interleavings() {
-        for mode in [ApplyMode::Lockstep, ApplyMode::PerShard] {
-            for k in 1..=3 {
-                for seed in [42, 7, 2024] {
-                    assert_published_model_stays_coherent(mode, k, seed);
-                }
+        for k in 1..=3 {
+            for seed in [42, 7, 2024] {
+                assert_published_model_stays_coherent(k, seed);
             }
         }
     }

@@ -41,8 +41,8 @@ use std::fmt;
 const WIRE_VERSION: u8 = 1;
 
 /// Wire-format version 2: a [`TaskResult`] carrying the per-shard vector
-/// clock the worker observed at model-read time (`ApplyMode::PerShard`
-/// servers attribute per-shard staleness from it). The encoder emits the
+/// clock the worker observed at model-read time (the server attributes
+/// per-shard staleness from it). The encoder emits the
 /// *oldest* version able to carry the message — results without a read
 /// clock stay byte-identical to v1 — and the decoder accepts both.
 const WIRE_VERSION_READ_CLOCK: u8 = 2;
@@ -395,8 +395,7 @@ pub fn encode_result(result: &TaskResult) -> Bytes {
     encode(|s| {
         // Emit the oldest version able to carry the message: a result
         // without a read clock or task id is byte-identical to the v1
-        // encoding, so v1 peers keep decoding everything a lockstep
-        // deployment produces.
+        // encoding, so v1 peers keep decoding every such result.
         s.put_u8(match (task_id, read_clock) {
             (Some(_), _) => WIRE_VERSION_TASK_ID,
             (None, Some(_)) => WIRE_VERSION_READ_CLOCK,

@@ -125,9 +125,10 @@ impl Worker {
             num_samples: batch_indices.len(),
             computation_seconds: execution.computation_seconds,
             energy_pct: execution.energy_pct,
-            // Echo the per-shard vector clock the assignment carried (empty
-            // for lockstep servers), so an `ApplyMode::PerShard` server can
-            // attribute per-shard staleness to this gradient.
+            // Echo the per-shard vector clock the assignment carried, so the
+            // server can attribute per-shard staleness to this gradient. An
+            // assignment without one (a hand-built or legacy one) gets the
+            // scalar staleness.
             read_clock: (!assignment.shard_clocks.is_empty())
                 .then(|| assignment.shard_clocks.clone()),
             // Echo the task id so the server can deduplicate retransmissions

@@ -223,19 +223,18 @@ mod tests {
     use fleet_durability::FsyncPolicy;
     use fleet_ml::models::mlp_classifier;
     use fleet_server::protocol::{TaskAssignment, TaskResponse};
-    use fleet_server::{ApplyMode, FleetServerConfig, Worker};
+    use fleet_server::{FleetServerConfig, Worker};
     use std::fs;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
     /// The socket tests' world: a small MLP over the synthetic 4-class,
     /// 6-feature task, here with K = 2 over two shards.
-    fn server(mode: ApplyMode) -> FleetServer {
+    fn server() -> FleetServer {
         let config = FleetServerConfig::builder()
             .num_classes(4)
             .aggregation_k(2)
             .shards(2)
-            .apply_mode(mode)
             .build()
             .expect("config is valid");
         FleetServer::new(mlp_classifier(6, &[8], 4, 0).parameters(), config)
@@ -321,63 +320,60 @@ mod tests {
 
     #[test]
     fn replay_equals_live_at_every_crash_point() {
-        for mode in [ApplyMode::Lockstep, ApplyMode::PerShard] {
-            let root =
-                std::env::temp_dir().join(format!("fleet-core-{}-{mode:?}", std::process::id()));
-            let _ = fs::remove_dir_all(&root);
-            let live = root.join("live");
-            let mut core = Core::recover(server(mode), &options(&live)).expect("fresh core");
-            let mut points = vec![crash_point(&core, &live, root.join("0"))];
-            let mut fleet = workers(3);
-            for round in 0..3 {
-                for (i, worker) in fleet.iter_mut().enumerate() {
-                    let grant = match step(&mut core, EventKind::Request, worker.request_wire()) {
-                        Outcome::Admission(Ok(grant)) => grant,
-                        other => panic!("expected a grant, got {other:?}"),
-                    };
-                    points.push(crash_point(
-                        &core,
-                        &live,
-                        root.join(points.len().to_string()),
-                    ));
-                    let outcome = if round == 1 && i == 0 {
-                        // This worker's connection dies: its lease comes back.
-                        let raw = Bytes::from(grant.task_id.to_le_bytes().to_vec());
-                        step(&mut core, EventKind::Reclaim, raw)
-                    } else {
-                        let assignment = assignment(&mut core, &grant);
-                        let raw = worker.execute_wire(&assignment).expect("execute");
-                        step(&mut core, EventKind::Result, raw)
-                    };
-                    assert!(
-                        matches!(
-                            outcome,
-                            Outcome::Reclaimed(true)
-                                | Outcome::Ack(ResultAck {
-                                    disposition: ResultDisposition::Applied,
-                                    ..
-                                })
-                        ),
-                        "{outcome:?}"
-                    );
-                    points.push(crash_point(
-                        &core,
-                        &live,
-                        root.join(points.len().to_string()),
-                    ));
-                }
-            }
-            assert_eq!(core.steps, 8, "{mode:?}");
-            for (at, point) in points.iter().enumerate() {
-                let recovered = Core::recover(server(mode), &options(&point.dir)).expect("recover");
-                assert_eq!(recovered.steps, point.steps, "{mode:?}, crash point {at}");
+        let root = std::env::temp_dir().join(format!("fleet-core-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let live = root.join("live");
+        let mut core = Core::recover(server(), &options(&live)).expect("fresh core");
+        let mut points = vec![crash_point(&core, &live, root.join("0"))];
+        let mut fleet = workers(3);
+        for round in 0..3 {
+            for (i, worker) in fleet.iter_mut().enumerate() {
+                let grant = match step(&mut core, EventKind::Request, worker.request_wire()) {
+                    Outcome::Admission(Ok(grant)) => grant,
+                    other => panic!("expected a grant, got {other:?}"),
+                };
+                points.push(crash_point(
+                    &core,
+                    &live,
+                    root.join(points.len().to_string()),
+                ));
+                let outcome = if round == 1 && i == 0 {
+                    // This worker's connection dies: its lease comes back.
+                    let raw = Bytes::from(grant.task_id.to_le_bytes().to_vec());
+                    step(&mut core, EventKind::Reclaim, raw)
+                } else {
+                    let assignment = assignment(&mut core, &grant);
+                    let raw = worker.execute_wire(&assignment).expect("execute");
+                    step(&mut core, EventKind::Result, raw)
+                };
                 assert!(
-                    encode_checkpoint(&recovered.server.checkpoint()) == point.checkpoint,
-                    "{mode:?}: the state recovered at crash point {at} is not the live one"
+                    matches!(
+                        outcome,
+                        Outcome::Reclaimed(true)
+                            | Outcome::Ack(ResultAck {
+                                disposition: ResultDisposition::Applied,
+                                ..
+                            })
+                    ),
+                    "{outcome:?}"
                 );
+                points.push(crash_point(
+                    &core,
+                    &live,
+                    root.join(points.len().to_string()),
+                ));
             }
-            drop(core);
-            fs::remove_dir_all(&root).expect("remove scratch");
         }
+        assert_eq!(core.steps, 8);
+        for (at, point) in points.iter().enumerate() {
+            let recovered = Core::recover(server(), &options(&point.dir)).expect("recover");
+            assert_eq!(recovered.steps, point.steps, "crash point {at}");
+            assert!(
+                encode_checkpoint(&recovered.server.checkpoint()) == point.checkpoint,
+                "the state recovered at crash point {at} is not the live one"
+            );
+        }
+        drop(core);
+        fs::remove_dir_all(&root).expect("remove scratch");
     }
 }

@@ -293,8 +293,8 @@ impl TransportServer {
     }
 
     /// Stops accepting, force-closes every connection, joins every thread,
-    /// drains the core (per-shard pending gradients are flushed into the
-    /// model) and returns its checkpoint. For a UDS endpoint the socket file
+    /// drains the core (every shard's pending gradients are flushed into
+    /// the model) and returns its checkpoint. For a UDS endpoint the socket file
     /// is removed.
     ///
     /// # Errors

@@ -6,7 +6,6 @@
 mod common;
 
 use common::{base_config, build_workers, digest, fresh_server, model_parameters, uds_endpoint};
-use fleet_core::ApplyMode;
 use fleet_server::protocol::{RejectionReason, TaskResponse};
 use fleet_server::{
     decode_checkpoint, encode_checkpoint, FleetServerConfig, ResultDisposition, RetryPolicy,
@@ -390,7 +389,6 @@ fn shutdown_drains_shards_and_persists_the_checkpoint() {
         .to_builder()
         .aggregation_k(2)
         .shards(2)
-        .apply_mode(ApplyMode::PerShard)
         .build()
         .expect("drain config is valid");
     let server = TransportServer::bind(

@@ -368,7 +368,6 @@ fn chaos() {
     // disconnects, never by the clock).
     let config = base_config()
         .to_builder()
-        .apply_mode(fleet_core::ApplyMode::PerShard)
         .shards(2)
         .aggregation_k(3)
         .max_pending(1)

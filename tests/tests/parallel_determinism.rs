@@ -18,7 +18,7 @@
 //! sweep and fails on any divergence.
 
 use fleet_bench::{AsyncSimulation, FaultPlan, SimulationConfig, StalenessDistribution};
-use fleet_core::{AdaSgd, ApplyMode, FedAvg};
+use fleet_core::{AdaSgd, FedAvg};
 use fleet_tests::{small_model, small_world};
 
 /// Forces the parallel path (even on single-core CI) before the thread count
@@ -123,40 +123,39 @@ fn shard_sweep_digests_are_identical() {
 #[test]
 fn per_shard_digest_is_stable() {
     pin_threads();
-    // The asynchronous per-shard apply mode: 4 shards advancing on
+    // The asynchronous per-shard apply schedule: 4 shards advancing on
     // independent triggers (the scripted flush schedule diverges the vector
     // clock every other round), with per-shard staleness attribution flowing
-    // through the v2 wire codec. Unlike lockstep, the shard count is part of
-    // the semantics here, so the digest is pinned for this *fixed* config
+    // through the v2 wire codec. Once the clocks diverge, the shard count is
+    // part of the semantics, so the digest is pinned for this *fixed* config
     // and must be identical across thread counts only —
     // `scripts/ci.sh` sweeps FLEET_NUM_THREADS=1/4/7
     // and compares the digest this test prints against the pinned value in
     // scripts/expected_digests.txt.
     let (train, test, users) = small_world(800, 12, 5);
-    let make = |mode: ApplyMode, flush_every: usize| {
+    let make = |flush_every: usize| {
         let mut cfg = config(4, None);
         cfg.core.shards = 4;
-        cfg.core.apply_mode = mode;
         cfg.flush_every = flush_every;
         let sim = AsyncSimulation::new(&train, &test, &users, cfg);
         let mut model = small_model(2);
         let history = sim.run(&mut model, AdaSgd::new(10, 99.7));
         (digest(&model.parameters()), history)
     };
-    let (first, history_a) = make(ApplyMode::PerShard, 2);
+    let (first, history_a) = make(2);
     println!(
         "pershard digest: {first:#018x} (threads={})",
         fleet_parallel::max_threads()
     );
-    let (second, history_b) = make(ApplyMode::PerShard, 2);
+    let (second, history_b) = make(2);
     assert_eq!(first, second, "per-shard runs with one seed diverged");
     assert_eq!(history_a, history_b);
-    // The flush schedule must actually diverge the trajectory from lockstep
-    // — otherwise the mode under test silently degenerated to lockstep.
-    let (lockstep, _) = make(ApplyMode::Lockstep, 0);
+    // The flush schedule must actually diverge the trajectory from the
+    // unflushed run — otherwise the vector clock under test never diverged.
+    let (unflushed, _) = make(0);
     assert_ne!(
-        first, lockstep,
-        "per-shard digest must differ from lockstep"
+        first, unflushed,
+        "per-shard digest must differ from the unflushed run"
     );
 }
 
@@ -172,13 +171,14 @@ fn chaos_digests_are_stable() {
     // decisions are stateless hashes of (seed, round, worker), so the chaos
     // trajectory is a pure function of the config.
     let (train, test, users) = small_world(800, 12, 5);
-    let make = |mode: ApplyMode, fault_seed: u64| {
+    // The `l` runs flush nothing; the `p` runs flush every other round over
+    // 4 shards.
+    let make = |flush_every: usize, fault_seed: u64| {
         let mut cfg = config(4, None);
         cfg.faults = FaultPlan::chaos(fault_seed);
-        cfg.core.apply_mode = mode;
-        if mode == ApplyMode::PerShard {
+        if flush_every > 0 {
             cfg.core.shards = 4;
-            cfg.flush_every = 2;
+            cfg.flush_every = flush_every;
         }
         let sim = AsyncSimulation::new(&train, &test, &users, cfg);
         let mut model = small_model(2);
@@ -194,18 +194,18 @@ fn chaos_digests_are_stable() {
         digest(&model.parameters())
     };
 
-    for (name, mode, fault_seed) in [
-        ("chaos-l1", ApplyMode::Lockstep, 1u64),
-        ("chaos-p1", ApplyMode::PerShard, 1),
-        ("chaos-l2", ApplyMode::Lockstep, 2),
-        ("chaos-p2", ApplyMode::PerShard, 2),
+    for (name, flush_every, fault_seed) in [
+        ("chaos-l1", 0, 1u64),
+        ("chaos-p1", 2, 1),
+        ("chaos-l2", 0, 2),
+        ("chaos-p2", 2, 2),
     ] {
-        let (first, history_a) = make(mode, fault_seed);
+        let (first, history_a) = make(flush_every, fault_seed);
         println!(
             "{name} digest: {first:#018x} (threads={})",
             fleet_parallel::max_threads()
         );
-        let (second, history_b) = make(mode, fault_seed);
+        let (second, history_b) = make(flush_every, fault_seed);
         assert_eq!(first, second, "{name}: chaos runs with one seed diverged");
         assert_eq!(history_a, history_b);
         assert_ne!(first, clean, "{name}: the fault plan must perturb the run");

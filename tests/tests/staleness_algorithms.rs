@@ -3,7 +3,7 @@
 //! scale), and of the per-shard vector-clock staleness attribution.
 
 use fleet_bench::{AsyncSimulation, SimulationConfig, StalenessDistribution, TrainingHistory};
-use fleet_core::{AdaSgd, ApplyMode, DynSgd, FedAvg, ParameterServer, Ssgd, WorkerUpdate};
+use fleet_core::{AdaSgd, DynSgd, FedAvg, ParameterServer, Ssgd, WorkerUpdate};
 use fleet_tests::{small_model, small_world};
 
 fn run_with(
@@ -69,7 +69,9 @@ fn staleness_hurts_but_dampening_helps() {
 
 /// Per-shard staleness regression: a scripted schedule in which two shards
 /// diverge by more than one clock tick must produce per-shard τ values (and
-/// dampening weights) that differ from the lockstep run — asserted exactly.
+/// dampening weights) that differ from the run of the same submissions
+/// without read clocks, whose shards weigh in lockstep at the scalar
+/// staleness — asserted exactly.
 #[test]
 fn per_shard_staleness_diverges_from_lockstep_exactly() {
     use fleet_data::LabelDistribution;
@@ -84,17 +86,13 @@ fn per_shard_staleness_diverges_from_lockstep_exactly() {
             0,
         )
     };
-    let make = |mode: ApplyMode| {
-        ParameterServer::new(vec![0.0; 4], DynSgd::new(), 1.0, 3)
-            .with_shards(2)
-            .with_apply_mode(mode)
-    };
+    let make = || ParameterServer::new(vec![0.0; 4], DynSgd::new(), 1.0, 3).with_shards(2);
 
     // The scripted schedule: three submissions, all computed against the
     // same read snapshot (vector clock [0, 0]); shard 0 is flushed after
     // each of the first two, so its clock runs 2 ticks ahead of shard 1's
     // by the third submission.
-    let mut per_shard = make(ApplyMode::PerShard);
+    let mut per_shard = make();
     per_shard.submit(update(0).with_read_clock(vec![0, 0]));
     per_shard.flush_shard(0);
     per_shard.submit(update(0).with_read_clock(vec![0, 0]));
@@ -110,17 +108,18 @@ fn per_shard_staleness_diverges_from_lockstep_exactly() {
         &[(1.0f64 / 3.0) as f32, 1.0]
     );
 
-    // The lockstep run of the *same* submissions sees scalar staleness 0
-    // everywhere: weight 1 for every gradient on every shard, applied on the
-    // K=3rd submission.
-    let mut lockstep = make(ApplyMode::Lockstep);
+    // The *same* submissions without read clocks (and without flushes) see
+    // scalar staleness 0 everywhere: weight 1 for every gradient on every
+    // shard, applied on the K=3rd submission.
+    let mut lockstep = make();
     for _ in 0..3 {
         let outcome = lockstep.submit(update(0));
         assert_eq!(outcome.applied_weight, 1.0);
+        assert_eq!(lockstep.last_shard_weights(), &[1.0, 1.0]);
     }
     assert_eq!(lockstep.parameters(), &[-3.0; 4]);
 
-    // The per-shard trajectory differs: shard 1's range matches lockstep
+    // The per-shard trajectory differs: shard 1's range matches that run
     // (its clock never diverged), shard 0's does not — its second gradient
     // was dampened at τ=1 (weight 1/2) and its third (τ=2, weight 1/3) is
     // still pending at this point of the schedule.
