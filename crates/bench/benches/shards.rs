@@ -74,7 +74,7 @@ fn shard_benches(c: &mut Criterion) {
 
     // The chaos-overhead pair: the fault-tolerant protocol wraps every
     // submit in a lease issue + result classification (dedup against the
-    // completed set, expiry against the deadline). Benchmarked against the
+    // issued ids, expiry against the deadline). Benchmarked against the
     // identical plain submit at 8 shards, the pair isolates what the
     // lease/dedup bookkeeping costs per update — it should be noise next to
     // the 4 MB split/scale/apply work.

@@ -8,6 +8,9 @@
 //! `num_shards` contiguous segments of near-equal length (the first
 //! `len % num_shards` shards hold one extra element). Each shard owns a
 //! pending buffer of scaled gradient segments and its own logical clock.
+//! Other counts are derived from the gradients received: the global clock
+//! is that count over `K`, and a shard's applied count is that count less
+//! its pending depth (each submit gives each shard one segment).
 //!
 //! # Apply schedule
 //!
@@ -75,18 +78,8 @@ pub struct ParameterServerState {
     pub shard_pending: Vec<Vec<Vec<f32>>>,
     /// Per-shard logical clocks (the vector clock), in shard order.
     pub shard_clocks: Vec<u64>,
-    /// Per-shard applied-gradient counts, in shard order.
-    pub shard_applied: Vec<u64>,
-    /// Submissions since the last K-trigger (the global pending count).
-    pub pending_count: usize,
-    /// The global logical clock.
-    pub clock: u64,
     /// Total gradients received.
     pub updates_received: u64,
-    /// Per-shard staleness of the most recent submission.
-    pub last_shard_staleness: Vec<u64>,
-    /// Per-shard weights of the most recent submission.
-    pub last_shard_weights: Vec<f32>,
     /// The aggregator's exported state.
     pub aggregator: AggregatorState,
 }
@@ -129,8 +122,6 @@ struct Shard {
     /// Number of model updates this shard has applied (the shard's entry in
     /// the vector clock).
     clock: u64,
-    /// Number of gradient segments folded into this shard's range.
-    applied: u64,
 }
 
 /// A parameter server holding the flat model parameters — range-partitioned
@@ -149,8 +140,6 @@ pub struct ParameterServer<A: Aggregator> {
     learning_rate: f32,
     aggregation_k: usize,
     max_pending: usize,
-    pending_count: usize,
-    clock: u64,
     updates_received: u64,
     /// Per-shard staleness values attributed to the most recent submission.
     last_shard_staleness: Vec<u64>,
@@ -183,8 +172,6 @@ impl<A: Aggregator> ParameterServer<A> {
             learning_rate,
             aggregation_k,
             max_pending: 0,
-            pending_count: 0,
-            clock: 0,
             updates_received: 0,
             last_shard_staleness: Vec::new(),
             last_shard_weights: Vec::new(),
@@ -241,7 +228,10 @@ impl<A: Aggregator> ParameterServer<A> {
     }
 
     fn has_pending(&self) -> bool {
-        self.pending_count != 0 || self.shards.iter().any(|s| !s.pending.is_empty())
+        !self
+            .updates_received
+            .is_multiple_of(self.aggregation_k as u64)
+            || self.shards.iter().any(|s| !s.pending.is_empty())
     }
 
     fn partition(&mut self, num_shards: usize) {
@@ -263,8 +253,7 @@ impl<A: Aggregator> ParameterServer<A> {
             .iter()
             .map(|s| s.clock)
             .max()
-            .unwrap_or(self.clock);
-        let applied = self.updates_applied();
+            .unwrap_or(self.clock());
         self.shards.clear();
         let mut start = 0;
         for i in 0..num_shards {
@@ -274,7 +263,6 @@ impl<A: Aggregator> ParameterServer<A> {
                 len: shard_len,
                 pending: Vec::new(),
                 clock,
-                applied,
             });
             start += shard_len;
         }
@@ -291,7 +279,7 @@ impl<A: Aggregator> ParameterServer<A> {
     /// Without flushes it is also the number of model updates so far;
     /// [`Self::shard_clocks`] carries the per-shard state.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.updates_received / self.aggregation_k as u64
     }
 
     /// The apply schedule, which is always [`ApplyMode::PerShard`]. Kept
@@ -315,24 +303,26 @@ impl<A: Aggregator> ParameterServer<A> {
     }
 
     /// The per-shard staleness values `τ_s` attributed to the most recent
-    /// submission (empty before the first submission).
+    /// submission since construction or restore (empty before it).
     pub fn last_shard_staleness(&self) -> &[u64] {
         &self.last_shard_staleness
     }
 
     /// The per-shard f32 weights applied to the most recent submission
-    /// (empty before the first submission).
+    /// since construction or restore (empty before it).
     pub fn last_shard_weights(&self) -> &[f32] {
         &self.last_shard_weights
     }
 
     /// Number of gradients that have been folded into the model on *every*
-    /// shard — the fully-applied frontier. Without flushes all shards apply
-    /// together, so this is simply the number of applied gradients; after a
-    /// flush, a gradient applied on some shards but still pending on others
-    /// does not count yet.
+    /// shard — the fully-applied frontier, the gradients received less the
+    /// deepest pending buffer. Without flushes all shards apply together, so
+    /// this is simply the number of applied gradients; after a flush, a
+    /// gradient applied on some shards but still pending on others does not
+    /// count yet.
     pub fn updates_applied(&self) -> u64 {
-        self.shards.iter().map(|s| s.applied).min().unwrap_or(0)
+        let deepest = self.shards.iter().map(|s| s.pending.len()).max();
+        deepest.map_or(0, |depth| self.updates_received - depth as u64)
     }
 
     /// Every shard's pending-buffer depth, in shard order — the queue-depth
@@ -344,7 +334,11 @@ impl<A: Aggregator> ParameterServer<A> {
     /// Every shard's applied-gradient count, in shard order — the
     /// per-shard apply-rate signal for telemetry.
     pub fn shard_applied_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.applied).collect()
+        let received = self.updates_received;
+        self.shards
+            .iter()
+            .map(|s| received - s.pending.len() as u64)
+            .collect()
     }
 
     /// The first shard whose pending buffer has reached the
@@ -368,12 +362,7 @@ impl<A: Aggregator> ParameterServer<A> {
             parameters: self.parameters.clone(),
             shard_pending: self.shards.iter().map(|s| s.pending.clone()).collect(),
             shard_clocks: self.shards.iter().map(|s| s.clock).collect(),
-            shard_applied: self.shards.iter().map(|s| s.applied).collect(),
-            pending_count: self.pending_count,
-            clock: self.clock,
             updates_received: self.updates_received,
-            last_shard_staleness: self.last_shard_staleness.clone(),
-            last_shard_weights: self.last_shard_weights.clone(),
             aggregator: self.aggregator.export_state(),
         }
     }
@@ -388,7 +377,7 @@ impl<A: Aggregator> ParameterServer<A> {
     ///
     /// Panics if the state's parameter length or shard count does not match
     /// this server's partition, or a pending segment's length does not match
-    /// its shard's range.
+    /// its shard's range or outnumbers the gradients received.
     pub fn restore_state(&mut self, state: ParameterServerState) {
         assert_eq!(
             state.parameters.len(),
@@ -401,7 +390,6 @@ impl<A: Aggregator> ParameterServer<A> {
             "checkpoint shard count does not match the server's partition"
         );
         assert_eq!(state.shard_clocks.len(), self.shards.len());
-        assert_eq!(state.shard_applied.len(), self.shards.len());
         self.parameters = state.parameters;
         for (i, shard) in self.shards.iter_mut().enumerate() {
             for segment in &state.shard_pending[i] {
@@ -411,15 +399,16 @@ impl<A: Aggregator> ParameterServer<A> {
                     "pending segment length does not match shard {i}'s range"
                 );
             }
+            assert!(
+                state.shard_pending[i].len() as u64 <= state.updates_received,
+                "shard {i} holds more pending segments than gradients received"
+            );
             shard.pending = state.shard_pending[i].clone();
             shard.clock = state.shard_clocks[i];
-            shard.applied = state.shard_applied[i];
         }
-        self.pending_count = state.pending_count;
-        self.clock = state.clock;
         self.updates_received = state.updates_received;
-        self.last_shard_staleness = state.last_shard_staleness;
-        self.last_shard_weights = state.last_shard_weights;
+        self.last_shard_staleness.clear();
+        self.last_shard_weights.clear();
         self.aggregator.import_state(state.aggregator);
     }
 
@@ -459,13 +448,10 @@ impl<A: Aggregator> ParameterServer<A> {
         // staleness.
         let (taus, weights) = self.shard_staleness_weights(&update, weight);
         self.aggregator.record(&update);
-        self.updates_received += 1;
-
-        self.pending_count += 1;
         // The global clock is a deterministic round counter: it advances on
         // every K-th submission. Without flushes that is also every shard's
         // apply trigger, and the shard clocks advance with it.
-        let round_complete = self.pending_count >= self.aggregation_k;
+        self.updates_received += 1;
         let aggregation_k = self.aggregation_k;
         let applied = self
             .shards
@@ -494,7 +480,6 @@ impl<A: Aggregator> ParameterServer<A> {
                         *p -= learning_rate * g;
                     }
                 }
-                shard.applied += shard.pending.len() as u64 + 1;
                 shard.pending.clear();
                 for (p, g) in segment.iter_mut().zip(incoming) {
                     *p -= learning_rate * (g * weight);
@@ -506,17 +491,13 @@ impl<A: Aggregator> ParameterServer<A> {
                     .push(incoming.iter().map(|g| g * weight).collect());
             }
         }
-        if round_complete {
-            self.pending_count = 0;
-            self.clock += 1;
-        }
         self.last_shard_staleness = taus;
         self.last_shard_weights = weights;
         SubmitOutcome {
             scaling_factor: scaling,
             applied_weight: weight,
             applied,
-            clock: self.clock,
+            clock: self.clock(),
         }
     }
 
@@ -599,7 +580,6 @@ impl<A: Aggregator> ParameterServer<A> {
                 *p -= learning_rate * g;
             }
         }
-        s.applied += s.pending.len() as u64;
         s.pending.clear();
         s.clock += 1;
         true
@@ -1168,6 +1148,58 @@ mod tests {
                 prop_assert_eq!(a, b);
                 prop_assert_eq!(scalar.parameters(), per_shard.parameters());
                 prop_assert_eq!(scalar.last_shard_weights(), per_shard.last_shard_weights());
+            }
+        }
+
+        /// The derived clock and applied counts equal counters kept from
+        /// the submit outcomes and flush returns, over random submit, flush
+        /// and export → restore sequences.
+        #[test]
+        fn prop_derived_counts_match_kept_counters(
+            k in 1u64..=4,
+            shards in 1usize..=4,
+            ops in proptest::collection::vec((0u8..6, 0usize..4), 1..40),
+        ) {
+            let build =
+                || ParameterServer::new(vec![0.0; 6], FedAvg::new(), 0.1, k as usize).with_shards(shards);
+            let mut server = build();
+            let (mut received, mut clock) = (0, 0);
+            let mut applied = vec![0u64; shards];
+            for &(op, shard) in &ops {
+                let shard = shard % shards;
+                match op {
+                    0..=2 => {
+                        let outcome = server.submit(update(vec![0.5; 6], 0));
+                        received += 1;
+                        clock += u64::from(received % k == 0);
+                        prop_assert_eq!(outcome.clock, clock);
+                        // Each shard applies its run once K segments are due.
+                        let due: Vec<bool> = applied.iter().map(|&a| received - a >= k).collect();
+                        prop_assert_eq!(outcome.applied, due.contains(&true));
+                        for (a, due) in applied.iter_mut().zip(due) {
+                            if due {
+                                *a = received;
+                            }
+                        }
+                    }
+                    3 => {
+                        prop_assert_eq!(server.flush_shard(shard), applied[shard] < received);
+                        applied[shard] = received;
+                    }
+                    4 => {
+                        let due = applied.iter().filter(|&&a| a < received).count();
+                        prop_assert_eq!(server.flush(), due);
+                        applied.fill(received);
+                    }
+                    _ => {
+                        let state = server.export_state();
+                        server = build();
+                        server.restore_state(state);
+                    }
+                }
+                prop_assert_eq!(server.clock(), clock);
+                prop_assert_eq!(server.shard_applied_counts(), applied.clone());
+                prop_assert_eq!(server.updates_applied(), *applied.iter().min().unwrap());
             }
         }
     }

@@ -21,10 +21,12 @@
 //! the bytes left before the count sizes an allocation.
 //!
 //! Version history. v1: the aggregator's staleness history as every observed
-//! value, in observation order. v2 (what [`encode_checkpoint`] writes): the
-//! same history as ascending `(value, count)` pairs, so the section stops
-//! growing with uptime. The decoder still reads v1, folding its values into
-//! counts.
+//! value, in observation order. v2: the same history as ascending
+//! `(value, count)` pairs, so the section stops growing with uptime. v3
+//! (what [`encode_checkpoint`] writes) drops seven fields no restore reads:
+//! the applied counts, pending count and clock (derived), the last submit's
+//! staleness and weights, each lease's issue round, and the completed ids
+//! (8 B per applied result). The decoder reads v1 and v2 and skips those.
 
 #![deny(unused_variables)]
 
@@ -40,7 +42,7 @@ use fleet_profiler::{IProfState, SlopePredictorState};
 use std::collections::BTreeMap;
 
 /// Checkpoint format version written by [`encode_checkpoint`].
-const CHECKPOINT_VERSION: u8 = 2;
+const CHECKPOINT_VERSION: u8 = 3;
 
 /// The version that stored every observed staleness value; still decoded.
 const CHECKPOINT_V1: u8 = 1;
@@ -68,12 +70,7 @@ fn put_server_state(s: &mut Sink, state: &ParameterServerState) {
         parameters,
         shard_pending,
         shard_clocks,
-        shard_applied,
-        pending_count,
-        clock,
         updates_received,
-        last_shard_staleness,
-        last_shard_weights,
         aggregator:
             AggregatorState {
                 staleness_counts,
@@ -89,12 +86,7 @@ fn put_server_state(s: &mut Sink, state: &ParameterServerState) {
         }
     }
     s.put_vec(shard_clocks, u64::to_le_bytes);
-    s.put_vec(shard_applied, u64::to_le_bytes);
-    s.put_u64(*pending_count as u64);
-    s.put_u64(*clock);
     s.put_u64(*updates_received);
-    s.put_vec(last_shard_staleness, u64::to_le_bytes);
-    s.put_vec(last_shard_weights, f32::to_le_bytes);
     s.put_len(staleness_counts.len());
     for &(value, count) in staleness_counts {
         s.put_u64(value);
@@ -138,12 +130,18 @@ fn get_server_state(buf: &mut Bytes, version: u8) -> Result<ParameterServerState
         get_counted(buf, 4, |buf| get_vec(buf, f32::from_le_bytes))
     })?;
     let shard_clocks = get_vec(buf, u64::from_le_bytes)?;
-    let shard_applied = get_vec(buf, u64::from_le_bytes)?;
-    let pending_count = get_u64(buf)? as usize;
-    let clock = get_u64(buf)?;
+    if version < CHECKPOINT_VERSION {
+        // The applied counts, the round's pending count and the clock.
+        get_vec(buf, u64::from_le_bytes)?;
+        get_u64(buf)?;
+        get_u64(buf)?;
+    }
     let updates_received = get_u64(buf)?;
-    let last_shard_staleness = get_vec(buf, u64::from_le_bytes)?;
-    let last_shard_weights = get_vec(buf, f32::from_le_bytes)?;
+    if version < CHECKPOINT_VERSION {
+        // The last submission's per-shard staleness and weights.
+        get_vec(buf, u64::from_le_bytes)?;
+        get_vec(buf, f32::from_le_bytes)?;
+    }
     let staleness_counts = if version == CHECKPOINT_V1 {
         fold_staleness_values(get_vec(buf, u64::from_le_bytes)?)
     } else {
@@ -154,12 +152,7 @@ fn get_server_state(buf: &mut Bytes, version: u8) -> Result<ParameterServerState
         parameters,
         shard_pending,
         shard_clocks,
-        shard_applied,
-        pending_count,
-        clock,
         updates_received,
-        last_shard_staleness,
-        last_shard_weights,
         aggregator: AggregatorState {
             staleness_counts,
             label_counts,
@@ -226,32 +219,37 @@ fn put_task_table_state(s: &mut Sink, state: &TaskTableState) {
     let TaskTableState {
         next_id,
         outstanding,
-        completed,
         expired,
     } = state;
     s.put_u64(*next_id);
     s.put_len(outstanding.len());
-    for &(id, worker, issued, deadline) in outstanding {
+    for &(id, worker, deadline) in outstanding {
         s.put_u64(id);
         s.put_u64(worker);
-        s.put_u64(issued);
         s.put_u64(deadline);
     }
-    s.put_vec(completed, u64::to_le_bytes);
     s.put_vec(expired, u64::to_le_bytes);
 }
 
-fn get_task_table_state(buf: &mut Bytes) -> Result<TaskTableState, WireError> {
+fn get_task_table_state(buf: &mut Bytes, version: u8) -> Result<TaskTableState, WireError> {
+    let legacy = version < CHECKPOINT_VERSION;
     let next_id = get_u64(buf)?;
-    let outstanding = get_counted(buf, 4 * 8, |buf| {
-        Ok((get_u64(buf)?, get_u64(buf)?, get_u64(buf)?, get_u64(buf)?))
+    let outstanding = get_counted(buf, if legacy { 32 } else { 24 }, |buf| {
+        let (id, worker) = (get_u64(buf)?, get_u64(buf)?);
+        if legacy {
+            // The issue round.
+            get_u64(buf)?;
+        }
+        Ok((id, worker, get_u64(buf)?))
     })?;
-    let completed = get_vec(buf, u64::from_le_bytes)?;
+    if legacy {
+        // The completed ids.
+        get_vec(buf, u64::from_le_bytes)?;
+    }
     let expired = get_vec(buf, u64::from_le_bytes)?;
     Ok(TaskTableState {
         next_id,
         outstanding,
-        completed,
         expired,
     })
 }
@@ -299,8 +297,8 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
     })
 }
 
-/// Decodes a checkpoint produced by [`encode_checkpoint`], or by its v1
-/// predecessor.
+/// Decodes a checkpoint produced by [`encode_checkpoint`], or by its v1 and
+/// v2 predecessors.
 ///
 /// # Errors
 ///
@@ -308,7 +306,7 @@ pub fn encode_checkpoint(state: &FleetServerState) -> Bytes {
 /// version byte, or contains malformed fields.
 pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> {
     let version = get_u8(&mut buf)?;
-    if version != CHECKPOINT_VERSION && version != CHECKPOINT_V1 {
+    if !(CHECKPOINT_V1..=CHECKPOINT_VERSION).contains(&version) {
         return Err(WireError::UnsupportedVersion(version));
     }
     let parameter_server = get_server_state(&mut buf, version)?;
@@ -320,7 +318,7 @@ pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> 
         rejected_similarity: get_u64(&mut buf)?,
         rejected_overload: get_u64(&mut buf)?,
     };
-    let tasks = get_task_table_state(&mut buf)?;
+    let tasks = get_task_table_state(&mut buf, version)?;
     // Smallest route: the worker id and an empty model string.
     let device_models = get_counted(&mut buf, 8 + 4, |buf| Ok((get_u64(buf)?, get_string(buf)?)))?;
     Ok(FleetServerState {
@@ -335,6 +333,7 @@ pub fn decode_checkpoint(mut buf: Bytes) -> Result<FleetServerState, WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{ResultDisposition, TaskResponse};
 
     fn sample_state() -> FleetServerState {
         FleetServerState {
@@ -342,12 +341,7 @@ mod tests {
                 parameters: vec![0.5, -1.25, 3.0],
                 shard_pending: vec![vec![vec![0.1, 0.2]], vec![], vec![vec![-0.5]]],
                 shard_clocks: vec![4, 0, 7],
-                shard_applied: vec![2, 0, 3],
-                pending_count: 1,
-                clock: 11,
                 updates_received: 12,
-                last_shard_staleness: vec![1, 0, 2],
-                last_shard_weights: vec![0.9, 1.0, 0.4],
                 aggregator: AggregatorState {
                     staleness_counts: vec![(0, 1), (1, 2), (2, 1)],
                     label_counts: vec![5, 0, 9],
@@ -380,8 +374,7 @@ mod tests {
             },
             tasks: TaskTableState {
                 next_id: 9,
-                outstanding: vec![(7, 2, 10, 16), (8, 4, 11, 17)],
-                completed: vec![0, 1, 2, 3, 5],
+                outstanding: vec![(7, 2, 16), (8, 4, 17)],
                 expired: vec![4, 6],
             },
             device_models: vec![(2, "pixel-3".into()), (4, "s10".into())],
@@ -396,7 +389,8 @@ mod tests {
     }
 
     /// The sample checkpoint as v1 wrote it (captured on the element-wise
-    /// codec), staleness history `[0, 1, 1, 2]` stored value by value.
+    /// codec), staleness history `[0, 1, 1, 2]` stored value by value, and
+    /// the fields v3 dropped (completed ids `[0, 1, 2, 3, 5]`, clock 11, …).
     const SAMPLE_V1_HEX: &str = "01030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e04000000000000000000000001000000000000000100000000000000020000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130";
 
     fn unhex(hex: &str) -> Bytes {
@@ -407,20 +401,52 @@ mod tests {
             .into()
     }
 
-    /// Golden vector of the current (v2) encoding.
+    /// The sample checkpoint as v2 wrote it: v1 with staleness counts.
+    const SAMPLE_V2_HEX: &str = "02030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e0300000000000000000000000100000000000000010000000000000002000000000000000200000000000000010000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130";
+
+    /// Golden vector of the current (v3) encoding.
     #[test]
     fn golden_bytes_of_the_sample_checkpoint() {
         assert_eq!(
             crate::wire::hex(&encode_checkpoint(&sample_state())),
-            "02030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000300000002000000000000000000000000000000030000000000000001000000000000000b000000000000000c0000000000000003000000010000000000000000000000000000000200000000000000030000006666663f0000803fcdcccc3e0300000000000000000000000100000000000000010000000000000002000000000000000200000000000000010000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000000a000000000000001000000000000000080000000000000004000000000000000b0000000000000011000000000000000500000000000000000000000100000000000000020000000000000003000000000000000500000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130"
+            "03030000000000003f0000a0bf00004040030000000100000002000000cdcccc3dcdcc4c3e000000000100000001000000000000bf030000000400000000000000000000000000000007000000000000000c000000000000000300000000000000000000000100000000000000010000000000000002000000000000000200000000000000010000000000000003000000050000000000000000000000000000000900000000000000060000000ad7233c0ad7a33c000000000000000000000000cdcccc3d0200000007000000706978656c2d33060000000000003f0000003f0000003f0000003f0000003f0000003f03000000000000000300000073313006000000000080be000080be000080be000080be000080be000080be010000000000000001000000060000000000803f0000803f0000803f0000803f0000803f0000803f295c8f3d010ad7233ccdcccc3e1100000000000000060000009a99993e9a99993e9a99993e9a99993e9a99993e9a99993e00000000000000000000000000000000002800000000000000030000000000000002000000000000000500000000000000090000000000000002000000070000000000000002000000000000001000000000000000080000000000000004000000000000001100000000000000020000000400000000000000060000000000000002000000020000000000000007000000706978656c2d33040000000000000003000000733130"
         );
     }
 
-    /// Checkpoints on disk from before v2 stay readable: the values fold
-    /// into the counts the sample state holds.
+    /// Checkpoints on disk from v1 stay readable: the values fold into the
+    /// counts the sample state holds, and the dropped fields are skipped.
     #[test]
     fn v1_golden_bytes_decode_to_the_sample_state() {
         assert_eq!(decode_checkpoint(unhex(SAMPLE_V1_HEX)), Ok(sample_state()));
+    }
+
+    #[test]
+    fn v2_golden_bytes_decode_to_the_sample_state() {
+        assert_eq!(decode_checkpoint(unhex(SAMPLE_V2_HEX)), Ok(sample_state()));
+    }
+
+    /// The lease table's section follows the open and reclaimed leases, not
+    /// the results applied: with none outstanding it is as long after 1 000
+    /// applied results as after 100.
+    #[test]
+    fn task_table_section_does_not_grow_with_applied_results() {
+        let (mut server, mut workers, _) = crate::server::tests::build_world(1);
+        let mut lens = Vec::new();
+        for applied in 1..=1000 {
+            let TaskResponse::Assignment(assignment) = server.handle_request(&workers[0].request())
+            else {
+                panic!("the permissive controller rejected task {applied}");
+            };
+            let result = workers[0].execute(&assignment).expect("execute");
+            let ack = server.handle_result(result);
+            assert_eq!(ack.disposition, ResultDisposition::Applied);
+            if applied == 100 || applied == 1000 {
+                let tasks = server.checkpoint().tasks;
+                assert!(tasks.outstanding.is_empty() && tasks.expired.is_empty());
+                lens.push(encode(|s| put_task_table_state(s, &tasks)).len());
+            }
+        }
+        assert_eq!(lens[0], lens[1]);
     }
 
     #[test]
@@ -447,12 +473,7 @@ mod tests {
                 parameters: vec![0.0],
                 shard_pending: vec![vec![]],
                 shard_clocks: vec![0],
-                shard_applied: vec![0],
-                pending_count: 0,
-                clock: 0,
                 updates_received: 0,
-                last_shard_staleness: vec![0],
-                last_shard_weights: vec![1.0],
                 aggregator: AggregatorState::default(),
             },
             iprof: IProfState::default(),
@@ -476,7 +497,11 @@ mod tests {
 
     #[test]
     fn truncation_errors_at_every_offset() {
-        for encoded in [encode_checkpoint(&sample_state()), unhex(SAMPLE_V1_HEX)] {
+        for encoded in [
+            encode_checkpoint(&sample_state()),
+            unhex(SAMPLE_V2_HEX),
+            unhex(SAMPLE_V1_HEX),
+        ] {
             for len in 0..encoded.len() {
                 let truncated = encoded.slice(0..len);
                 assert!(

@@ -23,7 +23,8 @@
 //! one. A lease ends in exactly one of two ways:
 //!
 //! * a result with its `task_id` arrives before the deadline — the lease
-//!   moves to the *completed* set, and
+//!   *completes* (it leaves the table; an issued id that is neither
+//!   outstanding nor expired is completed), and
 //! * the deadline passes — the lease is *reclaimed* (moved to the *expired*
 //!   set), freeing the server to hand the work to someone else; a straggler
 //!   result arriving later is acknowledged but **not** applied.
@@ -35,7 +36,7 @@
 //! | disposition    | condition                                  | applied? |
 //! |----------------|--------------------------------------------|----------|
 //! | `Applied`      | first result for an outstanding lease      | yes      |
-//! | `Duplicate`    | `task_id` already in the completed set     | no       |
+//! | `Duplicate`    | issued, neither outstanding nor expired    | no       |
 //! | `Expired`      | `task_id` reclaimed before the result came | no       |
 //! | `Unsolicited`  | unknown `task_id`, or wrong worker, or a   | no       |
 //! |                | legacy (id-less) result from a worker with |          |

@@ -187,7 +187,8 @@ pub struct FleetServer {
     parameter_server: ParameterServer<AdaSgd>,
     iprof: IProf,
     controller: Controller,
-    /// Outstanding-task leases, completed and expired sets (dedup).
+    /// Outstanding-task leases and expired ids (dedup: an issued id in
+    /// neither was completed).
     tasks: TaskTable,
     /// Device model of each worker, remembered from its last request so that
     /// result feedback can be routed to the right personalised I-Prof model.
@@ -559,7 +560,7 @@ impl FleetServer {
         }
     }
 
-    /// The lease table (outstanding / completed / expired task counts).
+    /// The lease table (outstanding leases and expired ids).
     pub fn tasks(&self) -> &TaskTable {
         &self.tasks
     }
@@ -626,7 +627,7 @@ impl FleetServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::worker::Worker;
     use fleet_data::partition::non_iid_shards;
@@ -636,7 +637,9 @@ mod tests {
     use fleet_ml::models::mlp_classifier;
     use std::sync::Arc;
 
-    fn build_world(num_workers: usize) -> (FleetServer, Vec<Worker>, Arc<fleet_data::Dataset>) {
+    pub(crate) fn build_world(
+        num_workers: usize,
+    ) -> (FleetServer, Vec<Worker>, Arc<fleet_data::Dataset>) {
         let dataset = Arc::new(generate(&SyntheticSpec::vector(4, 6, 200), 1));
         let users = non_iid_shards(&dataset, num_workers, 2, 2);
         let model = mlp_classifier(6, &[8], 4, 0);
@@ -960,7 +963,7 @@ mod tests {
         assert_eq!(second.scaling_factor, 0.0);
         assert_eq!(server.clock(), clock_after_first);
         assert_eq!(server.parameters(), after_first.as_slice());
-        assert_eq!(server.tasks().export_state().completed.len(), 1);
+        assert_eq!(server.tasks().completed_len(), 1);
     }
 
     #[test]
@@ -983,7 +986,7 @@ mod tests {
             Err(WireError::LengthOutOfBounds(honest.gradient.len() - 1))
         );
         assert_eq!(server.tasks().outstanding_len(), 1);
-        assert_eq!(server.tasks().export_state().completed.len(), 0);
+        assert_eq!(server.tasks().completed_len(), 0);
         assert_eq!(server.clock(), 0);
         assert_eq!(server.parameters(), before.as_slice());
 
@@ -1145,7 +1148,7 @@ mod tests {
             ResultDisposition::Duplicate
         );
         assert_eq!(restored.tasks().outstanding_len(), 0);
-        assert_eq!(restored.tasks().export_state().completed.len(), 1);
+        assert_eq!(restored.tasks().completed_len(), 1);
 
         // Task-id continuity: the restored table never reuses the id.
         match restored.handle_request(&workers[1].request()) {

@@ -6,6 +6,9 @@
 //! [`ResultDisposition`]; only [`ResultDisposition::Applied`] results may
 //! touch the model. The table is plain data — no clocks of its own, no
 //! randomness — so it checkpoints and replays deterministically.
+//!
+//! It logs no completed ids: every issued id is outstanding, expired or
+//! completed, so one that is neither of the first two was completed.
 
 use crate::protocol::ResultDisposition;
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,8 +18,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Lease {
     /// The worker the task was assigned to.
     pub worker_id: u64,
-    /// The logical round the task was issued in.
-    pub issued_round: u64,
     /// First round at which the lease counts as expired: a result must
     /// arrive at a round strictly below this to be applied.
     pub deadline_round: u64,
@@ -29,11 +30,9 @@ pub struct Lease {
 pub struct TaskTableState {
     /// The next id to issue.
     pub next_id: u64,
-    /// Outstanding leases as `(task_id, worker_id, issued_round,
-    /// deadline_round)`, sorted by id.
-    pub outstanding: Vec<(u64, u64, u64, u64)>,
-    /// Ids of completed (applied) tasks, sorted.
-    pub completed: Vec<u64>,
+    /// Outstanding leases as `(task_id, worker_id, deadline_round)`, sorted
+    /// by id.
+    pub outstanding: Vec<(u64, u64, u64)>,
     /// Ids of reclaimed (expired) tasks, sorted.
     pub expired: Vec<u64>,
 }
@@ -43,7 +42,6 @@ pub struct TaskTableState {
 pub struct TaskTable {
     next_id: u64,
     outstanding: BTreeMap<u64, Lease>,
-    completed: BTreeSet<u64>,
     expired: BTreeSet<u64>,
 }
 
@@ -68,7 +66,6 @@ impl TaskTable {
             task_id,
             Lease {
                 worker_id,
-                issued_round: round,
                 deadline_round: round.saturating_add(lease_rounds),
             },
         );
@@ -109,27 +106,31 @@ impl TaskTable {
     /// ([`ResultDisposition::Applied`]); everything else leaves the table
     /// unchanged and reports why the result must be discarded.
     pub fn classify(&mut self, task_id: u64, worker_id: u64) -> ResultDisposition {
-        if self.completed.contains(&task_id) {
-            return ResultDisposition::Duplicate;
-        }
-        if self.expired.contains(&task_id) {
-            return ResultDisposition::Expired;
-        }
         match self.outstanding.get(&task_id) {
             Some(lease) if lease.worker_id == worker_id => {
                 self.outstanding.remove(&task_id);
-                self.completed.insert(task_id);
                 ResultDisposition::Applied
             }
-            // A result for someone else's lease (or an id the server never
-            // issued) must not complete the real assignee's task.
-            _ => ResultDisposition::Unsolicited,
+            // A result for someone else's lease must not complete the real
+            // assignee's task.
+            Some(_) => ResultDisposition::Unsolicited,
+            None if self.expired.contains(&task_id) => ResultDisposition::Expired,
+            // Issued, neither outstanding nor expired: completed already.
+            None if task_id < self.next_id => ResultDisposition::Duplicate,
+            None => ResultDisposition::Unsolicited,
         }
     }
 
     /// Number of outstanding leases.
     pub fn outstanding_len(&self) -> usize {
         self.outstanding.len()
+    }
+
+    /// Number of completed tasks: the issued ids neither outstanding nor
+    /// expired.
+    #[cfg(test)]
+    pub(crate) fn completed_len(&self) -> usize {
+        self.next_id as usize - self.outstanding.len() - self.expired.len()
     }
 
     /// Exports the table for checkpointing (all sets in sorted order).
@@ -139,16 +140,8 @@ impl TaskTable {
             outstanding: self
                 .outstanding
                 .iter()
-                .map(|(&id, lease)| {
-                    (
-                        id,
-                        lease.worker_id,
-                        lease.issued_round,
-                        lease.deadline_round,
-                    )
-                })
+                .map(|(&id, lease)| (id, lease.worker_id, lease.deadline_round))
                 .collect(),
-            completed: self.completed.iter().copied().collect(),
             expired: self.expired.iter().copied().collect(),
         }
     }
@@ -161,18 +154,16 @@ impl TaskTable {
             outstanding: state
                 .outstanding
                 .into_iter()
-                .map(|(id, worker_id, issued_round, deadline_round)| {
+                .map(|(id, worker_id, deadline_round)| {
                     (
                         id,
                         Lease {
                             worker_id,
-                            issued_round,
                             deadline_round,
                         },
                     )
                 })
                 .collect(),
-            completed: state.completed.into_iter().collect(),
             expired: state.expired.into_iter().collect(),
         }
     }
@@ -181,6 +172,7 @@ impl TaskTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ids_are_strictly_monotonic() {
@@ -199,7 +191,7 @@ mod tests {
         assert_eq!(table.classify(id, 7), ResultDisposition::Applied);
         assert_eq!(table.classify(id, 7), ResultDisposition::Duplicate);
         assert_eq!(table.classify(id, 7), ResultDisposition::Duplicate);
-        assert_eq!(table.completed.len(), 1);
+        assert_eq!(table.completed_len(), 1);
         assert_eq!(table.outstanding_len(), 0);
     }
 
@@ -216,6 +208,9 @@ mod tests {
     fn unknown_ids_are_unsolicited() {
         let mut table = TaskTable::new();
         assert_eq!(table.classify(999, 1), ResultDisposition::Unsolicited);
+        // The next id is not issued yet either.
+        let id = table.issue(1, 0, 4);
+        assert_eq!(table.classify(id + 1, 1), ResultDisposition::Unsolicited);
     }
 
     #[test]
@@ -296,5 +291,65 @@ mod tests {
         assert_eq!(restored.classify(a, 1), ResultDisposition::Duplicate);
         assert_eq!(restored.classify(b, 2), ResultDisposition::Expired);
         assert_eq!(restored.issue(9, 5, 4), table.issue(9, 5, 4));
+    }
+
+    /// A reference table that logs every completed id and checks that log
+    /// first in `classify`; issue, expiry and reclaim are the table's own.
+    #[derive(Default)]
+    struct LoggingTable {
+        table: TaskTable,
+        completed: BTreeSet<u64>,
+    }
+
+    impl LoggingTable {
+        fn classify(&mut self, task_id: u64, worker_id: u64) -> ResultDisposition {
+            let lease = self.table.outstanding.get(&task_id);
+            if self.completed.contains(&task_id) {
+                ResultDisposition::Duplicate
+            } else if self.table.expired.contains(&task_id) {
+                ResultDisposition::Expired
+            } else if lease.is_some_and(|lease| lease.worker_id == worker_id) {
+                self.table.outstanding.remove(&task_id);
+                self.completed.insert(task_id);
+                ResultDisposition::Applied
+            } else {
+                ResultDisposition::Unsolicited
+            }
+        }
+    }
+
+    proptest! {
+        /// Random issue, classify (ids up to three past the last issued),
+        /// reclaim, expiry and export → restore sequences give the
+        /// dispositions, leases and expired ids of the logging table.
+        #[test]
+        fn prop_derived_duplicates_match_the_logging_table(
+            ops in proptest::collection::vec((0u8..6, any::<u64>(), 0u64..4, 1u64..6), 1..80),
+        ) {
+            let (mut table, mut reference) = (TaskTable::new(), LoggingTable::default());
+            let mut round = 0;
+            for &(op, pick, worker, rounds) in &ops {
+                let id = pick % (table.next_id + 4);
+                // Half the time the rightful assignee, when there is one.
+                let assignee = table.outstanding.get(&id).filter(|_| pick >> 63 == 0);
+                let worker = assignee.map_or(worker, |lease| lease.worker_id);
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        table.issue(worker, round, rounds),
+                        reference.table.issue(worker, round, rounds)
+                    ),
+                    2 => prop_assert_eq!(table.classify(id, worker), reference.classify(id, worker)),
+                    3 => prop_assert_eq!(table.reclaim(id), reference.table.reclaim(id)),
+                    4 => {
+                        round += rounds;
+                        let reclaimed = reference.table.reclaim_expired(round);
+                        prop_assert_eq!(table.reclaim_expired(round), reclaimed);
+                    }
+                    _ => table = TaskTable::from_state(table.export_state()),
+                }
+                prop_assert_eq!(&table.outstanding, &reference.table.outstanding);
+                prop_assert_eq!(&table.expired, &reference.table.expired);
+            }
+        }
     }
 }

@@ -428,8 +428,8 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
     }
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Task ids assigned over this connection. On any disconnect they are
-    // force-reclaimed; ids whose results were applied are in the completed
-    // set by then, so reclaiming them is a no-op.
+    // force-reclaimed; ids whose results were applied are no longer
+    // outstanding by then, so reclaiming them is a no-op.
     let mut issued: BTreeSet<u64> = BTreeSet::new();
     loop {
         // Wait indefinitely for the next frame to *start*: an idle worker is
@@ -489,8 +489,8 @@ fn serve_conn(shared: &Shared, mut stream: Stream) {
     }
     if !issued.is_empty() {
         let mut core = shared.core.lock().expect("core mutex");
-        // Ids whose results were applied are in the completed set by now:
-        // reclaiming them is a no-op, and nothing is journaled for them.
+        // Ids whose results were applied are no longer outstanding: reclaiming
+        // them is a no-op, and nothing is journaled for them.
         for task_id in issued {
             let raw = Bytes::from(task_id.to_le_bytes().to_vec());
             let event = Event::decode(EventKind::Reclaim, raw.clone());

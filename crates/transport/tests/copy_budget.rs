@@ -149,11 +149,7 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
         counts.push(("segments", at));
         at += 4 + pending.iter().map(|s| f32s(s.len())).sum::<usize>();
     }
-    at += u64s(server.shard_clocks.len())
-        + u64s(server.shard_applied.len())
-        + 3 * 8
-        + u64s(server.last_shard_staleness.len())
-        + f32s(server.last_shard_weights.len());
+    at += u64s(server.shard_clocks.len()) + 8;
     counts.push(("staleness_pairs", at));
     at += 4
         + 16 * server.aggregator.staleness_counts.len()
@@ -176,10 +172,7 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
     }
     at += 4 * 8 + 8;
     counts.push(("outstanding_count", at));
-    at += 4
-        + 32 * state.tasks.outstanding.len()
-        + u64s(state.tasks.completed.len())
-        + u64s(state.tasks.expired.len());
+    at += 4 + 24 * state.tasks.outstanding.len() + u64s(state.tasks.expired.len());
     counts.push(("device_count", at));
     at += 4 + state
         .device_models
