@@ -380,6 +380,46 @@ mod tests {
         }
     }
 
+    /// A container the size of `serve_durable`'s checkpoints (263 287
+    /// payload bytes): its seal takes the four-chain CRC.
+    fn checkpoint_sized_doc() -> CheckpointDoc {
+        CheckpointDoc {
+            generation: 4,
+            seq: 3_000,
+            steps: 2_944,
+            payload: Bytes::from(
+                (0..263_287u32)
+                    .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_sized_doc_roundtrips_under_an_unchanged_seal() {
+        let doc = checkpoint_sized_doc();
+        let encoded = encode_doc(&doc);
+        // zlib's CRC-32 of the sealed bytes, so the seal is the single-chain
+        // CRC's.
+        assert_eq!(encoded[encoded.len() - 4..], 0x2B7A_A327u32.to_le_bytes());
+        assert_eq!(decode_doc(encoded).unwrap(), doc);
+    }
+
+    #[test]
+    fn a_bit_flip_in_a_checkpoint_sized_doc_fails_its_seal() {
+        let encoded = encode_doc(&checkpoint_sized_doc()).to_vec();
+        let last = encoded.len() - 1;
+        for byte in (0..last).step_by(4_999).chain([last]) {
+            let mut flipped = encoded.clone();
+            flipped[byte] ^= 1 << (byte % 8);
+            assert_eq!(
+                decode_doc(Bytes::from(flipped)),
+                Err(CodecError::CrcMismatch),
+                "flip at byte {byte}"
+            );
+        }
+    }
+
     #[test]
     fn unknown_kind_and_version_rejected() {
         let mut raw = encode_record(&sample_record()).to_vec();

@@ -209,6 +209,60 @@ mod tests {
         assert_eq!(hex, "464c5457414c0000010300000000000000804764301300000001020000000000000001050000000202020202ee401ea2");
     }
 
+    /// A record the size of `serve_durable`'s results (47 364 payload
+    /// bytes): its frame is long enough for the four-chain CRC.
+    fn result_sized_record(seq: u64) -> JournalRecord {
+        JournalRecord {
+            seq,
+            kind: EventKind::Result,
+            payload: Bytes::from(
+                (0..47_364u32)
+                    .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    #[test]
+    fn a_result_sized_record_roundtrips_under_an_unchanged_crc() {
+        let path = scratch("result-sized");
+        let mut writer = JournalWriter::create(&path, 3, FsyncPolicy::Never).unwrap();
+        writer.append(&result_sized_record(1)).unwrap();
+        drop(writer);
+        let raw = std::fs::read(&path).unwrap();
+        // zlib's CRC-32 of the frame body, so the frame's bytes are the
+        // single-chain CRC's.
+        assert_eq!(raw[raw.len() - 4..], 0xAA12_2386u32.to_le_bytes());
+        let read = read_journal(&path).unwrap();
+        assert_eq!(read.records, vec![result_sized_record(1)]);
+    }
+
+    #[test]
+    fn a_bit_flip_in_a_result_sized_payload_ends_the_journal_before_it() {
+        let path = scratch("result-sized-flip");
+        let mut writer = JournalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
+        writer.append(&record(1)).unwrap();
+        let frame_at = std::fs::metadata(&path).unwrap().len() as usize;
+        let large = result_sized_record(2);
+        writer.append(&large).unwrap();
+        writer.append(&record(3)).unwrap();
+        drop(writer);
+        let full = std::fs::read(&path).unwrap();
+        let payload_at = frame_at + 4 + record_len(&large) - large.payload.len();
+        let last = large.payload.len() - 1;
+        for offset in (0..last).step_by(997).chain([last]) {
+            let mut flipped = full.clone();
+            flipped[payload_at + offset] ^= 1 << (offset % 8);
+            std::fs::write(&path, &flipped).unwrap();
+            let read = read_journal(&path).unwrap();
+            assert_eq!(
+                read.records,
+                vec![record(1)],
+                "flip at payload byte {offset}"
+            );
+        }
+    }
+
     #[test]
     fn every_truncation_yields_a_valid_prefix() {
         let path = scratch("truncate");
