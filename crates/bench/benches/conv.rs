@@ -7,7 +7,9 @@
 //!
 //! * `table1_mnist_step_im2col` / `table1_mnist_forward_im2col` — one full
 //!   forward+backward training step, and the forward pass alone, of the
-//!   paper's MNIST CNN.
+//!   paper's MNIST CNN at batch 16.
+//! * `table1_mnist_step_b32` — the same step at batch 32, the batch size of
+//!   fleetbench's `train_inproc` workload.
 //! * `conv2_mnist_{forward,backward}_im2col` — the second MNIST convolution
 //!   in isolation (8→48 channels, 5x5 on 8x8).
 //! * `table1_emnist_step_im2col` / `table1_cifar100_step_im2col` — the other
@@ -64,6 +66,12 @@ fn table1_step_benches(c: &mut Criterion) {
     c.bench_function("table1_mnist_forward_im2col", |b| {
         let mut model = table1_mnist_cnn(0);
         b.iter(|| black_box(model.forward(&x_mnist).unwrap()));
+    });
+    let x_b32 = Tensor::from_vec(pattern(32 * 28 * 28, 1.0), &[32, 1, 28, 28]);
+    let y32: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    c.bench_function("table1_mnist_step_b32", |b| {
+        let mut model = table1_mnist_cnn(0);
+        b.iter(|| black_box(model.compute_gradient(&x_b32, &y32).unwrap()));
     });
 
     let x_emnist = Tensor::from_vec(pattern(16 * 28 * 28, 1.0), &[16, 1, 28, 28]);

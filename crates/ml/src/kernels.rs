@@ -47,6 +47,15 @@
 //! the panel transpose. The branch keys on `m`, so the numeric structure of
 //! each output element is a function of the shape alone.
 //!
+//! A blocked dot shorter than `DOT_LANES` (`k < 32`, e.g. the weight
+//! gradient of the MNIST model's second convolution, whose `k` is its 16
+//! output positions) never fills a lane chunk: it is `0.0 + chain` for one
+//! fused chain from `0.0`, after a 32-lane reduction tree of zeros. Those
+//! columns run as lanes instead: `NR` of them are packed transposed into a
+//! zero-padded panel, the NN micro-kernel (or an axpy, for the row tail)
+//! computes the chains side by side, and each real lane stores
+//! `0.0 + chain` — the same value, bit for bit, without the tree.
+//!
 //! # One kernel path and its determinism contract
 //!
 //! There is a single implementation of every micro-kernel: lane-explicit
@@ -202,9 +211,14 @@ fn tile_column_tail(
 /// Packs `NR` rows `b[j0..j0+NR, :]` of a row-major `[n, k]` matrix
 /// *transposed* into the same panel shape: `panel[p*NR + j] = b[j0 + j][p]`.
 /// After this, the NN micro-kernel computes `A·Bᵀ` columns without ever
-/// touching the strided original again.
-fn pack_bt_panel(b: &[f32], panel: &mut [f32], k: usize, j0: usize) {
-    for (j, row) in b[j0 * k..(j0 + NR) * k].chunks_exact(k).enumerate() {
+/// touching the strided original again. A panel that runs past `n` (the
+/// column tail) is zero-padded to the full `NR` lanes.
+fn pack_bt_panel(b: &[f32], panel: &mut [f32], k: usize, n: usize, j0: usize) {
+    let width = NR.min(n - j0);
+    if width < NR {
+        panel[..k * NR].fill(0.0);
+    }
+    for (j, row) in b[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
         for (p, &v) in row.iter().enumerate() {
             panel[p * NR + j] = v;
         }
@@ -514,8 +528,9 @@ pub(crate) fn matmul_nt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: 
 /// rows transposed ([`pack_bt_panel`]) and runs the NN micro-kernel over
 /// every `MR`-row group, with row remainders taking the axpy loop over the
 /// same panel (identical fused chains). The column tail (`n % NR`) and the
-/// `m < NT_PACK_MIN_ROWS` case keep the blocked-dot formulation; both
-/// branches key on the shape alone.
+/// `m < NT_PACK_MIN_ROWS` case keep the blocked-dot formulation — as lanes
+/// when the dots are short ([`short_dots`]); all three branches key on the
+/// shape alone.
 fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if n == 0 {
         return;
@@ -525,7 +540,7 @@ fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
         let full_groups = m / MR;
         with_pack_buf(k * NR, |panel| {
             for j0 in (0..n_main).step_by(NR) {
-                pack_bt_panel(b, panel, k, j0);
+                pack_bt_panel(b, panel, k, n, j0);
                 for g in 0..full_groups {
                     let group = &mut out[g * MR * n..(g + 1) * MR * n];
                     tile_nn(a, panel, NR, 0, group, g * MR, k, n, j0, acc);
@@ -543,6 +558,10 @@ fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
             }
         });
     }
+    if k < DOT_LANES {
+        short_dots(a, b, out, m, k, n, n_main, acc);
+        return;
+    }
     // Blocked-dot columns, in groups of DOT_COL_BLOCK: the block of `b` rows
     // stays L1-resident while every `a` row sweeps it, instead of re-
     // streaming all of `b` per output row. Pure iteration-order change over
@@ -558,6 +577,57 @@ fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
             }
         }
     }
+}
+
+/// The blocked-dot columns `from..n` of `out {=, +=} a · bᵀ` when the dots are
+/// short (`k < DOT_LANES`). Such a [`dot`] runs no lane chunk: its lanes
+/// reduce to `+0.0` and it returns `0.0 + chain`, `chain` being one fused
+/// `mul_add` chain over ascending `p` from `0.0`. So the columns are packed
+/// `NR` at a time into a zero-padded transposed panel ([`pack_bt_panel`]),
+/// each chain runs as a lane of the NN micro-kernel (full `MR`-row groups)
+/// or of an axpy (the row tail), and each real lane is stored as
+/// `0.0 + chain` — bit for bit what `dot` returns — instead of paying
+/// `dot`'s 32-lane reduction tree for every element.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
+)]
+fn short_dots(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    from: usize,
+    acc: bool,
+) {
+    with_pack_buf(k * NR, |panel| {
+        for j0 in (from..n).step_by(NR) {
+            let width = NR.min(n - j0);
+            pack_bt_panel(b, panel, k, n, j0);
+            for row0 in (0..m).step_by(MR) {
+                let rows = MR.min(m - row0);
+                let mut chains = [0.0f32; MR * NR];
+                if rows == MR {
+                    tile_nn(a, panel, NR, 0, &mut chains, row0, k, NR, 0, false);
+                } else {
+                    for (r, lane) in chains.chunks_exact_mut(NR).take(rows).enumerate() {
+                        for (p, &av) in a[(row0 + r) * k..][..k].iter().enumerate() {
+                            axpy(lane, &panel[p * NR..p * NR + NR], av);
+                        }
+                    }
+                }
+                for (r, lane) in chains.chunks_exact(NR).take(rows).enumerate() {
+                    let cells = &mut out[(row0 + r) * n + j0..][..width];
+                    for (cell, &chain) in cells.iter_mut().zip(lane) {
+                        let d = 0.0 + chain;
+                        *cell = if acc { *cell + d } else { d };
+                    }
+                }
+            }
+        }
+    });
 }
 
 /// The seed repository's single-threaded kernel, kept verbatim as the
@@ -906,6 +976,64 @@ mod tests {
                 matmul_tn_acc(&a_t, &b, &mut out, m, k, n);
                 let expected = chain_reference(|i, p| a_t[p * m + i], &b, &stale, (m, k, n));
                 prop_assert_eq!(bits(&out), bits(&expected), "tn {}", what);
+            }
+        }
+    }
+
+    #[test]
+    fn short_dot_lanes_equal_dot_bit_for_bit() {
+        // Every short depth (k < DOT_LANES) and every tail width 1..NR, for
+        // a product below NT_PACK_MIN_ROWS (every column is a short dot)
+        // and one above it with a row tail (only the columns past the last
+        // full panel are), overwriting and accumulating. The "underflow"
+        // class makes every product round to −0.0, so a chain is −0.0 and
+        // only `dot`'s `0.0 +` turns it into +0.0; its accumulate seed is
+        // −0.0, which keeps a missing `0.0 +` visible after the add.
+        for k in 1..DOT_LANES {
+            for width in 1..NR {
+                for m in [5usize, 13] {
+                    let n = if m < NT_PACK_MIN_ROWS {
+                        width
+                    } else {
+                        NR + width
+                    };
+                    let first = if m < NT_PACK_MIN_ROWS { 0 } else { NR };
+                    let salt = (k * NR + width) as u64 * 31 + m as u64;
+                    let dense = (
+                        fill_pattern(m * k, 2.0, salt),
+                        fill_pattern(n * k, 2.0, !salt),
+                    );
+                    let underflow = (vec![-1e-30f32; m * k], vec![1e-30f32; n * k]);
+                    let mut poisoned = dense.clone();
+                    poisoned.0[(salt as usize) % (m * k)] = f32::NAN;
+                    poisoned.1[(salt as usize / 3) % (n * k)] = f32::INFINITY;
+                    for (class, (a, b)) in [
+                        ("dense", dense),
+                        ("underflow", underflow),
+                        ("poisoned", poisoned),
+                    ] {
+                        let seed = if class == "underflow" {
+                            vec![-0.0f32; m * n]
+                        } else {
+                            fill_pattern(m * n, 1.0, salt ^ 0x5EED)
+                        };
+                        for acc in [false, true] {
+                            let mut out = seed.clone();
+                            matmul_nt_into(&a, &b, &mut out, m, k, n, acc);
+                            for i in 0..m {
+                                for j in first..n {
+                                    let d = dot(&a[i * k..][..k], &b[j * k..][..k]);
+                                    let want = if acc { seed[i * n + j] + d } else { d };
+                                    assert_eq!(
+                                        out[i * n + j].to_bits(),
+                                        want.to_bits(),
+                                        "{class} m {m} k {k} width {width} acc {acc} at ({i}, {j})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

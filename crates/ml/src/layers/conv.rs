@@ -1,22 +1,23 @@
 //! 2-D convolution layer, lowered to the GEMM micro-kernel engine.
 //!
-//! # The im2col engine
+//! # Per-image lowering
 //!
 //! The paper's Table 1 workloads are CNNs, so `Conv2d` is where the dominant
 //! FLOPs of the benchmark models live. The layer routes them through
-//! [`crate::kernels`]:
+//! [`crate::kernels`], one image at a time, through one per-image column
+//! buffer: `[K × N]`, where `K = in_channels · kernel²` patch rows in
+//! `(ic, ky, kx)`-ascending order and `N = oh · ow` output positions
+//! (14 400 floats for the MNIST model's first convolution, 3 200 for its
+//! second).
 //!
-//! * **Forward** lowers each batch image into an im2col workspace — one
-//!   `[K × N]` column matrix per image, where
-//!   `K = in_channels · kernel²` patch rows in `(ic, ky, kx)`-ascending order
-//!   and `N = oh · ow` output positions — and computes
-//!   `out_b = W · cols_b + bias` with the register-tiled
-//!   [`crate::kernels::matmul`] (`W` reshaped `[out_channels, K]`) right
-//!   after lowering image `b`, while its columns are still in cache.
-//! * **Backward** reuses the *same* workspace, image by image in ascending
-//!   order: `d(cols_b) = Wᵀ · dY_b` via [`crate::kernels::matmul_tn_acc`]
-//!   followed by a col2im scatter-add into `grad_input`, then
-//!   `dW += dY_b · cols_bᵀ` via the fused [`crate::kernels::matmul_nt_acc`]
+//! * **Forward** lowers image `b` into the buffer and computes
+//!   `out_b = W · cols + bias` with the register-tiled
+//!   [`crate::kernels::matmul`] (`W` reshaped `[out_channels, K]`) while the
+//!   columns are still in cache.
+//! * **Backward** runs the images in ascending order: `d(cols) = Wᵀ · dY_b`
+//!   via [`crate::kernels::matmul_tn_acc`] and a col2im scatter-add into
+//!   `grad_input`, then image `b` lowered *again* from the cached input and
+//!   `dW += dY_b · colsᵀ` via the fused [`crate::kernels::matmul_nt_acc`]
 //!   straight into the gradient buffer (layers with few output channels
 //!   compute the bit-identical transposed product instead — see
 //!   [`GW_TRANSPOSE_MAX_OC`]) and the bias sums, every channel's chain
@@ -24,13 +25,30 @@
 //!   the input-gradient GEMM + scatter is skipped entirely
 //!   ([`Layer::backward_input_unneeded`]).
 //!
-//! The column workspace, the cached input, the `d(cols)` and transposed
+//! Lowering twice is what keeps no whole-batch workspace alive from forward
+//! to backward: at batch 32 the MNIST model's two such workspaces were
+//! 460 800 + 102 400 floats (2.25 MB), every one written before it was read.
+//! The buffer holds exactly the values the whole-batch workspace held for
+//! image `b`, and every GEMM call is the one it was, so the gradient is the
+//! same bit for bit (the `per_image_parity` tests hold the layer to a
+//! whole-batch oracle). Narrow rows (the second MNIST convolution's
+//! `ow = 4`) are lowered and scattered as fixed-width array copies, which
+//! pays for most of the second lowering.
+//!
+//! The GEMM still reads the columns from the buffer rather than gathering
+//! its `B` panels straight from the image: a prototype that gathered them by
+//! `(ic, ky, kx, oy, ox)` offsets inside the panel packing ran the first
+//! MNIST convolution's batch-32 forward in 462 µs against 386 µs with the
+//! buffer (2-core AVX-512 host). The lowering copies whole input rows; the
+//! gather computes an offset per packed lane.
+//!
+//! The column buffer, the cached input, the `d(cols)` and transposed
 //! weight-gradient scratch and the output and input-gradient tensors are
 //! all lent by the thread's scratch pool ([`crate::scratch`]); the layer
-//! itself keeps only its parameters and gradients across steps. The columns
-//! and cached input stay with the layer from forward to backward and go back
-//! to the pool at [`Layer::release_scratch`]; the rest go back as soon as
-//! their pass is done with them.
+//! itself keeps only its parameters and gradients across steps. The cached
+//! input stays with the layer from forward to backward and goes back to the
+//! pool at [`Layer::release_scratch`]; the rest go back as soon as their
+//! pass is done with them.
 //!
 //! # One core per gradient
 //!
@@ -84,8 +102,9 @@ const GW_TRANSPOSE_MAX_OC: usize = 12;
 // `out_c < NT_PACK_MIN_ROWS` (else its rows take the fused-chain tiles) and
 // the transposed orientation needs `out_c < NR` (else its columns do).
 // Retuning either kernel constant past this bound must be caught at compile
-// time, because the im2col parity suite is tolerance-based and would not
-// notice the orientations drifting apart in the low bits.
+// time: the direct-vs-im2col parity suite is tolerance-based, and the
+// per-image parity suite's oracle makes the same orientation choice, so
+// neither would notice the orientations drifting apart in the low bits.
 const _: () = assert!(
     GW_TRANSPOSE_MAX_OC <= kernels::NT_PACK_MIN_ROWS && GW_TRANSPOSE_MAX_OC <= kernels::NR,
     "transposed weight-gradient orientation would leave the blocked-dot path"
@@ -108,11 +127,8 @@ pub struct Conv2d {
     grad_bias: Tensor,
     /// The latest forward pass's input, copied onto a lent buffer; `None`
     /// before the first forward pass and after [`Layer::release_scratch`].
+    /// Backward lowers its images again from here.
     cached_input: Option<Tensor>,
-    /// Whole-batch im2col workspace on a lent buffer: one `[K × N]` column
-    /// matrix per image of `cached_input`, lowered by the latest forward and
-    /// reused by the backward weight-gradient GEMM.
-    cols: Vec<f32>,
 }
 
 impl Conv2d {
@@ -149,7 +165,6 @@ impl Conv2d {
             grad_weights: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_input: None,
-            cols: Vec::new(),
         }
     }
 
@@ -211,48 +226,44 @@ impl Conv2d {
         Tensor::relend(&mut self.cached_input, input.shape()).copy_from(input);
     }
 
-    /// im2col forward, one image at a time: lower image `b` into its slice
-    /// of the workspace, then `out_b = W · cols_b + bias` while those
-    /// columns are still in cache.
-    fn forward_im2col(&mut self, input: &Tensor, batch: usize, oh: usize, ow: usize) -> Tensor {
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let (in_c, out_c, kernel, stride) = (
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-        );
-        let kk = in_c * kernel * kernel;
-        let n = oh * ow;
-        let img_len = in_c * h * w;
-        scratch::give(std::mem::take(&mut self.cols));
-        self.cols = scratch::take(batch * kk * n);
+    /// The lowering of one image of `input` (checked by [`Self::check_input`]),
+    /// whose output is `oh × ow`.
+    fn patches(&self, input: &Tensor, oh: usize, ow: usize) -> Patches {
+        Patches {
+            in_c: self.in_channels,
+            h: input.shape()[2],
+            w: input.shape()[3],
+            kernel: self.kernel,
+            stride: self.stride,
+            oh,
+            ow,
+        }
+    }
+
+    /// Forward, one image at a time: lower image `b` into the per-image
+    /// column buffer, then `out_b = W · cols + bias` while those columns are
+    /// still in cache.
+    fn forward_im2col(&self, input: &Tensor, batch: usize, oh: usize, ow: usize) -> Tensor {
+        let patches = self.patches(input, oh, ow);
+        let out_c = self.out_channels;
+        let (kk, n, img_len) = (patches.rows(), patches.positions(), patches.image_len());
+        let mut cols = scratch::take(kk * n);
         let mut out = Tensor::lent(&[batch, out_c, oh, ow]);
         let out_data = out.data_mut();
         let in_data = input.data();
         let w_data = self.weights.data();
         let bias = self.bias.data();
         for b in 0..batch {
-            let cols_b = &mut self.cols[b * kk * n..][..kk * n];
             let out_b = &mut out_data[b * out_c * n..][..out_c * n];
-            im2col_image(
-                &in_data[b * img_len..][..img_len],
-                cols_b,
-                in_c,
-                h,
-                w,
-                kernel,
-                stride,
-                oh,
-                ow,
-            );
-            kernels::matmul(w_data, cols_b, out_b, out_c, kk, n);
+            patches.lower(&in_data[b * img_len..][..img_len], &mut cols);
+            kernels::matmul(w_data, &cols, out_b, out_c, kk, n);
             for (row, &bv) in out_b.chunks_mut(n).zip(bias) {
                 for o in row {
                     *o += bv;
                 }
             }
         }
+        scratch::give(cols);
         out
     }
 
@@ -311,12 +322,12 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// im2col backward, one image at a time in ascending order: image `b`'s
-    /// input gradient (`d(cols_b) = Wᵀ·dY_b` scattered back by col2im), then
-    /// its `dW += dY_b·cols_bᵀ` and bias sums, which extend the gradient
-    /// chains in place. With `need_input_grad` unset (first layer of a model)
-    /// the input-gradient GEMM and scatter are skipped and `None` is
-    /// returned.
+    /// Backward, one image at a time in ascending order: image `b`'s input
+    /// gradient (`d(cols) = Wᵀ·dY_b` scattered back by col2im), then image
+    /// `b` lowered again from the cached input and its `dW += dY_b·colsᵀ`
+    /// and bias sums, which extend the gradient chains in place. With
+    /// `need_input_grad` unset (first layer of a model) the input-gradient
+    /// GEMM and scatter are skipped and `None` is returned.
     fn backward_im2col(
         &mut self,
         grad_output: &Tensor,
@@ -326,21 +337,15 @@ impl Conv2d {
         need_input_grad: bool,
     ) -> Option<Tensor> {
         let input = self.cached_input.as_ref().expect("checked by backward");
-        let (h, w) = (input.shape()[2], input.shape()[3]);
-        let (in_c, out_c, kernel, stride) = (
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-        );
-        let kk = in_c * kernel * kernel;
-        let n = oh * ow;
-        let img_len = in_c * h * w;
+        let patches = self.patches(input, oh, ow);
+        let out_c = self.out_channels;
+        let (kk, n, img_len) = (patches.rows(), patches.positions(), patches.image_len());
         let mut grad_input = need_input_grad.then(|| {
             let mut grad_input = Tensor::lent(input.shape());
             grad_input.fill(0.0);
             grad_input
         });
+        let mut cols = scratch::take(kk * n);
         let mut dcols = if need_input_grad {
             scratch::take(kk * n)
         } else {
@@ -355,31 +360,33 @@ impl Conv2d {
         } else {
             Vec::new()
         };
+        let in_data = input.data();
         let go = grad_output.data();
         let w_data = self.weights.data();
         let gw = self.grad_weights.data_mut();
         let gb = self.grad_bias.data_mut();
         for b in 0..batch {
             let go_b = &go[b * out_c * n..][..out_c * n];
-            let cols_b = &self.cols[b * kk * n..][..kk * n];
             if let Some(grad_input) = grad_input.as_mut() {
                 dcols.fill(0.0);
                 kernels::matmul_tn_acc(w_data, go_b, &mut dcols, kk, out_c, n);
                 let gi_b = &mut grad_input.data_mut()[b * img_len..][..img_len];
-                col2im_add(&dcols, gi_b, in_c, h, w, kernel, stride, oh, ow);
+                patches.scatter_add(&dcols, gi_b);
             }
+            patches.lower(&in_data[b * img_len..][..img_len], &mut cols);
             if transposed {
-                kernels::matmul_nt(cols_b, go_b, &mut gwt, kk, n, out_c);
+                kernels::matmul_nt(&cols, go_b, &mut gwt, kk, n, out_c);
                 for (i, gw_row) in gw.chunks_mut(kk).enumerate() {
                     for (j, g) in gw_row.iter_mut().enumerate() {
                         *g += gwt[j * out_c + i];
                     }
                 }
             } else {
-                kernels::matmul_nt_acc(go_b, cols_b, gw, out_c, n, kk);
+                kernels::matmul_nt_acc(go_b, &cols, gw, out_c, n, kk);
             }
             add_row_sums(gb, go_b, n);
         }
+        scratch::give(cols);
         scratch::give(dcols);
         scratch::give(gwt);
         grad_input
@@ -477,17 +484,12 @@ fn add_row_sums(sums: &mut [f32], rows: &[f32], n: usize) {
     }
 }
 
-/// Lowers one `[in_c, h, w]` image into a `[K × N]` column matrix with patch
-/// rows in `(ic, ky, kx)`-ascending order: `cols[p][oy*ow + ox] =
-/// img[ic][oy*stride + ky][ox*stride + kx]`. Stride-1 rows are straight
-/// `memcpy`s of input-row windows.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
-)]
-fn im2col_image(
-    img: &[f32],
-    cols: &mut [f32],
+/// How one `[in_c, h, w]` image is lowered into a `[K × N]` column matrix:
+/// `K = in_c · kernel²` patch rows in `(ic, ky, kx)`-ascending order,
+/// `N = oh · ow` output positions, `cols[p][oy*ow + ox] =
+/// img[ic][oy*stride + ky][ox*stride + kx]`.
+#[derive(Debug, Clone, Copy)]
+struct Patches {
     in_c: usize,
     h: usize,
     w: usize,
@@ -495,78 +497,118 @@ fn im2col_image(
     stride: usize,
     oh: usize,
     ow: usize,
-) {
-    let n = oh * ow;
-    let mut p = 0;
-    for ic in 0..in_c {
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let col_row = &mut cols[p * n..(p + 1) * n];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    let in_row = &img[(ic * h + iy) * w..][..w];
-                    let dst = &mut col_row[oy * ow..(oy + 1) * ow];
-                    if stride != 1 {
-                        for (ox, d) in dst.iter_mut().enumerate() {
-                            *d = in_row[ox * stride + kx];
-                        }
-                    } else if ow < 32 {
-                        // Short rows (late conv layers shrink to a few
-                        // positions): a scalar copy loop beats the overhead
-                        // of one memcpy call per row.
-                        for (d, &x) in dst.iter_mut().zip(&in_row[kx..kx + ow]) {
-                            *d = x;
-                        }
-                    } else {
-                        dst.copy_from_slice(&in_row[kx..kx + ow]);
-                    }
-                }
-                p += 1;
-            }
-        }
-    }
 }
 
-/// Scatter-adds a `[K × N]` column-gradient matrix back into `[in_c, h, w]`
-/// image geometry — the adjoint of [`im2col_image`]. Rows are visited in the
-/// same `(ic, ky, kx)`-ascending order and positions in ascending `(oy, ox)`,
-/// so overlapping patches accumulate in one fixed order.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a kernel signature: operand slices plus their dimensions, passed flat so the hot loop sees plain locals"
-)]
-fn col2im_add(
-    dcols: &[f32],
-    gi: &mut [f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    kernel: usize,
-    stride: usize,
-    oh: usize,
-    ow: usize,
-) {
-    let n = oh * ow;
-    let mut p = 0;
-    for ic in 0..in_c {
-        for ky in 0..kernel {
-            for kx in 0..kernel {
-                let col_row = &dcols[p * n..(p + 1) * n];
-                for oy in 0..oh {
-                    let iy = oy * stride + ky;
-                    let gi_row = &mut gi[(ic * h + iy) * w..][..w];
-                    let src = &col_row[oy * ow..(oy + 1) * ow];
-                    if stride == 1 {
-                        for (g, &s) in gi_row[kx..kx + ow].iter_mut().zip(src) {
-                            *g += s;
-                        }
-                    } else {
-                        for (ox, &s) in src.iter().enumerate() {
-                            gi_row[ox * stride + kx] += s;
-                        }
+impl Patches {
+    /// `K`, the column matrix's rows.
+    fn rows(&self) -> usize {
+        self.in_c * self.kernel * self.kernel
+    }
+
+    /// `N`, the column matrix's columns.
+    fn positions(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Floats in one input image.
+    fn image_len(&self) -> usize {
+        self.in_c * self.h * self.w
+    }
+
+    /// Lowers `img` into `cols` (`[K × N]`, fully overwritten). The stride-1
+    /// row widths of Table 1's convolutions (24 for the first MNIST and
+    /// E-MNIST ones, 4, 8 and 12 for the second ones) copy as fixed-width
+    /// arrays: one vector move per row where a runtime-length loop paid its
+    /// set-up for four floats.
+    fn lower(&self, img: &[f32], cols: &mut [f32]) {
+        /// `copy(taps, row)` for every row of `cols`; `W` is `ow` when it is
+        /// monomorphised, `0` reads it.
+        fn rows<const W: usize>(
+            g: &Patches,
+            img: &[f32],
+            cols: &mut [f32],
+            copy: impl Fn(&[f32], &mut [f32]),
+        ) {
+            let ow = if W == 0 { g.ow } else { W };
+            let run = (ow - 1) * g.stride + 1;
+            g.each_row(|at, row| copy(&img[at..at + run], &mut cols[row * ow..][..ow]));
+        }
+        fn copy(src: &[f32], dst: &mut [f32]) {
+            dst.copy_from_slice(src);
+        }
+        // Short runs of other widths: a scalar copy loop beats the overhead
+        // of one `memcpy` call per row.
+        fn copy_short(src: &[f32], dst: &mut [f32]) {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = x;
+            }
+        }
+        match (self.stride, self.ow) {
+            (1, 4) => rows::<4>(self, img, cols, copy),
+            (1, 8) => rows::<8>(self, img, cols, copy),
+            (1, 12) => rows::<12>(self, img, cols, copy),
+            (1, 24) => rows::<24>(self, img, cols, copy),
+            (1, ow) if ow >= 32 => rows::<0>(self, img, cols, copy),
+            (1, _) => rows::<0>(self, img, cols, copy_short),
+            (stride, _) => rows::<0>(self, img, cols, |src, dst| {
+                for (d, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                    *d = x;
+                }
+            }),
+        }
+    }
+
+    /// Scatter-adds a `[K × N]` column-gradient matrix back into image
+    /// geometry — the adjoint of [`Self::lower`]. Rows are visited in the
+    /// same `(ic, ky, kx)`-ascending order and positions in ascending
+    /// `(oy, ox)`, so overlapping patches accumulate in one fixed order; the
+    /// widths [`Self::lower`] fixes are fixed here too.
+    fn scatter_add(&self, dcols: &[f32], gi: &mut [f32]) {
+        /// `add(row, taps)` for every row of `dcols`; `W` as in `lower`.
+        fn rows<const W: usize>(
+            g: &Patches,
+            dcols: &[f32],
+            gi: &mut [f32],
+            add: impl Fn(&[f32], &mut [f32]),
+        ) {
+            let ow = if W == 0 { g.ow } else { W };
+            let run = (ow - 1) * g.stride + 1;
+            g.each_row(|at, row| add(&dcols[row * ow..][..ow], &mut gi[at..at + run]));
+        }
+        fn add(src: &[f32], dst: &mut [f32]) {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+        match (self.stride, self.ow) {
+            (1, 4) => rows::<4>(self, dcols, gi, add),
+            (1, 8) => rows::<8>(self, dcols, gi, add),
+            (1, 12) => rows::<12>(self, dcols, gi, add),
+            (1, 24) => rows::<24>(self, dcols, gi, add),
+            (1, _) => rows::<0>(self, dcols, gi, add),
+            (stride, _) => rows::<0>(self, dcols, gi, |src, dst| {
+                for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
+                    *d += s;
+                }
+            }),
+        }
+    }
+
+    /// Calls `f(at, row)` for every `(ic, ky, kx, oy)` in ascending order:
+    /// `row` numbers the column matrix's `ow`-float rows (patch row `p`
+    /// holds rows `p·oh .. (p + 1)·oh`), and `at` is the image offset of that
+    /// row's first tap, `img[ic][oy·stride + ky][kx]`.
+    #[inline(always)]
+    fn each_row(&self, mut f: impl FnMut(usize, usize)) {
+        let mut row = 0;
+        for ic in 0..self.in_c {
+            for ky in 0..self.kernel {
+                for kx in 0..self.kernel {
+                    for oy in 0..self.oh {
+                        f((ic * self.h + oy * self.stride + ky) * self.w + kx, row);
+                        row += 1;
                     }
                 }
-                p += 1;
             }
         }
     }
@@ -617,7 +659,6 @@ impl Layer for Conv2d {
         if let Some(input) = self.cached_input.take() {
             input.give_back();
         }
-        scratch::give(std::mem::take(&mut self.cols));
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -821,6 +862,173 @@ mod tests {
         conv.forward(&small).unwrap();
         let again = conv.forward(&big).unwrap();
         assert_eq!(first, again);
+    }
+}
+
+/// Per-image lowering against the whole-batch workspace it replaced, bit for
+/// bit: the oracle lowers every image up front by the index formula into one
+/// `[batch × K × N]` workspace (and scatters `d(cols)` back by the formula),
+/// then makes the same kernel calls in the same order as the layer.
+#[cfg(test)]
+mod per_image_parity {
+    use super::*;
+
+    /// `(in_c, out_c, kernel, stride, h, w)`.
+    type Shape = (usize, usize, usize, usize, usize, usize);
+
+    /// `cols[p][oy*ow + ox] = img[ic][oy*stride + ky][ox*stride + kx]`.
+    fn lower_by_formula(img: &[f32], g: &Patches, cols: &mut [f32]) {
+        let n = g.positions();
+        for (p, row) in cols.chunks_exact_mut(n).enumerate() {
+            let (ic, ky, kx) = (
+                p / (g.kernel * g.kernel),
+                p / g.kernel % g.kernel,
+                p % g.kernel,
+            );
+            for (j, c) in row.iter_mut().enumerate() {
+                let (oy, ox) = (j / g.ow, j % g.ow);
+                *c = img[(ic * g.h + oy * g.stride + ky) * g.w + ox * g.stride + kx];
+            }
+        }
+    }
+
+    /// The adjoint of [`lower_by_formula`], in the same `(p, oy, ox)` order.
+    fn scatter_by_formula(dcols: &[f32], g: &Patches, gi: &mut [f32]) {
+        let n = g.positions();
+        for (p, row) in dcols.chunks_exact(n).enumerate() {
+            let (ic, ky, kx) = (
+                p / (g.kernel * g.kernel),
+                p / g.kernel % g.kernel,
+                p % g.kernel,
+            );
+            for (j, &d) in row.iter().enumerate() {
+                let (oy, ox) = (j / g.ow, j % g.ow);
+                gi[(ic * g.h + oy * g.stride + ky) * g.w + ox * g.stride + kx] += d;
+            }
+        }
+    }
+
+    /// The whole-batch engine: `(output, grad_input, grad_weights,
+    /// grad_bias)` for one forward and one backward from zeroed gradients.
+    fn whole_batch(conv: &Conv2d, input: &Tensor, go: &[f32]) -> [Vec<f32>; 4] {
+        let (batch, oh, ow) = conv.check_input(input).unwrap();
+        let g = conv.patches(input, oh, ow);
+        let (kk, n, img_len, out_c) = (g.rows(), g.positions(), g.image_len(), conv.out_channels);
+        let mut cols = vec![f32::NAN; batch * kk * n];
+        for (img, cols_b) in input
+            .data()
+            .chunks_exact(img_len)
+            .zip(cols.chunks_exact_mut(kk * n))
+        {
+            lower_by_formula(img, &g, cols_b);
+        }
+        let w = conv.weights.data();
+        let mut out = vec![0.0; batch * out_c * n];
+        let mut gi = vec![0.0; input.len()];
+        let mut gw = vec![0.0; w.len()];
+        let mut gb = vec![0.0; out_c];
+        let mut dcols = vec![0.0; kk * n];
+        let mut gwt = vec![0.0; kk * out_c];
+        let transposed = out_c < GW_TRANSPOSE_MAX_OC && kk >= out_c;
+        for b in 0..batch {
+            let cols_b = &cols[b * kk * n..][..kk * n];
+            let out_b = &mut out[b * out_c * n..][..out_c * n];
+            kernels::matmul(w, cols_b, out_b, out_c, kk, n);
+            for (row, &bv) in out_b.chunks_mut(n).zip(conv.bias.data()) {
+                row.iter_mut().for_each(|o| *o += bv);
+            }
+        }
+        for b in 0..batch {
+            let cols_b = &cols[b * kk * n..][..kk * n];
+            let go_b = &go[b * out_c * n..][..out_c * n];
+            dcols.fill(0.0);
+            kernels::matmul_tn_acc(w, go_b, &mut dcols, kk, out_c, n);
+            scatter_by_formula(&dcols, &g, &mut gi[b * img_len..][..img_len]);
+            if transposed {
+                kernels::matmul_nt(cols_b, go_b, &mut gwt, kk, n, out_c);
+                for (i, gw_row) in gw.chunks_mut(kk).enumerate() {
+                    for (j, v) in gw_row.iter_mut().enumerate() {
+                        *v += gwt[j * out_c + i];
+                    }
+                }
+            } else {
+                kernels::matmul_nt_acc(go_b, cols_b, &mut gw, out_c, n, kk);
+            }
+            add_row_sums(&mut gb, go_b, n);
+        }
+        [out, gi, gw, gb]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn pattern(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i * 7919 + salt * 104_729) % 2003) as f32 / 1001.0 - 1.0) * 1.7)
+            .collect()
+    }
+
+    fn assert_whole_batch_parity(shape: Shape, batch: usize) {
+        let (in_c, out_c, kernel, stride, h, w) = shape;
+        let mut conv = Conv2d::new(in_c, out_c, kernel, stride, Initializer::He, 17);
+        conv.bias = Tensor::from_vec(pattern(out_c, 3), &[out_c]);
+        let input = Tensor::from_vec(pattern(batch * in_c * h * w, 1), &[batch, in_c, h, w]);
+        let out = conv.forward(&input).unwrap();
+        let go = Tensor::from_vec(pattern(out.len(), 2), out.shape());
+        let gi = conv.backward(&go).unwrap();
+        let want = whole_batch(&conv, &input, go.data());
+        let got = [
+            out.data(),
+            gi.data(),
+            conv.grad_weights.data(),
+            conv.grad_bias.data(),
+        ];
+        for ((what, got), want) in ["output", "grad_input", "grad_weights", "grad_bias"]
+            .iter()
+            .zip(got)
+            .zip(&want)
+        {
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{what} of {shape:?} at batch {batch}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_image_lowering_equals_the_whole_batch_workspace_on_table1_shapes() {
+        let table1: [Shape; 6] = [
+            (1, 8, 5, 1, 28, 28),   // MNIST conv1
+            (8, 48, 5, 1, 8, 8),    // MNIST conv2
+            (1, 10, 5, 1, 28, 28),  // EMNIST conv1
+            (10, 10, 5, 1, 12, 12), // EMNIST conv2
+            (3, 16, 3, 1, 32, 32),  // CIFAR-100 conv1
+            (16, 64, 3, 1, 14, 14), // CIFAR-100 conv2
+        ];
+        for shape in table1 {
+            assert_whole_batch_parity(shape, 3);
+        }
+    }
+
+    #[test]
+    fn per_image_lowering_equals_the_whole_batch_workspace_on_strides_and_remainders() {
+        let shapes: [Shape; 8] = [
+            (3, 5, 3, 2, 11, 13),
+            (2, 13, 2, 2, 9, 16),
+            (2, 7, 2, 1, 9, 7),
+            (1, 3, 3, 1, 7, 10),
+            (4, 20, 3, 1, 6, 14),
+            (2, 6, 1, 3, 10, 10),
+            (3, 9, 4, 3, 17, 19),
+            (1, 2, 2, 1, 3, 40),
+        ];
+        for shape in shapes {
+            for batch in [1, 2] {
+                assert_whole_batch_parity(shape, batch);
+            }
+        }
     }
 }
 

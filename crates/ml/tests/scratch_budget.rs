@@ -1,10 +1,11 @@
 //! The model scratch budget, held as a *count* of the bytes a pass allocates
-//! on the calling thread. Every transient buffer of a pass (im2col columns,
-//! masks, argmax indices, cached inputs, activations, input gradients) is
-//! lent by the thread's scratch pool and given back before the pass
-//! returns, so once one replica has warmed the pool, another replica's first
-//! pass allocates little beyond the gradient it returns, and a model at
-//! rest clones as nothing but its parameters and gradients.
+//! on the calling thread. Every transient buffer of a pass (one image's
+//! im2col columns, masks, argmax indices, cached inputs, activations, input
+//! gradients) is lent by the thread's scratch pool and given back before
+//! the pass returns, so once one replica has warmed the pool, another
+//! replica's first pass allocates little beyond the gradient it returns, a
+//! model at rest clones as nothing but its parameters and gradients, and
+//! the most an MNIST gradient holds at once stays under a byte budget.
 //!
 //! The counting allocator is this binary's `#[global_allocator]`. It counts
 //! bytes and calls per thread, and the budget has no allowance for spawning:
@@ -28,10 +29,15 @@ thread_local! {
     /// Allocator calls (allocations and reallocations) made by the current
     /// thread; const-initialised for the same reason.
     static CALLS_HERE: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by the current thread, and the
+    /// most that difference has been since [`reset_peak`]; const-initialised
+    /// for the same reason.
+    static LIVE_HERE: Cell<i64> = const { Cell::new(0) };
+    static PEAK_HERE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// `System`, plus a count of the calls and of the bytes requested: whole
-/// allocations, and the growth of reallocations.
+/// `System`, plus a count of the calls and of the bytes requested (whole
+/// allocations, and the growth of reallocations), and of the bytes live.
 struct Counting;
 
 fn count(bytes: usize) {
@@ -39,28 +45,39 @@ fn count(bytes: usize) {
     let _ = CALLS_HERE.try_with(|here| here.set(here.get() + 1));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE_HERE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_HERE.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter never touches the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` and `layout` are the caller's, unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -79,6 +96,17 @@ fn allocated_here() -> u64 {
 
 fn calls_here() -> u64 {
     CALLS_HERE.with(Cell::get)
+}
+
+/// Starts a new high-water mark at the bytes live now, and returns them.
+fn reset_peak() -> i64 {
+    let now = LIVE_HERE.with(Cell::get);
+    PEAK_HERE.with(|peak| peak.set(now));
+    now
+}
+
+fn peak_here() -> i64 {
+    PEAK_HERE.with(Cell::get)
 }
 
 /// Bytes a pass may allocate beyond what it returns: tensor shapes and the
@@ -133,6 +161,43 @@ fn a_replica_computes_its_first_gradient_on_the_threads_warm_scratch() {
              the budget is {GRADIENT_CALLS}"
         );
     }
+}
+
+/// The most bytes two MNIST gradients (batch 32) may hold at once on a
+/// thread whose scratch pool starts empty, beyond what was live before:
+/// the pool's whole working set plus the gradient returned. Measured at
+/// 1 939 832 B, with one image's im2col columns per convolution and a bit
+/// mask per ReLU. A whole-batch column workspace (460 800 + 102 400
+/// floats), float ReLU masks and a pool that grew its largest buffer for
+/// any request it could not fit made it 5 670 008 B.
+const MNIST_HIGH_WATER: i64 = 2_000_000;
+
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the measurement needs a thread whose scratch pool has never lent a buffer; it runs two passes and shares nothing, so no partition is involved"
+)]
+fn an_mnist_gradients_scratch_high_water_holds_one_images_columns_not_the_batchs() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let model = table1_mnist_cnn(42);
+    let (inputs, labels) = mnist_batch(32, 0);
+    let high_water = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut model = model.clone();
+            let before = reset_peak();
+            for _ in 0..2 {
+                model.compute_gradient(&inputs, &labels).expect("gradient");
+            }
+            peak_here() - before
+        })
+        .join()
+        .expect("fresh thread")
+    });
+    assert!(
+        high_water <= MNIST_HIGH_WATER,
+        "two MNIST gradients on a fresh thread held {high_water} B at once; \
+         the budget is {MNIST_HIGH_WATER} B"
+    );
 }
 
 #[test]

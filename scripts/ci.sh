@@ -26,8 +26,9 @@
 #                           must equal the uninterrupted trajectory), the
 #                           loadgen schedule digest (bit-identical at two
 #                           FLEET_NUM_THREADS settings and equal to the
-#                           pinned loadgen value), the kernel, conv, pool and
-#                           wire/checkpoint codec suites, fleet-durability's
+#                           pinned loadgen value), the kernel, conv, pool,
+#                           activation and wire/checkpoint codec suites,
+#                           fleet-durability's
 #                           tests and the transport's unit tests (replay
 #                           equals live at every crash point) and
 #                           durability_restart tests again in a release
@@ -325,16 +326,20 @@ if [[ "${1:-}" != "--quick" ]]; then
         echo "==> re-pinned scripts/expected_digests.txt (commit it deliberately)"
     fi
 
-    # The kernel reference suites (narrow column tails against a scalar
-    # fused chain), the direct-vs-im2col parity suite, the pooling suite
-    # (whole-window scan against the per-row sweep oracle) and the
-    # wire/checkpoint codec suites (bit-exact bulk vector proptests, golden
-    # vectors) again under the optimiser: tier-1 above ran them in a debug
-    # build, and the vectorised release lowering is what ships.
+    # The kernel reference suites (narrow column tails and short-dot lanes
+    # against a scalar fused chain and `dot`), the conv suites (per-image
+    # lowering against the whole-batch workspace bit for bit, direct-vs-
+    # im2col parity), the pooling suite (lanes against the scalar scan and
+    # the per-row sweep oracle), the activation suite (the ReLU bit mask
+    # against the float mask) and the wire/checkpoint codec suites
+    # (bit-exact bulk vector proptests, golden vectors) again under the
+    # optimiser: tier-1 above ran them in a debug build, and the vectorised
+    # release lowering is what ships.
     echo "==> kernel, conv and codec parity tests (release build)"
     cargo test --release -q -p fleet-ml kernels
     cargo test --release -q -p fleet-ml conv
     cargo test --release -q -p fleet-ml pool
+    cargo test --release -q -p fleet-ml activation
     cargo test --release -q -p fleet-server -- wire checkpoint
 
     # The durable store writes its checkpoints on a thread of their own while
