@@ -90,9 +90,9 @@ fn shard_benches(c: &mut Criterion) {
                 round += 1;
                 let update = WorkerUpdate::new(template.clone(), 3, labels.clone(), 100, 7);
                 if leased {
-                    let task_id = table.issue(7, round, 6);
+                    let task_id = table.issue(7, round, 6, round, None, String::new());
                     table.reclaim_expired(round);
-                    black_box(table.classify(task_id, 7));
+                    let _ = black_box(table.complete(Some(task_id), 7));
                 }
                 black_box(server.submit(update))
             });

@@ -14,16 +14,18 @@
 //! chaos harness: requests are dropped before the worker computes, uploaded
 //! results are dropped, duplicated or delayed (stragglers), and workers
 //! crash-restart, losing their in-flight uploads. Every planned task carries
-//! a server-issued lease in a [`TaskTable`]; results ship through the v3 wire
-//! codec with their task id and are classified on delivery — duplicates and
-//! expired leases never touch the model. Fault decisions are pure hashes of
+//! a server-issued lease in a [`TaskTable`] that records the snapshot it
+//! reads; results ship through the v3 wire codec with their task id,
+//! complete their lease on delivery and are weighed by it exactly as
+//! `FleetServer` weighs them — duplicates and expired leases never touch the
+//! model. Fault decisions are pure hashes of
 //! `(seed, round, worker)`, so they consume no RNG stream: a run under
 //! [`FaultPlan::none`] is byte-identical to a run without the fault layer,
 //! and a faulty run is bit-stable across thread counts.
 
 use crate::faults::{FaultPlan, FaultStats, ResultFate};
 use bytes::Bytes;
-use fleet_core::{Aggregator, ConfigError, CoreConfig, ParameterServer, WorkerUpdate};
+use fleet_core::{Aggregator, ConfigError, CoreConfig, ParameterServer};
 use fleet_data::partition::UserPartition;
 use fleet_data::sampling::MiniBatchSampler;
 use fleet_data::{Dataset, LabelDistribution};
@@ -116,7 +118,7 @@ pub struct SimulationConfig {
     /// `flush_every`-th round — a deterministic stand-in for the divergent
     /// shard cadences a deployed scheduler would produce under uneven load,
     /// which is what makes the vector clock actually diverge in a simulation
-    /// whose submissions all span the full model. Workers echo their read
+    /// whose submissions all span the full model. Leases record the read
     /// vector clock if and only if this is nonzero: without flushes the
     /// planned staleness, counted in rounds, is the experiment's control
     /// variable, and under faults the vector clock (which counts applies)
@@ -384,7 +386,7 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
         history.push_back(server.parameters().to_vec());
         // With flushes, the shard vector clock at each snapshot — what a
         // worker pulling that snapshot observed, kept index-aligned with
-        // `history` so the read clock ships with the gradient.
+        // `history` so the task's lease records its read clock.
         let mut clock_history: VecDeque<Vec<u64>> = VecDeque::new();
         if ship_read_clock {
             clock_history.push_back(server.shard_clocks());
@@ -415,33 +417,24 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
         }
     }
 
-    /// Delivers one encoded result to the server: decode, classify against
-    /// the lease table, and submit only `Applied` results. Duplicates and
-    /// expired leases bump their counters and never touch the model.
+    /// Delivers one encoded result to the server: decode, complete its lease,
+    /// and submit only results that complete one. Duplicates and expired
+    /// leases bump their counters and never touch the model.
     fn deliver(&mut self, bytes: Bytes, was_delayed: bool) {
         let decoded =
             wire::decode_result(bytes).expect("self-encoded worker results always decode");
-        let task_id = decoded
-            .task_id
-            .expect("simulation results always carry a task id");
-        match self.tasks_table.classify(task_id, decoded.worker_id) {
-            ResultDisposition::Applied => {
-                // Staleness as the server derives it in the real protocol:
-                // clock now minus the model version the gradient was computed
-                // on. For immediate deliveries within a round the clock is
-                // constant (the model only updates on the round's last
-                // submission), so this equals the planned staleness exactly;
-                // delayed deliveries naturally pick up the rounds they spent
-                // in flight.
-                let staleness = self.server.clock() - decoded.model_version;
-                let mut update = WorkerUpdate::new(
-                    decoded.gradient,
-                    staleness,
-                    decoded.label_distribution,
-                    decoded.num_samples,
-                    decoded.worker_id,
-                );
-                update.read_clock = decoded.read_clock;
+        match self
+            .tasks_table
+            .complete(decoded.task_id, decoded.worker_id)
+        {
+            Ok(lease) => {
+                // Staleness as the server derives it: clock now minus the
+                // model version the lease handed out. For immediate
+                // deliveries within a round the clock is constant (the model
+                // only updates on the round's last submission), so this
+                // equals the planned staleness exactly; delayed deliveries
+                // naturally pick up the rounds they spent in flight.
+                let update = lease.into_update(decoded, self.server.clock());
                 let outcome = self.server.submit(update);
                 self.result.scaling_factors.push(outcome.scaling_factor);
                 self.result.faults.applied += 1;
@@ -449,11 +442,11 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                     self.result.faults.delayed_delivered += 1;
                 }
             }
-            ResultDisposition::Duplicate => self.result.faults.duplicates_rejected += 1,
-            ResultDisposition::Expired => self.result.faults.expired_rejected += 1,
+            Err(ResultDisposition::Duplicate) => self.result.faults.duplicates_rejected += 1,
+            Err(ResultDisposition::Expired) => self.result.faults.expired_rejected += 1,
             // The simulation only replays results it leased itself, so this
             // arm is unreachable in practice; counting keeps it honest.
-            _ => self.result.faults.expired_rejected += 1,
+            Err(_) => self.result.faults.expired_rejected += 1,
         }
     }
 
@@ -514,15 +507,21 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
             staleness = staleness.min(clock).min(self.history.len() as u64 - 1);
             let snapshot_index = self.history.len() - 1 - staleness as usize;
             // A dropped request never reaches the server: no lease is issued
-            // and the worker computes nothing that round.
-            let task_id = if plan.drops_request(round, user as u64) {
-                None
-            } else {
-                Some(
-                    self.tasks_table
-                        .issue(user as u64, round, plan.lease_rounds),
+            // and the worker computes nothing that round. The lease records
+            // the snapshot the worker pulls (planning clamps staleness to
+            // the clock, so its version cannot underflow) and, with flushes,
+            // the vector clock at that snapshot.
+            let task_id = (!plan.drops_request(round, user as u64)).then(|| {
+                self.tasks_table.issue(
+                    user as u64,
+                    round,
+                    plan.lease_rounds,
+                    clock - staleness,
+                    self.ship_read_clock
+                        .then(|| self.clock_history[snapshot_index].as_slice().into()),
+                    String::new(),
                 )
-            };
+            });
             tasks.push(PlannedTask {
                 user,
                 inputs,
@@ -569,11 +568,11 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                 if let Some(mechanism) = self.dp.as_mut() {
                     mechanism.privatize(gradient.as_mut_slice(), task.labels.len());
                 }
+                // The worker echoes what its lease records, as a deployed
+                // worker echoes its assignment; delivery weighs it by the
+                // lease alone.
                 let task_result = TaskResult {
                     worker_id: task.user as u64,
-                    // The worker pulled the model `task.staleness` updates ago
-                    // (planning clamps staleness to the clock, so this cannot
-                    // underflow).
                     model_version: clock - task.staleness,
                     gradient,
                     label_distribution: LabelDistribution::from_labels(
@@ -583,9 +582,6 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
                     num_samples: task.labels.len(),
                     computation_seconds: 0.0,
                     energy_pct: 0.0,
-                    // With flushes, ship the vector clock the worker observed
-                    // at its snapshot, exactly as a deployed worker echoes
-                    // `TaskAssignment::shard_clocks`.
                     read_clock: self
                         .ship_read_clock
                         .then(|| self.clock_history[task.snapshot_index].clone()),

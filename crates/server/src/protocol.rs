@@ -17,7 +17,11 @@
 //!
 //! Every accepted [`TaskAssignment`] carries a server-issued, strictly
 //! monotonic [`TaskAssignment::task_id`] and registers an *outstanding
-//! lease*. The lease's deadline is a logical round derived from I-Prof's
+//! lease*: the server's record of the task — its worker, the model version
+//! and vector clock handed out, and the device model the request named. A
+//! completing result is weighed by that record: its staleness is the clock
+//! now minus the lease's model version, whatever the worker claims. The
+//! lease's deadline is a logical round derived from I-Prof's
 //! predicted computation time plus the device's modelled network transfer
 //! time — a fast phone on LTE gets a short lease, a slow phone on 3G a long
 //! one. A lease ends in exactly one of two ways:
@@ -38,9 +42,8 @@
 //! | `Applied`      | first result for an outstanding lease      | yes      |
 //! | `Duplicate`    | issued, neither outstanding nor expired    | no       |
 //! | `Expired`      | `task_id` reclaimed before the result came | no       |
-//! | `Unsolicited`  | unknown `task_id`, or wrong worker, or a   | no       |
-//! |                | legacy (id-less) result from a worker with |          |
-//! |                | no recorded request                        |          |
+//! | `Unsolicited`  | unknown `task_id`, wrong worker, or no     | no       |
+//! |                | `task_id` at all (a v1/v2 peer's result)   |          |
 //!
 //! Only `Applied` results reach the parameter server and I-Prof; everything
 //! else is acknowledged (so the worker stops retrying) and discarded.
@@ -59,7 +62,8 @@
 //!
 //! A v1 peer keeps decoding every result that carries neither a vector
 //! clock nor a task id; v3 is only on the wire once the server actually
-//! issues task ids.
+//! issues task ids. The server decodes all three, but only a v3 result's
+//! task id can complete a lease.
 //!
 //! The server→worker messages have their own single-version line
 //! (`RESPONSE_WIRE_VERSION` in [`crate::wire`]) covering [`TaskResponse`]
@@ -156,9 +160,9 @@ pub struct TaskAssignment {
     pub model_version: u64,
     /// The per-shard vector clock at hand-out time, one entry per parameter
     /// shard (shards apply asynchronously, so it can say more than
-    /// [`TaskAssignment::model_version`]). The worker echoes it back as
-    /// [`TaskResult::read_clock`] so the server can attribute a *per-shard*
-    /// staleness to the gradient.
+    /// [`TaskAssignment::model_version`]). The task's lease records it, so
+    /// the server attributes a *per-shard* staleness to the gradient; the
+    /// worker echoes it back as [`TaskResult::read_clock`].
     pub shard_clocks: Vec<u64>,
     /// The mini-batch size the worker should process.
     pub mini_batch_size: usize,
@@ -209,7 +213,9 @@ pub enum RejectionReason {
 pub struct TaskResult {
     /// The worker that produced the result.
     pub worker_id: u64,
-    /// The model version the gradient was computed on.
+    /// The model version the gradient was computed on, echoed from
+    /// [`TaskAssignment::model_version`]. The server ignores it: the
+    /// staleness comes from the version the task's lease recorded.
     pub model_version: u64,
     /// The gradient itself.
     pub gradient: Gradient,
@@ -225,12 +231,13 @@ pub struct TaskResult {
     /// The per-shard vector clock the worker observed when it pulled the
     /// model (echoed from [`TaskAssignment::shard_clocks`]); `None` when the
     /// assignment carried no clock, or from wire peers that predate vector
-    /// clocks (wire format v1).
+    /// clocks (wire format v1). The server ignores it: the per-shard
+    /// staleness comes from the clock the task's lease recorded.
     pub read_clock: Option<Vec<u64>>,
-    /// The task identifier echoed from [`TaskAssignment::task_id`]; `None`
-    /// from wire peers that predate leases (wire formats v1/v2). Id-less
-    /// results bypass dedup — they are applied if (and only if) the worker
-    /// has a recorded request, preserving the legacy protocol.
+    /// The task identifier echoed from [`TaskAssignment::task_id`]: the
+    /// lease the result completes. `None` from wire peers that predate
+    /// leases (wire formats v1/v2); such a result completes no lease, so it
+    /// is always [`ResultDisposition::Unsolicited`].
     pub task_id: Option<u64>,
 }
 
@@ -245,15 +252,16 @@ pub enum ResultDisposition {
     /// The task's lease expired before the result arrived; the straggler
     /// gradient was discarded.
     Expired,
-    /// The result matches no known task (unknown id, wrong worker, or an
-    /// id-less result from a worker with no recorded request); discarded.
+    /// The result matches no outstanding task of its sender (unknown id,
+    /// wrong worker, or no id at all); discarded.
     Unsolicited,
 }
 
 /// The server's acknowledgement of a result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResultAck {
-    /// The staleness the server attributed to the gradient.
+    /// The staleness the server attributed to the gradient: its clock minus
+    /// the model version the task's lease recorded.
     pub staleness: u64,
     /// The weight AdaSGD applied to it.
     pub scaling_factor: f64,

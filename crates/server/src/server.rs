@@ -10,12 +10,11 @@ use crate::tasks::{TaskTable, TaskTableState};
 use crate::wire::{self, WireError};
 use bytes::Bytes;
 use fleet_core::{
-    AdaSgd, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState, WorkerUpdate,
+    AdaSgd, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState,
 };
 use fleet_device::NetworkKind;
 use fleet_profiler::{IProf, IProfState, Slo, WorkloadProfiler};
 use fleet_telemetry::{Counter, TelemetryHandle};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Configuration of a [`FleetServer`].
@@ -176,9 +175,6 @@ pub struct FleetServerState {
     pub controller: ControllerCounters,
     /// The lease table.
     pub tasks: TaskTableState,
-    /// Worker → device-model routing, sorted by worker id (the server keeps
-    /// it in a `BTreeMap`, so registration order never reaches the export).
-    pub device_models: Vec<(u64, String)>,
 }
 
 /// The FLeet middleware server.
@@ -188,11 +184,8 @@ pub struct FleetServer {
     iprof: IProf,
     controller: Controller,
     /// Outstanding-task leases and expired ids (dedup: an issued id in
-    /// neither was completed).
+    /// neither was completed). A lease is what a result is weighed by.
     tasks: TaskTable,
-    /// Device model of each worker, remembered from its last request so that
-    /// result feedback can be routed to the right personalised I-Prof model.
-    device_models: BTreeMap<u64, String>,
     config: FleetServerConfig,
     /// Where protocol events are reported; disabled (one branch per event
     /// site, no clock reads) unless a sink is installed via
@@ -230,7 +223,6 @@ impl FleetServer {
             iprof: IProf::new(config.slo),
             controller: Controller::new(config.thresholds),
             tasks: TaskTable::new(),
-            device_models: BTreeMap::new(),
             config,
             telemetry: TelemetryHandle::disabled(),
             published: Published::default(),
@@ -320,10 +312,8 @@ impl FleetServer {
         let reclaimed = self.tasks.reclaim_expired(self.parameter_server.clock());
         if let Some(sink) = self.telemetry.get() {
             sink.add(Counter::Requests, 1);
-            sink.add(Counter::TasksReclaimed, reclaimed.len() as u64);
+            sink.add(Counter::TasksReclaimed, reclaimed as u64);
         }
-        self.device_models
-            .insert(request.worker_id, request.device_model.clone());
 
         // Backpressure: shed the task before spending any admission work on
         // it when a shard's pending buffer is already at its bound.
@@ -349,20 +339,26 @@ impl FleetServer {
         // Step 4: the controller decides whether the task is worth running.
         match self.controller.admit(batch, similarity) {
             Ok(()) => {
+                let clock = self.parameter_server.clock();
+                // The lease records what the task reads — the model version
+                // and the vector clock, for per-shard staleness — and whose
+                // device computes it; the result is weighed by these.
+                let shard_clocks = self.parameter_server.shard_clocks();
                 let task_id = self.tasks.issue(
                     request.worker_id,
-                    self.parameter_server.clock(),
+                    clock,
                     self.lease_rounds(&prediction),
+                    clock,
+                    Some(shard_clocks.as_slice().into()),
+                    request.device_model.clone(),
                 );
                 if let Some(sink) = self.telemetry.get() {
                     sink.add(Counter::Assignments, 1);
                 }
                 Ok(TaskGrant {
                     task_id,
-                    model_version: self.parameter_server.clock(),
-                    // The vector clock, which the worker echoes back for
-                    // per-shard staleness attribution.
-                    shard_clocks: self.parameter_server.shard_clocks(),
+                    model_version: clock,
+                    shard_clocks,
                     mini_batch_size: batch,
                 })
             }
@@ -437,79 +433,55 @@ impl FleetServer {
         Ok(self.handle_result(result))
     }
 
-    /// Handles a worker result (step 5): classifies it against the lease
-    /// table, and — only when it is the first result for an outstanding
-    /// lease — feeds the measured costs back to I-Prof and folds the
-    /// gradient into the model with AdaSGD's weight. Duplicates, stragglers
-    /// whose lease expired, and unsolicited uploads are acknowledged (so the
-    /// worker stops retrying) but never touch the model: the handler is
-    /// idempotent.
+    /// Handles a worker result (step 5): completes its lease, and — only
+    /// when it is the first result for an outstanding lease of its sender —
+    /// folds the gradient into the model with AdaSGD's weight for the
+    /// lease's staleness and feeds the measured costs back to I-Prof under
+    /// the lease's device model. Duplicates, stragglers whose lease expired,
+    /// and unsolicited uploads (an unknown id, someone else's lease, or no
+    /// id at all) are acknowledged (so the worker stops retrying) but never
+    /// touch the model: the handler is idempotent.
     pub fn handle_result(&mut self, result: TaskResult) -> ResultAck {
         let reclaimed = self.tasks.reclaim_expired(self.parameter_server.clock());
         if let Some(sink) = self.telemetry.get() {
             sink.add(Counter::Results, 1);
-            sink.add(Counter::TasksReclaimed, reclaimed.len() as u64);
+            sink.add(Counter::TasksReclaimed, reclaimed as u64);
         }
-        let disposition = match result.task_id {
-            Some(task_id) => self.tasks.classify(task_id, result.worker_id),
-            // Legacy id-less results (wire v1/v2 peers) bypass dedup, but a
-            // result from a worker that never sent a request is still
-            // rejected — it used to be applied and train I-Prof under a
-            // fabricated "unknown" device model.
-            None if self.device_models.contains_key(&result.worker_id) => {
-                ResultDisposition::Applied
+        let lease = match self.tasks.complete(result.task_id, result.worker_id) {
+            Ok(lease) => lease,
+            Err(disposition) => {
+                if let Some(sink) = self.telemetry.get() {
+                    sink.add(
+                        match disposition {
+                            ResultDisposition::Duplicate => Counter::Duplicates,
+                            ResultDisposition::Expired => Counter::Expired,
+                            _ => Counter::Unsolicited,
+                        },
+                        1,
+                    );
+                }
+                return ResultAck {
+                    staleness: 0,
+                    scaling_factor: 0.0,
+                    model_updated: false,
+                    clock: self.parameter_server.clock(),
+                    disposition,
+                };
             }
-            None => ResultDisposition::Unsolicited,
         };
-        if disposition != ResultDisposition::Applied {
-            if let Some(sink) = self.telemetry.get() {
-                sink.add(
-                    match disposition {
-                        ResultDisposition::Duplicate => Counter::Duplicates,
-                        ResultDisposition::Expired => Counter::Expired,
-                        _ => Counter::Unsolicited,
-                    },
-                    1,
-                );
-            }
-            return ResultAck {
-                staleness: 0,
-                scaling_factor: 0.0,
-                model_updated: false,
-                clock: self.parameter_server.clock(),
-                disposition,
-            };
-        }
-        let device_model = self
-            .device_models
-            .get(&result.worker_id)
-            .cloned()
-            .expect("an applied result implies a recorded request");
-        // Feed the observation back into I-Prof. The features at request time
-        // are approximated by the ones the device would report now; in the
-        // real system the request features are cached server-side.
-        let staleness = self
-            .parameter_server
-            .clock()
-            .saturating_sub(result.model_version);
-        let mut update = WorkerUpdate::new(
-            result.gradient,
-            staleness,
-            result.label_distribution,
+        // The measured cost trains the I-Prof model of the lease's device.
+        // The result carries no device features, so I-Prof observes
+        // `DeviceFeatures::default()` until the lease records the request's
+        // (ROADMAP item L, step 3).
+        self.iprof.observe(
+            &lease.device_model,
+            &fleet_device::DeviceFeatures::default(),
             result.num_samples,
-            result.worker_id,
+            result.computation_seconds,
+            result.energy_pct,
         );
-        // A result carrying the read-time vector clock gets per-shard
-        // staleness attribution. The clock comes from outside, so one of the
-        // wrong length is ignored rather than trusted; results from v1 peers
-        // fall back to the scalar staleness.
-        if result
-            .read_clock
-            .as_ref()
-            .is_some_and(|rc| rc.len() == self.parameter_server.num_shards())
-        {
-            update.read_clock = result.read_clock;
-        }
+        let update = lease.into_update(result, self.parameter_server.clock());
+        let staleness = update.staleness;
         let applied_before = if self.telemetry.is_enabled() {
             self.parameter_server.shard_applied_counts()
         } else {
@@ -541,22 +513,12 @@ impl FleetServer {
                 sink.queue_depth(shard, *depth as u64);
             }
         }
-        // Record the execution for the profiler (device features omitted from
-        // the result message; use the slope directly via a synthetic feature
-        // observation keyed by the device model).
-        self.iprof.observe(
-            &device_model,
-            &fleet_device::DeviceFeatures::default(),
-            result.num_samples,
-            result.computation_seconds,
-            result.energy_pct,
-        );
         ResultAck {
             staleness,
             scaling_factor: outcome.scaling_factor,
             model_updated: outcome.applied,
             clock: outcome.clock,
-            disposition,
+            disposition: ResultDisposition::Applied,
         }
     }
 
@@ -602,11 +564,6 @@ impl FleetServer {
             iprof: self.iprof.export_state(),
             controller: self.controller.counters(),
             tasks: self.tasks.export_state(),
-            device_models: self
-                .device_models
-                .iter()
-                .map(|(&id, model)| (id, model.clone()))
-                .collect(),
         }
     }
 
@@ -621,7 +578,6 @@ impl FleetServer {
         self.iprof.import_state(state.iprof);
         self.controller.restore_counters(state.controller);
         self.tasks = TaskTable::from_state(state.tasks);
-        self.device_models = state.device_models.into_iter().collect();
         self.published = Published::default();
     }
 }
@@ -924,18 +880,66 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn legacy_idless_results_from_known_workers_still_apply() {
-        // Wire v1/v2 peers carry no task id; their results bypass dedup but
-        // stay accepted as long as the worker has actually registered.
+    fn legacy_idless_results_from_leased_workers_are_unsolicited() {
+        // Wire v1/v2 peers carry no task id. Sent three times by a worker
+        // with an outstanding lease, such a result is unsolicited every
+        // time, and neither the model, I-Prof nor the lease moves.
         let (mut server, mut workers, _) = build_world(2);
         let request = workers[0].request();
         assert!(matches!(
             server.handle_request(&request),
             TaskResponse::Assignment(_)
         ));
-        let ack = server.handle_result(forged_result(&server, request.worker_id));
-        assert_eq!(ack.disposition, ResultDisposition::Applied);
-        assert!(ack.model_updated);
+        let before = server.checkpoint();
+        let frame = wire::encode_result(&forged_result(&server, request.worker_id));
+        assert_eq!(
+            frame[0], 1,
+            "an id-less result without a clock is a v1 frame"
+        );
+        for _ in 0..3 {
+            let ack = server
+                .handle_result_wire(frame.clone())
+                .expect("v1 decodes");
+            assert_eq!(ack.disposition, ResultDisposition::Unsolicited);
+            assert!(!ack.model_updated);
+            assert_eq!((ack.staleness, ack.clock), (0, 0));
+        }
+        assert_eq!(server.checkpoint(), before);
+        assert_eq!(server.tasks().outstanding_len(), 1);
+    }
+
+    #[test]
+    fn forged_versions_are_weighed_by_the_lease() {
+        // Worker 0 pulls version 0, then worker 1 completes two tasks. The
+        // slow result claims the current version and a current read clock;
+        // it is weighed at the lease's staleness all the same, exactly as
+        // the honest result is.
+        let run = |forge: bool| {
+            let (mut server, mut workers, _) = build_world(2);
+            let TaskResponse::Assignment(slow) = server.handle_request(&workers[0].request())
+            else {
+                panic!("the permissive controller rejected the slow task");
+            };
+            for _ in 0..2 {
+                if let TaskResponse::Assignment(a) = server.handle_request(&workers[1].request()) {
+                    server.handle_result(workers[1].execute(&a).unwrap());
+                }
+            }
+            let mut result = workers[0].execute(&slow).unwrap();
+            if forge {
+                result.model_version = server.clock();
+                result.read_clock = Some(server.parameter_server.shard_clocks());
+            }
+            let ack = server.handle_result(result);
+            (ack, server.parameters().to_vec())
+        };
+        let (honest, honest_parameters) = run(false);
+        let (forged, forged_parameters) = run(true);
+        assert_eq!(forged.disposition, ResultDisposition::Applied);
+        assert_eq!(forged.staleness, 2);
+        assert_eq!(forged, honest);
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&forged_parameters), bits(&honest_parameters));
     }
 
     #[test]

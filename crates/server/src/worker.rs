@@ -125,14 +125,13 @@ impl Worker {
             num_samples: batch_indices.len(),
             computation_seconds: execution.computation_seconds,
             energy_pct: execution.energy_pct,
-            // Echo the per-shard vector clock the assignment carried, so the
-            // server can attribute per-shard staleness to this gradient. An
-            // assignment without one (a hand-built or legacy one) gets the
-            // scalar staleness.
+            // Echo the model version and per-shard vector clock the
+            // assignment carried. The server weighs the gradient by what the
+            // task's lease recorded, so these are informational.
             read_clock: (!assignment.shard_clocks.is_empty())
                 .then(|| assignment.shard_clocks.clone()),
-            // Echo the task id so the server can deduplicate retransmissions
-            // and match the result to its lease.
+            // Echo the task id: the lease the result completes, and how the
+            // server deduplicates retransmissions.
             task_id: Some(assignment.task_id),
         })
     }

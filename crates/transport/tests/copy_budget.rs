@@ -172,13 +172,22 @@ fn inflated_checkpoint_counts_fail_before_they_reserve() {
     }
     at += 4 * 8 + 8;
     counts.push(("outstanding_count", at));
-    at += 4 + 24 * state.tasks.outstanding.len() + u64s(state.tasks.expired.len());
-    counts.push(("device_count", at));
-    at += 4 + state
-        .device_models
-        .iter()
-        .map(|(_, model)| 8 + 4 + model.len())
-        .sum::<usize>();
+    // Each lease: id, worker, deadline, model version, the read-clock flag
+    // and clock, the device model.
+    at += 4
+        + state
+            .tasks
+            .outstanding
+            .iter()
+            .map(|(_, lease)| {
+                4 * 8
+                    + 1
+                    + lease.read_clock.as_ref().map_or(0, |c| u64s(c.len()))
+                    + 4
+                    + lease.device_model.len()
+            })
+            .sum::<usize>()
+        + u64s(state.tasks.expired.len());
     assert_eq!(at, valid.len(), "the walk covers the whole checkpoint");
     assert!(
         !state.tasks.outstanding.is_empty()

@@ -332,6 +332,37 @@ fn resend_after_reconnect_is_deduplicated() {
 }
 
 #[test]
+fn v1_result_frame_from_a_leased_worker_is_unsolicited() {
+    // A v1 peer's result carries no task id. Sent over the socket by a
+    // worker that holds a lease, it completes nothing: the lease stays
+    // outstanding and the model does not move, however often it is sent.
+    let server = TransportServer::bind(
+        &uds_endpoint("idless"),
+        fresh_server(base_config()),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    let mut fleet = build_workers(1);
+    let mut client = WorkerClient::new(server.endpoint().clone());
+    let assignment = match client.request(&fleet[0].request()).expect("request") {
+        TaskResponse::Assignment(a) => a,
+        TaskResponse::Rejected(r) => panic!("rejected: {r:?}"),
+    };
+    let mut legacy = fleet[0].execute(&assignment).expect("execute");
+    legacy.task_id = None;
+    legacy.read_clock = None;
+    let raw = fleet_server::wire::encode_result(&legacy).to_vec();
+    assert_eq!(raw[0], 1, "an id-less result without a clock is a v1 frame");
+    for _ in 0..3 {
+        let ack = client.submit_raw(&raw).expect("ack");
+        assert_eq!(ack.disposition, ResultDisposition::Unsolicited);
+    }
+    let status = client.status().expect("status");
+    assert_eq!((status.outstanding, status.steps, status.clock), (1, 0, 0));
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn wrong_length_gradient_gets_an_error_frame_and_leaves_the_lease_alone() {
     let server = TransportServer::bind(
         &uds_endpoint("shortgrad"),

@@ -340,7 +340,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo test --release -q -p fleet-ml conv
     cargo test --release -q -p fleet-ml pool
     cargo test --release -q -p fleet-ml activation
-    cargo test --release -q -p fleet-server -- wire checkpoint
+    cargo test --release -q -p fleet-server -- wire checkpoint lease
 
     # The durable store writes its checkpoints on a thread of their own while
     # the caller keeps appending; its suites (slicing CRC against the

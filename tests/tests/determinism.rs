@@ -1,72 +1,17 @@
-//! Behavioural guard for the two keyed containers whose contents reach a
-//! checkpoint: `FleetServer::device_models` and I-Prof's per-device-model
-//! `personal` map.
+//! Behavioural guard for the keyed container whose contents reach a
+//! checkpoint by key: I-Prof's per-device-model `personal` map.
 //!
-//! Both are `BTreeMap`s (clippy's `disallowed_types` bans
+//! It is a `BTreeMap` (clippy's `disallowed_types` bans
 //! `std::collections::HashMap`/`HashSet` workspace-wide — see clippy.toml), so
-//! their exports are ordered by key, never by insertion history or a
-//! per-process hash seed. These tests hold that property from the outside:
-//! they permute the *insertion* order (ascending, descending, interleaved) and
-//! assert the exported state is bit-identical, which is exactly what the
-//! pinned digests need. A future container swap that reintroduces an
-//! order-dependent export fails here immediately rather than flaking on some
-//! host's hash seed.
+//! its export is ordered by key, never by insertion history or a per-process
+//! hash seed. This test holds that property from the outside: it permutes the
+//! *insertion* order (round-robin, blocked, reversed) and asserts the
+//! exported state is bit-identical, which is exactly what the pinned digests
+//! need. A future container swap that reintroduces an order-dependent export
+//! fails here immediately rather than flaking on some host's hash seed.
 
-use fleet_data::LabelDistribution;
 use fleet_device::DeviceFeatures;
 use fleet_profiler::{IProf, Slo, WorkloadProfiler};
-use fleet_server::protocol::TaskRequest;
-use fleet_server::{FleetServer, FleetServerConfig};
-
-fn request(worker_id: u64, device_model: &str) -> TaskRequest {
-    TaskRequest {
-        worker_id,
-        device_model: device_model.to_string(),
-        device_features: DeviceFeatures::default(),
-        label_distribution: LabelDistribution::uniform(4),
-        available_samples: 64,
-    }
-}
-
-fn server() -> FleetServer {
-    FleetServer::new(
-        vec![0.0; 16],
-        FleetServerConfig::builder()
-            .num_classes(4)
-            .build()
-            .expect("server config is valid"),
-    )
-}
-
-/// `FleetServer::checkpoint` exports the `device_models` map sorted by
-/// worker id, whatever order the workers registered in.
-#[test]
-fn checkpoint_device_models_ignore_registration_order() {
-    let models = ["Pixel-3", "Galaxy-S7", "Honor-10", "Xperia-E3", "Pixel-3"];
-    let ascending: Vec<u64> = (0..5).collect();
-    let descending: Vec<u64> = (0..5).rev().collect();
-    let interleaved: Vec<u64> = vec![2, 0, 4, 1, 3];
-
-    let export = |order: &[u64]| {
-        let mut srv = server();
-        for &id in order {
-            let _ = srv.handle_request(&request(id, models[id as usize]));
-        }
-        srv.checkpoint().device_models
-    };
-
-    let a = export(&ascending);
-    let b = export(&descending);
-    let c = export(&interleaved);
-    assert_eq!(a, b, "descending registration changed the export");
-    assert_eq!(a, c, "interleaved registration changed the export");
-    // And the export really is the sorted association list.
-    let ids: Vec<u64> = a.iter().map(|(id, _)| *id).collect();
-    assert_eq!(ids, ascending);
-    for (id, model) in &a {
-        assert_eq!(model, models[*id as usize]);
-    }
-}
 
 /// `SlopePredictor::export_state` exports the `personal` per-device-model
 /// map sorted by model name, whatever order the models were first observed in.
